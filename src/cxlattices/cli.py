@@ -32,7 +32,7 @@ from .equivalence import (
 )
 from .errors import CxlatError, RankDeficient
 from .jsonio import MalformedInput
-from .kernel import DEFAULT_TOL, Tolerance, fro, invertibility_margin
+from .kernel import DEFAULT_TOL, GRAY_ZONE, Tolerance, fro, invertibility_margin
 from .lattices import (
     covolume,
     from_generators,
@@ -57,8 +57,6 @@ from .realmaps import (
 from .torus import reduce as torus_reduce
 from .torus import torus_add
 
-_BOUNDARY = 10.0  # a margin within this factor of its threshold is flagged
-
 
 def _is_obj(data, what: str) -> dict:
     if not isinstance(data, dict):
@@ -79,7 +77,7 @@ def _fields(data, *names: str) -> list:
 
 
 def _boundary(margin: float, threshold: float) -> bool:
-    return threshold / _BOUNDARY <= margin <= threshold * _BOUNDARY
+    return threshold / GRAY_ZONE <= margin <= threshold * GRAY_ZONE
 
 
 # each handler: (data, args, tol) -> (payload, extra_diagnostics)

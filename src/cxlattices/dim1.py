@@ -19,10 +19,8 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, MajorizationFails
-from .kernel import DEFAULT_TOL, Tolerance, invertibility_margin
+from .kernel import DEFAULT_TOL, GRAY_ZONE, Tolerance, invertibility_margin
 from .realmaps import BlockForm, is_invertible
-
-_GRAY_ZONE = 10.0
 
 
 def _finite(z: complex, label: str) -> complex:
@@ -122,11 +120,11 @@ def is_invertible_1d(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> bool:
     verdict = gap > threshold
     other = is_invertible(_as_block(f), tol)
     if verdict != other:
-        scalar_decisive = gap > _GRAY_ZONE * threshold or _GRAY_ZONE * gap < threshold
+        scalar_decisive = gap > GRAY_ZONE * threshold or GRAY_ZONE * gap < threshold
         _, ratio = invertibility_margin(
             [[f.a.real, -f.b.imag], [f.a.imag, f.b.real]], tol
         )
-        matrix_decisive = ratio > _GRAY_ZONE * tol.rel or _GRAY_ZONE * ratio < tol.rel
+        matrix_decisive = ratio > GRAY_ZONE * tol.rel or GRAY_ZONE * ratio < tol.rel
         if scalar_decisive and matrix_decisive:
             raise InternalCheckError(
                 "scalar and realified invertibility checks decisively disagree"

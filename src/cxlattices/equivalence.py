@@ -9,18 +9,29 @@ semidecision with three honest states: Equivalent (with a re-verifiable
 witness), RefutedByInvariant (a unitary invariant separates the lattices),
 or UndecidedUpToBound.
 
-Candidates with exact determinant one are enumerated completely for n = 2
-when the height box fits the budget (three entries range freely, the
-fourth is solved in exact arithmetic); otherwise by breadth-first closure
-of unit-multiple column operations from the identity, capped at the same
-budget.  Candidate order is deterministic either way, and the first
+Candidates with exact determinant one come by one of two routes.  The
+complete route enumerates n = 2 in full when the height box fits the
+budget (three entries range freely, the fourth is solved in exact integer
+arithmetic, all with numpy); the closure route takes the breadth-first
+closure of unit-multiple column operations from the identity, capped at
+the same budget.  Candidate order is fixed on each route, and the first
 matching witness wins, so repeated runs return identical verdicts.
+
+Each candidate set is cached per (n, height, route), once, as the public
+tuples together with their stacked complex128 array of shape (k, n, n);
+the Gram scan runs on that array in chunks.  A closure that overruns its
+budget is remembered per (n, height): a later call whose budget is no
+larger raises HeightTooLarge at once, while a larger budget runs the
+closure again.  So only the first call in a process pays for generating
+a set, and the cache answers the same call the same way whatever came
+before it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,26 +109,60 @@ def _gauss_box(height: int):
     )
 
 
-def _complete_2x2(height: int):
+class _Candidates(NamedTuple):
+    """One candidate set: the public tuple form and its read-only (k, n, n) stack."""
+
+    entries: tuple
+    stack: np.ndarray
+
+
+def _stack(candidates) -> np.ndarray:
+    """Candidate tuples as a read-only complex128 array of shape (k, n, n)."""
+    ints = np.array(candidates, dtype=np.int64)
+    return frozen(ints[..., 0] + 1j * ints[..., 1])
+
+
+def _complete_2x2(height: int) -> _Candidates:
+    """Every 2x2 determinant-one matrix ((a, b), (c, d)) of entry height <= height.
+
+    Ordered lexicographically by (a, b, c, d) in box order.  For a != 0 the
+    entry d = (1 + bc) / a is solved in exact integer arithmetic over all
+    (b, c) at once; for a = 0 the condition is bc = -1 and d ranges freely.
+    """
     box = _gauss_box(height)
-    out = []
-    for a in box:
-        for b in box:
-            for c in box:
-                bc = gmul(b, c)
-                if a == ZERO:
-                    if bc != (-1, 0):
-                        continue
-                    out.extend(((a, b), (c, d)) for d in box)
-                    continue
-                num = gadd((1, 0), bc)
-                den = a[0] * a[0] + a[1] * a[1]
-                dr, rr = divmod(num[0] * a[0] + num[1] * a[1], den)
-                di, ri = divmod(num[1] * a[0] - num[0] * a[1], den)
-                if rr or ri or _height((dr, di)) > height:
-                    continue
-                out.append(((a, b), (c, (dr, di))))
-    return tuple(out)
+    pts = np.array(box, dtype=np.int64)
+    m = len(box)
+    bi = np.repeat(np.arange(m), m)
+    ci = np.tile(np.arange(m), m)
+    (br, bim), (cr, cim) = pts[bi].T, pts[ci].T
+    nr = 1 + br * cr - bim * cim  # 1 + bc
+    ni = br * cim + bim * cr
+    rows = []
+    for a, (ar, ai) in enumerate(box):
+        if ar == ai == 0:
+            free = np.flatnonzero((nr == 0) & (ni == 0))
+            sel = np.repeat(free, m)  # each (b, c) with bc = -1, once per d
+            d = np.tile(np.arange(m), free.size)
+        else:
+            den = ar * ar + ai * ai
+            dr, rr = np.divmod(nr * ar + ni * ai, den)
+            di, ri = np.divmod(ni * ar - nr * ai, den)
+            ok = (rr == 0) & (ri == 0) & (np.abs(dr) <= height) & (np.abs(di) <= height)
+            sel = np.flatnonzero(ok)
+            d = (dr[sel] + height) * (2 * height + 1) + di[sel] + height  # box index
+        rows.append(np.stack([np.full(sel.size, a), bi[sel], ci[sel], d], axis=1))
+    idx = np.concatenate(rows)
+    # each of the m * m possible matrix rows is built once and shared
+    pairs = [(x, y) for x in box for y in box]
+    top = [pairs[i] for i in (idx[:, 0] * m + idx[:, 1]).tolist()]
+    bottom = [pairs[i] for i in (idx[:, 2] * m + idx[:, 3]).tolist()]
+    entries = tuple(zip(top, bottom))
+    values = pts[:, 0] + 1j * pts[:, 1]
+    return _Candidates(entries, frozen(values[idx].reshape(-1, 2, 2)))
+
+
+def _closure_overrun(height: int, budget: int) -> HeightTooLarge:
+    return HeightTooLarge(f"candidate closure at height {height} exceeds budget {budget}")
 
 
 def _bfs_candidates(n: int, height: int, budget: int):
@@ -143,16 +188,51 @@ def _bfs_candidates(n: int, height: int, budget: int):
                     if m2 in seen:
                         continue
                     if len(order) >= budget:
-                        raise HeightTooLarge(
-                            f"candidate closure at height {height} exceeds budget {budget}"
-                        )
+                        raise _closure_overrun(height, budget)
                     seen.add(m2)
                     order.append(m2)
                     queue.append(m2)
     return tuple(order)
 
 
+# (n, height, complete) -> _Candidates, complete telling the complete route
+# from the closure; each set is generated once per process and then shared
 _CANDIDATE_CACHE: dict = {}
+# (n, height) -> largest budget the closure is known to exceed
+_CLOSURE_OVERRUNS: dict = {}
+
+
+def _candidates(n: int, height: int, budget: int) -> _Candidates:
+    """The cached set behind sigma_candidates, with its stack."""
+    if n < 1:
+        raise DimensionMismatch("dimension must be positive")
+    if height < 1:
+        raise ValueError("height must be at least 1 (the identity has height 1)")
+    complete = n == 1 or (n == 2 and (2 * height + 1) ** 6 <= budget)
+    key = (n, height, complete)
+    cached = _CANDIDATE_CACHE.get(key)
+    if cached is not None:
+        # answer as a fresh closure run would: it fails past the budget
+        if not complete and len(cached.entries) > budget:
+            raise _closure_overrun(height, budget)
+        return cached
+    if n == 1:
+        entries = ((((1, 0),),),)
+        cached = _Candidates(entries, _stack(entries))
+    elif complete:
+        cached = _complete_2x2(height)
+    else:
+        overrun = _CLOSURE_OVERRUNS.get((n, height))
+        if overrun is not None and budget <= overrun:
+            raise _closure_overrun(height, budget)
+        try:
+            entries = _bfs_candidates(n, height, budget)
+        except HeightTooLarge:
+            _CLOSURE_OVERRUNS[(n, height)] = budget
+            raise
+        cached = _Candidates(entries, _stack(entries))
+    _CANDIDATE_CACHE[key] = cached
+    return cached
 
 
 def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
@@ -162,34 +242,17 @@ def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     beyond that, the breadth-first column-operation closure (a subset, so
     verdicts built on it stay sound but may be undecided).
     """
-    if n < 1:
-        raise DimensionMismatch("dimension must be positive")
-    if height < 1:
-        raise ValueError("height must be at least 1 (the identity has height 1)")
-    key = (n, height)
-    cached = _CANDIDATE_CACHE.get(key)
-    if cached is not None:
-        if len(cached) > budget:
-            raise HeightTooLarge(
-                f"cached candidate set ({len(cached)}) exceeds budget {budget}"
-            )
-        return cached
-    if n == 1:
-        out = ((((1, 0),),),)
-    elif n == 2 and (2 * height + 1) ** 6 <= budget:
-        out = _complete_2x2(height)
-    else:
-        out = _bfs_candidates(n, height, budget)
-    _CANDIDATE_CACHE[key] = out
-    return out
+    return _candidates(n, height, budget).entries
 
 
-def _stack(candidates) -> np.ndarray:
-    n = len(candidates[0])
-    flat = np.array(
-        [[complex(*e) for row in m for e in row] for m in candidates]
-    )
-    return flat.reshape(len(candidates), n, n)
+def _gram_hits(stack: np.ndarray, p1: np.ndarray, p2: np.ndarray, bound: float):
+    """Yield, in stack order, the index of every B with |B* P1 B - P2|_F <= bound."""
+    for lo in range(0, len(stack), _CHUNK):
+        bs = stack[lo : lo + _CHUNK]
+        transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1, bs)
+        diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
+        for idx in np.flatnonzero(diffs <= bound):
+            yield lo + int(idx)
 
 
 def sigma_orbit_equal(
@@ -214,17 +277,11 @@ def sigma_orbit_equal(
     n = p1.dim
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
-    candidates = sigma_candidates(n, height, budget)
+    candidates = _candidates(n, height, budget)
     bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
-    for lo in range(0, len(candidates), _CHUNK):
-        batch = candidates[lo : lo + _CHUNK]
-        bs = _stack(batch)
-        transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1.matrix, bs)
-        diffs = np.sqrt(np.sum(np.abs(transported - p2.matrix) ** 2, axis=(1, 2)))
-        hits = np.flatnonzero(diffs <= bound)
-        if hits.size:
-            b = GaussianUnimodular(batch[int(hits[0])])
-            return EquivalenceVerdict(EQUIVALENT, (None, b), None, height)
+    for idx in _gram_hits(candidates.stack, p1.matrix, p2.matrix, bound):
+        b = GaussianUnimodular(candidates.entries[idx])
+        return EquivalenceVerdict(EQUIVALENT, (None, b), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
 
@@ -343,27 +400,22 @@ def lattice_equivalent(
     )
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)
-    candidates = sigma_candidates(n, height, budget)
+    candidates = _candidates(n, height, budget)
     bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
     inv1 = inverse(m1, tol)
-    for lo in range(0, len(candidates), _CHUNK):
-        batch = candidates[lo : lo + _CHUNK]
-        bs = _stack(batch)
-        transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1.matrix, bs)
-        diffs = np.sqrt(np.sum(np.abs(transported - p2.matrix) ** 2, axis=(1, 2)))
-        for idx in np.flatnonzero(diffs <= bound):
-            b = GaussianUnimodular(batch[int(idx)])
-            t = m2 @ b.inverse_matrix() @ inv1
-            if not classify(t, tol).in_u:
-                raise InternalCheckError(
-                    "gram congruence certified but the reconstructed map is not unitary"
-                )
-            if mode == MODE_SPECIAL_UNITARY and abs(det(t) - 1.0) > tol.rel * n:
-                continue
-            residual = fro(m2 - t @ m1 @ b.matrix)
-            if residual > 100.0 * tol.rel * max(fro(m2), 1.0) + tol.abs:
-                raise InternalCheckError(
-                    f"witness failed re-verification (residual {residual:.3e})"
-                )
-            return EquivalenceVerdict(EQUIVALENT, (frozen(t), b), None, height)
+    for idx in _gram_hits(candidates.stack, p1.matrix, p2.matrix, bound):
+        b = GaussianUnimodular(candidates.entries[idx])
+        t = m2 @ b.inverse_matrix() @ inv1
+        if not classify(t, tol).in_u:
+            raise InternalCheckError(
+                "gram congruence certified but the reconstructed map is not unitary"
+            )
+        if mode == MODE_SPECIAL_UNITARY and abs(det(t) - 1.0) > tol.rel * n:
+            continue
+        residual = fro(m2 - t @ m1 @ b.matrix)
+        if residual > 100.0 * tol.rel * max(fro(m2), 1.0) + tol.abs:
+            raise InternalCheckError(
+                f"witness failed re-verification (residual {residual:.3e})"
+            )
+        return EquivalenceVerdict(EQUIVALENT, (frozen(t), b), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)

@@ -20,6 +20,9 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+# a margin within this factor of its threshold is a boundary case: too close to
+# call, so it is flagged and disagreements between routes there are tolerated
+GRAY_ZONE = 10.0
 _JACOBI_SWEEP_LIMIT = 60
 
 

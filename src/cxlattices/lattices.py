@@ -34,6 +34,7 @@ from .errors import (
 from .gaussian import gadjugate, gdet, gidentity, gmat, gmatmul, int_det
 from .kernel import (
     DEFAULT_TOL,
+    GRAY_ZONE,
     Tolerance,
     as_matrix,
     det,
@@ -44,8 +45,6 @@ from .kernel import (
     solve,
 )
 from .realmaps import SplitForm
-
-_GRAY_ZONE = 10.0
 
 
 def _realify(w: np.ndarray) -> np.ndarray:
@@ -184,7 +183,7 @@ def same_lattice(
     x = solve(lat1.realified, lat2.realified, tol)
     rounded = np.rint(x.real)
     dist = np.abs(x - rounded)  # complex modulus also catches stray imaginary parts
-    if np.any(dist > _GRAY_ZONE * tol.abs):
+    if np.any(dist > GRAY_ZONE * tol.abs):
         return False, None
     if np.any(dist > tol.abs):
         raise AmbiguousIntegrality(
@@ -208,7 +207,7 @@ def sigma_membership(b, tol: Tolerance = DEFAULT_TOL) -> GaussianUnimodular:
     re = np.rint(bm.real)
     im = np.rint(bm.imag)
     dist = np.abs(bm - (re + 1j * im))
-    if np.any(dist > _GRAY_ZONE * tol.abs):
+    if np.any(dist > GRAY_ZONE * tol.abs):
         i, j = np.unravel_index(int(np.argmax(dist)), dist.shape)
         raise NonIntegralEntry(
             f"entry ({i},{j}) = {bm[i, j]} is {dist[i, j]:.3e} from a Gaussian integer"

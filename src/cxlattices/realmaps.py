@@ -35,6 +35,7 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
+    GRAY_ZONE,
     Tolerance,
     adjoint,
     fro,
@@ -44,8 +45,6 @@ from .kernel import (
     operator_norm,
     solve,
 )
-
-_GRAY_ZONE = 10.0  # margins within this factor of a threshold count as boundary
 
 BLOCK = "block"
 SPLIT = "split"
@@ -285,7 +284,7 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     if isinstance(t, SplitForm):
         ok_b, margin_b = invertibility_margin(t.b.astype(np.complex128), tol)
         if ok_b != ok:
-            decisive = lambda r: r > _GRAY_ZONE * tol.rel or r < tol.rel / _GRAY_ZONE
+            decisive = lambda r: r > GRAY_ZONE * tol.rel or r < tol.rel / GRAY_ZONE
             if decisive(margin) and decisive(margin_b):
                 raise InternalCheckError(
                     f"split invertibility criteria disagree: realified margin {margin:.3e}, B margin {margin_b:.3e}"

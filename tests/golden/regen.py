@@ -1,5 +1,15 @@
-"""Regenerate tests/golden: cases.json plus one .golden file per case."""
+"""Regenerate tests/golden: cases.json plus one .golden file per case.
 
+    PYTHONPATH=src python tests/golden/regen.py           # rewrite the files
+    PYTHONPATH=src python tests/golden/regen.py --check   # compare, write nothing
+
+With --check every case is run in memory and compared byte for byte with
+the committed .golden files and cases.json; the differing cases are listed
+and the exit status is 1 if there are any.
+"""
+
+import argparse
+import contextlib
 import io
 import json
 import pathlib
@@ -273,20 +283,51 @@ CASES = {
 }
 
 
-def main() -> None:
-    out_dir = pathlib.Path(__file__).resolve().parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
+def render():
+    """Run every case in memory: ({file name: bytes}, [exit-code mismatches])."""
+    files, failures = {}, []
     for name, case in CASES.items():
         buf = io.StringIO()
-        code = run(case["argv"], io.StringIO(case["input"]), buf)
+        with contextlib.redirect_stderr(io.StringIO()):  # argparse usage text
+            code = run(case["argv"], io.StringIO(case["input"]), buf)
         if code != case["exit"]:
             failures.append(f"{name}: expected exit {case['exit']}, got {code}")
             continue
-        (out_dir / f"{name}.golden").write_text(buf.getvalue(), encoding="utf-8")
-    (out_dir / "cases.json").write_text(
-        json.dumps(CASES, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        files[f"{name}.golden"] = buf.getvalue().encode("utf-8")
+    files["cases.json"] = (json.dumps(CASES, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    return files, failures
+
+
+def check(out_dir: pathlib.Path, files: dict, failures: list) -> list:
+    """Every difference between the rendered and the committed files."""
+    diffs = list(failures)
+    for name, data in files.items():
+        path = out_dir / name
+        if not path.is_file():
+            diffs.append(f"{name}: missing")
+        elif path.read_bytes() != data:
+            diffs.append(f"{name}: bytes differ")
+    diffs += [f"{p.name}: no such case" for p in sorted(out_dir.glob("*.golden")) if p.name not in files]
+    return diffs
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Regenerate or check the CLI golden files.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare with the committed files and write nothing"
     )
+    args = parser.parse_args(argv)
+    out_dir = pathlib.Path(__file__).resolve().parent
+    files, failures = render()
+    if args.check:
+        diffs = check(out_dir, files, failures)
+        if diffs:
+            sys.exit("\n".join(diffs))
+        print(f"checked {len(CASES)} cases: no byte differs")
+        return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (out_dir / name).write_bytes(data)
     if failures:
         sys.exit("\n".join(failures))
     print(f"wrote {len(CASES)} cases")

@@ -6,6 +6,7 @@ tests/golden/regen.py after an intentional output change).
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -173,3 +174,23 @@ def test_tolerance_flags_change_verdict():
     m = '{"map": {"kind": "block", "e1": [[[1,0]]], "e2": [[[0,0]]], "e3": [[[0,0]]], "e4": [[[0.0001,0]]]}}'
     assert payload_of(["map-invertible"], m)["invertible"] is True
     assert payload_of(["map-invertible", "--tol-rel", "0.001"], m)["invertible"] is False
+
+
+def test_regen_check_finds_every_difference(tmp_path):
+    spec = importlib.util.spec_from_file_location("regen", GOLDEN / "regen.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    files, failures = regen.render()
+    assert failures == []
+    assert regen.check(GOLDEN, files, failures) == []
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "gram-shear.golden").write_bytes(files["gram-shear.golden"].replace(b"1.0", b"1.5", 1))
+    (tmp_path / "polar-singular.golden").unlink()
+    (tmp_path / "stray.golden").write_bytes(b"")
+    assert sorted(regen.check(tmp_path, files, ["case: expected exit 0, got 1"])) == [
+        "case: expected exit 0, got 1",
+        "gram-shear.golden: bytes differ",
+        "polar-singular.golden: missing",
+        "stray.golden: no such case",
+    ]

@@ -1,10 +1,18 @@
 """Tests for bounded lattice-equivalence decisions and their invariants."""
 
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
+import cxlattices
+from cxlattices import equivalence
 from cxlattices.equivalence import (
     EQUIVALENT,
     REFUTED,
@@ -24,7 +32,7 @@ from cxlattices.errors import (
     RadiusBudgetExceeded,
     SingularMatrix,
 )
-from cxlattices.gaussian import gdet, gmat, gmul, gsub
+from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
 from cxlattices.polar import classify, gram, sl_normalize
 
@@ -85,6 +93,133 @@ def test_candidates_budget_exhaustion():
 def test_candidates_validation():
     with pytest.raises(ValueError):
         sigma_candidates(2, 0)
+
+
+def _complete_2x2_oracle(height):
+    """The pure-Python enumeration the numpy generator must reproduce in order."""
+    box = [(re, im) for re in range(-height, height + 1) for im in range(-height, height + 1)]
+    out = []
+    for a in box:
+        for b in box:
+            for c in box:
+                bc = gmul(b, c)
+                if a == (0, 0):
+                    if bc == (-1, 0):
+                        out.extend(((a, b), (c, d)) for d in box)
+                    continue
+                num = gadd((1, 0), bc)
+                den = a[0] * a[0] + a[1] * a[1]
+                dr, rr = divmod(num[0] * a[0] + num[1] * a[1], den)
+                di, ri = divmod(num[1] * a[0] - num[0] * a[1], den)
+                if rr or ri or max(abs(dr), abs(di)) > height:
+                    continue
+                out.append(((a, b), (c, (dr, di))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_numpy_complete_2x2_matches_loop_oracle(h):
+    assert equivalence._complete_2x2(h).entries == _complete_2x2_oracle(h)
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """Run a test against a candidate cache and overrun record of its own."""
+    monkeypatch.setattr(equivalence, "_CANDIDATE_CACHE", {})
+    monkeypatch.setattr(equivalence, "_CLOSURE_OVERRUNS", {})
+
+
+@pytest.mark.parametrize("n, h, budget", [(1, 1, 10), (2, 1, 10**7), (2, 3, 10**7), (2, 2, 10**4)])
+def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
+    # (2, 2, 10**4) takes the closure route: 5^6 > 10^4
+    cands = sigma_candidates(n, h, budget)
+    stack = equivalence._candidates(n, h, budget).stack
+    oracle = np.array([[[complex(*e) for e in row] for row in m] for m in cands])
+    assert stack.dtype == np.complex128 and stack.shape == (len(cands), n, n)
+    assert not stack.flags.writeable
+    assert np.array_equal(stack, equivalence._stack(cands))
+    assert np.array_equal(stack, oracle)
+
+
+def test_closure_overrun_is_remembered(empty_cache, monkeypatch):
+    runs = []
+    closure = equivalence._bfs_candidates
+
+    def counted(n, height, budget):
+        runs.append(budget)
+        return closure(n, height, budget)
+
+    monkeypatch.setattr(equivalence, "_bfs_candidates", counted)
+    with pytest.raises(HeightTooLarge) as first:
+        sigma_candidates(3, 1, budget=300)
+    assert str(first.value) == "candidate closure at height 1 exceeds budget 300"
+    for budget in (300, 200, 1):
+        with pytest.raises(HeightTooLarge) as again:
+            sigma_candidates(3, 1, budget=budget)
+        with pytest.raises(HeightTooLarge) as fresh:
+            closure(3, 1, budget)
+        assert str(again.value) == str(fresh.value)
+    assert runs == [300]
+    # a larger budget runs the closure again, and its overrun is remembered too
+    with pytest.raises(HeightTooLarge):
+        sigma_candidates(3, 1, budget=600)
+    with pytest.raises(HeightTooLarge):
+        sigma_candidates(3, 1, budget=500)
+    assert runs == [300, 600]
+    # the record is per (n, height)
+    with pytest.raises(HeightTooLarge):
+        sigma_candidates(3, 2, budget=300)
+    assert runs == [300, 600, 300]
+
+
+_FRESH = """
+import hashlib, json, sys
+from cxlattices.equivalence import sigma_candidates
+for args in json.loads(sys.argv[1]):
+    c = sigma_candidates(*args)
+    print(json.dumps([len(c), hashlib.sha256(repr(c).encode()).hexdigest()]))
+"""
+
+
+def _digest(cands):
+    return [len(cands), hashlib.sha256(repr(cands).encode()).hexdigest()]
+
+
+def _fresh_process(args):
+    """sigma_candidates(*args) as a new process computes it, before any other call."""
+    src = str(pathlib.Path(cxlattices.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH, json.dumps([args])],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_candidate_set_does_not_depend_on_call_history(empty_cache, monkeypatch):
+    closure_args, complete_args = [2, 3, 100000], [2, 3]  # 7^6 > 10^5 forces the closure
+    want_closure = _fresh_process(closure_args)
+    want_complete = _fresh_process(complete_args)
+    assert want_closure != want_complete
+    for order in ((closure_args, complete_args), (complete_args, closure_args)):
+        monkeypatch.setattr(equivalence, "_CANDIDATE_CACHE", {})
+        got = {tuple(args): sigma_candidates(*args) for args in order}
+        assert _digest(got[tuple(closure_args)]) == want_closure
+        assert _digest(got[tuple(complete_args)]) == want_complete
+        assert got[tuple(closure_args)][0] == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+        assert got[tuple(complete_args)][0] == (((-3, -3), (-3, -2)), ((-3, -2), (-3, -1)))
+
+
+def test_cached_closure_budget_check_matches_a_fresh_call(empty_cache):
+    assert len(sigma_candidates(2, 2, budget=10**4)) == 2472  # closure route
+    with pytest.raises(HeightTooLarge) as cached:
+        sigma_candidates(2, 2, budget=2000)
+    with pytest.raises(HeightTooLarge) as fresh:
+        equivalence._bfs_candidates(2, 2, 2000)
+    assert str(cached.value) == str(fresh.value)
+    # the complete route never checks its size against the budget
+    assert len(sigma_candidates(2, 1, budget=729)) == 296
+    assert len(sigma_candidates(1, 1, budget=0)) == 1
 
 
 # --- gram orbit search ---
@@ -334,3 +469,17 @@ def test_verdicts_deterministic():
     assert v1.status == v2.status == EQUIVALENT
     assert np.array_equal(v1.witness[0], v2.witness[0])
     assert v1.witness[1].entries == v2.witness[1].entries
+
+
+def test_orbit_search_and_lattice_search_agree_on_first_witness():
+    rng = np.random.default_rng(42)
+    for n, h in ((1, 2), (2, 1), (2, 2)):
+        pool = sigma_candidates(n, h)
+        for _ in range(6):
+            a1 = random_invertible(rng, n)
+            b = GaussianUnimodular(pool[int(rng.integers(len(pool)))])
+            a2 = random_unitary(rng, n) @ a1 @ b.matrix
+            full = lattice_equivalent(a1, a2, height=h)
+            orbit = sigma_orbit_equal(gram(a1), gram(a2), height=h)
+            assert full.status == orbit.status == EQUIVALENT
+            assert full.witness[1].entries == orbit.witness[1].entries
