@@ -326,9 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(stdout, status: str, body: dict, diagnostics: dict) -> None:
-    result = {"status": status, **body, "diagnostics": diagnostics}
-    stdout.write(jsonio.dumps_canonical(result))
+def _render(status: str, body: dict, diagnostics: dict) -> str:
+    return jsonio.dumps_canonical({"status": status, **body, "diagnostics": diagnostics})
+
+
+def _error_line(name: str, exc: Exception, diagnostics: dict) -> str:
+    return _render("error", {"error": {"name": name, "message": str(exc)}}, diagnostics)
 
 
 def run(argv, stdin=None, stdout=None) -> int:
@@ -355,22 +358,14 @@ def run(argv, stdin=None, stdout=None) -> int:
             text = stdin.read()
         data = jsonio.loads(text)
         payload, extra = _HANDLERS[args.command](data, args, tol)
-    except MalformedInput as exc:
-        _emit(stdout, "error", {"error": {"name": "MalformedInput", "message": str(exc)}}, base_diag)
-        return 2
-    except ValueError as exc:
-        _emit(stdout, "error", {"error": {"name": "MalformedInput", "message": str(exc)}}, base_diag)
-        return 2
+        # rendered inside the try: a result that overflowed raises NumericOverflow here
+        line, code = _render("ok", {"payload": payload}, {**base_diag, **extra}), 0
+    except ValueError as exc:  # MalformedInput is one
+        line, code = _error_line("MalformedInput", exc, base_diag), 2
     except CxlatError as exc:
-        _emit(
-            stdout,
-            "error",
-            {"error": {"name": type(exc).__name__, "message": str(exc)}},
-            base_diag,
-        )
-        return 1
-    _emit(stdout, "ok", {"payload": payload}, {**base_diag, **extra})
-    return 0
+        line, code = _error_line(type(exc).__name__, exc, base_diag), 1
+    stdout.write(line)
+    return code
 
 
 def main() -> None:

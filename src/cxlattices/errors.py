@@ -77,5 +77,9 @@ class RadiusBudgetExceeded(CxlatError):
     """Short-vector enumeration at the requested radius exceeds the configured budget."""
 
 
+class NumericOverflow(CxlatError):
+    """A result is not finite although every input was: the computation overflowed."""
+
+
 class InternalCheckError(CxlatError):
     """A redundant self-check failed; indicates a bug, not bad input."""

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import NumericOverflow
 from .kernel import Tolerance
 from .lattices import LatticeBasis, from_generators
 from .realmaps import (
@@ -50,7 +51,8 @@ def loads(text: str):
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("refusing to serialize a non-finite number")
+        # inputs are checked finite on the way in, so this is an overflow in between
+        raise NumericOverflow(f"result holds a non-finite number ({x}): the computation overflowed")
     s = "%.17g" % x
     if "e" not in s and "E" not in s and "." not in s:
         s += ".0"

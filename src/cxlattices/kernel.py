@@ -1,9 +1,11 @@
 """Dense complex linear algebra primitives.
 
-Everything else in the package sits on these few operations.  The solver and
-the eigensolver are deliberately self-contained (partial-pivot elimination,
-cyclic Jacobi rotations) so their behavior is easy to audit at the small
-dimensions this package targets; numpy supplies array plumbing only.
+Everything else in the package sits on these few operations.  Singular
+values come from LAPACK's SVD of A itself, resolved to about eps relative
+(the route through A* A would only reach sqrt(eps)).  The solver and the
+Hermitian eigensolver are still self-contained (partial-pivot elimination,
+cyclic Jacobi rotations), so their behavior is easy to audit at the small
+dimensions this package targets.
 """
 
 from __future__ import annotations
@@ -223,12 +225,17 @@ def hermitian_eig(p, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
 
 
 def singular_values(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Singular values, descending, via the Hermitian eigenproblem of A* A."""
+    """Singular values of A, descending, one per column (``tol`` is unused).
+
+    LAPACK's SVD works on A itself, so values are resolved to about eps times
+    the largest; forming A* A would square the condition number and blur
+    them to sqrt(eps).  A wide m x k input (k > m) has a kernel of dimension
+    at least k - m: its k values end in k - m exact zeros.
+    """
     am = as_matrix(a)
-    h = adjoint(am) @ am
-    h = 0.5 * (h + h.conj().T)
-    w, _ = hermitian_eig(h, tol)
-    return frozen(np.sqrt(np.clip(w, 0.0, None))[::-1].copy())
+    s = np.zeros(am.shape[1])
+    s[: min(am.shape)] = np.linalg.svd(am, compute_uv=False)
+    return frozen(s)
 
 
 def operator_norm(a, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -1,11 +1,23 @@
 """Regenerate tests/golden: cases.json plus one .golden file per case.
 
-    PYTHONPATH=src python tests/golden/regen.py           # rewrite the files
-    PYTHONPATH=src python tests/golden/regen.py --check   # compare, write nothing
+    PYTHONPATH=src python tests/golden/regen.py                   # rewrite, behind the drift check
+    PYTHONPATH=src python tests/golden/regen.py --check           # compare bytes, write nothing
+    PYTHONPATH=src python tests/golden/regen.py --check --drift   # drift check, write nothing
 
 With --check every case is run in memory and compared byte for byte with
 the committed .golden files and cases.json; the differing cases are listed
 and the exit status is 1 if there are any.
+
+The drift check decodes each changed .golden line and requires the exit
+code, status, keys, list lengths, booleans, ints, strings (error names,
+messages, verdicts) and nulls to be identical; only floats may move, each
+by at most the relative bound DRIFT.  It lists every changed case with its
+largest relative float drift.  It reads cases.json as data too: an added
+case is listed, a removed case or a changed argv, input or exit code is a
+problem.  A rewrite happens only when the drift check passes; a file that
+is absent is written as new, which is how a deliberate change of verdict,
+format or case definition goes in (delete the file first, and say why in
+CHANGES.md).
 """
 
 import argparse
@@ -18,6 +30,7 @@ import sys
 
 from cxlattices.cli import run
 
+DRIFT = 1e-12
 STD1 = '{"n": 1, "generators": [[[1, 0]], [[0, 1]]]}'
 TAU1 = '{"n": 1, "generators": [[[1, 0]], [[0.3, 1.7]]]}'
 
@@ -32,6 +45,11 @@ CASES = {
         "argv": ["map-apply"],
         "input": '{"map": {"kind": "block", "e1": [[[1,0],[0,0]],[[0,0],[1,0]]], "e2": [[[0,0],[0,0]],[[0,0],[0,0]]], "e3": [[[0,0],[0,0]],[[0,0],[0,0]]], "e4": [[[1,0],[0,0]],[[0,0],[1,0]]]}, "z": [[1, 2], [3, 4]]}',
         "exit": 0,
+    },
+    "map-apply-overflow": {
+        "argv": ["map-apply"],
+        "input": '{"map": {"kind": "conjugate_pair", "m": [[[1e308, 0]]], "n": [[[1e308, 0]]]}, "z": [[1e308, 0]]}',
+        "exit": 1,
     },
     # --- map-convert ---
     "map-convert-block-to-conjugate-pair": {
@@ -131,6 +149,11 @@ CASES = {
         "argv": ["lattice-validate"],
         "input": '{"lattice": {"n": 1, "generators": [[[1, 0]], [[2, 0]]]}}',
         "exit": 0,
+    },
+    "lattice-validate-overflow": {
+        "argv": ["lattice-validate"],
+        "input": '{"lattice": {"n": 1, "generators": [[[1e200, 0]], [[0, 1e200]]]}}',
+        "exit": 1,
     },
     # --- lattice-covolume ---
     "lattice-covolume-standard": {
@@ -298,6 +321,10 @@ def render():
     return files, failures
 
 
+def _stray(out_dir: pathlib.Path, files: dict) -> list:
+    return [f"{p.name}: no such case" for p in sorted(out_dir.glob("*.golden")) if p.name not in files]
+
+
 def check(out_dir: pathlib.Path, files: dict, failures: list) -> list:
     """Every difference between the rendered and the committed files."""
     diffs = list(failures)
@@ -307,8 +334,73 @@ def check(out_dir: pathlib.Path, files: dict, failures: list) -> list:
             diffs.append(f"{name}: missing")
         elif path.read_bytes() != data:
             diffs.append(f"{name}: bytes differ")
-    diffs += [f"{p.name}: no such case" for p in sorted(out_dir.glob("*.golden")) if p.name not in files]
-    return diffs
+    return diffs + _stray(out_dir, files)
+
+
+def _compare(old, new, where: str, problems: list) -> float:
+    """Append each non-float difference to problems; return the largest relative float drift."""
+    if type(old) is not type(new):
+        problems.append(f"{where}: {type(old).__name__} became {type(new).__name__}")
+    elif isinstance(old, dict):
+        if list(old) != list(new):
+            problems.append(f"{where}: keys {list(old)} became {list(new)}")
+        else:
+            return max((_compare(old[k], new[k], f"{where}.{k}", problems) for k in old), default=0.0)
+    elif isinstance(old, list):
+        if len(old) != len(new):
+            problems.append(f"{where}: length {len(old)} became {len(new)}")
+        else:
+            pairs = enumerate(zip(old, new))
+            return max((_compare(a, b, f"{where}[{i}]", problems) for i, (a, b) in pairs), default=0.0)
+    elif isinstance(old, float):
+        return 0.0 if old == new else abs(new - old) / max(abs(old), abs(new))
+    elif old != new:
+        problems.append(f"{where}: {old!r} became {new!r}")
+    return 0.0
+
+
+def _case_drift(path: pathlib.Path, problems: list, changes: list) -> None:
+    """Compare the committed cases.json with CASES: only added cases may pass."""
+    try:
+        old = json.loads(path.read_bytes())
+    except ValueError:
+        problems.append("cases.json: not JSON")
+        return
+    found = [f"cases.json: case {name} removed" for name in sorted(old.keys() - CASES.keys())]
+    for name in sorted(CASES.keys() & old.keys()):
+        fields = [k for k in ("argv", "input", "exit") if old[name].get(k) != CASES[name][k]]
+        if fields:
+            found.append(f"cases.json: case {name} changed its {', '.join(fields)}")
+    added = [f"cases.json: case {name} added" for name in sorted(CASES.keys() - old.keys())]
+    problems += found
+    changes += added if found or added else ["cases.json: same cases, bytes differ"]
+
+
+def drift_check(out_dir: pathlib.Path, files: dict, failures: list) -> tuple:
+    """(problems, changes): what forbids a rewrite, and one line per change a rewrite would make."""
+    problems, changes = list(failures), []
+    for name, data in files.items():
+        path = out_dir / name
+        if path.is_file() and path.read_bytes() == data:
+            continue
+        if not path.is_file():
+            changes.append(f"{name}: new")
+            continue
+        if name == "cases.json":
+            _case_drift(path, problems, changes)
+            continue
+        try:
+            old, new = json.loads(path.read_bytes()), json.loads(data)
+        except ValueError:
+            problems.append(f"{name}: not a JSON line on both sides")
+            continue
+        found = []
+        worst = _compare(old, new, name, found)
+        if worst > DRIFT:
+            found.append(f"{name}: relative float drift {worst:.3g} exceeds {DRIFT:g}")
+        problems += found
+        changes.append(f"{name}: largest relative float drift {worst:.3g}")
+    return problems + _stray(out_dir, files), changes
 
 
 def main(argv=None) -> None:
@@ -316,20 +408,31 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--check", action="store_true", help="compare with the committed files and write nothing"
     )
+    parser.add_argument(
+        "--drift",
+        action="store_true",
+        help=f"with --check: run the drift check (floats within {DRIFT:g} relative) instead of "
+        "the byte comparison; a rewrite always runs it",
+    )
     args = parser.parse_args(argv)
+    if args.drift and not args.check:
+        parser.error("--drift goes with --check")
     out_dir = pathlib.Path(__file__).resolve().parent
     files, failures = render()
-    if args.check:
+    if args.check and not args.drift:
         diffs = check(out_dir, files, failures)
         if diffs:
             sys.exit("\n".join(diffs))
         print(f"checked {len(CASES)} cases: no byte differs")
         return
-    out_dir.mkdir(parents=True, exist_ok=True)
+    problems, changes = drift_check(out_dir, files, failures)
+    print("\n".join(changes) if changes else f"{len(CASES)} cases: no byte differs")
+    if problems:
+        sys.exit("\n".join(problems))
+    if args.check:
+        return
     for name, data in files.items():
         (out_dir / name).write_bytes(data)
-    if failures:
-        sys.exit("\n".join(failures))
     print(f"wrote {len(CASES)} cases")
 
 

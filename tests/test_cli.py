@@ -12,8 +12,10 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
+from cxlattices import jsonio
 from cxlattices.cli import _HANDLERS, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -176,10 +178,15 @@ def test_tolerance_flags_change_verdict():
     assert payload_of(["map-invertible", "--tol-rel", "0.001"], m)["invertible"] is False
 
 
-def test_regen_check_finds_every_difference(tmp_path):
+def load_regen():
     spec = importlib.util.spec_from_file_location("regen", GOLDEN / "regen.py")
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
+    return regen
+
+
+def test_regen_check_finds_every_difference(tmp_path):
+    regen = load_regen()
     files, failures = regen.render()
     assert failures == []
     assert regen.check(GOLDEN, files, failures) == []
@@ -194,3 +201,76 @@ def test_regen_check_finds_every_difference(tmp_path):
         "polar-singular.golden: missing",
         "stray.golden: no such case",
     ]
+
+
+def test_regen_drift_check_allows_float_drift_only(tmp_path):
+    regen = load_regen()
+    files, failures = regen.render()
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert regen.drift_check(tmp_path, files, failures) == ([], [])
+    tau = json.loads(files["lattice-validate-tau.golden"])
+    tau["diagnostics"]["rank_margin"] = math.nextafter(tau["diagnostics"]["rank_margin"], 0.0)
+    (tmp_path / "lattice-validate-tau.golden").write_text(jsonio.dumps_canonical(tau))
+    flipped = files["map-invertible-yes.golden"].replace(b'"invertible":true', b'"invertible":false')
+    assert flipped != files["map-invertible-yes.golden"]
+    (tmp_path / "map-invertible-yes.golden").write_bytes(flipped)
+    (tmp_path / "gram-shear.golden").unlink()
+    problems, changes = regen.drift_check(tmp_path, files, failures)
+    assert problems == ["map-invertible-yes.golden.payload.invertible: False became True"]
+    assert sorted(changes) == [
+        "gram-shear.golden: new",
+        "lattice-validate-tau.golden: largest relative float drift 1.14e-16",
+        "map-invertible-yes.golden: largest relative float drift 0",
+    ]
+    tau["payload"]["covolume"] *= 1.0 + 1e-9
+    (tmp_path / "lattice-validate-tau.golden").write_text(jsonio.dumps_canonical(tau))
+    problems, _ = regen.drift_check(tmp_path, files, failures)
+    assert "lattice-validate-tau.golden: relative float drift 1e-09 exceeds 1e-12" in problems
+
+
+def test_regen_drift_check_reads_cases_as_data(tmp_path):
+    regen = load_regen()
+    files, failures = regen.render()
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    committed = json.loads(files["cases.json"])
+    del committed["gram-shear"]
+    (tmp_path / "cases.json").write_text(json.dumps(committed))
+    assert regen.drift_check(tmp_path, files, failures) == ([], ["cases.json: case gram-shear added"])
+    committed["polar-singular"]["exit"] = 0
+    committed["polar-rotation-scale"]["argv"] = ["gram"]
+    committed["retired"] = {"argv": ["gram"], "input": "{}", "exit": 2}
+    (tmp_path / "cases.json").write_text(json.dumps(committed))
+    problems, changes = regen.drift_check(tmp_path, files, failures)
+    assert problems == [
+        "cases.json: case retired removed",
+        "cases.json: case polar-rotation-scale changed its argv",
+        "cases.json: case polar-singular changed its exit",
+    ]
+    assert changes == ["cases.json: case gram-shear added"]
+
+
+def orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diagonal(r))
+
+
+def test_lattice_validate_never_accepts_rank_deficient_generators_unflagged():
+    # realified generators with sigma_min / sigma_max in [1e-16, 1e-10]: the lattice
+    # is degenerate at tol.rel = 1e-9, so "valid" is allowed only when flagged boundary
+    rng = np.random.default_rng(4202)
+    wrong = []
+    for k in range(80):
+        n = int(rng.integers(1, 4))
+        ratio = 10.0 ** rng.uniform(-16.0, -10.0)
+        s = np.sort(10.0 ** rng.uniform(np.log10(ratio), 0.0, 2 * n))[::-1]
+        s[0], s[-1] = 1.0, ratio
+        r = orthogonal(rng, 2 * n) @ np.diag(s) @ orthogonal(rng, 2 * n).T
+        gens = [[[float(r[i, c]), float(r[n + i, c])] for i in range(n)] for c in range(2 * n)]
+        code, out = run_cli(["lattice-validate"], dump({"lattice": {"n": n, "generators": gens}}))
+        result = json.loads(out)
+        assert code == 0, out
+        if result["payload"]["valid"] and not result["diagnostics"]["boundary"]:
+            wrong.append((k, n, ratio, result["diagnostics"]["rank_margin"]))
+    assert wrong == []

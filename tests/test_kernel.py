@@ -20,6 +20,7 @@ from cxlattices import (
     singular_values,
     solve,
 )
+from cxlattices.kernel import GRAY_ZONE
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,6 +258,40 @@ def test_singular_values_match_numpy_svd():
         np.testing.assert_allclose(singular_values(a), np.linalg.svd(a, compute_uv=False), rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_singular_values_agree_with_lapack_to_1e12(n):
+    rng = np.random.default_rng(114 + n)
+    for _ in range(20):
+        a = random_complex(rng, n)
+        s = singular_values(a)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert s.shape == (n,)
+        assert np.all(np.diff(s) <= 0.0)
+        np.testing.assert_allclose(s, ref, rtol=1e-12, atol=1e-12 * ref[0])
+
+
+def test_singular_values_of_singular_input():
+    rng = np.random.default_rng(115)
+    for n in (2, 3, 4, 8):
+        a = random_complex(rng, n)
+        a[:, 0] = 0.0  # a zero column: the rank loss is exact, so is the zero
+        assert singular_values(a)[-1] == 0.0
+        b = random_complex(rng, n)
+        b[-1] = b[0]  # a repeated row: zero up to rounding in A, not in A* A
+        for c in (a.conj().T, b):
+            s = singular_values(c)
+            assert s[-1] <= 4.0 * n * np.finfo(float).eps * s[0]
+    np.testing.assert_array_equal(singular_values(np.zeros((3, 3))), [0.0, 0.0, 0.0])
+
+
+def test_wide_input_keeps_one_value_per_column():
+    np.testing.assert_allclose(singular_values(np.ones((1, 2))), [np.sqrt(2.0), 0.0], rtol=1e-15)
+    s = singular_values([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert s.shape == (3,) and s[-1] == 0.0
+    np.testing.assert_allclose(s[:2], np.linalg.svd([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], compute_uv=False))
+    assert singular_values(np.ones((3, 1))).shape == (1,)
+
+
 # ---------------------------------------------------------------- misc
 
 
@@ -265,6 +300,37 @@ def test_invertibility_margin():
     assert ok and margin == pytest.approx(1.0)
     ok, margin = invertibility_margin([[1.0, 1.0], [1.0, 1.0]])
     assert not ok and margin < 1e-12
+
+
+def test_invertibility_margin_wide_and_tall():
+    # a wide matrix has a kernel, so it is never invertible; a tall one can be injective
+    assert invertibility_margin(np.ones((1, 2))) == (False, 0.0)
+    assert invertibility_margin(np.ones((2, 3))) == (False, 0.0)
+    assert invertibility_margin(np.ones((3, 1))) == (True, 1.0)
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(random_complex(rng, n) / np.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def test_rank_deficient_population_is_never_called_invertible_outside_the_band():
+    # sigma_min / sigma_max in [1e-16, 1e-10], below tol.rel = 1e-9: an invertible
+    # verdict is wrong, and allowed only when the margin sits in the boundary band
+    tol = Tolerance()
+    rng = np.random.default_rng(4201)
+    wrong = []
+    for k in range(300):
+        n = int(rng.integers(2, 7))
+        ratio = 10.0 ** rng.uniform(-16.0, -10.0)
+        s = np.sort(10.0 ** rng.uniform(np.log10(ratio), 0.0, n))[::-1]
+        s[0], s[-1] = 1.0, ratio
+        a = haar_unitary(rng, n) @ np.diag(s) @ haar_unitary(rng, n).conj().T
+        ok, margin = invertibility_margin(a, tol)
+        if ok and margin > GRAY_ZONE * tol.rel:
+            wrong.append((k, n, ratio, margin))
+    assert wrong == []
 
 
 def test_tolerance_validation():
