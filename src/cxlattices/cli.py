@@ -16,6 +16,7 @@ timestamps, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -168,6 +169,8 @@ def _cmd_lattice_validate(data, args, tol):
     (lat_obj,) = _fields(data, "lattice")
     g = jsonio.lattice_raw_in(lat_obj)
     margin = float(rank_margin(g, tol))
+    # the verdict compares sigma_min / sigma_max with tol.rel, and so does the flag
+    _, relative = invertibility_margin(np.vstack([g.real, g.imag]), tol)
     try:
         lat = from_generators(g, tol)
     except RankDeficient:
@@ -177,7 +180,7 @@ def _cmd_lattice_validate(data, args, tol):
     return payload, {
         "rank_margin": margin,
         "threshold": tol.rel,
-        "boundary": _boundary(margin, tol.rel),
+        "boundary": _boundary(relative, tol.rel),
     }
 
 
@@ -343,10 +346,12 @@ def run(argv, stdin=None, stdout=None) -> int:
         # argparse already reported; unknown flags/subcommands are malformed
         return 0 if exc.code == 0 else 2
 
-    base_diag = {"tol_rel": float(args.tol_rel), "tol_abs": float(args.tol_abs)}
+    finite = math.isfinite(args.tol_rel) and math.isfinite(args.tol_abs)
+    # a non-finite tolerance is not echoed: rendering it would raise NumericOverflow
+    base_diag = {"tol_rel": float(args.tol_rel), "tol_abs": float(args.tol_abs)} if finite else {}
     try:
-        if not (args.tol_rel > 0.0 and args.tol_abs > 0.0):
-            raise MalformedInput("tolerances must be positive")
+        if not (finite and args.tol_rel > 0.0 and args.tol_abs > 0.0):
+            raise MalformedInput("tolerances must be finite and positive")
         tol = Tolerance(rel=args.tol_rel, abs=args.tol_abs)
         if args.infile is not None:
             try:

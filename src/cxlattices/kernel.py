@@ -2,10 +2,15 @@
 
 Everything else in the package sits on these few operations.  Singular
 values come from LAPACK's SVD of A itself, resolved to about eps relative
-(the route through A* A would only reach sqrt(eps)).  The solver and the
-Hermitian eigensolver are still self-contained (partial-pivot elimination,
-cyclic Jacobi rotations), so their behavior is easy to audit at the small
+(the route through A* A would only reach sqrt(eps)); they alone decide
+singularity, through invertibility_margin.  solve and det are LAPACK's LU
+(numpy.linalg), with solve gated by that margin and checked by its
+residual.  The Hermitian eigensolver is still self-contained (cyclic
+Jacobi rotations), so its behavior is easy to audit at the small
 dimensions this package targets.
+
+Array inputs enter through as_matrix, as_vector or as_columns, which share
+the one finiteness check.
 """
 
 from __future__ import annotations
@@ -51,13 +56,18 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # the package's one finiteness check on array entries
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
+
+
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
     """Validate array-likes into a finite 2-d complex128 matrix."""
     m = np.array(a, dtype=np.complex128, copy=True)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    _require_finite(m, "matrix")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return frozen(m)
@@ -68,11 +78,25 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     w = np.array(v, dtype=np.complex128, copy=True)
     if w.ndim != 1 or w.shape[0] == 0:
         raise DimensionMismatch(f"expected a nonempty vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
+    _require_finite(w, "vector")
     if n is not None and w.shape[0] != n:
         raise DimensionMismatch(f"expected a vector of length {n}, got {w.shape[0]}")
     return frozen(w)
+
+
+def as_columns(b, n: int) -> tuple[np.ndarray, bool]:
+    """Validate one vector in C^n or a stack of them as columns.
+
+    Returns (a locked n x k finite complex128 matrix, whether b was a vector).
+    """
+    w = np.array(b, dtype=np.complex128, copy=True)
+    vector = w.ndim == 1
+    if vector:
+        w = w[:, None]
+    if w.ndim != 2 or w.shape[0] != n:
+        raise DimensionMismatch(f"expected a vector or columns in C^{n}, got shape {np.shape(b)}")
+    _require_finite(w, "column")
+    return frozen(w), vector
 
 
 def fro(a: np.ndarray) -> float:
@@ -93,74 +117,29 @@ def adjoint(a) -> np.ndarray:
     return frozen(as_matrix(a).conj().T.copy())
 
 
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Compact LU with partial pivoting: returns (LU, row pivots, permutation sign)."""
-    lu = a.astype(np.complex128, copy=True)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    sign = 1.0 + 0.0j
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv[k] = p
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            sign = -sign
-        pivot = lu[k, k]
-        if pivot != 0:
-            lu[k + 1 :, k] /= pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, piv, sign
-
-
-def _column_scale(a: np.ndarray) -> float:
-    return float(np.max(np.sqrt(np.sum(np.abs(a) ** 2, axis=0))))
-
-
 def solve(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Solve A X = B by partial-pivot elimination.
+    """Solve A X = B by LAPACK's partial-pivot LU.
 
     B may be a vector or a matrix of stacked right-hand sides; the result
-    matches its shape.  Raises SingularMatrix when a pivot falls at or below
-    tol.rel times the largest initial column norm of A.
+    matches its shape.  Raises SingularMatrix exactly when
+    invertibility_margin calls A singular (sigma_min / sigma_max at or
+    below tol.rel), and InternalCheckError when the residual breaks its bound.
     """
     am = as_matrix(a, square=True)
-    bm = np.array(b, dtype=np.complex128, copy=True)
-    vector = bm.ndim == 1
-    if vector:
-        bm = bm[:, None]
-    if bm.ndim != 2 or bm.shape[0] != am.shape[0]:
-        raise DimensionMismatch(f"right-hand side shape {bm.shape} does not fit {am.shape}")
-    if not np.all(np.isfinite(bm.real)) or not np.all(np.isfinite(bm.imag)):
-        raise ValueError("right-hand side entries must be finite (no NaN/Inf)")
-    n = am.shape[0]
-    lu, piv, _ = _lu_factor(am)
-    threshold = tol.rel * _column_scale(am)
-    for k in range(n):
-        if np.abs(lu[k, k]) <= threshold:
-            raise SingularMatrix(f"pivot {np.abs(lu[k, k]):.3e} at column {k} below threshold {threshold:.3e}")
-    rhs = bm.copy()
-    x = bm
-    for k in range(n):
-        p = piv[k]
-        if p != k:
-            x[[k, p], :] = x[[p, k], :]
-    for k in range(n - 1):
-        x[k + 1 :, :] -= np.outer(lu[k + 1 :, k], x[k, :])
-    for k in range(n - 1, -1, -1):
-        x[k, :] /= lu[k, k]
-        if k:
-            x[:k, :] -= np.outer(lu[:k, k], x[k, :])
-    residual = fro(am @ x - rhs)
+    bm, vector = as_columns(b, am.shape[0])
+    ok, margin = invertibility_margin(am, tol)
+    if not ok:
+        raise SingularMatrix(f"solve needs an invertible matrix (margin {margin:.3e})")
+    x = np.linalg.solve(am, bm)
+    residual = fro(am @ x - bm)
     if residual > tol.rel * fro(am) * max(fro(x), 1.0) + tol.abs:
         raise InternalCheckError(f"solve residual {residual:.3e} exceeds contract bound")
     return frozen(x[:, 0] if vector else x)
 
 
 def det(a) -> complex:
-    """Determinant via the pivoted elimination; singular input yields ~0, never an error."""
-    am = as_matrix(a, square=True)
-    lu, _, sign = _lu_factor(am)
-    return complex(sign * np.prod(np.diag(lu)))
+    """Determinant by LAPACK's LU; singular input yields ~0, never an error."""
+    return complex(np.linalg.det(as_matrix(a, square=True)))
 
 
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -53,11 +53,9 @@ def _realify(w: np.ndarray) -> np.ndarray:
 
 
 def _as_generators(g) -> np.ndarray:
-    gm = np.array(g, dtype=np.complex128, copy=True)
-    if gm.ndim != 2 or gm.shape[0] == 0 or gm.shape[1] != 2 * gm.shape[0]:
+    gm = as_matrix(g)
+    if gm.shape[1] != 2 * gm.shape[0]:
         raise DimensionMismatch(f"generator matrix must be n x 2n, got shape {gm.shape}")
-    if not np.all(np.isfinite(gm.real)) or not np.all(np.isfinite(gm.imag)):
-        raise ValueError("generators must be finite (no NaN/Inf)")
     return gm
 
 
@@ -69,7 +67,7 @@ class LatticeBasis:
 
     def __post_init__(self) -> None:
         gm = _as_generators(self.g)
-        object.__setattr__(self, "g", frozen(gm))
+        object.__setattr__(self, "g", gm)
         object.__setattr__(self, "_real", frozen(_realify(gm)))
 
     @property
@@ -123,15 +121,11 @@ class PeriodMatrix:
     z: np.ndarray
 
     def __post_init__(self) -> None:
-        zm = np.array(self.z, dtype=np.complex128, copy=True)
-        if zm.ndim != 2 or zm.shape[0] != zm.shape[1] or zm.shape[0] == 0:
-            raise DimensionMismatch(f"expected a square matrix, got shape {zm.shape}")
-        if not np.all(np.isfinite(zm.real)) or not np.all(np.isfinite(zm.imag)):
-            raise ValueError("entries must be finite (no NaN/Inf)")
+        zm = as_matrix(self.z, square=True)
         ok, margin = invertibility_margin(zm.imag, DEFAULT_TOL)
         if not ok:
             raise RankDeficient(f"imaginary part is singular (margin {margin:.3e})")
-        object.__setattr__(self, "z", frozen(zm))
+        object.__setattr__(self, "z", zm)
 
     @property
     def n(self) -> int:
@@ -153,9 +147,7 @@ def rank_margin(g, tol: Tolerance = DEFAULT_TOL) -> float:
     Accepts up to 2n columns; a positive margin certifies trivial kernel,
     and perturbations smaller than the margin cannot destroy it.
     """
-    gm = np.array(g, dtype=np.complex128, copy=True)
-    if gm.ndim != 2 or gm.shape[0] == 0:
-        raise DimensionMismatch(f"expected an n x m matrix, got shape {gm.shape}")
+    gm = as_matrix(g)
     n, m = gm.shape
     if m > 2 * n:
         raise DimensionMismatch(f"at most {2 * n} columns can be independent over R, got {m}")

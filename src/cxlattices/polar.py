@@ -33,11 +33,8 @@ from .kernel import (
     frozen,
     hermitian_eig,
     invertibility_margin,
-    singular_values,
     solve,
 )
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,11 +44,7 @@ class GramForm:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
-            raise DimensionMismatch(f"expected a square matrix, got shape {p.shape}")
-        if not np.all(np.isfinite(p.real)) or not np.all(np.isfinite(p.imag)):
-            raise ValueError("entries must be finite (no NaN/Inf)")
+        p = as_matrix(self.matrix, square=True)
         tol = DEFAULT_TOL
         defect = fro(p - p.conj().T)
         if defect > tol.rel * max(fro(p), 1.0) + tol.abs:
@@ -154,61 +147,28 @@ def spd_sqrt(p: GramForm, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     return GramForm(q)
 
 
-def _newton_unitary(u0: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Drive an invertible matrix to its unitary polar factor by inverse averaging.
-
-    The iteration U <- (U + U^-*) / 2 keeps singular vectors fixed and maps
-    each singular value s to (s + 1/s) / 2, so it converges to the factor
-    with all singular values one.
-    """
-    u = u0
-    n = u.shape[0]
-    best = np.inf
-    for _ in range(60):
-        u = 0.5 * (u + adjoint(solve(u, np.eye(n), tol)))
-        defect = fro(adjoint(u) @ u - np.eye(n))
-        if defect <= 64.0 * n * _EPS or defect >= best:
-            break
-        best = defect
-    return u
-
-
 def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
     """Polar decomposition A = U P with U unitary and P the canonical Gram root.
 
-    P = spd_sqrt(gram(A)) and U = A P^-1 on the well-conditioned path.  When
-    the quotient drifts from unitarity, U is polished by inverse-averaging
-    Newton steps and P recomputed as the self-adjoint part of U* A.  Forming
-    A* A squares the condition number, so when its positivity gate fires for
-    an invertible A the Newton route starts from A itself (scaled to balance
-    the extreme singular values).  Both branches are pure functions of the
-    input, so results stay deterministic.
+    Both factors come from one SVD A = W S V*: U = W V* and P = V S V*, the
+    self-adjoint positive-definite square root of A* A.  The SVD works on A
+    itself, so the condition number is never squared and an ill-conditioned
+    but invertible A takes the same route as any other.  The reconstruction
+    residual and the unitarity of U are checked on the way out.
     """
     am = as_matrix(a, square=True)
-    n = am.shape[0]
     ok, margin = invertibility_margin(am, tol)
     if not ok:
         raise SingularMatrix(f"polar needs an invertible matrix (margin {margin:.3e})")
-    try:
-        p = spd_sqrt(gram(am, tol), tol)
-        u = adjoint(solve(p.matrix, adjoint(am), tol))
-        p_out = p
-        polish = fro(adjoint(u) @ u - np.eye(n)) > 0.25 * tol.rel * n
-    except NotPositiveDefinite:
-        sig = singular_values(am, tol)
-        u = am / np.sqrt(sig[0] * sig[-1])
-        p_out = None
-        polish = True
-    if polish:
-        u = _newton_unitary(u, tol)
-        h = adjoint(u) @ am
-        p_out = GramForm(0.5 * (h + h.conj().T))
-    residual = fro(am - u @ p_out.matrix)
+    w, s, vh = np.linalg.svd(am)
+    u = w @ vh
+    p = GramForm((vh.conj().T * s) @ vh)
+    residual = fro(am - u @ p.matrix)
     if residual > tol.rel * max(fro(am), 1.0) + tol.abs:
         raise InternalCheckError(f"polar residual {residual:.3e} beyond tolerance")
     if not classify(u, tol).in_u:
         raise InternalCheckError("polar direction factor failed the unitarity check")
-    return frozen(u), p_out
+    return frozen(u), p
 
 
 def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:

@@ -38,6 +38,8 @@ from .kernel import (
     GRAY_ZONE,
     Tolerance,
     adjoint,
+    as_columns,
+    as_matrix,
     fro,
     frozen,
     hermitian_eig,
@@ -53,28 +55,18 @@ NORMALIZED = "normalized"
 KINDS = (BLOCK, SPLIT, CONJUGATE_PAIR, NORMALIZED)
 
 
+def _complex_square(x, n: int | None = None) -> np.ndarray:
+    c = as_matrix(x, square=True)
+    if n is not None and c.shape[0] != n:
+        raise DimensionMismatch(f"coefficient blocks disagree: {c.shape[0]} vs {n}")
+    return c
+
+
 def _real_square(x, n: int | None = None) -> np.ndarray:
-    c = np.array(x, dtype=np.complex128, copy=True)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
-        raise DimensionMismatch(f"expected a square coefficient block, got shape {c.shape}")
-    if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
-        raise ValueError("coefficients must be finite (no NaN/Inf)")
+    c = _complex_square(x, n)
     if np.any(c.imag != 0.0):
         raise ValueError("coefficient block must be real (imaginary parts exactly zero)")
-    if n is not None and c.shape[0] != n:
-        raise DimensionMismatch(f"coefficient blocks disagree: {c.shape[0]} vs {n}")
     return frozen(c.real.copy())
-
-
-def _complex_square(x, n: int | None = None) -> np.ndarray:
-    c = np.array(x, dtype=np.complex128, copy=True)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
-        raise DimensionMismatch(f"expected a square coefficient block, got shape {c.shape}")
-    if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
-        raise ValueError("coefficients must be finite (no NaN/Inf)")
-    if n is not None and c.shape[0] != n:
-        raise DimensionMismatch(f"coefficient blocks disagree: {c.shape[0]} vs {n}")
-    return frozen(c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,21 +154,9 @@ def kind_of(t: RealLinearMap) -> str:
     raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
 
 
-def _coerce_points(z, n: int) -> tuple[np.ndarray, bool]:
-    w = np.array(z, dtype=np.complex128, copy=True)
-    vector = w.ndim == 1
-    if vector:
-        w = w[:, None]
-    if w.ndim != 2 or w.shape[0] != n:
-        raise DimensionMismatch(f"expected points in C^{n}, got shape {np.shape(z)}")
-    if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
-        raise ValueError("points must be finite (no NaN/Inf)")
-    return w, vector
-
-
 def apply(t: RealLinearMap, z) -> np.ndarray:
     """Evaluate the map at one point or columnwise at a stack of points."""
-    w, vector = _coerce_points(z, t.dim)
+    w, vector = as_columns(z, t.dim)
     x, y = w.real, w.imag
     if isinstance(t, BlockForm):
         out = (t.e1 @ x + t.e2 @ y) + 1j * (t.e3 @ x + t.e4 @ y)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InternalCheckError, LatticeMismatch
-from .kernel import DEFAULT_TOL, Tolerance, frozen, solve
+from .kernel import DEFAULT_TOL, Tolerance, as_vector, frozen, solve
 from .lattices import LatticeBasis, same_lattice
 
 
@@ -52,15 +52,6 @@ class TorusPoint:
         return self.lattice.n
 
 
-def _as_point_vector(z, n: int) -> np.ndarray:
-    zv = np.array(z, dtype=np.complex128, copy=True).reshape(-1)
-    if zv.shape[0] != n:
-        raise DimensionMismatch(f"expected a vector of length {n}, got {zv.shape[0]}")
-    if not np.all(np.isfinite(zv.real)) or not np.all(np.isfinite(zv.imag)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return zv
-
-
 def _coords_of(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
     rhs = np.concatenate([zv.real, zv.imag]).reshape(-1, 1)
     return solve(lat.realified, rhs, tol).real.reshape(-1)
@@ -73,7 +64,7 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
     invariant exact; z minus the representative is then a lattice point by
     construction (the dropped coordinate parts are integers).
     """
-    zv = _as_point_vector(z, lat.n)
+    zv = as_vector(np.ravel(z), lat.n)
     c = _coords_of(lat, zv, tol)
     frac = c - np.floor(c)
     frac[1.0 - frac <= tol.abs] = 0.0

@@ -303,6 +303,16 @@ CASES = {
         "input": '{"matrix": [[[1, 0]]]}',
         "exit": 2,
     },
+    "malformed-tolerance-inf": {
+        "argv": ["gram", "--tol-rel", "inf"],
+        "input": '{"matrix": [[[1, 0]]]}',
+        "exit": 2,
+    },
+    "malformed-tolerance-nan": {
+        "argv": ["gram", "--tol-abs", "nan"],
+        "input": '{"matrix": [[[1, 0]]]}',
+        "exit": 2,
+    },
 }
 
 

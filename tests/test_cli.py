@@ -171,6 +171,34 @@ def test_nonpositive_tolerance_rejected():
     assert json.loads(out)["error"]["name"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_nonfinite_tolerance_is_one_malformed_line(flag, value):
+    code, out = run_cli(["gram", flag, value], '{"matrix": [[[1,0]]]}')
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["name"] == "MalformedInput"
+
+
+def test_lattice_validate_boundary_follows_the_relative_margin():
+    # a well-conditioned lattice scaled by 1e-9: rank_margin is tiny, the verdict is not
+    tiny = {"n": 1, "generators": [[[1e-9, 0]], [[3e-10, 1.7e-9]]]}
+    code, out = run_cli(["lattice-validate"], dump({"lattice": tiny}))
+    result = json.loads(out)
+    assert code == 0
+    assert result["payload"]["valid"] is True
+    assert result["diagnostics"]["rank_margin"] < 1e-9
+    assert result["diagnostics"]["boundary"] is False
+    # sigma_min / sigma_max = 2e-10, inside the band, though rank_margin is 4.5e-8
+    skew = {"n": 1, "generators": [[[100, 0]], [[200, 1e-7]]]}
+    code, out = run_cli(["lattice-validate"], dump({"lattice": skew}))
+    result = json.loads(out)
+    assert code == 0
+    assert result["payload"]["valid"] is False
+    assert result["diagnostics"]["rank_margin"] > 1e-8
+    assert result["diagnostics"]["boundary"] is True
+
+
 def test_tolerance_flags_change_verdict():
     # margin 1e-4 map: invertible at the default, rejected at rel = 1e-3
     m = '{"map": {"kind": "block", "e1": [[[1,0]]], "e2": [[[0,0]]], "e3": [[[0,0]]], "e4": [[[0.0001,0]]]}}'

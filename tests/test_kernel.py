@@ -315,6 +315,13 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def with_ratio(rng: np.random.Generator, n: int, ratio: float) -> np.ndarray:
+    """Random n x n complex matrix with sigma_max = 1 and sigma_min = ratio."""
+    s = np.sort(10.0 ** rng.uniform(np.log10(ratio), 0.0, n))[::-1]
+    s[0], s[-1] = 1.0, ratio
+    return haar_unitary(rng, n) @ np.diag(s) @ haar_unitary(rng, n).conj().T
+
+
 def test_rank_deficient_population_is_never_called_invertible_outside_the_band():
     # sigma_min / sigma_max in [1e-16, 1e-10], below tol.rel = 1e-9: an invertible
     # verdict is wrong, and allowed only when the margin sits in the boundary band
@@ -324,13 +331,32 @@ def test_rank_deficient_population_is_never_called_invertible_outside_the_band()
     for k in range(300):
         n = int(rng.integers(2, 7))
         ratio = 10.0 ** rng.uniform(-16.0, -10.0)
-        s = np.sort(10.0 ** rng.uniform(np.log10(ratio), 0.0, n))[::-1]
-        s[0], s[-1] = 1.0, ratio
-        a = haar_unitary(rng, n) @ np.diag(s) @ haar_unitary(rng, n).conj().T
+        a = with_ratio(rng, n, ratio)
         ok, margin = invertibility_margin(a, tol)
         if ok and margin > GRAY_ZONE * tol.rel:
             wrong.append((k, n, ratio, margin))
     assert wrong == []
+
+
+def test_solve_refuses_exactly_what_the_margin_calls_singular():
+    # sigma_min / sigma_max log-uniform in [1e-14, 1e-6], across tol.rel = 1e-9:
+    # solve raises SingularMatrix if and only if invertibility_margin says singular
+    tol = Tolerance()
+    rng = np.random.default_rng(4203)
+    disagree = []
+    for k in range(300):
+        n = int(rng.integers(2, 7))
+        a = with_ratio(rng, n, 10.0 ** rng.uniform(-14.0, -6.0))
+        b = random_complex(rng, n)
+        ok, margin = invertibility_margin(a, tol)
+        try:
+            solve(a, b, tol)
+            refused = False
+        except SingularMatrix:
+            refused = True
+        if refused == ok:
+            disagree.append((k, n, margin, refused))
+    assert disagree == []
 
 
 def test_tolerance_validation():

@@ -167,8 +167,8 @@ def test_polar_of_spd_has_identity_direction():
 
 
 def test_polar_ill_conditioned_fallback():
-    # condition number 1e6 pushes A* A past the positivity gate; the Newton
-    # route must still deliver machine-precision factors
+    # condition numbers 1e4 to 1e8 square to 1e8 to 1e16 in A* A, past the positivity
+    # gate of a Gram-matrix route; polar must still deliver machine-precision factors
     rng = np.random.default_rng(14)
     q1 = random_unitary(rng, 3)
     q2 = random_unitary(rng, 3)
@@ -178,6 +178,19 @@ def test_polar_ill_conditioned_fallback():
     assert np.linalg.norm(u @ p.matrix - a) <= 1e-9
     uo, _ = svd_polar_oracle(a)
     assert np.linalg.norm(u - uo) < 1e-7
+    for n in (2, 3, 8):
+        for _ in range(20):
+            ratio = 10.0 ** rng.uniform(-8.0, -4.0)
+            s = np.sort(10.0 ** rng.uniform(np.log10(ratio), 0.0, n))[::-1]
+            s[0], s[-1] = 1.0, ratio
+            a = random_unitary(rng, n) @ np.diag(s) @ random_unitary(rng, n)
+            u, p = polar(a)
+            uo, po = svd_polar_oracle(a)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-10
+            assert np.linalg.norm(u @ p.matrix - a) <= 1e-9
+            assert np.linalg.norm(p.matrix - po) <= 1e-9
+            assert np.linalg.norm(u - uo) < 1e-7
+            assert np.min(np.linalg.eigvalsh(p.matrix)) > 0.0
 
 
 def test_polar_deterministic():
