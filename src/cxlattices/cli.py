@@ -304,8 +304,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are malformed input, not a usage text and exit."""
+
+    def error(self, message):
+        raise MalformedInput(f"command line: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cxlat",
         description="real-linear maps, Gaussian lattices, and complex tori over JSON",
     )
@@ -342,9 +349,11 @@ def run(argv, stdin=None, stdout=None) -> int:
     stdout = sys.stdout if stdout is None else stdout
     try:
         args = _build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        # argparse already reported; unknown flags/subcommands are malformed
-        return 0 if exc.code == 0 else 2
+    except SystemExit as exc:  # --help: argparse printed the usage text
+        return exc.code
+    except MalformedInput as exc:
+        stdout.write(_error_line("MalformedInput", exc, {}))
+        return 2
 
     finite = math.isfinite(args.tol_rel) and math.isfinite(args.tol_abs)
     # a non-finite tolerance is not echoed: rendering it would raise NumericOverflow

@@ -25,6 +25,17 @@ larger raises HeightTooLarge at once, while a larger budget runs the
 closure again.  So only the first call in a process pays for generating
 a set, and the cache answers the same call the same way whatever came
 before it.
+
+The search is norm-first.  Column i of a witness B has P1-norm (P2)_ii
+(the first invariant of Plesken and Souvignier, "Computing isometries of
+lattices", 1997), so each cached set also holds its distinct columns and
+a (k, n) array of column ids; the scan computes b* P1 b once per distinct
+column and runs the full Gram test only on the candidates whose columns
+all have the right norms.  The short-vector refuter bounds each integer
+coordinate by its own axis (as in Fincke and Pohst, 1985) instead of one
+uniform box.  lattice_equivalent runs its stages cheapest first: the
+invertibility gate, the covolume refuter, the dimension cap, and only
+then the Gram forms, the spectra and the scan.
 """
 
 from __future__ import annotations
@@ -45,9 +56,18 @@ from .errors import (
     SingularMatrix,
 )
 from .gaussian import ZERO, gadd, gmul
-from .kernel import DEFAULT_TOL, Tolerance, as_matrix, det, fro, frozen, inverse, singular_values
+from .kernel import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    det,
+    fro,
+    frozen,
+    invertibility_margin,
+    singular_values,
+)
 from .lattices import GaussianUnimodular
-from .polar import GramForm, classify, gram
+from .polar import GramForm, classify, gram_form
 
 EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
@@ -58,6 +78,7 @@ DEFAULT_RADIUS = 4.0
 DEFAULT_BUDGET = 10**7
 _MAX_ORBIT_DIM = 3
 _CHUNK = 1 << 16
+_EPS = float(np.finfo(np.float64).eps)
 
 MODE_UNITARY = "unitary"
 MODE_SPECIAL_UNITARY = "special_unitary"
@@ -110,16 +131,36 @@ def _gauss_box(height: int):
 
 
 class _Candidates(NamedTuple):
-    """One candidate set: the public tuple form and its read-only (k, n, n) stack."""
+    """One candidate set: the public tuple form, its read-only (k, n, n) stack,
+    and its columns as a table of distinct columns (c, n) with a (k, n) array
+    of ids, so that column i of candidate j is cols[col_ids[j, i]]."""
 
     entries: tuple
     stack: np.ndarray
+    cols: np.ndarray
+    col_ids: np.ndarray
 
 
 def _stack(candidates) -> np.ndarray:
     """Candidate tuples as a read-only complex128 array of shape (k, n, n)."""
     ints = np.array(candidates, dtype=np.int64)
     return frozen(ints[..., 0] + 1j * ints[..., 1])
+
+
+def _from_tuples(entries) -> _Candidates:
+    """A candidate set built from its tuples, each distinct column numbered once."""
+    n = len(entries[0])
+    ids: dict = {}
+    col_ids = [
+        [ids.setdefault(tuple(m[r][c] for r in range(n)), len(ids)) for c in range(n)]
+        for m in entries
+    ]
+    return _Candidates(
+        entries,
+        _stack(entries),
+        _stack(list(ids)),
+        frozen(np.array(col_ids, dtype=np.intp)),
+    )
 
 
 def _complete_2x2(height: int) -> _Candidates:
@@ -158,7 +199,12 @@ def _complete_2x2(height: int) -> _Candidates:
     bottom = [pairs[i] for i in (idx[:, 2] * m + idx[:, 3]).tolist()]
     entries = tuple(zip(top, bottom))
     values = pts[:, 0] + 1j * pts[:, 1]
-    return _Candidates(entries, frozen(values[idx].reshape(-1, 2, 2)))
+    # column (x, y) of box indices has id x * m + y: every pair, in box order
+    cols = np.stack([np.repeat(values, m), np.tile(values, m)], axis=1)
+    col_ids = np.stack([idx[:, 0] * m + idx[:, 2], idx[:, 1] * m + idx[:, 3]], axis=1)
+    return _Candidates(
+        entries, frozen(values[idx].reshape(-1, 2, 2)), frozen(cols), frozen(col_ids)
+    )
 
 
 def _closure_overrun(height: int, budget: int) -> HeightTooLarge:
@@ -217,8 +263,7 @@ def _candidates(n: int, height: int, budget: int) -> _Candidates:
             raise _closure_overrun(height, budget)
         return cached
     if n == 1:
-        entries = ((((1, 0),),),)
-        cached = _Candidates(entries, _stack(entries))
+        cached = _from_tuples(((((1, 0),),),))
     elif complete:
         cached = _complete_2x2(height)
     else:
@@ -230,7 +275,7 @@ def _candidates(n: int, height: int, budget: int) -> _Candidates:
         except HeightTooLarge:
             _CLOSURE_OVERRUNS[(n, height)] = budget
             raise
-        cached = _Candidates(entries, _stack(entries))
+        cached = _from_tuples(entries)
     _CANDIDATE_CACHE[key] = cached
     return cached
 
@@ -245,14 +290,31 @@ def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     return _candidates(n, height, budget).entries
 
 
-def _gram_hits(stack: np.ndarray, p1: np.ndarray, p2: np.ndarray, bound: float):
-    """Yield, in stack order, the index of every B with |B* P1 B - P2|_F <= bound."""
-    for lo in range(0, len(stack), _CHUNK):
-        bs = stack[lo : lo + _CHUNK]
+def _gram_hits(cands: _Candidates, p1: np.ndarray, p2: np.ndarray, bound: float):
+    """Yield, in candidate order, the index of every B with |B* P1 B - P2|_F <= bound.
+
+    Column i of such a B has P1-norm (P2)_ii to within the bound, so the
+    norm b* P1 b of each distinct column is computed once and the candidates
+    whose columns miss their diagonal entry are dropped before the full
+    Frobenius test.  The slack covers the rounding by which the two ways of
+    computing b* P1 b may differ.
+    """
+    n = p1.shape[0]
+    norms = np.einsum("ci,ij,cj->c", cands.cols.conj(), p1, cands.cols).real
+    weight = np.sum(np.abs(cands.cols) ** 2, axis=1)  # |b|^2
+    slack = 32 * n * _EPS * (fro(p1) * weight + bound)
+    near = np.abs(norms[:, None] - p2.diagonal().real) <= (bound + slack)[:, None]
+    keep = np.ones(len(cands.col_ids), dtype=bool)
+    for i in range(n):
+        keep &= near[cands.col_ids[:, i], i]
+    survivors = np.flatnonzero(keep)
+    for lo in range(0, len(survivors), _CHUNK):
+        sel = survivors[lo : lo + _CHUNK]
+        bs = cands.stack[sel]
         transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1, bs)
         diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
-        for idx in np.flatnonzero(diffs <= bound):
-            yield lo + int(idx)
+        for idx in sel[diffs <= bound]:
+            yield int(idx)
 
 
 def sigma_orbit_equal(
@@ -279,7 +341,7 @@ def sigma_orbit_equal(
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     candidates = _candidates(n, height, budget)
     bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
-    for idx in _gram_hits(candidates.stack, p1.matrix, p2.matrix, bound):
+    for idx in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
         b = GaussianUnimodular(candidates.entries[idx])
         return EquivalenceVerdict(EQUIVALENT, (None, b), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
@@ -290,9 +352,16 @@ def short_vectors(
 ) -> ShortVectorSpectrum:
     """Squared norms |A lambda|^2 <= radius over nonzero Gaussian-integer vectors.
 
-    The coefficient box is provably sufficient: outside integer coordinates
-    of magnitude K = floor(sqrt(radius)/sigma_min) the image norm already
-    exceeds the radius, sigma_min taken from the realified generator matrix.
+    Write R for the realified generator matrix and x for the integer
+    coordinates of lambda, so that |A lambda| = |R x|.  The coefficient box
+    is provably sufficient: |x_i| <= |row i of R^-1| * |R x|, so outside
+    K_i = floor(sqrt(radius) * |row i of R^-1|) on axis i the image norm
+    already exceeds the radius.  Every K_i is at most the uniform bound
+    K = floor(sqrt(radius) / sigma_min), since each row of R^-1 has norm at
+    most 1 / sigma_min, and for a skewed basis the per-axis box is far
+    smaller.  The budget is still checked against the uniform box
+    (2K + 1)^(2n): it caps the work of any input alike, and which inputs
+    raise RadiusBudgetExceeded does not depend on the rounding of R^-1.
     """
     am = as_matrix(a, square=True)
     if radius < 0 or not np.isfinite(radius):
@@ -310,11 +379,17 @@ def short_vectors(
         raise RadiusBudgetExceeded(
             f"coefficient box of {total - 1} vectors exceeds limit {limit}"
         )
-    shape = (2 * k + 1,) * (2 * n)
+    # the relative margin absorbs rounding in the row norms of R^-1; the
+    # absolute term, a multiple of cond(R) eps |R^-1|, covers ill-conditioned R
+    rows = np.linalg.norm(np.linalg.inv(real), axis=1)
+    reach = rows * (1.0 + 1e-9) + 16 * n * _EPS * s[0] / s[-1] ** 2
+    ks = np.minimum(k, np.floor(np.sqrt(radius) * reach)).astype(np.int64)
+    shape = tuple(2 * ks + 1)
+    size = int(np.prod(shape))
     norms = []
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total))
-        coords = np.stack(np.unravel_index(idx, shape)) - k
+    for lo in range(0, size, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, size))
+        coords = np.stack(np.unravel_index(idx, shape)) - ks[:, None]
         lam = coords[:n, :] + 1j * coords[n:, :]
         w = am @ lam
         sq = np.sum(w.real**2 + w.imag**2, axis=0)
@@ -361,8 +436,9 @@ def lattice_equivalent(
 ) -> EquivalenceVerdict:
     """Decide equivalence of A1(Z[i]^n) and A2(Z[i]^n) up to height bound.
 
-    Pipeline: covolume refuter, short-vector spectrum refuter, then the
-    bounded Gram-orbit search.  Equivalent verdicts carry the reconstructed
+    Pipeline: invertibility gate, covolume refuter, the dimension cap, the
+    Gram forms, short-vector spectrum refuter, then the bounded Gram-orbit
+    search.  Equivalent verdicts carry the reconstructed
     unitary T = A2 B^-1 A1^-1 (B inverted exactly via its adjugate) and are
     re-verified before being returned.  In special_unitary mode both inputs
     must have determinant one and witnesses are additionally filtered by
@@ -382,8 +458,11 @@ def lattice_equivalent(
                 raise NotInSL(
                     f"{name} has determinant distance {member.det_distance:.3e} from one"
                 )
-    p1 = gram(m1, tol)
-    p2 = gram(m2, tol)
+    # the stages run cheapest first; a singular input fails as gram would fail on it
+    for m in (m1, m2):
+        ok, margin = invertibility_margin(m, tol)
+        if not ok:
+            raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
 
     c1 = float(abs(det(m1)) ** 2)
     c2 = float(abs(det(m2)) ** 2)
@@ -391,9 +470,12 @@ def lattice_equivalent(
         return EquivalenceVerdict(REFUTED, None, ("covolume", c1, c2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the
-    # orbit search can run, so fail fast before an 8-and-up-dimensional box scan
+    # orbit search can run, so fail fast before the Gram forms of an 8-and-up-
+    # dimensional pair and its box scan
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
+    p1 = gram_form(m1)
+    p2 = gram_form(m2)
 
     mismatch = _spectra_mismatch(
         short_vectors(m1, radius, tol, budget), short_vectors(m2, radius, tol, budget), radius
@@ -402,8 +484,8 @@ def lattice_equivalent(
         return EquivalenceVerdict(REFUTED, None, mismatch, height)
     candidates = _candidates(n, height, budget)
     bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
-    inv1 = inverse(m1, tol)
-    for idx in _gram_hits(candidates.stack, p1.matrix, p2.matrix, bound):
+    inv1 = np.linalg.inv(m1)  # m1 passed the gate, and each witness is re-verified
+    for idx in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
         b = GaussianUnimodular(candidates.entries[idx])
         t = m2 @ b.inverse_matrix() @ inv1
         if not classify(t, tol).in_u:

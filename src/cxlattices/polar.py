@@ -21,6 +21,7 @@ from .errors import (
     NotInSL,
     NotPositiveDefinite,
     NotSelfAdjoint,
+    NumericOverflow,
     SingularMatrix,
 )
 from .kernel import (
@@ -101,13 +102,25 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
 
 
 def gram(a, tol: Tolerance = DEFAULT_TOL) -> GramForm:
-    """A* A of an invertible matrix, as a GramForm."""
+    """A* A of an invertible matrix, as a GramForm (NumericOverflow if it overflows)."""
     am = as_matrix(a, square=True)
     ok, margin = invertibility_margin(am, tol)
     if not ok:
         raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
-    p = adjoint(am) @ am
-    return GramForm(0.5 * (p + p.conj().T))
+    return gram_form(am)
+
+
+def gram_form(am: np.ndarray) -> GramForm:
+    """A* A as a GramForm, for a validated matrix the caller has found invertible.
+
+    Raises NumericOverflow when A* A is not finite: the entries of A are.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = adjoint(am) @ am
+        p = 0.5 * (p + p.conj().T)
+    if not np.isfinite(p).all():
+        raise NumericOverflow("gram form A* A overflowed: the entries of A are too large")
+    return GramForm(p)
 
 
 def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:

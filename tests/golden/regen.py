@@ -122,6 +122,11 @@ CASES = {
         "input": '{"matrix": [[[0,0],[2,0]],[[1,0],[0,0]]]}',
         "exit": 0,
     },
+    "gram-overflow": {
+        "argv": ["gram"],
+        "input": '{"matrix": [[[1e300, 0]]]}',
+        "exit": 1,
+    },
     # --- unitary-equiv ---
     "unitary-equiv-yes": {
         "argv": ["unitary-equiv"],
@@ -321,7 +326,7 @@ def render():
     files, failures = {}, []
     for name, case in CASES.items():
         buf = io.StringIO()
-        with contextlib.redirect_stderr(io.StringIO()):  # argparse usage text
+        with contextlib.redirect_stderr(io.StringIO()):  # numpy overflow warnings
             code = run(case["argv"], io.StringIO(case["input"]), buf)
         if code != case["exit"]:
             failures.append(f"{name}: expected exit {case['exit']}, got {code}")

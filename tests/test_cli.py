@@ -49,10 +49,7 @@ def test_every_subcommand_has_a_golden_case():
 def test_result_shape_and_exit_contract(name):
     case = CASES[name]
     code, out = run_cli(case["argv"], case["input"])
-    if not out:
-        # argparse-level rejection: no CommandResult, exit 2
-        assert code == 2
-        return
+    assert out.endswith("\n") and out.count("\n") == 1
     result = json.loads(out)
     if result["status"] == "ok":
         assert code == 0
@@ -197,6 +194,45 @@ def test_lattice_validate_boundary_follows_the_relative_margin():
     assert result["payload"]["valid"] is False
     assert result["diagnostics"]["rank_margin"] > 1e-8
     assert result["diagnostics"]["boundary"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--frobnicate"],
+        ["frobnicate"],
+        [],
+        ["gram", "--tol-rel", "tiny"],
+        ["map-convert"],
+        ["lattice-equiv", "--mode", "orthogonal"],
+        ["lattice-equiv", "--height", "2.5"],
+    ],
+)
+def test_command_line_errors_are_one_malformed_line(argv, capsys):
+    out = io.StringIO()
+    code = run(argv, io.StringIO('{"matrix": [[[1, 0]]]}'), out)
+    assert code == 2
+    assert out.getvalue().count("\n") == 1
+    result = json.loads(out.getvalue())
+    assert result["error"]["name"] == "MalformedInput"
+    assert result["error"]["message"].startswith("command line: ")
+    assert result["diagnostics"] == {}
+    assert capsys.readouterr() == ("", "")  # no usage text on either stream
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gram", "--help"]])
+def test_help_still_exits_zero(argv, capsys):
+    out = io.StringIO()
+    assert run(argv, io.StringIO(""), out) == 0
+    assert out.getvalue() == ""
+    assert "usage: cxlat" in capsys.readouterr().out
+
+
+def test_gram_overflow_is_numeric_overflow():
+    # finite entries whose A* A overflows: a domain error, not malformed input
+    code, out = run_cli(["gram"], '{"matrix": [[[1e300, 0], [0, 0]], [[0, 0], [0, 2e300]]]}')
+    assert code == 1
+    assert json.loads(out)["error"]["name"] == "NumericOverflow"
 
 
 def test_tolerance_flags_change_verdict():

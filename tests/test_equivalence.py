@@ -1,6 +1,7 @@
 """Tests for bounded lattice-equivalence decisions and their invariants."""
 
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -34,7 +35,11 @@ from cxlattices.errors import (
 )
 from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
+from cxlattices.kernel import DEFAULT_TOL
 from cxlattices.polar import classify, gram, sl_normalize
+
+# the module itself: the package re-exports its function polar under the same name
+polar_module = importlib.import_module("cxlattices.polar")
 
 
 def random_invertible(rng, n, min_cond=1e-2):
@@ -222,6 +227,112 @@ def test_cached_closure_budget_check_matches_a_fresh_call(empty_cache):
     assert len(sigma_candidates(1, 1, budget=0)) == 1
 
 
+def _n3_candidates():
+    """A determinant-one 3x3 set on the closure route's constructor: the 2x2
+    height-1 set embedded top-left and bottom-right, so columns repeat."""
+    one, zero = (1, 0), (0, 0)
+    out = []
+    for (a, b), (c, d) in sigma_candidates(2, 1):
+        out.append(((a, b, zero), (c, d, zero), (zero, zero, one)))
+        out.append(((one, zero, zero), (zero, a, b), (zero, c, d)))
+    return equivalence._from_tuples(tuple(out))
+
+
+_SETS = {
+    # complete n = 2 at h = 1..3, n = 1, and the closure route at n = 2 (5^6 > 10^4) and n = 3
+    **{f"complete-h{h}": lambda h=h: equivalence._candidates(2, h, 10**7) for h in (1, 2, 3)},
+    "n1": lambda: equivalence._candidates(1, 1, 10),
+    "closure-n2-h2": lambda: equivalence._candidates(2, 2, 10**4),
+    "closure-n3": _n3_candidates,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_column_table_rebuilds_the_stack(name):
+    cands = _SETS[name]()
+    n = cands.stack.shape[1]
+    assert cands.col_ids.shape == (len(cands.entries), n)
+    assert cands.cols.shape[1] == n
+    assert not cands.cols.flags.writeable and not cands.col_ids.flags.writeable
+    # column i of candidate k is cols[col_ids[k, i]]
+    assert np.array_equal(cands.cols[cands.col_ids].transpose(0, 2, 1), cands.stack)
+
+
+def _reference_hits(stack, p1, p2, bound):
+    """The unfiltered scan: the Frobenius test on every candidate, in order."""
+    transported = np.einsum("kji,jl,klm->kim", stack.conj(), p1, stack)
+    diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
+    return np.flatnonzero(diffs <= bound).tolist()
+
+
+def _hermitian_bump(n, i, j, size):
+    """A Hermitian matrix of Frobenius norm |size| at (i, j) and (j, i)."""
+    e = np.zeros((n, n), dtype=complex)
+    if i == j:
+        e[i, i] = size
+    else:
+        e[i, j] = e[j, i] = size / np.sqrt(2.0)
+    return e
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_column_norm_prefilter_keeps_every_hit(name):
+    cands = _SETS[name]()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n = cands.stack.shape[1]
+    tol = DEFAULT_TOL
+    for p1 in [np.eye(n)] + [gram(random_invertible(rng, n)).matrix for _ in range(3)]:
+        for planted in rng.integers(len(cands.entries), size=3):
+            b = cands.stack[planted]
+            exact = b.conj().T @ p1 @ b
+            exact = 0.5 * (exact + exact.conj().T)
+            bound = tol.rel * (np.linalg.norm(p1) + np.linalg.norm(exact)) + tol.abs
+            for c in (0.5, -0.5, 2.0, -2.0):
+                for i, j in {(0, 0), (n - 1, n - 1), (0, n - 1)}:
+                    p2 = exact + _hermitian_bump(n, i, j, c * bound)
+                    want = _reference_hits(cands.stack, p1, p2, bound)
+                    got = list(equivalence._gram_hits(cands, p1, p2, bound))
+                    assert got == want
+                    assert (planted in got) == (abs(c) < 1.0)
+
+
+def _reference_short_vectors(a, radius):
+    """The uniform-box enumeration: every coordinate in [-K, K], K = floor(sqrt(r)/sigma_min)."""
+    am = np.asarray(a, dtype=complex)
+    n = am.shape[0]
+    real = np.block([[am.real, -am.imag], [am.imag, am.real]])
+    k = int(np.floor(np.sqrt(radius) / np.linalg.svd(real, compute_uv=False)[-1]))
+    grid = np.stack(np.meshgrid(*[np.arange(-k, k + 1)] * (2 * n), indexing="ij")).reshape(2 * n, -1)
+    w = am @ (grid[:n] + 1j * grid[n:])
+    sq = np.sum(w.real**2 + w.imag**2, axis=0)
+    return np.sort(sq[(sq <= radius) & np.any(grid != 0, axis=0)])
+
+
+def _skewed(rng, n, smin):
+    """A sheared basis with spread singular values, scaled so sigma_min is smin."""
+    u, v = random_unitary(rng, n), random_unitary(rng, n)
+    shear = np.eye(n, dtype=complex)
+    shear[0, n - 1] = complex(*rng.integers(-3, 4, size=2))
+    a = (u * np.geomspace(1.0, 0.3, n)) @ v.conj().T @ shear
+    return a * (smin / np.linalg.svd(a, compute_uv=False)[-1])
+
+
+def test_short_vectors_match_the_full_box():
+    rng = np.random.default_rng(43)
+    population = [(random_invertible(rng, n), 4.0) for n in (1, 1, 2, 2, 2, 3) for _ in range(2)]
+    population += [(_skewed(rng, 2, smin), 4.0) for smin in (0.6, 0.5, 0.4, 0.35) for _ in range(3)]
+    population += [(_skewed(rng, 1, 0.3), 9.0), (_skewed(rng, 3, 0.8), 2.5), (_skewed(rng, 3, 0.9), 4.0)]
+    population += [(np.array([[1.0, 3.0], [0.0, 1.0]]), 6.0), (np.array([[1.0, 0.99], [0.0, 0.15]]), 1.0)]
+    total = 0
+    for a, radius in population:
+        got = np.array(short_vectors(a, radius).norms)
+        want = _reference_short_vectors(a, radius)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want)))
+        total += len(got)
+    assert total > 100
+
+
 # --- gram orbit search ---
 
 
@@ -402,6 +513,43 @@ def test_scaling_refuted_at_any_dimension_without_orbit():
     v = lattice_equivalent(a, 1.5 * a)
     assert v.status == REFUTED
     assert v.refuter[0] == "covolume"
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Count the Hermitian eigensolves behind every GramForm built in a test."""
+    calls = []
+    solve = polar_module.hermitian_eig
+
+    def counted(p, tol=DEFAULT_TOL):
+        calls.append(np.shape(p))
+        return solve(p, tol)
+
+    monkeypatch.setattr(polar_module, "hermitian_eig", counted)
+    return calls
+
+
+def test_n8_covolume_refutation_builds_no_gram_form(eig_calls):
+    rng = np.random.default_rng(44)
+    a = random_invertible(rng, 8)
+    v = lattice_equivalent(a, 1.2 * random_unitary(rng, 8) @ a)
+    assert v.status == REFUTED and v.refuter[0] == "covolume"
+    with pytest.raises(DimensionTooLarge):
+        lattice_equivalent(a, random_unitary(rng, 8) @ a)
+    assert eig_calls == []
+    # the counter does see the Gram forms of a pair that reaches them
+    lattice_equivalent(np.eye(2), np.diag([0.5, 2.0]))
+    assert eig_calls == [(2, 2), (2, 2)]
+
+
+def test_covolume_refutes_before_the_gram_forms():
+    # Gram eigenvalue ratio 1e-10 <= tol.rel, though sigma_min / sigma_max = 1e-5 passes the
+    # invertibility gate: the covolumes differ, and that refutes before a Gram form is built
+    v = lattice_equivalent(np.diag([1.0, 1e-5]), np.diag([1.0, 2e-5]))
+    assert v.status == REFUTED
+    assert v.refuter == ("covolume", pytest.approx(1e-10), pytest.approx(4e-10))
+    with pytest.raises(SingularMatrix, match="gram needs an invertible matrix"):
+        lattice_equivalent(np.eye(2), np.diag([1.0, 1e-12]))
 
 
 def test_orbit_cap_reached_when_not_refuted():

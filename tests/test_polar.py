@@ -9,6 +9,7 @@ from cxlattices.errors import (
     NotInSL,
     NotPositiveDefinite,
     NotSelfAdjoint,
+    NumericOverflow,
     SingularMatrix,
 )
 from cxlattices.polar import (
@@ -230,6 +231,14 @@ def test_gram_left_unitary_invariance():
 def test_gram_rejects_singular():
     with pytest.raises(SingularMatrix):
         gram(np.zeros((2, 2)))
+
+
+def test_gram_reports_overflow_as_overflow():
+    # finite, well-conditioned entries whose A* A overflows
+    for a in (np.eye(2) * 1e300, np.array([[1e160, 0.0], [0.0, 1e160]]), np.full((1, 1), 1e155j)):
+        with pytest.raises(NumericOverflow):
+            gram(a)
+    assert np.isfinite(gram(np.eye(2) * 1e75).matrix).all()
 
 
 def test_unitarily_equivalent_planted():
