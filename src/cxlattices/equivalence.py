@@ -438,11 +438,15 @@ def lattice_equivalent(
 
     Pipeline: invertibility gate, covolume refuter, the dimension cap, the
     Gram forms, short-vector spectrum refuter, then the bounded Gram-orbit
-    search.  Equivalent verdicts carry the reconstructed
+    search.  The Gram forms need no positivity check of their own: each
+    input is a root of its form and has passed the gate.  Equivalent
+    verdicts carry the reconstructed
     unitary T = A2 B^-1 A1^-1 (B inverted exactly via its adjugate) and are
     re-verified before being returned.  In special_unitary mode both inputs
-    must have determinant one and witnesses are additionally filtered by
-    det(T) = 1, continuing the search otherwise.
+    must have determinant one (classify, whose determinant-one verdict
+    implies invertibility, so it serves as the gate and supplies the
+    covolumes) and witnesses are additionally filtered by det(T) = 1,
+    continuing the search otherwise.
     """
     m1 = as_matrix(a1, square=True)
     m2 = as_matrix(a2, square=True)
@@ -451,21 +455,25 @@ def lattice_equivalent(
     if mode not in (MODE_UNITARY, MODE_SPECIAL_UNITARY):
         raise ValueError(f"unknown mode {mode!r}")
     n = m1.shape[0]
+    abs_dets = []
     if mode == MODE_SPECIAL_UNITARY:
+        # in_sl implies in_gl, so classify has run the invertibility gate too
         for name, m in (("A1", m1), ("A2", m2)):
             member = classify(m, tol)
             if not member.in_sl:
                 raise NotInSL(
                     f"{name} has determinant distance {member.det_distance:.3e} from one"
                 )
-    # the stages run cheapest first; a singular input fails as gram would fail on it
-    for m in (m1, m2):
-        ok, margin = invertibility_margin(m, tol)
-        if not ok:
-            raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
+            abs_dets.append(member.abs_det)
+    else:
+        # the stages run cheapest first; a singular input fails as gram would fail on it
+        for m in (m1, m2):
+            ok, margin = invertibility_margin(m, tol)
+            if not ok:
+                raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
+            abs_dets.append(abs(det(m)))
 
-    c1 = float(abs(det(m1)) ** 2)
-    c2 = float(abs(det(m2)) ** 2)
+    c1, c2 = (float(d**2) for d in abs_dets)
     if abs(c1 - c2) > tol.rel * max(c1, c2):
         return EquivalenceVerdict(REFUTED, None, ("covolume", c1, c2), height)
 

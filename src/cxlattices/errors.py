@@ -22,7 +22,7 @@ class NotSelfAdjoint(CxlatError):
 
 
 class NotPositiveDefinite(CxlatError):
-    """A self-adjoint matrix has an eigenvalue at or below the positivity threshold."""
+    """A self-adjoint matrix fails the positivity rule: sqrt(lambda_min / lambda_max) <= tol.rel."""
 
 
 class NotInSplitClass(CxlatError):

@@ -100,8 +100,20 @@ def as_columns(b, n: int) -> tuple[np.ndarray, bool]:
 
 
 def fro(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(a)) ** 2)))
+    """Frobenius norm, also for entries whose squares overflow or underflow.
+
+    The unscaled sum of squares is inf above about 1.3e154 and 0 below about
+    1e-162; only then is the sum taken again with the entries scaled by the
+    largest, so every other input gets the plain sum.
+    """
+    x = np.abs(np.asarray(a))
+    total = float(np.sqrt(np.sum(x**2)))
+    if 0.0 < total < np.inf:
+        return total
+    big = float(np.max(x, initial=0.0))
+    if big == 0.0 or not np.isfinite(big):
+        return total
+    return big * float(np.sqrt(np.sum((x / big) ** 2)))
 
 
 def matmul(a, b) -> np.ndarray:

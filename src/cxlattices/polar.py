@@ -7,6 +7,18 @@ The polar decomposition A = U P realizes the correspondence concretely:
 P is the unique self-adjoint positive-definite square root of the Gram
 form and U the unitary direction.  The determinant-one variants reduce
 to the same machinery after scaling by a principal root.
+
+Positivity follows one rule: a self-adjoint P counts as positive definite
+at tolerance exactly when sqrt(lambda_min / lambda_max) > tol.rel, that is,
+when a root R with P = R* R passes invertibility_margin (the singular
+values of R are the square roots of the eigenvalues of P).  So gram(A)
+succeeds exactly when the invertibility gate accepts A.  A Gram form is
+certified by a root margin in hand, never by an eigensolve: gram and
+lattice_equivalent build A* A from an A that has passed the gate, and polar
+builds V S V* from singular values S that have passed it (its root
+S^(1/2) V* has the larger margin sqrt(s_min / s_max)); a directly built
+GramForm(p) is certified by the margin of its Cholesky factor, which must
+also clear the rounding level of p's entries (see GramForm).
 """
 
 from __future__ import annotations
@@ -25,7 +37,9 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import (
+    _EPS,
     DEFAULT_TOL,
+    GRAY_ZONE,
     Tolerance,
     adjoint,
     as_matrix,
@@ -38,9 +52,23 @@ from .kernel import (
 )
 
 
+def _hermitian_part(p: np.ndarray) -> np.ndarray:
+    return 0.5 * (p + p.conj().T)
+
+
 @dataclass(frozen=True, eq=False)
 class GramForm:
-    """A self-adjoint positive-definite matrix, the invariant of a unitary coset."""
+    """A self-adjoint positive-definite matrix, the invariant of a unitary coset.
+
+    GramForm(p) checks that p is finite and self-adjoint, and certifies
+    positivity through a root: the Cholesky factor R of p (p = R* R) must
+    exist and pass invertibility_margin at the default tolerance, which is
+    the module's rule sqrt(lambda_min / lambda_max) > tol.rel.  Taken from
+    the entries of p, lambda_min / lambda_max is resolved only to about
+    n eps, so the factor's squared margin must also exceed GRAY_ZONE * n * eps;
+    a numerically semidefinite p (say B* B of a rank-deficient B, formed in
+    floating point) is refused.  The stored matrix is the Hermitian part of p.
+    """
 
     matrix: np.ndarray
 
@@ -50,11 +78,25 @@ class GramForm:
         defect = fro(p - p.conj().T)
         if defect > tol.rel * max(fro(p), 1.0) + tol.abs:
             raise NotSelfAdjoint(f"self-adjoint defect {defect:.3e} beyond tolerance")
-        p = 0.5 * (p + p.conj().T)
-        w, _ = hermitian_eig(p, tol)
-        if w[0] <= tol.rel * max(float(w[-1]), 0.0):
-            raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} not positive at tolerance")
+        p = _hermitian_part(p)
+        try:
+            root = np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("no Cholesky factor: not positive definite") from None
+        ok, margin = invertibility_margin(root, tol)
+        # rounding in the entries of p and in the factorization blurs its eigenvalues
+        # by about n eps of the largest: a squared margin within GRAY_ZONE of that
+        # cannot tell p from a semidefinite form
+        if not ok or margin**2 <= GRAY_ZONE * p.shape[0] * _EPS:
+            raise NotPositiveDefinite(f"root margin {margin:.3e} too small to certify positivity")
         object.__setattr__(self, "matrix", frozen(p))
+
+    @classmethod
+    def _certified(cls, p) -> GramForm:
+        """The Gram form of p, whose positivity the caller has certified by a root margin."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "matrix", frozen(_hermitian_part(as_matrix(p, square=True))))
+        return form
 
     @property
     def dim(self) -> int:
@@ -102,7 +144,12 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
 
 
 def gram(a, tol: Tolerance = DEFAULT_TOL) -> GramForm:
-    """A* A of an invertible matrix, as a GramForm (NumericOverflow if it overflows)."""
+    """A* A of an invertible matrix, as a GramForm (NumericOverflow if it overflows).
+
+    Raises SingularMatrix exactly when invertibility_margin calls A singular
+    at tol; A's margin is the root margin of A* A, so no other positivity
+    check runs, and the form is positive definite at the caller's tolerance.
+    """
     am = as_matrix(a, square=True)
     ok, margin = invertibility_margin(am, tol)
     if not ok:
@@ -113,14 +160,16 @@ def gram(a, tol: Tolerance = DEFAULT_TOL) -> GramForm:
 def gram_form(am: np.ndarray) -> GramForm:
     """A* A as a GramForm, for a validated matrix the caller has found invertible.
 
-    Raises NumericOverflow when A* A is not finite: the entries of A are.
+    A is a root of A* A and its margin has passed the gate, which certifies
+    positivity.  Raises NumericOverflow when A* A is not finite: the entries
+    of A are.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         p = adjoint(am) @ am
         p = 0.5 * (p + p.conj().T)
     if not np.isfinite(p).all():
         raise NumericOverflow("gram form A* A overflowed: the entries of A are too large")
-    return GramForm(p)
+    return GramForm._certified(p)
 
 
 def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
@@ -146,18 +195,26 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
 
 
 def spd_sqrt(p: GramForm, tol: Tolerance = DEFAULT_TOL) -> GramForm:
-    """The unique self-adjoint positive-definite square root."""
+    """The unique self-adjoint positive-definite square root.
+
+    The eigenvalues w of P must pass the module's rule,
+    sqrt(w_min / w_max) > tol.rel.  The root's eigenvalues are sqrt(w), whose
+    own root margin (w_min / w_max) ** (1/4) is larger still, so it is a Gram
+    form without a further check.
+    """
     if not isinstance(p, GramForm):
         p = GramForm(p)
     w, v = hermitian_eig(p.matrix, tol)
-    if w[0] <= tol.rel * max(float(w[-1]), 0.0):
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} not positive at tolerance")
+    if not (w[0] > 0.0 and np.sqrt(w[0] / w[-1]) > tol.rel):
+        raise NotPositiveDefinite(
+            f"eigenvalue ratio {w[0] / w[-1]:.3e}: root margin not above tolerance"
+        )
     q = (v * np.sqrt(w)) @ v.conj().T
     q = 0.5 * (q + q.conj().T)
     defect = fro(q @ q - p.matrix)
     if defect > 100.0 * tol.rel * max(fro(p.matrix), 1.0) + tol.abs:
         raise InternalCheckError(f"square root residual {defect:.3e} beyond tolerance")
-    return GramForm(q)
+    return GramForm._certified(q)
 
 
 def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
@@ -167,7 +224,10 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
     self-adjoint positive-definite square root of A* A.  The SVD works on A
     itself, so the condition number is never squared and an ill-conditioned
     but invertible A takes the same route as any other.  The reconstruction
-    residual and the unitarity of U are checked on the way out.
+    residual and the unitarity of U are checked on the way out.  P has the
+    root S^(1/2) V*, whose margin sqrt(s_min / s_max) exceeds A's margin,
+    which passed the invertibility gate, so P needs no further positivity
+    check.
     """
     am = as_matrix(a, square=True)
     ok, margin = invertibility_margin(am, tol)
@@ -175,7 +235,7 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
         raise SingularMatrix(f"polar needs an invertible matrix (margin {margin:.3e})")
     w, s, vh = np.linalg.svd(am)
     u = w @ vh
-    p = GramForm((vh.conj().T * s) @ vh)
+    p = GramForm._certified((vh.conj().T * s) @ vh)
     residual = fro(am - u @ p.matrix)
     if residual > tol.rel * max(fro(am), 1.0) + tol.abs:
         raise InternalCheckError(f"polar residual {residual:.3e} beyond tolerance")

@@ -127,6 +127,11 @@ CASES = {
         "input": '{"matrix": [[[1e300, 0]]]}',
         "exit": 1,
     },
+    "gram-ill-conditioned": {
+        "argv": ["gram"],
+        "input": '{"matrix": [[[1,0],[0,0]],[[0,0],[1e-5,0]]]}',
+        "exit": 0,
+    },
     # --- unitary-equiv ---
     "unitary-equiv-yes": {
         "argv": ["unitary-equiv"],

@@ -1,7 +1,6 @@
 """Tests for bounded lattice-equivalence decisions and their invariants."""
 
 import hashlib
-import importlib
 import json
 import os
 import pathlib
@@ -37,9 +36,6 @@ from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
 from cxlattices.kernel import DEFAULT_TOL
 from cxlattices.polar import classify, gram, sl_normalize
-
-# the module itself: the package re-exports its function polar under the same name
-polar_module = importlib.import_module("cxlattices.polar")
 
 
 def random_invertible(rng, n, min_cond=1e-2):
@@ -516,35 +512,35 @@ def test_scaling_refuted_at_any_dimension_without_orbit():
 
 
 @pytest.fixture
-def eig_calls(monkeypatch):
-    """Count the Hermitian eigensolves behind every GramForm built in a test."""
+def gram_form_calls(monkeypatch):
+    """Count the Gram forms lattice_equivalent builds in a test."""
     calls = []
-    solve = polar_module.hermitian_eig
+    build = equivalence.gram_form
 
-    def counted(p, tol=DEFAULT_TOL):
-        calls.append(np.shape(p))
-        return solve(p, tol)
+    def counted(am):
+        calls.append(np.shape(am))
+        return build(am)
 
-    monkeypatch.setattr(polar_module, "hermitian_eig", counted)
+    monkeypatch.setattr(equivalence, "gram_form", counted)
     return calls
 
 
-def test_n8_covolume_refutation_builds_no_gram_form(eig_calls):
+def test_n8_covolume_refutation_builds_no_gram_form(gram_form_calls):
     rng = np.random.default_rng(44)
     a = random_invertible(rng, 8)
     v = lattice_equivalent(a, 1.2 * random_unitary(rng, 8) @ a)
     assert v.status == REFUTED and v.refuter[0] == "covolume"
     with pytest.raises(DimensionTooLarge):
         lattice_equivalent(a, random_unitary(rng, 8) @ a)
-    assert eig_calls == []
+    assert gram_form_calls == []
     # the counter does see the Gram forms of a pair that reaches them
     lattice_equivalent(np.eye(2), np.diag([0.5, 2.0]))
-    assert eig_calls == [(2, 2), (2, 2)]
+    assert gram_form_calls == [(2, 2), (2, 2)]
 
 
 def test_covolume_refutes_before_the_gram_forms():
-    # Gram eigenvalue ratio 1e-10 <= tol.rel, though sigma_min / sigma_max = 1e-5 passes the
-    # invertibility gate: the covolumes differ, and that refutes before a Gram form is built
+    # sigma_min / sigma_max = 1e-5 passes the invertibility gate; the covolumes differ, and
+    # that refutes before a Gram form is built
     v = lattice_equivalent(np.diag([1.0, 1e-5]), np.diag([1.0, 2e-5]))
     assert v.status == REFUTED
     assert v.refuter == ("covolume", pytest.approx(1e-10), pytest.approx(4e-10))

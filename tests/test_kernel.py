@@ -20,7 +20,7 @@ from cxlattices import (
     singular_values,
     solve,
 )
-from cxlattices.kernel import GRAY_ZONE
+from cxlattices.kernel import GRAY_ZONE, fro
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,6 +214,25 @@ def test_hermitian_eig_matches_numpy_eigvalsh():
         p = random_hermitian(rng, 6)
         w, _ = hermitian_eig(p)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(p), rtol=1e-10, atol=1e-10)
+
+
+def test_fro_scales_only_when_the_plain_sum_fails():
+    rng = np.random.default_rng(4604)
+    for _ in range(20):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        # the common path is the unscaled sum, bit for bit
+        assert fro(a) == float(np.sqrt(np.sum(np.abs(a) ** 2)))
+        with np.errstate(over="ignore"):
+            assert fro(1e160 * a) == pytest.approx(1e160 * fro(a), rel=1e-14)
+        assert fro(1e-170 * a) == pytest.approx(1e-170 * fro(a), rel=1e-14)
+    assert fro(np.zeros((2, 2))) == 0.0
+
+
+def test_hermitian_eig_beyond_the_square_overflow():
+    p = np.array([[1e155, 2e155], [2e155, 1e155]])
+    with np.errstate(over="ignore"):
+        w, _ = hermitian_eig(p)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(p), rtol=1e-12)
 
 
 def test_hermitian_eig_rejects_non_selfadjoint():

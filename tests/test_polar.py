@@ -12,6 +12,7 @@ from cxlattices.errors import (
     NumericOverflow,
     SingularMatrix,
 )
+from cxlattices.kernel import invertibility_margin
 from cxlattices.polar import (
     GramForm,
     classify,
@@ -228,6 +229,54 @@ def test_gram_left_unitary_invariance():
         assert np.linalg.norm(p1.matrix - p2.matrix) <= 1e-9 * np.linalg.norm(a) ** 2
 
 
+def with_ratio(rng, n, ratio):
+    """Random n x n complex matrix with Haar factors, sigma_max = 1 and sigma_min = ratio."""
+    s = np.sort(10.0 ** rng.uniform(np.log10(ratio), 0.0, n))[::-1]
+    s[0], s[-1] = 1.0, ratio
+    return random_unitary(rng, n) @ np.diag(s) @ random_unitary(rng, n).conj().T
+
+
+def test_gram_succeeds_exactly_when_the_gate_accepts():
+    # sigma_min / sigma_max log-uniform in [1e-12, 1e-3]: A* A has eigenvalue ratio down to
+    # 1e-24, and one positivity rule (the root margin) makes gram agree with the gate
+    tol = Tolerance()
+    rng = np.random.default_rng(4601)
+    disagree = []
+    for k in range(300):
+        n = int(rng.integers(2, 7))
+        a = with_ratio(rng, n, 10.0 ** rng.uniform(-12.0, -3.0))
+        ok, _ = invertibility_margin(a, tol)
+        try:
+            gram(a, tol)
+            built = True
+        except SingularMatrix:
+            built = False
+        if built != ok:
+            disagree.append(k)
+    assert disagree == []
+
+
+def test_polar_and_gram_at_n8_match_svd_oracle_down_to_the_gate():
+    rng = np.random.default_rng(4602)
+    for _ in range(30):
+        a = with_ratio(rng, 8, 10.0 ** rng.uniform(-8.0, -3.0))
+        _, s, vh = np.linalg.svd(a)
+        u, p = polar(a)
+        g = gram(a)
+        assert np.linalg.norm(p.matrix - (vh.conj().T * s) @ vh) <= 1e-12
+        assert np.linalg.norm(g.matrix - (vh.conj().T * s**2) @ vh) <= 1e-12
+        assert np.linalg.norm(u @ p.matrix - a) <= 1e-12
+
+
+def test_gram_callers_accept_what_the_gate_accepts():
+    # Gram eigenvalue ratio 1e-12, root margin 1e-6
+    a = np.diag([1e3, 1e-3])
+    np.testing.assert_allclose(su_sl_canonical(a).matrix, np.diag([1e6, 1e-6]), rtol=1e-15)
+    q = random_unitary(np.random.default_rng(4603), 2)
+    ok, t = unitarily_equivalent(a, q @ a)
+    assert ok and np.linalg.norm(t - q) <= 1e-9
+
+
 def test_gram_rejects_singular():
     with pytest.raises(SingularMatrix):
         gram(np.zeros((2, 2)))
@@ -292,6 +341,35 @@ def test_gram_form_rejects_indefinite():
 def test_gram_form_rejects_semidefinite():
     with pytest.raises(NotPositiveDefinite):
         GramForm(np.diag([1.0, 0.0]))
+
+
+def test_gram_form_positivity_is_the_root_margin():
+    # root margin 1e-6 passes tol.rel = 1e-9, though the eigenvalue ratio 1e-12 does not
+    for ok in (np.diag([1.0, 1e-12]), np.diag([2.0, 3.0])):
+        assert np.array_equal(GramForm(ok).matrix, ok)
+    np.testing.assert_allclose(spd_sqrt(np.diag([1.0, 1e-12])).matrix, np.diag([1.0, 1e-6]), rtol=1e-15)
+    # root margins 1e-10, 0, none; and 1e-8, whose square is below the rounding level
+    for bad in (np.diag([1.0, 1e-20]), np.diag([1.0, 0.0]), np.diag([1.0, -1.0]), np.diag([1.0, 1e-16])):
+        with pytest.raises(NotPositiveDefinite):
+            GramForm(bad)
+
+
+def test_gram_form_refuses_numerically_semidefinite_forms():
+    # B* B of a rank-deficient B, formed in floating point, often has a Cholesky factor,
+    # with a root margin up to ~1e-8 that comes from rounding, not positivity
+    rng = np.random.default_rng(4605)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        b = rng.normal(size=(n - 1, n)) + 1j * rng.normal(size=(n - 1, n))
+        with pytest.raises(NotPositiveDefinite):
+            GramForm(b.conj().T @ b)
+
+
+def test_gram_form_rejects_non_self_adjoint_beyond_the_square_overflow():
+    # squares of 1e155 overflow; the self-adjoint defect must still count
+    with np.errstate(over="ignore"):
+        with pytest.raises(NotSelfAdjoint):
+            GramForm([[1e155, 2e155], [0.0, 1e155]])
 
 
 def test_gram_form_rejects_nonfinite():
