@@ -33,7 +33,7 @@ from .equivalence import (
 )
 from .errors import CxlatError, RankDeficient
 from .jsonio import MalformedInput
-from .kernel import DEFAULT_TOL, GRAY_ZONE, Tolerance, fro, invertibility_margin
+from .kernel import DEFAULT_TOL, Tolerance, fro, in_gray_zone, invertibility_margin, real_columns
 from .lattices import (
     covolume,
     from_generators,
@@ -77,10 +77,6 @@ def _fields(data, *names: str) -> list:
     return out
 
 
-def _boundary(margin: float, threshold: float) -> bool:
-    return threshold / GRAY_ZONE <= margin <= threshold * GRAY_ZONE
-
-
 # each handler: (data, args, tol) -> (payload, extra_diagnostics)
 
 def _cmd_map_apply(data, args, tol):
@@ -104,7 +100,7 @@ def _cmd_map_invertible(data, args, tol):
     return {"invertible": verdict}, {
         "margin": float(margin),
         "threshold": tol.rel,
-        "boundary": _boundary(margin, tol.rel),
+        "boundary": in_gray_zone(margin, tol.rel),
     }
 
 
@@ -116,7 +112,7 @@ def _cmd_map_majorizes(data, args, tol):
     return {"majorizes": majorizes(t, tol)}, {
         "margin": margin,
         "threshold": tol.rel,
-        "boundary": False if margin is None else _boundary(margin, tol.rel),
+        "boundary": False if margin is None else in_gray_zone(margin, tol.rel),
     }
 
 
@@ -170,7 +166,7 @@ def _cmd_lattice_validate(data, args, tol):
     g = jsonio.lattice_raw_in(lat_obj)
     margin = float(rank_margin(g, tol))
     # the verdict compares sigma_min / sigma_max with tol.rel, and so does the flag
-    _, relative = invertibility_margin(np.vstack([g.real, g.imag]), tol)
+    _, relative = invertibility_margin(real_columns(g), tol)
     try:
         lat = from_generators(g, tol)
     except RankDeficient:
@@ -180,7 +176,7 @@ def _cmd_lattice_validate(data, args, tol):
     return payload, {
         "rank_margin": margin,
         "threshold": tol.rel,
-        "boundary": _boundary(relative, tol.rel),
+        "boundary": in_gray_zone(relative, tol.rel),
     }
 
 
@@ -371,7 +367,9 @@ def run(argv, stdin=None, stdout=None) -> int:
         else:
             text = stdin.read()
         data = jsonio.loads(text)
-        payload, extra = _HANDLERS[args.command](data, args, tol)
+        # an overflow leaves as one NumericOverflow line, never as a warning on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload, extra = _HANDLERS[args.command](data, args, tol)
         # rendered inside the try: a result that overflowed raises NumericOverflow here
         line, code = _render("ok", {"payload": payload}, {**base_diag, **extra}), 0
     except ValueError as exc:  # MalformedInput is one

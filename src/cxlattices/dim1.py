@@ -19,8 +19,8 @@ import cmath
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, MajorizationFails
-from .kernel import DEFAULT_TOL, GRAY_ZONE, Tolerance, invertibility_margin
-from .realmaps import BlockForm, is_invertible
+from .kernel import DEFAULT_TOL, Tolerance, in_gray_zone, invertibility_margin
+from .realmaps import BlockForm, is_invertible, realify
 
 
 def _finite(z: complex, label: str) -> complex:
@@ -118,14 +118,10 @@ def is_invertible_1d(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> bool:
         return False
     threshold = tol.rel * scale
     verdict = gap > threshold
-    other = is_invertible(_as_block(f), tol)
-    if verdict != other:
-        scalar_decisive = gap > GRAY_ZONE * threshold or GRAY_ZONE * gap < threshold
-        _, ratio = invertibility_margin(
-            [[f.a.real, -f.b.imag], [f.a.imag, f.b.real]], tol
-        )
-        matrix_decisive = ratio > GRAY_ZONE * tol.rel or GRAY_ZONE * ratio < tol.rel
-        if scalar_decisive and matrix_decisive:
+    block = _as_block(f)
+    if verdict != is_invertible(block, tol):
+        _, ratio = invertibility_margin(realify(block), tol)
+        if not (in_gray_zone(gap, threshold) or in_gray_zone(ratio, tol.rel)):
             raise InternalCheckError(
                 "scalar and realified invertibility checks decisively disagree"
             )

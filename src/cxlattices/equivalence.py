@@ -64,6 +64,7 @@ from .kernel import (
     fro,
     frozen,
     invertibility_margin,
+    real_columns,
     singular_values,
 )
 from .lattices import GaussianUnimodular
@@ -367,9 +368,7 @@ def short_vectors(
     if radius < 0 or not np.isfinite(radius):
         raise ValueError("radius must be a finite nonnegative number")
     n = am.shape[0]
-    real = np.vstack(
-        [np.hstack([am.real, -am.imag]), np.hstack([am.imag, am.real])]
-    )
+    real = real_columns(np.hstack([am, 1j * am]))
     s = singular_values(real, tol)
     if s[-1] <= tol.rel * s[0]:
         raise SingularMatrix("short-vector enumeration needs an invertible matrix")

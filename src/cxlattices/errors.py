@@ -78,7 +78,7 @@ class RadiusBudgetExceeded(CxlatError):
 
 
 class NumericOverflow(CxlatError):
-    """A result is not finite although every input was: the computation overflowed."""
+    """Finite input overflowed: a result is not finite, or a torus coordinate of 2^52 or more keeps no fractional bit."""
 
 
 class InternalCheckError(CxlatError):

@@ -15,24 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import NumericOverflow
 from .kernel import Tolerance
 from .lattices import LatticeBasis, from_generators
-from .realmaps import (
-    BLOCK,
-    CONJUGATE_PAIR,
-    NORMALIZED,
-    SPLIT,
-    BlockForm,
-    ConjugatePairForm,
-    NormalizedForm,
-    RealLinearMap,
-    SplitForm,
-    kind_of,
-)
+from .realmaps import FORMS, RealLinearMap, kind_of
 
 
 class MalformedInput(ValueError):
@@ -164,49 +154,32 @@ def real_vector_out(v) -> list:
     return [float(x) for x in np.asarray(v, dtype=np.float64).reshape(-1)]
 
 
-_MAP_FIELDS = {
-    BLOCK: ("e1", "e2", "e3", "e4"),
-    SPLIT: ("a", "b"),
-    CONJUGATE_PAIR: ("m", "n"),
-    NORMALIZED: ("e",),
-}
-_MAP_BUILDERS = {
-    BLOCK: BlockForm,
-    SPLIT: SplitForm,
-    CONJUGATE_PAIR: ConjugatePairForm,
-    NORMALIZED: NormalizedForm,
-}
-
-
 def map_in(obj) -> RealLinearMap:
     if not isinstance(obj, dict):
         raise MalformedInput("map must be an object with a 'kind' field")
     kind = obj.get("kind")
-    if kind not in _MAP_FIELDS:
-        raise MalformedInput(
-            f"map kind must be one of {sorted(_MAP_FIELDS)}, got {kind!r}"
-        )
-    fields = _MAP_FIELDS[kind]
-    extra = set(obj) - {"kind", *fields}
+    if not isinstance(kind, str) or kind not in FORMS:  # a list or object kind is unhashable
+        raise MalformedInput(f"map kind must be one of {sorted(FORMS)}, got {kind!r}")
+    names = [f.name for f in fields(FORMS[kind])]
+    extra = set(obj) - {"kind", *names}
     if extra:
         raise MalformedInput(f"unexpected map fields {sorted(extra)}")
     mats = []
-    for f in fields:
+    for f in names:
         if f not in obj:
             raise MalformedInput(f"map of kind {kind!r} needs field {f!r}")
         mats.append(matrix_in(obj[f], f"map field {f!r}"))
     try:
-        return _MAP_BUILDERS[kind](*mats)
+        return FORMS[kind](*mats)
     except ValueError as exc:
         # real blocks with stray imaginary parts, non-finite entries
         raise MalformedInput(str(exc)) from exc
 
 
 def map_out(t: RealLinearMap) -> dict:
-    kind = kind_of(t)
-    out: dict = {"kind": kind}
-    for f in _MAP_FIELDS[kind]:
-        out[f] = matrix_out(getattr(t, f))
+    out: dict = {"kind": kind_of(t)}
+    for f in fields(t):
+        out[f.name] = matrix_out(getattr(t, f.name))
     return out
 
 

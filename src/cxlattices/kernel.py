@@ -10,7 +10,9 @@ Jacobi rotations), so its behavior is easy to audit at the small
 dimensions this package targets.
 
 Array inputs enter through as_matrix, as_vector or as_columns, which share
-the one finiteness check.
+the one finiteness check.  Two conventions have their one home here:
+in_gray_zone (a margin too close to its threshold to call) and real_columns
+(columns in C^n as columns in R^2n).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 # a margin within this factor of its threshold is a boundary case: too close to
 # call, so it is flagged and disagreements between routes there are tolerated
 GRAY_ZONE = 10.0
@@ -99,20 +102,31 @@ def as_columns(b, n: int) -> tuple[np.ndarray, bool]:
     return frozen(w), vector
 
 
+def in_gray_zone(margin: float, threshold: float) -> bool:
+    """Whether margin is within the factor GRAY_ZONE of threshold: a boundary case."""
+    return threshold / GRAY_ZONE <= margin <= threshold * GRAY_ZONE
+
+
+def real_columns(w: np.ndarray) -> np.ndarray:
+    """Columns (or a vector) in C^n as columns in R^2n: real parts over imaginary parts."""
+    return np.concatenate([w.real, w.imag])
+
+
 def fro(a: np.ndarray) -> float:
     """Frobenius norm, also for entries whose squares overflow or underflow.
 
-    The unscaled sum of squares is inf above about 1.3e154 and 0 below about
-    1e-162; only then is the sum taken again with the entries scaled by the
-    largest, so every other input gets the plain sum.
+    The plain sum of squares is taken unless it could overflow (size times
+    the largest square reaches the largest double) or it underflows to 0;
+    only then are the entries scaled by the largest, and no path warns.
     """
     x = np.abs(np.asarray(a))
-    total = float(np.sqrt(np.sum(x**2)))
-    if 0.0 < total < np.inf:
-        return total
-    big = float(np.max(x, initial=0.0))
-    if big == 0.0 or not np.isfinite(big):
-        return total
+    big = float(x.max(initial=0.0))
+    if big * big * x.size < _FLOAT_MAX:
+        total = float(np.sqrt((x * x).sum()))
+        if total > 0.0 or big == 0.0:
+            return total
+    if not np.isfinite(big):
+        return big
     return big * float(np.sqrt(np.sum((x / big) ** 2)))
 
 

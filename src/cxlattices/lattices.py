@@ -39,17 +39,12 @@ from .kernel import (
     as_matrix,
     det,
     frozen,
-    inverse,
     invertibility_margin,
+    real_columns,
     singular_values,
     solve,
 )
 from .realmaps import SplitForm
-
-
-def _realify(w: np.ndarray) -> np.ndarray:
-    # columns in C^n become columns in R^2n, real parts stacked over imaginary
-    return np.vstack([w.real, w.imag])
 
 
 def _as_generators(g) -> np.ndarray:
@@ -68,7 +63,7 @@ class LatticeBasis:
     def __post_init__(self) -> None:
         gm = _as_generators(self.g)
         object.__setattr__(self, "g", gm)
-        object.__setattr__(self, "_real", frozen(_realify(gm)))
+        object.__setattr__(self, "_real", frozen(real_columns(gm)))
 
     @property
     def n(self) -> int:
@@ -135,7 +130,7 @@ class PeriodMatrix:
 def from_generators(g, tol: Tolerance = DEFAULT_TOL) -> LatticeBasis:
     """Validate a generator matrix: the realification must be invertible."""
     gm = _as_generators(g)
-    ok, margin = invertibility_margin(_realify(gm), tol)
+    ok, margin = invertibility_margin(real_columns(gm), tol)
     if not ok:
         raise RankDeficient(f"realified generators are rank deficient (margin {margin:.3e})")
     return LatticeBasis(gm)
@@ -151,7 +146,7 @@ def rank_margin(g, tol: Tolerance = DEFAULT_TOL) -> float:
     n, m = gm.shape
     if m > 2 * n:
         raise DimensionMismatch(f"at most {2 * n} columns can be independent over R, got {m}")
-    s = singular_values(_realify(gm), tol)
+    s = singular_values(real_columns(gm), tol)
     return float(s[-1])
 
 
@@ -257,7 +252,8 @@ def permute_to_L1(
     ok, margin = invertibility_margin(g[:, perm[:n]], tol)
     if not ok:
         raise InternalCheckError(f"pivoted first block is singular (margin {margin:.3e})")
-    return from_generators(g[:, perm], tol), perm
+    # a column permutation of a validated basis: the realified rank is unchanged
+    return LatticeBasis(g[:, perm]), perm
 
 
 def normalize_to_Lstarstar(
@@ -277,9 +273,9 @@ def normalize_to_Lstarstar(
         raise FirstBlockSingular(
             f"first n generators are not C-independent (margin {margin:.3e})"
         )
-    a = inverse(g1, tol)
-    z = solve(g1, g[:, n:], tol)
-    return frozen(a), PeriodMatrix(z)
+    # one LU of the first block gives A = G1^-1 and Z = G1^-1 G2 together
+    x = solve(g1, np.hstack([np.eye(n), g[:, n:]]), tol)
+    return frozen(x[:, :n].copy()), PeriodMatrix(x[:, n:])
 
 
 def to_split_form(pm: PeriodMatrix) -> SplitForm:

@@ -17,7 +17,10 @@ the same object show up, each convenient for a different question:
 Conversions route through the conjugate-pair form and are validated at
 construction by evaluating both sides on the 2n standard basis vectors of
 C^n over R; a mismatch raises InternalCheckError rather than returning
-silently wrong coefficients.
+silently wrong coefficients.  The normalized target is the E of the
+factorization T = M o (z + conj(E z)) that normalize_post_composition
+computes; majorizes reads its verdict off domination_ratio.  Both routes
+let solve's gate decide whether M is singular.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from .errors import (
     InternalCheckError,
     NotInSplitClass,
     SingularM,
+    SingularMatrix,
 )
 from .kernel import (
     DEFAULT_TOL,
-    GRAY_ZONE,
     Tolerance,
     adjoint,
     as_columns,
@@ -43,8 +46,10 @@ from .kernel import (
     fro,
     frozen,
     hermitian_eig,
+    in_gray_zone,
     invertibility_margin,
     operator_norm,
+    real_columns,
     solve,
 )
 
@@ -52,7 +57,6 @@ BLOCK = "block"
 SPLIT = "split"
 CONJUGATE_PAIR = "conjugate_pair"
 NORMALIZED = "normalized"
-KINDS = (BLOCK, SPLIT, CONJUGATE_PAIR, NORMALIZED)
 
 
 def _complex_square(x, n: int | None = None) -> np.ndarray:
@@ -140,17 +144,15 @@ class NormalizedForm:
 
 
 RealLinearMap = Union[BlockForm, SplitForm, ConjugatePairForm, NormalizedForm]
+# the one kind -> class table; a class's dataclass fields are its coefficient matrices
+FORMS = {BLOCK: BlockForm, SPLIT: SplitForm, CONJUGATE_PAIR: ConjugatePairForm, NORMALIZED: NormalizedForm}
+KINDS = tuple(FORMS)
 
 
 def kind_of(t: RealLinearMap) -> str:
-    if isinstance(t, BlockForm):
-        return BLOCK
-    if isinstance(t, SplitForm):
-        return SPLIT
-    if isinstance(t, ConjugatePairForm):
-        return CONJUGATE_PAIR
-    if isinstance(t, NormalizedForm):
-        return NORMALIZED
+    for kind, form in FORMS.items():
+        if isinstance(t, form):
+            return kind
     raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
 
 
@@ -181,8 +183,7 @@ def realify(t: RealLinearMap) -> np.ndarray:
     Columns are the images of the standard basis of C^n over R, so for a
     BlockForm this is exactly [[E1, E2], [E3, E4]].
     """
-    w = apply(t, _real_basis(t.dim))
-    return frozen(np.vstack([w.real, w.imag]))
+    return frozen(real_columns(apply(t, _real_basis(t.dim))))
 
 
 def _check_apply_equal(t_in: RealLinearMap, t_out: RealLinearMap, tol: Tolerance, gl: np.ndarray | None = None) -> None:
@@ -218,37 +219,31 @@ def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> Real
 
     Targets "block", "split" and "conjugate_pair" return a map equal to the
     input (checked on the 2n real basis directions).  Target "normalized"
-    returns the canonical factor of T = M o (z + conj(E z)): the result
-    equals the input only when M = I; use normalize_post_composition to
-    keep the complex-linear factor M.  Raises NotInSplitClass when the
-    split structure is absent and SingularM when the normalized target
-    needs to invert a singular M.
+    returns the E of the factorization T = M o (z + conj(E z)), that is
+    normalize_post_composition(t, tol)[1]: the result equals the input only
+    when M = I; use normalize_post_composition to keep the complex-linear
+    factor M.  Raises NotInSplitClass when the split structure is absent
+    and SingularM when M is singular at tolerance.
     """
     if target not in KINDS:
         raise ValueError(f"unknown representation {target!r}; expected one of {KINDS}")
     if kind_of(t) == target:
         return t
+    if target == NORMALIZED:
+        return normalize_post_composition(t, tol)[1]
     cp = _to_conjugate_pair(t)
     if target == CONJUGATE_PAIR:
         out: RealLinearMap = cp
     elif target == BLOCK:
         s, d = cp.m + cp.n, cp.m - cp.n
         out = BlockForm(s.real, -s.imag, d.imag, d.real)
-    elif target == SPLIT:
+    else:  # SPLIT
         s, d = cp.m + cp.n, cp.m - cp.n
         scale = 1.0 + fro(cp.m) + fro(cp.n)
         if fro(s.real - np.eye(cp.dim)) > tol.rel * scale + tol.abs or fro(d.imag) > tol.rel * scale + tol.abs:
             raise NotInSplitClass("map does not fix real parts (needs E1 = I and E3 = 0)")
         out = SplitForm(-s.imag, d.real)
-    else:  # NORMALIZED
-        ok, _ = invertibility_margin(cp.m, tol)
-        if not ok:
-            raise SingularM("complex-linear part M is singular; cannot normalize")
-        out = NormalizedForm(solve(np.conj(cp.m), cp.n, tol))
-    if target == NORMALIZED:
-        _check_apply_equal(t, out, tol, gl=cp.m)
-    else:
-        _check_apply_equal(t, out, tol)
+    _check_apply_equal(t, out, tol)
     return out
 
 
@@ -264,8 +259,7 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     if isinstance(t, SplitForm):
         ok_b, margin_b = invertibility_margin(t.b.astype(np.complex128), tol)
         if ok_b != ok:
-            decisive = lambda r: r > GRAY_ZONE * tol.rel or r < tol.rel / GRAY_ZONE
-            if decisive(margin) and decisive(margin_b):
+            if not (in_gray_zone(margin, tol.rel) or in_gray_zone(margin_b, tol.rel)):
                 raise InternalCheckError(
                     f"split invertibility criteria disagree: realified margin {margin:.3e}, B margin {margin_b:.3e}"
                 )
@@ -275,24 +269,21 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
 def majorizes(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether |M z| strictly dominates |N z| for every z != 0.
 
-    Equivalent to M invertible with operator_norm(N M^-1) < 1 - tol.rel.
-    Strict domination certifies invertibility of the whole map.
+    Read off domination_ratio: M invertible and operator_norm(N M^-1) below
+    1 - tol.rel.  Strict domination certifies invertibility of the whole map.
     """
-    cp = _to_conjugate_pair(t)
-    ok, _ = invertibility_margin(cp.m, tol)
-    if not ok:
-        return False
-    k = solve(cp.m.T, cp.n.T, tol).T
-    return operator_norm(k, tol) < 1.0 - tol.rel
+    ratio = domination_ratio(t, tol)
+    return ratio is not None and ratio < 1.0 - tol.rel
 
 
 def domination_ratio(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> float | None:
-    """operator_norm(N M^-1), or None when M is singular at tolerance."""
+    """operator_norm(N M^-1), or None when solve's gate finds M singular."""
     cp = _to_conjugate_pair(t)
-    ok, _ = invertibility_margin(cp.m, tol)
-    if not ok:
+    try:
+        k = solve(cp.m.T, cp.n.T, tol).T
+    except SingularMatrix:
         return None
-    return operator_norm(solve(cp.m.T, cp.n.T, tol).T, tol)
+    return operator_norm(k, tol)
 
 
 def normalize_post_composition(
@@ -305,10 +296,11 @@ def normalize_post_composition(
     mismatch.  Raises SingularM when M is not invertible at tolerance.
     """
     cp = _to_conjugate_pair(t)
-    ok, _ = invertibility_margin(cp.m, tol)
-    if not ok:
-        raise SingularM("complex-linear part M is singular; cannot normalize")
-    normal = NormalizedForm(solve(np.conj(cp.m), cp.n, tol))
+    try:
+        e = solve(np.conj(cp.m), cp.n, tol)
+    except SingularMatrix as exc:
+        raise SingularM("complex-linear part M is singular; cannot normalize") from exc
+    normal = NormalizedForm(e)
     _check_apply_equal(t, normal, tol, gl=cp.m)
     return frozen(cp.m.copy()), normal
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalCheckError, LatticeMismatch
-from .kernel import DEFAULT_TOL, Tolerance, as_vector, frozen, solve
+from .errors import DimensionMismatch, InternalCheckError, LatticeMismatch, NumericOverflow
+from .kernel import DEFAULT_TOL, Tolerance, as_vector, frozen, real_columns, solve
 from .lattices import LatticeBasis, same_lattice
 
 
@@ -53,8 +53,7 @@ class TorusPoint:
 
 
 def _coords_of(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
-    rhs = np.concatenate([zv.real, zv.imag]).reshape(-1, 1)
-    return solve(lat.realified, rhs, tol).real.reshape(-1)
+    return solve(lat.realified, real_columns(zv), tol).real
 
 
 def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
@@ -62,10 +61,14 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
 
     Coordinates within tol.abs below 1 wrap to 0, keeping the half-open
     invariant exact; z minus the representative is then a lattice point by
-    construction (the dropped coordinate parts are integers).
+    construction (the dropped coordinate parts are integers).  A coordinate
+    of 2^52 or more in magnitude has no fractional bit: NumericOverflow.
     """
     zv = as_vector(np.ravel(z), lat.n)
     c = _coords_of(lat, zv, tol)
+    big = np.abs(c).max()
+    if not big < 2.0**52:
+        raise NumericOverflow(f"coordinate of magnitude {big:.3e} keeps no fractional bit (limit 2^52)")
     frac = c - np.floor(c)
     frac[1.0 - frac <= tol.abs] = 0.0
     shift = c - frac

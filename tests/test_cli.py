@@ -11,6 +11,7 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,17 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 def run_cli(argv, input_text=""):
     out = io.StringIO()
-    with contextlib.redirect_stderr(io.StringIO()):
-        code = run(argv, io.StringIO(input_text), out)
+    code = run(argv, io.StringIO(input_text), out)
     return code, out.getvalue()
+
+
+def stderr_of(argv, input_text=""):
+    """What a cxlat process would write to stderr: the stream itself and every warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        run(argv, io.StringIO(input_text), io.StringIO())
+    return err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -38,6 +47,25 @@ def test_golden(name):
     assert out1 == out2, "output differs between two identical runs"
     expected = (GOLDEN / f"{name}.golden").read_text(encoding="utf-8")
     assert out1 == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_case_writes_nothing_to_stderr(name):
+    case = CASES[name]
+    assert stderr_of(case["argv"], case["input"]) == ""
+
+
+def test_polar_of_a_huge_entry_writes_nothing_to_stderr():
+    # squares of 1e300 overflow inside polar's checks; the result itself is finite
+    assert stderr_of(["polar"], '{"matrix": [[[1e300, 0]]]}') == ""
+    code, out = run_cli(["polar"], '{"matrix": [[[1e300, 0]]]}')
+    assert code == 0 and json.loads(out)["payload"]["p"] == [[[1e300, 0.0]]]
+
+
+def test_unhashable_map_kind_is_malformed_input():
+    code, out = run_cli(["map-invertible"], '{"map": {"kind": [1]}}')
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith("map kind must be one of")
 
 
 def test_every_subcommand_has_a_golden_case():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from cxlattices import (
     singular_values,
     solve,
 )
-from cxlattices.kernel import GRAY_ZONE, fro
+from cxlattices.kernel import GRAY_ZONE, fro, in_gray_zone, real_columns
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,6 +228,29 @@ def test_fro_scales_only_when_the_plain_sum_fails():
             assert fro(1e160 * a) == pytest.approx(1e160 * fro(a), rel=1e-14)
         assert fro(1e-170 * a) == pytest.approx(1e-170 * fro(a), rel=1e-14)
     assert fro(np.zeros((2, 2))) == 0.0
+
+
+def test_fro_sets_off_no_overflow_warning():
+    a = np.array([[1e160, 2e160], [3.0, 1e-170]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fro(a) == pytest.approx(np.sqrt(5.0) * 1e160, rel=1e-15)
+        # a solve whose solution is ~1e197 checks its residual with fro
+        assert np.abs(solve([[5e-201j]], [0.001])) == pytest.approx(2e197)
+    assert np.isnan(fro([np.nan, 1.0])) and fro([np.inf, 1.0]) == np.inf
+
+
+def test_gray_zone_is_the_factor_around_the_threshold():
+    assert in_gray_zone(1e-9, 1e-9)
+    assert in_gray_zone(GRAY_ZONE * 1e-9, 1e-9) and in_gray_zone(1e-9 / GRAY_ZONE, 1e-9)
+    assert not in_gray_zone(1.1 * GRAY_ZONE * 1e-9, 1e-9)
+    assert not in_gray_zone(0.9e-9 / GRAY_ZONE, 1e-9)
+
+
+def test_real_columns_stacks_real_over_imaginary_parts():
+    w = np.array([[1 + 2j, 3 - 1j], [0.5j, -4.0]])
+    np.testing.assert_array_equal(real_columns(w), [[1, 3], [0, -4], [2, -1], [0.5, 0]])
+    np.testing.assert_array_equal(real_columns(np.array([1 + 2j, 3j])), [1, 0, 2, 3])
 
 
 def test_hermitian_eig_beyond_the_square_overflow():

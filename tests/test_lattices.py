@@ -361,6 +361,24 @@ def test_normalize_reconstruction():
         assert np.linalg.norm(rebuilt - lat.g) <= 1e-9 * np.linalg.norm(lat.g)
 
 
+def test_each_lattice_step_runs_one_gate(singular_value_calls):
+    # permute_to_L1 checks its pivoted block and permutes a validated basis; normalize_to_Lstarstar
+    # gates G1, takes A and Z from one solve (one more gate) and certifies Im Z
+    rng = np.random.default_rng(24)
+    lat = random_basis(rng, 3)
+    singular_value_calls.clear()
+    permuted, _ = permute_to_L1(lat)
+    assert singular_value_calls == [(3, 3)]
+    singular_value_calls.clear()
+    a, pm = normalize_to_Lstarstar(permuted)
+    assert singular_value_calls == [(3, 3)] * 3
+    g1 = permuted.g[:, :3]
+    inv = np.linalg.inv(g1)
+    assert np.linalg.norm(a - inv) <= 1e-10 * np.linalg.norm(inv)
+    z = inv @ permuted.g[:, 3:]
+    assert np.linalg.norm(pm.z - z) <= 1e-10 * np.linalg.norm(z)
+
+
 def test_pipeline_lands_on_transformed_lattice():
     # [I | Z] must generate exactly A applied to the original lattice
     rng = np.random.default_rng(23)

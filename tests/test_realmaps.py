@@ -14,6 +14,7 @@ from cxlattices.realmaps import (
     apply,
     contraction_check,
     convert,
+    domination_ratio,
     is_invertible,
     majorizes,
     normalize_post_composition,
@@ -396,3 +397,31 @@ def test_forms_are_immutable():
     t = NormalizedForm(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         t.e[0, 0] = 1.0
+
+
+def test_each_map_operation_runs_one_gate(singular_value_calls):
+    # solve's gate decides whether M is singular; nothing asks the margin first
+    rng = np.random.default_rng(7301)
+    t = ConjugatePairForm(random_complex(rng, 3), 0.2 * random_complex(rng, 3))
+    operations = {
+        "normalize_post_composition": lambda u: normalize_post_composition(u),
+        "convert": lambda u: convert(u, "normalized"),
+        "domination_ratio": lambda u: domination_ratio(u),
+        "majorizes": lambda u: majorizes(u),
+    }
+    counts = {}
+    for name, op in operations.items():
+        singular_value_calls.clear()
+        op(t)
+        counts[name] = len(singular_value_calls)
+    # one SVD for solve's gate, and one more for the operator norm of N M^-1
+    assert counts == {"normalize_post_composition": 1, "convert": 1, "domination_ratio": 2, "majorizes": 2}
+    singular = ConjugatePairForm(np.diag([1.0, 1e-12]), np.eye(2))
+    message = "^complex-linear part M is singular; cannot normalize$"
+    with pytest.raises(SingularM, match=message):
+        normalize_post_composition(singular)
+    with pytest.raises(SingularM, match=message):
+        convert(singular, "normalized")
+    assert domination_ratio(singular) is None
+    assert majorizes(singular) is False
+

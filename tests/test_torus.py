@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cxlattices import Tolerance
-from cxlattices.errors import DimensionMismatch, InternalCheckError, LatticeMismatch
+from cxlattices.errors import DimensionMismatch, InternalCheckError, LatticeMismatch, NumericOverflow
 from cxlattices.lattices import from_generators, standard_lattice
 from cxlattices.torus import TorusPoint, reduce, torus_add, torus_eq, torus_neg
 
@@ -26,6 +26,17 @@ def random_point(rng, lat):
 
 
 # --- reduction ---
+
+
+def test_reduce_refuses_coordinates_without_a_fractional_bit():
+    # from 2^52 on a double has no fractional bit: 1e17 + 0.5i used to reduce to [0, 0.5]
+    lat = standard_lattice(1)
+    for z in (2.0**52, -(2.0**52), 1e17 + 0.5j, 1e300, 0.25 + 2.0**52 * 1j):
+        with pytest.raises(NumericOverflow, match="keeps no fractional bit"):
+            reduce(lat, [z])
+    # at 2^51 the spacing is 0.5: one fractional bit is left, and it is kept
+    p = reduce(lat, [2.0**51 + 0.5 + 0.25j])
+    assert p.coords.tolist() == [0.5, 0.25]
 
 
 def test_reduce_standard_fractional_parts():
