@@ -31,15 +31,15 @@ from .equivalence import (
     MODE_UNITARY,
     lattice_equivalent,
 )
-from .errors import CxlatError, RankDeficient
+from .errors import CxlatError
 from .jsonio import MalformedInput
-from .kernel import DEFAULT_TOL, Tolerance, fro, in_gray_zone, invertibility_margin, real_columns
+from .kernel import DEFAULT_TOL, Tolerance, fro, in_gray_zone
 from .lattices import (
+    LatticeBasis,
     covolume,
-    from_generators,
+    is_full_rank,
     normalize_to_Lstarstar,
     permute_to_L1,
-    rank_margin,
     same_lattice,
     sigma_membership,
 )
@@ -49,11 +49,10 @@ from .realmaps import (
     apply,
     contraction_check,
     convert,
+    dominates,
     domination_ratio,
-    is_invertible,
-    majorizes,
+    invertibility,
     normalize_post_composition,
-    realify,
 )
 from .torus import reduce as torus_reduce
 from .torus import torus_add
@@ -94,9 +93,7 @@ def _cmd_map_convert(data, args, tol):
 
 def _cmd_map_invertible(data, args, tol):
     (m,) = _fields(data, "map")
-    t = jsonio.map_in(m)
-    verdict = is_invertible(t, tol)
-    _, margin = invertibility_margin(realify(t), tol)
+    verdict, margin = invertibility(jsonio.map_in(m), tol)
     return {"invertible": verdict}, {
         "margin": float(margin),
         "threshold": tol.rel,
@@ -106,10 +103,9 @@ def _cmd_map_invertible(data, args, tol):
 
 def _cmd_map_majorizes(data, args, tol):
     (m,) = _fields(data, "map")
-    t = jsonio.map_in(m)
-    ratio = domination_ratio(t, tol)
+    ratio = domination_ratio(jsonio.map_in(m), tol)
     margin = None if ratio is None else 1.0 - ratio
-    return {"majorizes": majorizes(t, tol)}, {
+    return {"majorizes": dominates(ratio, tol)}, {
         "margin": margin,
         "threshold": tol.rel,
         "boundary": False if margin is None else in_gray_zone(margin, tol.rel),
@@ -163,20 +159,17 @@ def _cmd_sl_normalize(data, args, tol):
 
 def _cmd_lattice_validate(data, args, tol):
     (lat_obj,) = _fields(data, "lattice")
-    g = jsonio.lattice_raw_in(lat_obj)
-    margin = float(rank_margin(g, tol))
-    # the verdict compares sigma_min / sigma_max with tol.rel, and so does the flag
-    _, relative = invertibility_margin(real_columns(g), tol)
-    try:
-        lat = from_generators(g, tol)
-    except RankDeficient:
-        payload = {"valid": False, "reason": "RankDeficient"}
-    else:
+    # one SVD: the basis carries sigma_min (the rank margin) and sigma_min / sigma_max
+    lat = LatticeBasis(jsonio.lattice_raw_in(lat_obj))
+    if is_full_rank(lat, tol):
         payload = {"valid": True, "n": int(lat.n), "covolume": covolume(lat)}
+    else:
+        payload = {"valid": False, "reason": "RankDeficient"}
+    # the verdict compares sigma_min / sigma_max with tol.rel, and so does the flag
     return payload, {
-        "rank_margin": margin,
+        "rank_margin": lat.sigma_min,
         "threshold": tol.rel,
-        "boundary": in_gray_zone(relative, tol.rel),
+        "boundary": in_gray_zone(lat.margin, tol.rel),
     }
 
 

@@ -5,7 +5,8 @@ values come from LAPACK's SVD of A itself, resolved to about eps relative
 (the route through A* A would only reach sqrt(eps)); they alone decide
 singularity, through invertibility_margin.  solve and det are LAPACK's LU
 (numpy.linalg), with solve gated by that margin and checked by its
-residual.  The Hermitian eigensolver is still self-contained (cyclic
+residual; gated_solve is that step for a caller that already holds the
+margin (a lattice basis carries its own).  The Hermitian eigensolver is still self-contained (cyclic
 Jacobi rotations), so its behavior is easy to audit at the small
 dimensions this package targets.
 
@@ -153,14 +154,26 @@ def solve(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     am = as_matrix(a, square=True)
     bm, vector = as_columns(b, am.shape[0])
-    ok, margin = invertibility_margin(am, tol)
-    if not ok:
+    x = gated_solve(am, invertibility_margin(am, tol)[1], bm, tol)
+    return frozen(x[:, 0] if vector else x)
+
+
+def gated_solve(am: np.ndarray, margin: float, bm: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """solve's step once A's margin is known: the gate, LAPACK's LU and the residual check.
+
+    am is a validated square complex128 matrix, bm a 2-d stack of validated
+    columns, and margin is A's sigma_min / sigma_max as invertibility_margin
+    gives it; a caller that keeps A (a lattice basis) keeps its margin too
+    and skips the SVD.  Raises SingularMatrix unless margin exceeds tol.rel,
+    and InternalCheckError when the residual breaks its bound.
+    """
+    if not margin > tol.rel:
         raise SingularMatrix(f"solve needs an invertible matrix (margin {margin:.3e})")
     x = np.linalg.solve(am, bm)
     residual = fro(am @ x - bm)
     if residual > tol.rel * fro(am) * max(fro(x), 1.0) + tol.abs:
         raise InternalCheckError(f"solve residual {residual:.3e} exceeds contract bound")
-    return frozen(x[:, 0] if vector else x)
+    return x
 
 
 def det(a) -> complex:
@@ -193,10 +206,9 @@ def hermitian_eig(p, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     goal = 100.0 * n * _EPS * max(scale, _EPS)
     skip = 0.01 * _EPS * max(scale, _EPS)
     for _ in range(_JACOBI_SWEEP_LIMIT):
-        mass = np.abs(a) ** 2
-        np.fill_diagonal(mass, 0.0)
-        off = float(np.sqrt(np.sum(mass)))
-        if off <= goal:
+        off_diagonal = a.copy()
+        np.fill_diagonal(off_diagonal, 0.0)
+        if fro(off_diagonal) <= goal:
             break
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -254,5 +266,10 @@ def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     A matrix counts as invertible when its margin strictly exceeds tol.rel.
     """
     s = singular_values(a, tol)
-    margin = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+    margin = sigma_ratio(float(s[0]), float(s[-1]))
     return margin > tol.rel, margin
+
+
+def sigma_ratio(sigma_max: float, sigma_min: float) -> float:
+    """The margin sigma_min / sigma_max, and 0 when sigma_max vanishes."""
+    return sigma_min / sigma_max if sigma_max > 0.0 else 0.0

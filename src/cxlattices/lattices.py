@@ -4,7 +4,9 @@ A lattice here is the image of Z^2n under an invertible real-linear map
 into C^n, stored as the complex n x 2n matrix G whose columns are the
 images of the standard basis vectors.  Realifying G (stacking real over
 imaginary parts) gives a square 2n x 2n matrix; its invertibility is the
-full-rank invariant, and its determinant modulus the covolume.
+full-rank invariant, and its determinant modulus the covolume.  A basis
+takes the SVD of its realification once, when it is built, and every solve
+against it (torus reduction, same_lattice) reads the margin it carries.
 
 Two generator matrices present the same lattice exactly when the change
 of coordinates between their realifications is an integer matrix of
@@ -18,7 +20,7 @@ period matrix Z has invertible imaginary part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -39,8 +41,10 @@ from .kernel import (
     as_matrix,
     det,
     frozen,
+    gated_solve,
     invertibility_margin,
     real_columns,
+    sigma_ratio,
     singular_values,
     solve,
 )
@@ -56,14 +60,32 @@ def _as_generators(g) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LatticeBasis:
-    """Generator matrix of a full lattice; build through from_generators."""
+    """Generator matrix of a full lattice; build through from_generators.
+
+    A basis carries its realification and that matrix's extreme singular
+    values sigma_max and sigma_min, from the one SVD taken when the basis is
+    built.  ``extremes`` hands over (sigma_max, sigma_min) when they are
+    already known: permute_to_L1 passes its input's, since a column
+    permutation leaves the singular values unchanged.  ``margin`` =
+    sigma_min / sigma_max is what solve's gate reads, so solving against the
+    basis (``coordinates``: torus reduction, same_lattice) runs no SVD.
+    """
 
     g: np.ndarray
+    extremes: InitVar[tuple[float, float] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, extremes: tuple[float, float] | None) -> None:
         gm = _as_generators(self.g)
+        real = frozen(real_columns(gm))
+        if extremes is None:
+            s = singular_values(real)
+            extremes = (float(s[0]), float(s[-1]))
         object.__setattr__(self, "g", gm)
-        object.__setattr__(self, "_real", frozen(real_columns(gm)))
+        object.__setattr__(self, "_real", real)
+        # solve's LU runs in complex arithmetic; keeping its matrix keeps its bits
+        object.__setattr__(self, "_real_c", frozen(real.astype(np.complex128)))
+        object.__setattr__(self, "sigma_max", extremes[0])
+        object.__setattr__(self, "sigma_min", extremes[1])
 
     @property
     def n(self) -> int:
@@ -72,6 +94,19 @@ class LatticeBasis:
     @property
     def realified(self) -> np.ndarray:
         return self._real
+
+    @property
+    def margin(self) -> float:
+        """sigma_min / sigma_max of the realification, as invertibility_margin gives it."""
+        return sigma_ratio(self.sigma_max, self.sigma_min)
+
+    def coordinates(self, w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """solve(realified, w, tol) for finite 2-d columns w in R^2n, gated by the carried margin.
+
+        The same gate, LU and residual check as solve, so the same bits and
+        errors (SingularMatrix when the margin is at or below tol.rel).
+        """
+        return gated_solve(self._real_c, self.margin, w.astype(np.complex128), tol)
 
 
 @dataclass(frozen=True)
@@ -128,12 +163,20 @@ class PeriodMatrix:
 
 
 def from_generators(g, tol: Tolerance = DEFAULT_TOL) -> LatticeBasis:
-    """Validate a generator matrix: the realification must be invertible."""
-    gm = _as_generators(g)
-    ok, margin = invertibility_margin(real_columns(gm), tol)
-    if not ok:
-        raise RankDeficient(f"realified generators are rank deficient (margin {margin:.3e})")
-    return LatticeBasis(gm)
+    """Validate a generator matrix: the realification must be invertible.
+
+    The basis is built first, with the one SVD of its realification; its
+    carried margin must exceed tol.rel, else RankDeficient.
+    """
+    lat = LatticeBasis(g)
+    if not is_full_rank(lat, tol):
+        raise RankDeficient(f"realified generators are rank deficient (margin {lat.margin:.3e})")
+    return lat
+
+
+def is_full_rank(lat: LatticeBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether the basis passes from_generators: its carried margin exceeds tol.rel."""
+    return lat.margin > tol.rel
 
 
 def rank_margin(g, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -160,14 +203,15 @@ def same_lattice(
 ) -> tuple[bool, np.ndarray | None]:
     """Whether two bases generate the same lattice; on success also the witness.
 
-    The coordinate change X = R1^-1 R2 must be integral with |det| = 1.
-    Entries within tol.abs of integers are rounded and the determinant is
-    then computed exactly; an entry landing in the ambiguous band just
-    outside tol.abs raises rather than guessing either way.
+    The coordinate change X = R1^-1 R2 (solved through lat1, behind its
+    carried margin) must be integral with |det| = 1.  Entries within tol.abs
+    of integers are rounded and the determinant is then computed exactly
+    (int_det); an entry landing in the ambiguous band just outside tol.abs
+    raises rather than guessing either way.
     """
     if lat1.n != lat2.n:
         raise DimensionMismatch(f"dimensions differ: {lat1.n} vs {lat2.n}")
-    x = solve(lat1.realified, lat2.realified, tol)
+    x = lat1.coordinates(lat2.realified, tol)
     rounded = np.rint(x.real)
     dist = np.abs(x - rounded)  # complex modulus also catches stray imaginary parts
     if np.any(dist > GRAY_ZONE * tol.abs):
@@ -252,8 +296,8 @@ def permute_to_L1(
     ok, margin = invertibility_margin(g[:, perm[:n]], tol)
     if not ok:
         raise InternalCheckError(f"pivoted first block is singular (margin {margin:.3e})")
-    # a column permutation of a validated basis: the realified rank is unchanged
-    return LatticeBasis(g[:, perm]), perm
+    # a column permutation of a validated basis keeps its singular values
+    return LatticeBasis(g[:, perm], (lat.sigma_max, lat.sigma_min)), perm
 
 
 def normalize_to_Lstarstar(

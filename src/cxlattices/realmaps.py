@@ -255,6 +255,11 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     agree unless both margins sit inside the gray zone around their
     thresholds, in which case the realified verdict stands.
     """
+    return invertibility(t, tol)[0]
+
+
+def invertibility(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+    """is_invertible's verdict with the realified margin sigma_min / sigma_max it read."""
     ok, margin = invertibility_margin(realify(t), tol)
     if isinstance(t, SplitForm):
         ok_b, margin_b = invertibility_margin(t.b.astype(np.complex128), tol)
@@ -263,7 +268,7 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
                 raise InternalCheckError(
                     f"split invertibility criteria disagree: realified margin {margin:.3e}, B margin {margin_b:.3e}"
                 )
-    return ok
+    return ok, margin
 
 
 def majorizes(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -272,7 +277,11 @@ def majorizes(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     Read off domination_ratio: M invertible and operator_norm(N M^-1) below
     1 - tol.rel.  Strict domination certifies invertibility of the whole map.
     """
-    ratio = domination_ratio(t, tol)
+    return dominates(domination_ratio(t, tol), tol)
+
+
+def dominates(ratio: float | None, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """majorizes' verdict on a domination_ratio reading: a ratio below 1 - tol.rel."""
     return ratio is not None and ratio < 1.0 - tol.rel
 
 

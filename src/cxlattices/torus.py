@@ -5,6 +5,11 @@ in generator coordinates: solve the realified system, keep fractional
 parts, map back.  Addition reduces the sum of representatives, and
 equality compares coordinate differences to integers so wraparound at
 the 0/1 boundary is handled without a special case.
+
+Every solve goes through the basis (LatticeBasis.coordinates): it reads
+the margin the basis took when it was built, so a reduction runs no SVD,
+yet still applies solve's gate against the caller's tol.rel, its LU and
+its residual check, bit for bit as kernel.solve would.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InternalCheckError, LatticeMismatch, NumericOverflow
-from .kernel import DEFAULT_TOL, Tolerance, as_vector, frozen, real_columns, solve
+from .kernel import DEFAULT_TOL, Tolerance, as_vector, frozen, real_columns
 from .lattices import LatticeBasis, same_lattice
 
 
@@ -53,7 +58,7 @@ class TorusPoint:
 
 
 def _coords_of(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return solve(lat.realified, real_columns(zv), tol).real
+    return lat.coordinates(real_columns(zv[:, None]), tol)[:, 0].real
 
 
 def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:

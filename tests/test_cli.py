@@ -366,3 +366,33 @@ def test_lattice_validate_never_accepts_rank_deficient_generators_unflagged():
         if result["payload"]["valid"] and not result["diagnostics"]["boundary"]:
             wrong.append((k, n, ratio, result["diagnostics"]["rank_margin"]))
     assert wrong == []
+
+
+
+def svd_case(name, svds):
+    return pytest.param(CASES[name]["argv"], CASES[name]["input"], svds, id=name)
+
+
+@pytest.mark.parametrize(
+    "argv, input_text, svds",
+    [
+        # the basis takes the one SVD: rank margin, relative margin and verdict all read it
+        svd_case("lattice-validate-tau", 1),
+        svd_case("lattice-validate-collinear", 1),
+        svd_case("lattice-validate-overflow", 1),
+        # the verdict and the margin come from one realified SVD ...
+        svd_case("map-invertible-yes", 1),
+        svd_case("map-invertible-singular", 1),
+        svd_case("map-invertible-boundary-flag", 1),
+        # ... plus the cross-check on B for a split form
+        pytest.param(["map-invertible"], '{"map": {"kind": "split", "a": [[[0.5, 0]]], "b": [[[2, 0]]]}}', 2,
+                     id="map-invertible-split"),
+        # solve's gate, then the operator norm of N M^-1 unless M is singular
+        svd_case("map-majorizes-yes", 2),
+        svd_case("map-majorizes-singular-m", 1),
+    ],
+)
+def test_verdict_subcommands_take_each_svd_once(argv, input_text, svds, singular_value_calls):
+    code, out = run_cli(argv, input_text)
+    assert code in (0, 1), out
+    assert len(singular_value_calls) == svds

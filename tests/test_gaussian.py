@@ -143,6 +143,95 @@ def test_int_det():
         assert int_det(m.tolist()) == round(float(np.linalg.det(m)))
 
 
+def as_pairs(rows):
+    return [[(int(e), 0) for e in row] for row in rows]
+
+
+def leibniz_int_det(rows):
+    d = leibniz_det(as_pairs(rows))
+    assert d[1] == 0
+    return d[0]
+
+
+def test_int_det_matches_leibniz_and_gdet():
+    rng = np.random.default_rng(10)
+    for _ in range(120):
+        n = int(rng.integers(1, 7))
+        m = rng.integers(-6, 7, size=(n, n)).tolist()
+        d = int_det(m)
+        assert d == leibniz_int_det(m)
+        assert (d, 0) == gdet(gmat(as_pairs(m)))
+
+
+def test_int_det_row_swaps_on_zero_pivots():
+    # a permutation matrix zeroes every leading pivot it can: the sign follows the swaps
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        perm = rng.permutation(n)
+        m = np.eye(n, dtype=np.int64)[perm]
+        parity = sum(1 for x in range(n) for y in range(x + 1, n) if perm[x] > perm[y])
+        assert int_det(m.tolist()) == (-1) ** parity
+    assert int_det([[0, 1], [1, 0]]) == -1
+    # a zero pivot that appears only after elimination, not in the input
+    assert int_det([[1, 2, 3], [2, 4, 5], [1, 3, 4]]) == leibniz_int_det([[1, 2, 3], [2, 4, 5], [1, 3, 4]])
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        m = rng.integers(-3, 4, size=(n, n))
+        m[0, 0] = 0
+        m[int(rng.integers(1, n)), 1 % n] = 0
+        assert int_det(m.tolist()) == leibniz_int_det(m.tolist())
+
+
+def test_int_det_singular_is_zero():
+    assert int_det([[0, 0], [0, 0]]) == 0
+    assert int_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+    assert int_det([[1, 0, 2], [3, 0, 4], [5, 0, 6]]) == 0  # a zero column past the first pivot
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        m = rng.integers(-5, 6, size=(n, n))
+        i, j = rng.choice(n, size=2, replace=False)
+        m[j] = int(rng.integers(-3, 4)) * m[i]  # a dependent row
+        assert int_det(m.tolist()) == 0
+
+
+def test_int_det_is_exact_past_two_to_the_63():
+    big = 2**70
+    assert int_det([[big, 1], [1, big]]) == big * big - 1
+    assert int_det([[big, big + 1], [big - 1, big]]) == 1
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        m = [[int(rng.integers(-(2**62), 2**62)) * 2**9 + int(rng.integers(-9, 10)) for _ in range(n)]
+             for _ in range(n)]
+        assert int_det(m) == leibniz_int_det(m)
+
+
+def test_int_det_of_16_by_16_unimodular_matrices():
+    # the size of an n = 8 same_lattice witness: transvections and sign flips keep det +-1
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        x = np.eye(16, dtype=np.int64)
+        flips = 0
+        for _ in range(60):
+            i, j = rng.choice(16, size=2, replace=False)
+            x[:, j] += int(rng.integers(-2, 3)) * x[:, i]
+            if rng.integers(4) == 0:
+                x[:, int(rng.integers(16))] *= -1
+                flips += 1
+        rows = x.tolist()
+        assert int_det(rows) == (-1) ** flips
+        assert (int_det(rows), 0) == gdet(gmat(as_pairs(rows)))
+
+
+def test_int_det_validates_shape():
+    with pytest.raises(ValueError):
+        int_det([])
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+
+
 def test_gmat_validates_shape():
     with pytest.raises(ValueError):
         gmat([[(1, 0)], [(1, 0), (2, 0)]])

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from cxlattices import Tolerance
-from cxlattices.errors import DimensionMismatch, InternalCheckError, LatticeMismatch, NumericOverflow
-from cxlattices.lattices import from_generators, standard_lattice
+from cxlattices.errors import (
+    DimensionMismatch,
+    InternalCheckError,
+    LatticeMismatch,
+    NumericOverflow,
+    SingularMatrix,
+)
+from cxlattices.kernel import invertibility_margin, real_columns, solve
+from cxlattices.lattices import from_generators, permute_to_L1, same_lattice, standard_lattice
 from cxlattices.torus import TorusPoint, reduce, torus_add, torus_eq, torus_neg
 
 WIDE = Tolerance(rel=1e-9, abs=1e-9)  # for stress tests that accumulate error
@@ -191,3 +198,74 @@ def test_mismatched_lattices_raise():
     r = reduce(standard_lattice(2), [0.0j, 0.0j])
     with pytest.raises(LatticeMismatch):
         torus_eq(p, r)
+
+
+# --- one gate per basis ---
+
+
+def conditioned_basis(rng, n, cond):
+    # realification U diag(s) V^T with sigma_max / sigma_min = cond
+    u, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+    v, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+    r = u @ np.diag(np.geomspace(1.0, 1.0 / cond, 2 * n)) @ v.T
+    return r[:n] + 1j * r[n:]
+
+
+def test_basis_runs_its_gate_once(singular_value_calls):
+    rng = np.random.default_rng(56)
+    n = 3
+    g = conditioned_basis(rng, n, 1e3)
+    x = np.eye(2 * n)
+    x[:, 1] += 2 * x[:, 0]
+    x[:, 4] -= x[:, 5]
+    singular_value_calls.clear()
+    lat = from_generators(g)
+    assert singular_value_calls == [(2 * n, 2 * n)]
+    lat2 = from_generators(g @ x)  # another basis of the same lattice
+    singular_value_calls.clear()
+    z, w = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    p, q, r = reduce(lat, z), reduce(lat, w), reduce(lat2, z)
+    torus_add(p, q)
+    torus_neg(p)
+    assert torus_eq(p, r)
+    assert same_lattice(lat, lat2)[0]
+    permuted, _ = permute_to_L1(lat)
+    assert singular_value_calls == [(n, n)]  # the pivoted block only: the permuted basis keeps its margin
+    assert permuted.margin == lat.margin
+    assert permuted.margin == pytest.approx(invertibility_margin(permuted.realified)[1], rel=1e-12)
+
+
+def test_carried_margin_is_still_gated_by_the_callers_tolerance():
+    rng = np.random.default_rng(57)
+    lat = from_generators(conditioned_basis(rng, 2, 1e6))
+    assert lat.margin == invertibility_margin(lat.realified)[1]
+    z = [0.3 + 0.1j, -0.2 + 0.7j]
+    assert reduce(lat, z, Tolerance(rel=0.5 * lat.margin)).coords.shape == (4,)
+    for rel in (lat.margin, 2.0 * lat.margin):
+        tight = Tolerance(rel=rel)
+        with pytest.raises(SingularMatrix):
+            reduce(lat, z, tight)
+        with pytest.raises(SingularMatrix):
+            same_lattice(lat, lat, tight)
+        with pytest.raises(SingularMatrix):
+            solve(lat.realified, real_columns(np.asarray(z)), tight)
+
+
+def test_basis_coordinates_are_solves_bits():
+    # ill-conditioned bases pass the gate too; their LU route keeps its residual bound
+    rng = np.random.default_rng(58)
+    for cond in (1e1, 1e4, 1e7, 1e8):
+        for n in (1, 2, 4, 8):
+            lat = from_generators(conditioned_basis(rng, n, cond))
+            other = from_generators(conditioned_basis(rng, n, 10.0))
+            zs = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+            for k in range(5):
+                w = real_columns(zs[:, k])
+                assert np.array_equal(lat.coordinates(w[:, None])[:, 0], solve(lat.realified, w))
+            assert np.array_equal(lat.coordinates(other.realified), solve(lat.realified, other.realified))
+            c = solve(lat.realified, real_columns(zs[:, 0])).real
+            if np.abs(c).max() < 2.0**52:
+                p = reduce(lat, zs[:, 0])
+                frac = c - np.floor(c)
+                frac[1.0 - frac <= 1e-12] = 0.0
+                assert np.array_equal(p.coords, frac)
