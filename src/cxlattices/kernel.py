@@ -6,9 +6,9 @@ values come from LAPACK's SVD of A itself, resolved to about eps relative
 singularity, through invertibility_margin.  solve and det are LAPACK's LU
 (numpy.linalg), with solve gated by that margin and checked by its
 residual; gated_solve is that step for a caller that already holds the
-margin (a lattice basis carries its own).  The Hermitian eigensolver is still self-contained (cyclic
-Jacobi rotations), so its behavior is easy to audit at the small
-dimensions this package targets.
+margin (a lattice basis carries its own).  The Hermitian eigensolver is
+still self-contained (cyclic Jacobi rotations), so its behavior is easy to
+audit at the small dimensions this package targets.
 
 Array inputs enter through as_matrix, as_vector or as_columns, which share
 the one finiteness check.  Two conventions have their one home here:

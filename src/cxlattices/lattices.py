@@ -5,8 +5,9 @@ into C^n, stored as the complex n x 2n matrix G whose columns are the
 images of the standard basis vectors.  Realifying G (stacking real over
 imaginary parts) gives a square 2n x 2n matrix; its invertibility is the
 full-rank invariant, and its determinant modulus the covolume.  A basis
-takes the SVD of its realification once, when it is built, and every solve
-against it (torus reduction, same_lattice) reads the margin it carries.
+takes the SVD of its realification once, the first time its margin is
+read, and every solve against it (torus reduction, same_lattice) reads the
+margin it carries.
 
 Two generator matrices present the same lattice exactly when the change
 of coordinates between their realifications is an integer matrix of
@@ -20,7 +21,8 @@ period matrix Z has invertible imaginary part.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .kernel import (
     DEFAULT_TOL,
     GRAY_ZONE,
     Tolerance,
+    as_columns,
     as_matrix,
     det,
     frozen,
@@ -62,30 +65,21 @@ def _as_generators(g) -> np.ndarray:
 class LatticeBasis:
     """Generator matrix of a full lattice; build through from_generators.
 
-    A basis carries its realification and that matrix's extreme singular
-    values sigma_max and sigma_min, from the one SVD taken when the basis is
-    built.  ``extremes`` hands over (sigma_max, sigma_min) when they are
-    already known: permute_to_L1 passes its input's, since a column
-    permutation leaves the singular values unchanged.  ``margin`` =
-    sigma_min / sigma_max is what solve's gate reads, so solving against the
-    basis (``coordinates``: torus reduction, same_lattice) runs no SVD.
+    A basis carries its realification and, from the first time they are
+    read, that matrix's extreme singular values sigma_max and sigma_min: one
+    SVD per basis, taken lazily and kept (from_generators reads them at once
+    to validate).  ``margin`` = sigma_min / sigma_max is what solve's gate
+    reads, so solving against the basis (``coordinates``: torus reduction,
+    same_lattice) runs no further SVD.
     """
 
     g: np.ndarray
-    extremes: InitVar[tuple[float, float] | None] = None
 
-    def __post_init__(self, extremes: tuple[float, float] | None) -> None:
+    def __post_init__(self) -> None:
         gm = _as_generators(self.g)
-        real = frozen(real_columns(gm))
-        if extremes is None:
-            s = singular_values(real)
-            extremes = (float(s[0]), float(s[-1]))
         object.__setattr__(self, "g", gm)
-        object.__setattr__(self, "_real", real)
-        # solve's LU runs in complex arithmetic; keeping its matrix keeps its bits
-        object.__setattr__(self, "_real_c", frozen(real.astype(np.complex128)))
-        object.__setattr__(self, "sigma_max", extremes[0])
-        object.__setattr__(self, "sigma_min", extremes[1])
+        # solve's LU runs in complex arithmetic; keeping its input keeps its bits
+        object.__setattr__(self, "_real", frozen(real_columns(gm).astype(np.complex128)))
 
     @property
     def n(self) -> int:
@@ -93,20 +87,36 @@ class LatticeBasis:
 
     @property
     def realified(self) -> np.ndarray:
-        return self._real
+        return self._real.real
+
+    @cached_property
+    def _extremes(self) -> tuple[float, float]:
+        s = singular_values(self._real)
+        return float(s[0]), float(s[-1])
+
+    @property
+    def sigma_max(self) -> float:
+        return self._extremes[0]
+
+    @property
+    def sigma_min(self) -> float:
+        return self._extremes[1]
 
     @property
     def margin(self) -> float:
         """sigma_min / sigma_max of the realification, as invertibility_margin gives it."""
-        return sigma_ratio(self.sigma_max, self.sigma_min)
+        return sigma_ratio(*self._extremes)
 
-    def coordinates(self, w: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """solve(realified, w, tol) for finite 2-d columns w in R^2n, gated by the carried margin.
+    def coordinates(self, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """solve(realified, w, tol) for a vector or columns w in R^2n, gated by the carried margin.
 
-        The same gate, LU and residual check as solve, so the same bits and
-        errors (SingularMatrix when the margin is at or below tol.rel).
+        The same validation, gate, LU and residual check as solve, so the
+        same bits, shape and errors (SingularMatrix when the margin is at or
+        below tol.rel).
         """
-        return gated_solve(self._real_c, self.margin, w.astype(np.complex128), tol)
+        wm, vector = as_columns(w, 2 * self.n)
+        x = gated_solve(self._real, self.margin, wm, tol)
+        return x[:, 0] if vector else x
 
 
 @dataclass(frozen=True)
@@ -165,8 +175,9 @@ class PeriodMatrix:
 def from_generators(g, tol: Tolerance = DEFAULT_TOL) -> LatticeBasis:
     """Validate a generator matrix: the realification must be invertible.
 
-    The basis is built first, with the one SVD of its realification; its
-    carried margin must exceed tol.rel, else RankDeficient.
+    The basis is built first; validating it takes the one SVD of its
+    realification, whose margin the basis then carries.  That margin must
+    exceed tol.rel, else RankDeficient.
     """
     lat = LatticeBasis(g)
     if not is_full_rank(lat, tol):
@@ -296,8 +307,7 @@ def permute_to_L1(
     ok, margin = invertibility_margin(g[:, perm[:n]], tol)
     if not ok:
         raise InternalCheckError(f"pivoted first block is singular (margin {margin:.3e})")
-    # a column permutation of a validated basis keeps its singular values
-    return LatticeBasis(g[:, perm], (lat.sigma_max, lat.sigma_min)), perm
+    return LatticeBasis(g[:, perm]), perm
 
 
 def normalize_to_Lstarstar(

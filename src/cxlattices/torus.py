@@ -7,9 +7,9 @@ equality compares coordinate differences to integers so wraparound at
 the 0/1 boundary is handled without a special case.
 
 Every solve goes through the basis (LatticeBasis.coordinates): it reads
-the margin the basis took when it was built, so a reduction runs no SVD,
-yet still applies solve's gate against the caller's tol.rel, its LU and
-its residual check, bit for bit as kernel.solve would.
+the margin the basis keeps from its one SVD, so a reduction runs no SVD,
+yet still applies solve's validation, its gate against the caller's
+tol.rel, its LU and its residual check, bit for bit as kernel.solve would.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class TorusPoint:
 
 
 def _coords_of(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return lat.coordinates(real_columns(zv[:, None]), tol)[:, 0].real
+    return lat.coordinates(real_columns(zv), tol).real
 
 
 def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:

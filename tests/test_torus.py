@@ -230,9 +230,13 @@ def test_basis_runs_its_gate_once(singular_value_calls):
     assert torus_eq(p, r)
     assert same_lattice(lat, lat2)[0]
     permuted, _ = permute_to_L1(lat)
-    assert singular_value_calls == [(n, n)]  # the pivoted block only: the permuted basis keeps its margin
-    assert permuted.margin == lat.margin
-    assert permuted.margin == pytest.approx(invertibility_margin(permuted.realified)[1], rel=1e-12)
+    standard = standard_lattice(n)
+    assert singular_value_calls == [(n, n)]  # the pivoted block only: a basis takes its SVD when first read
+    assert standard.margin == 1.0
+    assert permuted.margin == pytest.approx(lat.margin, rel=1e-12)
+    permuted.margin, standard.margin, lat.margin
+    assert singular_value_calls == [(n, n), (2 * n, 2 * n), (2 * n, 2 * n)]  # and keeps it
+    assert permuted.margin == invertibility_margin(permuted.realified)[1]
 
 
 def test_carried_margin_is_still_gated_by_the_callers_tolerance():
@@ -251,6 +255,27 @@ def test_carried_margin_is_still_gated_by_the_callers_tolerance():
             solve(lat.realified, real_columns(np.asarray(z)), tight)
 
 
+def test_basis_coordinates_refuse_what_solve_refuses():
+    lat = from_generators(conditioned_basis(np.random.default_rng(59), 2, 10.0))
+    for w in ([[np.inf], [0.0], [0.0], [0.0]], [[np.nan], [0.0], [0.0], [0.0]]):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve(lat.realified, w)
+        with pytest.raises(ValueError, match="must be finite"):
+            lat.coordinates(w)
+    with pytest.raises(DimensionMismatch):
+        lat.coordinates(np.zeros((3, 1)))
+
+
+def test_torus_eq_refuses_a_representative_that_overflowed():
+    # the coordinates are (0.9, 0.9) in [0, 1), yet G @ coords overflows: the rep is inf
+    lat = from_generators([[1e308 + 1e300j, 1e308 - 1e300j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = reduce(lat, [0.8e308 - 1e300j])
+        assert np.isinf(p.rep[0].real)
+        with pytest.raises(ValueError, match="must be finite"):
+            torus_eq(p, p)
+
+
 def test_basis_coordinates_are_solves_bits():
     # ill-conditioned bases pass the gate too; their LU route keeps its residual bound
     rng = np.random.default_rng(58)
@@ -261,7 +286,7 @@ def test_basis_coordinates_are_solves_bits():
             zs = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
             for k in range(5):
                 w = real_columns(zs[:, k])
-                assert np.array_equal(lat.coordinates(w[:, None])[:, 0], solve(lat.realified, w))
+                assert np.array_equal(lat.coordinates(w), solve(lat.realified, w))
             assert np.array_equal(lat.coordinates(other.realified), solve(lat.realified, other.realified))
             c = solve(lat.realified, real_columns(zs[:, 0])).real
             if np.abs(c).max() < 2.0**52:
