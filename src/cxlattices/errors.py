@@ -78,7 +78,12 @@ class RadiusBudgetExceeded(CxlatError):
 
 
 class NumericOverflow(CxlatError):
-    """Finite input overflowed: a result is not finite, or a torus coordinate of 2^52 or more keeps no fractional bit."""
+    """Finite input overflowed: a result is not finite, or a torus coordinate of 2^52 or more keeps no fractional bit.
+
+    Non-finite results include a solve whose LU overflowed and a torus
+    representative G @ coords that overflowed although its coordinates lie
+    in [0, 1).
+    """
 
 
 class InternalCheckError(CxlatError):

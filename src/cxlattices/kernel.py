@@ -6,9 +6,10 @@ values come from LAPACK's SVD of A itself, resolved to about eps relative
 singularity, through invertibility_margin.  solve and det are LAPACK's LU
 (numpy.linalg), with solve gated by that margin and checked by its
 residual; gated_solve is that step for a caller that already holds the
-margin (a lattice basis carries its own).  The Hermitian eigensolver is
-still self-contained (cyclic Jacobi rotations), so its behavior is easy to
-audit at the small dimensions this package targets.
+margin and the norm of A (a lattice basis carries its own).  A solution
+that is not finite (the LU overflowed) is NumericOverflow.  The Hermitian
+eigensolver is still self-contained (cyclic Jacobi rotations), so its
+behavior is easy to audit at the small dimensions this package targets.
 
 Array inputs enter through as_matrix, as_vector or as_columns, which share
 the one finiteness check.  Two conventions have their one home here:
@@ -26,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     InternalCheckError,
     NotSelfAdjoint,
+    NumericOverflow,
     SingularMatrix,
 )
 
@@ -150,28 +152,35 @@ def solve(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     B may be a vector or a matrix of stacked right-hand sides; the result
     matches its shape.  Raises SingularMatrix exactly when
     invertibility_margin calls A singular (sigma_min / sigma_max at or
-    below tol.rel), and InternalCheckError when the residual breaks its bound.
+    below tol.rel), NumericOverflow when the LU overflows, and
+    InternalCheckError when the residual breaks its bound.
     """
     am = as_matrix(a, square=True)
     bm, vector = as_columns(b, am.shape[0])
-    x = gated_solve(am, invertibility_margin(am, tol)[1], bm, tol)
+    x = gated_solve(am, invertibility_margin(am, tol)[1], fro(am), bm, tol)
     return frozen(x[:, 0] if vector else x)
 
 
-def gated_solve(am: np.ndarray, margin: float, bm: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """solve's step once A's margin is known: the gate, LAPACK's LU and the residual check.
+def gated_solve(
+    am: np.ndarray, margin: float, norm: float, bm: np.ndarray, tol: Tolerance = DEFAULT_TOL
+) -> np.ndarray:
+    """solve's step once A's margin and norm are known: the gate, LAPACK's LU and the residual check.
 
     am is a validated square complex128 matrix, bm a 2-d stack of validated
-    columns, and margin is A's sigma_min / sigma_max as invertibility_margin
-    gives it; a caller that keeps A (a lattice basis) keeps its margin too
-    and skips the SVD.  Raises SingularMatrix unless margin exceeds tol.rel,
-    and InternalCheckError when the residual breaks its bound.
+    columns, margin is A's sigma_min / sigma_max as invertibility_margin
+    gives it and norm is fro(am); a caller that keeps A (a lattice basis)
+    keeps both too and skips the SVD.  Raises SingularMatrix unless margin
+    exceeds tol.rel, NumericOverflow when the solution is not finite (the LU
+    overflowed, which the residual check cannot see: a NaN residual compares
+    False), and InternalCheckError when the residual breaks its bound.
     """
     if not margin > tol.rel:
         raise SingularMatrix(f"solve needs an invertible matrix (margin {margin:.3e})")
     x = np.linalg.solve(am, bm)
+    if not np.isfinite(x).all():
+        raise NumericOverflow("solve overflowed: the solution is not finite")
     residual = fro(am @ x - bm)
-    if residual > tol.rel * fro(am) * max(fro(x), 1.0) + tol.abs:
+    if residual > tol.rel * norm * max(fro(x), 1.0) + tol.abs:
         raise InternalCheckError(f"solve residual {residual:.3e} exceeds contract bound")
     return x
 

@@ -7,7 +7,7 @@ imaginary parts) gives a square 2n x 2n matrix; its invertibility is the
 full-rank invariant, and its determinant modulus the covolume.  A basis
 takes the SVD of its realification once, the first time its margin is
 read, and every solve against it (torus reduction, same_lattice) reads the
-margin it carries.
+margin and the Frobenius norm it carries.
 
 Two generator matrices present the same lattice exactly when the change
 of coordinates between their realifications is an integer matrix of
@@ -21,6 +21,7 @@ period matrix Z has invertible imaginary part.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,13 +44,13 @@ from .kernel import (
     as_columns,
     as_matrix,
     det,
+    fro,
     frozen,
     gated_solve,
     invertibility_margin,
     real_columns,
     sigma_ratio,
     singular_values,
-    solve,
 )
 from .realmaps import SplitForm
 
@@ -69,8 +70,11 @@ class LatticeBasis:
     read, that matrix's extreme singular values sigma_max and sigma_min: one
     SVD per basis, taken lazily and kept (from_generators reads them at once
     to validate).  ``margin`` = sigma_min / sigma_max is what solve's gate
-    reads, so solving against the basis (``coordinates``: torus reduction,
-    same_lattice) runs no further SVD.
+    reads, and the Frobenius norm of the realification (also kept once
+    computed) is what its residual bound reads, so solving against the basis
+    (``coordinates``: torus reduction, same_lattice) runs no further SVD and
+    no further norm of the basis.  A basis is immutable, so a verdict about
+    it (torus keeps same_lattice's) stays true.
     """
 
     g: np.ndarray
@@ -94,6 +98,15 @@ class LatticeBasis:
         s = singular_values(self._real)
         return float(s[0]), float(s[-1])
 
+    @cached_property
+    def _norm(self) -> float:
+        return fro(self._real)
+
+    @cached_property
+    def _verdicts(self) -> weakref.WeakKeyDictionary:
+        # other basis -> {tolerance: same_lattice(self, other, tolerance)[0]}; torus keeps them
+        return weakref.WeakKeyDictionary()
+
     @property
     def sigma_max(self) -> float:
         return self._extremes[0]
@@ -110,12 +123,13 @@ class LatticeBasis:
     def coordinates(self, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """solve(realified, w, tol) for a vector or columns w in R^2n, gated by the carried margin.
 
-        The same validation, gate, LU and residual check as solve, so the
-        same bits, shape and errors (SingularMatrix when the margin is at or
-        below tol.rel).
+        The same validation, gate, LU and residual check as solve (its bound
+        reads the carried norm, the value solve computes), so the same bits,
+        shape and errors (SingularMatrix when the margin is at or below
+        tol.rel, NumericOverflow when the LU overflows).
         """
         wm, vector = as_columns(w, 2 * self.n)
-        x = gated_solve(self._real, self.margin, wm, tol)
+        x = gated_solve(self._real, self.margin, self._norm, wm, tol)
         return x[:, 0] if vector else x
 
 
@@ -327,8 +341,8 @@ def normalize_to_Lstarstar(
         raise FirstBlockSingular(
             f"first n generators are not C-independent (margin {margin:.3e})"
         )
-    # one LU of the first block gives A = G1^-1 and Z = G1^-1 G2 together
-    x = solve(g1, np.hstack([np.eye(n), g[:, n:]]), tol)
+    # one LU of the first block, behind the gate just taken, gives A = G1^-1 and Z = G1^-1 G2 together
+    x = gated_solve(g1, margin, fro(g1), np.hstack([np.eye(n), g[:, n:]]), tol)
     return frozen(x[:, :n].copy()), PeriodMatrix(x[:, n:])
 
 

@@ -7,9 +7,19 @@ equality compares coordinate differences to integers so wraparound at
 the 0/1 boundary is handled without a special case.
 
 Every solve goes through the basis (LatticeBasis.coordinates): it reads
-the margin the basis keeps from its one SVD, so a reduction runs no SVD,
-yet still applies solve's validation, its gate against the caller's
-tol.rel, its LU and its residual check, bit for bit as kernel.solve would.
+the margin the basis keeps from its one SVD and the norm it keeps, so a
+reduction runs no SVD, yet still applies solve's validation, its gate
+against the caller's tol.rel, its LU and its residual check, bit for bit
+as kernel.solve would.
+
+A point is proved once.  reduce builds it from coordinates it has just put
+in [0, 1) and the representative it has just computed from them, so it
+checks only what can still fail there: the representative must be finite,
+else NumericOverflow.  A TorusPoint built by hand is validated in full.
+Bases are immutable, so whether the bases of two points present the same
+lattice is decided once per (basis, basis, tolerance) and remembered on
+the first basis, weakly, so the memo keeps no basis alive; an error such
+as AmbiguousIntegrality is raised again on every call, never remembered.
 """
 
 from __future__ import annotations
@@ -27,8 +37,11 @@ from .lattices import LatticeBasis, same_lattice
 class TorusPoint:
     """A point of C^n / L: representative plus its generator coordinates.
 
-    Build through reduce(); direct construction re-validates the invariants
-    rep = G @ coords and coords in [0, 1).
+    Build through reduce(), which guarantees coords in [0, 1), rep =
+    G @ coords bit for bit, a finite rep, and read-only arrays, all by
+    construction: it runs no validation below.  Direct construction copies
+    both arrays and re-validates the invariants: the shapes, coords in
+    [0, 1), and rep within tolerance of G @ coords.
     """
 
     lattice: LatticeBasis
@@ -67,7 +80,9 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
     Coordinates within tol.abs below 1 wrap to 0, keeping the half-open
     invariant exact; z minus the representative is then a lattice point by
     construction (the dropped coordinate parts are integers).  A coordinate
-    of 2^52 or more in magnitude has no fractional bit: NumericOverflow.
+    of 2^52 or more in magnitude has no fractional bit, and a representative
+    G @ coords can overflow although its coordinates lie in [0, 1): both
+    are NumericOverflow.
     """
     zv = as_vector(np.ravel(z), lat.n)
     c = _coords_of(lat, zv, tol)
@@ -79,16 +94,28 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
     shift = c - frac
     if np.any(np.abs(shift - np.rint(shift)) > 10.0 * tol.abs + 1e-12 * np.abs(c)):
         raise InternalCheckError("dropped coordinate parts drifted off the integers")
-    rep = lat.g @ frac
-    return TorusPoint(lat, rep, frac)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, not warned
+        rep = lat.g @ frac
+    if not np.isfinite(rep).all():
+        raise NumericOverflow("representative G @ coords overflowed: the lattice's generators are too large")
+    # the invariants TorusPoint's constructor checks hold by construction here
+    p = object.__new__(TorusPoint)
+    for name, value in (("lattice", lat), ("rep", frozen(rep)), ("coords", frozen(frac))):
+        object.__setattr__(p, name, value)
+    return p
 
 
 def _require_same_lattice(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> None:
-    if p.lattice is q.lattice:
+    lat1, lat2 = p.lattice, q.lattice
+    if lat1 is lat2:
         return
-    if p.lattice.n != q.lattice.n:
-        raise LatticeMismatch(f"dimensions differ: {p.lattice.n} vs {q.lattice.n}")
-    if not same_lattice(p.lattice, q.lattice, tol)[0]:
+    if lat1.n != lat2.n:
+        raise LatticeMismatch(f"dimensions differ: {lat1.n} vs {lat2.n}")
+    known = lat1._verdicts.setdefault(lat2, {})
+    same = known.get(tol)
+    if same is None:  # same_lattice raising leaves nothing behind
+        same = known[tol] = same_lattice(lat1, lat2, tol)[0]
+    if not same:
         raise LatticeMismatch("points live on different lattices")
 
 

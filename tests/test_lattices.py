@@ -363,7 +363,7 @@ def test_normalize_reconstruction():
 
 def test_each_lattice_step_runs_one_gate(singular_value_calls):
     # permute_to_L1 checks its pivoted block and permutes a validated basis; normalize_to_Lstarstar
-    # gates G1, takes A and Z from one solve (one more gate) and certifies Im Z
+    # gates G1, takes A and Z from one solve behind that gate, and certifies Im Z
     rng = np.random.default_rng(24)
     lat = random_basis(rng, 3)
     singular_value_calls.clear()
@@ -371,7 +371,7 @@ def test_each_lattice_step_runs_one_gate(singular_value_calls):
     assert singular_value_calls == [(3, 3)]
     singular_value_calls.clear()
     a, pm = normalize_to_Lstarstar(permuted)
-    assert singular_value_calls == [(3, 3)] * 3
+    assert singular_value_calls == [(3, 3)] * 2
     g1 = permuted.g[:, :3]
     inv = np.linalg.inv(g1)
     assert np.linalg.norm(a - inv) <= 1e-10 * np.linalg.norm(inv)

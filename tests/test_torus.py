@@ -1,17 +1,21 @@
 """Tests for torus points: reduction, group laws, and cross-basis equality."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from cxlattices import Tolerance
 from cxlattices.errors import (
+    AmbiguousIntegrality,
     DimensionMismatch,
     InternalCheckError,
     LatticeMismatch,
     NumericOverflow,
     SingularMatrix,
 )
-from cxlattices.kernel import invertibility_margin, real_columns, solve
+from cxlattices.kernel import DEFAULT_TOL, invertibility_margin, real_columns, solve
 from cxlattices.lattices import from_generators, permute_to_L1, same_lattice, standard_lattice
 from cxlattices.torus import TorusPoint, reduce, torus_add, torus_eq, torus_neg
 
@@ -267,13 +271,11 @@ def test_basis_coordinates_refuse_what_solve_refuses():
 
 
 def test_torus_eq_refuses_a_representative_that_overflowed():
-    # the coordinates are (0.9, 0.9) in [0, 1), yet G @ coords overflows: the rep is inf
+    # the coordinates (-0.1, 0.9) reduce to (0.9, 0.9), yet G @ coords overflows: reduce refuses the point
     lat = from_generators([[1e308 + 1e300j, 1e308 - 1e300j]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = reduce(lat, [0.8e308 - 1e300j])
-        assert np.isinf(p.rep[0].real)
-        with pytest.raises(ValueError, match="must be finite"):
-            torus_eq(p, p)
+    assert np.allclose(lat.coordinates(real_columns(np.array([0.8e308 - 1e300j]))), [-0.1, 0.9])
+    with pytest.raises(NumericOverflow, match="overflowed"):
+        reduce(lat, [0.8e308 - 1e300j])
 
 
 def test_basis_coordinates_are_solves_bits():
@@ -294,3 +296,89 @@ def test_basis_coordinates_are_solves_bits():
                 frac = c - np.floor(c)
                 frac[1.0 - frac <= 1e-12] = 0.0
                 assert np.array_equal(p.coords, frac)
+
+
+# --- a point is proved once ---
+
+
+def test_reduced_points_are_read_only_and_exact():
+    # reduce runs no re-check of rep against its coordinates: this is that check, bit for bit
+    rng = np.random.default_rng(60)
+    for cond in (1e1, 1e4, 1e8):
+        for n in (1, 2, 3, 5, 8):
+            lat = from_generators(conditioned_basis(rng, n, cond))
+            zs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+            points = [reduce(lat, 3.0 * zs[:, k]) for k in range(4)]
+            points += [torus_add(points[0], points[1]), torus_neg(points[2])]
+            for p in points:
+                assert np.array_equal(p.rep, lat.g @ p.coords)
+                assert np.all((p.coords >= 0.0) & (p.coords < 1.0))
+                assert p.rep.shape == (n,) and p.coords.shape == (2 * n,)
+                assert not p.rep.flags.writeable and not p.coords.flags.writeable
+                with pytest.raises(ValueError):
+                    p.coords[0] = 0.5
+                with pytest.raises(AttributeError):
+                    p.rep = p.rep
+
+
+def test_solve_refuses_an_overflowed_solution():
+    # LAPACK's LU overflows to NaN, whose residual a comparison cannot flag
+    lat = from_generators([[1e308 + 1e308j, 1e308 - 1e308j]])  # realified: the matrix solved below
+    for call in (
+        lambda: solve([[1e308, 1e308], [1e308, -1e308]], [0.8e308, -1e308]),
+        lambda: lat.coordinates([0.8e308, -1e308]),
+        lambda: reduce(lat, [0.8e308 - 1e308j]),
+    ):
+        with pytest.raises(NumericOverflow, match="not finite"):
+            call()
+
+
+@pytest.fixture
+def same_lattice_calls(monkeypatch):
+    import cxlattices.torus
+
+    calls = []
+
+    def counted(lat1, lat2, tol=None):
+        calls.append(tol)
+        return same_lattice(lat1, lat2, tol)
+
+    monkeypatch.setattr(cxlattices.torus, "same_lattice", counted)
+    return calls
+
+
+def test_pair_verdict_is_remembered_per_tolerance(same_lattice_calls):
+    # lat2's coordinates in lat1 sit 5e-12 off the integers: same lattice at abs 1e-9,
+    # ambiguous at the default 1e-12, different at 1e-13
+    lat1 = standard_lattice(1)
+    lat2 = from_generators([[1.0 + 5e-12, 1.0j]])
+    p, q = reduce(lat1, [0.25 + 0.5j]), reduce(lat2, [0.25 + 0.5j])
+    loose, tight = Tolerance(abs=1e-9), Tolerance(abs=1e-13)
+    for _ in range(3):
+        assert torus_eq(p, q, loose)
+        torus_add(p, q, loose)
+    assert same_lattice_calls == [loose]
+    for _ in range(2):
+        with pytest.raises(AmbiguousIntegrality):
+            torus_eq(p, q)
+    assert same_lattice_calls == [loose, DEFAULT_TOL, DEFAULT_TOL]  # a raise is never remembered
+    for _ in range(2):
+        with pytest.raises(LatticeMismatch):
+            torus_eq(p, q, tight)
+    assert same_lattice_calls == [loose, DEFAULT_TOL, DEFAULT_TOL, tight]  # a refusal is
+    assert torus_eq(q, p, loose)  # the other order is its own pair: lat2's gate decides it
+    assert same_lattice_calls[-1] == loose and len(same_lattice_calls) == 5
+
+
+def test_pair_verdict_keeps_no_basis_alive():
+    rng = np.random.default_rng(61)
+    lat1 = random_basis(rng, 2)
+    lat2 = from_generators(lat1.g[:, [1, 0, 2, 3]])
+    assert torus_eq(reduce(lat1, [0.5, 0.25j]), reduce(lat2, [0.5, 0.25j]))
+    gone1, gone2 = weakref.ref(lat1), weakref.ref(lat2)
+    del lat2  # lat1 remembers its verdict on lat2, yet lat2 goes
+    gc.collect()
+    assert gone2() is None and gone1() is lat1
+    del lat1
+    gc.collect()
+    assert gone1() is None
