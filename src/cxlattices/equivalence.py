@@ -2,9 +2,13 @@
 
 Two lattices A1(Z[i]^n) and A2(Z[i]^n) are equivalent when a unitary T
 maps one onto the other.  Chasing generators, that happens exactly when
-A2 = T A1 B for some determinant-one Gaussian-integer matrix B, which in
-turn is a congruence of Gram forms: gram(A2) = B* gram(A1) B.  The search
-over B is a brute force bounded by an entry height H, so the outcome is a
+A2 = T A1 B for some Gaussian-integer B whose determinant is a unit (1,
+-1, i or -i), which in turn is a congruence of Gram forms:
+gram(A2) = B* gram(A1) B.  The search runs over determinant-one B only.
+T can absorb a scalar unit u I, which multiplies det B by u^n, so for n = 1
+and n = 3 nothing is lost; at n = 2, u^2 is only +-1, and a change of basis
+with determinant +-i is never searched, whatever the height.  The search is
+a brute force bounded by an entry height H, so the outcome is a
 semidecision with three honest states: Equivalent (with a re-verifiable
 witness), RefutedByInvariant (a unitary invariant separates the lattices),
 or UndecidedUpToBound.
@@ -28,18 +32,32 @@ before it.
 
 The search is norm-first.  Column i of a witness B has P1-norm (P2)_ii
 (the first invariant of Plesken and Souvignier, "Computing isometries of
-lattices", 1997), so each cached set also holds its distinct columns and
-a (k, n) array of column ids; the scan computes b* P1 b once per distinct
-column and runs the full Gram test only on the candidates whose columns
-all have the right norms.  The short-vector refuter bounds each integer
-coordinate by its own axis (as in Fincke and Pohst, 1985) instead of one
-uniform box.  lattice_equivalent runs its stages cheapest first: the
-invertibility gate, the covolume refuter, the dimension cap, and only
-then the Gram forms, the spectra and the scan.
+lattices", 1997), so each cached set also holds its distinct columns, a
+(k, n) array of column ids and the squared length of each distinct column;
+the scan computes b* P1 b once per distinct column, by one matrix product,
+and runs the full Gram test only on the candidates whose columns all have
+the right norms.
+
+The short-vector refuter bounds each integer coordinate by its own axis
+(as in Fincke and Pohst, 1985) instead of one uniform box, and a box of
+more than 3^6 = 729 points is taken on an LLL-reduced basis A U of the
+same lattice (Lenstra, Lenstra and Lovasz, 1982; over Z[i], the complex
+LLL of Gan, Ling and Mow, 2009, on the n columns): a skewed basis, such as
+A1 B for a tall B, has a per-axis box up to hundreds of times larger than
+its reduced basis.  Each coordinate vector is mapped back exactly and the
+norms are |A lambda|^2 as on A's own box, so the spectrum is the same
+tuple; the budget still counts the uniform box of A.  lattice_equivalent
+runs its stages cheapest first: the invertibility gate, the covolume
+refuter, the dimension cap, and only then the Gram forms, the spectra
+(which take sigma_max and sigma_min from the gate's singular values) and
+the scan.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,12 +81,11 @@ from .kernel import (
     det,
     fro,
     frozen,
-    invertibility_margin,
-    real_columns,
+    invertibility_gate,
     singular_values,
 )
 from .lattices import GaussianUnimodular
-from .polar import GramForm, classify, gram_form
+from .polar import as_gram_form, classify, gram_form
 
 EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
@@ -79,6 +96,10 @@ DEFAULT_RADIUS = 4.0
 DEFAULT_BUDGET = 10**7
 _MAX_ORBIT_DIM = 3
 _CHUNK = 1 << 16
+_LLL_STEPS = 1000
+# a box of at most this many points is scanned as it is, from a grid built once
+# per shape: scanning it costs about as much as reducing the basis would
+_SMALL_BOX = 3**6
 _EPS = float(np.finfo(np.float64).eps)
 
 MODE_UNITARY = "unitary"
@@ -116,7 +137,8 @@ class ShortVectorSpectrum:
     norms: tuple
 
     def __post_init__(self) -> None:
-        if any(self.norms[i] > self.norms[i + 1] for i in range(len(self.norms) - 1)):
+        norms = np.asarray(self.norms, dtype=np.float64)
+        if np.any(norms[:-1] > norms[1:]):
             raise InternalCheckError("spectrum norms must ascend")
 
 
@@ -134,12 +156,20 @@ def _gauss_box(height: int):
 class _Candidates(NamedTuple):
     """One candidate set: the public tuple form, its read-only (k, n, n) stack,
     and its columns as a table of distinct columns (c, n) with a (k, n) array
-    of ids, so that column i of candidate j is cols[col_ids[j, i]]."""
+    of ids, so that column i of candidate j is cols[col_ids[j, i]], and the
+    squared length |b|^2 of each distinct column (c,)."""
 
     entries: tuple
     stack: np.ndarray
     cols: np.ndarray
     col_ids: np.ndarray
+    weights: np.ndarray
+
+
+def _with_columns(entries: tuple, stack, cols, col_ids) -> _Candidates:
+    """A candidate set from its parts; the column lengths are computed here, once."""
+    weights = frozen(np.sum(np.abs(cols) ** 2, axis=1))
+    return _Candidates(entries, stack, frozen(cols), frozen(col_ids), weights)
 
 
 def _stack(candidates) -> np.ndarray:
@@ -156,12 +186,8 @@ def _from_tuples(entries) -> _Candidates:
         [ids.setdefault(tuple(m[r][c] for r in range(n)), len(ids)) for c in range(n)]
         for m in entries
     ]
-    return _Candidates(
-        entries,
-        _stack(entries),
-        _stack(list(ids)),
-        frozen(np.array(col_ids, dtype=np.intp)),
-    )
+    ids_array = np.array(col_ids, dtype=np.intp)
+    return _with_columns(entries, _stack(entries), _stack(list(ids)), ids_array)
 
 
 def _complete_2x2(height: int) -> _Candidates:
@@ -203,9 +229,7 @@ def _complete_2x2(height: int) -> _Candidates:
     # column (x, y) of box indices has id x * m + y: every pair, in box order
     cols = np.stack([np.repeat(values, m), np.tile(values, m)], axis=1)
     col_ids = np.stack([idx[:, 0] * m + idx[:, 2], idx[:, 1] * m + idx[:, 3]], axis=1)
-    return _Candidates(
-        entries, frozen(values[idx].reshape(-1, 2, 2)), frozen(cols), frozen(col_ids)
-    )
+    return _with_columns(entries, frozen(values[idx].reshape(-1, 2, 2)), cols, col_ids)
 
 
 def _closure_overrun(height: int, budget: int) -> HeightTooLarge:
@@ -295,15 +319,16 @@ def _gram_hits(cands: _Candidates, p1: np.ndarray, p2: np.ndarray, bound: float)
     """Yield, in candidate order, the index of every B with |B* P1 B - P2|_F <= bound.
 
     Column i of such a B has P1-norm (P2)_ii to within the bound, so the
-    norm b* P1 b of each distinct column is computed once and the candidates
-    whose columns miss their diagonal entry are dropped before the full
-    Frobenius test.  The slack covers the rounding by which the two ways of
+    norm b* P1 b of each distinct column is computed once, by one matrix
+    product, and the candidates whose columns miss their diagonal entry are
+    dropped before the full Frobenius test.  The slack, which scales with
+    the set's stored |b|^2, covers the rounding by which the two ways of
     computing b* P1 b may differ.
     """
     n = p1.shape[0]
-    norms = np.einsum("ci,ij,cj->c", cands.cols.conj(), p1, cands.cols).real
-    weight = np.sum(np.abs(cands.cols) ** 2, axis=1)  # |b|^2
-    slack = 32 * n * _EPS * (fro(p1) * weight + bound)
+    cols = cands.cols
+    norms = np.sum((cols.conj() @ p1) * cols, axis=1).real
+    slack = 32 * n * _EPS * (fro(p1) * cands.weights + bound)
     near = np.abs(norms[:, None] - p2.diagonal().real) <= (bound + slack)[:, None]
     keep = np.ones(len(cands.col_ids), dtype=bool)
     for i in range(n):
@@ -329,12 +354,11 @@ def sigma_orbit_equal(
 
     Returns Equivalent with witness (None, B) on the first match in the
     fixed candidate order, else UndecidedUpToBound; never refutes, since a
-    taller witness may always exist.
+    taller witness may always exist.  A raw matrix is certified as a Gram
+    form at tol (as_gram_form); a GramForm is taken as it is.
     """
-    if not isinstance(p1, GramForm):
-        p1 = GramForm(p1)
-    if not isinstance(p2, GramForm):
-        p2 = GramForm(p2)
+    p1 = as_gram_form(p1, tol)
+    p2 = as_gram_form(p2, tol)
     if p1.dim != p2.dim:
         raise DimensionMismatch(f"dimensions differ: {p1.dim} vs {p2.dim}")
     n = p1.dim
@@ -348,54 +372,212 @@ def sigma_orbit_equal(
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
 
+def _check_radius(radius: float) -> None:
+    if radius < 0 or not np.isfinite(radius):
+        raise ValueError("radius must be a finite nonnegative number")
+
+
 def short_vectors(
     a, radius: float, tol: Tolerance = DEFAULT_TOL, limit: int = DEFAULT_BUDGET
 ) -> ShortVectorSpectrum:
     """Squared norms |A lambda|^2 <= radius over nonzero Gaussian-integer vectors.
 
-    Write R for the realified generator matrix and x for the integer
-    coordinates of lambda, so that |A lambda| = |R x|.  The coefficient box
-    is provably sufficient: |x_i| <= |row i of R^-1| * |R x|, so outside
-    K_i = floor(sqrt(radius) * |row i of R^-1|) on axis i the image norm
-    already exceeds the radius.  Every K_i is at most the uniform bound
-    K = floor(sqrt(radius) / sigma_min), since each row of R^-1 has norm at
-    most 1 / sigma_min, and for a skewed basis the per-axis box is far
-    smaller.  The budget is still checked against the uniform box
-    (2K + 1)^(2n): it caps the work of any input alike, and which inputs
-    raise RadiusBudgetExceeded does not depend on the rounding of R^-1.
+    Takes one SVD of A.  The coefficient box is bounded axis by axis, on an
+    LLL-reduced basis of the same lattice when A's own box is large (see
+    _enumerate); the budget counts the uniform box (2K + 1)^(2n) with
+    K = floor(sqrt(radius) / sigma_min(A)), so which inputs raise
+    RadiusBudgetExceeded depends on A's smallest singular value alone.
     """
     am = as_matrix(a, square=True)
-    if radius < 0 or not np.isfinite(radius):
-        raise ValueError("radius must be a finite nonnegative number")
+    _check_radius(radius)
+    return _enumerate(am, singular_values(am, tol), radius, tol, limit)
+
+
+def _lll(am: np.ndarray):
+    """An LLL reduction of A's columns over Z[i]: (U, U^-1) with A U reduced, or None.
+
+    The complex LLL of Gan, Ling and Mow (2009) with delta = 3/4, in the
+    form of Cohen's integral LLL (Algorithm 2.6.3 of "A Course in
+    Computational Algebraic Number Theory"): the Gram-Schmidt coefficients
+    mu and squared lengths B come once from the Gram matrix A* A and are
+    then updated in place, by Gaussian rounding in the size reduction and
+    by the swap formulas when the Lovasz test B_k >= (delta - |mu_k,k-1|^2)
+    B_k-1 fails.  The steps are recorded and replayed once at the end on
+    exact Gaussian integers, so U is unimodular however the floats went.
+    None means no step was taken (A was reduced already), the Gram form
+    lost positivity in rounding, or U grew past 2^20; the caller then keeps
+    A's own basis.  The step count is capped, which bounds the time on a
+    basis the floats cannot resolve.
+    """
     n = am.shape[0]
-    real = real_columns(np.hstack([am, 1j * am]))
-    s = singular_values(real, tol)
-    if s[-1] <= tol.rel * s[0]:
+    g = (am.conj().T @ am).tolist()  # g[j][i] = <b_j, b_i>
+    mu = [[0j] * n for _ in range(n)]
+    sq = []
+    for i in range(n):
+        for j in range(i):
+            r = g[j][i]
+            for m in range(j):
+                r -= mu[j][m].conjugate() * mu[i][m] * sq[m]
+            mu[i][j] = r / sq[j]
+        b = g[i][i].real
+        for j in range(i):
+            m = mu[i][j]
+            b -= (m.real * m.real + m.imag * m.imag) * sq[j]
+        if not b > 0.0:
+            return None
+        sq.append(b)
+    steps: list = []  # (k, j, q): column k -= q column j; (k, k - 1, 0): swap the two
+    k = 1
+    for _ in range(_LLL_STEPS):
+        if k >= n:
+            break
+        row = mu[k]
+        for j in range(k - 1, -1, -1):
+            m = row[j]
+            q = complex(round(m.real), round(m.imag))
+            if q:
+                for i in range(j):
+                    row[i] -= q * mu[j][i]
+                row[j] = m - q
+                steps.append((k, j, q))
+        m = row[k - 1]
+        shift = (m.real * m.real + m.imag * m.imag) * sq[k - 1]
+        if sq[k] >= 0.75 * sq[k - 1] - shift:
+            k += 1
+            continue
+        # swap columns k - 1 and k: Cohen's formulas, with B = B_k + |mu|^2 B_k-1
+        # the new B_k-1 and mu_k,k-1 -> conj(mu) B_k-1 / B
+        steps.append((k, k - 1, 0))
+        b = sq[k] + shift
+        new = m.conjugate() * sq[k - 1] / b
+        sq[k - 1], sq[k] = b, sq[k - 1] * sq[k] / b
+        mu[k - 1], mu[k] = mu[k], mu[k - 1]
+        mu[k - 1][k - 1], mu[k][k - 1], mu[k - 1][k] = 0j, new, 0j
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + new * mu[i][k]
+        k = max(k - 1, 1)
+    if not steps:
+        return None
+    # replayed on small Gaussian integers, which complex floats hold exactly
+    u = [[complex(i == j) for i in range(n)] for j in range(n)]  # columns of U
+    inv = [[complex(i == j) for j in range(n)] for i in range(n)]  # rows of U^-1
+    for k, j, q in steps:
+        if q:
+            u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+            inv[j] = [x + q * y for x, y in zip(inv[j], inv[k])]
+        else:
+            u[j], u[k] = u[k], u[j]
+            inv[j], inv[k] = inv[k], inv[j]
+    um, im = np.array(u).T, np.array(inv)
+    if max(np.abs(um).max(), np.abs(im).max()) > 2.0**20:
+        return None
+    return um, im
+
+
+def _axis_bound(x: float, cap: int) -> int:
+    """floor(x) for a coordinate bound x, and cap when x reaches it (or is not finite)."""
+    return math.floor(x) if x < cap else cap
+
+
+def _box_size(ks) -> int:
+    """Points in the box |Re mu_i|, |Im mu_i| <= ks[i]."""
+    return math.prod(2 * b + 1 for b in ks) ** 2
+
+
+def _box_columns(shape: tuple, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi-1, in row-major order, of the centered integer box of the given
+    shape (real parts' axes, then imaginary parts'), as Gaussian-integer columns."""
+    n = len(shape) // 2
+    centre = np.array(shape)[:, None] // 2
+    coords = np.stack(np.unravel_index(np.arange(lo, hi), shape)) - centre
+    return coords[:n] + 1j * coords[n:]
+
+
+@functools.lru_cache(maxsize=32)
+def _small_box(shape: tuple) -> np.ndarray:
+    """A whole box of at most _SMALL_BOX points, built once per shape."""
+    return frozen(_box_columns(shape, 0, math.prod(shape)))
+
+
+def _enumerate(
+    am: np.ndarray, s: np.ndarray, radius: float, tol: Tolerance, limit: int
+) -> ShortVectorSpectrum:
+    """short_vectors on a validated A whose singular values s (descending) are known.
+
+    The box is provably sufficient: |lambda_i| <= |row i of A^-1| * |A lambda|,
+    so outside K_i = floor(sqrt(radius) * |row i of A^-1|) the image norm
+    already exceeds the radius; each K_i bounds both the real and the
+    imaginary part of lambda_i (the realified inverse has each row norm
+    twice, and its singular values are A's, each twice).  A box of more
+    than _SMALL_BOX points is searched on a reduced basis instead when that
+    box is smaller: with A U LLL-reduced (_lll) and U Gaussian-unimodular,
+    lambda = U mu ranges over Z[i]^n as mu does, and the bounds come from
+    the rows of (A U)^-1 = U^-1 A^-1 with U^-1 exact.  A skewed A has a
+    box far larger than that of its reduced basis.  Each mu is mapped back
+    exactly, and the norms are |A lambda|^2 either way, so the spectrum
+    does not depend on the box.  The budget is checked against the uniform
+    box (2K + 1)^(2n) with K = floor(sqrt(radius) / sigma_min), which
+    contains A's own box: it caps the work of any input alike, and which
+    inputs raise RadiusBudgetExceeded does not depend on rounding or on the
+    reduction.
+    """
+    n = am.shape[0]
+    smax, smin = float(s[0]), float(s[-1])
+    if smin <= tol.rel * smax:
         raise SingularMatrix("short-vector enumeration needs an invertible matrix")
-    k = int(np.floor(np.sqrt(radius) / s[-1]))
+    root = math.sqrt(radius)
+    ratio = root / smin
+    if ratio == math.inf:  # a subnormal sigma_min: no box of integers is that large
+        raise RadiusBudgetExceeded(
+            f"coefficient box is unbounded (sigma_min {smin:.3e}) and exceeds limit {limit}"
+        )
+    k = math.floor(ratio)
     total = (2 * k + 1) ** (2 * n)
     if total - 1 > limit:
         raise RadiusBudgetExceeded(
             f"coefficient box of {total - 1} vectors exceeds limit {limit}"
         )
-    # the relative margin absorbs rounding in the row norms of R^-1; the
-    # absolute term, a multiple of cond(R) eps |R^-1|, covers ill-conditioned R
-    rows = np.linalg.norm(np.linalg.inv(real), axis=1)
-    reach = rows * (1.0 + 1e-9) + 16 * n * _EPS * s[0] / s[-1] ** 2
-    ks = np.minimum(k, np.floor(np.sqrt(radius) * reach)).astype(np.int64)
-    shape = tuple(2 * ks + 1)
-    size = int(np.prod(shape))
-    norms = []
+    if k == 0:
+        return ShortVectorSpectrum(float(radius), ())
+    # the relative margin absorbs rounding in the row norms of A^-1; the absolute
+    # term, a multiple of cond(A) eps |A^-1|, covers an ill-conditioned A, and
+    # the L1 norm of a row of U^-1 carries it through the exact integer product
+    inv = np.linalg.inv(am)
+    slack = 16 * n * _EPS * smax / smin**2
+    rows = np.linalg.norm(inv, axis=1).tolist()
+    ks = [_axis_bound(root * (r * (1.0 + 1e-9) + slack), k) for r in rows]
+    u = None
+    if _box_size(ks) > _SMALL_BOX:
+        reduction = _lll(am)
+        if reduction is not None:
+            uinv = reduction[1]
+            rows = np.linalg.norm(uinv @ inv, axis=1).tolist()
+            weights = np.abs(uinv).sum(axis=1).tolist()
+            cap = _box_size(ks)
+            reduced = [
+                _axis_bound(root * (r * (1.0 + 1e-9) + slack * w), cap)
+                for r, w in zip(rows, weights)
+            ]
+            if _box_size(reduced) < cap:
+                u, ks = reduction[0], reduced
+    shape = tuple(2 * b + 1 for b in ks) * 2
+    size = _box_size(ks)
+    centre = size // 2  # the zero vector
+    found = []
     for lo in range(0, size, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, size))
-        coords = np.stack(np.unravel_index(idx, shape)) - ks[:, None]
-        lam = coords[:n, :] + 1j * coords[n:, :]
+        hi = min(lo + _CHUNK, size)
+        lam = _small_box(shape) if size <= _SMALL_BOX else _box_columns(shape, lo, hi)
+        if u is not None:
+            lam = u @ lam  # exact: small Gaussian integers
         w = am @ lam
         sq = np.sum(w.real**2 + w.imag**2, axis=0)
-        keep = (sq <= radius) & np.any(coords != 0, axis=0)
-        norms.extend(sq[keep].tolist())
-    norms.sort()
-    return ShortVectorSpectrum(float(radius), tuple(norms))
+        if lo <= centre < hi:
+            sq[centre - lo] = np.inf
+        found.append(sq[sq <= radius])
+    norms = np.sort(np.concatenate(found) if len(found) > 1 else found[0])
+    return ShortVectorSpectrum(float(radius), tuple(norms.tolist()))
 
 
 def _spectra_mismatch(s1: ShortVectorSpectrum, s2: ShortVectorSpectrum, radius: float):
@@ -408,13 +590,14 @@ def _spectra_mismatch(s1: ShortVectorSpectrum, s2: ShortVectorSpectrum, radius: 
     base = 1e-6 * max(radius, 1.0)
     verdicts = []
     for band in (base, 2.0 * base):
-        c1 = [v for v in s1.norms if v <= radius - band]
-        c2 = [v for v in s2.norms if v <= radius - band]
-        if len(c1) != len(c2):
-            verdicts.append(("short_vector_count", float(len(c1)), float(len(c2))))
+        # the norms ascend, so the entries below the band are a prefix
+        k1 = bisect.bisect_right(s1.norms, radius - band)
+        k2 = bisect.bisect_right(s2.norms, radius - band)
+        if k1 != k2:
+            verdicts.append(("short_vector_count", float(k1), float(k2)))
             continue
         found = None
-        for v1, v2 in zip(c1, c2):
+        for v1, v2 in zip(s1.norms[:k1], s2.norms[:k2]):
             if abs(v1 - v2) > 1e-6 * max(1.0, v1):
                 found = ("short_vector_spectrum", v1, v2)
                 break
@@ -438,7 +621,8 @@ def lattice_equivalent(
     Pipeline: invertibility gate, covolume refuter, the dimension cap, the
     Gram forms, short-vector spectrum refuter, then the bounded Gram-orbit
     search.  The Gram forms need no positivity check of their own: each
-    input is a root of its form and has passed the gate.  Equivalent
+    input is a root of its form and has passed the gate, and the spectra
+    read sigma_max and sigma_min off the gate's singular values.  Equivalent
     verdicts carry the reconstructed
     unitary T = A2 B^-1 A1^-1 (B inverted exactly via its adjugate) and are
     re-verified before being returned.  In special_unitary mode both inputs
@@ -455,6 +639,7 @@ def lattice_equivalent(
         raise ValueError(f"unknown mode {mode!r}")
     n = m1.shape[0]
     abs_dets = []
+    svals = []  # the gate's singular values, which the enumeration reuses
     if mode == MODE_SPECIAL_UNITARY:
         # in_sl implies in_gl, so classify has run the invertibility gate too
         for name, m in (("A1", m1), ("A2", m2)):
@@ -467,9 +652,10 @@ def lattice_equivalent(
     else:
         # the stages run cheapest first; a singular input fails as gram would fail on it
         for m in (m1, m2):
-            ok, margin = invertibility_margin(m, tol)
+            ok, margin, s = invertibility_gate(m, tol)
             if not ok:
                 raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
+            svals.append(s)
             abs_dets.append(abs(det(m)))
 
     c1, c2 = (float(d**2) for d in abs_dets)
@@ -484,9 +670,11 @@ def lattice_equivalent(
     p1 = gram_form(m1)
     p2 = gram_form(m2)
 
-    mismatch = _spectra_mismatch(
-        short_vectors(m1, radius, tol, budget), short_vectors(m2, radius, tol, budget), radius
-    )
+    _check_radius(radius)
+    if not svals:  # classify gated the special_unitary inputs and keeps no values
+        svals = [singular_values(m, tol) for m in (m1, m2)]
+    s1, s2 = (_enumerate(m, s, radius, tol, budget) for m, s in zip((m1, m2), svals))
+    mismatch = _spectra_mismatch(s1, s2, radius)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)
     candidates = _candidates(n, height, budget)

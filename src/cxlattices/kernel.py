@@ -3,13 +3,14 @@
 Everything else in the package sits on these few operations.  Singular
 values come from LAPACK's SVD of A itself, resolved to about eps relative
 (the route through A* A would only reach sqrt(eps)); they alone decide
-singularity, through invertibility_margin.  solve and det are LAPACK's LU
-(numpy.linalg), with solve gated by that margin and checked by its
-residual; gated_solve is that step for a caller that already holds the
-margin and the norm of A (a lattice basis carries its own).  A solution
-that is not finite (the LU overflowed) is NumericOverflow.  The Hermitian
-eigensolver is still self-contained (cyclic Jacobi rotations), so its
-behavior is easy to audit at the small dimensions this package targets.
+singularity, through invertibility_margin (invertibility_gate also hands
+back the values).  solve and det are LAPACK's LU (numpy.linalg), with
+solve gated by that margin and checked by its residual; gated_solve is
+that step for a caller that already holds the margin and the norm of A
+(a lattice basis carries its own).  A solution that is not finite (the
+LU overflowed) is NumericOverflow.  The Hermitian eigensolver is still
+self-contained (cyclic Jacobi rotations), so its behavior is easy to
+audit at the small dimensions this package targets.
 
 Array inputs enter through as_matrix, as_vector or as_columns, which share
 the one finiteness check.  Two conventions have their one home here:
@@ -274,9 +275,17 @@ def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
 
     A matrix counts as invertible when its margin strictly exceeds tol.rel.
     """
+    return invertibility_gate(a, tol)[:2]
+
+
+def invertibility_gate(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, np.ndarray]:
+    """invertibility_margin's (invertible, margin) with the singular values it read.
+
+    For a caller that reuses A's singular values past the gate.
+    """
     s = singular_values(a, tol)
     margin = sigma_ratio(float(s[0]), float(s[-1]))
-    return margin > tol.rel, margin
+    return margin > tol.rel, margin, s
 
 
 def sigma_ratio(sigma_max: float, sigma_min: float) -> float:

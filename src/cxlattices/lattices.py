@@ -22,7 +22,7 @@ period matrix Z has invertible imaginary part.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -139,20 +139,25 @@ class GaussianUnimodular:
 
     Entries are pairs of Python ints, never floats, so the determinant
     condition is checked exactly; the integrality of the inverse (the
-    adjugate, since det = 1) is verified on construction.
+    adjugate, since det = 1) is verified on construction, and the verified
+    adjugate is kept for inverse_matrix.
     """
 
     entries: tuple
+    _adjugate: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         b = gmat(self.entries)
         if len(b) != len(b[0]):
             raise DimensionMismatch("expected a square matrix")
-        if gdet(b) != (1, 0):
-            raise DeterminantNotOne(f"exact determinant is {gdet(b)}, not 1")
-        if gmatmul(b, gadjugate(b)) != gidentity(len(b)):
+        d = gdet(b)
+        if d != (1, 0):
+            raise DeterminantNotOne(f"exact determinant is {d}, not 1")
+        adj = gadjugate(b)
+        if gmatmul(b, adj) != gidentity(len(b)):
             raise InternalCheckError("adjugate of a determinant-one matrix must be its inverse")
         object.__setattr__(self, "entries", b)
+        object.__setattr__(self, "_adjugate", adj)
 
     @property
     def n(self) -> int:
@@ -163,9 +168,8 @@ class GaussianUnimodular:
         return np.array([[complex(*e) for e in row] for row in self.entries])
 
     def inverse_matrix(self) -> np.ndarray:
-        """Exact inverse via the adjugate, returned as floats."""
-        adj = gadjugate(self.entries)
-        return np.array([[complex(*e) for e in row] for row in adj])
+        """Exact inverse, the adjugate verified on construction, returned as floats."""
+        return np.array([[complex(*e) for e in row] for row in self._adjugate])
 
 
 @dataclass(frozen=True, eq=False)

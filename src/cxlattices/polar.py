@@ -18,7 +18,8 @@ lattice_equivalent build A* A from an A that has passed the gate, and polar
 builds V S V* from singular values S that have passed it (its root
 S^(1/2) V* has the larger margin sqrt(s_min / s_max)); a directly built
 GramForm(p) is certified by the margin of its Cholesky factor, which must
-also clear the rounding level of p's entries (see GramForm).
+also clear the rounding level of p's entries (see GramForm); as_gram_form
+applies the same rule at a caller's tolerance.
 """
 
 from __future__ import annotations
@@ -56,6 +57,31 @@ def _hermitian_part(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.conj().T)
 
 
+def _root_certified(p, tol: Tolerance) -> np.ndarray:
+    """The Hermitian part of p, read-only, once p passes GramForm's rule at tol.
+
+    p must be finite and self-adjoint to within tol, and its Cholesky factor
+    must exist and pass invertibility_margin at tol with a squared margin
+    above GRAY_ZONE * n * eps.
+    """
+    p = as_matrix(p, square=True)
+    defect = fro(p - p.conj().T)
+    if defect > tol.rel * max(fro(p), 1.0) + tol.abs:
+        raise NotSelfAdjoint(f"self-adjoint defect {defect:.3e} beyond tolerance")
+    p = _hermitian_part(p)
+    try:
+        root = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("no Cholesky factor: not positive definite") from None
+    ok, margin = invertibility_margin(root, tol)
+    # rounding in the entries of p and in the factorization blurs its eigenvalues
+    # by about n eps of the largest: a squared margin within GRAY_ZONE of that
+    # cannot tell p from a semidefinite form
+    if not ok or margin**2 <= GRAY_ZONE * p.shape[0] * _EPS:
+        raise NotPositiveDefinite(f"root margin {margin:.3e} too small to certify positivity")
+    return frozen(p)
+
+
 @dataclass(frozen=True, eq=False)
 class GramForm:
     """A self-adjoint positive-definite matrix, the invariant of a unitary coset.
@@ -73,23 +99,7 @@ class GramForm:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        p = as_matrix(self.matrix, square=True)
-        tol = DEFAULT_TOL
-        defect = fro(p - p.conj().T)
-        if defect > tol.rel * max(fro(p), 1.0) + tol.abs:
-            raise NotSelfAdjoint(f"self-adjoint defect {defect:.3e} beyond tolerance")
-        p = _hermitian_part(p)
-        try:
-            root = np.linalg.cholesky(p)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("no Cholesky factor: not positive definite") from None
-        ok, margin = invertibility_margin(root, tol)
-        # rounding in the entries of p and in the factorization blurs its eigenvalues
-        # by about n eps of the largest: a squared margin within GRAY_ZONE of that
-        # cannot tell p from a semidefinite form
-        if not ok or margin**2 <= GRAY_ZONE * p.shape[0] * _EPS:
-            raise NotPositiveDefinite(f"root margin {margin:.3e} too small to certify positivity")
-        object.__setattr__(self, "matrix", frozen(p))
+        object.__setattr__(self, "matrix", _root_certified(self.matrix, DEFAULT_TOL))
 
     @classmethod
     def _certified(cls, p) -> GramForm:
@@ -101,6 +111,15 @@ class GramForm:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def as_gram_form(p, tol: Tolerance = DEFAULT_TOL) -> GramForm:
+    """p itself when it is a GramForm, else p certified by GramForm's rule at tol.
+
+    GramForm(p) always certifies at the default tolerance; a caller that
+    threads its own tol certifies a raw matrix through this instead.
+    """
+    return p if isinstance(p, GramForm) else GramForm._certified(_root_certified(p, tol))
 
 
 @dataclass(frozen=True)
@@ -197,13 +216,13 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
 def spd_sqrt(p: GramForm, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     """The unique self-adjoint positive-definite square root.
 
+    A raw matrix is certified as a Gram form at tol first (as_gram_form).
     The eigenvalues w of P must pass the module's rule,
     sqrt(w_min / w_max) > tol.rel.  The root's eigenvalues are sqrt(w), whose
     own root margin (w_min / w_max) ** (1/4) is larger still, so it is a Gram
     form without a further check.
     """
-    if not isinstance(p, GramForm):
-        p = GramForm(p)
+    p = as_gram_form(p, tol)
     w, v = hermitian_eig(p.matrix, tol)
     if not (w[0] > 0.0 and np.sqrt(w[0] / w[-1]) > tol.rel):
         raise NotPositiveDefinite(

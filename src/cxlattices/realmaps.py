@@ -25,6 +25,7 @@ let solve's gate decide whether M is singular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     InternalCheckError,
     NotInSplitClass,
+    NumericOverflow,
     SingularM,
     SingularMatrix,
 )
@@ -286,12 +288,27 @@ def dominates(ratio: float | None, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def domination_ratio(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> float | None:
-    """operator_norm(N M^-1), or None when solve's gate finds M singular."""
+    """operator_norm(N M^-1), or None when solve's gate finds M singular.
+
+    The ratio is inf when N M^-1 itself overflows (M passes the gate yet is
+    tiny, such as a subnormal scalar): its norm is past the largest double too.
+    The LU of a large M can overflow while N M^-1 is finite; N M^-1 does not
+    change when M and N are divided by a common power of two, so the solve is
+    taken again with every entry below one, where it overflows only when
+    N M^-1 has an entry near the largest double.
+    """
     cp = _to_conjugate_pair(t)
     try:
         k = solve(cp.m.T, cp.n.T, tol).T
     except SingularMatrix:
         return None
+    except NumericOverflow:
+        big = max(float(np.abs(part).max()) for x in (cp.m, cp.n) for part in (x.real, x.imag))
+        scale = 2.0 ** -max(math.frexp(big)[1], 0)
+        try:
+            k = solve(scale * cp.m.T, scale * cp.n.T, tol).T
+        except NumericOverflow:
+            return float("inf")
     return operator_norm(k, tol)
 
 

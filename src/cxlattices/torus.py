@@ -16,6 +16,10 @@ A point is proved once.  reduce builds it from coordinates it has just put
 in [0, 1) and the representative it has just computed from them, so it
 checks only what can still fail there: the representative must be finite,
 else NumericOverflow.  A TorusPoint built by hand is validated in full.
+torus_add and torus_eq form the sum or difference of two representatives in
+Python complex arithmetic, which never warns, and refuse one that
+overflowed (NumericOverflow); torus_add and torus_neg then reduce a vector
+known to be finite without validating it again.
 Bases are immutable, so whether the bases of two points present the same
 lattice is decided once per (basis, basis, tolerance) and remembered on
 the first basis, weakly, so the memo keeps no basis alive; an error such
@@ -24,6 +28,7 @@ as AmbiguousIntegrality is raised again on every call, never remembered.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +89,11 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
     G @ coords can overflow although its coordinates lie in [0, 1): both
     are NumericOverflow.
     """
-    zv = as_vector(np.ravel(z), lat.n)
+    return _reduce(lat, as_vector(np.ravel(z), lat.n), tol)
+
+
+def _reduce(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> TorusPoint:
+    """reduce on a finite complex vector of length lat.n, which needs no validation."""
     c = _coords_of(lat, zv, tol)
     big = np.abs(c).max()
     if not big < 2.0**52:
@@ -119,23 +128,39 @@ def _require_same_lattice(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> None:
         raise LatticeMismatch("points live on different lattices")
 
 
+def _finite(values: list) -> np.ndarray:
+    """A sum or difference of two representatives, formed in Python complex arithmetic
+    (the same IEEE operations as numpy's, but they never warn), as a finite vector;
+    NumericOverflow when it overflowed."""
+    if not all(map(cmath.isfinite, values)):
+        raise NumericOverflow("sum of representatives overflowed: the lattice's generators are too large")
+    return np.array(values)
+
+
 def torus_add(p: TorusPoint, q: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
-    """Group addition: reduce the sum of representatives in p's basis."""
+    """Group addition: reduce the sum of representatives in p's basis.
+
+    Raises NumericOverflow when the sum of the two finite representatives
+    overflows.
+    """
     _require_same_lattice(p, q, tol)
-    return reduce(p.lattice, p.rep + q.rep, tol)
+    total = _finite([x + y for x, y in zip(p.rep.tolist(), q.rep.tolist())])
+    return _reduce(p.lattice, total, tol)
 
 
 def torus_neg(p: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
     """Additive inverse."""
-    return reduce(p.lattice, -p.rep, tol)
+    return _reduce(p.lattice, -p.rep, tol)
 
 
 def torus_eq(p: TorusPoint, q: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Equality on the torus: representative difference lies in the lattice.
 
     Works across different bases of the same lattice, and tolerates the
-    0/1 boundary because only distance-to-nearest-integer matters.
+    0/1 boundary because only distance-to-nearest-integer matters.  Raises
+    NumericOverflow when the difference of the representatives overflows.
     """
     _require_same_lattice(p, q, tol)
-    d = _coords_of(p.lattice, p.rep - q.rep, tol)
+    diff = _finite([x - y for x, y in zip(p.rep.tolist(), q.rep.tolist())])
+    d = _coords_of(p.lattice, diff, tol)
     return bool(np.all(np.abs(d - np.rint(d)) <= tol.abs + tol.rel * np.abs(d)))

@@ -265,6 +265,11 @@ CASES = {
         "input": '{"lattice": ' + STD1 + ', "first": [[0.75, 0]], "second": [[0.75, 0.5]]}',
         "exit": 0,
     },
+    "torus-add-overflow": {
+        "argv": ["torus-add"],
+        "input": '{"lattice": {"n": 1, "generators": [[[1e308, 0]], [[0, 1e308]]]}, "first": [[9e307, 9e307]], "second": [[9e307, 9e307]]}',
+        "exit": 1,
+    },
     # --- dim1-forms ---
     "dim1-forms-basic": {
         "argv": ["dim1-forms"],

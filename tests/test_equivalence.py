@@ -29,13 +29,14 @@ from cxlattices.errors import (
     HeightTooLarge,
     InternalCheckError,
     NotInSL,
+    NotPositiveDefinite,
     RadiusBudgetExceeded,
     SingularMatrix,
 )
 from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
-from cxlattices.kernel import DEFAULT_TOL
-from cxlattices.polar import classify, gram, sl_normalize
+from cxlattices.kernel import DEFAULT_TOL, Tolerance
+from cxlattices.polar import GramForm, classify, gram, sl_normalize
 
 
 def random_invertible(rng, n, min_cond=1e-2):
@@ -252,6 +253,9 @@ def test_column_table_rebuilds_the_stack(name):
     assert not cands.cols.flags.writeable and not cands.col_ids.flags.writeable
     # column i of candidate k is cols[col_ids[k, i]]
     assert np.array_equal(cands.cols[cands.col_ids].transpose(0, 2, 1), cands.stack)
+    # each distinct column carries its |b|^2, for the prefilter's slack
+    assert not cands.weights.flags.writeable
+    assert np.array_equal(cands.weights, np.sum(np.abs(cands.cols) ** 2, axis=1))
 
 
 def _reference_hits(stack, p1, p2, bound):
@@ -329,6 +333,109 @@ def test_short_vectors_match_the_full_box():
     assert total > 100
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The U of every LLL reduction short_vectors runs in a test (None: A's basis kept)."""
+    seen = []
+    reduce = equivalence._lll
+
+    def recorded(am):
+        out = reduce(am)
+        seen.append(None if out is None else out[0])
+        return out
+
+    monkeypatch.setattr(equivalence, "_lll", recorded)
+    return seen
+
+
+def _height(m) -> int:
+    return max(max(abs(x), abs(y)) for row in m for x, y in row)
+
+
+def _skewed_products(rng):
+    """Skewed bases A B of well-conditioned lattices A(Z[i]^n) whose uniform box stays
+    small enough for the reference: B of height 3 from sigma_candidates(2, 3) at n = 2,
+    and at n = 3 products of two height-2 candidates embedded top-left and bottom-right."""
+    tall = [m for m in sigma_candidates(2, 3) if _height(m) == 3]
+    out = []
+    while len(out) < 6:
+        ab = random_unitary(rng, 2) * rng.uniform(1.0, 1.4, 2) @ GaussianUnimodular(
+            tall[rng.integers(len(tall))]
+        ).matrix
+        if np.linalg.svd(ab, compute_uv=False)[-1] >= 0.2:  # K <= 10: a 21^4 reference box
+            out.append(ab)
+    low = [GaussianUnimodular(m).matrix for m in sigma_candidates(2, 2)]
+    for _ in range(3000):
+        top, bottom = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+        top[:2, :2] = low[rng.integers(len(low))]
+        bottom[1:, 1:] = low[rng.integers(len(low))]
+        ab = random_unitary(rng, 3) * rng.uniform(1.3, 1.6, 3) @ top @ bottom
+        if np.linalg.svd(ab, compute_uv=False)[-1] >= 0.5:  # K <= 3: a 7^6 reference box
+            out.append(ab)
+        if len(out) == 12:
+            break
+    return out
+
+
+def test_short_vectors_on_skewed_bases_match_the_full_box(reductions, monkeypatch):
+    population = _skewed_products(np.random.default_rng(61))
+    assert len(population) == 12
+    spectra = []
+    for a in population:
+        got = np.array(short_vectors(a, 4.0).norms)
+        want = _reference_short_vectors(a, 4.0)
+        assert got.shape == want.shape and len(got) > 0
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want)))
+        spectra.append(got)
+    # the scan ran on a reduced basis for every n = 2 basis and for most n = 3 ones
+    dims = [len(u) for u in reductions if u is not None]
+    assert dims.count(2) == 6 and dims.count(3) >= 4
+    # the spectrum is the same tuple on A's own box: the norms are |A lambda|^2 either way
+    monkeypatch.setattr(equivalence, "_lll", lambda am: None)
+    for a, got in zip(population, spectra):
+        assert np.array_equal(short_vectors(a, 4.0).norms, got)
+
+
+def test_lll_gives_an_exact_unimodular_change_to_a_reduced_basis():
+    assert equivalence._lll(np.eye(3, dtype=complex)) is None  # a reduced basis takes no step
+    for a in _skewed_products(np.random.default_rng(62)):
+        n = len(a)
+        u, uinv = equivalence._lll(a)
+        assert np.array_equal(u @ uinv, np.eye(n))
+        assert np.array_equal(u, np.round(u.real) + 1j * np.round(u.imag))
+        # A U is size-reduced and passes the Lovasz test at delta = 3/4, read off its QR
+        r = np.linalg.qr(a @ u)[1]
+        mu = r / np.diag(r)[:, None]  # mu[j, k] = <b*_j, b_k> / |b*_j|^2
+        upper = mu[np.triu_indices(n, 1)]
+        assert np.all(np.abs(upper.real) <= 0.5 + 1e-9) and np.all(np.abs(upper.imag) <= 0.5 + 1e-9)
+        d = np.abs(np.diag(r)) ** 2
+        for k in range(1, n):
+            assert d[k] >= (0.75 - abs(mu[k - 1, k]) ** 2) * d[k - 1] * (1 - 1e-9)
+
+
+def test_budget_counts_the_uniform_box_not_the_reduced_one(reductions):
+    # Z[i]^2 in a skewed basis: reduced, its box at radius 4 has 625 points, yet
+    # sigma_min puts the uniform box at 43^4 - 1 vectors, over a limit of 10^6
+    b = np.array([[1.0, 3.0], [3.0, 10.0]])
+    with pytest.raises(RadiusBudgetExceeded, match="3418800 vectors exceeds limit 1000000"):
+        short_vectors(b, 4.0, limit=10**6)
+    with pytest.raises(RadiusBudgetExceeded):
+        lattice_equivalent(np.eye(2), b, budget=10**6)
+    assert reductions == []  # refused before any reduction
+    assert short_vectors(b, 4.0, limit=10**7).norms == short_vectors(np.eye(2), 4.0).norms
+    assert len(reductions) == 1 and reductions[0] is not None
+
+
+@pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf")])
+def test_lattice_equivalent_still_checks_the_radius(radius):
+    rng = np.random.default_rng(63)
+    a = random_invertible(rng, 2)
+    with pytest.raises(ValueError, match="radius"):
+        lattice_equivalent(a, random_unitary(rng, 2) @ a, radius=radius)
+    with pytest.raises(ValueError, match="radius"):
+        short_vectors(a, radius)
+
+
 # --- gram orbit search ---
 
 
@@ -369,6 +476,21 @@ def test_orbit_planted_congruence():
         assert v.status == EQUIVALENT
         w = v.witness[1].matrix
         assert np.linalg.norm(w.conj().T @ p1 @ w - p2) <= 1e-8 * np.linalg.norm(p1)
+
+
+def test_raw_gram_forms_are_certified_at_the_callers_tolerance():
+    p = np.diag([1.0, 1e-10])  # Cholesky root margin 1e-5
+    v = sigma_orbit_equal(p, p, tol=Tolerance(rel=1e-12))
+    assert v.status == EQUIVALENT
+    b = v.witness[1].matrix
+    assert np.allclose(b.conj().T @ p @ b, p, rtol=0, atol=1e-11)
+    # at rel 1e-3 the same root margin is too small: a raw matrix is refused ...
+    with pytest.raises(NotPositiveDefinite):
+        sigma_orbit_equal(p, p, tol=Tolerance(rel=1e-3))
+    with pytest.raises(NotPositiveDefinite):
+        sigma_orbit_equal(np.eye(2), p, tol=Tolerance(rel=1e-3))
+    # ... while a GramForm, certified when it was built, is taken as it is
+    assert sigma_orbit_equal(GramForm(p), GramForm(p), tol=Tolerance(rel=1e-3)).status == EQUIVALENT
 
 
 def test_orbit_dimension_cap():
@@ -431,6 +553,14 @@ def test_short_vectors_norms_ascend():
 def test_short_vectors_budget():
     with pytest.raises(RadiusBudgetExceeded):
         short_vectors([[0.01]], 4.0, limit=1000)
+
+
+def test_short_vectors_budget_refuses_a_subnormal_basis():
+    # sqrt(radius) / sigma_min overflows to inf: an error from the taxonomy, not OverflowError
+    with pytest.raises(RadiusBudgetExceeded, match="unbounded"):
+        short_vectors([[1e-310]], 4.0)
+    with pytest.raises(RadiusBudgetExceeded, match="unbounded"):
+        lattice_equivalent([[1e-310]], [[1e-310j]])
 
 
 def test_short_vectors_singular():

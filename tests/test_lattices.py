@@ -280,6 +280,21 @@ def test_gaussian_unimodular_inverse_is_exact():
         assert np.array_equal(prod, np.eye(n).astype(complex))
 
 
+def test_gaussian_unimodular_inverse_reuses_the_verified_adjugate(monkeypatch):
+    from cxlattices import lattices
+    from cxlattices.gaussian import gadjugate
+
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3):
+        b = random_gaussian_unimodular(rng, n)
+        want = np.array([[complex(*e) for e in row] for row in gadjugate(b.entries)])
+        monkeypatch.setattr(lattices, "gadjugate", None)  # a second adjugate would fail here
+        assert np.array_equal(b.inverse_matrix(), want)
+        monkeypatch.undo()
+        # the kept adjugate is not part of the value
+        assert b == GaussianUnimodular(b.entries) and "_adjugate" not in repr(b)
+
+
 def test_gaussian_unimodular_stabilizes_standard_lattice():
     rng = np.random.default_rng(20)
     for _ in range(20):

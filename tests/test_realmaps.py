@@ -262,6 +262,21 @@ def test_majorizes_scalar_case():
     assert not majorizes(ConjugatePairForm([[0.5]], [[1.0]]))
 
 
+def test_majorizes_fails_when_n_m_inverse_overflows():
+    # a subnormal M passes the gate (its 1 x 1 margin is 1), but N M^-1 is past the largest double
+    t = ConjugatePairForm([[1.1125369292536e-309j]], [[-1.0]])
+    assert domination_ratio(t) == float("inf")
+    assert not majorizes(t)
+
+
+def test_majorizes_through_an_lu_that_overflows():
+    # LAPACK's LU of this M overflows, yet N M^-1 = [[-0.1, 0.9], [0, 0]] is finite
+    # (norm ~0.906): the ratio is read on M and N scaled by a power of two
+    t = ConjugatePairForm([[1e308, 1e308], [1e308, -1e308]], [[0.8e308, -1e308], [0.0, 0.0]])
+    assert domination_ratio(t) == pytest.approx(np.hypot(0.1, 0.9), rel=1e-12)
+    assert majorizes(t)
+
+
 def test_majorization_implies_invertibility():
     rng = np.random.default_rng(212)
     for n in (1, 2, 3, 4):

@@ -278,6 +278,20 @@ def test_torus_eq_refuses_a_representative_that_overflowed():
         reduce(lat, [0.8e308 - 1e300j])
 
 
+def test_sum_of_representatives_that_overflows_is_numeric_overflow():
+    # the points are finite and in the fundamental domain; their sum and difference are not
+    lat = from_generators([[1e308, -1e308 + 1e308j]])
+    p = reduce(lat, [0.95e308])
+    q = reduce(lat, [0.9 * (-1e308 + 1e308j)])
+    assert np.isfinite(p.rep).all() and np.isfinite(q.rep).all()
+    with np.errstate(all="raise"):  # nothing is warned on the way to the error
+        with pytest.raises(NumericOverflow, match="sum of representatives overflowed"):
+            torus_add(p, p)
+        with pytest.raises(NumericOverflow, match="sum of representatives overflowed"):
+            torus_eq(p, q)
+        assert torus_eq(p, p) and torus_eq(torus_add(p, q), reduce(lat, [0.05e308 + 0.9e308j]))
+
+
 def test_basis_coordinates_are_solves_bits():
     # ill-conditioned bases pass the gate too; their LU route keeps its residual bound
     rng = np.random.default_rng(58)
