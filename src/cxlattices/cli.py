@@ -104,7 +104,8 @@ def _cmd_map_invertible(data, args, tol):
 def _cmd_map_majorizes(data, args, tol):
     (m,) = _fields(data, "map")
     ratio = domination_ratio(jsonio.map_in(m), tol)
-    margin = None if ratio is None else 1.0 - ratio
+    # no margin when M is singular, nor when N M^-1 overflowed (a tiny M): its ratio is inf
+    margin = None if ratio is None or ratio == math.inf else 1.0 - ratio
     return {"majorizes": dominates(ratio, tol)}, {
         "margin": margin,
         "threshold": tol.rel,

@@ -18,9 +18,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalCheckError, MajorizationFails
-from .kernel import DEFAULT_TOL, Tolerance, in_gray_zone, invertibility_margin
-from .realmaps import BlockForm, is_invertible, realify
+from .kernel import DEFAULT_TOL, Tolerance, in_gray_zone
+from .realmaps import BlockForm, _built, invertibility
 
 
 def _finite(z: complex, label: str) -> complex:
@@ -101,9 +103,7 @@ def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms
 
 def _as_block(f: ScalarForms) -> BlockForm:
     # T(x + iy) = a x + i b y realifies to [[Re a, -Im b], [Im a, Re b]]
-    return BlockForm(
-        [[f.a.real]], [[-f.b.imag]], [[f.a.imag]], [[f.b.real]]
-    )
+    return _built(BlockForm, *(np.array([[x]]) for x in (f.a.real, -f.b.imag, f.a.imag, f.b.real)))
 
 
 def is_invertible_1d(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -118,9 +118,8 @@ def is_invertible_1d(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> bool:
         return False
     threshold = tol.rel * scale
     verdict = gap > threshold
-    block = _as_block(f)
-    if verdict != is_invertible(block, tol):
-        _, ratio = invertibility_margin(realify(block), tol)
+    realified, ratio = invertibility(_as_block(f), tol)
+    if verdict != realified:
         if not (in_gray_zone(gap, threshold) or in_gray_zone(ratio, tol.rel)):
             raise InternalCheckError(
                 "scalar and realified invertibility checks decisively disagree"

@@ -48,9 +48,9 @@ its reduced basis.  Each coordinate vector is mapped back exactly and the
 norms are |A lambda|^2 as on A's own box, so the spectrum is the same
 tuple; the budget still counts the uniform box of A.  lattice_equivalent
 runs its stages cheapest first: the invertibility gate, the covolume
-refuter, the dimension cap, and only then the Gram forms, the spectra
-(which take sigma_max and sigma_min from the gate's singular values) and
-the scan.
+refuter, the dimension cap, the box budgets, and only then the Gram forms,
+the spectra (which take sigma_max and sigma_min from the gate's singular
+values) and the scan.
 """
 
 from __future__ import annotations
@@ -77,15 +77,15 @@ from .gaussian import ZERO, gadd, gmul
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
+    _det,
+    _invertibility_gate,
+    _singular_values,
     as_matrix,
-    det,
     fro,
     frozen,
-    invertibility_gate,
-    singular_values,
 )
 from .lattices import GaussianUnimodular
-from .polar import as_gram_form, classify, gram_form
+from .polar import _classify, as_gram_form, gram_form
 
 EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
@@ -390,7 +390,8 @@ def short_vectors(
     """
     am = as_matrix(a, square=True)
     _check_radius(radius)
-    return _enumerate(am, singular_values(am, tol), radius, tol, limit)
+    s = _singular_values(am)
+    return _enumerate(am, s, _uniform_box(s, radius, tol, limit), radius)
 
 
 def _lll(am: np.ndarray):
@@ -501,10 +502,33 @@ def _small_box(shape: tuple) -> np.ndarray:
     return frozen(_box_columns(shape, 0, math.prod(shape)))
 
 
-def _enumerate(
-    am: np.ndarray, s: np.ndarray, radius: float, tol: Tolerance, limit: int
-) -> ShortVectorSpectrum:
-    """short_vectors on a validated A whose singular values s (descending) are known.
+def _uniform_box(s: np.ndarray, radius: float, tol: Tolerance, limit: int) -> int:
+    """K = floor(sqrt(radius) / sigma_min) of a basis with singular values s (descending).
+
+    Raises SingularMatrix when the basis fails the gate, and
+    RadiusBudgetExceeded when the nonzero points of the uniform box
+    (2K + 1)^(2n) exceed the limit.
+    """
+    smax, smin = float(s[0]), float(s[-1])
+    if smin <= tol.rel * smax:
+        raise SingularMatrix("short-vector enumeration needs an invertible matrix")
+    ratio = math.sqrt(radius) / smin
+    if ratio == math.inf:  # a subnormal sigma_min: no box of integers is that large
+        raise RadiusBudgetExceeded(
+            f"coefficient box is unbounded (sigma_min {smin:.3e}) and exceeds limit {limit}"
+        )
+    k = math.floor(ratio)
+    total = (2 * k + 1) ** (2 * len(s))
+    if total - 1 > limit:
+        raise RadiusBudgetExceeded(
+            f"coefficient box of {total - 1} vectors exceeds limit {limit}"
+        )
+    return k
+
+
+def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> ShortVectorSpectrum:
+    """short_vectors on a validated A whose singular values s (descending) are known,
+    with K = _uniform_box(s, radius, ...).
 
     The box is provably sufficient: |lambda_i| <= |row i of A^-1| * |A lambda|,
     so outside K_i = floor(sqrt(radius) * |row i of A^-1|) the image norm
@@ -525,20 +549,7 @@ def _enumerate(
     """
     n = am.shape[0]
     smax, smin = float(s[0]), float(s[-1])
-    if smin <= tol.rel * smax:
-        raise SingularMatrix("short-vector enumeration needs an invertible matrix")
     root = math.sqrt(radius)
-    ratio = root / smin
-    if ratio == math.inf:  # a subnormal sigma_min: no box of integers is that large
-        raise RadiusBudgetExceeded(
-            f"coefficient box is unbounded (sigma_min {smin:.3e}) and exceeds limit {limit}"
-        )
-    k = math.floor(ratio)
-    total = (2 * k + 1) ** (2 * n)
-    if total - 1 > limit:
-        raise RadiusBudgetExceeded(
-            f"coefficient box of {total - 1} vectors exceeds limit {limit}"
-        )
     if k == 0:
         return ShortVectorSpectrum(float(radius), ())
     # the relative margin absorbs rounding in the row norms of A^-1; the absolute
@@ -619,17 +630,17 @@ def lattice_equivalent(
     """Decide equivalence of A1(Z[i]^n) and A2(Z[i]^n) up to height bound.
 
     Pipeline: invertibility gate, covolume refuter, the dimension cap, the
-    Gram forms, short-vector spectrum refuter, then the bounded Gram-orbit
-    search.  The Gram forms need no positivity check of their own: each
+    short-vector box budgets, the Gram forms, short-vector spectrum refuter,
+    then the bounded Gram-orbit search.  The Gram forms need no positivity check of their own: each
     input is a root of its form and has passed the gate, and the spectra
     read sigma_max and sigma_min off the gate's singular values.  Equivalent
     verdicts carry the reconstructed
     unitary T = A2 B^-1 A1^-1 (B inverted exactly via its adjugate) and are
     re-verified before being returned.  In special_unitary mode both inputs
-    must have determinant one (classify, whose determinant-one verdict
-    implies invertibility, so it serves as the gate and supplies the
-    covolumes) and witnesses are additionally filtered by det(T) = 1,
-    continuing the search otherwise.
+    must also have determinant one, as classify calls it (the same gate and
+    determinant, then |det - 1| <= tol.rel * n; NotInSL otherwise, a
+    singular input included), and witnesses are additionally filtered by
+    det(T) = 1, continuing the search otherwise.
     """
     m1 = as_matrix(a1, square=True)
     m2 = as_matrix(a2, square=True)
@@ -640,23 +651,17 @@ def lattice_equivalent(
     n = m1.shape[0]
     abs_dets = []
     svals = []  # the gate's singular values, which the enumeration reuses
-    if mode == MODE_SPECIAL_UNITARY:
-        # in_sl implies in_gl, so classify has run the invertibility gate too
-        for name, m in (("A1", m1), ("A2", m2)):
-            member = classify(m, tol)
-            if not member.in_sl:
-                raise NotInSL(
-                    f"{name} has determinant distance {member.det_distance:.3e} from one"
-                )
-            abs_dets.append(member.abs_det)
-    else:
-        # the stages run cheapest first; a singular input fails as gram would fail on it
-        for m in (m1, m2):
-            ok, margin, s = invertibility_gate(m, tol)
-            if not ok:
-                raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
-            svals.append(s)
-            abs_dets.append(abs(det(m)))
+    # the stages run cheapest first; a singular input fails as gram would fail on it,
+    # or, in special_unitary mode, as classify's determinant-one verdict would
+    for name, m in (("A1", m1), ("A2", m2)):
+        ok, margin, s = _invertibility_gate(m, tol)
+        if mode == MODE_UNITARY and not ok:
+            raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
+        d = _det(m)
+        if mode == MODE_SPECIAL_UNITARY and not (ok and abs(d - 1.0) <= tol.rel * n):
+            raise NotInSL(f"{name} has determinant distance {abs(d - 1.0):.3e} from one")
+        svals.append(s)
+        abs_dets.append(abs(d))
 
     c1, c2 = (float(d**2) for d in abs_dets)
     if abs(c1 - c2) > tol.rel * max(c1, c2):
@@ -667,13 +672,14 @@ def lattice_equivalent(
     # dimensional pair and its box scan
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
+    # the box budgets go before the Gram forms: an input too small for its Gram
+    # form (A* A underflows) has an unbounded box
+    _check_radius(radius)
+    ks = [_uniform_box(s, radius, tol, budget) for s in svals]
     p1 = gram_form(m1)
     p2 = gram_form(m2)
 
-    _check_radius(radius)
-    if not svals:  # classify gated the special_unitary inputs and keeps no values
-        svals = [singular_values(m, tol) for m in (m1, m2)]
-    s1, s2 = (_enumerate(m, s, radius, tol, budget) for m, s in zip((m1, m2), svals))
+    s1, s2 = (_enumerate(m, s, k, radius) for m, s, k in zip((m1, m2), svals, ks))
     mismatch = _spectra_mismatch(s1, s2, radius)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)
@@ -683,11 +689,12 @@ def lattice_equivalent(
     for idx in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
         b = GaussianUnimodular(candidates.entries[idx])
         t = m2 @ b.inverse_matrix() @ inv1
-        if not classify(t, tol).in_u:
+        member = _classify(t, tol)
+        if not member.in_u:
             raise InternalCheckError(
                 "gram congruence certified but the reconstructed map is not unitary"
             )
-        if mode == MODE_SPECIAL_UNITARY and abs(det(t) - 1.0) > tol.rel * n:
+        if mode == MODE_SPECIAL_UNITARY and member.det_distance > tol.rel * n:
             continue
         residual = fro(m2 - t @ m1 @ b.matrix)
         if residual > 100.0 * tol.rel * max(fro(m2), 1.0) + tol.abs:

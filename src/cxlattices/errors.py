@@ -82,7 +82,9 @@ class NumericOverflow(CxlatError):
 
     Non-finite results include a solve whose LU overflowed and a torus
     representative G @ coords that overflowed although its coordinates lie
-    in [0, 1).
+    in [0, 1).  A Gram form A* A whose diagonal (a squared column length of
+    A) underflowed below the smallest normal double is refused the same way:
+    its eigenvalues are lost in rounding or are zero.
     """
 
 

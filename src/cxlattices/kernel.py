@@ -13,7 +13,14 @@ self-contained (cyclic Jacobi rotations), so its behavior is easy to
 audit at the small dimensions this package targets.
 
 Array inputs enter through as_matrix, as_vector or as_columns, which share
-the one finiteness check.  Two conventions have their one home here:
+the one finiteness check, and they are validated once, at the boundary: a
+public function validates only the arrays its caller passes and then runs
+its body (_singular_values, _invertibility_gate, _det, _adjoint, _solve,
+_hermitian_eig, or gated_solve, solve's step behind the gate) on finite
+complex128 arrays.  Library code hands arrays it has built or validated to
+these bodies, never back to a public function, so each array the caller
+passes is copied and checked once per call.  Two conventions have their
+one home here:
 in_gray_zone (a margin too close to its threshold to call) and real_columns
 (columns in C^n as columns in R^2n).
 """
@@ -34,6 +41,7 @@ from .errors import (
 
 _EPS = float(np.finfo(np.float64).eps)
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_FLOAT_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal double
 # a margin within this factor of its threshold is a boundary case: too close to
 # call, so it is flagged and disagreements between routes there are tolerated
 GRAY_ZONE = 10.0
@@ -144,7 +152,11 @@ def matmul(a, b) -> np.ndarray:
 
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
-    return frozen(as_matrix(a).conj().T.copy())
+    return _adjoint(as_matrix(a))
+
+
+def _adjoint(am: np.ndarray) -> np.ndarray:
+    return frozen(am.conj().T.copy())
 
 
 def solve(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -158,8 +170,13 @@ def solve(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     am = as_matrix(a, square=True)
     bm, vector = as_columns(b, am.shape[0])
-    x = gated_solve(am, invertibility_margin(am, tol)[1], fro(am), bm, tol)
+    x = _solve(am, bm, tol)
     return frozen(x[:, 0] if vector else x)
+
+
+def _solve(am: np.ndarray, bm: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """solve on a validated square A and a 2-d stack of validated columns B: gate, then gated_solve."""
+    return gated_solve(am, _invertibility_gate(am, tol)[1], fro(am), bm, tol)
 
 
 def gated_solve(
@@ -188,13 +205,17 @@ def gated_solve(
 
 def det(a) -> complex:
     """Determinant by LAPACK's LU; singular input yields ~0, never an error."""
-    return complex(np.linalg.det(as_matrix(a, square=True)))
+    return _det(as_matrix(a, square=True))
+
+
+def _det(am: np.ndarray) -> complex:
+    return complex(np.linalg.det(am))
 
 
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Matrix inverse, via solve against the identity."""
     am = as_matrix(a, square=True)
-    return solve(am, np.eye(am.shape[0], dtype=np.complex128), tol)
+    return frozen(_solve(am, np.eye(am.shape[0], dtype=np.complex128), tol))
 
 
 def hermitian_eig(p, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +225,10 @@ def hermitian_eig(p, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     p @ v == v @ diag(w).  Raises NotSelfAdjoint when the defect
     ||p - p*|| exceeds tol.rel * ||p|| + tol.abs.
     """
-    pm = as_matrix(p, square=True)
+    return _hermitian_eig(as_matrix(p, square=True), tol)
+
+
+def _hermitian_eig(pm: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     n = pm.shape[0]
     scale = fro(pm)
     if fro(pm - pm.conj().T) > tol.rel * scale + tol.abs:
@@ -259,7 +283,11 @@ def singular_values(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     them to sqrt(eps).  A wide m x k input (k > m) has a kernel of dimension
     at least k - m: its k values end in k - m exact zeros.
     """
-    am = as_matrix(a)
+    return _singular_values(as_matrix(a))
+
+
+def _singular_values(am: np.ndarray) -> np.ndarray:
+    """singular_values of a validated matrix: the package's one call of LAPACK's SVD for values."""
     s = np.zeros(am.shape[1])
     s[: min(am.shape)] = np.linalg.svd(am, compute_uv=False)
     return frozen(s)
@@ -275,7 +303,7 @@ def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
 
     A matrix counts as invertible when its margin strictly exceeds tol.rel.
     """
-    return invertibility_gate(a, tol)[:2]
+    return _invertibility_gate(as_matrix(a), tol)[:2]
 
 
 def invertibility_gate(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, np.ndarray]:
@@ -283,7 +311,12 @@ def invertibility_gate(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, np
 
     For a caller that reuses A's singular values past the gate.
     """
-    s = singular_values(a, tol)
+    return _invertibility_gate(as_matrix(a), tol)
+
+
+def _invertibility_gate(am: np.ndarray, tol: Tolerance) -> tuple[bool, float, np.ndarray]:
+    """The package's one threshold test: A counts as invertible when sigma_min / sigma_max > tol.rel."""
+    s = _singular_values(am)
     margin = sigma_ratio(float(s[0]), float(s[-1]))
     return margin > tol.rel, margin, s
 

@@ -41,18 +41,18 @@ from .kernel import (
     DEFAULT_TOL,
     GRAY_ZONE,
     Tolerance,
+    _det,
+    _invertibility_gate,
+    _singular_values,
     as_columns,
     as_matrix,
-    det,
     fro,
     frozen,
     gated_solve,
-    invertibility_margin,
     real_columns,
     sigma_ratio,
-    singular_values,
 )
-from .realmaps import SplitForm
+from .realmaps import SplitForm, _built
 
 
 def _as_generators(g) -> np.ndarray:
@@ -80,14 +80,23 @@ class LatticeBasis:
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        gm = _as_generators(self.g)
-        object.__setattr__(self, "g", gm)
-        # solve's LU runs in complex arithmetic; keeping its input keeps its bits
-        object.__setattr__(self, "_real", frozen(real_columns(gm).astype(np.complex128)))
+        object.__setattr__(self, "g", _as_generators(self.g))
+
+    @classmethod
+    def _built(cls, gm: np.ndarray) -> LatticeBasis:
+        """A basis on a finite complex128 n x 2n matrix the library has built, without validation."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "g", frozen(gm))
+        return lat
 
     @property
     def n(self) -> int:
         return self.g.shape[0]
+
+    @cached_property
+    def _real(self) -> np.ndarray:
+        # solve's LU runs in complex arithmetic; keeping its input keeps its bits
+        return frozen(real_columns(self.g).astype(np.complex128))
 
     @property
     def realified(self) -> np.ndarray:
@@ -95,7 +104,7 @@ class LatticeBasis:
 
     @cached_property
     def _extremes(self) -> tuple[float, float]:
-        s = singular_values(self._real)
+        s = _singular_values(self._real)
         return float(s[0]), float(s[-1])
 
     @cached_property
@@ -129,8 +138,12 @@ class LatticeBasis:
         tol.rel, NumericOverflow when the LU overflows).
         """
         wm, vector = as_columns(w, 2 * self.n)
-        x = gated_solve(self._real, self.margin, self._norm, wm, tol)
+        x = self._coordinates(wm, tol)
         return x[:, 0] if vector else x
+
+    def _coordinates(self, wm: np.ndarray, tol: Tolerance) -> np.ndarray:
+        """coordinates of a validated 2-d complex128 stack of columns in R^2n."""
+        return gated_solve(self._real, self.margin, self._norm, wm, tol)
 
 
 @dataclass(frozen=True)
@@ -179,15 +192,26 @@ class PeriodMatrix:
     z: np.ndarray
 
     def __post_init__(self) -> None:
-        zm = as_matrix(self.z, square=True)
-        ok, margin = invertibility_margin(zm.imag, DEFAULT_TOL)
-        if not ok:
-            raise RankDeficient(f"imaginary part is singular (margin {margin:.3e})")
-        object.__setattr__(self, "z", zm)
+        object.__setattr__(self, "z", _imaginary_part_invertible(as_matrix(self.z, square=True)))
+
+    @classmethod
+    def _built(cls, zm: np.ndarray) -> PeriodMatrix:
+        """A period matrix on a finite square complex128 Z the library has computed, not re-validated."""
+        pm = object.__new__(cls)
+        object.__setattr__(pm, "z", _imaginary_part_invertible(frozen(zm)))
+        return pm
 
     @property
     def n(self) -> int:
         return self.z.shape[0]
+
+
+def _imaginary_part_invertible(zm: np.ndarray) -> np.ndarray:
+    """Z, once its imaginary part passes the invertibility gate at the default tolerance."""
+    ok, margin, _ = _invertibility_gate(zm.imag.astype(np.complex128), DEFAULT_TOL)
+    if not ok:
+        raise RankDeficient(f"imaginary part is singular (margin {margin:.3e})")
+    return zm
 
 
 def from_generators(g, tol: Tolerance = DEFAULT_TOL) -> LatticeBasis:
@@ -197,7 +221,10 @@ def from_generators(g, tol: Tolerance = DEFAULT_TOL) -> LatticeBasis:
     realification, whose margin the basis then carries.  That margin must
     exceed tol.rel, else RankDeficient.
     """
-    lat = LatticeBasis(g)
+    return _full_rank(LatticeBasis(g), tol)
+
+
+def _full_rank(lat: LatticeBasis, tol: Tolerance) -> LatticeBasis:
     if not is_full_rank(lat, tol):
         raise RankDeficient(f"realified generators are rank deficient (margin {lat.margin:.3e})")
     return lat
@@ -218,13 +245,13 @@ def rank_margin(g, tol: Tolerance = DEFAULT_TOL) -> float:
     n, m = gm.shape
     if m > 2 * n:
         raise DimensionMismatch(f"at most {2 * n} columns can be independent over R, got {m}")
-    s = singular_values(real_columns(gm), tol)
+    s = _singular_values(real_columns(gm).astype(np.complex128))
     return float(s[-1])
 
 
 def covolume(lat: LatticeBasis) -> float:
     """Volume of a fundamental parallelepiped: |det| of the realification."""
-    return float(abs(det(lat.realified)))
+    return float(abs(_det(lat._real)))
 
 
 def same_lattice(
@@ -240,7 +267,7 @@ def same_lattice(
     """
     if lat1.n != lat2.n:
         raise DimensionMismatch(f"dimensions differ: {lat1.n} vs {lat2.n}")
-    x = lat1.coordinates(lat2.realified, tol)
+    x = lat1._coordinates(lat2._real, tol)
     rounded = np.rint(x.real)
     dist = np.abs(x - rounded)  # complex modulus also catches stray imaginary parts
     if np.any(dist > GRAY_ZONE * tol.abs):
@@ -287,13 +314,13 @@ def sigma_membership(b, tol: Tolerance = DEFAULT_TOL) -> GaussianUnimodular:
 def standard_lattice(n: int) -> LatticeBasis:
     """The lattice of Gaussian-integer vectors: generators [I | iI]."""
     eye = np.eye(n)
-    return LatticeBasis(np.hstack([eye, 1j * eye]))
+    return LatticeBasis._built(np.hstack([eye, 1j * eye]))
 
 
 def gaussian_lattice(b: GaussianUnimodular) -> LatticeBasis:
     """The image of the standard lattice under a Gaussian unimodular matrix."""
     m = b.matrix
-    return from_generators(np.hstack([m, 1j * m]))
+    return _full_rank(LatticeBasis._built(np.hstack([m, 1j * m])), DEFAULT_TOL)
 
 
 def permute_to_L1(
@@ -322,10 +349,10 @@ def permute_to_L1(
         q = work[:, j] / np.linalg.norm(work[:, j])
         work = work - np.outer(q, q.conj() @ work)
     perm = tuple(chosen + sorted(alive))
-    ok, margin = invertibility_margin(g[:, perm[:n]], tol)
+    ok, margin, _ = _invertibility_gate(g[:, perm[:n]], tol)
     if not ok:
         raise InternalCheckError(f"pivoted first block is singular (margin {margin:.3e})")
-    return LatticeBasis(g[:, perm]), perm
+    return LatticeBasis._built(g[:, perm]), perm
 
 
 def normalize_to_Lstarstar(
@@ -340,16 +367,16 @@ def normalize_to_Lstarstar(
     g = lat.g
     n = lat.n
     g1 = g[:, :n]
-    ok, margin = invertibility_margin(g1, tol)
+    ok, margin, _ = _invertibility_gate(g1, tol)
     if not ok:
         raise FirstBlockSingular(
             f"first n generators are not C-independent (margin {margin:.3e})"
         )
     # one LU of the first block, behind the gate just taken, gives A = G1^-1 and Z = G1^-1 G2 together
     x = gated_solve(g1, margin, fro(g1), np.hstack([np.eye(n), g[:, n:]]), tol)
-    return frozen(x[:, :n].copy()), PeriodMatrix(x[:, n:])
+    return frozen(x[:, :n].copy()), PeriodMatrix._built(x[:, n:].copy())
 
 
 def to_split_form(pm: PeriodMatrix) -> SplitForm:
     """Reread a period matrix as the real-linear map x + Re(Z) y + i Im(Z) y."""
-    return SplitForm(pm.z.real, pm.z.imag)
+    return _built(SplitForm, pm.z.real.copy(), pm.z.imag.copy())

@@ -39,17 +39,18 @@ from .errors import (
 )
 from .kernel import (
     _EPS,
+    _FLOAT_TINY,
     DEFAULT_TOL,
     GRAY_ZONE,
     Tolerance,
-    adjoint,
+    _adjoint,
+    _det,
+    _hermitian_eig,
+    _invertibility_gate,
+    _solve,
     as_matrix,
-    det,
     fro,
     frozen,
-    hermitian_eig,
-    invertibility_margin,
-    solve,
 )
 
 
@@ -73,7 +74,7 @@ def _root_certified(p, tol: Tolerance) -> np.ndarray:
         root = np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("no Cholesky factor: not positive definite") from None
-    ok, margin = invertibility_margin(root, tol)
+    ok, margin, _ = _invertibility_gate(root, tol)
     # rounding in the entries of p and in the factorization blurs its eigenvalues
     # by about n eps of the largest: a squared margin within GRAY_ZONE of that
     # cannot tell p from a semidefinite form
@@ -102,10 +103,11 @@ class GramForm:
         object.__setattr__(self, "matrix", _root_certified(self.matrix, DEFAULT_TOL))
 
     @classmethod
-    def _certified(cls, p) -> GramForm:
-        """The Gram form of p, whose positivity the caller has certified by a root margin."""
+    def _certified(cls, p: np.ndarray) -> GramForm:
+        """The Gram form of p, a finite square complex128 matrix whose positivity the caller
+        has certified by a root margin."""
         form = object.__new__(cls)
-        object.__setattr__(form, "matrix", frozen(_hermitian_part(as_matrix(p, square=True))))
+        object.__setattr__(form, "matrix", frozen(_hermitian_part(p)))
         return form
 
     @property
@@ -143,11 +145,14 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
     in_su = in_u and in_sl.  The implication chain su => u, sl => gl holds
     by construction.
     """
-    am = as_matrix(a, square=True)
+    return _classify(as_matrix(a, square=True), tol)
+
+
+def _classify(am: np.ndarray, tol: Tolerance) -> GroupMembership:
     n = am.shape[0]
-    in_gl, _ = invertibility_margin(am, tol)
-    d = det(am)
-    defect = fro(adjoint(am) @ am - np.eye(n))
+    in_gl = _invertibility_gate(am, tol)[0]
+    d = _det(am)
+    defect = fro(_adjoint(am) @ am - np.eye(n))
     det_distance = abs(d - 1.0)
     in_u = in_gl and defect <= tol.rel * n
     in_sl = in_gl and det_distance <= tol.rel * n
@@ -163,14 +168,17 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
 
 
 def gram(a, tol: Tolerance = DEFAULT_TOL) -> GramForm:
-    """A* A of an invertible matrix, as a GramForm (NumericOverflow if it overflows).
+    """A* A of an invertible matrix, as a GramForm (NumericOverflow if it over- or underflows).
 
     Raises SingularMatrix exactly when invertibility_margin calls A singular
     at tol; A's margin is the root margin of A* A, so no other positivity
     check runs, and the form is positive definite at the caller's tolerance.
     """
-    am = as_matrix(a, square=True)
-    ok, margin = invertibility_margin(am, tol)
+    return _gram(as_matrix(a, square=True), tol)
+
+
+def _gram(am: np.ndarray, tol: Tolerance) -> GramForm:
+    ok, margin, _ = _invertibility_gate(am, tol)
     if not ok:
         raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
     return gram_form(am)
@@ -180,14 +188,18 @@ def gram_form(am: np.ndarray) -> GramForm:
     """A* A as a GramForm, for a validated matrix the caller has found invertible.
 
     A is a root of A* A and its margin has passed the gate, which certifies
-    positivity.  Raises NumericOverflow when A* A is not finite: the entries
-    of A are.
+    positivity.  Raises NumericOverflow when A* A is not finite (the entries
+    of A are) and when a diagonal entry, the squared length of a column of
+    A, is below the smallest normal double: the products underflowed, and
+    the form's eigenvalues are lost in rounding or are zero.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        p = adjoint(am) @ am
+        p = _adjoint(am) @ am
         p = 0.5 * (p + p.conj().T)
     if not np.isfinite(p).all():
         raise NumericOverflow("gram form A* A overflowed: the entries of A are too large")
+    if not p.diagonal().real.min() >= _FLOAT_TINY:
+        raise NumericOverflow("gram form A* A underflowed: the entries of A are too small")
     return GramForm._certified(p)
 
 
@@ -202,13 +214,13 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
     m2 = as_matrix(a2, square=True)
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"shapes differ: {m1.shape} vs {m2.shape}")
-    p1 = gram(m1, tol)
-    p2 = gram(m2, tol)
+    p1 = _gram(m1, tol)
+    p2 = _gram(m2, tol)
     bound = tol.rel * (fro(m1) ** 2 + fro(m2) ** 2) + tol.abs
     if fro(p1.matrix - p2.matrix) > bound:
         return False, None
-    witness = adjoint(solve(adjoint(m1), adjoint(m2), tol))
-    if not classify(witness, tol).in_u:
+    witness = _adjoint(_solve(_adjoint(m1), _adjoint(m2), tol))
+    if not _classify(witness, tol).in_u:
         raise InternalCheckError("gram forms agree but the witness is not unitary")
     return True, frozen(witness)
 
@@ -223,7 +235,7 @@ def spd_sqrt(p: GramForm, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     form without a further check.
     """
     p = as_gram_form(p, tol)
-    w, v = hermitian_eig(p.matrix, tol)
+    w, v = _hermitian_eig(p.matrix, tol)
     if not (w[0] > 0.0 and np.sqrt(w[0] / w[-1]) > tol.rel):
         raise NotPositiveDefinite(
             f"eigenvalue ratio {w[0] / w[-1]:.3e}: root margin not above tolerance"
@@ -249,7 +261,7 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
     check.
     """
     am = as_matrix(a, square=True)
-    ok, margin = invertibility_margin(am, tol)
+    ok, margin, _ = _invertibility_gate(am, tol)
     if not ok:
         raise SingularMatrix(f"polar needs an invertible matrix (margin {margin:.3e})")
     w, s, vh = np.linalg.svd(am)
@@ -258,7 +270,7 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
     residual = fro(am - u @ p.matrix)
     if residual > tol.rel * max(fro(am), 1.0) + tol.abs:
         raise InternalCheckError(f"polar residual {residual:.3e} beyond tolerance")
-    if not classify(u, tol).in_u:
+    if not _classify(u, tol).in_u:
         raise InternalCheckError("polar direction factor failed the unitarity check")
     return frozen(u), p
 
@@ -270,14 +282,14 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     det(A), the one with argument in (-pi/n, pi/n].
     """
     am = as_matrix(a, square=True)
-    ok, margin = invertibility_margin(am, tol)
+    ok, margin, _ = _invertibility_gate(am, tol)
     if not ok:
         raise SingularMatrix(f"sl_normalize needs an invertible matrix (margin {margin:.3e})")
     n = am.shape[0]
-    d = det(am)
+    d = _det(am)
     delta = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
     out = am / delta
-    if abs(det(out) - 1.0) > tol.rel * n:
+    if abs(_det(out) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")
     return frozen(out), delta
 
@@ -285,10 +297,10 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
 def su_sl_canonical(b, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     """Gram form of a determinant-one matrix; the invariant of its SU coset."""
     bm = as_matrix(b, square=True)
-    membership = classify(bm, tol)
+    membership = _classify(bm, tol)
     if not membership.in_sl:
         raise NotInSL(f"determinant distance from one is {membership.det_distance:.3e}")
-    p = gram(bm, tol)
-    if abs(det(p.matrix) - 1.0) > 10.0 * tol.rel * bm.shape[0]:
+    p = _gram(bm, tol)
+    if abs(_det(p.matrix) - 1.0) > 10.0 * tol.rel * bm.shape[0]:
         raise InternalCheckError("gram form of a determinant-one matrix must have determinant one")
     return p

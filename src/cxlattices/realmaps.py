@@ -21,12 +21,18 @@ silently wrong coefficients.  The normalized target is the E of the
 factorization T = M o (z + conj(E z)) that normalize_post_composition
 computes; majorizes reads its verdict off domination_ratio.  Both routes
 let solve's gate decide whether M is singular.
+
+A form's constructor validates the caller's coefficients once.  The forms
+this module computes from validated ones (the conjugate pair behind a
+conversion, convert's outputs, the normalized factor) are built by _built,
+which checks only what can still fail there, and no operation on a form
+validates its coefficients again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -42,17 +48,18 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
-    adjoint,
+    _adjoint,
+    _hermitian_eig,
+    _invertibility_gate,
+    _require_finite,
+    _singular_values,
+    _solve,
     as_columns,
     as_matrix,
     fro,
     frozen,
-    hermitian_eig,
     in_gray_zone,
-    invertibility_margin,
-    operator_norm,
     real_columns,
-    solve,
 )
 
 BLOCK = "block"
@@ -151,6 +158,21 @@ FORMS = {BLOCK: BlockForm, SPLIT: SplitForm, CONJUGATE_PAIR: ConjugatePairForm, 
 KINDS = tuple(FORMS)
 
 
+def _built(form: type, *parts: np.ndarray) -> RealLinearMap:
+    """A form on coefficient matrices computed from validated ones, without its constructor's validation.
+
+    The parts are contiguous square arrays of one size and of the form's
+    dtype (float64 blocks for BlockForm and SplitForm, complex128 otherwise).
+    Only finiteness can still fail, where a sum of finite coefficients
+    overflowed, and it raises the constructor's ValueError.
+    """
+    t = object.__new__(form)
+    for f, part in zip(fields(form), parts):
+        _require_finite(part, "matrix")
+        object.__setattr__(t, f.name, frozen(part))
+    return t
+
+
 def kind_of(t: RealLinearMap) -> str:
     for kind, form in FORMS.items():
         if isinstance(t, form):
@@ -161,6 +183,12 @@ def kind_of(t: RealLinearMap) -> str:
 def apply(t: RealLinearMap, z) -> np.ndarray:
     """Evaluate the map at one point or columnwise at a stack of points."""
     w, vector = as_columns(z, t.dim)
+    out = _apply(t, w)
+    return frozen(out[:, 0] if vector else out)
+
+
+def _apply(t: RealLinearMap, w: np.ndarray) -> np.ndarray:
+    """apply on a validated 2-d stack of columns."""
     x, y = w.real, w.imag
     if isinstance(t, BlockForm):
         out = (t.e1 @ x + t.e2 @ y) + 1j * (t.e3 @ x + t.e4 @ y)
@@ -172,7 +200,7 @@ def apply(t: RealLinearMap, z) -> np.ndarray:
         out = w + np.conj(t.e @ w)
     else:
         raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
-    return frozen(out[:, 0] if vector else out)
+    return out
 
 
 def _real_basis(n: int) -> np.ndarray:
@@ -185,12 +213,12 @@ def realify(t: RealLinearMap) -> np.ndarray:
     Columns are the images of the standard basis of C^n over R, so for a
     BlockForm this is exactly [[E1, E2], [E3, E4]].
     """
-    return frozen(real_columns(apply(t, _real_basis(t.dim))))
+    return frozen(real_columns(_apply(t, _real_basis(t.dim))))
 
 
 def _check_apply_equal(t_in: RealLinearMap, t_out: RealLinearMap, tol: Tolerance, gl: np.ndarray | None = None) -> None:
-    w_in = apply(t_in, _real_basis(t_in.dim))
-    w_out = apply(t_out, _real_basis(t_out.dim))
+    w_in = _apply(t_in, _real_basis(t_in.dim))
+    w_out = _apply(t_out, _real_basis(t_out.dim))
     if gl is not None:
         w_out = gl @ w_out
     scale = max(fro(w_in), fro(w_out), 1.0)
@@ -205,14 +233,14 @@ def _to_conjugate_pair(t: RealLinearMap) -> ConjugatePairForm:
     if isinstance(t, BlockForm):
         m = 0.5 * ((t.e1 + t.e4) + 1j * (t.e3 - t.e2))
         n = 0.5 * ((t.e1 - t.e4) - 1j * (t.e2 + t.e3))
-        return ConjugatePairForm(m, n)
+        return _built(ConjugatePairForm, m, n)
     if isinstance(t, SplitForm):
         eye = np.eye(t.dim)
         m = 0.5 * ((eye + t.b) - 1j * t.a)
         n = 0.5 * ((eye - t.b) - 1j * t.a)
-        return ConjugatePairForm(m, n)
+        return _built(ConjugatePairForm, m, n)
     if isinstance(t, NormalizedForm):
-        return ConjugatePairForm(np.eye(t.dim, dtype=np.complex128), t.e)
+        return _built(ConjugatePairForm, np.eye(t.dim, dtype=np.complex128), t.e)
     raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
 
 
@@ -238,13 +266,14 @@ def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> Real
         out: RealLinearMap = cp
     elif target == BLOCK:
         s, d = cp.m + cp.n, cp.m - cp.n
-        out = BlockForm(s.real, -s.imag, d.imag, d.real)
+        # real blocks are kept contiguous, as the constructor keeps them
+        out = _built(BlockForm, s.real.copy(), -s.imag, d.imag.copy(), d.real.copy())
     else:  # SPLIT
         s, d = cp.m + cp.n, cp.m - cp.n
         scale = 1.0 + fro(cp.m) + fro(cp.n)
         if fro(s.real - np.eye(cp.dim)) > tol.rel * scale + tol.abs or fro(d.imag) > tol.rel * scale + tol.abs:
             raise NotInSplitClass("map does not fix real parts (needs E1 = I and E3 = 0)")
-        out = SplitForm(-s.imag, d.real)
+        out = _built(SplitForm, -s.imag, d.real.copy())
     _check_apply_equal(t, out, tol)
     return out
 
@@ -262,9 +291,10 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def invertibility(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """is_invertible's verdict with the realified margin sigma_min / sigma_max it read."""
-    ok, margin = invertibility_margin(realify(t), tol)
+    # the SVDs run in complex arithmetic, as on a validated matrix
+    ok, margin, _ = _invertibility_gate(realify(t).astype(np.complex128), tol)
     if isinstance(t, SplitForm):
-        ok_b, margin_b = invertibility_margin(t.b.astype(np.complex128), tol)
+        ok_b, margin_b, _ = _invertibility_gate(t.b.astype(np.complex128), tol)
         if ok_b != ok:
             if not (in_gray_zone(margin, tol.rel) or in_gray_zone(margin_b, tol.rel)):
                 raise InternalCheckError(
@@ -299,17 +329,17 @@ def domination_ratio(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> float | 
     """
     cp = _to_conjugate_pair(t)
     try:
-        k = solve(cp.m.T, cp.n.T, tol).T
+        k = _solve(cp.m.T, cp.n.T, tol).T
     except SingularMatrix:
         return None
     except NumericOverflow:
         big = max(float(np.abs(part).max()) for x in (cp.m, cp.n) for part in (x.real, x.imag))
         scale = 2.0 ** -max(math.frexp(big)[1], 0)
         try:
-            k = solve(scale * cp.m.T, scale * cp.n.T, tol).T
+            k = _solve(scale * cp.m.T, scale * cp.n.T, tol).T
         except NumericOverflow:
             return float("inf")
-    return operator_norm(k, tol)
+    return float(_singular_values(k)[0])
 
 
 def normalize_post_composition(
@@ -323,10 +353,10 @@ def normalize_post_composition(
     """
     cp = _to_conjugate_pair(t)
     try:
-        e = solve(np.conj(cp.m), cp.n, tol)
+        e = _solve(np.conj(cp.m), cp.n, tol)
     except SingularMatrix as exc:
         raise SingularM("complex-linear part M is singular; cannot normalize") from exc
-    normal = NormalizedForm(e)
+    normal = _built(NormalizedForm, e)
     _check_apply_equal(t, normal, tol, gl=cp.m)
     return frozen(cp.m.copy()), normal
 
@@ -341,11 +371,11 @@ def contraction_check(t: NormalizedForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if not isinstance(t, NormalizedForm):
         raise TypeError("contraction_check expects a NormalizedForm")
-    sigma = operator_norm(t.e, tol)
+    sigma = float(_singular_values(t.e)[0])
     first = sigma < 1.0 - tol.rel
-    h = np.eye(t.dim) - adjoint(t.e) @ t.e
+    h = np.eye(t.dim) - _adjoint(t.e) @ t.e
     h = 0.5 * (h + h.conj().T)
-    wmin = float(hermitian_eig(h, tol)[0][0])
+    wmin = float(_hermitian_eig(h, tol)[0][0])
     second = wmin > 1.0 - (1.0 - tol.rel) ** 2
     if first != second:
         if abs(sigma - (1.0 - tol.rel)) > 1e3 * np.finfo(float).eps * max(1.0, sigma):

@@ -6,11 +6,11 @@ parts, map back.  Addition reduces the sum of representatives, and
 equality compares coordinate differences to integers so wraparound at
 the 0/1 boundary is handled without a special case.
 
-Every solve goes through the basis (LatticeBasis.coordinates): it reads
-the margin the basis keeps from its one SVD and the norm it keeps, so a
-reduction runs no SVD, yet still applies solve's validation, its gate
-against the caller's tol.rel, its LU and its residual check, bit for bit
-as kernel.solve would.
+Every solve goes through the basis (LatticeBasis.coordinates, on a vector
+that reduce has validated or that is known finite): it reads the margin the
+basis keeps from its one SVD and the norm it keeps, so a reduction runs no
+SVD, yet still applies solve's gate against the caller's tol.rel, its LU
+and its residual check, bit for bit as kernel.solve would.
 
 A point is proved once.  reduce builds it from coordinates it has just put
 in [0, 1) and the representative it has just computed from them, so it
@@ -76,7 +76,8 @@ class TorusPoint:
 
 
 def _coords_of(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return lat.coordinates(real_columns(zv), tol).real
+    """Generator coordinates of a finite vector zv, which the basis solves for without validating it."""
+    return lat._coordinates(real_columns(zv[:, None]).astype(np.complex128), tol)[:, 0].real
 
 
 def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:

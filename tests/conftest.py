@@ -8,21 +8,35 @@ import pytest
 from cxlattices import kernel
 
 
-@pytest.fixture
-def singular_value_calls(monkeypatch):
-    """Count the SVDs a test runs: every call of kernel.singular_values, by the shape of A.
+def count_calls(monkeypatch, names, record):
+    """Count calls of the named kernel functions, wherever the package calls them.
 
-    Every loaded cxlattices module that binds the name (kernel itself, and each
-    module that imported it) gets the counting version, found by looking.
+    Every loaded cxlattices module that binds one of the names (kernel itself,
+    and each module that imported it) gets a counting version, found by
+    looking.  Each call appends record(name, args) to the returned list.
     """
     calls = []
-    svd = kernel.singular_values
+    for name in names:
+        original = getattr(kernel, name)
 
-    def counted(a, tol=kernel.DEFAULT_TOL):
-        calls.append(np.shape(a))
-        return svd(a, tol)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(record(_name, args))
+            return _original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cxlattices" and getattr(module, "singular_values", None) is svd:
-            monkeypatch.setattr(module, "singular_values", counted)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "cxlattices" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def singular_value_calls(monkeypatch):
+    """Count the SVDs a test runs, by the shape of A: every call of the function that
+    runs LAPACK's SVD for singular values (behind singular_values and the invertibility gate)."""
+    return count_calls(monkeypatch, ("_singular_values",), lambda name, args: np.shape(args[0]))
+
+
+@pytest.fixture
+def validation_calls(monkeypatch):
+    """Count the array validations a test runs: every call of as_matrix, as_vector and as_columns, by name."""
+    return count_calls(monkeypatch, ("as_matrix", "as_vector", "as_columns"), lambda name, args: name)

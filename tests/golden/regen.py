@@ -93,6 +93,11 @@ CASES = {
         "input": '{"map": {"kind": "conjugate_pair", "m": [[[0, 0]]], "n": [[[1, 0]]]}}',
         "exit": 0,
     },
+    "map-majorizes-subnormal-m": {
+        "argv": ["map-majorizes"],
+        "input": '{"map": {"kind": "conjugate_pair", "m": [[[0, 1e-309]]], "n": [[[-1, 0]]]}}',
+        "exit": 0,
+    },
     # --- map-normalize ---
     "map-normalize-scale": {
         "argv": ["map-normalize"],
@@ -124,6 +129,11 @@ CASES = {
     "gram-overflow": {
         "argv": ["gram"],
         "input": '{"matrix": [[[1e300, 0]]]}',
+        "exit": 1,
+    },
+    "gram-underflow": {
+        "argv": ["gram"],
+        "input": '{"matrix": [[[1e-310, 0]]]}',
         "exit": 1,
     },
     "gram-ill-conditioned": {

@@ -710,6 +710,24 @@ def test_undecided_when_witness_exceeds_height():
 def test_special_unitary_mode_requires_sl():
     with pytest.raises(NotInSL):
         lattice_equivalent([[2.0]], [[2.0]], mode="special_unitary")
+    # a singular input is not in SL either, and fails the same way
+    with pytest.raises(NotInSL, match="^A2 has determinant distance 1.000e\\+00 from one$"):
+        lattice_equivalent([[1.0]], [[0.0]], mode="special_unitary")
+
+
+def test_both_modes_validate_each_input_once_and_run_one_gate(validation_calls, singular_value_calls):
+    # each input is validated and gated once; the enumeration reuses the gate's singular
+    # values, and the witness's unitarity check takes the third SVD, in either mode
+    rng = np.random.default_rng(46)
+    a1, _ = sl_normalize(random_invertible(rng, 2))
+    t, _ = sl_normalize(random_unitary(rng, 2))
+    a2 = t @ a1 @ GaussianUnimodular(sigma_candidates(2, 1)[42]).matrix
+    for mode in ("unitary", "special_unitary"):
+        validation_calls.clear()
+        singular_value_calls.clear()
+        assert lattice_equivalent(a1, a2, mode=mode).status == EQUIVALENT
+        assert validation_calls == ["as_matrix", "as_matrix"]
+        assert singular_value_calls == [(2, 2)] * 3
 
 
 def test_special_unitary_planted():

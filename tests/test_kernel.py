@@ -402,6 +402,24 @@ def test_solve_refuses_exactly_what_the_margin_calls_singular():
     assert disagree == []
 
 
+def test_each_kernel_entry_validates_the_callers_arrays_once(validation_calls, singular_value_calls):
+    # A and B are copied and checked once each; the gate and the LU run on those copies
+    rng = np.random.default_rng(4211)
+    a, b = random_complex(rng, 3), random_complex(rng, 3)
+    solve(a, b)
+    assert validation_calls == ["as_matrix", "as_columns"]
+    assert singular_value_calls == [(3, 3)]
+    counts = {}
+    for fn in (det, adjoint, inverse, singular_values, invertibility_margin, operator_norm):
+        validation_calls.clear()
+        fn(a)
+        counts[fn.__name__] = len(validation_calls)
+    validation_calls.clear()
+    hermitian_eig(random_hermitian(rng, 3))
+    counts["hermitian_eig"] = len(validation_calls)
+    assert set(counts.values()) == {1}, counts
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rel=0.0)

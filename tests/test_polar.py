@@ -290,6 +290,40 @@ def test_gram_reports_overflow_as_overflow():
     assert np.isfinite(gram(np.eye(2) * 1e75).matrix).all()
 
 
+def test_gram_reports_underflow_as_overflow():
+    # invertible inputs whose A* A has a diagonal entry below the smallest normal double:
+    # the form underflowed (to zero, or to subnormals that carry no precision)
+    for a in ([[1e-310]], np.eye(2) * 1e-160, np.array([[1e-155, 1e-155j], [1e-155, -1e-155j]])):
+        with pytest.raises(NumericOverflow, match="^gram form A\\* A underflowed"):
+            gram(a)
+    p = gram(np.eye(2) * 1e-150).matrix
+    assert np.array_equal(p, np.eye(2) * 1e-300)
+    assert spd_sqrt(GramForm._certified(p)).matrix[0, 0] == pytest.approx(1e-150)
+
+
+def test_each_polar_entry_validates_the_callers_arrays_once(validation_calls, singular_value_calls):
+    # one validation per array the caller passes; classify's body, the Gram form and the
+    # kernel bodies run on the validated copies
+    rng = np.random.default_rng(2911)
+    a = random_invertible(rng, 3)
+    b, _ = sl_normalize(a)
+    counts = {}
+    for fn in (polar, gram, classify, sl_normalize, su_sl_canonical):
+        validation_calls.clear()
+        fn(b if fn is su_sl_canonical else a)
+        counts[fn.__name__] = len(validation_calls)
+    validation_calls.clear()
+    singular_value_calls.clear()
+    same, _ = unitarily_equivalent(a, random_unitary(rng, 3) @ a)
+    assert same
+    counts["unitarily_equivalent"] = len(validation_calls)
+    assert counts == {
+        "polar": 1, "gram": 1, "classify": 1, "sl_normalize": 1, "su_sl_canonical": 1, "unitarily_equivalent": 2
+    }
+    # the two Gram forms' gates, solve's gate on A1*, and the witness's unitarity check
+    assert singular_value_calls == [(3, 3)] * 4
+
+
 def test_unitarily_equivalent_planted():
     rng = np.random.default_rng(22)
     for _ in range(50):

@@ -440,3 +440,27 @@ def test_each_map_operation_runs_one_gate(singular_value_calls):
     assert domination_ratio(singular) is None
     assert majorizes(singular) is False
 
+
+def test_operations_on_a_built_form_validate_nothing(validation_calls):
+    # a form's constructor validated its coefficients; the forms the library builds from
+    # them (conversions, the normalized factor) and every operation on them take no copy
+    rng = np.random.default_rng(7307)
+    t = ConjugatePairForm(random_complex(rng, 3), 0.2 * random_complex(rng, 3))
+    forms = [t, convert(t, "block"), random_split(rng, 3), NormalizedForm(0.2 * random_complex(rng, 3))]
+    validation_calls.clear()
+    for u in forms:
+        majorizes(u)
+        domination_ratio(u)
+        assert is_invertible(u)
+        realify(u)
+        _, normal = normalize_post_composition(u)
+        contraction_check(normal)
+        for kind in KINDS:
+            try:
+                convert(u, kind)
+            except NotInSplitClass:
+                assert kind == "split"
+    assert validation_calls == []
+    apply(t, random_points(rng, 3, 2))
+    assert validation_calls == ["as_columns"]  # the caller's points, once
+

@@ -16,7 +16,14 @@ from cxlattices.errors import (
     SingularMatrix,
 )
 from cxlattices.kernel import DEFAULT_TOL, invertibility_margin, real_columns, solve
-from cxlattices.lattices import from_generators, permute_to_L1, same_lattice, standard_lattice
+from cxlattices.lattices import (
+    covolume,
+    from_generators,
+    normalize_to_Lstarstar,
+    permute_to_L1,
+    same_lattice,
+    standard_lattice,
+)
 from cxlattices.torus import TorusPoint, reduce, torus_add, torus_eq, torus_neg
 
 WIDE = Tolerance(rel=1e-9, abs=1e-9)  # for stress tests that accumulate error
@@ -241,6 +248,33 @@ def test_basis_runs_its_gate_once(singular_value_calls):
     permuted.margin, standard.margin, lat.margin
     assert singular_value_calls == [(n, n), (2 * n, 2 * n), (2 * n, 2 * n)]  # and keeps it
     assert permuted.margin == invertibility_margin(permuted.realified)[1]
+
+
+def test_torus_and_basis_steps_validate_only_the_callers_arrays(validation_calls):
+    # the generators and each point the caller passes are validated once; the sums, the
+    # differences and the bases the library builds go to the basis's solve as they are
+    rng = np.random.default_rng(57)
+    n = 2
+    g = conditioned_basis(rng, n, 1e2)
+    x = np.eye(2 * n)
+    x[:, 0] += x[:, 3]
+    validation_calls.clear()
+    lat, lat2 = from_generators(g), from_generators(g @ x)
+    assert validation_calls == ["as_matrix"] * 2
+    z, w = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    validation_calls.clear()
+    p, q, r = reduce(lat, z), reduce(lat, w), reduce(lat2, z)
+    assert validation_calls == ["as_vector"] * 3
+    validation_calls.clear()
+    torus_add(p, q)
+    torus_neg(p)
+    assert torus_eq(p, r)
+    assert same_lattice(lat, lat2)[0]
+    permuted, _ = permute_to_L1(lat)
+    normalize_to_Lstarstar(permuted)
+    covolume(lat)
+    standard_lattice(n)
+    assert validation_calls == []
 
 
 def test_carried_margin_is_still_gated_by_the_callers_tolerance():
