@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, MajorizationFails
-from .kernel import DEFAULT_TOL, Tolerance, in_gray_zone
-from .realmaps import BlockForm, _built, invertibility
+from .kernel import DEFAULT_TOL, Tolerance, _built, in_gray_zone
+from .realmaps import BlockForm, invertibility
 
 
 def _finite(z: complex, label: str) -> complex:
@@ -103,7 +103,8 @@ def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms
 
 def _as_block(f: ScalarForms) -> BlockForm:
     # T(x + iy) = a x + i b y realifies to [[Re a, -Im b], [Im a, Re b]]
-    return _built(BlockForm, *(np.array([[x]]) for x in (f.a.real, -f.b.imag, f.a.imag, f.b.real)))
+    e1, e2, e3, e4 = (np.array([[x]]) for x in (f.a.real, -f.b.imag, f.a.imag, f.b.real))
+    return _built(BlockForm, e1=e1, e2=e2, e3=e3, e4=e4)
 
 
 def is_invertible_1d(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -48,9 +48,10 @@ its reduced basis.  Each coordinate vector is mapped back exactly and the
 norms are |A lambda|^2 as on A's own box, so the spectrum is the same
 tuple; the budget still counts the uniform box of A.  lattice_equivalent
 runs its stages cheapest first: the invertibility gate, the covolume
-refuter, the dimension cap, the box budgets, and only then the Gram forms,
-the spectra (which take sigma_max and sigma_min from the gate's singular
-values) and the scan.
+refuter, the dimension cap, and only then the Gram forms (whose A* A must
+not overflow, and past the box budgets must not underflow), the spectra
+(which take sigma_max and sigma_min from the gate's singular values) and
+the scan.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .kernel import (
     frozen,
 )
 from .lattices import GaussianUnimodular
-from .polar import _classify, as_gram_form, gram_form
+from .polar import _classify, _gram_certified, _gram_matrix, as_gram_form
 
 EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
@@ -630,7 +631,8 @@ def lattice_equivalent(
     """Decide equivalence of A1(Z[i]^n) and A2(Z[i]^n) up to height bound.
 
     Pipeline: invertibility gate, covolume refuter, the dimension cap, the
-    short-vector box budgets, the Gram forms, short-vector spectrum refuter,
+    Gram forms (an A* A that underflowed is refused only past the radius
+    check and the short-vector box budgets), short-vector spectrum refuter,
     then the bounded Gram-orbit search.  The Gram forms need no positivity check of their own: each
     input is a root of its form and has passed the gate, and the spectra
     read sigma_max and sigma_min off the gate's singular values.  Equivalent
@@ -672,12 +674,12 @@ def lattice_equivalent(
     # dimensional pair and its box scan
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
-    # the box budgets go before the Gram forms: an input too small for its Gram
-    # form (A* A underflows) has an unbounded box
+    # an A* A that overflowed is refused before the radius is read, and one that
+    # underflowed after the box budgets: its input's box is unbounded
+    q1, q2 = _gram_matrix(m1), _gram_matrix(m2)
     _check_radius(radius)
     ks = [_uniform_box(s, radius, tol, budget) for s in svals]
-    p1 = gram_form(m1)
-    p2 = gram_form(m2)
+    p1, p2 = _gram_certified(q1), _gram_certified(q2)
 
     s1, s2 = (_enumerate(m, s, k, radius) for m, s, k in zip((m1, m2), svals, ks))
     mismatch = _spectra_mismatch(s1, s2, radius)

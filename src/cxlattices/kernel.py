@@ -16,11 +16,16 @@ Array inputs enter through as_matrix, as_vector or as_columns, which share
 the one finiteness check, and they are validated once, at the boundary: a
 public function validates only the arrays its caller passes and then runs
 its body (_singular_values, _invertibility_gate, _det, _adjoint, _solve,
-_hermitian_eig, or gated_solve, solve's step behind the gate) on finite
-complex128 arrays.  Library code hands arrays it has built or validated to
-these bodies, never back to a public function, so each array the caller
-passes is copied and checked once per call.  Two conventions have their
-one home here:
+_hermitian_eig, _operator_norm, or gated_solve, solve's step behind the
+gate) on finite complex128 arrays.  Library code hands arrays it has built
+or validated to these bodies, never back to a public function, so each
+array the caller passes is copied and checked once per call.  A body does
+not check finiteness: where the library computes an array that can
+overflow although its operands are finite (a sum, a product, a division
+by an underflowed determinant), it runs _require_finite there, before any
+body sees the array.  Values the library builds from checked fields (forms,
+bases, points) are made by _built, without their constructor's validation.
+Two conventions have their one home here:
 in_gray_zone (a margin too close to its threshold to call) and real_columns
 (columns in C^n as columns in R^2n).
 """
@@ -71,10 +76,29 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    # the package's one finiteness check on array entries
+def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """a, once its entries pass the package's one finiteness check (ValueError otherwise).
+
+    Besides the validation of a caller's array, it refuses an array the
+    library computed from finite ones that overflowed, with the same error
+    as the caller's non-finite array.
+    """
     if not np.isfinite(a).all():
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
+    return a
+
+
+def _built(cls: type, **fields):
+    """An instance of the frozen dataclass cls on fields the caller has checked, without validation.
+
+    The one constructor for values the library builds from validated ones:
+    cls's __post_init__ does not run, and array fields are locked against
+    writes.  Any check that can still fail is the caller's, before this.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, frozen(value) if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -295,7 +319,11 @@ def _singular_values(am: np.ndarray) -> np.ndarray:
 
 def operator_norm(a, tol: Tolerance = DEFAULT_TOL) -> float:
     """Largest singular value."""
-    return float(singular_values(a, tol)[0])
+    return _operator_norm(as_matrix(a))
+
+
+def _operator_norm(am: np.ndarray) -> float:
+    return float(_singular_values(am)[0])
 
 
 def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

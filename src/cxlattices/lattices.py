@@ -41,6 +41,7 @@ from .kernel import (
     DEFAULT_TOL,
     GRAY_ZONE,
     Tolerance,
+    _built,
     _det,
     _invertibility_gate,
     _singular_values,
@@ -52,7 +53,7 @@ from .kernel import (
     real_columns,
     sigma_ratio,
 )
-from .realmaps import SplitForm, _built
+from .realmaps import SplitForm
 
 
 def _as_generators(g) -> np.ndarray:
@@ -81,13 +82,6 @@ class LatticeBasis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", _as_generators(self.g))
-
-    @classmethod
-    def _built(cls, gm: np.ndarray) -> LatticeBasis:
-        """A basis on a finite complex128 n x 2n matrix the library has built, without validation."""
-        lat = object.__new__(cls)
-        object.__setattr__(lat, "g", frozen(gm))
-        return lat
 
     @property
     def n(self) -> int:
@@ -193,13 +187,6 @@ class PeriodMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", _imaginary_part_invertible(as_matrix(self.z, square=True)))
-
-    @classmethod
-    def _built(cls, zm: np.ndarray) -> PeriodMatrix:
-        """A period matrix on a finite square complex128 Z the library has computed, not re-validated."""
-        pm = object.__new__(cls)
-        object.__setattr__(pm, "z", _imaginary_part_invertible(frozen(zm)))
-        return pm
 
     @property
     def n(self) -> int:
@@ -314,13 +301,13 @@ def sigma_membership(b, tol: Tolerance = DEFAULT_TOL) -> GaussianUnimodular:
 def standard_lattice(n: int) -> LatticeBasis:
     """The lattice of Gaussian-integer vectors: generators [I | iI]."""
     eye = np.eye(n)
-    return LatticeBasis._built(np.hstack([eye, 1j * eye]))
+    return _built(LatticeBasis, g=np.hstack([eye, 1j * eye]))
 
 
 def gaussian_lattice(b: GaussianUnimodular) -> LatticeBasis:
     """The image of the standard lattice under a Gaussian unimodular matrix."""
     m = b.matrix
-    return _full_rank(LatticeBasis._built(np.hstack([m, 1j * m])), DEFAULT_TOL)
+    return _full_rank(_built(LatticeBasis, g=np.hstack([m, 1j * m])), DEFAULT_TOL)
 
 
 def permute_to_L1(
@@ -352,7 +339,7 @@ def permute_to_L1(
     ok, margin, _ = _invertibility_gate(g[:, perm[:n]], tol)
     if not ok:
         raise InternalCheckError(f"pivoted first block is singular (margin {margin:.3e})")
-    return LatticeBasis._built(g[:, perm]), perm
+    return _built(LatticeBasis, g=g[:, perm]), perm
 
 
 def normalize_to_Lstarstar(
@@ -374,9 +361,10 @@ def normalize_to_Lstarstar(
         )
     # one LU of the first block, behind the gate just taken, gives A = G1^-1 and Z = G1^-1 G2 together
     x = gated_solve(g1, margin, fro(g1), np.hstack([np.eye(n), g[:, n:]]), tol)
-    return frozen(x[:, :n].copy()), PeriodMatrix._built(x[:, n:].copy())
+    # x is finite (gated_solve refuses an LU that overflowed); only the Im Z gate can fail
+    return frozen(x[:, :n].copy()), _built(PeriodMatrix, z=_imaginary_part_invertible(x[:, n:].copy()))
 
 
 def to_split_form(pm: PeriodMatrix) -> SplitForm:
     """Reread a period matrix as the real-linear map x + Re(Z) y + i Im(Z) y."""
-    return _built(SplitForm, pm.z.real.copy(), pm.z.imag.copy())
+    return _built(SplitForm, a=pm.z.real.copy(), b=pm.z.imag.copy())

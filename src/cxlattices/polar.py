@@ -44,9 +44,11 @@ from .kernel import (
     GRAY_ZONE,
     Tolerance,
     _adjoint,
+    _built,
     _det,
     _hermitian_eig,
     _invertibility_gate,
+    _require_finite,
     _solve,
     as_matrix,
     fro,
@@ -106,9 +108,7 @@ class GramForm:
     def _certified(cls, p: np.ndarray) -> GramForm:
         """The Gram form of p, a finite square complex128 matrix whose positivity the caller
         has certified by a root margin."""
-        form = object.__new__(cls)
-        object.__setattr__(form, "matrix", frozen(_hermitian_part(p)))
-        return form
+        return _built(cls, matrix=_hermitian_part(p))
 
     @property
     def dim(self) -> int:
@@ -193,11 +193,21 @@ def gram_form(am: np.ndarray) -> GramForm:
     A, is below the smallest normal double: the products underflowed, and
     the form's eigenvalues are lost in rounding or are zero.
     """
+    return _gram_certified(_gram_matrix(am))
+
+
+def _gram_matrix(am: np.ndarray) -> np.ndarray:
+    """A* A, made exactly Hermitian; NumericOverflow when it is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = _adjoint(am) @ am
         p = 0.5 * (p + p.conj().T)
     if not np.isfinite(p).all():
         raise NumericOverflow("gram form A* A overflowed: the entries of A are too large")
+    return p
+
+
+def _gram_certified(p: np.ndarray) -> GramForm:
+    """The Gram form on a finite A* A; NumericOverflow when its diagonal underflowed."""
     if not p.diagonal().real.min() >= _FLOAT_TINY:
         raise NumericOverflow("gram form A* A underflowed: the entries of A are too small")
     return GramForm._certified(p)
@@ -288,8 +298,11 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     n = am.shape[0]
     d = _det(am)
     delta = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
-    out = am / delta
-    if abs(_det(out) - 1.0) > tol.rel * n:
+    # a det that under- or overflowed (delta 0 or not finite) leaves out not finite:
+    # refused as a non-finite matrix, before its determinant is read, and never warned
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = am / delta
+    if abs(_det(_require_finite(out, "matrix")) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")
     return frozen(out), delta
 

@@ -24,15 +24,16 @@ let solve's gate decide whether M is singular.
 
 A form's constructor validates the caller's coefficients once.  The forms
 this module computes from validated ones (the conjugate pair behind a
-conversion, convert's outputs, the normalized factor) are built by _built,
-which checks only what can still fail there, and no operation on a form
-validates its coefficients again.
+conversion, convert's outputs, the normalized factor) are built by the
+kernel's _built.  Only a sum of finite coefficients can overflow there, and
+it is refused with the constructor's ValueError (_require_finite); no
+operation on a form validates its coefficients again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -50,9 +51,10 @@ from .kernel import (
     Tolerance,
     _adjoint,
     _hermitian_eig,
+    _built,
     _invertibility_gate,
+    _operator_norm,
     _require_finite,
-    _singular_values,
     _solve,
     as_columns,
     as_matrix,
@@ -158,21 +160,6 @@ FORMS = {BLOCK: BlockForm, SPLIT: SplitForm, CONJUGATE_PAIR: ConjugatePairForm, 
 KINDS = tuple(FORMS)
 
 
-def _built(form: type, *parts: np.ndarray) -> RealLinearMap:
-    """A form on coefficient matrices computed from validated ones, without its constructor's validation.
-
-    The parts are contiguous square arrays of one size and of the form's
-    dtype (float64 blocks for BlockForm and SplitForm, complex128 otherwise).
-    Only finiteness can still fail, where a sum of finite coefficients
-    overflowed, and it raises the constructor's ValueError.
-    """
-    t = object.__new__(form)
-    for f, part in zip(fields(form), parts):
-        _require_finite(part, "matrix")
-        object.__setattr__(t, f.name, frozen(part))
-    return t
-
-
 def kind_of(t: RealLinearMap) -> str:
     for kind, form in FORMS.items():
         if isinstance(t, form):
@@ -230,18 +217,18 @@ def _check_apply_equal(t_in: RealLinearMap, t_out: RealLinearMap, tol: Tolerance
 def _to_conjugate_pair(t: RealLinearMap) -> ConjugatePairForm:
     if isinstance(t, ConjugatePairForm):
         return t
+    if isinstance(t, NormalizedForm):
+        return _built(ConjugatePairForm, m=np.eye(t.dim, dtype=np.complex128), n=t.e)
     if isinstance(t, BlockForm):
         m = 0.5 * ((t.e1 + t.e4) + 1j * (t.e3 - t.e2))
         n = 0.5 * ((t.e1 - t.e4) - 1j * (t.e2 + t.e3))
-        return _built(ConjugatePairForm, m, n)
-    if isinstance(t, SplitForm):
+    elif isinstance(t, SplitForm):
         eye = np.eye(t.dim)
         m = 0.5 * ((eye + t.b) - 1j * t.a)
         n = 0.5 * ((eye - t.b) - 1j * t.a)
-        return _built(ConjugatePairForm, m, n)
-    if isinstance(t, NormalizedForm):
-        return _built(ConjugatePairForm, np.eye(t.dim, dtype=np.complex128), t.e)
-    raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
+    else:
+        raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
+    return _built(ConjugatePairForm, m=_require_finite(m, "matrix"), n=_require_finite(n, "matrix"))
 
 
 def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> RealLinearMap:
@@ -265,15 +252,15 @@ def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> Real
     if target == CONJUGATE_PAIR:
         out: RealLinearMap = cp
     elif target == BLOCK:
-        s, d = cp.m + cp.n, cp.m - cp.n
+        s, d = _require_finite(cp.m + cp.n, "matrix"), _require_finite(cp.m - cp.n, "matrix")
         # real blocks are kept contiguous, as the constructor keeps them
-        out = _built(BlockForm, s.real.copy(), -s.imag, d.imag.copy(), d.real.copy())
+        out = _built(BlockForm, e1=s.real.copy(), e2=-s.imag, e3=d.imag.copy(), e4=d.real.copy())
     else:  # SPLIT
-        s, d = cp.m + cp.n, cp.m - cp.n
+        s, d = _require_finite(cp.m + cp.n, "matrix"), _require_finite(cp.m - cp.n, "matrix")
         scale = 1.0 + fro(cp.m) + fro(cp.n)
         if fro(s.real - np.eye(cp.dim)) > tol.rel * scale + tol.abs or fro(d.imag) > tol.rel * scale + tol.abs:
             raise NotInSplitClass("map does not fix real parts (needs E1 = I and E3 = 0)")
-        out = _built(SplitForm, -s.imag, d.real.copy())
+        out = _built(SplitForm, a=-s.imag, b=d.real.copy())
     _check_apply_equal(t, out, tol)
     return out
 
@@ -291,8 +278,9 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def invertibility(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """is_invertible's verdict with the realified margin sigma_min / sigma_max it read."""
-    # the SVDs run in complex arithmetic, as on a validated matrix
-    ok, margin, _ = _invertibility_gate(realify(t).astype(np.complex128), tol)
+    # realify sums the coefficients' images, which can overflow; the SVDs run in
+    # complex arithmetic, as on a validated matrix
+    ok, margin, _ = _invertibility_gate(_require_finite(realify(t), "matrix").astype(np.complex128), tol)
     if isinstance(t, SplitForm):
         ok_b, margin_b, _ = _invertibility_gate(t.b.astype(np.complex128), tol)
         if ok_b != ok:
@@ -339,7 +327,7 @@ def domination_ratio(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> float | 
             k = _solve(scale * cp.m.T, scale * cp.n.T, tol).T
         except NumericOverflow:
             return float("inf")
-    return float(_singular_values(k)[0])
+    return _operator_norm(k)
 
 
 def normalize_post_composition(
@@ -356,7 +344,7 @@ def normalize_post_composition(
         e = _solve(np.conj(cp.m), cp.n, tol)
     except SingularMatrix as exc:
         raise SingularM("complex-linear part M is singular; cannot normalize") from exc
-    normal = _built(NormalizedForm, e)
+    normal = _built(NormalizedForm, e=e)
     _check_apply_equal(t, normal, tol, gl=cp.m)
     return frozen(cp.m.copy()), normal
 
@@ -371,11 +359,12 @@ def contraction_check(t: NormalizedForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if not isinstance(t, NormalizedForm):
         raise TypeError("contraction_check expects a NormalizedForm")
-    sigma = float(_singular_values(t.e)[0])
+    sigma = _operator_norm(t.e)
     first = sigma < 1.0 - tol.rel
     h = np.eye(t.dim) - _adjoint(t.e) @ t.e
     h = 0.5 * (h + h.conj().T)
-    wmin = float(_hermitian_eig(h, tol)[0][0])
+    # E* E overflows for a large E: h is then refused as a non-finite matrix
+    wmin = float(_hermitian_eig(_require_finite(h, "matrix"), tol)[0][0])
     second = wmin > 1.0 - (1.0 - tol.rel) ** 2
     if first != second:
         if abs(sigma - (1.0 - tol.rel)) > 1e3 * np.finfo(float).eps * max(1.0, sigma):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InternalCheckError, LatticeMismatch, NumericOverflow
-from .kernel import DEFAULT_TOL, Tolerance, as_vector, frozen, real_columns
+from .kernel import DEFAULT_TOL, Tolerance, _built, as_vector, frozen, real_columns
 from .lattices import LatticeBasis, same_lattice
 
 
@@ -109,10 +109,7 @@ def _reduce(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> TorusPoint:
     if not np.isfinite(rep).all():
         raise NumericOverflow("representative G @ coords overflowed: the lattice's generators are too large")
     # the invariants TorusPoint's constructor checks hold by construction here
-    p = object.__new__(TorusPoint)
-    for name, value in (("lattice", lat), ("rep", frozen(rep)), ("coords", frozen(frac))):
-        object.__setattr__(p, name, value)
-    return p
+    return _built(TorusPoint, lattice=lat, rep=rep, coords=frac)
 
 
 def _require_same_lattice(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> None:

@@ -62,6 +62,28 @@ def test_polar_of_a_huge_entry_writes_nothing_to_stderr():
     assert code == 0 and json.loads(out)["payload"]["p"] == [[[1e300, 0.0]]]
 
 
+@pytest.mark.parametrize(
+    "argv, input_text",
+    [
+        (["sl-normalize"], '{"matrix": [[[1e-170,0],[0,0]],[[0,0],[1e-170,0]]]}'),
+        (["sl-normalize"], '{"matrix": [[[1e200,0],[0,0]],[[0,0],[1e200,0]]]}'),
+        (["map-normalize"], '{"map": {"kind": "conjugate_pair", "m": [[[1,0],[0,0]],[[0,0],[1,0]]], '
+                            '"n": [[[1e200,0],[1e200,0]],[[1e200,0],[-1e200,0]]]}}'),
+        (["map-normalize"], '{"map": {"kind": "conjugate_pair", "m": [[[1,0]]], "n": [[[1e200,0]]]}}'),
+        (["map-invertible"], '{"map": {"kind": "conjugate_pair", "m": [[[1e308,0]]], "n": [[[1e308,0]]]}}'),
+    ],
+)
+def test_an_overflowing_intermediate_is_one_malformed_line(argv, input_text):
+    # finite inputs whose intermediate arrays overflow (A / det(A)^(1/n), I - E* E, the
+    # realified map): one error line and nothing on stderr, never a NaN or a verdict read off one
+    assert stderr_of(argv, input_text) == ""
+    code, out = run_cli(argv, input_text)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "name": "MalformedInput", "message": "matrix entries must be finite (no NaN/Inf)"
+    }
+
+
 def test_unhashable_map_kind_is_malformed_input():
     code, out = run_cli(["map-invertible"], '{"map": {"kind": [1]}}')
     assert code == 2

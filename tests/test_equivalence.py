@@ -30,6 +30,7 @@ from cxlattices.errors import (
     InternalCheckError,
     NotInSL,
     NotPositiveDefinite,
+    NumericOverflow,
     RadiusBudgetExceeded,
     SingularMatrix,
 )
@@ -563,6 +564,21 @@ def test_short_vectors_budget_refuses_a_subnormal_basis():
         lattice_equivalent([[1e-310]], [[1e-310j]])
 
 
+def test_lattice_equivalent_checks_gram_radius_budget_in_order():
+    # for inputs that fail two checks: an A* A that overflowed is refused before the
+    # radius is read, and one that underflowed only after the radius and the box budgets
+    big = ([[1.2e154]], [[1.2e154j]])  # |det|^2 is finite, A* A + (A* A)* is not
+    for radius in (-1.0, float("nan")):
+        with pytest.raises(NumericOverflow, match="^gram form A\\* A overflowed"):
+            lattice_equivalent(*big, radius=radius)
+    tiny = ([[1e-310]], [[1e-310j]])
+    with pytest.raises(ValueError, match="^radius must be"):
+        lattice_equivalent(*tiny, radius=-1.0)
+    # at the default radius the box budget refuses tiny first: see the test above
+    with pytest.raises(NumericOverflow, match="^gram form A\\* A underflowed"):
+        lattice_equivalent(*tiny, radius=0.0)
+
+
 def test_short_vectors_singular():
     with pytest.raises(SingularMatrix):
         short_vectors([[0.0]], 1.0)
@@ -643,15 +659,15 @@ def test_scaling_refuted_at_any_dimension_without_orbit():
 
 @pytest.fixture
 def gram_form_calls(monkeypatch):
-    """Count the Gram forms lattice_equivalent builds in a test."""
+    """Count the Gram forms lattice_equivalent builds in a test, by the products A* A it forms."""
     calls = []
-    build = equivalence.gram_form
+    build = equivalence._gram_matrix
 
     def counted(am):
         calls.append(np.shape(am))
         return build(am)
 
-    monkeypatch.setattr(equivalence, "gram_form", counted)
+    monkeypatch.setattr(equivalence, "_gram_matrix", counted)
     return calls
 
 

@@ -301,6 +301,14 @@ def test_gram_reports_underflow_as_overflow():
     assert spd_sqrt(GramForm._certified(p)).matrix[0, 0] == pytest.approx(1e-150)
 
 
+def test_sl_normalize_refuses_a_determinant_that_under_or_overflowed():
+    # det(1e-170 I) underflows to 0 and det(1e200 I) overflows: A / delta is not finite,
+    # and it is refused as a non-finite matrix, never returned (numpy warns on the way)
+    for scale in (1e-170, 1e200):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^matrix entries must be finite"):
+            sl_normalize(np.eye(2) * scale)
+
+
 def test_each_polar_entry_validates_the_callers_arrays_once(validation_calls, singular_value_calls):
     # one validation per array the caller passes; classify's body, the Gram form and the
     # kernel bodies run on the validated copies

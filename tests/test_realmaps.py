@@ -464,3 +464,13 @@ def test_operations_on_a_built_form_validate_nothing(validation_calls):
     apply(t, random_points(rng, 3, 2))
     assert validation_calls == ["as_columns"]  # the caller's points, once
 
+
+def test_an_overflowing_intermediate_is_refused_as_a_non_finite_matrix():
+    # I - E* E overflows for a large E, and realify's M z + conj(N z) past the largest
+    # double: refused as a non-finite matrix, as the caller's own would be (numpy warns)
+    with np.errstate(all="ignore"):
+        for e in ([[1e200]], [[1e200, 1e200], [1e200, -1e200]]):
+            with pytest.raises(ValueError, match="^matrix entries must be finite"):
+                contraction_check(NormalizedForm(e))
+        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+            is_invertible(ConjugatePairForm([[1e308]], [[1e308]]))
