@@ -13,21 +13,21 @@ semidecision with three honest states: Equivalent (with a re-verifiable
 witness), RefutedByInvariant (a unitary invariant separates the lattices),
 or UndecidedUpToBound.
 
-Candidates with exact determinant one come by one of two routes.  The
-complete route enumerates n = 2 in full when the height box fits the
-budget (three entries range freely, the fourth is solved in exact integer
-arithmetic, all with numpy); the closure route takes the breadth-first
-closure of unit-multiple column operations from the identity, capped at
-the same budget.  Candidate order is fixed on each route, and the first
-matching witness wins, so repeated runs return identical verdicts.
+Candidates with exact determinant one come from one complete set per
+dimension: n = 1 has the identity alone, and n = 2 is enumerated in full
+when the height box fits the budget, (2H+1)^6 <= budget (three entries
+range freely, the fourth is solved in exact integer arithmetic, all with
+numpy).  Past that box, and at every budget for n >= 3, where no complete
+set is enumerated, the call raises HeightTooLarge at once: the search is
+sound, and it fails fast rather than scan a set it cannot finish.  The
+candidate order is fixed, and the first matching witness wins, so
+repeated runs return identical verdicts.
 
-Each candidate set is cached per (n, height, route), once, as the public
-tuples together with their stacked complex128 array of shape (k, n, n);
-the Gram scan runs on that array in chunks.  A closure that overruns its
-budget is remembered per (n, height): a later call whose budget is no
-larger raises HeightTooLarge at once, while a larger budget runs the
-closure again.  So only the first call in a process pays for generating
-a set, and the cache answers the same call the same way whatever came
+Each candidate set is cached per (n, height), once, as the public tuples
+together with their stacked complex128 array of shape (k, n, n); the Gram
+scan runs on that array in chunks.  The budget is checked before the
+cache is read, so only the first call in a process pays for generating a
+set, and the cache answers the same call the same way whatever came
 before it.
 
 The search is norm-first.  Column i of a witness B has P1-norm (P2)_ii
@@ -59,7 +59,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,7 +73,6 @@ from .errors import (
     RadiusBudgetExceeded,
     SingularMatrix,
 )
-from .gaussian import ZERO, gadd, gmul
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
@@ -143,10 +141,6 @@ class ShortVectorSpectrum:
             raise InternalCheckError("spectrum norms must ascend")
 
 
-def _height(entry) -> int:
-    return max(abs(entry[0]), abs(entry[1]))
-
-
 def _gauss_box(height: int):
     # fixed lexicographic order keeps candidate enumeration deterministic
     return tuple(
@@ -171,24 +165,6 @@ def _with_columns(entries: tuple, stack, cols, col_ids) -> _Candidates:
     """A candidate set from its parts; the column lengths are computed here, once."""
     weights = frozen(np.sum(np.abs(cols) ** 2, axis=1))
     return _Candidates(entries, stack, frozen(cols), frozen(col_ids), weights)
-
-
-def _stack(candidates) -> np.ndarray:
-    """Candidate tuples as a read-only complex128 array of shape (k, n, n)."""
-    ints = np.array(candidates, dtype=np.int64)
-    return frozen(ints[..., 0] + 1j * ints[..., 1])
-
-
-def _from_tuples(entries) -> _Candidates:
-    """A candidate set built from its tuples, each distinct column numbered once."""
-    n = len(entries[0])
-    ids: dict = {}
-    col_ids = [
-        [ids.setdefault(tuple(m[r][c] for r in range(n)), len(ids)) for c in range(n)]
-        for m in entries
-    ]
-    ids_array = np.array(col_ids, dtype=np.intp)
-    return _with_columns(entries, _stack(entries), _stack(list(ids)), ids_array)
 
 
 def _complete_2x2(height: int) -> _Candidates:
@@ -233,45 +209,8 @@ def _complete_2x2(height: int) -> _Candidates:
     return _with_columns(entries, frozen(values[idx].reshape(-1, 2, 2)), cols, col_ids)
 
 
-def _closure_overrun(height: int, budget: int) -> HeightTooLarge:
-    return HeightTooLarge(f"candidate closure at height {height} exceeds budget {budget}")
-
-
-def _bfs_candidates(n: int, height: int, budget: int):
-    units = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    start = tuple(tuple((1, 0) if i == j else ZERO for j in range(n)) for i in range(n))
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        m = queue.popleft()
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for z in units:
-                    col = tuple(gadd(m[r][j], gmul(z, m[r][i])) for r in range(n))
-                    if any(_height(e) > height for e in col):
-                        continue
-                    m2 = tuple(
-                        tuple(col[r] if c == j else m[r][c] for c in range(n))
-                        for r in range(n)
-                    )
-                    if m2 in seen:
-                        continue
-                    if len(order) >= budget:
-                        raise _closure_overrun(height, budget)
-                    seen.add(m2)
-                    order.append(m2)
-                    queue.append(m2)
-    return tuple(order)
-
-
-# (n, height, complete) -> _Candidates, complete telling the complete route
-# from the closure; each set is generated once per process and then shared
+# (n, height) -> _Candidates; each set is generated once per process and then shared
 _CANDIDATE_CACHE: dict = {}
-# (n, height) -> largest budget the closure is known to exceed
-_CLOSURE_OVERRUNS: dict = {}
 
 
 def _candidates(n: int, height: int, budget: int) -> _Candidates:
@@ -280,38 +219,36 @@ def _candidates(n: int, height: int, budget: int) -> _Candidates:
         raise DimensionMismatch("dimension must be positive")
     if height < 1:
         raise ValueError("height must be at least 1 (the identity has height 1)")
-    complete = n == 1 or (n == 2 and (2 * height + 1) ** 6 <= budget)
-    key = (n, height, complete)
-    cached = _CANDIDATE_CACHE.get(key)
-    if cached is not None:
-        # answer as a fresh closure run would: it fails past the budget
-        if not complete and len(cached.entries) > budget:
-            raise _closure_overrun(height, budget)
-        return cached
-    if n == 1:
-        cached = _from_tuples(((((1, 0),),),))
-    elif complete:
-        cached = _complete_2x2(height)
-    else:
-        overrun = _CLOSURE_OVERRUNS.get((n, height))
-        if overrun is not None and budget <= overrun:
-            raise _closure_overrun(height, budget)
-        try:
-            entries = _bfs_candidates(n, height, budget)
-        except HeightTooLarge:
-            _CLOSURE_OVERRUNS[(n, height)] = budget
-            raise
-        cached = _from_tuples(entries)
-    _CANDIDATE_CACHE[key] = cached
+    if n >= 3:
+        raise HeightTooLarge(
+            f"no complete candidate set is enumerated at dimension {n} (height {height})"
+        )
+    box = (2 * height + 1) ** 6
+    if n == 2 and box > budget:
+        raise HeightTooLarge(
+            f"complete candidate set at height {height} spans a box of {box} points,"
+            f" over budget {budget}"
+        )
+    cached = _CANDIDATE_CACHE.get((n, height))
+    if cached is None:
+        if n == 1:
+            one = np.ones((1, 1), dtype=np.complex128)
+            cached = _with_columns(
+                ((((1, 0),),),), frozen(one[None]), one, np.zeros((1, 1), dtype=np.intp)
+            )
+        else:
+            cached = _complete_2x2(height)
+        _CANDIDATE_CACHE[(n, height)] = cached
     return cached
 
 
 def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     """Determinant-one Gaussian-integer matrices with entry height <= height.
 
-    Complete for n = 1 and for n = 2 whenever (2H+1)^6 fits the budget;
-    beyond that, the breadth-first column-operation closure (a subset, so
-    verdicts built on it stay sound but may be undecided).
+    Complete: the identity for n = 1 at any budget, and every such matrix
+    for n = 2 whenever the height box (2H+1)^6 fits the budget.  Past that
+    box at n = 2, and at every budget for n >= 3, where no complete set is
+    enumerated, it raises HeightTooLarge at once.
     """
     return _candidates(n, height, budget).entries
 
@@ -619,6 +556,14 @@ def _spectra_mismatch(s1: ShortVectorSpectrum, s2: ShortVectorSpectrum, radius: 
     return None
 
 
+def _square(x: float) -> float:
+    """x ** 2, and inf where it overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def lattice_equivalent(
     a1,
     a2,
@@ -665,8 +610,12 @@ def lattice_equivalent(
         svals.append(s)
         abs_dets.append(abs(d))
 
-    c1, c2 = (float(d**2) for d in abs_dets)
-    if abs(c1 - c2) > tol.rel * max(c1, c2):
+    # decided on both |det| scaled by one power of two, which is exact and keeps the
+    # squares finite; the reported covolumes are |det|^2, inf where that overflows
+    e = math.frexp(max(abs_dets))[1]
+    r1, r2 = (math.ldexp(d, -e) ** 2 for d in abs_dets)
+    if abs(r1 - r2) > tol.rel * max(r1, r2):
+        c1, c2 = (_square(d) for d in abs_dets)
         return EquivalenceVerdict(REFUTED, None, ("covolume", c1, c2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the

@@ -70,7 +70,11 @@ class DimensionTooLarge(CxlatError):
 
 
 class HeightTooLarge(CxlatError):
-    """Enumeration at the requested height exceeds the configured budget."""
+    """No complete candidate set fits the requested height and budget.
+
+    At n = 2 the height box (2H+1)^6 exceeds the budget; at n >= 3 no
+    complete set is enumerated, at any budget.
+    """
 
 
 class RadiusBudgetExceeded(CxlatError):

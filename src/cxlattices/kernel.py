@@ -3,11 +3,11 @@
 Everything else in the package sits on these few operations.  Singular
 values come from LAPACK's SVD of A itself, resolved to about eps relative
 (the route through A* A would only reach sqrt(eps)); they alone decide
-singularity, through invertibility_margin (invertibility_gate also hands
-back the values).  solve and det are LAPACK's LU (numpy.linalg), with
-solve gated by that margin and checked by its residual; gated_solve is
-that step for a caller that already holds the margin and the norm of A
-(a lattice basis carries its own).  A solution that is not finite (the
+singularity, through invertibility_margin (its body, _invertibility_gate,
+also hands back the values).  solve and det are LAPACK's LU
+(numpy.linalg), with solve gated by that margin and checked by its
+residual; gated_solve is that step for a caller that already holds the
+margin and the norm of A (a lattice basis carries its own).  A solution that is not finite (the
 LU overflowed) is NumericOverflow.  The Hermitian eigensolver is still
 self-contained (cyclic Jacobi rotations), so its behavior is easy to
 audit at the small dimensions this package targets.
@@ -332,14 +332,6 @@ def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     A matrix counts as invertible when its margin strictly exceeds tol.rel.
     """
     return _invertibility_gate(as_matrix(a), tol)[:2]
-
-
-def invertibility_gate(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, np.ndarray]:
-    """invertibility_margin's (invertible, margin) with the singular values it read.
-
-    For a caller that reuses A's singular values past the gate.
-    """
-    return _invertibility_gate(as_matrix(a), tol)
 
 
 def _invertibility_gate(am: np.ndarray, tol: Tolerance) -> tuple[bool, float, np.ndarray]:

@@ -49,10 +49,10 @@ from .kernel import (
     _hermitian_eig,
     _invertibility_gate,
     _require_finite,
-    _solve,
     as_matrix,
     fro,
     frozen,
+    gated_solve,
 )
 
 
@@ -177,15 +177,16 @@ def gram(a, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     return _gram(as_matrix(a, square=True), tol)
 
 
-def _gram(am: np.ndarray, tol: Tolerance) -> GramForm:
+def _gated_margin(am: np.ndarray, tol: Tolerance, what: str) -> float:
+    """A's margin once the gate accepts A; SingularMatrix, naming what needed it, otherwise."""
     ok, margin, _ = _invertibility_gate(am, tol)
     if not ok:
-        raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
-    return gram_form(am)
+        raise SingularMatrix(f"{what} needs an invertible matrix (margin {margin:.3e})")
+    return margin
 
 
-def gram_form(am: np.ndarray) -> GramForm:
-    """A* A as a GramForm, for a validated matrix the caller has found invertible.
+def _gram(am: np.ndarray, tol: Tolerance) -> GramForm:
+    """A* A as a GramForm, for a validated A that the gate must accept.
 
     A is a root of A* A and its margin has passed the gate, which certifies
     positivity.  Raises NumericOverflow when A* A is not finite (the entries
@@ -193,6 +194,7 @@ def gram_form(am: np.ndarray) -> GramForm:
     A, is below the smallest normal double: the products underflowed, and
     the form's eigenvalues are lost in rounding or are zero.
     """
+    _gated_margin(am, tol, "gram")
     return _gram_certified(_gram_matrix(am))
 
 
@@ -224,12 +226,14 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
     m2 = as_matrix(a2, square=True)
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"shapes differ: {m1.shape} vs {m2.shape}")
-    p1 = _gram(m1, tol)
+    # A1* has A1's singular values, so the gate's margin on A1 also gates the solve
+    margin = _gated_margin(m1, tol, "gram")
+    p1 = _gram_certified(_gram_matrix(m1))
     p2 = _gram(m2, tol)
     bound = tol.rel * (fro(m1) ** 2 + fro(m2) ** 2) + tol.abs
     if fro(p1.matrix - p2.matrix) > bound:
         return False, None
-    witness = _adjoint(_solve(_adjoint(m1), _adjoint(m2), tol))
+    witness = _adjoint(gated_solve(_adjoint(m1), margin, fro(m1), _adjoint(m2), tol))
     if not _classify(witness, tol).in_u:
         raise InternalCheckError("gram forms agree but the witness is not unitary")
     return True, frozen(witness)
@@ -271,9 +275,7 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
     check.
     """
     am = as_matrix(a, square=True)
-    ok, margin, _ = _invertibility_gate(am, tol)
-    if not ok:
-        raise SingularMatrix(f"polar needs an invertible matrix (margin {margin:.3e})")
+    _gated_margin(am, tol, "polar")
     w, s, vh = np.linalg.svd(am)
     u = w @ vh
     p = GramForm._certified((vh.conj().T * s) @ vh)
@@ -292,15 +294,13 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     det(A), the one with argument in (-pi/n, pi/n].
     """
     am = as_matrix(a, square=True)
-    ok, margin, _ = _invertibility_gate(am, tol)
-    if not ok:
-        raise SingularMatrix(f"sl_normalize needs an invertible matrix (margin {margin:.3e})")
+    _gated_margin(am, tol, "sl_normalize")
     n = am.shape[0]
-    d = _det(am)
-    delta = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
     # a det that under- or overflowed (delta 0 or not finite) leaves out not finite:
     # refused as a non-finite matrix, before its determinant is read, and never warned
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = _det(am)
+        delta = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
         out = am / delta
     if abs(_det(_require_finite(out, "matrix")) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")

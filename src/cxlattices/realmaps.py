@@ -250,13 +250,18 @@ def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> Real
         return normalize_post_composition(t, tol)[1]
     cp = _to_conjugate_pair(t)
     if target == CONJUGATE_PAIR:
-        out: RealLinearMap = cp
-    elif target == BLOCK:
-        s, d = _require_finite(cp.m + cp.n, "matrix"), _require_finite(cp.m - cp.n, "matrix")
+        _check_apply_equal(t, cp, tol)
+        return cp
+    # M + N and M - N can overflow: refused as non-finite matrices, never warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, d = cp.m + cp.n, cp.m - cp.n
+    s, d = _require_finite(s, "matrix"), _require_finite(d, "matrix")
+    if target == BLOCK:
         # real blocks are kept contiguous, as the constructor keeps them
-        out = _built(BlockForm, e1=s.real.copy(), e2=-s.imag, e3=d.imag.copy(), e4=d.real.copy())
+        out: RealLinearMap = _built(
+            BlockForm, e1=s.real.copy(), e2=-s.imag, e3=d.imag.copy(), e4=d.real.copy()
+        )
     else:  # SPLIT
-        s, d = _require_finite(cp.m + cp.n, "matrix"), _require_finite(cp.m - cp.n, "matrix")
         scale = 1.0 + fro(cp.m) + fro(cp.n)
         if fro(s.real - np.eye(cp.dim)) > tol.rel * scale + tol.abs or fro(d.imag) > tol.rel * scale + tol.abs:
             raise NotInSplitClass("map does not fix real parts (needs E1 = I and E3 = 0)")
@@ -278,9 +283,11 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def invertibility(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """is_invertible's verdict with the realified margin sigma_min / sigma_max it read."""
-    # realify sums the coefficients' images, which can overflow; the SVDs run in
-    # complex arithmetic, as on a validated matrix
-    ok, margin, _ = _invertibility_gate(_require_finite(realify(t), "matrix").astype(np.complex128), tol)
+    # realify sums the coefficients' images, which can overflow: refused as a non-finite
+    # matrix, never warned; the SVDs run in complex arithmetic, as on a validated matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = realify(t)
+    ok, margin, _ = _invertibility_gate(_require_finite(r, "matrix").astype(np.complex128), tol)
     if isinstance(t, SplitForm):
         ok_b, margin_b, _ = _invertibility_gate(t.b.astype(np.complex128), tol)
         if ok_b != ok:
@@ -361,9 +368,10 @@ def contraction_check(t: NormalizedForm, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise TypeError("contraction_check expects a NormalizedForm")
     sigma = _operator_norm(t.e)
     first = sigma < 1.0 - tol.rel
-    h = np.eye(t.dim) - _adjoint(t.e) @ t.e
-    h = 0.5 * (h + h.conj().T)
-    # E* E overflows for a large E: h is then refused as a non-finite matrix
+    # E* E overflows for a large E: h is then refused as a non-finite matrix, never warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.eye(t.dim) - _adjoint(t.e) @ t.e
+        h = 0.5 * (h + h.conj().T)
     wmin = float(_hermitian_eig(_require_finite(h, "matrix"), tol)[0][0])
     second = wmin > 1.0 - (1.0 - tol.rel) ** 2
     if first != second:

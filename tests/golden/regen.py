@@ -238,6 +238,18 @@ CASES = {
         "input": '{"first": [[[2, 0]]], "second": [[[2, 0]]]}',
         "exit": 1,
     },
+    # |det|^2 = 2^1600 is past the largest double: the covolume check still decides
+    "lattice-equiv-huge-scale": {
+        "argv": ["lattice-equiv"],
+        "input": '{"first": [[[2.5822498780869086e+120, 0], [0, 0]], [[0, 0], [2.5822498780869086e+120, 0]]], "second": [[[0, 0], [2.5822498780869086e+120, 0]], [[2.5822498780869086e+120, 0], [0, 0]]]}',
+        "exit": 0,
+    },
+    # no complete candidate set is enumerated at n = 3: it fails fast
+    "lattice-equiv-n3-height": {
+        "argv": ["lattice-equiv"],
+        "input": '{"first": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]], "second": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}',
+        "exit": 1,
+    },
     # --- sigma-check ---
     "sigma-check-member": {
         "argv": ["sigma-check"],

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -127,59 +128,38 @@ def test_numpy_complete_2x2_matches_loop_oracle(h):
 
 @pytest.fixture
 def empty_cache(monkeypatch):
-    """Run a test against a candidate cache and overrun record of its own."""
+    """Run a test against a candidate cache of its own."""
     monkeypatch.setattr(equivalence, "_CANDIDATE_CACHE", {})
-    monkeypatch.setattr(equivalence, "_CLOSURE_OVERRUNS", {})
 
 
-@pytest.mark.parametrize("n, h, budget", [(1, 1, 10), (2, 1, 10**7), (2, 3, 10**7), (2, 2, 10**4)])
+@pytest.mark.parametrize("n, h, budget", [(1, 1, 10), (2, 1, 10**7), (2, 3, 10**7)])
 def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
-    # (2, 2, 10**4) takes the closure route: 5^6 > 10^4
     cands = sigma_candidates(n, h, budget)
     stack = equivalence._candidates(n, h, budget).stack
     oracle = np.array([[[complex(*e) for e in row] for row in m] for m in cands])
     assert stack.dtype == np.complex128 and stack.shape == (len(cands), n, n)
     assert not stack.flags.writeable
-    assert np.array_equal(stack, equivalence._stack(cands))
     assert np.array_equal(stack, oracle)
 
 
-def test_closure_overrun_is_remembered(empty_cache, monkeypatch):
-    runs = []
-    closure = equivalence._bfs_candidates
-
-    def counted(n, height, budget):
-        runs.append(budget)
-        return closure(n, height, budget)
-
-    monkeypatch.setattr(equivalence, "_bfs_candidates", counted)
-    with pytest.raises(HeightTooLarge) as first:
-        sigma_candidates(3, 1, budget=300)
-    assert str(first.value) == "candidate closure at height 1 exceeds budget 300"
-    for budget in (300, 200, 1):
-        with pytest.raises(HeightTooLarge) as again:
+def test_n3_raises_height_too_large_at_every_budget(empty_cache):
+    # no complete candidate set is enumerated at n = 3, so no budget makes one
+    for budget in (1, 3000, 10**12):
+        with pytest.raises(HeightTooLarge, match="^no complete candidate set .* dimension 3"):
             sigma_candidates(3, 1, budget=budget)
-        with pytest.raises(HeightTooLarge) as fresh:
-            closure(3, 1, budget)
-        assert str(again.value) == str(fresh.value)
-    assert runs == [300]
-    # a larger budget runs the closure again, and its overrun is remembered too
-    with pytest.raises(HeightTooLarge):
-        sigma_candidates(3, 1, budget=600)
-    with pytest.raises(HeightTooLarge):
-        sigma_candidates(3, 1, budget=500)
-    assert runs == [300, 600]
-    # the record is per (n, height)
-    with pytest.raises(HeightTooLarge):
-        sigma_candidates(3, 2, budget=300)
-    assert runs == [300, 600, 300]
+    assert equivalence._CANDIDATE_CACHE == {}
 
 
 _FRESH = """
 import hashlib, json, sys
 from cxlattices.equivalence import sigma_candidates
+from cxlattices.errors import HeightTooLarge
 for args in json.loads(sys.argv[1]):
-    c = sigma_candidates(*args)
+    try:
+        c = sigma_candidates(*args)
+    except HeightTooLarge as exc:
+        print(json.dumps(["HeightTooLarge", str(exc)]))
+        continue
     print(json.dumps([len(c), hashlib.sha256(repr(c).encode()).hexdigest()]))
 """
 
@@ -189,7 +169,8 @@ def _digest(cands):
 
 
 def _fresh_process(args):
-    """sigma_candidates(*args) as a new process computes it, before any other call."""
+    """sigma_candidates(*args) as a new process computes it, before any other call:
+    [count, digest], or ["HeightTooLarge", message] when it raises."""
     src = str(pathlib.Path(cxlattices.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
@@ -199,49 +180,33 @@ def _fresh_process(args):
     return json.loads(out.stdout)
 
 
-def test_candidate_set_does_not_depend_on_call_history(empty_cache, monkeypatch):
-    closure_args, complete_args = [2, 3, 100000], [2, 3]  # 7^6 > 10^5 forces the closure
-    want_closure = _fresh_process(closure_args)
+def test_candidate_set_does_not_depend_on_call_history(empty_cache):
+    over_args, complete_args = [2, 3, 100000], [2, 3]  # 7^6 > 10^5: past the height box
+    want_over = _fresh_process(over_args)
+    assert want_over[0] == "HeightTooLarge"
     want_complete = _fresh_process(complete_args)
-    assert want_closure != want_complete
-    for order in ((closure_args, complete_args), (complete_args, closure_args)):
-        monkeypatch.setattr(equivalence, "_CANDIDATE_CACHE", {})
-        got = {tuple(args): sigma_candidates(*args) for args in order}
-        assert _digest(got[tuple(closure_args)]) == want_closure
-        assert _digest(got[tuple(complete_args)]) == want_complete
-        assert got[tuple(closure_args)][0] == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
-        assert got[tuple(complete_args)][0] == (((-3, -3), (-3, -2)), ((-3, -2), (-3, -1)))
+    for _ in range(2):  # before and after the complete set has filled the cache
+        with pytest.raises(HeightTooLarge) as over:
+            sigma_candidates(*over_args)
+        assert str(over.value) == want_over[1]
+        got = sigma_candidates(*complete_args)
+        assert _digest(got) == want_complete
+        assert got[0] == (((-3, -3), (-3, -2)), ((-3, -2), (-3, -1)))
 
 
 def test_cached_closure_budget_check_matches_a_fresh_call(empty_cache):
-    assert len(sigma_candidates(2, 2, budget=10**4)) == 2472  # closure route
-    with pytest.raises(HeightTooLarge) as cached:
-        sigma_candidates(2, 2, budget=2000)
-    with pytest.raises(HeightTooLarge) as fresh:
-        equivalence._bfs_candidates(2, 2, 2000)
-    assert str(cached.value) == str(fresh.value)
-    # the complete route never checks its size against the budget
+    assert len(sigma_candidates(2, 2)) == 2472
+    with pytest.raises(HeightTooLarge, match="box of 15625 points, over budget 10000$"):
+        sigma_candidates(2, 2, budget=10**4)
+    # the box rule, not the size of the set, is checked against the budget
     assert len(sigma_candidates(2, 1, budget=729)) == 296
     assert len(sigma_candidates(1, 1, budget=0)) == 1
 
 
-def _n3_candidates():
-    """A determinant-one 3x3 set on the closure route's constructor: the 2x2
-    height-1 set embedded top-left and bottom-right, so columns repeat."""
-    one, zero = (1, 0), (0, 0)
-    out = []
-    for (a, b), (c, d) in sigma_candidates(2, 1):
-        out.append(((a, b, zero), (c, d, zero), (zero, zero, one)))
-        out.append(((one, zero, zero), (zero, a, b), (zero, c, d)))
-    return equivalence._from_tuples(tuple(out))
-
-
 _SETS = {
-    # complete n = 2 at h = 1..3, n = 1, and the closure route at n = 2 (5^6 > 10^4) and n = 3
+    # complete n = 2 at h = 1..3, and n = 1
     **{f"complete-h{h}": lambda h=h: equivalence._candidates(2, h, 10**7) for h in (1, 2, 3)},
     "n1": lambda: equivalence._candidates(1, 1, 10),
-    "closure-n2-h2": lambda: equivalence._candidates(2, 2, 10**4),
-    "closure-n3": _n3_candidates,
 }
 
 
@@ -692,6 +657,19 @@ def test_covolume_refutes_before_the_gram_forms():
     assert v.refuter == ("covolume", pytest.approx(1e-10), pytest.approx(4e-10))
     with pytest.raises(SingularMatrix, match="gram needs an invertible matrix"):
         lattice_equivalent(np.eye(2), np.diag([1.0, 1e-12]))
+
+
+def test_covolume_past_the_largest_double_is_decided_and_reported_as_inf():
+    # |det|^2 = 2^1600 overflows a double: the check is decided on both |det| scaled by
+    # one power of two, and each reported covolume is |det|^2 where finite, else inf
+    big = 2.0**400
+    v = lattice_equivalent(big * np.eye(2), big * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert v.status == EQUIVALENT
+    assert lattice_equivalent(big * np.eye(2), 2 * big * np.eye(2)).refuter == (
+        "covolume", math.inf, math.inf
+    )
+    d = abs(complex(np.linalg.det([[2.0**500]])))  # about 2^500: LAPACK rounds it
+    assert lattice_equivalent([[2.0**500]], [[2.0**520]]).refuter == ("covolume", d**2, math.inf)
 
 
 def test_orbit_cap_reached_when_not_refuted():

@@ -466,11 +466,15 @@ def test_operations_on_a_built_form_validate_nothing(validation_calls):
 
 
 def test_an_overflowing_intermediate_is_refused_as_a_non_finite_matrix():
-    # I - E* E overflows for a large E, and realify's M z + conj(N z) past the largest
-    # double: refused as a non-finite matrix, as the caller's own would be (numpy warns)
-    with np.errstate(all="ignore"):
-        for e in ([[1e200]], [[1e200, 1e200], [1e200, -1e200]]):
-            with pytest.raises(ValueError, match="^matrix entries must be finite"):
-                contraction_check(NormalizedForm(e))
+    # I - E* E overflows for a large E, and realify's M z + conj(N z) and convert's M + N
+    # past the largest double: refused as a non-finite matrix, as the caller's own would
+    # be, and without a numpy warning
+    for e in ([[1e200]], [[1e200, 1e200], [1e200, -1e200]]):
         with pytest.raises(ValueError, match="^matrix entries must be finite"):
-            is_invertible(ConjugatePairForm([[1e308]], [[1e308]]))
+            contraction_check(NormalizedForm(e))
+    huge = ConjugatePairForm([[1e308]], [[1e308]])
+    with pytest.raises(ValueError, match="^matrix entries must be finite"):
+        is_invertible(huge)
+    for kind in ("block", "split"):
+        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+            convert(huge, kind)
