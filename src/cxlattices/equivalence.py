@@ -33,10 +33,16 @@ before it.
 The search is norm-first.  Column i of a witness B has P1-norm (P2)_ii
 (the first invariant of Plesken and Souvignier, "Computing isometries of
 lattices", 1997), so each cached set also holds its distinct columns, a
-(k, n) array of column ids and the squared length of each distinct column;
-the scan computes b* P1 b once per distinct column, by one matrix product,
-and runs the full Gram test only on the candidates whose columns all have
-the right norms.
+(k, n) array of column ids, the squared length of each distinct column,
+a real feature matrix F with one row per distinct column (|b_i|^2, then
+2 Re(conj(b_i) b_j) and -2 Im(conj(b_i) b_j) for i < j) and its candidates
+indexed by first-column id.  The scan takes every column norm b* P1 b by
+one product F @ [diag P1, Re P1_ij, Im P1_ij], returns at once when no
+column matches (P2)_11, gathers only the candidates whose first column
+matches, and runs the full Gram test, on differences scaled by the power
+of two of the bound, only on those whose other columns match too.  The
+exactly validated GaussianUnimodular of a hit is built once per set and
+index, and kept with the set.
 
 The short-vector refuter bounds each integer coordinate by its own axis
 (as in Fincke and Pohst, 1985) instead of one uniform box, and a box of
@@ -45,18 +51,23 @@ same lattice (Lenstra, Lenstra and Lovasz, 1982; over Z[i], the complex
 LLL of Gan, Ling and Mow, 2009, on the n columns): a skewed basis, such as
 A1 B for a tall B, has a per-axis box up to hundreds of times larger than
 its reduced basis.  Each coordinate vector is mapped back exactly and the
-norms are |A lambda|^2 as on A's own box, so the spectrum is the same
-tuple; the budget still counts the uniform box of A.  lattice_equivalent
-runs its stages cheapest first: the invertibility gate, the covolume
-refuter, the dimension cap, and only then the Gram forms (whose A* A must
-not overflow, and past the box budgets must not underflow), the spectra
-(which take sigma_max and sigma_min from the gate's singular values) and
-the scan.
+norms are |A lambda|^2 as on A's own box, so the spectrum is the same;
+the budget still counts the uniform box of A.  lattice_equivalent runs
+its stages cheapest first: the invertibility gate, the covolume refuter
+(on determinants that are rebuilt from a scaled input where numpy's det
+overflows), the dimension cap, the Gram forms (whose A* A must not
+overflow, and past the box budgets must not underflow), and then the
+scan, witness first.  A verified witness settles the pair, and the
+spectra (which take sigma_max and sigma_min from the gate's singular
+values) are enumerated only where the scan finds none, where the
+witness's Gram residual is large enough to move them by their
+resolution, or where the scan raises, as HeightTooLarge does at n = 3;
+the spectra may then refute the pair before that error is raised.
 """
 
 from __future__ import annotations
 
-import bisect
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -65,6 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    CxlatError,
     DimensionMismatch,
     DimensionTooLarge,
     HeightTooLarge,
@@ -100,6 +112,8 @@ _LLL_STEPS = 1000
 # per shape: scanning it costs about as much as reducing the basis would
 _SMALL_BOX = 3**6
 _EPS = float(np.finfo(np.float64).eps)
+# the relative resolution of the spectrum refuter: its guard band and its value test
+_SPECTRUM_REL = 1e-6
 
 MODE_UNITARY = "unitary"
 MODE_SPECIAL_UNITARY = "special_unitary"
@@ -152,19 +166,50 @@ class _Candidates(NamedTuple):
     """One candidate set: the public tuple form, its read-only (k, n, n) stack,
     and its columns as a table of distinct columns (c, n) with a (k, n) array
     of ids, so that column i of candidate j is cols[col_ids[j, i]], and the
-    squared length |b|^2 of each distinct column (c,)."""
+    squared length |b|^2 of each distinct column (c,).
+
+    features (c, n + n(n-1)) is the real form of each distinct column b for
+    its P-norm: |b_i|^2, then 2 Re(conj(b_i) b_j) and -2 Im(conj(b_i) b_j)
+    for i < j, so b* P b = features @ [diag P, Re P_ij, Im P_ij] for a
+    Hermitian P; on Gaussian integers every feature is exact.  by_first
+    lists the candidates by first-column id (a stable argsort, so each group
+    keeps candidate order), and the candidates whose first column has id c
+    are by_first[starts[c]:starts[c + 1]].  witnesses is the memo of the
+    GaussianUnimodular of each candidate the scan has returned.
+    """
 
     entries: tuple
     stack: np.ndarray
     cols: np.ndarray
     col_ids: np.ndarray
     weights: np.ndarray
+    features: np.ndarray
+    by_first: np.ndarray
+    starts: np.ndarray
+    witnesses: dict
+
+
+@functools.lru_cache(maxsize=None)
+def _upper(n: int) -> tuple:
+    """The read-only index arrays of the entries above the diagonal of an n x n matrix."""
+    return tuple(frozen(i) for i in np.triu_indices(n, 1))
 
 
 def _with_columns(entries: tuple, stack, cols, col_ids) -> _Candidates:
-    """A candidate set from its parts; the column lengths are computed here, once."""
+    """A candidate set from its parts; the column lengths, the column features and
+    the index by first column are computed here, once."""
     weights = frozen(np.sum(np.abs(cols) ** 2, axis=1))
-    return _Candidates(entries, stack, frozen(cols), frozen(col_ids), weights)
+    upper = _upper(cols.shape[1])
+    cross = cols[:, upper[0]].conj() * cols[:, upper[1]]
+    features = np.concatenate(
+        [cols.real**2 + cols.imag**2, 2.0 * cross.real, -2.0 * cross.imag], axis=1
+    )
+    first = col_ids[:, 0]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(first, minlength=len(cols)))])
+    return _Candidates(
+        entries, stack, frozen(cols), frozen(col_ids), weights, frozen(features),
+        frozen(np.argsort(first, kind="stable")), frozen(starts), {},
+    )
 
 
 def _complete_2x2(height: int) -> _Candidates:
@@ -253,32 +298,58 @@ def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     return _candidates(n, height, budget).entries
 
 
+def _column_norms(cands: _Candidates, p: np.ndarray) -> np.ndarray:
+    """b* P b of each distinct column b of the set, for a Hermitian P, by one product."""
+    upper = p[_upper(p.shape[0])]
+    return cands.features @ np.concatenate([p.diagonal().real, upper.real, upper.imag])
+
+
 def _gram_hits(cands: _Candidates, p1: np.ndarray, p2: np.ndarray, bound: float):
-    """Yield, in candidate order, the index of every B with |B* P1 B - P2|_F <= bound.
+    """Yield, in candidate order, (index, |B* P1 B - P2|_F) of every B within the bound.
 
     Column i of such a B has P1-norm (P2)_ii to within the bound, so the
-    norm b* P1 b of each distinct column is computed once, by one matrix
-    product, and the candidates whose columns miss their diagonal entry are
-    dropped before the full Frobenius test.  The slack, which scales with
-    the set's stored |b|^2, covers the rounding by which the two ways of
-    computing b* P1 b may differ.
+    norm b* P1 b of each distinct column is computed once, by one product
+    of the set's features with the real coefficients of P1, and only the
+    candidates whose first column matches (P2)_11 are gathered; those whose
+    other columns miss their diagonal entry are dropped before the full
+    Frobenius test.  The slack, which scales with the set's stored |b|^2,
+    covers the rounding by which the two ways of computing b* P1 b may
+    differ.  The Frobenius test runs on the differences scaled by the power
+    of two of the bound, which is exact and keeps their squares finite
+    wherever the decision turns on them.
     """
     n = p1.shape[0]
-    cols = cands.cols
-    norms = np.sum((cols.conj() @ p1) * cols, axis=1).real
-    slack = 32 * n * _EPS * (fro(p1) * cands.weights + bound)
-    near = np.abs(norms[:, None] - p2.diagonal().real) <= (bound + slack)[:, None]
-    keep = np.ones(len(cands.col_ids), dtype=bool)
-    for i in range(n):
-        keep &= near[cands.col_ids[:, i], i]
-    survivors = np.flatnonzero(keep)
+    norms = _column_norms(cands, p1)
+    reach = bound + 32 * n * _EPS * (fro(p1) * cands.weights + bound)
+    target = p2.diagonal().real
+    first = np.flatnonzero(np.abs(norms - target[0]) <= reach)
+    if first.size == 0:
+        return
+    starts = cands.starts
+    kept = np.concatenate([cands.by_first[starts[c] : starts[c + 1]] for c in first.tolist()])
+    for i in range(1, n):
+        ids = cands.col_ids[kept, i]
+        kept = kept[np.abs(norms[ids] - target[i]) <= reach[ids]]
+    survivors = np.sort(kept)
+    e = math.frexp(bound)[1]
+    limit = math.ldexp(bound, -e)
     for lo in range(0, len(survivors), _CHUNK):
         sel = survivors[lo : lo + _CHUNK]
         bs = cands.stack[sel]
         transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1, bs)
-        diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
-        for idx in sel[diffs <= bound]:
-            yield int(idx)
+        scaled = np.ldexp((transported - p2).view(np.float64), -e).view(np.complex128)
+        with np.errstate(over="ignore"):  # a square past the double range is far off the bound
+            diffs = np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
+        for k in np.flatnonzero(diffs <= limit).tolist():
+            yield int(sel[k]), math.ldexp(float(diffs[k]), e)
+
+
+def _unimodular(cands: _Candidates, idx: int) -> GaussianUnimodular:
+    """The exactly validated candidate idx, built once per set and index."""
+    b = cands.witnesses.get(idx)
+    if b is None:
+        b = cands.witnesses[idx] = GaussianUnimodular(cands.entries[idx])
+    return b
 
 
 def sigma_orbit_equal(
@@ -304,9 +375,8 @@ def sigma_orbit_equal(
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     candidates = _candidates(n, height, budget)
     bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
-    for idx in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
-        b = GaussianUnimodular(candidates.entries[idx])
-        return EquivalenceVerdict(EQUIVALENT, (None, b), None, height)
+    for idx, _ in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
+        return EquivalenceVerdict(EQUIVALENT, (None, _unimodular(candidates, idx)), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
 
@@ -329,7 +399,8 @@ def short_vectors(
     am = as_matrix(a, square=True)
     _check_radius(radius)
     s = _singular_values(am)
-    return _enumerate(am, s, _uniform_box(s, radius, tol, limit), radius)
+    norms = _enumerate(am, s, _uniform_box(s, radius, tol, limit), radius)
+    return ShortVectorSpectrum(float(radius), tuple(norms.tolist()))
 
 
 def _lll(am: np.ndarray):
@@ -464,9 +535,9 @@ def _uniform_box(s: np.ndarray, radius: float, tol: Tolerance, limit: int) -> in
     return k
 
 
-def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> ShortVectorSpectrum:
-    """short_vectors on a validated A whose singular values s (descending) are known,
-    with K = _uniform_box(s, radius, ...).
+def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> np.ndarray:
+    """The ascending float64 norms of short_vectors on a validated A whose singular
+    values s (descending) are known, with K = _uniform_box(s, radius, ...).
 
     The box is provably sufficient: |lambda_i| <= |row i of A^-1| * |A lambda|,
     so outside K_i = floor(sqrt(radius) * |row i of A^-1|) the image norm
@@ -489,7 +560,7 @@ def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> ShortVec
     smax, smin = float(s[0]), float(s[-1])
     root = math.sqrt(radius)
     if k == 0:
-        return ShortVectorSpectrum(float(radius), ())
+        return np.empty(0)
     # the relative margin absorbs rounding in the row norms of A^-1; the absolute
     # term, a multiple of cond(A) eps |A^-1|, covers an ill-conditioned A, and
     # the L1 norm of a row of U^-1 carries it through the exact integer product
@@ -525,43 +596,96 @@ def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> ShortVec
         if lo <= centre < hi:
             sq[centre - lo] = np.inf
         found.append(sq[sq <= radius])
-    norms = np.sort(np.concatenate(found) if len(found) > 1 else found[0])
-    return ShortVectorSpectrum(float(radius), tuple(norms.tolist()))
+    return np.sort(np.concatenate(found) if len(found) > 1 else found[0])
 
 
-def _spectra_mismatch(s1: ShortVectorSpectrum, s2: ShortVectorSpectrum, radius: float):
-    """First robust difference between two spectra, or None.
+def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float):
+    """First robust difference between two spectra (ascending norms), or None.
 
     Entries near the radius boundary are ignored (a guard band), and a
     mismatch must survive at twice the band to count, so floating-point
     placement at either cutoff can never refute a genuinely equivalent pair.
     """
-    base = 1e-6 * max(radius, 1.0)
+    base = _SPECTRUM_REL * max(radius, 1.0)
+    cuts = (radius - base, radius - 2.0 * base)
+    # the norms ascend, so the entries below a cutoff are a prefix; where the two
+    # counts at a band agree, they are at most the shorter count at the first band
+    counts1 = np.searchsorted(n1, cuts, side="right").tolist()
+    counts2 = np.searchsorted(n2, cuts, side="right").tolist()
+    k = min(counts1[0], counts2[0])
+    v1, v2 = n1[:k], n2[:k]
+    off = np.flatnonzero(np.abs(v1 - v2) > _SPECTRUM_REL * np.maximum(1.0, v1))
     verdicts = []
-    for band in (base, 2.0 * base):
-        # the norms ascend, so the entries below the band are a prefix
-        k1 = bisect.bisect_right(s1.norms, radius - band)
-        k2 = bisect.bisect_right(s2.norms, radius - band)
+    for k1, k2 in zip(counts1, counts2):
         if k1 != k2:
             verdicts.append(("short_vector_count", float(k1), float(k2)))
-            continue
-        found = None
-        for v1, v2 in zip(s1.norms[:k1], s2.norms[:k2]):
-            if abs(v1 - v2) > 1e-6 * max(1.0, v1):
-                found = ("short_vector_spectrum", v1, v2)
-                break
-        verdicts.append(found)
+        elif off.size and off[0] < k1:
+            verdicts.append(("short_vector_spectrum", float(v1[off[0]]), float(v2[off[0]])))
+        else:
+            verdicts.append(None)
     if verdicts[0] is not None and verdicts[1] is not None:
         return verdicts[1]
     return None
 
 
-def _square(x: float) -> float:
-    """x ** 2, and inf where it overflows."""
+def _square(x: float, k: int = 0) -> float:
+    """(x 2^k) ** 2, and inf where it overflows."""
     try:
-        return x**2
+        return math.ldexp(x, k) ** 2
     except OverflowError:
         return math.inf
+
+
+def _scaled_det(am: np.ndarray, sigma_max: float) -> tuple[complex, int]:
+    """(d, k) with det A = d 2^k.
+
+    numpy's det (the exponential of log |det|) is kept, with k = 0, wherever
+    it is finite; it cannot overflow when 2^(n e) <= 2^1022, e the exponent
+    of sigma_max, since |det A| <= sigma_max^n < 2^(n e).  Where it
+    overflows, it is taken on A scaled by 2^-e, whose determinant is at most
+    1 in size, and k = n e.  numpy's det does not commute with a power of
+    two in its last bits, so the scaled det is taken only there.
+    """
+    n, e = am.shape[0], math.frexp(sigma_max)[1]
+    if n * e <= 1022:
+        return _det(am), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _det(am)
+    if cmath.isfinite(d):
+        return d, 0
+    return _det(am * math.ldexp(1.0, -e)), n * e
+
+
+def _first_witness(cands: _Candidates, m1, m2, p1, p2, mode: str, tol: Tolerance, height: int):
+    """The Equivalent verdict of the first verified hit of the Gram scan, with the hit's
+    Gram residual |B* P1 B - P2|_F, or None when no hit is kept.
+
+    Each hit gives the unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
+    adjugate), which must pass classify and the re-verification; in
+    special_unitary mode a hit whose det(T) is not one is passed over.
+    """
+    n = m1.shape[0]
+    bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs
+    inv1 = None
+    for idx, gram_residual in _gram_hits(cands, p1, p2, bound):
+        b = _unimodular(cands, idx)
+        if inv1 is None:
+            inv1 = np.linalg.inv(m1)  # m1 passed the gate, and each witness is re-verified
+        t = m2 @ b.inverse_matrix() @ inv1
+        member = _classify(t, tol)
+        if not member.in_u:
+            raise InternalCheckError(
+                "gram congruence certified but the reconstructed map is not unitary"
+            )
+        if mode == MODE_SPECIAL_UNITARY and member.det_distance > tol.rel * n:
+            continue
+        residual = fro(m2 - t @ m1 @ b.matrix)
+        if residual > 100.0 * tol.rel * max(fro(m2), 1.0) + tol.abs:
+            raise InternalCheckError(
+                f"witness failed re-verification (residual {residual:.3e})"
+            )
+        return EquivalenceVerdict(EQUIVALENT, (frozen(t), b), None, height), gram_residual
+    return None
 
 
 def lattice_equivalent(
@@ -577,11 +701,16 @@ def lattice_equivalent(
 
     Pipeline: invertibility gate, covolume refuter, the dimension cap, the
     Gram forms (an A* A that underflowed is refused only past the radius
-    check and the short-vector box budgets), short-vector spectrum refuter,
-    then the bounded Gram-orbit search.  The Gram forms need no positivity check of their own: each
-    input is a root of its form and has passed the gate, and the spectra
-    read sigma_max and sigma_min off the gate's singular values.  Equivalent
-    verdicts carry the reconstructed
+    check and the short-vector box budgets), the bounded Gram-orbit search,
+    and the short-vector spectrum refuter only where the search found no
+    witness.  A witness settles the pair when its Gram residual cannot move
+    the spectra by their resolution.  Otherwise, and where the search raises
+    (HeightTooLarge at n = 3 or past the box, say), the spectra are
+    enumerated: a refutation from them is returned, and the search's error
+    is raised only when they do not refute.  The Gram forms need no
+    positivity check of their own: each input is a root of its form and has
+    passed the gate, and the spectra read sigma_max and sigma_min off the
+    gate's singular values.  Equivalent verdicts carry the reconstructed
     unitary T = A2 B^-1 A1^-1 (B inverted exactly via its adjugate) and are
     re-verified before being returned.  In special_unitary mode both inputs
     must also have determinant one, as classify calls it (the same gate and
@@ -596,7 +725,7 @@ def lattice_equivalent(
     if mode not in (MODE_UNITARY, MODE_SPECIAL_UNITARY):
         raise ValueError(f"unknown mode {mode!r}")
     n = m1.shape[0]
-    abs_dets = []
+    abs_dets = []  # |det| of each input as (a, k), |det| = a 2^k
     svals = []  # the gate's singular values, which the enumeration reuses
     # the stages run cheapest first; a singular input fails as gram would fail on it,
     # or, in special_unitary mode, as classify's determinant-one verdict would
@@ -604,18 +733,21 @@ def lattice_equivalent(
         ok, margin, s = _invertibility_gate(m, tol)
         if mode == MODE_UNITARY and not ok:
             raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
-        d = _det(m)
-        if mode == MODE_SPECIAL_UNITARY and not (ok and abs(d - 1.0) <= tol.rel * n):
-            raise NotInSL(f"{name} has determinant distance {abs(d - 1.0):.3e} from one")
+        d, k = _scaled_det(m, float(s[0]))
+        distance = abs(d - 1.0) if k == 0 else math.inf
+        if mode == MODE_SPECIAL_UNITARY and not (ok and distance <= tol.rel * n):
+            raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
         svals.append(s)
-        abs_dets.append(abs(d))
+        abs_dets.append((abs(d), k))
 
     # decided on both |det| scaled by one power of two, which is exact and keeps the
     # squares finite; the reported covolumes are |det|^2, inf where that overflows
-    e = math.frexp(max(abs_dets))[1]
-    r1, r2 = (math.ldexp(d, -e) ** 2 for d in abs_dets)
+    top = max(k for _, k in abs_dets)
+    d1, d2 = (math.ldexp(a, k - top) for a, k in abs_dets)
+    e = math.frexp(max(d1, d2))[1]
+    r1, r2 = (math.ldexp(d, -e) ** 2 for d in (d1, d2))
     if abs(r1 - r2) > tol.rel * max(r1, r2):
-        c1, c2 = (_square(d) for d in abs_dets)
+        c1, c2 = (_square(a, k) for a, k in abs_dets)
         return EquivalenceVerdict(REFUTED, None, ("covolume", c1, c2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the
@@ -630,27 +762,23 @@ def lattice_equivalent(
     ks = [_uniform_box(s, radius, tol, budget) for s in svals]
     p1, p2 = _gram_certified(q1), _gram_certified(q2)
 
-    s1, s2 = (_enumerate(m, s, k, radius) for m, s, k in zip((m1, m2), svals, ks))
-    mismatch = _spectra_mismatch(s1, s2, radius)
+    witness = error = None
+    try:
+        witness = _first_witness(
+            _candidates(n, height, budget), m1, m2, p1.matrix, p2.matrix, mode, tol, height
+        )
+    except (CxlatError, ValueError) as exc:  # raised after the spectra, which may refute first
+        error = exc
+    # a witness moves each norm v = |A2 lambda|^2 of the spectrum by at most its Gram
+    # residual times |lambda|^2 <= v / sigma_min(A2)^2; at a tenth of the spectra's
+    # resolution that cannot refute by value, and by count only if norms fell that
+    # close to both guard-band cutoffs, so the spectra are not enumerated
+    if witness is not None and witness[1] <= 0.1 * _SPECTRUM_REL * float(svals[1][-1]) ** 2:
+        return witness[0]
+    norms = (_enumerate(m, s, k, radius) for m, s, k in zip((m1, m2), svals, ks))
+    mismatch = _spectra_mismatch(*norms, radius)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)
-    candidates = _candidates(n, height, budget)
-    bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
-    inv1 = np.linalg.inv(m1)  # m1 passed the gate, and each witness is re-verified
-    for idx in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
-        b = GaussianUnimodular(candidates.entries[idx])
-        t = m2 @ b.inverse_matrix() @ inv1
-        member = _classify(t, tol)
-        if not member.in_u:
-            raise InternalCheckError(
-                "gram congruence certified but the reconstructed map is not unitary"
-            )
-        if mode == MODE_SPECIAL_UNITARY and member.det_distance > tol.rel * n:
-            continue
-        residual = fro(m2 - t @ m1 @ b.matrix)
-        if residual > 100.0 * tol.rel * max(fro(m2), 1.0) + tol.abs:
-            raise InternalCheckError(
-                f"witness failed re-verification (residual {residual:.3e})"
-            )
-        return EquivalenceVerdict(EQUIVALENT, (frozen(t), b), None, height)
-    return EquivalenceVerdict(UNDECIDED, None, None, height)
+    if error is not None:
+        raise error
+    return witness[0] if witness is not None else EquivalenceVerdict(UNDECIDED, None, None, height)

@@ -222,11 +222,26 @@ def test_column_table_rebuilds_the_stack(name):
     # each distinct column carries its |b|^2, for the prefilter's slack
     assert not cands.weights.flags.writeable
     assert np.array_equal(cands.weights, np.sum(np.abs(cands.cols) ** 2, axis=1))
+    # and its features, exact on Gaussian integers: |b_i|^2, then 2 Re and -2 Im of
+    # conj(b_i) b_j for i < j
+    b = cands.cols.astype(complex)
+    want = [np.abs(b[:, i]) ** 2 for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    want += [2 * (b[:, i].conj() * b[:, j]).real for i, j in pairs]
+    want += [-2 * (b[:, i].conj() * b[:, j]).imag for i, j in pairs]
+    assert not cands.features.flags.writeable
+    assert np.array_equal(cands.features, np.round(np.stack(want, axis=1)))
+    # the candidates grouped by first column, each group in candidate order
+    first = cands.col_ids[:, 0]
+    assert sorted(cands.by_first.tolist()) == list(range(len(cands.entries)))
+    for c in range(len(cands.cols)):
+        group = cands.by_first[cands.starts[c] : cands.starts[c + 1]].tolist()
+        assert group == np.flatnonzero(first == c).tolist()
 
 
-def _reference_hits(stack, p1, p2, bound):
-    """The unfiltered scan: the Frobenius test on every candidate, in order."""
-    transported = np.einsum("kji,jl,klm->kim", stack.conj(), p1, stack)
+def _reference_hits(transported, p2, bound):
+    """The unfiltered scan: the Frobenius test on every candidate B, in order, given
+    the stack of its B* P1 B."""
     diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
     return np.flatnonzero(diffs <= bound).tolist()
 
@@ -241,14 +256,31 @@ def _hermitian_bump(n, i, j, size):
     return e
 
 
+def _gram_forms(rng, n):
+    """Gram forms for the scan: the identity, and P = A* A for well- and ill-conditioned A
+    (sigma_min / sigma_max = 1, 1e-4 and 1e-8 at n > 1), each also scaled by 2^200 and
+    2^-200."""
+    forms = [np.eye(n)]
+    for ratio in (1.0, 1e-4, 1e-8):
+        svals = np.geomspace(1.0, ratio, n)
+        a = random_unitary(rng, n) * svals @ random_unitary(rng, n) * rng.uniform(0.5, 2.0)
+        forms.append(gram(a).matrix)
+    return [scale * p for p in forms for scale in (1.0, 2.0**200, 2.0**-200)]
+
+
 @pytest.mark.parametrize("name", sorted(_SETS))
 def test_column_norm_prefilter_keeps_every_hit(name):
     cands = _SETS[name]()
     rng = np.random.default_rng(sum(map(ord, name)))
     n = cands.stack.shape[1]
     tol = DEFAULT_TOL
-    for p1 in [np.eye(n)] + [gram(random_invertible(rng, n)).matrix for _ in range(3)]:
-        for planted in rng.integers(len(cands.entries), size=3):
+    for p1 in _gram_forms(rng, n):
+        # the feature product agrees with the direct b* P1 b to within the scan's slack
+        direct = np.einsum("ci,ij,cj->c", cands.cols.conj(), p1, cands.cols).real
+        slack = 32 * n * np.finfo(float).eps * np.linalg.norm(p1) * cands.weights
+        assert np.all(np.abs(equivalence._column_norms(cands, p1) - direct) <= slack)
+        transported = np.einsum("kji,jl,klm->kim", cands.stack.conj(), p1, cands.stack)
+        for planted in rng.integers(len(cands.entries), size=2):
             b = cands.stack[planted]
             exact = b.conj().T @ p1 @ b
             exact = 0.5 * (exact + exact.conj().T)
@@ -256,10 +288,11 @@ def test_column_norm_prefilter_keeps_every_hit(name):
             for c in (0.5, -0.5, 2.0, -2.0):
                 for i, j in {(0, 0), (n - 1, n - 1), (0, n - 1)}:
                     p2 = exact + _hermitian_bump(n, i, j, c * bound)
-                    want = _reference_hits(cands.stack, p1, p2, bound)
-                    got = list(equivalence._gram_hits(cands, p1, p2, bound))
-                    assert got == want
-                    assert (planted in got) == (abs(c) < 1.0)
+                    want = _reference_hits(transported, p2, bound)
+                    hits = list(equivalence._gram_hits(cands, p1, p2, bound))
+                    assert [idx for idx, _ in hits] == want
+                    assert all(0.0 <= r <= bound for _, r in hits)
+                    assert (planted in want) == (abs(c) < 1.0)
 
 
 def _reference_short_vectors(a, radius):
@@ -670,6 +703,118 @@ def test_covolume_past_the_largest_double_is_decided_and_reported_as_inf():
     )
     d = abs(complex(np.linalg.det([[2.0**500]])))  # about 2^500: LAPACK rounds it
     assert lattice_equivalent([[2.0**500]], [[2.0**520]]).refuter == ("covolume", d**2, math.inf)
+
+
+def test_a_determinant_past_the_largest_double_is_rebuilt_not_overflowed():
+    # |det|^2 of a 2x2 basis at 2^520 is past 2^2000: numpy's det overflows, so it is taken
+    # on each input scaled by its sigma_max's power of two, and no numpy warning is raised
+    rng = np.random.default_rng(67)
+    a = random_invertible(rng, 2)
+    a2 = random_unitary(rng, 2) @ a
+    big = 2.0**520
+    assert lattice_equivalent(big * a, 1.5 * big * a2).refuter == ("covolume", math.inf, math.inf)
+    with pytest.raises(NumericOverflow, match="^gram form A\\* A overflowed"):
+        lattice_equivalent(big * a, big * a2)
+    with pytest.raises(NotInSL, match="^A1 has determinant distance inf from one$"):
+        lattice_equivalent(big * a, big * a2, mode="special_unitary")
+
+
+def test_a_pair_whose_gram_squares_overflow_is_decided_as_at_scale_one():
+    # at 2^300 the Gram forms are near 2^600 and the squares of their differences
+    # overflow; the scan's test runs on differences scaled by the bound's power of two
+    rng = np.random.default_rng(66)
+    a = random_invertible(rng, 2)
+    q = random_unitary(rng, 2)
+    small = lattice_equivalent(a, q @ a)
+    big = lattice_equivalent(2.0**300 * a, 2.0**300 * (q @ a))
+    assert small.status == big.status == EQUIVALENT
+    assert big.witness[1].entries == small.witness[1].entries
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Count the short-vector enumerations a test runs, by the shape of A."""
+    calls = []
+    enumerate_ = equivalence._enumerate
+
+    def counted(am, *args):
+        calls.append(np.shape(am))
+        return enumerate_(am, *args)
+
+    monkeypatch.setattr(equivalence, "_enumerate", counted)
+    return calls
+
+
+def test_a_verified_witness_settles_the_pair_without_the_spectra(enumerations):
+    rng = np.random.default_rng(68)
+    for n, h in ((1, 1), (2, 2)):
+        a1 = random_invertible(rng, n)
+        pool = sigma_candidates(n, h)
+        b = GaussianUnimodular(pool[int(rng.integers(len(pool)))])
+        assert lattice_equivalent(a1, random_unitary(rng, n) @ a1 @ b.matrix, height=h).status == EQUIVALENT
+    assert enumerations == []
+
+
+def test_the_spectra_run_where_the_scan_finds_no_witness(enumerations):
+    v = lattice_equivalent(np.eye(2), np.diag([0.5, 2.0]))
+    assert v.refuter == ("short_vector_count", 64.0, 44.0)
+    assert enumerations == [(2, 2), (2, 2)]
+
+
+def test_n3_pairs_run_the_spectra_before_height_too_large(enumerations):
+    rng = np.random.default_rng(69)
+    a = random_invertible(rng, 3)
+    with pytest.raises(HeightTooLarge, match="^no complete candidate set .* dimension 3"):
+        lattice_equivalent(a, random_unitary(rng, 3) @ a)
+    assert enumerations == [(3, 3), (3, 3)]
+    enumerations.clear()
+    v = lattice_equivalent(np.eye(3), np.diag([0.5, 2.0, 1.0]))
+    assert v.refuter == ("short_vector_count", 232.0, 276.0)
+    assert enumerations == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("stretch", [5e-4, 9e-4])
+def test_a_witness_the_spectra_can_resolve_does_not_skip_them(enumerations, stretch):
+    # at tol.rel = 1e-3 the scan finds a witness for I against diag(1 + s, 1 / (1 + s)), but
+    # its Gram residual, about 2.8 s, moves the spectra past their resolution of 1e-6: the
+    # spectra run and refute.  At s = 9e-4 the witness's T also fails classify, and the
+    # refutation is returned in place of that InternalCheckError
+    loose = Tolerance(rel=1e-3)
+    a2 = np.diag([1.0 + stretch, 1.0 / (1.0 + stretch)])
+    assert sigma_orbit_equal(gram(np.eye(2)), gram(a2), tol=loose).status == EQUIVALENT
+    v = lattice_equivalent(np.eye(2), a2, tol=loose)
+    assert v.refuter == ("short_vector_count", 64.0, 68.0)
+    assert enumerations == [(2, 2), (2, 2)]
+
+
+def test_every_equivalent_verdict_has_matching_spectra():
+    # the premise of running the scan first: the spectrum refuter never refutes a pair
+    # that lattice_equivalent proves equivalent
+    rng = np.random.default_rng(70)
+    seen = 0
+    for k in range(120):
+        n, h = (1, 1) if k % 4 == 0 else (2, 1 + k % 3)
+        mode = "special_unitary" if k % 3 == 0 else "unitary"
+        a1 = random_invertible(rng, n, min_cond=0.1)
+        t = random_unitary(rng, n)
+        if mode == "special_unitary":
+            a1, _ = sl_normalize(a1)
+            t, _ = sl_normalize(t)
+        pool = sigma_candidates(n, h)
+        b = GaussianUnimodular(pool[int(rng.integers(len(pool)))]).matrix
+        a2 = t @ a1 @ b if k % 5 else random_invertible(rng, n)
+        scale = 2.0 ** int(rng.integers(-3, 4)) if mode == "unitary" else 1.0
+        a1, a2 = scale * a1, scale * a2
+        try:
+            v = lattice_equivalent(a1, a2, mode=mode, height=h)
+        except (NotInSL, RadiusBudgetExceeded):
+            continue
+        if v.status != EQUIVALENT:
+            continue
+        seen += 1
+        s1, s2 = (np.array(short_vectors(a, 4.0).norms) for a in (a1, a2))
+        assert equivalence._spectra_mismatch(s1, s2, 4.0) is None
+    assert seen >= 80
 
 
 def test_orbit_cap_reached_when_not_refuted():
