@@ -40,9 +40,7 @@ indexed by first-column id.  The scan takes every column norm b* P1 b by
 one product F @ [diag P1, Re P1_ij, Im P1_ij], returns at once when no
 column matches (P2)_11, gathers only the candidates whose first column
 matches, and runs the full Gram test, on differences scaled by the power
-of two of the bound, only on those whose other columns match too.  The
-exactly validated GaussianUnimodular of a hit is built once per set and
-index, and kept with the set.
+of two of the bound, only on those whose other columns match too.
 
 The short-vector refuter bounds each integer coordinate by its own axis
 (as in Fincke and Pohst, 1985) instead of one uniform box, and a box of
@@ -60,14 +58,16 @@ overflow, and past the box budgets must not underflow), and then the
 scan, witness first.  A verified witness settles the pair, and the
 spectra (which take sigma_max and sigma_min from the gate's singular
 values) are enumerated only where the scan finds none, where the
-witness's Gram residual is large enough to move them by their
-resolution, or where the scan raises, as HeightTooLarge does at n = 3;
-the spectra may then refute the pair before that error is raised.
+witness's Gram residual exceeds a tenth of their resolution (scaled by
+sigma_min(A2)^2), or where the scan raises, as HeightTooLarge does at
+n = 3; the spectra may then refute the pair before that error is raised.
+Below that residual the spectra could not refute by value, and by count
+only where norms lie that close to both guard-band cutoffs; such a pair
+is now Equivalent where the spectra-first order refuted it.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -174,8 +174,7 @@ class _Candidates(NamedTuple):
     Hermitian P; on Gaussian integers every feature is exact.  by_first
     lists the candidates by first-column id (a stable argsort, so each group
     keeps candidate order), and the candidates whose first column has id c
-    are by_first[starts[c]:starts[c + 1]].  witnesses is the memo of the
-    GaussianUnimodular of each candidate the scan has returned.
+    are by_first[starts[c]:starts[c + 1]].
     """
 
     entries: tuple
@@ -186,7 +185,6 @@ class _Candidates(NamedTuple):
     features: np.ndarray
     by_first: np.ndarray
     starts: np.ndarray
-    witnesses: dict
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,7 +206,7 @@ def _with_columns(entries: tuple, stack, cols, col_ids) -> _Candidates:
     starts = np.concatenate([[0], np.cumsum(np.bincount(first, minlength=len(cols)))])
     return _Candidates(
         entries, stack, frozen(cols), frozen(col_ids), weights, frozen(features),
-        frozen(np.argsort(first, kind="stable")), frozen(starts), {},
+        frozen(np.argsort(first, kind="stable")), frozen(starts),
     )
 
 
@@ -344,14 +342,6 @@ def _gram_hits(cands: _Candidates, p1: np.ndarray, p2: np.ndarray, bound: float)
             yield int(sel[k]), math.ldexp(float(diffs[k]), e)
 
 
-def _unimodular(cands: _Candidates, idx: int) -> GaussianUnimodular:
-    """The exactly validated candidate idx, built once per set and index."""
-    b = cands.witnesses.get(idx)
-    if b is None:
-        b = cands.witnesses[idx] = GaussianUnimodular(cands.entries[idx])
-    return b
-
-
 def sigma_orbit_equal(
     p1,
     p2,
@@ -376,7 +366,8 @@ def sigma_orbit_equal(
     candidates = _candidates(n, height, budget)
     bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
     for idx, _ in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
-        return EquivalenceVerdict(EQUIVALENT, (None, _unimodular(candidates, idx)), None, height)
+        b = GaussianUnimodular(candidates.entries[idx])
+        return EquivalenceVerdict(EQUIVALENT, (None, b), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
 
@@ -640,20 +631,17 @@ def _scaled_det(am: np.ndarray, sigma_max: float) -> tuple[complex, int]:
     """(d, k) with det A = d 2^k.
 
     numpy's det (the exponential of log |det|) is kept, with k = 0, wherever
-    it is finite; it cannot overflow when 2^(n e) <= 2^1022, e the exponent
-    of sigma_max, since |det A| <= sigma_max^n < 2^(n e).  Where it
-    overflows, it is taken on A scaled by 2^-e, whose determinant is at most
-    1 in size, and k = n e.  numpy's det does not commute with a power of
-    two in its last bits, so the scaled det is taken only there.
+    it is finite.  Where it overflows, it is taken on A scaled by 2^-e, e the
+    exponent of sigma_max, whose determinant is at most 1 in size, and
+    k = n e.  numpy's det does not commute with a power of two in its last
+    bits, so the scaled det is taken only there.
     """
-    n, e = am.shape[0], math.frexp(sigma_max)[1]
-    if n * e <= 1022:
-        return _det(am), 0
     with np.errstate(over="ignore", invalid="ignore"):
         d = _det(am)
-    if cmath.isfinite(d):
+    if np.isfinite(d):
         return d, 0
-    return _det(am * math.ldexp(1.0, -e)), n * e
+    e = math.frexp(sigma_max)[1]
+    return _det(am * math.ldexp(1.0, -e)), am.shape[0] * e
 
 
 def _first_witness(cands: _Candidates, m1, m2, p1, p2, mode: str, tol: Tolerance, height: int):
@@ -668,7 +656,7 @@ def _first_witness(cands: _Candidates, m1, m2, p1, p2, mode: str, tol: Tolerance
     bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs
     inv1 = None
     for idx, gram_residual in _gram_hits(cands, p1, p2, bound):
-        b = _unimodular(cands, idx)
+        b = GaussianUnimodular(cands.entries[idx])
         if inv1 is None:
             inv1 = np.linalg.inv(m1)  # m1 passed the gate, and each witness is re-verified
         t = m2 @ b.inverse_matrix() @ inv1
@@ -703,8 +691,10 @@ def lattice_equivalent(
     Gram forms (an A* A that underflowed is refused only past the radius
     check and the short-vector box budgets), the bounded Gram-orbit search,
     and the short-vector spectrum refuter only where the search found no
-    witness.  A witness settles the pair when its Gram residual cannot move
-    the spectra by their resolution.  Otherwise, and where the search raises
+    witness.  A witness settles the pair when its Gram residual is at most a
+    tenth of the spectra's resolution times sigma_min(A2)^2, which rules out
+    a refutation by value, and one by count unless norms lie that close to
+    both guard-band cutoffs.  Otherwise, and where the search raises
     (HeightTooLarge at n = 3 or past the box, say), the spectra are
     enumerated: a refutation from them is returned, and the search's error
     is raised only when they do not refute.  The Gram forms need no
@@ -770,9 +760,11 @@ def lattice_equivalent(
     except (CxlatError, ValueError) as exc:  # raised after the spectra, which may refute first
         error = exc
     # a witness moves each norm v = |A2 lambda|^2 of the spectrum by at most its Gram
-    # residual times |lambda|^2 <= v / sigma_min(A2)^2; at a tenth of the spectra's
-    # resolution that cannot refute by value, and by count only if norms fell that
-    # close to both guard-band cutoffs, so the spectra are not enumerated
+    # residual r times |lambda|^2 <= v / sigma_min(A2)^2.  At a tenth of the spectra's
+    # resolution that rules out a refutation by value, and one by count unless norms
+    # lie within that distance of both guard-band cutoffs; the witness is returned
+    # without the spectra, so such a pair (a radius picked on those norms) is
+    # Equivalent where the spectra-first order refuted it by count
     if witness is not None and witness[1] <= 0.1 * _SPECTRUM_REL * float(svals[1][-1]) ** 2:
         return witness[0]
     norms = (_enumerate(m, s, k, radius) for m, s, k in zip((m1, m2), svals, ks))
