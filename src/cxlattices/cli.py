@@ -11,6 +11,16 @@ Exit codes: 0 for an ok status, 1 for a domain error (the error name is
 the exception class from the package taxonomy), 2 for malformed input.
 Output is deterministic: canonical float formatting, fixed key order, no
 timestamps, so identical invocations are byte-identical.
+
+A process compiles and runs only the modules its subcommand uses.  Importing
+this module loads errors, kernel and polar (which the package itself loads;
+every other public name of the package loads its module on first use),
+realmaps and jsonio, and the map and matrix subcommands need nothing more.
+The other handlers import what they call: the lattice subcommands and
+sigma-check add lattices and gaussian, torus-reduce and torus-add add torus
+as well, lattice-equiv adds equivalence as well, dim1-forms adds dim1.  The
+lattice-equiv defaults and modes live in kernel, so building the parser
+loads none of these.
 """
 
 from __future__ import annotations
@@ -22,26 +32,18 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .dim1 import from_ab, is_invertible_1d
-from .equivalence import (
+from .errors import CxlatError
+from .jsonio import MalformedInput
+from .kernel import (
     DEFAULT_BUDGET,
     DEFAULT_HEIGHT,
     DEFAULT_RADIUS,
+    DEFAULT_TOL,
     MODE_SPECIAL_UNITARY,
     MODE_UNITARY,
-    lattice_equivalent,
-)
-from .errors import CxlatError
-from .jsonio import MalformedInput
-from .kernel import DEFAULT_TOL, Tolerance, fro, in_gray_zone
-from .lattices import (
-    LatticeBasis,
-    covolume,
-    is_full_rank,
-    normalize_to_Lstarstar,
-    permute_to_L1,
-    same_lattice,
-    sigma_membership,
+    Tolerance,
+    fro,
+    in_gray_zone,
 )
 from .polar import gram, polar, sl_normalize, unitarily_equivalent
 from .realmaps import (
@@ -54,8 +56,6 @@ from .realmaps import (
     invertibility,
     normalize_post_composition,
 )
-from .torus import reduce as torus_reduce
-from .torus import torus_add
 
 
 def _is_obj(data, what: str) -> dict:
@@ -159,6 +159,8 @@ def _cmd_sl_normalize(data, args, tol):
 
 
 def _cmd_lattice_validate(data, args, tol):
+    from .lattices import LatticeBasis, covolume, is_full_rank
+
     (lat_obj,) = _fields(data, "lattice")
     # one SVD: the basis carries sigma_min (the rank margin) and sigma_min / sigma_max
     lat = LatticeBasis(jsonio.lattice_raw_in(lat_obj))
@@ -175,14 +177,18 @@ def _cmd_lattice_validate(data, args, tol):
 
 
 def _cmd_lattice_covolume(data, args, tol):
+    from .lattices import covolume, from_generators
+
     (lat_obj,) = _fields(data, "lattice")
-    lat = jsonio.lattice_in(lat_obj, tol)
+    lat = from_generators(jsonio.lattice_raw_in(lat_obj), tol)
     return {"covolume": covolume(lat)}, {}
 
 
 def _cmd_lattice_normalize(data, args, tol):
+    from .lattices import from_generators, normalize_to_Lstarstar, permute_to_L1
+
     (lat_obj,) = _fields(data, "lattice")
-    lat = jsonio.lattice_in(lat_obj, tol)
+    lat = from_generators(jsonio.lattice_raw_in(lat_obj), tol)
     permuted, perm = permute_to_L1(lat, tol)
     a, pm = normalize_to_Lstarstar(permuted, tol)
     return {
@@ -193,9 +199,11 @@ def _cmd_lattice_normalize(data, args, tol):
 
 
 def _cmd_lattice_same(data, args, tol):
+    from .lattices import from_generators, same_lattice
+
     l1, l2 = _fields(data, "first", "second")
-    lat1 = jsonio.lattice_in(l1, tol)
-    lat2 = jsonio.lattice_in(l2, tol)
+    lat1 = from_generators(jsonio.lattice_raw_in(l1), tol)
+    lat2 = from_generators(jsonio.lattice_raw_in(l2), tol)
     same, witness = same_lattice(lat1, lat2, tol)
     return {
         "same": same,
@@ -204,6 +212,8 @@ def _cmd_lattice_same(data, args, tol):
 
 
 def _cmd_lattice_equiv(data, args, tol):
+    from .equivalence import lattice_equivalent
+
     m1, m2 = _fields(data, "first", "second")
     verdict = lattice_equivalent(
         jsonio.matrix_in(m1, "first"),
@@ -232,21 +242,30 @@ def _cmd_lattice_equiv(data, args, tol):
 
 
 def _cmd_sigma_check(data, args, tol):
+    from .lattices import sigma_membership
+
     (m,) = _fields(data, "matrix")
     b = sigma_membership(jsonio.matrix_in(m), tol)
     return {"member": True, "entries": jsonio.gauss_matrix_out(b.entries)}, {}
 
 
 def _cmd_torus_reduce(data, args, tol):
+    from .lattices import from_generators
+    from .torus import reduce as torus_reduce
+
     lat_obj, z = _fields(data, "lattice", "z")
-    lat = jsonio.lattice_in(lat_obj, tol)
+    lat = from_generators(jsonio.lattice_raw_in(lat_obj), tol)
     p = torus_reduce(lat, jsonio.vector_in(z, "z"), tol)
     return {"coords": jsonio.real_vector_out(p.coords), "rep": jsonio.vector_out(p.rep)}, {}
 
 
 def _cmd_torus_add(data, args, tol):
+    from .lattices import from_generators
+    from .torus import reduce as torus_reduce
+    from .torus import torus_add
+
     lat_obj, z1, z2 = _fields(data, "lattice", "first", "second")
-    lat = jsonio.lattice_in(lat_obj, tol)
+    lat = from_generators(jsonio.lattice_raw_in(lat_obj), tol)
     p = torus_reduce(lat, jsonio.vector_in(z1, "first"), tol)
     q = torus_reduce(lat, jsonio.vector_in(z2, "second"), tol)
     s = torus_add(p, q, tol)
@@ -254,6 +273,8 @@ def _cmd_torus_add(data, args, tol):
 
 
 def _cmd_dim1_forms(data, args, tol):
+    from .dim1 import from_ab, is_invertible_1d
+
     a_in, b_in = _fields(data, "a", "b")
     f = from_ab(jsonio.complex_in(a_in, "a"), jsonio.complex_in(b_in, "b"), tol)
 

@@ -86,7 +86,12 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import (
+    DEFAULT_BUDGET,
+    DEFAULT_HEIGHT,
+    DEFAULT_RADIUS,
     DEFAULT_TOL,
+    MODE_SPECIAL_UNITARY,
+    MODE_UNITARY,
     Tolerance,
     _det,
     _invertibility_gate,
@@ -102,9 +107,6 @@ EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
 UNDECIDED = "UndecidedUpToBound"
 
-DEFAULT_HEIGHT = 2
-DEFAULT_RADIUS = 4.0
-DEFAULT_BUDGET = 10**7
 _MAX_ORBIT_DIM = 3
 _CHUNK = 1 << 16
 _LLL_STEPS = 1000
@@ -114,9 +116,6 @@ _SMALL_BOX = 3**6
 _EPS = float(np.finfo(np.float64).eps)
 # the relative resolution of the spectrum refuter: its guard band and its value test
 _SPECTRUM_REL = 1e-6
-
-MODE_UNITARY = "unitary"
-MODE_SPECIAL_UNITARY = "special_unitary"
 
 
 @dataclass(frozen=True)

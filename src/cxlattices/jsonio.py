@@ -20,8 +20,6 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import NumericOverflow
-from .kernel import Tolerance
-from .lattices import LatticeBasis, from_generators
 from .realmaps import FORMS, RealLinearMap, kind_of
 
 
@@ -203,13 +201,3 @@ def lattice_raw_in(obj) -> np.ndarray:
         cols.append([complex_in(e, f"generator row {k}") for e in row])
     return np.array(cols, dtype=np.complex128).T  # row k of JSON = column k of G
 
-
-def lattice_in(obj, tol: Tolerance) -> LatticeBasis:
-    return from_generators(lattice_raw_in(obj), tol)
-
-
-def lattice_out(lat: LatticeBasis) -> dict:
-    return {
-        "n": int(lat.n),
-        "generators": [[complex_out(z) for z in lat.g[:, k]] for k in range(2 * lat.n)],
-    }

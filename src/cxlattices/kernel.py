@@ -22,9 +22,10 @@ or validated to these bodies, never back to a public function, so each
 array the caller passes is copied and checked once per call.  A body does
 not check finiteness: where the library computes an array that can
 overflow although its operands are finite (a sum, a product, a division
-by an underflowed determinant), it runs _require_finite there, before any
-body sees the array.  Values the library builds from checked fields (forms,
-bases, points) are made by _built, without their constructor's validation.
+by an underflowed determinant), it runs _overflow_checked there, before any
+body sees the array, and an overflow is NumericOverflow.  Values the library
+builds from checked fields (forms, bases, points) are made by _built,
+without their constructor's validation.
 Two conventions have their one home here:
 in_gray_zone (a margin too close to its threshold to call) and real_columns
 (columns in C^n as columns in R^2n).
@@ -69,6 +70,14 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# lattice_equivalent's defaults and modes; here, not in equivalence, so that
+# the command line can build its parser without importing the search
+DEFAULT_HEIGHT = 2
+DEFAULT_RADIUS = 4.0
+DEFAULT_BUDGET = 10**7
+MODE_UNITARY = "unitary"
+MODE_SPECIAL_UNITARY = "special_unitary"
+
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """Return ``a`` locked against writes (value types stay immutable)."""
@@ -77,14 +86,21 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
-    """a, once its entries pass the package's one finiteness check (ValueError otherwise).
-
-    Besides the validation of a caller's array, it refuses an array the
-    library computed from finite ones that overflowed, with the same error
-    as the caller's non-finite array.
-    """
+    """a, once its entries pass the package's one finiteness check (ValueError otherwise)."""
     if not np.isfinite(a).all():
         raise ValueError(f"{what} entries must be finite (no NaN/Inf)")
+    return a
+
+
+def _overflow_checked(a: np.ndarray, what: str) -> np.ndarray:
+    """a, an array the library computed from finite operands, once it is finite.
+
+    An entry that is not finite is an overflow in between (a sum, a product,
+    a division by an underflowed determinant), so it raises NumericOverflow,
+    not the ValueError of a caller's non-finite array: the input was well formed.
+    """
+    if not np.isfinite(a).all():
+        raise NumericOverflow(f"{what} is not finite: the computation overflowed")
     return a
 
 

@@ -48,7 +48,7 @@ from .kernel import (
     _det,
     _hermitian_eig,
     _invertibility_gate,
-    _require_finite,
+    _overflow_checked,
     as_matrix,
     fro,
     frozen,
@@ -297,12 +297,12 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     _gated_margin(am, tol, "sl_normalize")
     n = am.shape[0]
     # a det that under- or overflowed (delta 0 or not finite) leaves out not finite:
-    # refused as a non-finite matrix, before its determinant is read, and never warned
+    # NumericOverflow, before its determinant is read, and never warned
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = _det(am)
         delta = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
         out = am / delta
-    if abs(_det(_require_finite(out, "matrix")) - 1.0) > tol.rel * n:
+    if abs(_det(_overflow_checked(out, "A / det(A)^(1/n)")) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")
     return frozen(out), delta
 

@@ -26,8 +26,9 @@ A form's constructor validates the caller's coefficients once.  The forms
 this module computes from validated ones (the conjugate pair behind a
 conversion, convert's outputs, the normalized factor) are built by the
 kernel's _built.  Only a sum of finite coefficients can overflow there, and
-it is refused with the constructor's ValueError (_require_finite); no
-operation on a form validates its coefficients again.
+it is NumericOverflow (_overflow_checked), not the constructor's ValueError:
+the caller's coefficients were well formed.  No operation on a form
+validates its coefficients again.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .kernel import (
     _built,
     _invertibility_gate,
     _operator_norm,
-    _require_finite,
+    _overflow_checked,
     _solve,
     as_columns,
     as_matrix,
@@ -219,16 +220,22 @@ def _to_conjugate_pair(t: RealLinearMap) -> ConjugatePairForm:
         return t
     if isinstance(t, NormalizedForm):
         return _built(ConjugatePairForm, m=np.eye(t.dim, dtype=np.complex128), n=t.e)
-    if isinstance(t, BlockForm):
-        m = 0.5 * ((t.e1 + t.e4) + 1j * (t.e3 - t.e2))
-        n = 0.5 * ((t.e1 - t.e4) - 1j * (t.e2 + t.e3))
-    elif isinstance(t, SplitForm):
-        eye = np.eye(t.dim)
-        m = 0.5 * ((eye + t.b) - 1j * t.a)
-        n = 0.5 * ((eye - t.b) - 1j * t.a)
-    else:
-        raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
-    return _built(ConjugatePairForm, m=_require_finite(m, "matrix"), n=_require_finite(n, "matrix"))
+    # sums of finite coefficients can overflow: NumericOverflow, never warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(t, BlockForm):
+            m = 0.5 * ((t.e1 + t.e4) + 1j * (t.e3 - t.e2))
+            n = 0.5 * ((t.e1 - t.e4) - 1j * (t.e2 + t.e3))
+        elif isinstance(t, SplitForm):
+            eye = np.eye(t.dim)
+            m = 0.5 * ((eye + t.b) - 1j * t.a)
+            n = 0.5 * ((eye - t.b) - 1j * t.a)
+        else:
+            raise TypeError(f"not a real-linear map representation: {type(t).__name__}")
+    return _built(
+        ConjugatePairForm,
+        m=_overflow_checked(m, "conjugate-pair coefficient M"),
+        n=_overflow_checked(n, "conjugate-pair coefficient N"),
+    )
 
 
 def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> RealLinearMap:
@@ -252,10 +259,10 @@ def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> Real
     if target == CONJUGATE_PAIR:
         _check_apply_equal(t, cp, tol)
         return cp
-    # M + N and M - N can overflow: refused as non-finite matrices, never warned
+    # M + N and M - N can overflow: NumericOverflow, never warned
     with np.errstate(over="ignore", invalid="ignore"):
         s, d = cp.m + cp.n, cp.m - cp.n
-    s, d = _require_finite(s, "matrix"), _require_finite(d, "matrix")
+    s, d = _overflow_checked(s, "M + N"), _overflow_checked(d, "M - N")
     if target == BLOCK:
         # real blocks are kept contiguous, as the constructor keeps them
         out: RealLinearMap = _built(
@@ -283,11 +290,11 @@ def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def invertibility(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """is_invertible's verdict with the realified margin sigma_min / sigma_max it read."""
-    # realify sums the coefficients' images, which can overflow: refused as a non-finite
-    # matrix, never warned; the SVDs run in complex arithmetic, as on a validated matrix
+    # realify sums the coefficients' images, which can overflow: NumericOverflow,
+    # never warned; the SVDs run in complex arithmetic, as on a validated matrix
     with np.errstate(over="ignore", invalid="ignore"):
         r = realify(t)
-    ok, margin, _ = _invertibility_gate(_require_finite(r, "matrix").astype(np.complex128), tol)
+    ok, margin, _ = _invertibility_gate(_overflow_checked(r, "realified map").astype(np.complex128), tol)
     if isinstance(t, SplitForm):
         ok_b, margin_b, _ = _invertibility_gate(t.b.astype(np.complex128), tol)
         if ok_b != ok:
@@ -368,11 +375,11 @@ def contraction_check(t: NormalizedForm, tol: Tolerance = DEFAULT_TOL) -> bool:
         raise TypeError("contraction_check expects a NormalizedForm")
     sigma = _operator_norm(t.e)
     first = sigma < 1.0 - tol.rel
-    # E* E overflows for a large E: h is then refused as a non-finite matrix, never warned
+    # E* E overflows for a large E: h is then NumericOverflow, never warned
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.eye(t.dim) - _adjoint(t.e) @ t.e
         h = 0.5 * (h + h.conj().T)
-    wmin = float(_hermitian_eig(_require_finite(h, "matrix"), tol)[0][0])
+    wmin = float(_hermitian_eig(_overflow_checked(h, "I - E* E"), tol)[0][0])
     second = wmin > 1.0 - (1.0 - tol.rel) ** 2
     if first != second:
         if abs(sigma - (1.0 - tol.rel)) > 1e3 * np.finfo(float).eps * max(1.0, sigma):

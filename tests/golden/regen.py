@@ -3,10 +3,15 @@
     PYTHONPATH=src python tests/golden/regen.py                   # rewrite, behind the drift check
     PYTHONPATH=src python tests/golden/regen.py --check           # compare bytes, write nothing
     PYTHONPATH=src python tests/golden/regen.py --check --drift   # drift check, write nothing
+    PYTHONPATH=src python tests/golden/regen.py --check --processes
 
 With --check every case is run in memory and compared byte for byte with
 the committed .golden files and cases.json; the differing cases are listed
-and the exit status is 1 if there are any.
+and the exit status is 1 if there are any.  With --processes each case runs
+in its own ``python -m cxlattices.cli`` process instead, which must also
+write nothing to stderr: a cxlat process loads only the modules its
+subcommand uses, and this finds a handler that works only after another
+handler has loaded a module for it.
 
 The drift check decodes each changed .golden line and requires the exit
 code, status, keys, list lengths, booleans, ints, strings (error names,
@@ -24,6 +29,7 @@ import argparse
 import io
 import json
 import pathlib
+import subprocess
 import sys
 
 
@@ -357,16 +363,31 @@ CASES = {
 }
 
 
-def render():
-    """Run every case in memory: ({file name: bytes}, [exit-code mismatches])."""
+def in_memory(argv, input_text):
+    """(exit code, stdout, stderr) of cli.run in this process."""
+    out = io.StringIO()
+    return run(argv, io.StringIO(input_text), out), out.getvalue().encode("utf-8"), b""
+
+
+def in_process(argv, input_text):
+    """(exit code, stdout, stderr) of one fresh ``python -m cxlattices.cli`` process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cxlattices.cli", *argv],
+        input=input_text.encode("utf-8"), capture_output=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def render(runner=in_memory):
+    """Run every case: ({file name: bytes}, [exit-code mismatches and stderr output])."""
     files, failures = {}, []
     for name, case in CASES.items():
-        buf = io.StringIO()
-        code = run(case["argv"], io.StringIO(case["input"]), buf)
-        if code != case["exit"]:
-            failures.append(f"{name}: expected exit {case['exit']}, got {code}")
+        code, out, err = runner(case["argv"], case["input"])
+        if code != case["exit"] or err:
+            stderr = f", stderr ends {err[-300:]!r}" if err else ""
+            failures.append(f"{name}: expected exit {case['exit']}, got {code}{stderr}")
             continue
-        files[f"{name}.golden"] = buf.getvalue().encode("utf-8")
+        files[f"{name}.golden"] = out
     files["cases.json"] = (json.dumps(CASES, indent=1, sort_keys=True) + "\n").encode("utf-8")
     return files, failures
 
@@ -464,11 +485,16 @@ def main(argv=None) -> None:
         help=f"with --check: run the drift check (floats within {DRIFT:g} relative) instead of "
         "the byte comparison; a rewrite always runs it",
     )
+    parser.add_argument(
+        "--processes",
+        action="store_true",
+        help="with --check: run each case in its own python -m cxlattices.cli process",
+    )
     args = parser.parse_args(argv)
-    if args.drift and not args.check:
-        parser.error("--drift goes with --check")
+    if (args.drift or args.processes) and not args.check:
+        parser.error("--drift and --processes go with --check")
     out_dir = pathlib.Path(__file__).resolve().parent
-    files, failures = render()
+    files, failures = render(in_process if args.processes else in_memory)
     if args.check and not args.drift:
         diffs = check(out_dir, files, failures)
         if diffs:

@@ -10,12 +10,16 @@ import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import cxlattices
 from cxlattices import jsonio
 from cxlattices.cli import _HANDLERS, run
 
@@ -71,17 +75,61 @@ def test_polar_of_a_huge_entry_writes_nothing_to_stderr():
                             '"n": [[[1e200,0],[1e200,0]],[[1e200,0],[-1e200,0]]]}}'),
         (["map-normalize"], '{"map": {"kind": "conjugate_pair", "m": [[[1,0]]], "n": [[[1e200,0]]]}}'),
         (["map-invertible"], '{"map": {"kind": "conjugate_pair", "m": [[[1e308,0]]], "n": [[[1e308,0]]]}}'),
+        (["map-convert", "--to", "block"], '{"map": {"kind": "conjugate_pair", "m": [[[1e308,0]]], '
+                                           '"n": [[[1e308,0]]]}}'),
     ],
 )
 def test_an_overflowing_intermediate_is_one_malformed_line(argv, input_text):
-    # finite inputs whose intermediate arrays overflow (A / det(A)^(1/n), I - E* E, the
-    # realified map): one error line and nothing on stderr, never a NaN or a verdict read off one
+    # finite, well-formed inputs whose intermediate arrays overflow (A / det(A)^(1/n),
+    # I - E* E, the realified map): one error line, NumericOverflow with exit 1 (the
+    # input was not malformed), nothing on stderr, never a NaN or a verdict read off one
     assert stderr_of(argv, input_text) == ""
     code, out = run_cli(argv, input_text)
-    assert code == 2
-    assert json.loads(out)["error"] == {
-        "name": "MalformedInput", "message": "matrix entries must be finite (no NaN/Inf)"
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["name"] == "NumericOverflow"
+    assert error["message"].endswith("is not finite: the computation overflowed")
+
+
+# what importing cxlattices.cli loads, and what one subcommand of each family adds to it
+CLI_MODULES = {"cxlattices", "errors", "kernel", "polar", "realmaps", "jsonio", "cli"}
+FAMILY_MODULES = {
+    "map-apply-rotation": set(),
+    "lattice-covolume-standard": {"gaussian", "lattices"},
+    "torus-add-wrap": {"gaussian", "lattices", "torus"},
+    "lattice-equiv-equivalent-rotation": {"equivalence", "gaussian", "lattices"},
+    "dim1-forms-basic": {"dim1"},
+}
+_LOADED = """
+import io, json, sys
+def loaded():
+    return sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "cxlattices")
+from cxlattices import cli
+imported = loaded()
+case = json.loads(sys.argv[1])
+code = cli.run(case["argv"], io.StringIO(case["input"]), io.StringIO())
+print(json.dumps([imported, loaded(), code]))
+"""
+
+
+def test_a_cxlat_process_loads_only_the_modules_its_subcommand_uses():
+    src = str(pathlib.Path(cxlattices.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    # one fresh process per family, all started before any is read
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _LOADED, json.dumps(CASES[name])],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for name in FAMILY_MODULES
     }
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err == "", err
+        imported, after_run, code = json.loads(out)
+        assert code == CASES[name]["exit"]
+        assert set(imported) == CLI_MODULES, name
+        assert set(after_run) == CLI_MODULES | FAMILY_MODULES[name], name
 
 
 def test_unhashable_map_kind_is_malformed_input():

@@ -303,9 +303,9 @@ def test_gram_reports_underflow_as_overflow():
 
 def test_sl_normalize_refuses_a_determinant_that_under_or_overflowed():
     # det(1e-170 I) underflows to 0 and det(1e200 I) overflows: A / delta is not finite,
-    # and it is refused as a non-finite matrix, never returned, and without a numpy warning
+    # and it is NumericOverflow (not malformed input), never returned, and without a numpy warning
     for scale in (1e-170, 1e200):
-        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+        with pytest.raises(NumericOverflow, match="^A / det\\(A\\)\\^\\(1/n\\) is not finite"):
             sl_normalize(np.eye(2) * scale)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cxlattices import InternalCheckError, NotInSplitClass, SingularM, Tolerance
+from cxlattices import InternalCheckError, NotInSplitClass, NumericOverflow, SingularM, Tolerance
 from cxlattices.realmaps import (
     BlockForm,
     ConjugatePairForm,
@@ -467,14 +467,19 @@ def test_operations_on_a_built_form_validate_nothing(validation_calls):
 
 def test_an_overflowing_intermediate_is_refused_as_a_non_finite_matrix():
     # I - E* E overflows for a large E, and realify's M z + conj(N z) and convert's M + N
-    # past the largest double: refused as a non-finite matrix, as the caller's own would
-    # be, and without a numpy warning
+    # past the largest double: NumericOverflow, not the ValueError of a caller's own
+    # non-finite matrix, and without a numpy warning
     for e in ([[1e200]], [[1e200, 1e200], [1e200, -1e200]]):
-        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+        with pytest.raises(NumericOverflow, match="^I - E\\* E is not finite"):
             contraction_check(NormalizedForm(e))
     huge = ConjugatePairForm([[1e308]], [[1e308]])
-    with pytest.raises(ValueError, match="^matrix entries must be finite"):
+    with pytest.raises(NumericOverflow, match="^realified map is not finite"):
         is_invertible(huge)
     for kind in ("block", "split"):
-        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+        with pytest.raises(NumericOverflow, match="^M \\+ N is not finite"):
             convert(huge, kind)
+    # and the conjugate pair of a block form whose E1 + E4 overflows
+    huge_block = BlockForm([[1e308]], [[0.0]], [[0.0]], [[1e308]])
+    for kind in ("conjugate_pair", "split", "normalized"):
+        with pytest.raises(NumericOverflow, match="^conjugate-pair coefficient M is not finite"):
+            convert(huge_block, kind)
