@@ -12,20 +12,30 @@ the exception class from the package taxonomy), 2 for malformed input.
 Output is deterministic: canonical float formatting, fixed key order, no
 timestamps, so identical invocations are byte-identical.
 
-A process compiles and runs only the modules its subcommand uses.  Importing
+A process builds, compiles and runs only what its subcommand uses.  Importing
 this module loads errors, kernel and polar (which the package itself loads;
-every other public name of the package loads its module on first use),
-realmaps and jsonio, and the map and matrix subcommands need nothing more.
-The other handlers import what they call: the lattice subcommands and
-sigma-check add lattices and gaussian, torus-reduce and torus-add add torus
-as well, lattice-equiv adds equivalence as well, dim1-forms adds dim1.  The
-lattice-equiv defaults and modes live in kernel, so building the parser
-loads none of these.
+every other public name of the package loads its module on first use) and
+jsonio, and the matrix subcommands (polar, gram, unitary-equiv,
+sl-normalize) need nothing more.  The other handlers import what they call:
+the map subcommands add realmaps, the lattice subcommands and sigma-check
+add lattices and gaussian, torus-reduce and torus-add add torus as well,
+lattice-equiv adds equivalence as well, dim1-forms adds dim1 and realmaps.
+When the first word is a known subcommand, run() builds that subparser
+alone; anything else gets the full parser, so every argparse error and help
+text keeps its bytes.  The lattice-equiv defaults and modes live in kernel,
+and map-convert's --to choices are read from realmaps only where that
+subparser is built.
+
+main() is the cxlat process.  It turns the cyclic garbage collector off for
+its one run and freezes what is alive at the end, so the collection at
+interpreter shutdown has nothing to walk; run() leaves the caller's
+collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -46,16 +56,6 @@ from .kernel import (
     in_gray_zone,
 )
 from .polar import gram, polar, sl_normalize, unitarily_equivalent
-from .realmaps import (
-    KINDS,
-    apply,
-    contraction_check,
-    convert,
-    dominates,
-    domination_ratio,
-    invertibility,
-    normalize_post_composition,
-)
 
 
 def _is_obj(data, what: str) -> dict:
@@ -79,6 +79,8 @@ def _fields(data, *names: str) -> list:
 # each handler: (data, args, tol) -> (payload, extra_diagnostics)
 
 def _cmd_map_apply(data, args, tol):
+    from .realmaps import apply
+
     m, z = _fields(data, "map", "z")
     t = jsonio.map_in(m)
     w = apply(t, jsonio.vector_in(z, "z"))
@@ -86,12 +88,16 @@ def _cmd_map_apply(data, args, tol):
 
 
 def _cmd_map_convert(data, args, tol):
+    from .realmaps import convert
+
     (m,) = _fields(data, "map")
     t = convert(jsonio.map_in(m), args.to, tol)
     return {"map": jsonio.map_out(t)}, {}
 
 
 def _cmd_map_invertible(data, args, tol):
+    from .realmaps import invertibility
+
     (m,) = _fields(data, "map")
     verdict, margin = invertibility(jsonio.map_in(m), tol)
     return {"invertible": verdict}, {
@@ -102,6 +108,8 @@ def _cmd_map_invertible(data, args, tol):
 
 
 def _cmd_map_majorizes(data, args, tol):
+    from .realmaps import dominates, domination_ratio
+
     (m,) = _fields(data, "map")
     ratio = domination_ratio(jsonio.map_in(m), tol)
     # no margin when M is singular, nor when N M^-1 overflowed (a tiny M): its ratio is inf
@@ -114,6 +122,8 @@ def _cmd_map_majorizes(data, args, tol):
 
 
 def _cmd_map_normalize(data, args, tol):
+    from .realmaps import contraction_check, normalize_post_composition
+
     (m,) = _fields(data, "map")
     g, norm = normalize_post_composition(jsonio.map_in(m), tol)
     return {
@@ -322,18 +332,21 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInput(f"command line: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names) -> argparse.ArgumentParser:
+    """The cxlat parser with one subparser for each subcommand in names."""
     parser = _Parser(
         prog="cxlat",
         description="real-linear maps, Gaussian lattices, and complex tori over JSON",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-    for name in _HANDLERS:
+    for name in names:
         p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", default=None, help="read input JSON from FILE")
         p.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel)
         p.add_argument("--tol-abs", type=float, default=DEFAULT_TOL.abs)
         if name == "map-convert":
+            from .realmaps import KINDS
+
             p.add_argument("--to", required=True, choices=KINDS)
         if name == "lattice-equiv":
             p.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
@@ -358,8 +371,12 @@ def _error_line(name: str, exc: Exception, diagnostics: dict) -> str:
 def run(argv, stdin=None, stdout=None) -> int:
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
+    argv = list(argv)
+    # a known subcommand parses the same with its own subparser alone; no subcommand, an
+    # unknown one or a bare -h needs the full parser, whose error and help texts list them all
+    names = argv[:1] if argv and argv[0] in _HANDLERS else _HANDLERS
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _build_parser(names).parse_args(argv)
     except SystemExit as exc:  # --help: argparse printed the usage text
         return exc.code
     except MalformedInput as exc:
@@ -396,7 +413,20 @@ def run(argv, stdin=None, stdout=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    """The cxlat process: one run, then exit with its code.
+
+    The process ends right after one run, so it turns the cyclic garbage
+    collector off: no collection runs while it parses and computes.  Freezing
+    what is alive at the end moves it out of reach of the collection at
+    interpreter shutdown, which would otherwise walk every numpy and argparse
+    object.  The policy lives here and not in run(), which tests, the
+    benchmark and library callers call in their own processes.
+    """
+    gc.disable()
+    code = run(sys.argv[1:])
+    sys.stdout.flush()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

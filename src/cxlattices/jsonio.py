@@ -16,11 +16,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericOverflow
-from .realmaps import FORMS, RealLinearMap, kind_of
+
+if TYPE_CHECKING:
+    from .realmaps import RealLinearMap
 
 
 class MalformedInput(ValueError):
@@ -153,6 +156,8 @@ def real_vector_out(v) -> list:
 
 
 def map_in(obj) -> RealLinearMap:
+    from .realmaps import FORMS  # only the map subcommands load realmaps
+
     if not isinstance(obj, dict):
         raise MalformedInput("map must be an object with a 'kind' field")
     kind = obj.get("kind")
@@ -175,6 +180,8 @@ def map_in(obj) -> RealLinearMap:
 
 
 def map_out(t: RealLinearMap) -> dict:
+    from .realmaps import kind_of
+
     out: dict = {"kind": kind_of(t)}
     for f in fields(t):
         out[f.name] = matrix_out(getattr(t, f.name))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -53,7 +54,9 @@ from .kernel import (
     real_columns,
     sigma_ratio,
 )
-from .realmaps import SplitForm
+
+if TYPE_CHECKING:
+    from .realmaps import SplitForm
 
 
 def _as_generators(g) -> np.ndarray:
@@ -367,4 +370,6 @@ def normalize_to_Lstarstar(
 
 def to_split_form(pm: PeriodMatrix) -> SplitForm:
     """Reread a period matrix as the real-linear map x + Re(Z) y + i Im(Z) y."""
+    from .realmaps import SplitForm  # the lattice subcommands never call this
+
     return _built(SplitForm, a=pm.z.real.copy(), b=pm.z.imag.copy())

@@ -360,6 +360,28 @@ CASES = {
         "input": '{"matrix": [[[1, 0]]]}',
         "exit": 2,
     },
+    # command-line errors: a known subcommand is parsed by its own subparser alone, the
+    # rest by the full parser, and the error line is the same either way
+    "malformed-no-subcommand": {
+        "argv": [],
+        "input": "",
+        "exit": 2,
+    },
+    "malformed-convert-missing-to": {
+        "argv": ["map-convert"],
+        "input": '{"map": {"kind": "conjugate_pair", "m": [[[2, 0]]], "n": [[[1, 0]]]}}',
+        "exit": 2,
+    },
+    "malformed-convert-unknown-kind": {
+        "argv": ["map-convert", "--to", "bogus"],
+        "input": '{"map": {"kind": "conjugate_pair", "m": [[[2, 0]]], "n": [[[1, 0]]]}}',
+        "exit": 2,
+    },
+    "malformed-equiv-unknown-mode": {
+        "argv": ["lattice-equiv", "--mode", "bogus"],
+        "input": '{"first": [[[1, 0]]], "second": [[[0, 1]]]}',
+        "exit": 2,
+    },
 }
 
 

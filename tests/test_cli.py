@@ -6,6 +6,7 @@ tests/golden/regen.py after an intentional output change).
 """
 
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -92,13 +93,14 @@ def test_an_overflowing_intermediate_is_one_malformed_line(argv, input_text):
 
 
 # what importing cxlattices.cli loads, and what one subcommand of each family adds to it
-CLI_MODULES = {"cxlattices", "errors", "kernel", "polar", "realmaps", "jsonio", "cli"}
+CLI_MODULES = {"cxlattices", "errors", "kernel", "polar", "jsonio", "cli"}
 FAMILY_MODULES = {
-    "map-apply-rotation": set(),
+    "map-apply-rotation": {"realmaps"},
+    "gram-shear": set(),
     "lattice-covolume-standard": {"gaussian", "lattices"},
     "torus-add-wrap": {"gaussian", "lattices", "torus"},
     "lattice-equiv-equivalent-rotation": {"equivalence", "gaussian", "lattices"},
-    "dim1-forms-basic": {"dim1"},
+    "dim1-forms-basic": {"dim1", "realmaps"},
 }
 _LOADED = """
 import io, json, sys
@@ -132,6 +134,58 @@ def test_a_cxlat_process_loads_only_the_modules_its_subcommand_uses():
         assert set(after_run) == CLI_MODULES | FAMILY_MODULES[name], name
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_callers_garbage_collector_as_it_found_it(enabled):
+    # the one-shot policy (collector off, survivors frozen) belongs to main(): tests, the
+    # benchmark and library callers call run() in processes that go on afterwards
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for name in ("gram-shear", "lattice-equiv-equivalent-rotation", "malformed-no-subcommand"):
+            run_cli(CASES[name]["argv"], CASES[name]["input"])
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), name
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+_COLLECTIONS = """
+import gc, json, sys
+from cxlattices import cli
+started = []
+gc.callbacks.append(lambda phase, info: started.append(info["generation"]) if phase == "start" else None)
+sys.argv = ["cxlat", *json.loads(sys.argv[1])]
+try:
+    cli.main()
+except SystemExit as exc:
+    code = exc.code
+del gc.callbacks[:]
+print(json.dumps([code, started, gc.isenabled(), gc.get_freeze_count() > 0]))
+"""
+
+
+def test_a_cxlat_process_runs_no_garbage_collection():
+    src = str(pathlib.Path(cxlattices.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    names = ("lattice-equiv-equivalent-rotation", "map-convert-to-normalized", "malformed-no-subcommand")
+    procs = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _COLLECTIONS, json.dumps(CASES[name]["argv"])],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for name in names
+    }
+    for name, proc in procs.items():
+        out, err = proc.communicate(CASES[name]["input"], timeout=120)
+        assert proc.returncode == 0 and err == "", err
+        line, report = out.splitlines(keepends=True)
+        assert line == (GOLDEN / f"{name}.golden").read_text(encoding="utf-8"), name
+        code, started, enabled, frozen = json.loads(report)
+        assert code == CASES[name]["exit"], name
+        # no collection between entry and exit; what is left is frozen for the shutdown one
+        assert started == [], name
+        assert enabled is False and frozen is True, name
+
+
 def test_unhashable_map_kind_is_malformed_input():
     code, out = run_cli(["map-invertible"], '{"map": {"kind": [1]}}')
     assert code == 2
@@ -139,7 +193,7 @@ def test_unhashable_map_kind_is_malformed_input():
 
 
 def test_every_subcommand_has_a_golden_case():
-    covered = {case["argv"][0] for case in CASES.values()}
+    covered = {word for case in CASES.values() for word in case["argv"][:1]}
     assert covered >= set(_HANDLERS), sorted(set(_HANDLERS) - covered)
 
 
