@@ -415,12 +415,10 @@ def run(argv, stdin=None, stdout=None) -> int:
 def main() -> None:
     """The cxlat process: one run, then exit with its code.
 
-    The process ends right after one run, so it turns the cyclic garbage
-    collector off: no collection runs while it parses and computes.  Freezing
-    what is alive at the end moves it out of reach of the collection at
-    interpreter shutdown, which would otherwise walk every numpy and argparse
-    object.  The policy lives here and not in run(), which tests, the
-    benchmark and library callers call in their own processes.
+    The process ends right after its run, so no cyclic collection runs during
+    it, and freezing what is alive spares the shutdown collection a walk over
+    every numpy and argparse object.  run() stays policy-free: tests, the
+    benchmark and library callers call it in processes that go on.
     """
     gc.disable()
     code = run(sys.argv[1:])
