@@ -39,8 +39,24 @@ a real feature matrix F with one row per distinct column (|b_i|^2, then
 indexed by first-column id.  The scan takes every column norm b* P1 b by
 one product F @ [diag P1, Re P1_ij, Im P1_ij], returns at once when no
 column matches (P2)_11, gathers only the candidates whose first column
-matches, and runs the full Gram test, on differences scaled by the power
-of two of the bound, only on those whose other columns match too.
+matches, and runs the full Gram test only on those whose other columns
+match too.
+
+Scale follows one rule: A1(Z[i]^n) and A2(Z[i]^n) are equivalent exactly
+when s A1(Z[i]^n) and s A2(Z[i]^n) are, for any scalar s != 0.  So each
+public entry multiplies its inputs by one power of two, 2^-e, which is
+exact short of underflow, and nothing below the entries handles scale.
+lattice_equivalent puts the larger sigma_max of its two inputs in [1, 2),
+sigma_orbit_equal the largest diagonal entry of its two forms, and
+short_vectors the sigma_max of A.  The radius is scaled by 4^-e, and is
+inf where that overflows, which the box budget refuses.  Results are
+mapped back exactly: covolumes by 4^(n e), spectrum values and norms by
+4^e.  A witness T is the same at every scale, since the LU and the
+products commute with a power of two.  So a verdict does not change
+under a common power-of-two scale, and tol.abs applies at unit scale, as
+do the unit floors of the spectrum refuter's guard band and value test.
+The radius is checked and reported as the caller gave it, and in
+special_unitary mode determinant one is read at the caller's scale.
 
 The short-vector refuter bounds each integer coordinate by its own axis
 (as in Fincke and Pohst, 1985) instead of one uniform box, and a box of
@@ -50,20 +66,19 @@ LLL of Gan, Ling and Mow, 2009, on the n columns): a skewed basis, such as
 A1 B for a tall B, has a per-axis box up to hundreds of times larger than
 its reduced basis.  Each coordinate vector is mapped back exactly and the
 norms are |A lambda|^2 as on A's own box, so the spectrum is the same;
-the budget still counts the uniform box of A.  lattice_equivalent runs
-its stages cheapest first: the invertibility gate, the covolume refuter
-(on determinants that are rebuilt from a scaled input where numpy's det
-overflows), the dimension cap, the Gram forms (whose A* A must not
-overflow, and past the box budgets must not underflow), and then the
-scan, witness first.  A verified witness settles the pair, and the
-spectra (which take sigma_max and sigma_min from the gate's singular
-values) are enumerated only where the scan finds none, where the
-witness's Gram residual exceeds a tenth of their resolution (scaled by
-sigma_min(A2)^2), or where the scan raises, as HeightTooLarge does at
-n = 3; the spectra may then refute the pair before that error is raised.
-Below that residual the spectra could not refute by value, and by count
-only where norms lie that close to both guard-band cutoffs; such a pair
-is now Equivalent where the spectra-first order refuted it.
+the budget still counts the uniform box of A.
+
+lattice_equivalent runs its stages cheapest first: the invertibility gate,
+the covolume refuter, the dimension cap, the radius check and the box
+budgets, the Gram forms, and then the scan, witness first.  A verified
+witness settles the pair, and the spectra (which take sigma_max and
+sigma_min from the gate's singular values) are enumerated only where the
+scan finds none, where the witness's Gram residual exceeds a tenth of
+their resolution (scaled by sigma_min(A2)^2), or where the scan raises, as
+HeightTooLarge does at n = 3; the spectra may then refute the pair before
+that error is raised.  Below that residual the spectra could not refute
+by value, and by count only where norms lie that close to both guard-band
+cutoffs.
 """
 
 from __future__ import annotations
@@ -311,9 +326,7 @@ def _gram_hits(cands: _Candidates, p1: np.ndarray, p2: np.ndarray, bound: float)
     other columns miss their diagonal entry are dropped before the full
     Frobenius test.  The slack, which scales with the set's stored |b|^2,
     covers the rounding by which the two ways of computing b* P1 b may
-    differ.  The Frobenius test runs on the differences scaled by the power
-    of two of the bound, which is exact and keeps their squares finite
-    wherever the decision turns on them.
+    differ.
     """
     n = p1.shape[0]
     norms = _column_norms(cands, p1)
@@ -328,17 +341,26 @@ def _gram_hits(cands: _Candidates, p1: np.ndarray, p2: np.ndarray, bound: float)
         ids = cands.col_ids[kept, i]
         kept = kept[np.abs(norms[ids] - target[i]) <= reach[ids]]
     survivors = np.sort(kept)
-    e = math.frexp(bound)[1]
-    limit = math.ldexp(bound, -e)
     for lo in range(0, len(survivors), _CHUNK):
         sel = survivors[lo : lo + _CHUNK]
         bs = cands.stack[sel]
         transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1, bs)
-        scaled = np.ldexp((transported - p2).view(np.float64), -e).view(np.complex128)
-        with np.errstate(over="ignore"):  # a square past the double range is far off the bound
-            diffs = np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))
-        for k in np.flatnonzero(diffs <= limit).tolist():
-            yield int(sel[k]), math.ldexp(float(diffs[k]), e)
+        diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
+        for k in np.flatnonzero(diffs <= bound).tolist():
+            yield int(sel[k]), float(diffs[k])
+
+
+def _scaled(a: np.ndarray, k: int) -> np.ndarray:
+    """a 2^k, a real or complex array scaled on its float64 view: exact short of underflow."""
+    return np.ldexp(a.view(np.float64), k).view(a.dtype)
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, and inf where it overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 def sigma_orbit_equal(
@@ -353,7 +375,10 @@ def sigma_orbit_equal(
     Returns Equivalent with witness (None, B) on the first match in the
     fixed candidate order, else UndecidedUpToBound; never refutes, since a
     taller witness may always exist.  A raw matrix is certified as a Gram
-    form at tol (as_gram_form); a GramForm is taken as it is.
+    form at tol (as_gram_form); a GramForm is taken as it is.  Both forms
+    are then scaled by one power of two that puts their largest diagonal
+    entry in [1, 2), so the verdict does not change under a common scale,
+    and tol.abs applies at that unit scale.
     """
     p1 = as_gram_form(p1, tol)
     p2 = as_gram_form(p2, tol)
@@ -363,16 +388,22 @@ def sigma_orbit_equal(
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     candidates = _candidates(n, height, budget)
-    bound = tol.rel * (fro(p1.matrix) + fro(p2.matrix)) + tol.abs
-    for idx, _ in _gram_hits(candidates, p1.matrix, p2.matrix, bound):
+    # the largest diagonal entry times 2^-e is in [1, 2)
+    e = math.frexp(max(p.matrix.diagonal().real.max() for p in (p1, p2)))[1] - 1
+    q1, q2 = _scaled(p1.matrix, -e), _scaled(p2.matrix, -e)
+    bound = tol.rel * (fro(q1) + fro(q2)) + tol.abs
+    for idx, _ in _gram_hits(candidates, q1, q2, bound):
         b = GaussianUnimodular(candidates.entries[idx])
         return EquivalenceVerdict(EQUIVALENT, (None, b), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
 
-def _check_radius(radius: float) -> None:
+def _unit_radius(radius: float, e: int) -> float:
+    """The caller's radius, once checked, times 4^-e; inf where that overflows, which
+    _uniform_box refuses as an unbounded box."""
     if radius < 0 or not np.isfinite(radius):
         raise ValueError("radius must be a finite nonnegative number")
+    return _ldexp(radius, -2 * e)
 
 
 def short_vectors(
@@ -385,12 +416,16 @@ def short_vectors(
     _enumerate); the budget counts the uniform box (2K + 1)^(2n) with
     K = floor(sqrt(radius) / sigma_min(A)), so which inputs raise
     RadiusBudgetExceeded depends on A's smallest singular value alone.
+    The enumeration runs on A 2^-e, with e the power of two that puts
+    sigma_max(A) in [1, 2), and on the radius 4^-e; the norms are mapped
+    back by 4^e, so they are those of A bit for bit.
     """
     am = as_matrix(a, square=True)
-    _check_radius(radius)
     s = _singular_values(am)
-    norms = _enumerate(am, s, _uniform_box(s, radius, tol, limit), radius)
-    return ShortVectorSpectrum(float(radius), tuple(norms.tolist()))
+    e = math.frexp(float(s[0]))[1] - 1  # sigma_max 2^-e in [1, 2)
+    unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, -e)
+    norms = _enumerate(am, s, _uniform_box(s, unit_radius, tol, limit), unit_radius)
+    return ShortVectorSpectrum(float(radius), tuple(_scaled(norms, 2 * e).tolist()))
 
 
 def _lll(am: np.ndarray):
@@ -512,10 +547,8 @@ def _uniform_box(s: np.ndarray, radius: float, tol: Tolerance, limit: int) -> in
     if smin <= tol.rel * smax:
         raise SingularMatrix("short-vector enumeration needs an invertible matrix")
     ratio = math.sqrt(radius) / smin
-    if ratio == math.inf:  # a subnormal sigma_min: no box of integers is that large
-        raise RadiusBudgetExceeded(
-            f"coefficient box is unbounded (sigma_min {smin:.3e}) and exceeds limit {limit}"
-        )
+    if ratio == math.inf:  # no box of integers is that large
+        raise RadiusBudgetExceeded(f"coefficient box is unbounded and exceeds limit {limit}")
     k = math.floor(ratio)
     total = (2 * k + 1) ** (2 * len(s))
     if total - 1 > limit:
@@ -589,12 +622,13 @@ def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> np.ndarr
     return np.sort(np.concatenate(found) if len(found) > 1 else found[0])
 
 
-def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float):
+def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float, e: int = 0):
     """First robust difference between two spectra (ascending norms), or None.
 
     Entries near the radius boundary are ignored (a guard band), and a
     mismatch must survive at twice the band to count, so floating-point
     placement at either cutoff can never refute a genuinely equivalent pair.
+    Differing norms are reported times 4^e, at the caller's scale.
     """
     base = _SPECTRUM_REL * max(radius, 1.0)
     cuts = (radius - base, radius - 2.0 * base)
@@ -610,7 +644,8 @@ def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float):
         if k1 != k2:
             verdicts.append(("short_vector_count", float(k1), float(k2)))
         elif off.size and off[0] < k1:
-            verdicts.append(("short_vector_spectrum", float(v1[off[0]]), float(v2[off[0]])))
+            v = (math.ldexp(float(x[off[0]]), 2 * e) for x in (v1, v2))
+            verdicts.append(("short_vector_spectrum", *v))
         else:
             verdicts.append(None)
     if verdicts[0] is not None and verdicts[1] is not None:
@@ -624,23 +659,6 @@ def _square(x: float, k: int = 0) -> float:
         return math.ldexp(x, k) ** 2
     except OverflowError:
         return math.inf
-
-
-def _scaled_det(am: np.ndarray, sigma_max: float) -> tuple[complex, int]:
-    """(d, k) with det A = d 2^k.
-
-    numpy's det (the exponential of log |det|) is kept, with k = 0, wherever
-    it is finite.  Where it overflows, it is taken on A scaled by 2^-e, e the
-    exponent of sigma_max, whose determinant is at most 1 in size, and
-    k = n e.  numpy's det does not commute with a power of two in its last
-    bits, so the scaled det is taken only there.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = _det(am)
-    if np.isfinite(d):
-        return d, 0
-    e = math.frexp(sigma_max)[1]
-    return _det(am * math.ldexp(1.0, -e)), am.shape[0] * e
 
 
 def _first_witness(cands: _Candidates, m1, m2, p1, p2, mode: str, tol: Tolerance, height: int):
@@ -687,24 +705,29 @@ def lattice_equivalent(
     """Decide equivalence of A1(Z[i]^n) and A2(Z[i]^n) up to height bound.
 
     Pipeline: invertibility gate, covolume refuter, the dimension cap, the
-    Gram forms (an A* A that underflowed is refused only past the radius
-    check and the short-vector box budgets), the bounded Gram-orbit search,
-    and the short-vector spectrum refuter only where the search found no
-    witness.  A witness settles the pair when its Gram residual is at most a
-    tenth of the spectra's resolution times sigma_min(A2)^2, which rules out
-    a refutation by value, and one by count unless norms lie that close to
-    both guard-band cutoffs.  Otherwise, and where the search raises
-    (HeightTooLarge at n = 3 or past the box, say), the spectra are
-    enumerated: a refutation from them is returned, and the search's error
-    is raised only when they do not refute.  The Gram forms need no
-    positivity check of their own: each input is a root of its form and has
-    passed the gate, and the spectra read sigma_max and sigma_min off the
-    gate's singular values.  Equivalent verdicts carry the reconstructed
-    unitary T = A2 B^-1 A1^-1 (B inverted exactly via its adjugate) and are
-    re-verified before being returned.  In special_unitary mode both inputs
-    must also have determinant one, as classify calls it (the same gate and
-    determinant, then |det - 1| <= tol.rel * n; NotInSL otherwise, a
-    singular input included), and witnesses are additionally filtered by
+    radius check and the short-vector box budgets, the Gram forms, the
+    bounded Gram-orbit search, and the short-vector spectrum refuter only
+    where the search found no witness.  Right after the gate both inputs
+    are scaled by the one power of two that puts the larger sigma_max in
+    [1, 2), and the radius by its square, so every later stage runs at unit
+    scale: the verdict does not change under a common power-of-two scale,
+    and tol.abs applies at unit scale.  Covolumes and spectrum values are
+    reported at the caller's scale.  A witness settles the pair when its
+    Gram residual is at most a tenth of the spectra's resolution times
+    sigma_min(A2)^2, which rules out a refutation by value, and one by
+    count unless norms lie that close to both guard-band cutoffs.
+    Otherwise, and where the search raises (HeightTooLarge at n = 3 or past
+    the box, say), the spectra are enumerated: a refutation from them is
+    returned, and the search's error is raised only when they do not
+    refute.  The Gram forms need no positivity check of their own: each
+    input is a root of its form and has passed the gate.  A* A can still
+    underflow under a caller's tiny tol.rel, which raises NumericOverflow.
+    Equivalent verdicts carry the reconstructed unitary T = A2 B^-1 A1^-1
+    (B inverted exactly via its adjugate) and are re-verified before being
+    returned.  In special_unitary mode both inputs must also have
+    determinant one at the caller's scale, as classify calls it (the same
+    gate and determinant, then |det - 1| <= tol.rel * n; NotInSL otherwise,
+    a singular input included), and witnesses are additionally filtered by
     det(T) = 1, continuing the search otherwise.
     """
     m1 = as_matrix(a1, square=True)
@@ -714,29 +737,31 @@ def lattice_equivalent(
     if mode not in (MODE_UNITARY, MODE_SPECIAL_UNITARY):
         raise ValueError(f"unknown mode {mode!r}")
     n = m1.shape[0]
-    abs_dets = []  # |det| of each input as (a, k), |det| = a 2^k
-    svals = []  # the gate's singular values, which the enumeration reuses
+    gates = []  # (passed, singular values) of each input; the enumeration reuses the values
     # the stages run cheapest first; a singular input fails as gram would fail on it,
     # or, in special_unitary mode, as classify's determinant-one verdict would
-    for name, m in (("A1", m1), ("A2", m2)):
+    for m in (m1, m2):
         ok, margin, s = _invertibility_gate(m, tol)
         if mode == MODE_UNITARY and not ok:
             raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
-        d, k = _scaled_det(m, float(s[0]))
-        distance = abs(d - 1.0) if k == 0 else math.inf
-        if mode == MODE_SPECIAL_UNITARY and not (ok and distance <= tol.rel * n):
-            raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
-        svals.append(s)
-        abs_dets.append((abs(d), k))
+        gates.append((ok, s))
 
-    # decided on both |det| scaled by one power of two, which is exact and keeps the
-    # squares finite; the reported covolumes are |det|^2, inf where that overflows
-    top = max(k for _, k in abs_dets)
-    d1, d2 = (math.ldexp(a, k - top) for a, k in abs_dets)
-    e = math.frexp(max(d1, d2))[1]
-    r1, r2 = (math.ldexp(d, -e) ** 2 for d in (d1, d2))
-    if abs(r1 - r2) > tol.rel * max(r1, r2):
-        c1, c2 = (_square(a, k) for a, k in abs_dets)
+    # everything below runs on both inputs scaled by the one power of two that puts the
+    # larger sigma_max in [1, 2): exact, so the verdict does not depend on a common scale
+    e = math.frexp(max(float(s[0]) for _, s in gates))[1] - 1
+    m1, m2 = _scaled(m1, -e), _scaled(m2, -e)
+    svals = [_scaled(s, -e) for _, s in gates]
+    dets = (_det(m1), _det(m2))  # each is det 2^(-n e) of the caller's input
+    if mode == MODE_SPECIAL_UNITARY:
+        for name, (ok, _), d in zip(("A1", "A2"), gates, dets):
+            distance = abs(complex(_ldexp(d.real, n * e), _ldexp(d.imag, n * e)) - 1.0)
+            if not (ok and distance <= tol.rel * n):
+                raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
+    # the covolumes |det|^2 differ by more than tol.rel of the larger: tested on the ratio
+    # of the two |det|, which neither over- nor underflows at any dimension
+    lo, hi = sorted(abs(d) for d in dets)
+    if hi > 0.0 and 1.0 - (lo / hi) ** 2 > tol.rel:
+        c1, c2 = (_square(abs(d), n * e) for d in dets)
         return EquivalenceVerdict(REFUTED, None, ("covolume", c1, c2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the
@@ -744,12 +769,11 @@ def lattice_equivalent(
     # dimensional pair and its box scan
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
-    # an A* A that overflowed is refused before the radius is read, and one that
-    # underflowed after the box budgets: its input's box is unbounded
-    q1, q2 = _gram_matrix(m1), _gram_matrix(m2)
-    _check_radius(radius)
-    ks = [_uniform_box(s, radius, tol, budget) for s in svals]
-    p1, p2 = _gram_certified(q1), _gram_certified(q2)
+    unit_radius = _unit_radius(radius, e)
+    ks = [_uniform_box(s, unit_radius, tol, budget) for s in svals]
+    # an A* A that underflowed (possible only under a caller's tiny tol.rel) is refused
+    # past the box budgets, which refuse such an input first at all but a tiny radius
+    p1, p2 = (_gram_certified(_gram_matrix(m)) for m in (m1, m2))
 
     witness = error = None
     try:
@@ -761,13 +785,11 @@ def lattice_equivalent(
     # a witness moves each norm v = |A2 lambda|^2 of the spectrum by at most its Gram
     # residual r times |lambda|^2 <= v / sigma_min(A2)^2.  At a tenth of the spectra's
     # resolution that rules out a refutation by value, and one by count unless norms
-    # lie within that distance of both guard-band cutoffs; the witness is returned
-    # without the spectra, so such a pair (a radius picked on those norms) is
-    # Equivalent where the spectra-first order refuted it by count
+    # lie within that distance of both guard-band cutoffs
     if witness is not None and witness[1] <= 0.1 * _SPECTRUM_REL * float(svals[1][-1]) ** 2:
         return witness[0]
-    norms = (_enumerate(m, s, k, radius) for m, s, k in zip((m1, m2), svals, ks))
-    mismatch = _spectra_mismatch(*norms, radius)
+    norms = (_enumerate(m, s, k, unit_radius) for m, s, k in zip((m1, m2), svals, ks))
+    mismatch = _spectra_mismatch(*norms, unit_radius, e)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)
     if error is not None:

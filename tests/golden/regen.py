@@ -250,6 +250,12 @@ CASES = {
         "input": '{"first": [[[2.5822498780869086e+120, 0], [0, 0]], [[0, 0], [2.5822498780869086e+120, 0]]], "second": [[[0, 0], [2.5822498780869086e+120, 0]], [[2.5822498780869086e+120, 0], [0, 0]]]}',
         "exit": 0,
     },
+    # a basis at 2^-300 with the radius at 4^-300 times 4: decided as at scale 1
+    "lattice-equiv-tiny-scale": {
+        "argv": ["lattice-equiv", "--radius", "9.639679460411536e-181"],
+        "input": '{"first": [[[4.909093465297727e-91, 0], [4.418184118767954e-91, 0]], [[0, 0], [1.472728039589318e-91, 0]]], "second": [[[4.909093465297727e-91, 0], [4.418184118767954e-91, 0]], [[0, 0], [1.472728039589318e-91, 0]]]}',
+        "exit": 0,
+    },
     # no complete candidate set is enumerated at n = 3: it fails fast
     "lattice-equiv-n3-height": {
         "argv": ["lattice-equiv"],

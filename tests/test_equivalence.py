@@ -563,18 +563,22 @@ def test_short_vectors_budget_refuses_a_subnormal_basis():
 
 
 def test_lattice_equivalent_checks_gram_radius_budget_in_order():
-    # for inputs that fail two checks: an A* A that overflowed is refused before the
-    # radius is read, and one that underflowed only after the radius and the box budgets
-    big = ([[1.2e154]], [[1.2e154j]])  # |det|^2 is finite, A* A + (A* A)* is not
+    # the radius is checked before the box budgets, and an A* A that underflowed is refused
+    # only after both; on inputs rescaled to unit sigma_max it underflows only under a tiny
+    # tol.rel, and A* A no longer overflows: the [[1.2e154]] pair is decided
+    big = ([[1.2e154]], [[1.2e154j]])  # A* A + (A* A)* overflows at the caller's scale
+    assert lattice_equivalent(*big).status == EQUIVALENT
     for radius in (-1.0, float("nan")):
-        with pytest.raises(NumericOverflow, match="^gram form A\\* A overflowed"):
+        with pytest.raises(ValueError, match="^radius must be"):
             lattice_equivalent(*big, radius=radius)
-    tiny = ([[1e-310]], [[1e-310j]])
+    fine = Tolerance(rel=1e-200)
+    thin = (np.diag([1.0, 1e-170]), np.diag([1.0, 1e-170j]))  # sigma_min^2 underflows
     with pytest.raises(ValueError, match="^radius must be"):
-        lattice_equivalent(*tiny, radius=-1.0)
-    # at the default radius the box budget refuses tiny first: see the test above
+        lattice_equivalent(*thin, tol=fine, radius=-1.0)
+    with pytest.raises(RadiusBudgetExceeded, match="^coefficient box of"):
+        lattice_equivalent(*thin, tol=fine)
     with pytest.raises(NumericOverflow, match="^gram form A\\* A underflowed"):
-        lattice_equivalent(*tiny, radius=0.0)
+        lattice_equivalent(*thin, tol=fine, radius=0.0)
 
 
 def test_short_vectors_singular():
@@ -693,28 +697,32 @@ def test_covolume_refutes_before_the_gram_forms():
 
 
 def test_covolume_past_the_largest_double_is_decided_and_reported_as_inf():
-    # |det|^2 = 2^1600 overflows a double: the check is decided on both |det| scaled by
-    # one power of two, and each reported covolume is |det|^2 where finite, else inf
+    # |det|^2 = 2^1600 overflows a double: the check is decided on both inputs scaled to
+    # unit sigma_max, and each reported covolume is |det|^2 where finite, else inf
     big = 2.0**400
     v = lattice_equivalent(big * np.eye(2), big * np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert v.status == EQUIVALENT
     assert lattice_equivalent(big * np.eye(2), 2 * big * np.eye(2)).refuter == (
         "covolume", math.inf, math.inf
     )
-    d = abs(complex(np.linalg.det([[2.0**500]])))  # about 2^500: LAPACK rounds it
-    assert lattice_equivalent([[2.0**500]], [[2.0**520]]).refuter == ("covolume", d**2, math.inf)
+    # the determinant is taken at unit scale, where 2^-20 is exact, and scaled back exactly
+    assert lattice_equivalent([[2.0**500]], [[2.0**520]]).refuter == ("covolume", 2.0**1000, math.inf)
 
 
 def test_a_determinant_past_the_largest_double_is_rebuilt_not_overflowed():
-    # |det|^2 of a 2x2 basis at 2^520 is past 2^2000: numpy's det overflows, so it is taken
-    # on each input scaled by its sigma_max's power of two, and no numpy warning is raised
+    # |det|^2 of a 2x2 basis at 2^520 is past 2^2000, and so is A* A: on the inputs scaled
+    # to unit sigma_max nothing overflows, the pair gets the verdict and the witness of
+    # scale 1, and no numpy warning is raised
     rng = np.random.default_rng(67)
     a = random_invertible(rng, 2)
     a2 = random_unitary(rng, 2) @ a
     big = 2.0**520
     assert lattice_equivalent(big * a, 1.5 * big * a2).refuter == ("covolume", math.inf, math.inf)
-    with pytest.raises(NumericOverflow, match="^gram form A\\* A overflowed"):
-        lattice_equivalent(big * a, big * a2)
+    v, one = lattice_equivalent(big * a, big * a2), lattice_equivalent(a, a2)
+    assert v.status == one.status == EQUIVALENT
+    assert v.witness[1].entries == one.witness[1].entries
+    assert v.witness[0].tobytes() == one.witness[0].tobytes()
+    # determinant one is read at the caller's scale
     with pytest.raises(NotInSL, match="^A1 has determinant distance inf from one$"):
         lattice_equivalent(big * a, big * a2, mode="special_unitary")
 
@@ -729,6 +737,108 @@ def test_a_pair_whose_gram_squares_overflow_is_decided_as_at_scale_one():
     big = lattice_equivalent(2.0**300 * a, 2.0**300 * (q @ a))
     assert small.status == big.status == EQUIVALENT
     assert big.witness[1].entries == small.witness[1].entries
+
+
+def test_sigma_orbit_equal_finds_no_witness_between_forms_of_different_determinant():
+    # |det A| = 1.94 and |det B| = 1.02, so no B* P1 B = P2 exists; at 1e-7 the forms are
+    # near 1e-14, and a bound of tol.abs = 1e-12 at the caller's scale matched any candidate
+    a = np.array([[1.0, 0.3], [0.2, 2.0]])
+    b = np.array([[1.7, 0.0], [0.1, 0.6]])
+    for scale in (1.0, 1e-7, 1e-100, 1e100):
+        assert sigma_orbit_equal(gram(scale * a), gram(scale * b)).status == UNDECIDED
+
+
+def _power_scaled(x, k):
+    """x 2^k, an array or a float, or None where that is not exactly representable."""
+    x = np.asarray(x, dtype=np.float64 if np.isrealobj(x) else np.complex128)
+    with np.errstate(over="ignore"):
+        y = np.ldexp(x.view(np.float64), k)
+    if not (np.isfinite(y).all() and np.array_equal(np.ldexp(y, -k), x.view(np.float64))):
+        return None
+    return y.view(x.dtype)
+
+
+def _scaled_refuter(refuter, k, n):
+    """A refuter of the pair scaled by 2^k: covolumes scale by 4^(n k), spectrum values by 4^k,
+    counts not at all; None for a value that leaves the normal range of doubles."""
+    if refuter is None or refuter[0] == "short_vector_count":
+        return refuter
+    name, v1, v2 = refuter
+    power = 2 * k * (n if name == "covolume" else 1)
+    values = []
+    for v in (v1, v2):
+        try:
+            w = math.ldexp(v, power)
+        except OverflowError:
+            w = math.inf
+        if 0.0 < w < sys.float_info.min:
+            return None
+        values.append(w)
+    return (name, *values)
+
+
+def _outcome(call, *args, **kwargs):
+    """call's result, or the class of the search error it raises."""
+    try:
+        return call(*args, **kwargs)
+    except (HeightTooLarge, RadiusBudgetExceeded) as exc:
+        return type(exc)
+
+
+def test_verdicts_do_not_change_under_a_common_power_of_two():
+    # lattice_equivalent, sigma_orbit_equal and short_vectors on a pair scaled by 2^k, with
+    # the radius scaled by 4^k, for k from -1000 to 1000: each input is rescaled to unit
+    # scale at its entry, so the verdict, the witness bytes and the norms are those of
+    # k = 0, mapped back exactly; a k where an input or the radius is not representable is
+    # skipped
+    rng = np.random.default_rng(71)
+    pairs = []
+    for n in (1, 2):
+        a = random_invertible(rng, n, min_cond=0.1)
+        q = random_unitary(rng, n)
+        b = GaussianUnimodular(sigma_candidates(n, 2)[-1]).matrix
+        pairs += [(a, q @ a @ b, 4.0), (a, 1.5 * q @ a, 4.0)]
+    pairs += [
+        (np.eye(2), np.diag([0.5, 2.0]), 4.0),  # refuted by count
+        (np.eye(2), np.array([[1.0, 0.05], [0.0, 1.0]]), 1.5),  # refuted by value
+        (np.eye(2), np.array([[1.0, 3.0], [0.0, 1.0]]), 4.0),  # undecided at height 2
+        (np.eye(3), random_unitary(rng, 3), 2.0),  # HeightTooLarge at n = 3
+    ]
+    checked = 0
+    for a1, a2, r0 in pairs:
+        n = a1.shape[0]
+        base = _outcome(lattice_equivalent, a1, a2, radius=r0)
+        grams = [gram(a).matrix for a in (a1, a2)]
+        orbit = _outcome(sigma_orbit_equal, *grams)
+        norms = [np.array(short_vectors(a, r0).norms) for a in (a1, a2)]
+        for k in range(-1000, 1001, 50):
+            m1, m2, radius = _power_scaled(a1, k), _power_scaled(a2, k), _power_scaled(r0, 2 * k)
+            if m1 is None or m2 is None or radius is None or radius == 0.0:
+                continue
+            checked += 1
+            v = _outcome(lattice_equivalent, m1, m2, radius=float(radius))
+            if isinstance(base, type):
+                assert v is base, (k, v)
+            else:
+                assert v.status == base.status, (k, v)
+                want = _scaled_refuter(base.refuter, k, n)
+                assert want is None or v.refuter == want, (k, v.refuter, want)
+                if base.witness is not None:
+                    assert v.witness[1].entries == base.witness[1].entries, k
+                    assert v.witness[0].tobytes() == base.witness[0].tobytes(), k
+            for m, want in zip((m1, m2), norms):
+                got = short_vectors(m, float(radius)).norms
+                assert np.array_equal(np.array(got), np.ldexp(want, 2 * k)), k
+            p1, p2 = (_power_scaled(g, 2 * k) for g in grams)
+            if p1 is not None and p2 is not None:
+                w = _outcome(sigma_orbit_equal, p1, p2)
+                if isinstance(orbit, type):
+                    assert w is orbit, k
+                else:
+                    assert w.status == orbit.status, k
+                    if orbit.witness is not None:
+                        assert w.witness[1].entries == orbit.witness[1].entries, k
+    assert checked == len(pairs) * 21  # k = -500 ... 500
 
 
 @pytest.fixture
