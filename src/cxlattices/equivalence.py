@@ -13,34 +13,28 @@ semidecision with three honest states: Equivalent (with a re-verifiable
 witness), RefutedByInvariant (a unitary invariant separates the lattices),
 or UndecidedUpToBound.
 
-Candidates with exact determinant one come from one complete set per
-dimension: n = 1 has the identity alone, and n = 2 is enumerated in full
-when the height box fits the budget, (2H+1)^6 <= budget (three entries
-range freely, the fourth is solved in exact integer arithmetic, all with
-numpy).  Past that box, and at every budget for n >= 3, where no complete
-set is enumerated, the call raises HeightTooLarge at once: the search is
-sound, and it fails fast rather than scan a set it cannot finish.  The
-candidate order is fixed, and the first matching witness wins, so
-repeated runs return identical verdicts.
+The search covers, at a height H, every determinant-one B of entry height
+<= H: the identity alone at n = 1, and at n = 2 every such matrix when the
+height box fits the budget, (2H+1)^6 <= budget.  Past that box, and at
+every budget for n >= 3, the call raises HeightTooLarge at once: the
+search is sound, and it fails fast rather than scan a set it cannot
+finish.  The candidate order is fixed, lexicographic in the entries
+(a, b, c, d) in box order, and the first matching witness wins, so
+repeated runs return identical verdicts.  sigma_candidates lists that set
+in that order; the search itself never builds it.
 
-Each candidate set is cached per (n, height), once, as the public tuples
-together with their stacked complex128 array of shape (k, n, n); the Gram
-scan runs on that array in chunks.  The budget is checked before the
-cache is read, so only the first call in a process pays for generating a
-set, and the cache answers the same call the same way whatever came
-before it.
-
-The search is norm-first.  Column i of a witness B has P1-norm (P2)_ii
-(the first invariant of Plesken and Souvignier, "Computing isometries of
-lattices", 1997), so each cached set also holds its distinct columns, a
-(k, n) array of column ids, the squared length of each distinct column,
-a real feature matrix F with one row per distinct column (|b_i|^2, then
-2 Re(conj(b_i) b_j) and -2 Im(conj(b_i) b_j) for i < j) and its candidates
-indexed by first-column id.  The scan takes every column norm b* P1 b by
-one product F @ [diag P1, Re P1_ij, Im P1_ij], returns at once when no
-column matches (P2)_11, gathers only the candidates whose first column
-matches, and runs the full Gram test only on those whose other columns
-match too.
+The search matches columns, not candidates.  Column i of a witness B has
+P1-norm (P2)_ii (the first invariant of Plesken and Souvignier, "Computing
+isometries of lattices", 1997).  The scan takes the (2H+1)^4 Gaussian
+columns of height <= H, built once per height with the squared length of
+each and a real feature matrix F, one row per column b (|b_0|^2, |b_1|^2,
+2 Re(conj(b_0) b_1) and -2 Im(conj(b_0) b_1)).  One product
+F @ [P1_00, P1_11, Re P1_01, Im P1_01] gives every column norm b* P1 b.
+The scan returns at once when no column matches (P2)_11; otherwise it
+pairs the columns that match (P2)_11 with those that match (P2)_22, keeps
+the pairs (a, c), (b, d) with ad - bc = 1, exact on small Gaussian
+integers, puts them in candidate order and runs the full Gram test on them
+in chunks.
 
 Scale follows one rule: A1(Z[i]^n) and A2(Z[i]^n) are equivalent exactly
 when s A1(Z[i]^n) and s A2(Z[i]^n) are, for any scalar s != 0.  So each
@@ -176,60 +170,53 @@ def _gauss_box(height: int):
     )
 
 
-class _Candidates(NamedTuple):
-    """One candidate set: the public tuple form, its read-only (k, n, n) stack,
-    and its columns as a table of distinct columns (c, n) with a (k, n) array
-    of ids, so that column i of candidate j is cols[col_ids[j, i]], and the
-    squared length |b|^2 of each distinct column (c,).
+class _Grid(NamedTuple):
+    """The m = (2H+1)^2 Gaussian integers of height <= H in box order (box), and the
+    m^2 pairs of them: the pair (x, y) of box indices has id x m + y and is
+    cols[x m + y], so cols holds every column, and every row, of a 2x2 candidate.
 
-    features (c, n + n(n-1)) is the real form of each distinct column b for
-    its P-norm: |b_i|^2, then 2 Re(conj(b_i) b_j) and -2 Im(conj(b_i) b_j)
-    for i < j, so b* P b = features @ [diag P, Re P_ij, Im P_ij] for a
-    Hermitian P; on Gaussian integers every feature is exact.  by_first
-    lists the candidates by first-column id (a stable argsort, so each group
-    keeps candidate order), and the candidates whose first column has id c
-    are by_first[starts[c]:starts[c + 1]].
+    weights holds the squared length |b|^2 of each column, for the scan's slack, and
+    features (c, 4) its real form for its P-norm: |b_0|^2, |b_1|^2, then
+    2 Re(conj(b_0) b_1) and -2 Im(conj(b_0) b_1), so b* P b = features @ [P_00, P_11,
+    Re P_01, Im P_01] for a Hermitian P; on Gaussian integers every feature is exact.
+    spread[x m + y] = x m^2 + y, so a first column (a, c) and a second (b, d) give
+    m spread[first] + spread[second] = (a m + b) m^2 + (c m + d): the ids of the
+    rows of ((a, b), (c, d)), in one number that sorts as candidate order does.
     """
 
-    entries: tuple
-    stack: np.ndarray
+    box: tuple
     cols: np.ndarray
-    col_ids: np.ndarray
     weights: np.ndarray
     features: np.ndarray
-    by_first: np.ndarray
-    starts: np.ndarray
+    spread: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
-def _upper(n: int) -> tuple:
-    """The read-only index arrays of the entries above the diagonal of an n x n matrix."""
-    return tuple(frozen(i) for i in np.triu_indices(n, 1))
-
-
-def _with_columns(entries: tuple, stack, cols, col_ids) -> _Candidates:
-    """A candidate set from its parts; the column lengths, the column features and
-    the index by first column are computed here, once."""
-    weights = frozen(np.sum(np.abs(cols) ** 2, axis=1))
-    upper = _upper(cols.shape[1])
-    cross = cols[:, upper[0]].conj() * cols[:, upper[1]]
+def _grid(height: int) -> _Grid:
+    """The pair grid of one height, built once per process."""
+    box = _gauss_box(height)
+    values = np.array([complex(*z) for z in box])
+    m = len(box)
+    cols = np.stack([np.repeat(values, m), np.tile(values, m)], axis=1)
+    cross = cols[:, :1].conj() * cols[:, 1:]
     features = np.concatenate(
         [cols.real**2 + cols.imag**2, 2.0 * cross.real, -2.0 * cross.imag], axis=1
     )
-    first = col_ids[:, 0]
-    starts = np.concatenate([[0], np.cumsum(np.bincount(first, minlength=len(cols)))])
-    return _Candidates(
-        entries, stack, frozen(cols), frozen(col_ids), weights, frozen(features),
-        frozen(np.argsort(first, kind="stable")), frozen(starts),
+    x, y = np.divmod(np.arange(m * m), m)
+    return _Grid(
+        box, frozen(cols), frozen(np.sum(np.abs(cols) ** 2, axis=1)), frozen(features),
+        frozen(x * m * m + y),
     )
 
 
-def _complete_2x2(height: int) -> _Candidates:
+@functools.lru_cache(maxsize=None)
+def _complete_2x2(height: int) -> tuple:
     """Every 2x2 determinant-one matrix ((a, b), (c, d)) of entry height <= height.
 
     Ordered lexicographically by (a, b, c, d) in box order.  For a != 0 the
     entry d = (1 + bc) / a is solved in exact integer arithmetic over all
     (b, c) at once; for a = 0 the condition is bc = -1 and d ranges freely.
+    Each set is generated once per process and then shared.
     """
     box = _gauss_box(height)
     pts = np.array(box, dtype=np.int64)
@@ -258,20 +245,11 @@ def _complete_2x2(height: int) -> _Candidates:
     pairs = [(x, y) for x in box for y in box]
     top = [pairs[i] for i in (idx[:, 0] * m + idx[:, 1]).tolist()]
     bottom = [pairs[i] for i in (idx[:, 2] * m + idx[:, 3]).tolist()]
-    entries = tuple(zip(top, bottom))
-    values = pts[:, 0] + 1j * pts[:, 1]
-    # column (x, y) of box indices has id x * m + y: every pair, in box order
-    cols = np.stack([np.repeat(values, m), np.tile(values, m)], axis=1)
-    col_ids = np.stack([idx[:, 0] * m + idx[:, 2], idx[:, 1] * m + idx[:, 3]], axis=1)
-    return _with_columns(entries, frozen(values[idx].reshape(-1, 2, 2)), cols, col_ids)
+    return tuple(zip(top, bottom))
 
 
-# (n, height) -> _Candidates; each set is generated once per process and then shared
-_CANDIDATE_CACHE: dict = {}
-
-
-def _candidates(n: int, height: int, budget: int) -> _Candidates:
-    """The cached set behind sigma_candidates, with its stack."""
+def _check_height(n: int, height: int, budget: int) -> None:
+    """Raise unless a complete determinant-one set of this dimension and height fits."""
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
     if height < 1:
@@ -286,68 +264,75 @@ def _candidates(n: int, height: int, budget: int) -> _Candidates:
             f"complete candidate set at height {height} spans a box of {box} points,"
             f" over budget {budget}"
         )
-    cached = _CANDIDATE_CACHE.get((n, height))
-    if cached is None:
-        if n == 1:
-            one = np.ones((1, 1), dtype=np.complex128)
-            cached = _with_columns(
-                ((((1, 0),),),), frozen(one[None]), one, np.zeros((1, 1), dtype=np.intp)
-            )
-        else:
-            cached = _complete_2x2(height)
-        _CANDIDATE_CACHE[(n, height)] = cached
-    return cached
 
 
 def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     """Determinant-one Gaussian-integer matrices with entry height <= height.
 
     Complete: the identity for n = 1 at any budget, and every such matrix
-    for n = 2 whenever the height box (2H+1)^6 fits the budget.  Past that
-    box at n = 2, and at every budget for n >= 3, where no complete set is
-    enumerated, it raises HeightTooLarge at once.
+    for n = 2 whenever the height box (2H+1)^6 fits the budget, ordered
+    lexicographically by its entries (a, b, c, d) in box order, the order in
+    which the equivalence search tries them.  Past that box at n = 2, and at
+    every budget for n >= 3, where no complete set is enumerated, it raises
+    HeightTooLarge at once.
     """
-    return _candidates(n, height, budget).entries
+    _check_height(n, height, budget)
+    return ((((1, 0),),),) if n == 1 else _complete_2x2(height)
 
 
-def _column_norms(cands: _Candidates, p: np.ndarray) -> np.ndarray:
-    """b* P b of each distinct column b of the set, for a Hermitian P, by one product."""
-    upper = p[_upper(p.shape[0])]
-    return cands.features @ np.concatenate([p.diagonal().real, upper.real, upper.imag])
+def _column_pairs(grid: _Grid, p1: np.ndarray, p2: np.ndarray, bound: float, size: float):
+    """The row ids (k, 2), in candidate order, of every 2x2 determinant-one B on the
+    grid whose columns have P1-norms (P2)_11 and (P2)_22 to within the bound.
 
-
-def _gram_hits(cands: _Candidates, p1: np.ndarray, p2: np.ndarray, bound: float):
-    """Yield, in candidate order, (index, |B* P1 B - P2|_F) of every B within the bound.
-
-    Column i of such a B has P1-norm (P2)_ii to within the bound, so the
-    norm b* P1 b of each distinct column is computed once, by one product
-    of the set's features with the real coefficients of P1, and only the
-    candidates whose first column matches (P2)_11 are gathered; those whose
-    other columns miss their diagonal entry are dropped before the full
-    Frobenius test.  The slack, which scales with the set's stored |b|^2,
-    covers the rounding by which the two ways of computing b* P1 b may
-    differ.
+    Every column norm of the grid comes from one product of its features with the
+    real coefficients of P1.  The slack, which scales with |P1|_F = size and with
+    each column's |b|^2, covers the rounding by which the two ways of computing
+    b* P1 b may differ.  The determinant ad - bc of each pair of matching columns
+    (a, c) and (b, d) is exact on small Gaussian integers.
     """
-    n = p1.shape[0]
-    norms = _column_norms(cands, p1)
-    reach = bound + 32 * n * _EPS * (fro(p1) * cands.weights + bound)
-    target = p2.diagonal().real
-    first = np.flatnonzero(np.abs(norms - target[0]) <= reach)
+    (p00, p01), (_, p11) = p1.tolist()
+    norms = grid.features @ np.array([p00.real, p11.real, p01.real, p01.imag])
+    reach = bound + 64 * _EPS * (size * grid.weights + bound)
+    near = np.abs(norms - p2.diagonal().real[:, None]) <= reach
+    first = np.flatnonzero(near[0])
     if first.size == 0:
-        return
-    starts = cands.starts
-    kept = np.concatenate([cands.by_first[starts[c] : starts[c + 1]] for c in first.tolist()])
-    for i in range(1, n):
-        ids = cands.col_ids[kept, i]
-        kept = kept[np.abs(norms[ids] - target[i]) <= reach[ids]]
-    survivors = np.sort(kept)
-    for lo in range(0, len(survivors), _CHUNK):
-        sel = survivors[lo : lo + _CHUNK]
-        bs = cands.stack[sel]
+        return np.empty((0, 2), dtype=np.intp)
+    second = np.flatnonzero(near[1])
+    f, s = grid.cols[first], grid.cols[second]
+    unit = np.multiply.outer(f[:, 0], s[:, 1]) - np.multiply.outer(f[:, 1], s[:, 0]) == 1
+    m = len(grid.box)
+    keys = np.sort((m * grid.spread[first][:, None] + grid.spread[second])[unit])
+    return keys[:, None] // (m * m, 1) % (m * m)  # divmod(key, m^2)
+
+
+def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance):
+    """Yield, in candidate order, (entries, |B* P1 B - P2|_F) of every determinant-one B
+    of entry height <= height within the bound tol.rel (|P1|_F + |P2|_F) + tol.abs.
+
+    At n = 1 the only candidate is [[1]].  At n = 2 column i of such a B has
+    P1-norm (P2)_ii to within the bound, so the scan matches columns, not
+    candidates (_column_pairs), and runs the Frobenius test only on the
+    determinant-one pairs of matching columns.  B is given by the ids of its rows
+    in a table of rows; the box indices of a row are the n digits of its id in
+    base m.
+    """
+    n, size = p1.shape[0], fro(p1)
+    bound = tol.rel * (size + fro(p2)) + tol.abs
+    if n == 1:  # the only candidate: row 0, [1], over a box of one entry
+        box, table, rows = ((1, 0),), np.ones((1, 1), np.complex128), np.zeros((1, 1), np.intp)
+    else:
+        grid = _grid(height)
+        box, table, rows = grid.box, grid.cols, _column_pairs(grid, p1, p2, bound, size)
+    m = len(box)
+    powers = [m**j for j in range(n - 1, -1, -1)]
+    for lo in range(0, len(rows), _CHUNK):
+        sel = rows[lo : lo + _CHUNK]
+        bs = table[sel]
         transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1, bs)
         diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
         for k in np.flatnonzero(diffs <= bound).tolist():
-            yield int(sel[k]), float(diffs[k])
+            b = tuple(tuple(box[r // p % m] for p in powers) for r in sel[k].tolist())
+            yield b, float(diffs[k])
 
 
 def _scaled(a: np.ndarray, k: int) -> np.ndarray:
@@ -387,14 +372,12 @@ def sigma_orbit_equal(
     n = p1.dim
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
-    candidates = _candidates(n, height, budget)
+    _check_height(n, height, budget)
     # the largest diagonal entry times 2^-e is in [1, 2)
     e = math.frexp(max(p.matrix.diagonal().real.max() for p in (p1, p2)))[1] - 1
     q1, q2 = _scaled(p1.matrix, -e), _scaled(p2.matrix, -e)
-    bound = tol.rel * (fro(q1) + fro(q2)) + tol.abs
-    for idx, _ in _gram_hits(candidates, q1, q2, bound):
-        b = GaussianUnimodular(candidates.entries[idx])
-        return EquivalenceVerdict(EQUIVALENT, (None, b), None, height)
+    for entries, _ in _gram_hits(height, q1, q2, tol):
+        return EquivalenceVerdict(EQUIVALENT, (None, GaussianUnimodular(entries)), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
 
@@ -661,7 +644,7 @@ def _square(x: float, k: int = 0) -> float:
         return math.inf
 
 
-def _first_witness(cands: _Candidates, m1, m2, p1, p2, mode: str, tol: Tolerance, height: int):
+def _first_witness(height: int, m1, m2, p1, p2, mode: str, tol: Tolerance):
     """The Equivalent verdict of the first verified hit of the Gram scan, with the hit's
     Gram residual |B* P1 B - P2|_F, or None when no hit is kept.
 
@@ -670,10 +653,9 @@ def _first_witness(cands: _Candidates, m1, m2, p1, p2, mode: str, tol: Tolerance
     special_unitary mode a hit whose det(T) is not one is passed over.
     """
     n = m1.shape[0]
-    bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs
     inv1 = None
-    for idx, gram_residual in _gram_hits(cands, p1, p2, bound):
-        b = GaussianUnimodular(cands.entries[idx])
+    for entries, gram_residual in _gram_hits(height, p1, p2, tol):
+        b = GaussianUnimodular(entries)
         if inv1 is None:
             inv1 = np.linalg.inv(m1)  # m1 passed the gate, and each witness is re-verified
         t = m2 @ b.inverse_matrix() @ inv1
@@ -777,9 +759,8 @@ def lattice_equivalent(
 
     witness = error = None
     try:
-        witness = _first_witness(
-            _candidates(n, height, budget), m1, m2, p1.matrix, p2.matrix, mode, tol, height
-        )
+        _check_height(n, height, budget)
+        witness = _first_witness(height, m1, m2, p1.matrix, p2.matrix, mode, tol)
     except (CxlatError, ValueError) as exc:  # raised after the spectra, which may refute first
         error = exc
     # a witness moves each norm v = |A2 lambda|^2 of the spectrum by at most its Gram

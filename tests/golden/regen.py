@@ -256,6 +256,12 @@ CASES = {
         "input": '{"first": [[[4.909093465297727e-91, 0], [4.418184118767954e-91, 0]], [[0, 0], [1.472728039589318e-91, 0]]], "second": [[[4.909093465297727e-91, 0], [4.418184118767954e-91, 0]], [[0, 0], [1.472728039589318e-91, 0]]]}',
         "exit": 0,
     },
+    # a witness of height 6, B = -((6+5i, 3-i), (1+2i, 1)), found in the height-7 set
+    "lattice-equiv-height-7": {
+        "argv": ["lattice-equiv", "--height", "7", "--budget", "1000000000"],
+        "input": '{"first": [[[1.2, 0], [0.3, 0.4]], [[-0.2, 0.1], [0.9, -0.5]]], "second": [[[-0.9, 0.2], [0, 0.4]], [[6.7, 7], [3.9, -0.8]]]}',
+        "exit": 0,
+    },
     # no complete candidate set is enumerated at n = 3: it fails fast
     "lattice-equiv-n3-height": {
         "argv": ["lattice-equiv"],

@@ -1,5 +1,6 @@
 """Tests for bounded lattice-equivalence decisions and their invariants."""
 
+import functools
 import hashlib
 import json
 import math
@@ -37,7 +38,7 @@ from cxlattices.errors import (
 )
 from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
-from cxlattices.kernel import DEFAULT_TOL, Tolerance
+from cxlattices.kernel import DEFAULT_TOL, Tolerance, fro
 from cxlattices.polar import GramForm, classify, gram, sl_normalize
 
 
@@ -123,23 +124,42 @@ def _complete_2x2_oracle(height):
 
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_numpy_complete_2x2_matches_loop_oracle(h):
-    assert equivalence._complete_2x2(h).entries == _complete_2x2_oracle(h)
+    assert equivalence._complete_2x2(h) == _complete_2x2_oracle(h)
 
 
 @pytest.fixture
 def empty_cache(monkeypatch):
-    """Run a test against a candidate cache of its own."""
-    monkeypatch.setattr(equivalence, "_CANDIDATE_CACHE", {})
+    """Run a test against candidate and column-grid caches of its own."""
+    for name in ("_complete_2x2", "_grid"):
+        fresh = functools.lru_cache(maxsize=None)(getattr(equivalence, name).__wrapped__)
+        monkeypatch.setattr(equivalence, name, fresh)
+
+
+def _as_stack(cands):
+    return np.array([[[complex(*e) for e in row] for row in m] for m in cands])
 
 
 @pytest.mark.parametrize("n, h, budget", [(1, 1, 10), (2, 1, 10**7), (2, 3, 10**7)])
 def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
+    # the scan gathers each B as the rows (a, b) and (c, d) of the cached grid, by the
+    # ids (a m + b, c m + d) of their box indices; sorting the key ab m^2 + cd, as the
+    # scan does, puts the candidates in sigma_candidates order
     cands = sigma_candidates(n, h, budget)
-    stack = equivalence._candidates(n, h, budget).stack
-    oracle = np.array([[[complex(*e) for e in row] for row in m] for m in cands])
+    if n == 1:
+        p = np.array([[2.0 + 0j]])
+        assert list(equivalence._gram_hits(h, p, p, DEFAULT_TOL)) == [(cands[0], 0.0)]
+        assert equivalence._grid.cache_info().currsize == 0
+        return
+    grid = equivalence._grid(h)
+    assert equivalence._grid(h) is grid
+    m = len(grid.box)
+    index = {z: i for i, z in enumerate(grid.box)}
+    rows = np.array([[index[a] * m + index[b], index[c] * m + index[d]] for (a, b), (c, d) in cands])
+    stack = grid.cols[rows]
     assert stack.dtype == np.complex128 and stack.shape == (len(cands), n, n)
-    assert not stack.flags.writeable
-    assert np.array_equal(stack, oracle)
+    assert np.array_equal(stack, _as_stack(cands))
+    keys = rows[:, 0] * m * m + rows[:, 1]
+    assert np.all(keys[1:] > keys[:-1])
 
 
 def test_n3_raises_height_too_large_at_every_budget(empty_cache):
@@ -147,7 +167,7 @@ def test_n3_raises_height_too_large_at_every_budget(empty_cache):
     for budget in (1, 3000, 10**12):
         with pytest.raises(HeightTooLarge, match="^no complete candidate set .* dimension 3"):
             sigma_candidates(3, 1, budget=budget)
-    assert equivalence._CANDIDATE_CACHE == {}
+    assert equivalence._complete_2x2.cache_info().currsize == 0
 
 
 _FRESH = """
@@ -204,39 +224,44 @@ def test_cached_closure_budget_check_matches_a_fresh_call(empty_cache):
 
 
 _SETS = {
-    # complete n = 2 at h = 1..3, and n = 1
-    **{f"complete-h{h}": lambda h=h: equivalence._candidates(2, h, 10**7) for h in (1, 2, 3)},
-    "n1": lambda: equivalence._candidates(1, 1, 10),
+    # (n, height): complete n = 2 at h = 1..3, and n = 1
+    **{f"complete-h{h}": (2, h) for h in (1, 2, 3)},
+    "n1": (1, 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SETS))
-def test_column_table_rebuilds_the_stack(name):
-    cands = _SETS[name]()
-    n = cands.stack.shape[1]
-    assert cands.col_ids.shape == (len(cands.entries), n)
-    assert cands.cols.shape[1] == n
-    assert not cands.cols.flags.writeable and not cands.col_ids.flags.writeable
-    # column i of candidate k is cols[col_ids[k, i]]
-    assert np.array_equal(cands.cols[cands.col_ids].transpose(0, 2, 1), cands.stack)
-    # each distinct column carries its |b|^2, for the prefilter's slack
-    assert not cands.weights.flags.writeable
-    assert np.array_equal(cands.weights, np.sum(np.abs(cands.cols) ** 2, axis=1))
-    # and its features, exact on Gaussian integers: |b_i|^2, then 2 Re and -2 Im of
-    # conj(b_i) b_j for i < j
-    b = cands.cols.astype(complex)
-    want = [np.abs(b[:, i]) ** 2 for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    want += [2 * (b[:, i].conj() * b[:, j]).real for i, j in pairs]
-    want += [-2 * (b[:, i].conj() * b[:, j]).imag for i, j in pairs]
-    assert not cands.features.flags.writeable
-    assert np.array_equal(cands.features, np.round(np.stack(want, axis=1)))
-    # the candidates grouped by first column, each group in candidate order
-    first = cands.col_ids[:, 0]
-    assert sorted(cands.by_first.tolist()) == list(range(len(cands.entries)))
-    for c in range(len(cands.cols)):
-        group = cands.by_first[cands.starts[c] : cands.starts[c + 1]].tolist()
-        assert group == np.flatnonzero(first == c).tolist()
+def test_column_table_rebuilds_the_stack(empty_cache, name):
+    n, h = _SETS[name]
+    cands = sigma_candidates(n, h, 10**7)
+    if n == 1:  # the only candidate is [[1]]: an n = 1 scan builds no column table
+        sigma_orbit_equal(np.eye(1), np.eye(1), h)
+        assert equivalence._grid.cache_info().currsize == 0
+        return
+    grid = equivalence._grid(h)
+    m = (2 * h + 1) ** 2
+    values = np.array([complex(*z) for z in grid.box])
+    assert grid.box == tuple((re, im) for re in range(-h, h + 1) for im in range(-h, h + 1))
+    # the pair (x, y) of box indices has id x m + y; every array is read-only
+    assert grid.cols.shape == (m * m, 2)
+    assert np.array_equal(grid.cols, [(values[x], values[y]) for x in range(m) for y in range(m)])
+    for a in (grid.cols, grid.weights, grid.features, grid.spread):
+        assert not a.flags.writeable
+    # column j of candidate k is cols[x m + y] for its box indices (x, y)
+    index = {z: i for i, z in enumerate(grid.box)}
+    ids = np.array([[index[a] * m + index[c], index[b] * m + index[d]] for (a, b), (c, d) in cands])
+    assert np.array_equal(grid.cols[ids].transpose(0, 2, 1), _as_stack(cands))
+    # each column carries its |b|^2, for the prefilter's slack
+    assert np.array_equal(grid.weights, np.sum(np.abs(grid.cols) ** 2, axis=1))
+    # and its features, exact on Gaussian integers: |b_0|^2, |b_1|^2, then 2 Re and -2 Im
+    # of conj(b_0) b_1
+    b0, b1 = grid.cols.T
+    cross = b0.conj() * b1
+    want = np.stack([np.abs(b0) ** 2, np.abs(b1) ** 2, 2 * cross.real, -2 * cross.imag], axis=1)
+    assert np.array_equal(grid.features, np.round(want))
+    # spread[x m + y] = x m^2 + y: a first column's spread times m plus a second's is the
+    # key (a m + b) m^2 + (c m + d) of the candidate they make
+    assert np.array_equal(grid.spread, [x * m * m + y for x in range(m) for y in range(m)])
 
 
 def _reference_hits(transported, p2, bound):
@@ -270,29 +295,79 @@ def _gram_forms(rng, n):
 
 @pytest.mark.parametrize("name", sorted(_SETS))
 def test_column_norm_prefilter_keeps_every_hit(name):
-    cands = _SETS[name]()
+    n, h = _SETS[name]
+    cands = sigma_candidates(n, h, 10**7)
+    stack = _as_stack(cands)  # the reference full scan runs on every candidate tuple
     rng = np.random.default_rng(sum(map(ord, name)))
-    n = cands.stack.shape[1]
     tol = DEFAULT_TOL
     for p1 in _gram_forms(rng, n):
-        # the feature product agrees with the direct b* P1 b to within the scan's slack
-        direct = np.einsum("ci,ij,cj->c", cands.cols.conj(), p1, cands.cols).real
-        slack = 32 * n * np.finfo(float).eps * np.linalg.norm(p1) * cands.weights
-        assert np.all(np.abs(equivalence._column_norms(cands, p1) - direct) <= slack)
-        transported = np.einsum("kji,jl,klm->kim", cands.stack.conj(), p1, cands.stack)
-        for planted in rng.integers(len(cands.entries), size=2):
-            b = cands.stack[planted]
+        if n == 2:
+            # the feature product agrees with the direct b* P1 b to within the scan's slack
+            grid = equivalence._grid(h)
+            direct = np.einsum("ci,ij,cj->c", grid.cols.conj(), p1, grid.cols).real
+            coefficients = [p1[0, 0].real, p1[1, 1].real, p1[0, 1].real, p1[0, 1].imag]
+            slack = 32 * n * np.finfo(float).eps * np.linalg.norm(p1) * grid.weights
+            assert np.all(np.abs(grid.features @ coefficients - direct) <= slack)
+        transported = np.einsum("kji,jl,klm->kim", stack.conj(), p1, stack)
+        for planted in rng.integers(len(cands), size=2):
+            b = stack[planted]
             exact = b.conj().T @ p1 @ b
             exact = 0.5 * (exact + exact.conj().T)
-            bound = tol.rel * (np.linalg.norm(p1) + np.linalg.norm(exact)) + tol.abs
+            size = tol.rel * (np.linalg.norm(p1) + np.linalg.norm(exact)) + tol.abs
             for c in (0.5, -0.5, 2.0, -2.0):
                 for i, j in {(0, 0), (n - 1, n - 1), (0, n - 1)}:
-                    p2 = exact + _hermitian_bump(n, i, j, c * bound)
+                    p2 = exact + _hermitian_bump(n, i, j, c * size)
+                    bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs  # the scan's own bound
                     want = _reference_hits(transported, p2, bound)
-                    hits = list(equivalence._gram_hits(cands, p1, p2, bound))
-                    assert [idx for idx, _ in hits] == want
+                    hits = list(equivalence._gram_hits(h, p1, p2, tol))
+                    assert [entries for entries, _ in hits] == [cands[k] for k in want]
                     assert all(0.0 <= r <= bound for _, r in hits)
                     assert (planted in want) == (abs(c) < 1.0)
+
+
+_SEARCHES = [
+    # (first, second) bases: equivalent by a height-1 witness, undecided below height 3,
+    # refuted by the spectra and by the covolume
+    (np.array([[1.0, 0.3 + 0.2j], [0.1j, 0.8]]), None),
+    (np.eye(2), np.array([[1.0, 3.0], [0.0, 1.0]])),
+    (np.eye(2), np.diag([0.5, 2.0])),
+    (np.eye(2), np.diag([1.0, 2.0])),
+]
+
+
+def _verdict_bytes(verdict):
+    """A verdict's status and refuter, and the entries of B and the bytes of T it found."""
+    if verdict.witness is None:
+        return verdict.status, verdict.refuter, None, None
+    t, b = verdict.witness
+    return verdict.status, verdict.refuter, b.entries, None if t is None else t.tobytes()
+
+
+def test_the_search_never_builds_the_complete_set(empty_cache, monkeypatch):
+    rng = np.random.default_rng(72)
+    pairs = []
+    for a1, a2 in _SEARCHES:
+        if a2 is None:
+            b = GaussianUnimodular(_complete_2x2_oracle(1)[42]).matrix
+            a2 = random_unitary(rng, 2) @ a1 @ b
+        pairs.append((a1, a2))
+
+    def outcomes():
+        return [
+            (_verdict_bytes(lattice_equivalent(a1, a2, height=h)),
+             _verdict_bytes(sigma_orbit_equal(gram(a1), gram(a2), h)))
+            for h in (1, 2, 3)
+            for a1, a2 in pairs
+        ]
+
+    def forbidden(height):
+        raise AssertionError(f"the search built the complete set at height {height}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(equivalence, "_complete_2x2", forbidden)
+        got = outcomes()
+    assert got == outcomes()
+    assert {full[0] for full, _ in got} == {EQUIVALENT, REFUTED, UNDECIDED}
 
 
 def _reference_short_vectors(a, radius):
@@ -728,8 +803,9 @@ def test_a_determinant_past_the_largest_double_is_rebuilt_not_overflowed():
 
 
 def test_a_pair_whose_gram_squares_overflow_is_decided_as_at_scale_one():
-    # at 2^300 the Gram forms are near 2^600 and the squares of their differences
-    # overflow; the scan's test runs on differences scaled by the bound's power of two
+    # at 2^300 the Gram forms would be near 2^600 and the squares of their differences
+    # would overflow; lattice_equivalent scales both inputs to unit scale first, so the
+    # scan runs on the forms of scale 1
     rng = np.random.default_rng(66)
     a = random_invertible(rng, 2)
     q = random_unitary(rng, 2)
