@@ -5,8 +5,11 @@ nothing here rounds or overflows.  Matrices are tuples of tuples of pairs.
 Determinants use fraction-free Bareiss elimination (Bareiss 1968), whose
 interior divisions are exact over any integral domain; a remainder check
 enforces that.  gdet runs it over Z[i]; int_det runs the same elimination
-on plain Python ints for an integer matrix (a same_lattice witness), which
-skips the pair arithmetic and is several times faster.
+on plain Python ints for an integer matrix, which skips the pair
+arithmetic and is several times faster.  same_lattice calls int_det only
+for a witness its exact integer inverse does not certify: a singular or
+non-unimodular witness, an inaccurate floating inverse, or entries too
+large for the certificate's exact float64 product.
 """
 
 from __future__ import annotations

@@ -12,11 +12,13 @@ margin and the Frobenius norm it carries.
 Two generator matrices present the same lattice exactly when the change
 of coordinates between their realifications is an integer matrix of
 determinant +-1; that integer witness is computed by rounding and then
-checked in exact arithmetic, so a certificate is never the product of
-floating-point luck.  The normalization pipeline permutes generators
+checked in exact arithmetic (an integer inverse whose product with it is
+exact, else the exact determinant), so a certificate is never the product
+of floating-point luck.  The normalization pipeline permutes generators
 until the first n are C-linearly independent, then post-composes with
 the inverse of that block, leaving a basis of the form [I | Z] whose
-period matrix Z has invertible imaginary part.
+period matrix Z has invertible imaginary part; the margin of that block
+is taken once, by the permuted basis, which carries it.
 """
 
 from __future__ import annotations
@@ -77,8 +79,10 @@ class LatticeBasis:
     reads, and the Frobenius norm of the realification (also kept once
     computed) is what its residual bound reads, so solving against the basis
     (``coordinates``: torus reduction, same_lattice) runs no further SVD and
-    no further norm of the basis.  A basis is immutable, so a verdict about
-    it (torus keeps same_lattice's) stays true.
+    no further norm of the basis.  The margin of the first n generators, the
+    block normalize_to_Lstarstar inverts, is kept the same way once read
+    (permute_to_L1 reads it to gate the basis it returns).  A basis is
+    immutable, so a verdict about it (torus keeps same_lattice's) stays true.
     """
 
     g: np.ndarray
@@ -103,6 +107,12 @@ class LatticeBasis:
     def _extremes(self) -> tuple[float, float]:
         s = _singular_values(self._real)
         return float(s[0]), float(s[-1])
+
+    @cached_property
+    def _block_margin(self) -> float:
+        """sigma_min / sigma_max of the first n generators, as invertibility_margin gives it."""
+        s = _singular_values(self.g[:, : self.n])
+        return sigma_ratio(float(s[0]), float(s[-1]))
 
     @cached_property
     def _norm(self) -> float:
@@ -251,9 +261,13 @@ def same_lattice(
 
     The coordinate change X = R1^-1 R2 (solved through lat1, behind its
     carried margin) must be integral with |det| = 1.  Entries within tol.abs
-    of integers are rounded and the determinant is then computed exactly
-    (int_det); an entry landing in the ambiguous band just outside tol.abs
-    raises rather than guessing either way.
+    of integers are rounded to the witness W, and |det W| = 1 is then proved
+    exactly: by W's rounded inverse when it is an exact integer inverse
+    (_inverse_certified), else by the exact determinant (int_det), which
+    decides what the certificate leaves (a singular or non-unimodular W, an
+    inaccurate inverse, entries past the certificate's guard).  An entry
+    landing in the ambiguous band just outside tol.abs raises rather than
+    guessing either way.
     """
     if lat1.n != lat2.n:
         raise DimensionMismatch(f"dimensions differ: {lat1.n} vs {lat2.n}")
@@ -268,9 +282,26 @@ def same_lattice(
             f"cannot certify either way at tol.abs {tol.abs:.1e}"
         )
     witness = rounded.astype(np.int64)
-    if abs(int_det(witness.tolist())) != 1:
+    if not _inverse_certified(witness) and abs(int_det(witness.tolist())) != 1:
         return False, None
     return True, frozen(witness)
+
+
+def _inverse_certified(w: np.ndarray) -> bool:
+    """Whether V = rint(inv(W)) is an exact inverse of the square integer matrix W: a proof of |det W| = 1.
+
+    When max|W| max|V| m < 2^53 (W is m x m), every product and partial sum
+    of W V is an integer that float64 holds exactly, so W V == I holds over
+    the integers and det W det V = 1.  False proves nothing either way.
+    """
+    wf = w.astype(np.float64)
+    try:
+        v = np.rint(np.linalg.inv(wf))
+    except np.linalg.LinAlgError:  # exactly singular
+        return False
+    # Python floats: a NaN or infinite V fails the guard without a numpy warning
+    guard = float(np.abs(wf).max()) * float(np.abs(v).max()) * len(wf)
+    return guard < 2.0**53 and np.array_equal(wf @ v, np.eye(len(wf)))
 
 
 def sigma_membership(b, tol: Tolerance = DEFAULT_TOL) -> GaussianUnimodular:
@@ -327,22 +358,23 @@ def permute_to_L1(
     g = lat.g
     n = g.shape[0]
     work = g.copy()
-    alive = list(range(2 * n))
     chosen: list[int] = []
     for _ in range(n):
-        norms = np.linalg.norm(work[:, alive], axis=0)
-        best = int(np.argmax(norms))
-        if norms[best] <= tol.abs:
+        # np.linalg.norm(work, axis=0)'s arithmetic, on all 2n columns; the chosen ones are masked
+        norms = np.sqrt(np.add.reduce((work.conj() * work).real, axis=0))
+        norms[chosen] = -1.0
+        j = int(np.argmax(norms))
+        if norms[j] <= tol.abs:
             raise InternalCheckError("generators of a valid basis cannot all be dependent")
-        j = alive.pop(best)
         chosen.append(j)
         q = work[:, j] / np.linalg.norm(work[:, j])
-        work = work - np.outer(q, q.conj() @ work)
-    perm = tuple(chosen + sorted(alive))
-    ok, margin, _ = _invertibility_gate(g[:, perm[:n]], tol)
-    if not ok:
+        work -= q[:, None] * (q.conj() @ work)  # np.outer(q, ...)'s multiply, in place
+    perm = tuple(chosen + [k for k in range(2 * n) if k not in chosen])
+    permuted = _built(LatticeBasis, g=g[:, perm])
+    margin = permuted._block_margin
+    if not margin > tol.rel:
         raise InternalCheckError(f"pivoted first block is singular (margin {margin:.3e})")
-    return _built(LatticeBasis, g=g[:, perm]), perm
+    return permuted, perm
 
 
 def normalize_to_Lstarstar(
@@ -351,14 +383,16 @@ def normalize_to_Lstarstar(
     """Post-compose with the inverse of the first block, leaving [I | Z].
 
     Requires the first n generators to be C-independent (run permute_to_L1
-    first); returns the composing map A and the period matrix Z.  Full real
-    rank of the input guarantees Z has invertible imaginary part.
+    first); returns the composing map A and the period matrix Z.  The gate
+    reads the block margin the basis carries, which a basis from
+    permute_to_L1 has already taken.  Full real rank of the input guarantees
+    Z has invertible imaginary part.
     """
     g = lat.g
     n = lat.n
     g1 = g[:, :n]
-    ok, margin, _ = _invertibility_gate(g1, tol)
-    if not ok:
+    margin = lat._block_margin
+    if not margin > tol.rel:
         raise FirstBlockSingular(
             f"first n generators are not C-independent (margin {margin:.3e})"
         )

@@ -39,6 +39,48 @@ DRIFT = 1e-12
 STD1 = '{"n": 1, "generators": [[[1, 0]], [[0, 1]]]}'
 TAU1 = '{"n": 1, "generators": [[[1, 0]], [[0.3, 1.7]]]}'
 
+
+def _lattice(r) -> str:
+    """The lattice whose realified generator matrix (real parts over imaginary parts) is r."""
+    n = len(r) // 2
+    return json.dumps({"n": n, "generators": [[[r[i][k], r[n + i][k]] for i in range(n)] for k in range(2 * n)]})
+
+
+def _same_pair(r1, w) -> str:
+    """lattice-same input: first R1, second R1 W, both integer 2n x 2n matrices."""
+    r2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*w)] for row in r1]
+    return '{"first": ' + _lattice(r1) + ', "second": ' + _lattice(r2) + "}"
+
+
+def _same_cases(n: int) -> dict:
+    """Same-lattice pairs at dimension n, witness 2n x 2n: a product of elementary column
+    operations (det -+1), the same with one column doubled (det +-2), and a unimodular
+    witness with the entry 2^27, whose inverse's entry -2^27 puts max|W| max|W^-1| 2n past
+    2^53.  The first basis of that pair has realification diag(1, .., 2^27 at n, .., 1),
+    whose LU is exact, so both bases stay within the default rank margin and the solve
+    returns the witness exactly."""
+    m = 2 * n
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    r1 = [[2 * (i == j) + (j == i + 1) for j in range(m)] for i in range(m)]
+    w = [row[:] for row in eye]
+    for k in range(m - 1):  # column k+1 += -+ column k, then column 0 += column m-1
+        for row in w:
+            row[k + 1] += (-1) ** k * row[k]
+    for row in w:
+        row[0] += row[m - 1]
+        row[1], row[m - 1] = row[m - 1], row[1]
+    doubled = [row[:n] + [2 * row[n]] + row[n + 1:] for row in w]
+    diag = [row[:] for row in eye]
+    diag[n][n] = 2**27
+    big = [row[:] for row in eye]
+    big[0][n] = 2**27
+    return {
+        f"lattice-same-n{n}-elementary": _same_pair(r1, w),
+        f"lattice-same-n{n}-sublattice": _same_pair(r1, doubled),
+        f"lattice-same-n{n}-entry-2-27": _same_pair(diag, big),
+    }
+
+
 CASES = {
     # --- map-apply ---
     "map-apply-rotation": {
@@ -217,6 +259,11 @@ CASES = {
         "argv": ["lattice-same"],
         "input": '{"first": ' + STD1 + ', "second": {"n": 1, "generators": [[[1.000000000003, 0]], [[0, 1]]]}}',
         "exit": 1,
+    },
+    **{
+        name: {"argv": ["lattice-same"], "input": text, "exit": 0}
+        for n in (3, 8)
+        for name, text in _same_cases(n).items()
     },
     # --- lattice-equiv ---
     "lattice-equiv-refuted-covolume": {

@@ -504,6 +504,8 @@ def svd_case(name, svds):
         svd_case("lattice-validate-tau", 1),
         svd_case("lattice-validate-collinear", 1),
         svd_case("lattice-validate-overflow", 1),
+        # the basis, the pivoted block (kept by the permuted basis, read again by the normalization), Im Z
+        svd_case("lattice-normalize-scaled-tau", 3),
         # the verdict and the margin come from one realified SVD ...
         svd_case("map-invertible-yes", 1),
         svd_case("map-invertible-singular", 1),
@@ -520,3 +522,21 @@ def test_verdict_subcommands_take_each_svd_once(argv, input_text, svds, singular
     code, out = run_cli(argv, input_text)
     assert code in (0, 1), out
     assert len(singular_value_calls) == svds
+
+
+@pytest.mark.parametrize(
+    "name, bareiss",
+    [(f"lattice-same-n{n}-{kind}", bareiss) for n in (3, 8)
+     for kind, bareiss in (("elementary", 0), ("sublattice", 1), ("entry-2-27", 1))],
+)
+def test_lattice_same_cases_reach_bareiss_only_past_the_certificate(name, bareiss, monkeypatch):
+    # the elementary witness is certified by its exact integer inverse; the det-2 witness and the
+    # one whose 2^27 entry puts the inverse past the exact float64 product go to int_det
+    from cxlattices import gaussian, lattices
+
+    calls = []
+    monkeypatch.setattr(lattices, "int_det", lambda rows: calls.append(len(rows)) or gaussian.int_det(rows))
+    code, out = run_cli(CASES[name]["argv"], CASES[name]["input"])
+    assert code == 0 and out.encode("utf-8") == (GOLDEN / f"{name}.golden").read_bytes()
+    n = int(name.split("-")[2][1:])
+    assert calls == [2 * n] * bareiss

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cxlattices import lattices
 from cxlattices.errors import (
     AmbiguousIntegrality,
     DeterminantNotOne,
@@ -27,6 +28,8 @@ from cxlattices.lattices import (
     standard_lattice,
     to_split_form,
 )
+from cxlattices.gaussian import int_det
+from cxlattices.kernel import DEFAULT_TOL, Tolerance, invertibility_margin
 from cxlattices.realmaps import apply, is_invertible
 
 
@@ -237,6 +240,169 @@ def test_same_lattice_covolume_invariance():
         assert abs(c1 - c2) <= 1e-9 * max(c1, c2)
 
 
+# --- the exact-inverse certificate behind same_lattice ---
+
+
+@pytest.fixture
+def int_det_calls(monkeypatch):
+    """The size of every witness same_lattice hands to int_det."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return int_det(rows)
+
+    monkeypatch.setattr(lattices, "int_det", counted)
+    return calls
+
+
+def bareiss_same_lattice(monkeypatch, lat1, lat2):
+    """same_lattice with the certificate switched off, so that int_det decides every witness."""
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "_inverse_certified", lambda w: False)
+        return outcome(same_lattice, lat1, lat2)
+
+
+def outcome(f, *args):
+    """(verdict, witness) of f, or the type and message of the domain error it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the comparison covers every raise
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want) and len(got) == len(want) == 2
+    if got[1] is None or isinstance(got[1], str):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        assert got[1].dtype == want[1].dtype == np.int64 and np.array_equal(got[1], want[1])
+        assert not got[1].flags.writeable
+
+
+def orthonormal_basis(rng, n):
+    # a realification with orthonormal columns: solving against it is accurate to a few ulps
+    q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+    return from_generators(q[:n, :] + 1j * q[n:, :])
+
+
+def elementary_product(rng, m, steps):
+    # transvections by +-1, swaps and sign flips of columns: an integer matrix of det +-1
+    x = np.eye(m, dtype=np.int64)
+    for _ in range(steps):
+        i, j = (int(k) for k in rng.choice(m, size=2, replace=False))
+        op = int(rng.integers(3))
+        if op == 0:
+            x[:, j] += int(rng.choice([-1, 1])) * x[:, i]
+        elif op == 1:
+            x[:, [i, j]] = x[:, [j, i]]
+        else:
+            x[:, j] = -x[:, j]
+    return x
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_matches_bareiss_on_unimodular_witnesses(monkeypatch, int_det_calls):
+    rng = np.random.default_rng(180)
+    for n in range(1, 9):
+        for _ in range(6):
+            lat1 = orthonormal_basis(rng, n)
+            x = elementary_product(rng, 2 * n, 3 * n)
+            lat2 = basis_times_int(lat1, x)
+            want = bareiss_same_lattice(monkeypatch, lat1, lat2)
+            int_det_calls.clear()
+            got = same_lattice(lat1, lat2)
+            assert int_det_calls == []  # the certificate settles every one of them
+            assert_same_outcome(got, want)
+            assert got[0] and np.array_equal(got[1], x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_leaves_non_unimodular_witnesses_to_bareiss(monkeypatch, int_det_calls):
+    # det 0, +-2 and +-3: the rounded inverse cannot be an exact integer inverse, so int_det decides
+    rng = np.random.default_rng(181)
+    for n in (1, 2, 3, 5, 8):
+        m = 2 * n
+        for d in (0, 2, -2, 3, -3):
+            lat1 = orthonormal_basis(rng, n)
+            x = elementary_product(rng, m, 2 * n) @ np.diag([d] + [1] * (m - 1))
+            x = x @ elementary_product(rng, m, 2 * n)
+            r2 = lat1.realified @ x
+            lat2 = LatticeBasis(r2[:n, :] + 1j * r2[n:, :])  # a det-0 witness has no valid second basis
+            assert lattices._inverse_certified(x) is False
+            want = bareiss_same_lattice(monkeypatch, lat1, lat2)
+            int_det_calls.clear()
+            got = same_lattice(lat1, lat2)
+            assert int_det_calls == [m]
+            assert_same_outcome(got, want)
+            assert got == (False, None)
+
+
+def power_of_two_pair(n, big, x_small):
+    """Bases R1 = diag(1, .., 2^27 at n, .., 1) and R2 = R1 W, W = (I + big E_{0,n}) x_small.
+
+    R1's LU is exact, so the solve returns W itself, and both bases pass from_generators
+    although W's entry big puts max|W| max|W^-1| 2n past 2^53.
+    """
+    m = 2 * n
+    r1 = np.eye(m)
+    r1[n, n] = 2.0**27
+    w = np.eye(m, dtype=np.int64)
+    w[0, n] = big
+    w = w @ x_small
+    r2 = r1 @ w
+    return from_generators(r1[:n] + 1j * r1[n:]), from_generators(r2[:n] + 1j * r2[n:]), w
+
+
+@pytest.mark.filterwarnings("error")
+def test_witnesses_past_the_guard_fall_back_to_bareiss(monkeypatch, int_det_calls):
+    rng = np.random.default_rng(182)
+    for n in (1, 3, 8):
+        m = 2 * n
+        others = np.array([k for k in range(m) if k not in (0, n)], dtype=np.intp)
+        for d in (1, 2):
+            # a signed permutation of the other columns keeps both bases as well conditioned
+            x_small = np.eye(m, dtype=np.int64)
+            x_small[:, others] = x_small[:, rng.permutation(others)] * rng.choice([-1, 1], size=len(others))
+            x_small[0, 0] = d
+            lat1, lat2, w = power_of_two_pair(n, 2**27, x_small)
+            assert np.abs(w).max() == 2**27
+            want = bareiss_same_lattice(monkeypatch, lat1, lat2)
+            int_det_calls.clear()
+            got = same_lattice(lat1, lat2)
+            assert int_det_calls == [m]
+            assert_same_outcome(got, want)
+            assert got[0] == (d == 1)
+            if d == 1:
+                assert np.array_equal(got[1], w)
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_is_exact_or_declines():
+    # True only with an exact integer inverse; singular, non-unimodular and past-guard inputs say False
+    assert lattices._inverse_certified(np.array([[2, 1], [1, 1]]))
+    assert lattices._inverse_certified(np.array([[0, 1], [1, 0]]))  # det -1
+    assert not lattices._inverse_certified(np.zeros((3, 3), dtype=np.int64))
+    assert not lattices._inverse_certified(np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+    assert not lattices._inverse_certified(np.array([[1, 2], [3, 4]]))  # det -2
+    assert not lattices._inverse_certified(np.array([[1, 2**27], [0, 1]]))  # guard 2^55
+    assert lattices._inverse_certified(np.array([[1, 2**25], [0, 1]]))  # guard 2^51
+    assert not lattices._inverse_certified(np.array([[1, 2**62], [0, 1]]))
+    huge = np.array([[2**62, 1], [1, 0]])  # det -1, but no float64 inverse is exact
+    assert not lattices._inverse_certified(huge) and int_det(huge.tolist()) == -1
+
+
+def test_a_16_by_16_unimodular_pair_runs_no_bareiss_and_a_sublattice_runs_it_once(int_det_calls):
+    rng = np.random.default_rng(183)
+    lat1 = orthonormal_basis(rng, 8)
+    x = elementary_product(rng, 16, 48)
+    assert same_lattice(lat1, basis_times_int(lat1, x))[0]
+    assert int_det_calls == []
+    assert not same_lattice(lat1, basis_times_int(lat1, x @ np.diag([2] + [1] * 15)))[0]
+    assert int_det_calls == [16]
+
+
 # --- sigma membership ---
 
 
@@ -343,6 +509,88 @@ def test_permute_leading_block_always_invertible():
         assert same_lattice(lat, lat2)[0]
 
 
+def reference_permute_to_L1(lat, tol=DEFAULT_TOL):
+    """permute_to_L1's greedy loop as first written: the alive columns gathered again at each step."""
+    g = lat.g
+    n = g.shape[0]
+    work = g.copy()
+    alive = list(range(2 * n))
+    chosen = []
+    for _ in range(n):
+        norms = np.linalg.norm(work[:, alive], axis=0)
+        best = int(np.argmax(norms))
+        if norms[best] <= tol.abs:
+            raise InternalCheckError("generators of a valid basis cannot all be dependent")
+        j = alive.pop(best)
+        chosen.append(j)
+        q = work[:, j] / np.linalg.norm(work[:, j])
+        work = work - np.outer(q, q.conj() @ work)
+    perm = tuple(chosen + sorted(alive))
+    ok, margin = invertibility_margin(g[:, perm[:n]], tol)
+    if not ok:
+        raise InternalCheckError(f"pivoted first block is singular (margin {margin:.3e})")
+    return g[:, perm], perm, margin
+
+
+def tie_heavy_generators(rng, n):
+    """Generators whose columns tie in norm: [I | iI] with its columns permuted, times units
+    or 2, plus duplicated and scaled copies of one column (unvalidated: some are rank deficient)."""
+    eye = np.eye(n)
+    g = np.hstack([eye, 1j * eye])[:, rng.permutation(2 * n)]
+    g = g * rng.choice([1, -1, 1j, -1j, 2], size=2 * n)
+    if n > 1 and rng.integers(2):
+        i, j = (int(k) for k in rng.choice(2 * n, size=2, replace=False))
+        g[:, j] = g[:, i] * rng.choice([1, -1, 1j, 2, 0.5])
+    return g
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permute_matches_the_first_written_loop(n):
+    rng = np.random.default_rng(190 + n)
+    gens = []
+    for _ in range(8):
+        g = rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+        # one column at 1e8, the rest at 1e-9: once chosen, its rounding residual outweighs the rest
+        scale = np.full(2 * n, 1e-9)
+        scale[rng.integers(2 * n)] = 1e8
+        ill = g * scale
+        gens += [g, np.rint(3 * g), tie_heavy_generators(rng, n), ill]
+    gens.append(standard_lattice(n).g)
+    for g in gens:
+        lat = LatticeBasis(g)
+        want = outcome(reference_permute_to_L1, lat)
+        got = outcome(permute_to_L1, lat)
+        if isinstance(want[1], str):  # both refuse, with the same error
+            assert got == want
+            continue
+        permuted, perm = got
+        assert perm == want[1]
+        assert permuted.g.tobytes() == want[0].tobytes() and not permuted.g.flags.writeable
+        assert permuted._block_margin == want[2]
+
+
+def test_permute_then_normalize_takes_the_block_svd_once(singular_value_calls):
+    # the basis permute_to_L1 returns keeps the margin of its first block, which
+    # normalize_to_Lstarstar reads: 2 SVDs in all (the block, Im Z), where there were 3
+    rng = np.random.default_rng(26)
+    for n in (1, 3, 8):
+        lat = random_basis(rng, n)
+        singular_value_calls.clear()
+        permuted, perm = permute_to_L1(lat)
+        normalize_to_Lstarstar(permuted)
+        assert singular_value_calls == [(n, n)] * 2
+        assert permuted._block_margin == invertibility_margin(lat.g[:, list(perm[:n])])[1]
+        # the carried margin is still gated by the caller's tolerance
+        with pytest.raises(FirstBlockSingular):
+            normalize_to_Lstarstar(permuted, Tolerance(rel=permuted._block_margin))
+    # a basis built otherwise takes its block SVD on the first normalize and keeps it
+    lat = from_generators([[2.0, 1.0, 0.0, 1.0j], [0.0, 1.0j, 1.0, 0.0]])
+    singular_value_calls.clear()
+    normalize_to_Lstarstar(lat)
+    normalize_to_Lstarstar(lat)
+    assert singular_value_calls == [(2, 2)] * 3
+
+
 # --- normalization to [I | Z] ---
 
 
@@ -377,8 +625,8 @@ def test_normalize_reconstruction():
 
 
 def test_each_lattice_step_runs_one_gate(singular_value_calls):
-    # permute_to_L1 checks its pivoted block and permutes a validated basis; normalize_to_Lstarstar
-    # gates G1, takes A and Z from one solve behind that gate, and certifies Im Z
+    # permute_to_L1 gates its pivoted block through the basis it returns, which keeps that margin;
+    # normalize_to_Lstarstar reads it, takes A and Z from one solve behind that gate, and certifies Im Z
     rng = np.random.default_rng(24)
     lat = random_basis(rng, 3)
     singular_value_calls.clear()
@@ -386,7 +634,7 @@ def test_each_lattice_step_runs_one_gate(singular_value_calls):
     assert singular_value_calls == [(3, 3)]
     singular_value_calls.clear()
     a, pm = normalize_to_Lstarstar(permuted)
-    assert singular_value_calls == [(3, 3)] * 2
+    assert singular_value_calls == [(3, 3)]  # Im Z only: the block's SVD is the one permute_to_L1 took
     g1 = permuted.g[:, :3]
     inv = np.linalg.inv(g1)
     assert np.linalg.norm(a - inv) <= 1e-10 * np.linalg.norm(inv)
