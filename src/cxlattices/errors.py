@@ -86,9 +86,11 @@ class NumericOverflow(CxlatError):
 
     Non-finite results include a solve whose LU overflowed and a torus
     representative G @ coords that overflowed although its coordinates lie
-    in [0, 1).  A Gram form A* A whose diagonal (a squared column length of
-    A) underflowed below the smallest normal double is refused the same way:
-    its eigenvalues are lost in rounding or are zero.
+    in [0, 1); the torus group law adds coordinates, never representatives,
+    so that is the only overflow a sum of two points can meet.  A Gram form
+    A* A whose diagonal (a squared column length of A) underflowed below the
+    smallest normal double is refused the same way: its eigenvalues are lost
+    in rounding or are zero.
     """
 
 

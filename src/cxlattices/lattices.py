@@ -267,7 +267,8 @@ def same_lattice(
     decides what the certificate leaves (a singular or non-unimodular W, an
     inaccurate inverse, entries past the certificate's guard).  An entry
     landing in the ambiguous band just outside tol.abs raises rather than
-    guessing either way.
+    guessing either way, and so does an entry of 2^52 or more in magnitude,
+    whose distance to the integers a double cannot show (reduce's rule).
     """
     if lat1.n != lat2.n:
         raise DimensionMismatch(f"dimensions differ: {lat1.n} vs {lat2.n}")
@@ -280,6 +281,11 @@ def same_lattice(
         raise AmbiguousIntegrality(
             f"coordinate-change entry at distance {dist.max():.3e} from an integer; "
             f"cannot certify either way at tol.abs {tol.abs:.1e}"
+        )
+    big = np.abs(rounded).max()
+    if not big < 2.0**52:  # no fractional bit, and past 2^63 the int64 cast would wrap
+        raise AmbiguousIntegrality(
+            f"coordinate-change entry of magnitude {big:.3e} keeps no fractional bit (limit 2^52)"
         )
     witness = rounded.astype(np.int64)
     if not _inverse_certified(witness) and abs(int_det(witness.tolist())) != 1:

@@ -1,25 +1,29 @@
 """The quotient C^n / L as an additive group.
 
-Points are reduced to the half-open fundamental parallelepiped [0,1)^2n
-in generator coordinates: solve the realified system, keep fractional
-parts, map back.  Addition reduces the sum of representatives, and
-equality compares coordinate differences to integers so wraparound at
-the 0/1 boundary is handled without a special case.
+For L = G(Z^2n), generator coordinates identify C^n / L with R^2n / Z^2n,
+and a TorusPoint carries both: its coordinates in [0, 1)^2n and the
+representative G @ coords.  reduce finds the coordinates of z by solving
+the realified system, keeps their fractional parts and maps them back.  The
+group law then works on coordinates alone: torus_add wraps the sum of two
+points' coordinates into [0, 1), torus_neg wraps their negation, and
+torus_eq compares the difference to the integers, so wraparound at the 0/1
+boundary needs no special case.  On one basis none of them solves.  A point
+of another basis of the same lattice is first given coordinates in the
+first point's basis by one solve of its representative.
 
 Every solve goes through the basis (LatticeBasis.coordinates, on a vector
 that reduce has validated or that is known finite): it reads the margin the
 basis keeps from its one SVD and the norm it keeps, so a reduction runs no
 SVD, yet still applies solve's gate against the caller's tol.rel, its LU
-and its residual check, bit for bit as kernel.solve would.
+and its residual check, bit for bit as kernel.solve would.  An operation
+that needs no solve applies the same gate to the carried margin, so a
+caller's larger tol.rel is SingularMatrix either way.
 
-A point is proved once.  reduce builds it from coordinates it has just put
-in [0, 1) and the representative it has just computed from them, so it
-checks only what can still fail there: the representative must be finite,
-else NumericOverflow.  A TorusPoint built by hand is validated in full.
-torus_add and torus_eq form the sum or difference of two representatives in
-Python complex arithmetic, which never warns, and refuse one that
-overflowed (NumericOverflow); torus_add and torus_neg then reduce a vector
-known to be finite without validating it again.
+A point is proved once.  reduce and the group operations build it from
+coordinates they have just put in [0, 1) and the representative just
+computed from them, so they check only what can still fail there: the
+representative must be finite, else NumericOverflow.  A TorusPoint built by
+hand is validated in full.
 Bases are immutable, so whether the bases of two points present the same
 lattice is decided once per (basis, basis, tolerance) and remembered on
 the first basis, weakly, so the memo keeps no basis alive; an error such
@@ -28,12 +32,17 @@ as AmbiguousIntegrality is raised again on every call, never remembered.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalCheckError, LatticeMismatch, NumericOverflow
+from .errors import (
+    DimensionMismatch,
+    InternalCheckError,
+    LatticeMismatch,
+    NumericOverflow,
+    SingularMatrix,
+)
 from .kernel import DEFAULT_TOL, Tolerance, _built, as_vector, frozen, real_columns
 from .lattices import LatticeBasis, same_lattice
 
@@ -42,11 +51,11 @@ from .lattices import LatticeBasis, same_lattice
 class TorusPoint:
     """A point of C^n / L: representative plus its generator coordinates.
 
-    Build through reduce(), which guarantees coords in [0, 1), rep =
-    G @ coords bit for bit, a finite rep, and read-only arrays, all by
-    construction: it runs no validation below.  Direct construction copies
-    both arrays and re-validates the invariants: the shapes, coords in
-    [0, 1), and rep within tolerance of G @ coords.
+    Build through reduce() or the group operations, which guarantee coords
+    in [0, 1), rep = G @ coords bit for bit, a finite rep, and read-only
+    arrays, all by construction: they run no validation below.  Direct
+    construction copies both arrays and re-validates the invariants: the
+    shapes, coords in [0, 1), and rep within tolerance of G @ coords.
     """
 
     lattice: LatticeBasis
@@ -75,9 +84,31 @@ class TorusPoint:
         return self.lattice.n
 
 
-def _coords_of(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Generator coordinates of a finite vector zv, which the basis solves for without validating it."""
-    return lat._coordinates(real_columns(zv[:, None]).astype(np.complex128), tol)[:, 0].real
+def _solved(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Generator coordinates of a finite vector zv, which the basis solves for without
+    validating it; NumericOverflow for one of 2^52 or more in magnitude, which has no
+    fractional bit."""
+    c = lat._coordinates(real_columns(zv[:, None]).astype(np.complex128), tol)[:, 0].real
+    big = np.abs(c).max()
+    if not big < 2.0**52:
+        raise NumericOverflow(f"coordinate of magnitude {big:.3e} keeps no fractional bit (limit 2^52)")
+    return c
+
+
+def _point(lat: LatticeBasis, c: np.ndarray, tol: Tolerance) -> TorusPoint:
+    """The point of generator coordinates c (finite, below 2^52 in magnitude), wrapped into [0, 1).
+
+    A coordinate within tol.abs below 1 wraps to 0, keeping the half-open
+    invariant exact.
+    """
+    frac = c - np.floor(c)
+    frac[1.0 - frac <= tol.abs] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, not warned
+        rep = lat.g @ frac
+    if not np.isfinite(rep).all():
+        raise NumericOverflow("representative G @ coords overflowed: the lattice's generators are too large")
+    # the invariants TorusPoint's constructor checks hold by construction here
+    return _built(TorusPoint, lattice=lat, rep=rep, coords=frac)
 
 
 def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
@@ -95,27 +126,21 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
 
 def _reduce(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> TorusPoint:
     """reduce on a finite complex vector of length lat.n, which needs no validation."""
-    c = _coords_of(lat, zv, tol)
-    big = np.abs(c).max()
-    if not big < 2.0**52:
-        raise NumericOverflow(f"coordinate of magnitude {big:.3e} keeps no fractional bit (limit 2^52)")
-    frac = c - np.floor(c)
-    frac[1.0 - frac <= tol.abs] = 0.0
-    shift = c - frac
+    c = _solved(lat, zv, tol)
+    p = _point(lat, c, tol)
+    shift = c - p.coords
     if np.any(np.abs(shift - np.rint(shift)) > 10.0 * tol.abs + 1e-12 * np.abs(c)):
         raise InternalCheckError("dropped coordinate parts drifted off the integers")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, not warned
-        rep = lat.g @ frac
-    if not np.isfinite(rep).all():
-        raise NumericOverflow("representative G @ coords overflowed: the lattice's generators are too large")
-    # the invariants TorusPoint's constructor checks hold by construction here
-    return _built(TorusPoint, lattice=lat, rep=rep, coords=frac)
+    return p
 
 
-def _require_same_lattice(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> None:
-    lat1, lat2 = p.lattice, q.lattice
-    if lat1 is lat2:
-        return
+def _gate(lat: LatticeBasis, tol: Tolerance) -> None:
+    """solve's gate on the basis's carried margin, for an operation that runs no solve."""
+    if not lat.margin > tol.rel:
+        raise SingularMatrix(f"the basis is singular at tol.rel (margin {lat.margin:.3e})")
+
+
+def _require_same_lattice(lat1: LatticeBasis, lat2: LatticeBasis, tol: Tolerance) -> None:
     if lat1.n != lat2.n:
         raise LatticeMismatch(f"dimensions differ: {lat1.n} vs {lat2.n}")
     known = lat1._verdicts.setdefault(lat2, {})
@@ -126,39 +151,38 @@ def _require_same_lattice(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> None:
         raise LatticeMismatch("points live on different lattices")
 
 
-def _finite(values: list) -> np.ndarray:
-    """A sum or difference of two representatives, formed in Python complex arithmetic
-    (the same IEEE operations as numpy's, but they never warn), as a finite vector;
-    NumericOverflow when it overflowed."""
-    if not all(map(cmath.isfinite, values)):
-        raise NumericOverflow("sum of representatives overflowed: the lattice's generators are too large")
-    return np.array(values)
+def _coords_in(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> np.ndarray:
+    """q's generator coordinates in p's basis: q.coords when the two share it, else one
+    solve of q.rep (NumericOverflow from 2^52 on, as in reduce), once the two bases are
+    known to present the same lattice."""
+    lat = p.lattice
+    if q.lattice is lat:
+        _gate(lat, tol)
+        return q.coords
+    _require_same_lattice(lat, q.lattice, tol)
+    return _solved(lat, q.rep, tol)
 
 
 def torus_add(p: TorusPoint, q: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
-    """Group addition: reduce the sum of representatives in p's basis.
+    """Group addition in p's basis: the sum of the two points' coordinates, wrapped into [0, 1).
 
-    Raises NumericOverflow when the sum of the two finite representatives
-    overflows.
+    The sum of two finite points is finite unless its representative
+    G @ coords overflows (NumericOverflow), as reduce's can.
     """
-    _require_same_lattice(p, q, tol)
-    total = _finite([x + y for x, y in zip(p.rep.tolist(), q.rep.tolist())])
-    return _reduce(p.lattice, total, tol)
+    return _point(p.lattice, p.coords + _coords_in(p, q, tol), tol)
 
 
 def torus_neg(p: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
-    """Additive inverse."""
-    return _reduce(p.lattice, -p.rep, tol)
+    """Additive inverse: the negated coordinates, wrapped into [0, 1)."""
+    _gate(p.lattice, tol)
+    return _point(p.lattice, -p.coords, tol)
 
 
 def torus_eq(p: TorusPoint, q: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Equality on the torus: representative difference lies in the lattice.
+    """Equality on the torus: the coordinates of p and q in p's basis differ by integers.
 
     Works across different bases of the same lattice, and tolerates the
-    0/1 boundary because only distance-to-nearest-integer matters.  Raises
-    NumericOverflow when the difference of the representatives overflows.
+    0/1 boundary because only distance-to-nearest-integer matters.
     """
-    _require_same_lattice(p, q, tol)
-    diff = _finite([x - y for x, y in zip(p.rep.tolist(), q.rep.tolist())])
-    d = _coords_of(p.lattice, diff, tol)
+    d = p.coords - _coords_in(p, q, tol)
     return bool(np.all(np.abs(d - np.rint(d)) <= tol.abs + tol.rel * np.abs(d)))

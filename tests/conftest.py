@@ -1,20 +1,26 @@
 """Fixtures shared by the test modules."""
 
+import importlib
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
+import cxlattices
 from cxlattices import kernel
 
 
 def count_calls(monkeypatch, names, record):
     """Count calls of the named kernel functions, wherever the package calls them.
 
-    Every loaded cxlattices module that binds one of the names (kernel itself,
+    Every cxlattices module is imported first, since the package and the CLI
+    load modules lazily; then each that binds one of the names (kernel itself,
     and each module that imported it) gets a counting version, found by
     looking.  Each call appends record(name, args) to the returned list.
     """
+    for info in pkgutil.iter_modules(cxlattices.__path__):
+        importlib.import_module(f"cxlattices.{info.name}")
     calls = []
     for name in names:
         original = getattr(kernel, name)
@@ -34,6 +40,12 @@ def singular_value_calls(monkeypatch):
     """Count the SVDs a test runs, by the shape of A: every call of the function that
     runs LAPACK's SVD for singular values (behind singular_values and the invertibility gate)."""
     return count_calls(monkeypatch, ("_singular_values",), lambda name, args: np.shape(args[0]))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count the LU solves a test runs (kernel.gated_solve, behind solve and every basis), by the shape of B."""
+    return count_calls(monkeypatch, ("gated_solve",), lambda name, args: np.shape(args[3]))
 
 
 @pytest.fixture

@@ -204,6 +204,24 @@ def test_same_lattice_ambiguous_band():
         same_lattice(lat1, from_generators(g))
 
 
+@pytest.mark.filterwarnings("error")
+def test_same_lattice_refuses_witness_entries_without_a_fractional_bit():
+    # past 2^63 the int64 cast wrapped: [[2^63, ..], ..] (det 2^64 + 1, a strict sublattice) was
+    # reported the same lattice with the entry -2^63; from 2^52 on an entry is refused, as reduce does
+    wide = Tolerance(rel=1e-40)
+    standard = standard_lattice(1)
+
+    def realified(r):
+        r = np.array(r, dtype=np.float64)
+        return from_generators(r[:1] + 1j * r[1:], wide)
+
+    for r in ([[2.0**63, 119537721], [-77158673929, 1]], [[1, 2.0**52], [0, 1]], [[1, -(2.0**52)], [0, 1]]):
+        with pytest.raises(AmbiguousIntegrality, match="keeps no fractional bit"):
+            same_lattice(standard, realified(r), wide)
+    same, w = same_lattice(standard, realified([[1, 2.0**52 - 1], [0, 1]]), wide)
+    assert same and w.tolist() == [[1, 2**52 - 1], [0, 1]]
+
+
 def test_same_lattice_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         same_lattice(standard_lattice(1), standard_lattice(2))

@@ -173,6 +173,45 @@ def test_lattice_periodicity_stress():
         assert torus_eq(reduce(lat, z, WIDE), reduce(lat, shifted, WIDE), WIDE)
 
 
+def unimodular(rng, m):
+    """A product of 2m elementary integer column operations: another basis of the same lattice."""
+    x = np.eye(m)
+    for _ in range(2 * m):
+        i, j = rng.choice(m, size=2, replace=False)
+        x[:, j] += rng.choice([-1.0, 1.0]) * x[:, i]
+    return x
+
+
+def two_bases(rng, n):
+    g = conditioned_basis(rng, n, 1e2)
+    return from_generators(g), from_generators(g @ unimodular(rng, 2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_group_law_on_coordinates_agrees_with_reducing_representatives(n):
+    rng = np.random.default_rng(70 + n)
+    lat, lat2 = two_bases(rng, n)
+    for _ in range(10):
+        p, q, r = random_point(rng, lat), random_point(rng, lat), random_point(rng, lat2)
+        zero = reduce(lat, np.zeros(n, dtype=complex))
+        for a, b in ((p, q), (p, r), (r, p)):
+            assert torus_eq(torus_add(a, b), reduce(a.lattice, a.rep + b.rep))
+            assert torus_eq(torus_add(a, b), torus_add(b, a))
+        # one basis: the sum is bitwise commutative and p + (-p) is the origin exactly
+        pq, qp = torus_add(p, q), torus_add(q, p)
+        assert np.array_equal(pq.coords, qp.coords) and np.array_equal(pq.rep, qp.rep)
+        assert np.array_equal(torus_add(p, torus_neg(p)).coords, np.zeros(2 * n))
+        assert torus_eq(torus_neg(torus_neg(p)), p)
+        assert torus_eq(torus_add(torus_add(p, q), r), torus_add(p, torus_add(q, r)))
+        # across bases: p + (-p') is the origin up to the one solve of -p' in p's basis
+        p2 = reduce(lat2, p.rep)
+        across = torus_add(p, torus_neg(p2))
+        assert torus_eq(across, zero)
+        assert np.all(np.minimum(across.coords, 1.0 - across.coords) <= 1e-12)
+        assert torus_eq(p, p2) and torus_eq(p2, p)
+        assert not torus_eq(p, torus_add(p2, reduce(lat2, 0.5 * lat2.g[:, 0])))
+
+
 # --- equality ---
 
 
@@ -250,9 +289,28 @@ def test_basis_runs_its_gate_once(singular_value_calls):
     assert permuted.margin == invertibility_margin(permuted.realified)[1]
 
 
+def test_group_operations_on_one_basis_run_no_solve(solve_calls):
+    rng = np.random.default_rng(62)
+    for n in (1, 2, 3, 8):
+        lat, lat2 = two_bases(rng, n)
+        p, q, r = random_point(rng, lat), random_point(rng, lat), random_point(rng, lat2)
+        torus_eq(p, r)  # decides, and remembers, that the two bases present one lattice
+        solve_calls.clear()
+        torus_add(p, q)
+        torus_neg(p)
+        torus_eq(p, q)
+        assert solve_calls == []
+        torus_eq(p, r)
+        assert solve_calls == [(2 * n, 1)]  # r's representative in p's basis
+        torus_add(p, r)
+        assert solve_calls == [(2 * n, 1)] * 2
+        reduce(lat, p.rep)
+        assert solve_calls == [(2 * n, 1)] * 3
+
+
 def test_torus_and_basis_steps_validate_only_the_callers_arrays(validation_calls):
-    # the generators and each point the caller passes are validated once; the sums, the
-    # differences and the bases the library builds go to the basis's solve as they are
+    # the generators and each point the caller passes are validated once; the representatives
+    # and the bases the library builds go to the basis's solve as they are
     rng = np.random.default_rng(57)
     n = 2
     g = conditioned_basis(rng, n, 1e2)
@@ -282,11 +340,16 @@ def test_carried_margin_is_still_gated_by_the_callers_tolerance():
     lat = from_generators(conditioned_basis(rng, 2, 1e6))
     assert lat.margin == invertibility_margin(lat.realified)[1]
     z = [0.3 + 0.1j, -0.2 + 0.7j]
-    assert reduce(lat, z, Tolerance(rel=0.5 * lat.margin)).coords.shape == (4,)
+    loose = Tolerance(rel=0.5 * lat.margin)
+    p = reduce(lat, z, loose)
+    assert torus_eq(torus_add(p, torus_neg(p, loose), loose), reduce(lat, [0.0, 0.0]), loose)
     for rel in (lat.margin, 2.0 * lat.margin):
         tight = Tolerance(rel=rel)
         with pytest.raises(SingularMatrix):
             reduce(lat, z, tight)
+        for op in (lambda: torus_add(p, p, tight), lambda: torus_neg(p, tight), lambda: torus_eq(p, p, tight)):
+            with pytest.raises(SingularMatrix):  # the group operations run no solve, yet gate the margin
+                op()
         with pytest.raises(SingularMatrix):
             same_lattice(lat, lat, tight)
         with pytest.raises(SingularMatrix):
@@ -312,18 +375,30 @@ def test_torus_eq_refuses_a_representative_that_overflowed():
         reduce(lat, [0.8e308 - 1e300j])
 
 
-def test_sum_of_representatives_that_overflows_is_numeric_overflow():
-    # the points are finite and in the fundamental domain; their sum and difference are not
-    lat = from_generators([[1e308, -1e308 + 1e308j]])
-    p = reduce(lat, [0.95e308])
-    q = reduce(lat, [0.9 * (-1e308 + 1e308j)])
-    assert np.isfinite(p.rep).all() and np.isfinite(q.rep).all()
-    with np.errstate(all="raise"):  # nothing is warned on the way to the error
-        with pytest.raises(NumericOverflow, match="sum of representatives overflowed"):
-            torus_add(p, p)
-        with pytest.raises(NumericOverflow, match="sum of representatives overflowed"):
-            torus_eq(p, q)
-        assert torus_eq(p, p) and torus_eq(torus_add(p, q), reduce(lat, [0.05e308 + 0.9e308j]))
+def test_sum_of_finite_points_is_finite_and_only_its_representative_can_overflow():
+    # coordinates add without forming rep_p + rep_q, so a sum of representatives past the
+    # largest double is a finite point; G @ coords past it is still NumericOverflow
+    lat = from_generators([[1e308, 1e308j]])
+    p = reduce(lat, [0.9e308 + 0.9e308j])
+    sheared = from_generators([[1e308, -1e308 + 1e308j]])
+    a, b = reduce(sheared, [0.95e308]), reduce(sheared, [0.9 * (-1e308 + 1e308j)])
+    tight = from_generators([[1e308 + 1e300j, 1e308 - 1e300j]])
+    half, tenth = reduce(tight, [0.9e308]), reduce(tight, [0.2e308])
+    assert np.allclose(half.coords, [0.45, 0.45]) and np.allclose(tenth.coords, [0.1, 0.1])
+    with np.errstate(all="raise"):  # nothing is warned on the way to a result or an error
+        total = torus_add(p, p)
+        assert np.allclose(total.coords, [0.8, 0.8], rtol=0.0, atol=1e-15)
+        assert np.isfinite(total.rep).all() and np.array_equal(total.rep, lat.g @ total.coords)
+        assert torus_eq(total, reduce(lat, [0.8e308 + 0.8e308j]))
+        assert torus_eq(torus_neg(p), reduce(lat, [0.1e308 + 0.1e308j]))
+        assert torus_eq(torus_add(a, a), reduce(sheared, [0.9e308]))
+        assert not torus_eq(a, b) and torus_eq(a, a)
+        assert torus_eq(torus_add(a, b), reduce(sheared, [0.05e308 + 0.9e308j]))
+        # coordinates (0.9, 0.9) on generators near 1e308: G @ coords overflows
+        with pytest.raises(NumericOverflow, match="representative G @ coords overflowed"):
+            torus_add(half, half)
+        with pytest.raises(NumericOverflow, match="representative G @ coords overflowed"):
+            torus_neg(tenth)
 
 
 def test_basis_coordinates_are_solves_bits():
