@@ -19,7 +19,8 @@ jsonio, and the matrix subcommands (polar, gram, unitary-equiv,
 sl-normalize) need nothing more.  The other handlers import what they call:
 the map subcommands add realmaps, the lattice subcommands and sigma-check
 add lattices and gaussian, torus-reduce and torus-add add torus as well,
-lattice-equiv adds equivalence as well, dim1-forms adds dim1 and realmaps.
+lattice-equiv adds equivalence as well (once its input has parsed, so a
+malformed input loads nothing more), dim1-forms adds dim1 and realmaps.
 When the first word is a known subcommand, run() builds that subparser
 alone; anything else gets the full parser, so every argparse error and help
 text keeps its bytes.  The lattice-equiv defaults and modes live in kernel,
@@ -222,12 +223,14 @@ def _cmd_lattice_same(data, args, tol):
 
 
 def _cmd_lattice_equiv(data, args, tol):
+    m1, m2 = _fields(data, "first", "second")
+    a1, a2 = jsonio.matrix_in(m1, "first"), jsonio.matrix_in(m2, "second")
+    # imported once the input has parsed: a malformed input never loads the search
     from .equivalence import lattice_equivalent
 
-    m1, m2 = _fields(data, "first", "second")
     verdict = lattice_equivalent(
-        jsonio.matrix_in(m1, "first"),
-        jsonio.matrix_in(m2, "second"),
+        a1,
+        a2,
         mode=args.mode,
         height=args.height,
         tol=tol,

@@ -62,17 +62,22 @@ its reduced basis.  Each coordinate vector is mapped back exactly and the
 norms are |A lambda|^2 as on A's own box, so the spectrum is the same;
 the budget still counts the uniform box of A.
 
-lattice_equivalent runs its stages cheapest first: the invertibility gate,
-the covolume refuter, the dimension cap, the radius check and the box
-budgets, the Gram forms, and then the scan, witness first.  A verified
-witness settles the pair, and the spectra (which take sigma_max and
-sigma_min from the gate's singular values) are enumerated only where the
-scan finds none, where the witness's Gram residual exceeds a tenth of
-their resolution (scaled by sigma_min(A2)^2), or where the scan raises, as
-HeightTooLarge does at n = 3; the spectra may then refute the pair before
-that error is raised.  Below that residual the spectra could not refute
-by value, and by count only where norms lie that close to both guard-band
-cutoffs.
+lattice_equivalent stacks its two validated inputs into one pair (2, n, n)
+and runs each stage once on the pair, one numpy call where a stage calls
+LAPACK: the invertibility gate (one SVD call), the covolume refuter (one
+determinant call), the dimension cap, the radius check and the box budgets,
+then the height check, and only where that passes (n <= 2 and a box within
+the budget) the Gram forms (one A* A call) and the scan, witness first.  The
+inverses of the pair, and the row norms of both, are each taken in one call
+when first needed: at the scan's first hit or at the first enumeration with
+K > 0.  A verified witness settles the pair, and the spectra (which take
+sigma_max and sigma_min from the gate's singular values) are enumerated
+only where the scan finds none, where the witness's Gram residual exceeds a
+tenth of their resolution (scaled by sigma_min(A2)^2), or where the scan
+does not run or raises, as HeightTooLarge does at n = 3; the spectra may
+then refute the pair before that error is raised.  Below that residual the
+spectra could not refute by value, and by count only where norms lie that
+close to both guard-band cutoffs.
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ from .kernel import (
     frozen,
 )
 from .lattices import GaussianUnimodular
-from .polar import _classify, _gram_certified, _gram_matrix, as_gram_form
+from .polar import _classify, _gram_matrix, as_gram_form
 
 EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
@@ -407,7 +412,8 @@ def short_vectors(
     s = _singular_values(am)
     e = math.frexp(float(s[0]))[1] - 1  # sigma_max 2^-e in [1, 2)
     unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, -e)
-    norms = _enumerate(am, s, _uniform_box(s, unit_radius, tol, limit), unit_radius)
+    k = _uniform_box(s, unit_radius, tol, limit)
+    norms = _enumerate(am, s, k, unit_radius, _Inverses(am[None]))
     return ShortVectorSpectrum(float(radius), tuple(_scaled(norms, 2 * e).tolist()))
 
 
@@ -541,9 +547,38 @@ def _uniform_box(s: np.ndarray, radius: float, tol: Tolerance, limit: int) -> in
     return k
 
 
-def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> np.ndarray:
+class _Inverses:
+    """A stack (k, n, n) of validated invertible matrices with their inverses and the row
+    norms of each inverse, each taken for the whole stack in one call when first read."""
+
+    def __init__(self, stack: np.ndarray) -> None:
+        self._stack, self._inv, self._rows = stack, None, None
+
+    def inverse(self, i: int) -> np.ndarray:
+        if self._inv is None:
+            self._inv = np.linalg.inv(self._stack)
+        return self._inv[i]
+
+    def row_norms(self, i: int) -> list:
+        if self._rows is None:
+            self.inverse(i)  # takes the inverses of the whole stack
+            self._rows = _row_norms(self._inv)
+        return self._rows[i]
+
+
+def _row_norms(x: np.ndarray) -> list:
+    """The norms of the rows of x, or of each matrix in a stack.  A norm past the largest
+    double (an inverse with sigma_min below ~1e-154, under a tiny tol.rel) is inf, unwarned:
+    its axis bound is then the uniform box's K, which always suffices."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x, axis=-1).tolist()
+
+
+def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float,
+               inverses: _Inverses, i: int = 0) -> np.ndarray:
     """The ascending float64 norms of short_vectors on a validated A whose singular
-    values s (descending) are known, with K = _uniform_box(s, radius, ...).
+    values s (descending) are known, with K = _uniform_box(s, radius, ...); A is
+    matrix i of the stack that inverses holds, whose inverse is read only when K > 0.
 
     The box is provably sufficient: |lambda_i| <= |row i of A^-1| * |A lambda|,
     so outside K_i = floor(sqrt(radius) * |row i of A^-1|) the image norm
@@ -570,16 +605,16 @@ def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float) -> np.ndarr
     # the relative margin absorbs rounding in the row norms of A^-1; the absolute
     # term, a multiple of cond(A) eps |A^-1|, covers an ill-conditioned A, and
     # the L1 norm of a row of U^-1 carries it through the exact integer product
-    inv = np.linalg.inv(am)
+    inv = inverses.inverse(i)
     slack = 16 * n * _EPS * smax / smin**2
-    rows = np.linalg.norm(inv, axis=1).tolist()
+    rows = inverses.row_norms(i)
     ks = [_axis_bound(root * (r * (1.0 + 1e-9) + slack), k) for r in rows]
     u = None
     if _box_size(ks) > _SMALL_BOX:
         reduction = _lll(am)
         if reduction is not None:
             uinv = reduction[1]
-            rows = np.linalg.norm(uinv @ inv, axis=1).tolist()
+            rows = _row_norms(uinv @ inv)
             weights = np.abs(uinv).sum(axis=1).tolist()
             cap = _box_size(ks)
             reduced = [
@@ -644,21 +679,22 @@ def _square(x: float, k: int = 0) -> float:
         return math.inf
 
 
-def _first_witness(height: int, m1, m2, p1, p2, mode: str, tol: Tolerance):
-    """The Equivalent verdict of the first verified hit of the Gram scan, with the hit's
-    Gram residual |B* P1 B - P2|_F, or None when no hit is kept.
+def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, tol: Tolerance,
+                   inverses: _Inverses):
+    """The Equivalent verdict of the first verified hit of the Gram scan on the pair (A1, A2)
+    with Gram forms grams, with the hit's Gram residual |B* P1 B - P2|_F, or None when no
+    hit is kept.
 
     Each hit gives the unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
-    adjugate), which must pass classify and the re-verification; in
-    special_unitary mode a hit whose det(T) is not one is passed over.
+    adjugate, A1 by the pair's inverses, read at the first hit), which must pass
+    classify and the re-verification; in special_unitary mode a hit whose det(T)
+    is not one is passed over.
     """
-    n = m1.shape[0]
-    inv1 = None
-    for entries, gram_residual in _gram_hits(height, p1, p2, tol):
+    (m1, m2), n = pair, pair.shape[-1]
+    for entries, gram_residual in _gram_hits(height, grams[0], grams[1], tol):
         b = GaussianUnimodular(entries)
-        if inv1 is None:
-            inv1 = np.linalg.inv(m1)  # m1 passed the gate, and each witness is re-verified
-        t = m2 @ b.inverse_matrix() @ inv1
+        # A1 passed the gate, and each witness is re-verified
+        t = m2 @ b.inverse_matrix() @ inverses.inverse(0)
         member = _classify(t, tol)
         if not member.in_u:
             raise InternalCheckError(
@@ -686,31 +722,28 @@ def lattice_equivalent(
 ) -> EquivalenceVerdict:
     """Decide equivalence of A1(Z[i]^n) and A2(Z[i]^n) up to height bound.
 
-    Pipeline: invertibility gate, covolume refuter, the dimension cap, the
-    radius check and the short-vector box budgets, the Gram forms, the
-    bounded Gram-orbit search, and the short-vector spectrum refuter only
-    where the search found no witness.  Right after the gate both inputs
-    are scaled by the one power of two that puts the larger sigma_max in
-    [1, 2), and the radius by its square, so every later stage runs at unit
-    scale: the verdict does not change under a common power-of-two scale,
-    and tol.abs applies at unit scale.  Covolumes and spectrum values are
-    reported at the caller's scale.  A witness settles the pair when its
-    Gram residual is at most a tenth of the spectra's resolution times
-    sigma_min(A2)^2, which rules out a refutation by value, and one by
-    count unless norms lie that close to both guard-band cutoffs.
-    Otherwise, and where the search raises (HeightTooLarge at n = 3 or past
-    the box, say), the spectra are enumerated: a refutation from them is
-    returned, and the search's error is raised only when they do not
-    refute.  The Gram forms need no positivity check of their own: each
-    input is a root of its form and has passed the gate.  A* A can still
-    underflow under a caller's tiny tol.rel, which raises NumericOverflow.
-    Equivalent verdicts carry the reconstructed unitary T = A2 B^-1 A1^-1
-    (B inverted exactly via its adjugate) and are re-verified before being
-    returned.  In special_unitary mode both inputs must also have
-    determinant one at the caller's scale, as classify calls it (the same
-    gate and determinant, then |det - 1| <= tol.rel * n; NotInSL otherwise,
-    a singular input included), and witnesses are additionally filtered by
-    det(T) = 1, continuing the search otherwise.
+    The two inputs are stacked into one pair (2, n, n) and each stage runs once
+    on it, cheapest first: the invertibility gate, the covolume refuter, the
+    dimension cap, the radius check and the box budgets, the height check, the
+    Gram forms A* A and the bounded Gram-orbit scan (both only where the height
+    check passes), and the short-vector spectrum refuter only where the scan
+    found no witness that settles the pair (see the module docstring).  Right
+    after the gate the pair is scaled by the one power of two that puts the
+    larger sigma_max in [1, 2), and the radius by its square: the verdict does
+    not change under a common power-of-two scale, tol.abs applies at unit
+    scale, and covolumes and spectrum values are reported at the caller's
+    scale.  Where the scan does not run or raises (HeightTooLarge at n = 3 or
+    past the box, say), a refutation by the spectra is returned, and the
+    scan's error is raised only when they do not refute.  Each input is a root
+    of its Gram form and has passed the gate, so the forms need no positivity
+    check; an A* A that underflowed (possible only under a caller's tiny
+    tol.rel) raises NumericOverflow.  Equivalent verdicts carry the
+    reconstructed unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
+    adjugate) and are re-verified before being returned.  In special_unitary
+    mode both inputs must also have determinant one at the caller's scale, as
+    classify calls it (the same gate and determinant, then |det - 1| <=
+    tol.rel * n; NotInSL otherwise, a singular input included), and witnesses
+    are additionally filtered by det(T) = 1, continuing the search otherwise.
     """
     m1 = as_matrix(a1, square=True)
     m2 = as_matrix(a2, square=True)
@@ -719,25 +752,22 @@ def lattice_equivalent(
     if mode not in (MODE_UNITARY, MODE_SPECIAL_UNITARY):
         raise ValueError(f"unknown mode {mode!r}")
     n = m1.shape[0]
-    gates = []  # (passed, singular values) of each input; the enumeration reuses the values
+    pair = np.array((m1, m2))
     # the stages run cheapest first; a singular input fails as gram would fail on it,
     # or, in special_unitary mode, as classify's determinant-one verdict would
-    for m in (m1, m2):
-        ok, margin, s = _invertibility_gate(m, tol)
-        if mode == MODE_UNITARY and not ok:
-            raise SingularMatrix(f"gram needs an invertible matrix (margin {margin:.3e})")
-        gates.append((ok, s))
+    ok, margin, s = _invertibility_gate(pair, tol)
+    if mode == MODE_UNITARY and not ok.all():
+        raise SingularMatrix(f"gram needs an invertible matrix (margin {margin[~ok][0]:.3e})")
 
-    # everything below runs on both inputs scaled by the one power of two that puts the
+    # everything below runs on the pair scaled by the one power of two that puts the
     # larger sigma_max in [1, 2): exact, so the verdict does not depend on a common scale
-    e = math.frexp(max(float(s[0]) for _, s in gates))[1] - 1
-    m1, m2 = _scaled(m1, -e), _scaled(m2, -e)
-    svals = [_scaled(s, -e) for _, s in gates]
-    dets = (_det(m1), _det(m2))  # each is det 2^(-n e) of the caller's input
+    e = math.frexp(float(s[:, 0].max()))[1] - 1
+    pair, svals = _scaled(pair, -e), _scaled(s, -e)
+    dets = _det(pair).tolist()  # each is det 2^(-n e) of the caller's input
     if mode == MODE_SPECIAL_UNITARY:
-        for name, (ok, _), d in zip(("A1", "A2"), gates, dets):
+        for name, passed, d in zip(("A1", "A2"), ok.tolist(), dets):
             distance = abs(complex(_ldexp(d.real, n * e), _ldexp(d.imag, n * e)) - 1.0)
-            if not (ok and distance <= tol.rel * n):
+            if not (passed and distance <= tol.rel * n):
                 raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
     # the covolumes |det|^2 differ by more than tol.rel of the larger: tested on the ratio
     # of the two |det|, which neither over- nor underflows at any dimension
@@ -747,29 +777,30 @@ def lattice_equivalent(
         return EquivalenceVerdict(REFUTED, None, ("covolume", c1, c2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the
-    # orbit search can run, so fail fast before the Gram forms of an 8-and-up-
-    # dimensional pair and its box scan
+    # orbit search can run, so fail fast before an 8-and-up-dimensional pair's box scan
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     unit_radius = _unit_radius(radius, e)
-    ks = [_uniform_box(s, unit_radius, tol, budget) for s in svals]
-    # an A* A that underflowed (possible only under a caller's tiny tol.rel) is refused
-    # past the box budgets, which refuse such an input first at all but a tiny radius
-    p1, p2 = (_gram_certified(_gram_matrix(m)) for m in (m1, m2))
-
+    ks = [_uniform_box(x, unit_radius, tol, budget) for x in svals]
+    inverses = _Inverses(pair)
     witness = error = None
     try:
         _check_height(n, height, budget)
-        witness = _first_witness(height, m1, m2, p1.matrix, p2.matrix, mode, tol)
     except (CxlatError, ValueError) as exc:  # raised after the spectra, which may refute first
         error = exc
+    else:  # A* A is formed only where the scan runs, and its underflow is raised at once
+        grams = _gram_matrix(pair)
+        try:
+            witness = _first_witness(height, pair, grams, mode, tol, inverses)
+        except (CxlatError, ValueError) as exc:
+            error = exc
     # a witness moves each norm v = |A2 lambda|^2 of the spectrum by at most its Gram
     # residual r times |lambda|^2 <= v / sigma_min(A2)^2.  At a tenth of the spectra's
     # resolution that rules out a refutation by value, and one by count unless norms
     # lie within that distance of both guard-band cutoffs
-    if witness is not None and witness[1] <= 0.1 * _SPECTRUM_REL * float(svals[1][-1]) ** 2:
+    if witness is not None and witness[1] <= 0.1 * _SPECTRUM_REL * float(svals[1, -1]) ** 2:
         return witness[0]
-    norms = (_enumerate(m, s, k, unit_radius) for m, s, k in zip((m1, m2), svals, ks))
+    norms = [_enumerate(pair[i], svals[i], ks[i], unit_radius, inverses, i) for i in (0, 1)]
     mismatch = _spectra_mismatch(*norms, unit_radius, e)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)

@@ -26,6 +26,10 @@ by an underflowed determinant), it runs _overflow_checked there, before any
 body sees the array, and an overflow is NumericOverflow.  Values the library
 builds from checked fields (forms, bases, points) are made by _built,
 without their constructor's validation.
+The bodies _singular_values, _invertibility_gate and _det also take a stack
+(k, m, n) of matrices: numpy's linalg routines run LAPACK once per matrix,
+with the same results bit for bit, in one call, so a caller that holds a
+pair (lattice_equivalent) pays the call overhead once.
 Two conventions have their one home here:
 in_gray_zone (a margin too close to its threshold to call) and real_columns
 (columns in C^n as columns in R^2n).
@@ -248,8 +252,10 @@ def det(a) -> complex:
     return _det(as_matrix(a, square=True))
 
 
-def _det(am: np.ndarray) -> complex:
-    return complex(np.linalg.det(am))
+def _det(am: np.ndarray):
+    """det of a validated square matrix as a complex, or of each in a stack (k, n, n) as an array."""
+    d = np.linalg.det(am)
+    return complex(d) if am.ndim == 2 else d
 
 
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -327,9 +333,11 @@ def singular_values(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def _singular_values(am: np.ndarray) -> np.ndarray:
-    """singular_values of a validated matrix: the package's one call of LAPACK's SVD for values."""
-    s = np.zeros(am.shape[1])
-    s[: min(am.shape)] = np.linalg.svd(am, compute_uv=False)
+    """singular_values of a validated matrix, or of each matrix in a stack (k, m, n) as the
+    rows of a (k, n) array: the package's one call of LAPACK's SVD for values."""
+    s = np.linalg.svd(am, compute_uv=False)
+    if am.shape[-2] < am.shape[-1]:  # a wide input: its kernel adds exact zeros
+        s = np.concatenate([s, np.zeros(am.shape[:-2] + (am.shape[-1] - am.shape[-2],))], axis=-1)
     return frozen(s)
 
 
@@ -350,10 +358,17 @@ def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return _invertibility_gate(as_matrix(a), tol)[:2]
 
 
-def _invertibility_gate(am: np.ndarray, tol: Tolerance) -> tuple[bool, float, np.ndarray]:
-    """The package's one threshold test: A counts as invertible when sigma_min / sigma_max > tol.rel."""
+def _invertibility_gate(am: np.ndarray, tol: Tolerance) -> tuple:
+    """The package's one threshold test: A counts as invertible when sigma_min / sigma_max > tol.rel.
+
+    Returns (verdict, margin, singular values).  On a stack (k, m, n) of matrices it
+    takes one SVD call, and the verdict and the margin are arrays, one entry per matrix.
+    """
     s = _singular_values(am)
-    margin = sigma_ratio(float(s[0]), float(s[-1]))
+    if s.ndim == 1:
+        margin = sigma_ratio(float(s[0]), float(s[-1]))
+    else:
+        margin = np.array([sigma_ratio(x[0], x[-1]) for x in s.tolist()])
     return margin > tol.rel, margin, s
 
 

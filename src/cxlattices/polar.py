@@ -195,24 +195,23 @@ def _gram(am: np.ndarray, tol: Tolerance) -> GramForm:
     the form's eigenvalues are lost in rounding or are zero.
     """
     _gated_margin(am, tol, "gram")
-    return _gram_certified(_gram_matrix(am))
+    return GramForm._certified(_gram_matrix(am))
 
 
 def _gram_matrix(am: np.ndarray) -> np.ndarray:
-    """A* A, made exactly Hermitian; NumericOverflow when it is not finite."""
+    """A* A, made exactly Hermitian, of a validated matrix or of each matrix in a stack (k, n, n).
+
+    Raises NumericOverflow when an entry is not finite, and when a diagonal entry,
+    the squared length of a column of A, is below the smallest normal double.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _adjoint(am) @ am
-        p = 0.5 * (p + p.conj().T)
+        p = am.conj().swapaxes(-1, -2).copy() @ am
+        p = 0.5 * (p + p.conj().swapaxes(-1, -2))
     if not np.isfinite(p).all():
         raise NumericOverflow("gram form A* A overflowed: the entries of A are too large")
-    return p
-
-
-def _gram_certified(p: np.ndarray) -> GramForm:
-    """The Gram form on a finite A* A; NumericOverflow when its diagonal underflowed."""
-    if not p.diagonal().real.min() >= _FLOAT_TINY:
+    if not p.diagonal(0, -2, -1).real.min() >= _FLOAT_TINY:
         raise NumericOverflow("gram form A* A underflowed: the entries of A are too small")
-    return GramForm._certified(p)
+    return p
 
 
 def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
@@ -228,7 +227,7 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
         raise DimensionMismatch(f"shapes differ: {m1.shape} vs {m2.shape}")
     # A1* has A1's singular values, so the gate's margin on A1 also gates the solve
     margin = _gated_margin(m1, tol, "gram")
-    p1 = _gram_certified(_gram_matrix(m1))
+    p1 = GramForm._certified(_gram_matrix(m1))
     p2 = _gram(m2, tol)
     bound = tol.rel * (fro(m1) ** 2 + fro(m2) ** 2) + tol.abs
     if fro(p1.matrix - p2.matrix) > bound:

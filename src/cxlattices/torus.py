@@ -43,7 +43,7 @@ from .errors import (
     NumericOverflow,
     SingularMatrix,
 )
-from .kernel import DEFAULT_TOL, Tolerance, _built, as_vector, frozen, real_columns
+from .kernel import _EPS, DEFAULT_TOL, Tolerance, _built, as_vector, frozen, real_columns
 from .lattices import LatticeBasis, same_lattice
 
 
@@ -129,7 +129,12 @@ def _reduce(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> TorusPoint:
     c = _solved(lat, zv, tol)
     p = _point(lat, c, tol)
     shift = c - p.coords
-    if np.any(np.abs(shift - np.rint(shift)) > 10.0 * tol.abs + 1e-12 * np.abs(c)):
+    # floor(c) and shift - rint(shift) are exact.  c - floor(c), in [0, 1], rounds by at
+    # most eps / 2, a wrap to 0 moves it by at most tol.abs, and c - frac rounds by at
+    # most eps / 2 (|c| + 1), so shift lies within tol.abs + eps (1 + |c| / 2) of the
+    # integers; the terms 2 eps + eps |c|, about eps max(1, |c|), allow that rounding
+    bound = 10.0 * tol.abs + 2.0 * _EPS + (1e-12 + _EPS) * np.abs(c)
+    if np.any(np.abs(shift - np.rint(shift)) > bound):
         raise InternalCheckError("dropped coordinate parts drifted off the integers")
     return p
 

@@ -134,6 +134,40 @@ def test_a_cxlat_process_loads_only_the_modules_its_subcommand_uses():
         assert set(after_run) == CLI_MODULES | FAMILY_MODULES[name], name
 
 
+_MALFORMED_EQUIV = """
+import io, json, sys
+from cxlattices import cli
+out = io.StringIO()
+code = cli.run(["lattice-equiv"], io.StringIO(sys.argv[1]), out)
+loaded = sorted(m.partition(".")[2] or m for m in sys.modules if m.split(".")[0] == "cxlattices")
+print(json.dumps([loaded, code, out.getvalue()]))
+"""
+_DEFAULT_TOLS = '"diagnostics":{"tol_rel":1.0000000000000001e-09,"tol_abs":9.9999999999999998e-13}}\n'
+
+
+@pytest.mark.parametrize(
+    "input_text, line",
+    [
+        ('{"first": [[[1, 0]]], "second": [[[1, "x"]]]}',
+         '{"status":"error","error":{"name":"MalformedInput","message":"second entry imaginary part'
+         ' must be a number, got str"},' + _DEFAULT_TOLS),
+        ('{"first": [[[1, 0]]]}',
+         '{"status":"error","error":{"name":"MalformedInput","message":"missing input field'
+         " 'second'\"}," + _DEFAULT_TOLS),
+    ],
+)
+def test_a_malformed_lattice_equiv_input_loads_no_search(input_text, line):
+    # the handler parses both matrices before it imports equivalence, so a refused input
+    # costs no more modules than importing the command line does; the line keeps its bytes
+    src = str(pathlib.Path(cxlattices.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _MALFORMED_EQUIV, input_text],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    loaded, code, out = json.loads(proc.stdout)
+    assert (set(loaded), code, out) == (CLI_MODULES, 2, line)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_leaves_the_callers_garbage_collector_as_it_found_it(enabled):
     # the one-shot policy (collector off, survivors frozen) belongs to main(): tests, the

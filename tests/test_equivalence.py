@@ -38,8 +38,16 @@ from cxlattices.errors import (
 )
 from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
-from cxlattices.kernel import DEFAULT_TOL, Tolerance, fro
-from cxlattices.polar import GramForm, classify, gram, sl_normalize
+from cxlattices.kernel import (
+    DEFAULT_TOL,
+    Tolerance,
+    _adjoint,
+    _det,
+    _invertibility_gate,
+    _singular_values,
+    fro,
+)
+from cxlattices.polar import GramForm, _gram_matrix, classify, gram, sl_normalize
 
 
 def random_invertible(rng, n, min_cond=1e-2):
@@ -756,9 +764,102 @@ def test_n8_covolume_refutation_builds_no_gram_form(gram_form_calls):
     with pytest.raises(DimensionTooLarge):
         lattice_equivalent(a, random_unitary(rng, 8) @ a)
     assert gram_form_calls == []
-    # the counter does see the Gram forms of a pair that reaches them
+    # the counter does see the Gram forms of a pair that reaches them: one A* A of the stacked pair
     lattice_equivalent(np.eye(2), np.diag([0.5, 2.0]))
-    assert gram_form_calls == [(2, 2), (2, 2)]
+    assert gram_form_calls == [(2, 2, 2)]
+
+
+def test_no_gram_form_where_no_scan_runs(gram_form_calls):
+    # the height check runs before A* A: at n = 3, and at n = 2 past the height box, the scan
+    # cannot run, so the pair forms no Gram form; the spectra still run and may refute first
+    rng = np.random.default_rng(47)
+    a = random_invertible(rng, 3)
+    with pytest.raises(HeightTooLarge, match="dimension 3"):
+        lattice_equivalent(a, random_unitary(rng, 3) @ a)
+    assert lattice_equivalent(np.eye(3), np.diag([0.5, 2.0, 1.0])).status == REFUTED
+    a = random_invertible(rng, 2)
+    with pytest.raises(HeightTooLarge, match="over budget"):
+        lattice_equivalent(a, random_unitary(rng, 2) @ a, height=7, budget=10**6)
+    assert gram_form_calls == []
+
+
+def test_an_underflowing_pair_that_no_scan_reads_is_height_too_large():
+    # A* A of diag(.., 1e-170) underflows under tol.rel = 1e-200; where the scan runs that is
+    # NumericOverflow, and where it cannot run no Gram form is formed: the scan's own error
+    fine = Tolerance(rel=1e-200)
+    thin = (np.diag([1.0, 1e-170]), np.diag([1.0, 1e-170j]))
+    with pytest.raises(NumericOverflow, match="^gram form A\\* A underflowed"):
+        lattice_equivalent(*thin, tol=fine, radius=0.0)
+    with pytest.raises(HeightTooLarge, match="over budget"):
+        lattice_equivalent(*thin, tol=fine, radius=0.0, height=7, budget=10**6)
+    thin3 = (np.diag([1.0, 1.0, 1e-170]), np.diag([1.0, 1.0, 1e-170j]))
+    with pytest.raises(HeightTooLarge, match="^no complete candidate set .* dimension 3"):
+        lattice_equivalent(*thin3, tol=fine, radius=0.0)
+    # at a radius that puts points in the boxes the spectra run first, on row norms of A^-1
+    # past the largest double (see the next test), and agree
+    thin3 = (np.diag([1.0, 1.0, 1e-160]), np.diag([1.0, 1.0, 1e-160j]))
+    with pytest.raises(HeightTooLarge, match="^no complete candidate set .* dimension 3"):
+        lattice_equivalent(*thin3, tol=fine, radius=1e-319)
+
+
+def test_short_vectors_whose_inverse_row_norms_overflow_fall_back_to_the_uniform_box():
+    # |row 2 of A^-1| = 1e160 squares past the largest double: that axis is bounded by the
+    # uniform box's K = 3 instead, without a warning, and the spectrum is exact: the 36
+    # nonzero Gaussian integers mu with |mu|^2 <= 10, each of norm 1e-320 |mu|^2
+    v = short_vectors(np.diag([1.0, 1e-160]), 1e-319, tol=Tolerance(rel=1e-200))
+    want = sorted(1e-320 * (x * x + y * y) for x in range(-3, 4) for y in range(-3, 4)
+                  if 0 < x * x + y * y <= 10)
+    assert v.norms == tuple(want)
+
+
+def _outcome_bits(fn, *args):
+    """The bytes of the array fn(*args), or the type of the NumericOverflow it raises."""
+    try:
+        out = fn(*args)
+    except NumericOverflow as exc:
+        return type(exc)
+    return np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stacked_pair_stages_match_per_matrix_calls_bit_for_bit(n):
+    # lattice_equivalent runs its gate, determinant, A* A, inverses and row norms on the
+    # stacked pair; numpy runs LAPACK once per matrix, and this pins that the results are
+    # those of per-matrix calls bit for bit (a numpy that batched differently would move
+    # witnesses silently), on well- and ill-conditioned pairs at unit scale and 2^+-500,
+    # where a determinant or a row norm may overflow to inf (compared as such, unwarned)
+    rng = np.random.default_rng(48 + n)
+    for k in range(40):
+        pair = []
+        for _ in range(2):
+            u, v = random_unitary(rng, n), random_unitary(rng, n)
+            s = 10.0 ** -rng.uniform(0.0, 12.0 if k % 2 else 1.0, n)
+            pair.append(u @ np.diag(s) @ v)
+        for scale in (1.0, 2.0**500, 2.0**-500):
+            _check_stacked_pair(np.array(pair) * scale)
+
+
+@np.errstate(over="ignore")
+def _check_stacked_pair(stack):
+    inverses = equivalence._Inverses(stack)
+    ok, margin, _ = _invertibility_gate(stack, DEFAULT_TOL)
+    singles = []
+    for i, m in enumerate(stack):
+        single = np.array(m)  # a matrix of its own, not a view of the stack
+        assert _singular_values(stack)[i].tobytes() == _singular_values(single).tobytes()
+        assert (bool(ok[i]), float(margin[i])) == _invertibility_gate(single, DEFAULT_TOL)[:2]
+        assert _det(stack)[i].tobytes() == np.complex128(_det(single)).tobytes()
+        inv = np.linalg.inv(single)
+        assert inverses.inverse(i).tobytes() == inv.tobytes()
+        assert inverses.row_norms(i) == np.linalg.norm(inv, axis=1).tolist()
+        gram_bits = _outcome_bits(_gram_matrix, single)
+        if gram_bits is not NumericOverflow:  # A* A by the adjoint's copy, as before stacking
+            p = _adjoint(single) @ single
+            assert gram_bits == (0.5 * (p + p.conj().T)).tobytes()
+        singles.append(gram_bits)
+    # the pair's A* A is each matrix's, and its check refuses the pair where one matrix's does
+    by_pair = _outcome_bits(_gram_matrix, stack)
+    assert by_pair == (NumericOverflow if NumericOverflow in singles else b"".join(singles))
 
 
 def test_covolume_refutes_before_the_gram_forms():
@@ -1041,8 +1142,9 @@ def test_special_unitary_mode_requires_sl():
 
 
 def test_both_modes_validate_each_input_once_and_run_one_gate(validation_calls, singular_value_calls):
-    # each input is validated and gated once; the enumeration reuses the gate's singular
-    # values, and the witness's unitarity check takes the third SVD, in either mode
+    # each input is validated once and the stacked pair is gated in one SVD call; the
+    # enumeration reuses the gate's singular values, and the witness's unitarity check
+    # takes the second SVD, in either mode
     rng = np.random.default_rng(46)
     a1, _ = sl_normalize(random_invertible(rng, 2))
     t, _ = sl_normalize(random_unitary(rng, 2))
@@ -1052,7 +1154,7 @@ def test_both_modes_validate_each_input_once_and_run_one_gate(validation_calls, 
         singular_value_calls.clear()
         assert lattice_equivalent(a1, a2, mode=mode).status == EQUIVALENT
         assert validation_calls == ["as_matrix", "as_matrix"]
-        assert singular_value_calls == [(2, 2)] * 3
+        assert singular_value_calls == [(2, 2, 2), (2, 2)]
 
 
 def test_special_unitary_planted():

@@ -122,6 +122,30 @@ def test_point_invariants_enforced():
     assert not p.rep.flags.writeable
 
 
+def test_reduce_self_check_allows_the_rounding_of_the_wrap_at_zero_abs():
+    # c = -1e-20: c - floor(c) rounds to 1.0 and wraps to 0, so the dropped part is -1e-20,
+    # off the integer 0 by |c|, which only the rounding term of the bound allows
+    p = reduce(standard_lattice(1), [-1e-20 + 0.5j], Tolerance(abs=0.0))
+    assert p.coords.tolist() == [0.0, 0.5]
+    assert p.rep.tolist() == [0.5j]
+
+
+@pytest.mark.parametrize("drift", [1e-12, 1e-9])
+def test_reduce_self_check_still_catches_a_drift_above_its_bound(monkeypatch, drift):
+    # at tol.abs = 0 and |c| <= 1 the bound is 2 eps + (1e-12 + eps) |c| < 6e-13
+    from cxlattices import torus
+
+    point = torus._point
+
+    def drifted(lat, c, tol):
+        p = point(lat, c, tol)
+        return torus._built(TorusPoint, lattice=lat, rep=p.rep, coords=p.coords + [drift, 0.0])
+
+    monkeypatch.setattr(torus, "_point", drifted)
+    with pytest.raises(InternalCheckError, match="drifted off the integers"):
+        reduce(standard_lattice(1), [0.25 + 0.5j], Tolerance(abs=0.0))
+
+
 # --- group laws ---
 
 
