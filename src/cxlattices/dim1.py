@@ -16,11 +16,12 @@ this module an independent oracle for the general-dimension code.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalCheckError, MajorizationFails
+from .errors import InternalCheckError, MajorizationFails, NumericOverflow
 from .kernel import DEFAULT_TOL, Tolerance, _built, in_gray_zone
 from .realmaps import BlockForm, invertibility
 
@@ -93,6 +94,11 @@ def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms
         c = b / a
         if not cmath.isfinite(c):
             raise ValueError("quotient b / a overflows; rescale the map first")
+    # the forms and their checks read |a|, |b|, |alpha| and |beta|: a finite a or b may
+    # still have a modulus past the largest double, and a +- b may overflow
+    for label, z in (("a", a), ("b", b), ("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(math.hypot(z.real, z.imag)):
+            raise NumericOverflow(f"|{label}| overflows; rescale the map first")
     theta = mu = None
     gap, scale = _gap_scale(alpha, beta)
     if abs(alpha) > abs(beta) and gap > tol.rel * scale:

@@ -52,15 +52,19 @@ do the unit floors of the spectrum refuter's guard band and value test.
 The radius is checked and reported as the caller gave it, and in
 special_unitary mode determinant one is read at the caller's scale.
 
-The short-vector refuter bounds each integer coordinate by its own axis
-(as in Fincke and Pohst, 1985) instead of one uniform box, and a box of
-more than 3^6 = 729 points is taken on an LLL-reduced basis A U of the
-same lattice (Lenstra, Lenstra and Lovasz, 1982; over Z[i], the complex
-LLL of Gan, Ling and Mow, 2009, on the n columns): a skewed basis, such as
-A1 B for a tall B, has a per-axis box up to hundreds of times larger than
-its reduced basis.  Each coordinate vector is mapped back exactly and the
-norms are |A lambda|^2 as on A's own box, so the spectrum is the same;
-the budget still counts the uniform box of A.
+The short-vector refuter enumerates a stack in one call: the pair, or the
+one matrix of short_vectors.  Where the uniform box of the larger K,
+(2K + 1)^(2n), has at most 3^6 = 729 points, the stack is scanned on that
+one cube by one product, with no inverse: it holds each matrix's own box,
+and a point it adds lies outside the radius.  Past the cube each matrix
+bounds each integer coordinate by its own axis (as in Fincke and Pohst,
+1985), and a box of more than 729 points is taken on an LLL-reduced basis
+A U of the same lattice (Lenstra, Lenstra and Lovasz, 1982; over Z[i], the
+complex LLL of Gan, Ling and Mow, 2009, on the n columns): a skewed basis,
+such as A1 B for a tall B, has a per-axis box up to hundreds of times
+larger than its reduced basis.  Each coordinate vector is mapped back
+exactly and the norms are |A lambda|^2 on every box, so the spectrum is the
+same; the budget still counts the uniform box of A.
 
 lattice_equivalent stacks its two validated inputs into one pair (2, n, n)
 and runs each stage once on the pair, one numpy call where a stage calls
@@ -69,15 +73,15 @@ determinant call), the dimension cap, the radius check and the box budgets,
 then the height check, and only where that passes (n <= 2 and a box within
 the budget) the Gram forms (one A* A call) and the scan, witness first.  The
 inverses of the pair, and the row norms of both, are each taken in one call
-when first needed: at the scan's first hit or at the first enumeration with
-K > 0.  A verified witness settles the pair, and the spectra (which take
-sigma_max and sigma_min from the gate's singular values) are enumerated
-only where the scan finds none, where the witness's Gram residual exceeds a
-tenth of their resolution (scaled by sigma_min(A2)^2), or where the scan
-does not run or raises, as HeightTooLarge does at n = 3; the spectra may
-then refute the pair before that error is raised.  Below that residual the
-spectra could not refute by value, and by count only where norms lie that
-close to both guard-band cutoffs.
+when first needed: at the scan's first hit or past the spectra's cube.  A
+verified witness settles the pair, and the spectra (one enumeration of the
+pair, which takes sigma_max and sigma_min from the gate's singular values)
+are enumerated only where the scan finds none, where the witness's Gram
+residual exceeds a tenth of their resolution (scaled by sigma_min(A2)^2),
+or where the scan does not run or raises, as HeightTooLarge does at n = 3;
+the spectra may then refute the pair before that error is raised.  Below
+that residual the spectra could not refute by value, and by count only
+where norms lie that close to both guard-band cutoffs.
 """
 
 from __future__ import annotations
@@ -382,7 +386,8 @@ def sigma_orbit_equal(
     e = math.frexp(max(p.matrix.diagonal().real.max() for p in (p1, p2)))[1] - 1
     q1, q2 = _scaled(p1.matrix, -e), _scaled(p2.matrix, -e)
     for entries, _ in _gram_hits(height, q1, q2, tol):
-        return EquivalenceVerdict(EQUIVALENT, (None, GaussianUnimodular(entries)), None, height)
+        witness = GaussianUnimodular._proved(entries)  # _column_pairs proved ad - bc = 1
+        return EquivalenceVerdict(EQUIVALENT, (None, witness), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
 
@@ -413,7 +418,7 @@ def short_vectors(
     e = math.frexp(float(s[0]))[1] - 1  # sigma_max 2^-e in [1, 2)
     unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, -e)
     k = _uniform_box(s, unit_radius, tol, limit)
-    norms = _enumerate(am, s, k, unit_radius, _Inverses(am[None]))
+    norms = _enumerate(am[None], s[None], [k], unit_radius, _Inverses(am[None]))[0]
     return ShortVectorSpectrum(float(radius), tuple(_scaled(norms, 2 * e).tolist()))
 
 
@@ -574,11 +579,28 @@ def _row_norms(x: np.ndarray) -> list:
         return np.linalg.norm(x, axis=-1).tolist()
 
 
-def _enumerate(am: np.ndarray, s: np.ndarray, k: int, radius: float,
-               inverses: _Inverses, i: int = 0) -> np.ndarray:
-    """The ascending float64 norms of short_vectors on a validated A whose singular
-    values s (descending) are known, with K = _uniform_box(s, radius, ...); A is
-    matrix i of the stack that inverses holds, whose inverse is read only when K > 0.
+def _enumerate(stack: np.ndarray, svals: np.ndarray, ks: list, radius: float,
+               inverses: _Inverses) -> list:
+    """The ascending float64 norms of short_vectors on each matrix of a validated stack
+    (k, n, n) with singular values svals (descending) and ks[i] = _uniform_box(svals[i],
+    radius, ...); inverses holds the stack.  Where the cube of the largest K fits
+    _SMALL_BOX, the whole stack is scanned on it and no inverse is read (see the module
+    docstring); past it each matrix takes its own per-axis box (_per_axis).
+    """
+    n, side = stack.shape[-1], 2 * max(ks) + 1
+    if side ** (2 * n) > _SMALL_BOX:
+        return [_per_axis(am, s, k, radius, inverses, i)
+                for i, (am, s, k) in enumerate(zip(stack, svals, ks))]
+    w = stack @ _small_box((side,) * (2 * n))
+    sq = np.sum(w.real**2 + w.imag**2, axis=1)
+    sq[:, sq.shape[1] // 2] = np.inf  # the zero vector, at the centre of the cube
+    return [np.sort(x[x <= radius]) if k else np.empty(0) for x, k in zip(sq, ks)]
+
+
+def _per_axis(am: np.ndarray, s: np.ndarray, k: int, radius: float,
+              inverses: _Inverses, i: int) -> np.ndarray:
+    """The norms of _enumerate on matrix i of the stack that inverses holds, A with
+    singular values s, on A's per-axis box; A's inverse is read only when K > 0.
 
     The box is provably sufficient: |lambda_i| <= |row i of A^-1| * |A lambda|,
     so outside K_i = floor(sqrt(radius) * |row i of A^-1|) the image norm
@@ -685,14 +707,14 @@ def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, 
     with Gram forms grams, with the hit's Gram residual |B* P1 B - P2|_F, or None when no
     hit is kept.
 
-    Each hit gives the unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
-    adjugate, A1 by the pair's inverses, read at the first hit), which must pass
-    classify and the re-verification; in special_unitary mode a hit whose det(T)
-    is not one is passed over.
+    Each hit gives the unitary T = A2 B^-1 A1^-1 (B, built on entries the scan proved,
+    inverted exactly via its adjugate, A1 by the pair's inverses, read at the first hit),
+    which must pass classify and the re-verification; in special_unitary mode a hit whose
+    det(T) is not one is passed over.
     """
     (m1, m2), n = pair, pair.shape[-1]
     for entries, gram_residual in _gram_hits(height, grams[0], grams[1], tol):
-        b = GaussianUnimodular(entries)
+        b = GaussianUnimodular._proved(entries)  # _column_pairs proved ad - bc = 1
         # A1 passed the gate, and each witness is re-verified
         t = m2 @ b.inverse_matrix() @ inverses.inverse(0)
         member = _classify(t, tol)
@@ -800,7 +822,7 @@ def lattice_equivalent(
     # lie within that distance of both guard-band cutoffs
     if witness is not None and witness[1] <= 0.1 * _SPECTRUM_REL * float(svals[1, -1]) ** 2:
         return witness[0]
-    norms = [_enumerate(pair[i], svals[i], ks[i], unit_radius, inverses, i) for i in (0, 1)]
+    norms = _enumerate(pair, svals, ks, unit_radius, inverses)
     mismatch = _spectra_mismatch(*norms, unit_radius, e)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)

@@ -39,7 +39,7 @@ from .errors import (
     NonIntegralEntry,
     RankDeficient,
 )
-from .gaussian import gadjugate, gdet, gidentity, gmat, gmatmul, int_det
+from .gaussian import gadjugate, gdet, gidentity, gmat, gmatmul, gneg, int_det
 from .kernel import (
     DEFAULT_TOL,
     GRAY_ZONE,
@@ -178,6 +178,16 @@ class GaussianUnimodular:
             raise InternalCheckError("adjugate of a determinant-one matrix must be its inverse")
         object.__setattr__(self, "entries", b)
         object.__setattr__(self, "_adjugate", adj)
+
+    @classmethod
+    def _proved(cls, entries: tuple) -> GaussianUnimodular:
+        """The matrix on entries (n <= 2, pairs of Python ints as gmat gives them) whose
+        determinant the caller has proved to be exactly one, built without the re-proof:
+        its adjugate is then the entries themselves at n = 1, ((d, -b), (-c, a)) at n = 2."""
+        if len(entries) == 1:
+            return _built(cls, entries=entries, _adjugate=entries)
+        (a, b), (c, d) = entries
+        return _built(cls, entries=entries, _adjugate=((d, gneg(b)), (gneg(c), a)))
 
     @property
     def n(self) -> int:

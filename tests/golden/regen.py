@@ -380,6 +380,12 @@ CASES = {
         "input": '{"a": [0, 0], "b": [1, 0]}',
         "exit": 0,
     },
+    # |b| and a - b overflow although a and b are finite: one error line, not a traceback
+    "dim1-forms-overflow": {
+        "argv": ["dim1-forms"],
+        "input": '{"a": [1e+308, 0], "b": [-1e+308, 1.7e+308]}',
+        "exit": 1,
+    },
     # --- malformed input (exit 2) ---
     "malformed-not-json": {
         "argv": ["gram"],

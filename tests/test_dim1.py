@@ -15,7 +15,7 @@ from cxlattices.dim1 import (
     is_invertible_1d,
     to_thetamu,
 )
-from cxlattices.errors import InternalCheckError, MajorizationFails
+from cxlattices.errors import InternalCheckError, MajorizationFails, NumericOverflow
 from cxlattices.kernel import Tolerance
 from cxlattices.realmaps import (
     ConjugatePairForm,
@@ -107,6 +107,19 @@ def test_non_finite_rejected():
 def test_overflowing_quotient_rejected():
     with pytest.raises(ValueError):
         from_ab(1e-300, 1e300)
+
+
+def test_overflowing_moduli_raise_numeric_overflow():
+    # a and b are finite, but |b| and a - b overflow, or a + b does, or |a| does: one domain
+    # error, where abs() used to raise OverflowError
+    for a, b, label in ((1e308, complex(-1e308, 1.7e308), "b"), (1e308, 1e308, "alpha"),
+                        (1e308, -1e308, "beta"), (complex(1.7e308, 1.7e308), 1.0, "a")):
+        with pytest.raises(NumericOverflow, match=f"^\\|{label}\\| overflows"):
+            from_ab(a, b)
+    # at the edge, finite moduli still give every form
+    f = from_ab(1e308, 1e308j)
+    assert (f.alpha, f.beta, f.c) == (complex(5e307, 5e307), complex(5e307, -5e307), 1j)
+    assert f.theta is None and not is_invertible_1d(f)
 
 
 def test_scalar_forms_invariants_enforced():

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from cxlattices.errors import (
 from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
 from cxlattices.kernel import (
+    DEFAULT_BUDGET,
     DEFAULT_TOL,
     Tolerance,
     _adjoint,
@@ -88,6 +90,18 @@ def test_candidates_have_exact_unit_determinant():
     for n, h in ((1, 1), (2, 1), (2, 2)):
         for c in sigma_candidates(n, h):
             assert gdet(gmat(c)) == (1, 0)
+
+
+def test_a_proved_witness_is_the_checked_one():
+    # the scans build each witness by GaussianUnimodular._proved, without the exact re-proof
+    # of its determinant: on every candidate it is the checked constructor's matrix, with the
+    # same entries and the same adjugate
+    for n, h in ((1, 1), (2, 2)):
+        for c in sigma_candidates(n, h):
+            proved, checked = GaussianUnimodular._proved(c), GaussianUnimodular(c)
+            assert proved == checked
+            assert (proved.entries, proved._adjugate) == (checked.entries, checked._adjugate)
+            assert proved.inverse_matrix().tobytes() == checked.inverse_matrix().tobytes()
 
 
 def test_candidates_deterministic_order():
@@ -812,6 +826,78 @@ def test_short_vectors_whose_inverse_row_norms_overflow_fall_back_to_the_uniform
     assert v.norms == tuple(want)
 
 
+def _pair_with_boxes(rng, n, ks, radius):
+    """A seeded pair whose uniform boxes at the radius have the given K, each matrix's
+    sigma_min sqrt(radius) / (K + 1/2) and its other singular values up to 1.5 times that."""
+    pair = []
+    for k in ks:
+        smin = math.sqrt(radius) / (k + 0.5)
+        s = smin * np.append(np.sort(rng.uniform(1.0, 1.5, n - 1))[::-1], 1.0)
+        pair.append(random_unitary(rng, n) @ np.diag(s) @ random_unitary(rng, n))
+    return np.array(pair)
+
+
+@pytest.mark.parametrize("n, ks", [
+    (1, (3, 7)), (1, (0, 13)), (2, (1, 2)), (2, (0, 1)), (2, (2, 2)), (2, (3, 1)),
+    (3, (1, 1)), (3, (0, 1)),
+])
+def test_stacked_spectra_match_the_per_axis_path_bit_for_bit(n, ks):
+    # _enumerate scans the whole stack on one cube where (2K + 1)^(2n) of the larger K fits
+    # _SMALL_BOX (n = 3 at K = 1 is exactly 729 points, n = 2 at K = 2 is 625), and reads no
+    # inverse there; past it (n = 2 at K = 3) each matrix takes its per-axis box.  Either
+    # way each spectrum is the per-axis path's bit for bit, also for a matrix whose K is 0
+    # and, on the cube, on pairs scaled by 2^+-500 with the radius by 4^+-500 (the per-axis
+    # path's LLL takes the unit-scale input that its callers give it)
+    rng = np.random.default_rng(71 + 10 * n + ks[0])
+    cube = (2 * max(ks) + 1) ** (2 * n) <= equivalence._SMALL_BOX
+    for _ in range(4):
+        pair = _pair_with_boxes(rng, n, ks, 4.0)
+        for j in (0, 500, -500) if cube else (0,):
+            stack, radius = pair * 2.0**j, math.ldexp(4.0, 2 * j)
+            svals = _singular_values(stack)
+            boxes = [equivalence._uniform_box(s, radius, DEFAULT_TOL, DEFAULT_BUDGET)
+                     for s in svals]
+            assert boxes == list(ks)
+            inverses = equivalence._Inverses(stack)
+            stacked = equivalence._enumerate(stack, svals, list(ks), radius, inverses)
+            assert (inverses._inv is None) == cube
+            alone = equivalence._Inverses(stack)
+            per_axis = [equivalence._per_axis(m, s, k, radius, alone, i)
+                        for i, (m, s, k) in enumerate(zip(stack, svals, ks))]
+            assert [x.dtype for x in stacked] == [np.float64] * 2
+            assert [x.tobytes() for x in stacked] == [x.tobytes() for x in per_axis]
+            assert [x.size == 0 for x in stacked] == [k == 0 for k in ks]
+
+
+def _equiv_pool_matrices(seed):
+    """The matrices of the benchmark's equiv pool at one seed (perfbench/inputs.py)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for q in inputs.pool_for("equiv", seed):
+        for a in (q["a1"], q["a2"]):
+            yield np.array([[complex(*x) for x in row] for row in a])
+
+
+def _short_vectors_outcome(m):
+    try:
+        return short_vectors(m, 4.0).norms
+    except RadiusBudgetExceeded as exc:
+        return type(exc)
+
+
+def test_short_vectors_on_the_equiv_pool_match_the_per_axis_path(monkeypatch):
+    # every matrix of the seed-7 equiv pool: short_vectors, whose stack of one takes the cube
+    # where it fits, returns the tuple that the per-axis path alone gives
+    mats = list(_equiv_pool_matrices(7))
+    got = [_short_vectors_outcome(m) for m in mats]
+    monkeypatch.setattr(equivalence, "_enumerate", lambda stack, svals, ks, radius, inverses: [
+        equivalence._per_axis(stack[0], svals[0], ks[0], radius, inverses, 0)])
+    assert got == [_short_vectors_outcome(m) for m in mats]
+    assert sum(isinstance(x, tuple) and len(x) > 0 for x in got) >= 300
+
+
 def _outcome_bits(fn, *args):
     """The bytes of the array fn(*args), or the type of the NumericOverflow it raises."""
     try:
@@ -1020,13 +1106,13 @@ def test_verdicts_do_not_change_under_a_common_power_of_two():
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Count the short-vector enumerations a test runs, by the shape of A."""
+    """Count the short-vector enumerations a test runs, by the shape of the stack."""
     calls = []
     enumerate_ = equivalence._enumerate
 
-    def counted(am, *args):
-        calls.append(np.shape(am))
-        return enumerate_(am, *args)
+    def counted(stack, *args):
+        calls.append(np.shape(stack))
+        return enumerate_(stack, *args)
 
     monkeypatch.setattr(equivalence, "_enumerate", counted)
     return calls
@@ -1045,7 +1131,7 @@ def test_a_verified_witness_settles_the_pair_without_the_spectra(enumerations):
 def test_the_spectra_run_where_the_scan_finds_no_witness(enumerations):
     v = lattice_equivalent(np.eye(2), np.diag([0.5, 2.0]))
     assert v.refuter == ("short_vector_count", 64.0, 44.0)
-    assert enumerations == [(2, 2), (2, 2)]
+    assert enumerations == [(2, 2, 2)]  # both spectra, in one call on the stacked pair
 
 
 def test_n3_pairs_run_the_spectra_before_height_too_large(enumerations):
@@ -1053,11 +1139,11 @@ def test_n3_pairs_run_the_spectra_before_height_too_large(enumerations):
     a = random_invertible(rng, 3)
     with pytest.raises(HeightTooLarge, match="^no complete candidate set .* dimension 3"):
         lattice_equivalent(a, random_unitary(rng, 3) @ a)
-    assert enumerations == [(3, 3), (3, 3)]
+    assert enumerations == [(2, 3, 3)]
     enumerations.clear()
     v = lattice_equivalent(np.eye(3), np.diag([0.5, 2.0, 1.0]))
     assert v.refuter == ("short_vector_count", 232.0, 276.0)
-    assert enumerations == [(3, 3), (3, 3)]
+    assert enumerations == [(2, 3, 3)]
 
 
 @pytest.mark.parametrize("stretch", [5e-4, 9e-4])
@@ -1071,7 +1157,7 @@ def test_a_witness_the_spectra_can_resolve_does_not_skip_them(enumerations, stre
     assert sigma_orbit_equal(gram(np.eye(2)), gram(a2), tol=loose).status == EQUIVALENT
     v = lattice_equivalent(np.eye(2), a2, tol=loose)
     assert v.refuter == ("short_vector_count", 64.0, 68.0)
-    assert enumerations == [(2, 2), (2, 2)]
+    assert enumerations == [(2, 2, 2)]
 
 
 def test_every_equivalent_verdict_has_matching_spectra():
