@@ -33,6 +33,15 @@ def _finite(z: complex, label: str) -> complex:
     return z
 
 
+def _finite_moduli(a: complex, b: complex, alpha: complex, beta: complex) -> None:
+    """Raise NumericOverflow unless |a|, |b|, |alpha| and |beta| are finite: the forms and
+    their checks read each, and a finite complex number may still have a modulus past the
+    largest double."""
+    for label, z in (("a", a), ("b", b), ("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(math.hypot(z.real, z.imag)):
+            raise NumericOverflow(f"|{label}| overflows; rescale the map first")
+
+
 @dataclass(frozen=True)
 class ScalarForms:
     """The four presentations of one scalar real-linear map.
@@ -51,6 +60,7 @@ class ScalarForms:
     mu: complex | None
 
     def __post_init__(self) -> None:
+        _finite_moduli(self.a, self.b, self.alpha, self.beta)
         tol = DEFAULT_TOL
         scale = abs(self.a) + abs(self.b) + 1.0
         # the alpha/beta form must reproduce a and b (values at z = 1, i)
@@ -94,11 +104,7 @@ def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms
         c = b / a
         if not cmath.isfinite(c):
             raise ValueError("quotient b / a overflows; rescale the map first")
-    # the forms and their checks read |a|, |b|, |alpha| and |beta|: a finite a or b may
-    # still have a modulus past the largest double, and a +- b may overflow
-    for label, z in (("a", a), ("b", b), ("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(math.hypot(z.real, z.imag)):
-            raise NumericOverflow(f"|{label}| overflows; rescale the map first")
+    _finite_moduli(a, b, alpha, beta)  # a +- b may overflow too
     theta = mu = None
     gap, scale = _gap_scale(alpha, beta)
     if abs(alpha) > abs(beta) and gap > tol.rel * scale:

@@ -67,21 +67,20 @@ exactly and the norms are |A lambda|^2 on every box, so the spectrum is the
 same; the budget still counts the uniform box of A.
 
 lattice_equivalent stacks its two validated inputs into one pair (2, n, n)
-and runs each stage once on the pair, one numpy call where a stage calls
-LAPACK: the invertibility gate (one SVD call), the covolume refuter (one
-determinant call), the dimension cap, the radius check and the box budgets,
-then the height check, and only where that passes (n <= 2 and a box within
-the budget) the Gram forms (one A* A call) and the scan, witness first.  The
-inverses of the pair, and the row norms of both, are each taken in one call
-when first needed: at the scan's first hit or past the spectra's cube.  A
-verified witness settles the pair, and the spectra (one enumeration of the
-pair, which takes sigma_max and sigma_min from the gate's singular values)
-are enumerated only where the scan finds none, where the witness's Gram
-residual exceeds a tenth of their resolution (scaled by sigma_min(A2)^2),
-or where the scan does not run or raises, as HeightTooLarge does at n = 3;
-the spectra may then refute the pair before that error is raised.  Below
-that residual the spectra could not refute by value, and by count only
-where norms lie that close to both guard-band cutoffs.
+and runs one straight list of stages on it, one numpy call where a stage
+calls LAPACK: the invertibility gate (one SVD call), the covolume refuter
+(one determinant call), the dimension cap, the radius check and the box
+budgets, the height check, then, only where that passes (n <= 2 and a box
+within the budget), the Gram forms (one A* A call) and the scan.  A witness
+that passes the re-verification at the caller's tolerance settles the pair
+at once; its T takes the one inverse, of A1, at the scan's first hit.  Only
+where the scan finds no witness, or does not run or raises (as
+HeightTooLarge does at n = 3), are the spectra enumerated, in one call on
+the pair that takes sigma_max and sigma_min from the gate's singular values
+and, past the cube, the inverses of the pair and their row norms in one call
+each.  They may then refute the pair before that error is raised.  Their
+resolution is fixed, so they never overrule a witness accepted at a looser
+tol.
 """
 
 from __future__ import annotations
@@ -315,8 +314,8 @@ def _column_pairs(grid: _Grid, p1: np.ndarray, p2: np.ndarray, bound: float, siz
 
 
 def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance):
-    """Yield, in candidate order, (entries, |B* P1 B - P2|_F) of every determinant-one B
-    of entry height <= height within the bound tol.rel (|P1|_F + |P2|_F) + tol.abs.
+    """Yield, in candidate order, the entries of every determinant-one B of entry height
+    <= height with |B* P1 B - P2|_F within the bound tol.rel (|P1|_F + |P2|_F) + tol.abs.
 
     At n = 1 the only candidate is [[1]].  At n = 2 column i of such a B has
     P1-norm (P2)_ii to within the bound, so the scan matches columns, not
@@ -340,8 +339,7 @@ def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance):
         transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1, bs)
         diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
         for k in np.flatnonzero(diffs <= bound).tolist():
-            b = tuple(tuple(box[r // p % m] for p in powers) for r in sel[k].tolist())
-            yield b, float(diffs[k])
+            yield tuple(tuple(box[r // p % m] for p in powers) for r in sel[k].tolist())
 
 
 def _scaled(a: np.ndarray, k: int) -> np.ndarray:
@@ -385,7 +383,7 @@ def sigma_orbit_equal(
     # the largest diagonal entry times 2^-e is in [1, 2)
     e = math.frexp(max(p.matrix.diagonal().real.max() for p in (p1, p2)))[1] - 1
     q1, q2 = _scaled(p1.matrix, -e), _scaled(p2.matrix, -e)
-    for entries, _ in _gram_hits(height, q1, q2, tol):
+    for entries in _gram_hits(height, q1, q2, tol):
         witness = GaussianUnimodular._proved(entries)  # _column_pairs proved ad - bc = 1
         return EquivalenceVerdict(EQUIVALENT, (None, witness), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
@@ -418,7 +416,7 @@ def short_vectors(
     e = math.frexp(float(s[0]))[1] - 1  # sigma_max 2^-e in [1, 2)
     unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, -e)
     k = _uniform_box(s, unit_radius, tol, limit)
-    norms = _enumerate(am[None], s[None], [k], unit_radius, _Inverses(am[None]))[0]
+    norms = _enumerate(am[None], s[None], [k], unit_radius)[0]
     return ShortVectorSpectrum(float(radius), tuple(_scaled(norms, 2 * e).tolist()))
 
 
@@ -434,7 +432,8 @@ def _lll(am: np.ndarray):
     B_k-1 fails.  The steps are recorded and replayed once at the end on
     exact Gaussian integers, so U is unimodular however the floats went.
     None means no step was taken (A was reduced already), the Gram form
-    lost positivity in rounding, or U grew past 2^20; the caller then keeps
+    lost positivity in rounding (a squared length that underflows to zero
+    included), or U grew past 2^20; the caller then keeps
     A's own basis.  The step count is capped, which bounds the time on a
     basis the floats cannot resolve.
     """
@@ -478,6 +477,8 @@ def _lll(am: np.ndarray):
         # the new B_k-1 and mu_k,k-1 -> conj(mu) B_k-1 / B
         steps.append((k, k - 1, 0))
         b = sq[k] + shift
+        if not b > 0.0:  # underflowed: the products of squared lengths left the doubles
+            return None
         new = m.conjugate() * sq[k - 1] / b
         sq[k - 1], sq[k] = b, sq[k - 1] * sq[k] / b
         mu[k - 1], mu[k] = mu[k], mu[k - 1]
@@ -552,25 +553,6 @@ def _uniform_box(s: np.ndarray, radius: float, tol: Tolerance, limit: int) -> in
     return k
 
 
-class _Inverses:
-    """A stack (k, n, n) of validated invertible matrices with their inverses and the row
-    norms of each inverse, each taken for the whole stack in one call when first read."""
-
-    def __init__(self, stack: np.ndarray) -> None:
-        self._stack, self._inv, self._rows = stack, None, None
-
-    def inverse(self, i: int) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.linalg.inv(self._stack)
-        return self._inv[i]
-
-    def row_norms(self, i: int) -> list:
-        if self._rows is None:
-            self.inverse(i)  # takes the inverses of the whole stack
-            self._rows = _row_norms(self._inv)
-        return self._rows[i]
-
-
 def _row_norms(x: np.ndarray) -> list:
     """The norms of the rows of x, or of each matrix in a stack.  A norm past the largest
     double (an inverse with sigma_min below ~1e-154, under a tiny tol.rel) is inf, unwarned:
@@ -579,28 +561,29 @@ def _row_norms(x: np.ndarray) -> list:
         return np.linalg.norm(x, axis=-1).tolist()
 
 
-def _enumerate(stack: np.ndarray, svals: np.ndarray, ks: list, radius: float,
-               inverses: _Inverses) -> list:
+def _enumerate(stack: np.ndarray, svals: np.ndarray, ks: list, radius: float) -> list:
     """The ascending float64 norms of short_vectors on each matrix of a validated stack
     (k, n, n) with singular values svals (descending) and ks[i] = _uniform_box(svals[i],
-    radius, ...); inverses holds the stack.  Where the cube of the largest K fits
-    _SMALL_BOX, the whole stack is scanned on it and no inverse is read (see the module
-    docstring); past it each matrix takes its own per-axis box (_per_axis).
+    radius, ...).  Where the cube of the largest K fits _SMALL_BOX, the whole stack is
+    scanned on it, with no inverse (see the module docstring).  Past it the inverses of
+    the stack and their row norms are each taken in one call, and each matrix takes its
+    own per-axis box (_per_axis).
     """
     n, side = stack.shape[-1], 2 * max(ks) + 1
     if side ** (2 * n) > _SMALL_BOX:
-        return [_per_axis(am, s, k, radius, inverses, i)
-                for i, (am, s, k) in enumerate(zip(stack, svals, ks))]
+        invs = np.linalg.inv(stack)
+        return [_per_axis(*args, radius)
+                for args in zip(stack, svals, ks, invs, _row_norms(invs))]
     w = stack @ _small_box((side,) * (2 * n))
     sq = np.sum(w.real**2 + w.imag**2, axis=1)
     sq[:, sq.shape[1] // 2] = np.inf  # the zero vector, at the centre of the cube
     return [np.sort(x[x <= radius]) if k else np.empty(0) for x, k in zip(sq, ks)]
 
 
-def _per_axis(am: np.ndarray, s: np.ndarray, k: int, radius: float,
-              inverses: _Inverses, i: int) -> np.ndarray:
-    """The norms of _enumerate on matrix i of the stack that inverses holds, A with
-    singular values s, on A's per-axis box; A's inverse is read only when K > 0.
+def _per_axis(am: np.ndarray, s: np.ndarray, k: int, inv: np.ndarray, rows: list,
+              radius: float) -> np.ndarray:
+    """The norms of _enumerate on one matrix A with singular values s, inverse inv and
+    the row norms rows of inv, on A's per-axis box.
 
     The box is provably sufficient: |lambda_i| <= |row i of A^-1| * |A lambda|,
     so outside K_i = floor(sqrt(radius) * |row i of A^-1|) the image norm
@@ -626,10 +609,10 @@ def _per_axis(am: np.ndarray, s: np.ndarray, k: int, radius: float,
         return np.empty(0)
     # the relative margin absorbs rounding in the row norms of A^-1; the absolute
     # term, a multiple of cond(A) eps |A^-1|, covers an ill-conditioned A, and
-    # the L1 norm of a row of U^-1 carries it through the exact integer product
-    inv = inverses.inverse(i)
-    slack = 16 * n * _EPS * smax / smin**2
-    rows = inverses.row_norms(i)
+    # the L1 norm of a row of U^-1 carries it through the exact integer product.
+    # Divided by sigma_min twice, it is inf where sigma_min^2 would underflow, and
+    # each axis bound is then the uniform box's K
+    slack = 16 * n * _EPS * smax / smin / smin
     ks = [_axis_bound(root * (r * (1.0 + 1e-9) + slack), k) for r in rows]
     u = None
     if _box_size(ks) > _SMALL_BOX:
@@ -693,30 +676,22 @@ def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float, e: int = 0)
     return None
 
 
-def _square(x: float, k: int = 0) -> float:
-    """(x 2^k) ** 2, and inf where it overflows."""
-    try:
-        return math.ldexp(x, k) ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, tol: Tolerance,
-                   inverses: _Inverses):
+def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, tol: Tolerance):
     """The Equivalent verdict of the first verified hit of the Gram scan on the pair (A1, A2)
-    with Gram forms grams, with the hit's Gram residual |B* P1 B - P2|_F, or None when no
-    hit is kept.
+    with Gram forms grams, or None when no hit is kept.
 
     Each hit gives the unitary T = A2 B^-1 A1^-1 (B, built on entries the scan proved,
-    inverted exactly via its adjugate, A1 by the pair's inverses, read at the first hit),
-    which must pass classify and the re-verification; in special_unitary mode a hit whose
-    det(T) is not one is passed over.
+    inverted exactly via its adjugate; A1 inverted once, at the first hit), which must
+    pass classify and the re-verification; in special_unitary mode a hit whose det(T) is
+    not one is passed over.
     """
     (m1, m2), n = pair, pair.shape[-1]
-    for entries, gram_residual in _gram_hits(height, grams[0], grams[1], tol):
+    inv = None
+    for entries in _gram_hits(height, grams[0], grams[1], tol):
         b = GaussianUnimodular._proved(entries)  # _column_pairs proved ad - bc = 1
-        # A1 passed the gate, and each witness is re-verified
-        t = m2 @ b.inverse_matrix() @ inverses.inverse(0)
+        if inv is None:  # A1 passed the gate, and each witness is re-verified
+            inv = np.linalg.inv(m1)
+        t = m2 @ b.inverse_matrix() @ inv
         member = _classify(t, tol)
         if not member.in_u:
             raise InternalCheckError(
@@ -729,7 +704,7 @@ def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, 
             raise InternalCheckError(
                 f"witness failed re-verification (residual {residual:.3e})"
             )
-        return EquivalenceVerdict(EQUIVALENT, (frozen(t), b), None, height), gram_residual
+        return EquivalenceVerdict(EQUIVALENT, (frozen(t), b), None, height)
     return None
 
 
@@ -748,24 +723,24 @@ def lattice_equivalent(
     on it, cheapest first: the invertibility gate, the covolume refuter, the
     dimension cap, the radius check and the box budgets, the height check, the
     Gram forms A* A and the bounded Gram-orbit scan (both only where the height
-    check passes), and the short-vector spectrum refuter only where the scan
-    found no witness that settles the pair (see the module docstring).  Right
-    after the gate the pair is scaled by the one power of two that puts the
-    larger sigma_max in [1, 2), and the radius by its square: the verdict does
-    not change under a common power-of-two scale, tol.abs applies at unit
-    scale, and covolumes and spectrum values are reported at the caller's
-    scale.  Where the scan does not run or raises (HeightTooLarge at n = 3 or
-    past the box, say), a refutation by the spectra is returned, and the
-    scan's error is raised only when they do not refute.  Each input is a root
-    of its Gram form and has passed the gate, so the forms need no positivity
-    check; an A* A that underflowed (possible only under a caller's tiny
-    tol.rel) raises NumericOverflow.  Equivalent verdicts carry the
-    reconstructed unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
+    check passes).  A witness the scan verifies at tol is returned at once; the
+    short-vector spectrum refuter runs only where the scan keeps none (see the
+    module docstring).  Right after the gate the pair is scaled by the one
+    power of two that puts the larger sigma_max in [1, 2), and the radius by
+    its square: the verdict does not change under a common power-of-two scale,
+    tol.abs applies at unit scale, and covolumes and spectrum values are
+    reported at the caller's scale.  Where the scan does not run or raises
+    (HeightTooLarge at n = 3 or past the box, say), a refutation by the spectra
+    is returned, and the scan's error is raised only when they do not refute.
+    Each input is a root of its Gram form and has passed the gate, so the forms
+    need no positivity check; an A* A that underflowed (possible only under a
+    caller's tiny tol.rel) raises NumericOverflow.  Equivalent verdicts carry
+    the reconstructed unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
     adjugate) and are re-verified before being returned.  In special_unitary
     mode both inputs must also have determinant one at the caller's scale, as
     classify calls it (the same gate and determinant, then |det - 1| <=
-    tol.rel * n; NotInSL otherwise, a singular input included), and witnesses
-    are additionally filtered by det(T) = 1, continuing the search otherwise.
+    tol.rel * n; NotInSL otherwise, a singular input included), and witnesses are
+    additionally filtered by det(T) = 1, continuing the search otherwise.
     """
     m1 = as_matrix(a1, square=True)
     m2 = as_matrix(a2, square=True)
@@ -795,8 +770,8 @@ def lattice_equivalent(
     # of the two |det|, which neither over- nor underflows at any dimension
     lo, hi = sorted(abs(d) for d in dets)
     if hi > 0.0 and 1.0 - (lo / hi) ** 2 > tol.rel:
-        c1, c2 = (_square(abs(d), n * e) for d in dets)
-        return EquivalenceVerdict(REFUTED, None, ("covolume", c1, c2), height)
+        r1, r2 = (_ldexp(abs(d), n * e) for d in dets)  # |det| at the caller's scale
+        return EquivalenceVerdict(REFUTED, None, ("covolume", r1 * r1, r2 * r2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the
     # orbit search can run, so fail fast before an 8-and-up-dimensional pair's box scan
@@ -804,8 +779,7 @@ def lattice_equivalent(
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     unit_radius = _unit_radius(radius, e)
     ks = [_uniform_box(x, unit_radius, tol, budget) for x in svals]
-    inverses = _Inverses(pair)
-    witness = error = None
+    error = None
     try:
         _check_height(n, height, budget)
     except (CxlatError, ValueError) as exc:  # raised after the spectra, which may refute first
@@ -813,19 +787,14 @@ def lattice_equivalent(
     else:  # A* A is formed only where the scan runs, and its underflow is raised at once
         grams = _gram_matrix(pair)
         try:
-            witness = _first_witness(height, pair, grams, mode, tol, inverses)
+            witness = _first_witness(height, pair, grams, mode, tol)
         except (CxlatError, ValueError) as exc:
-            error = exc
-    # a witness moves each norm v = |A2 lambda|^2 of the spectrum by at most its Gram
-    # residual r times |lambda|^2 <= v / sigma_min(A2)^2.  At a tenth of the spectra's
-    # resolution that rules out a refutation by value, and one by count unless norms
-    # lie within that distance of both guard-band cutoffs
-    if witness is not None and witness[1] <= 0.1 * _SPECTRUM_REL * float(svals[1, -1]) ** 2:
-        return witness[0]
-    norms = _enumerate(pair, svals, ks, unit_radius, inverses)
-    mismatch = _spectra_mismatch(*norms, unit_radius, e)
+            witness, error = None, exc
+        if witness is not None:  # verified at tol: the spectra do not overrule it
+            return witness
+    mismatch = _spectra_mismatch(*_enumerate(pair, svals, ks, unit_radius), unit_radius, e)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)
     if error is not None:
         raise error
-    return witness[0] if witness is not None else EquivalenceVerdict(UNDECIDED, None, None, height)
+    return EquivalenceVerdict(UNDECIDED, None, None, height)

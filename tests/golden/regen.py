@@ -292,6 +292,13 @@ CASES = {
         "input": '{"first": [[[1,0],[0,0]],[[0,0],[1,0]]], "second": [[[0.5,0],[0,0]],[[0,0],[2,0]]]}',
         "exit": 0,
     },
+    # at tol.rel 1e-3 the scan's first witness, B = -I, passes the re-verification, and the
+    # spectra, at their fixed resolution of 1e-6, do not overrule it
+    "lattice-equiv-loose-witness": {
+        "argv": ["lattice-equiv", "--tol-rel", "1e-3"],
+        "input": '{"first": [[[1,0],[0,0]],[[0,0],[1,0]]], "second": [[[1.0005,0],[0,0]],[[0,0],[0.99950024987506247,0]]]}',
+        "exit": 0,
+    },
     "lattice-equiv-su-rejected": {
         "argv": ["lattice-equiv", "--mode", "special_unitary"],
         "input": '{"first": [[[2, 0]]], "second": [[[2, 0]]]}',

@@ -92,6 +92,20 @@ def test_an_overflowing_intermediate_is_one_malformed_line(argv, input_text):
     assert error["message"].endswith("is not finite: the computation overflowed")
 
 
+def test_an_underflowing_sigma_min_squared_is_one_error_line():
+    # sigma_min ~1e-162 under a tiny --tol-rel: the short-vector bounds divide by sigma_min
+    # twice, never by its square, which underflows to zero; the call ends in one canonical
+    # error line with exit 1 and nothing on stderr
+    m = "[[[1, 0], [1.3, 0.2]], [[0, 0], [1.6082745327337782e-162, 0]]]"
+    argv, input_text = ["lattice-equiv", "--tol-rel", "1e-300", "--radius", "1.5e-323"], \
+        f'{{"first": {m}, "second": {m}}}'
+    assert stderr_of(argv, input_text) == ""
+    code, out = run_cli(argv, input_text)
+    assert code == 1
+    assert out == jsonio.dumps_canonical(json.loads(out))
+    assert json.loads(out)["status"] == "error"
+
+
 # what importing cxlattices.cli loads, and what one subcommand of each family adds to it
 CLI_MODULES = {"cxlattices", "errors", "kernel", "polar", "jsonio", "cli"}
 FAMILY_MODULES = {

@@ -122,6 +122,15 @@ def test_overflowing_moduli_raise_numeric_overflow():
     assert f.theta is None and not is_invertible_1d(f)
 
 
+def test_scalar_forms_built_directly_refuse_an_overflowing_modulus():
+    # ScalarForms is public: a finite field whose modulus overflows raises the same domain
+    # error as from_ab, where abs() in its checks used to raise OverflowError
+    with pytest.raises(NumericOverflow, match="^\\|a\\| overflows; rescale the map first$"):
+        ScalarForms(a=complex(1.7e308, 1.7e308), b=1, alpha=1, beta=1, c=None, theta=None, mu=None)
+    with pytest.raises(NumericOverflow, match="^\\|beta\\| overflows"):
+        ScalarForms(a=1, b=1, alpha=1, beta=complex(-1e308, 1.7e308), c=None, theta=None, mu=None)
+
+
 def test_scalar_forms_invariants_enforced():
     with pytest.raises(InternalCheckError):
         ScalarForms(a=1, b=1, alpha=1, beta=1, c=None, theta=None, mu=None)
