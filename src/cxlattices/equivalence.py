@@ -23,18 +23,20 @@ finish.  The candidate order is fixed, lexicographic in the entries
 repeated runs return identical verdicts.  sigma_candidates lists that set
 in that order; the search itself never builds it.
 
-The search matches columns, not candidates.  Column i of a witness B has
-P1-norm (P2)_ii (the first invariant of Plesken and Souvignier, "Computing
-isometries of lattices", 1997).  The scan takes the (2H+1)^4 Gaussian
-columns of height <= H, built once per height with the squared length of
-each and a real feature matrix F, one row per column b (|b_0|^2, |b_1|^2,
+The search matches columns, not candidates.  At n = 2, B* P1 B has three
+distinct entries: the column norms bj* P1 bj and the cross term b1* P1 b2
+(the invariants of Plesken and Souvignier, "Computing isometries of
+lattices", 1997).  The scan takes the (2H+1)^4 Gaussian columns of height
+<= H, built once per height with the squared length of each and a real
+feature matrix F, one row per column b (|b_0|^2, |b_1|^2,
 2 Re(conj(b_0) b_1) and -2 Im(conj(b_0) b_1)).  One product
 F @ [P1_00, P1_11, Re P1_01, Im P1_01] gives every column norm b* P1 b.
 The scan returns at once when no column matches (P2)_11; otherwise it
-pairs the columns that match (P2)_11 with those that match (P2)_22, keeps
-the pairs (a, c), (b, d) with ad - bc = 1, exact on small Gaussian
-integers, puts them in candidate order and runs the full Gram test on them
-in chunks.
+pairs the columns that match (P2)_11 with those that match (P2)_22 (a
+pair count past the budget raises HeightTooLarge), keeps the pairs (a, c),
+(b, d) with ad - bc = 1, exact on small Gaussian integers, takes the
+cross term of those alone, and tests the Frobenius residual from the two
+norm gaps and the cross term.  One sort puts the hits in candidate order.
 
 Scale follows one rule: A1(Z[i]^n) and A2(Z[i]^n) are equivalent exactly
 when s A1(Z[i]^n) and s A2(Z[i]^n) are, for any scalar s != 0.  So each
@@ -181,15 +183,15 @@ def _gauss_box(height: int):
 class _Grid(NamedTuple):
     """The m = (2H+1)^2 Gaussian integers of height <= H in box order (box), and the
     m^2 pairs of them: the pair (x, y) of box indices has id x m + y and is
-    cols[x m + y], so cols holds every column, and every row, of a 2x2 candidate.
+    cols[x m + y], so cols holds every column of a 2x2 candidate.
 
     weights holds the squared length |b|^2 of each column, for the scan's slack, and
     features (c, 4) its real form for its P-norm: |b_0|^2, |b_1|^2, then
     2 Re(conj(b_0) b_1) and -2 Im(conj(b_0) b_1), so b* P b = features @ [P_00, P_11,
     Re P_01, Im P_01] for a Hermitian P; on Gaussian integers every feature is exact.
     spread[x m + y] = x m^2 + y, so a first column (a, c) and a second (b, d) give
-    m spread[first] + spread[second] = (a m + b) m^2 + (c m + d): the ids of the
-    rows of ((a, b), (c, d)), in one number that sorts as candidate order does.
+    m spread[first] + spread[second] = (a m + b) m^2 + (c m + d), one number that
+    sorts as candidate order does.
     """
 
     box: tuple
@@ -288,58 +290,44 @@ def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     return ((((1, 0),),),) if n == 1 else _complete_2x2(height)
 
 
-def _column_pairs(grid: _Grid, p1: np.ndarray, p2: np.ndarray, bound: float, size: float):
-    """The row ids (k, 2), in candidate order, of every 2x2 determinant-one B on the
-    grid whose columns have P1-norms (P2)_11 and (P2)_22 to within the bound.
-
-    Every column norm of the grid comes from one product of its features with the
-    real coefficients of P1.  The slack, which scales with |P1|_F = size and with
-    each column's |b|^2, covers the rounding by which the two ways of computing
-    b* P1 b may differ.  The determinant ad - bc of each pair of matching columns
-    (a, c) and (b, d) is exact on small Gaussian integers.
-    """
+def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
+               budget: int = DEFAULT_BUDGET):
+    """Yield, in candidate order, the entries of every determinant-one B of entry height
+    <= height with |B* P1 B - P2|_F within tol.rel (|P1|_F + |P2|_F) + tol.abs, for
+    exactly Hermitian P1 and P2, by the column scan of the module docstring.  The slack
+    on each column norm, which scales with |P1|_F and with |b|^2, covers the rounding
+    by which two ways of computing b* P1 b may differ."""
+    size = fro(p1)
+    bound = tol.rel * (size + fro(p2)) + tol.abs
+    if p1.shape[0] == 1:
+        if abs(p1[0, 0] - p2[0, 0]) <= bound:
+            yield (((1, 0),),)
+        return
+    grid = _grid(height)
     (p00, p01), (_, p11) = p1.tolist()
-    norms = grid.features @ np.array([p00.real, p11.real, p01.real, p01.imag])
+    coefficients = np.array([p00.real, p11.real, p01.real, p01.imag])
+    gaps = grid.features @ coefficients - p2.diagonal().real[:, None]  # bj* P1 bj - (P2)_jj
     reach = bound + 64 * _EPS * (size * grid.weights + bound)
-    near = np.abs(norms - p2.diagonal().real[:, None]) <= reach
+    near = np.abs(gaps) <= reach
     first = np.flatnonzero(near[0])
     if first.size == 0:
-        return np.empty((0, 2), dtype=np.intp)
+        return
     second = np.flatnonzero(near[1])
+    if first.size * second.size > budget:
+        raise HeightTooLarge(f"{first.size} x {second.size} matching column pairs at height"
+                             f" {height} exceed budget {budget}")
     f, s = grid.cols[first], grid.cols[second]
-    unit = np.multiply.outer(f[:, 0], s[:, 1]) - np.multiply.outer(f[:, 1], s[:, 0]) == 1
-    m = len(grid.box)
-    keys = np.sort((m * grid.spread[first][:, None] + grid.spread[second])[unit])
-    return keys[:, None] // (m * m, 1) % (m * m)  # divmod(key, m^2)
-
-
-def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance):
-    """Yield, in candidate order, the entries of every determinant-one B of entry height
-    <= height with |B* P1 B - P2|_F within the bound tol.rel (|P1|_F + |P2|_F) + tol.abs.
-
-    At n = 1 the only candidate is [[1]].  At n = 2 column i of such a B has
-    P1-norm (P2)_ii to within the bound, so the scan matches columns, not
-    candidates (_column_pairs), and runs the Frobenius test only on the
-    determinant-one pairs of matching columns.  B is given by the ids of its rows
-    in a table of rows; the box indices of a row are the n digits of its id in
-    base m.
-    """
-    n, size = p1.shape[0], fro(p1)
-    bound = tol.rel * (size + fro(p2)) + tol.abs
-    if n == 1:  # the only candidate: row 0, [1], over a box of one entry
-        box, table, rows = ((1, 0),), np.ones((1, 1), np.complex128), np.zeros((1, 1), np.intp)
-    else:
-        grid = _grid(height)
-        box, table, rows = grid.box, grid.cols, _column_pairs(grid, p1, p2, bound, size)
-    m = len(box)
-    powers = [m**j for j in range(n - 1, -1, -1)]
-    for lo in range(0, len(rows), _CHUNK):
-        sel = rows[lo : lo + _CHUNK]
-        bs = table[sel]
-        transported = np.einsum("kji,jl,klm->kim", bs.conj(), p1, bs)
-        diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
-        for k in np.flatnonzero(diffs <= bound).tolist():
-            yield tuple(tuple(box[r // p % m] for p in powers) for r in sel[k].tolist())
+    i, j = np.nonzero((f * [1, -1]) @ s[:, ::-1].T == 1)  # ad - bc, exact on Gaussian integers
+    cross = np.sum((f.conj() @ p1)[i] * s[j], axis=1) - p2[0, 1]
+    residual = np.sqrt(gaps[0, first[i]] ** 2 + gaps[1, second[j]] ** 2
+                       + 2.0 * (cross.real**2 + cross.imag**2))
+    keep = residual <= bound
+    u, v = first[i[keep]], second[j[keep]]
+    box, m = grid.box, len(grid.box)
+    order = np.argsort(m * grid.spread[u] + grid.spread[v])
+    for x, y in zip(u[order].tolist(), v[order].tolist()):
+        (a, c), (b, d) = divmod(x, m), divmod(y, m)
+        yield (box[a], box[b]), (box[c], box[d])
 
 
 def _scaled(a: np.ndarray, k: int) -> np.ndarray:
@@ -366,11 +354,12 @@ def sigma_orbit_equal(
 
     Returns Equivalent with witness (None, B) on the first match in the
     fixed candidate order, else UndecidedUpToBound; never refutes, since a
-    taller witness may always exist.  A raw matrix is certified as a Gram
-    form at tol (as_gram_form); a GramForm is taken as it is.  Both forms
-    are then scaled by one power of two that puts their largest diagonal
-    entry in [1, 2), so the verdict does not change under a common scale,
-    and tol.abs applies at that unit scale.
+    taller witness may always exist; HeightTooLarge where the height box or
+    the scan's matching column pairs exceed the budget.  A raw matrix is
+    certified as a Gram form at tol (as_gram_form); a GramForm is taken as it
+    is.  Both forms are then scaled by one power of two that puts their
+    largest diagonal entry in [1, 2), so the verdict does not change under a
+    common scale, and tol.abs applies at that unit scale.
     """
     p1 = as_gram_form(p1, tol)
     p2 = as_gram_form(p2, tol)
@@ -383,8 +372,8 @@ def sigma_orbit_equal(
     # the largest diagonal entry times 2^-e is in [1, 2)
     e = math.frexp(max(p.matrix.diagonal().real.max() for p in (p1, p2)))[1] - 1
     q1, q2 = _scaled(p1.matrix, -e), _scaled(p2.matrix, -e)
-    for entries in _gram_hits(height, q1, q2, tol):
-        witness = GaussianUnimodular._proved(entries)  # _column_pairs proved ad - bc = 1
+    for entries in _gram_hits(height, q1, q2, tol, budget):
+        witness = GaussianUnimodular._proved(entries)  # _gram_hits proved ad - bc = 1
         return EquivalenceVerdict(EQUIVALENT, (None, witness), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
 
@@ -676,7 +665,8 @@ def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float, e: int = 0)
     return None
 
 
-def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, tol: Tolerance):
+def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, tol: Tolerance,
+                   budget: int):
     """The Equivalent verdict of the first verified hit of the Gram scan on the pair (A1, A2)
     with Gram forms grams, or None when no hit is kept.
 
@@ -687,8 +677,8 @@ def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, 
     """
     (m1, m2), n = pair, pair.shape[-1]
     inv = None
-    for entries in _gram_hits(height, grams[0], grams[1], tol):
-        b = GaussianUnimodular._proved(entries)  # _column_pairs proved ad - bc = 1
+    for entries in _gram_hits(height, grams[0], grams[1], tol, budget):
+        b = GaussianUnimodular._proved(entries)  # _gram_hits proved ad - bc = 1
         if inv is None:  # A1 passed the gate, and each witness is re-verified
             inv = np.linalg.inv(m1)
         t = m2 @ b.inverse_matrix() @ inv
@@ -730,7 +720,7 @@ def lattice_equivalent(
     its square: the verdict does not change under a common power-of-two scale,
     tol.abs applies at unit scale, and covolumes and spectrum values are
     reported at the caller's scale.  Where the scan does not run or raises
-    (HeightTooLarge at n = 3 or past the box, say), a refutation by the spectra
+    (HeightTooLarge at n = 3 or past a budget, say), a refutation by the spectra
     is returned, and the scan's error is raised only when they do not refute.
     Each input is a root of its Gram form and has passed the gate, so the forms
     need no positivity check; an A* A that underflowed (possible only under a
@@ -787,7 +777,7 @@ def lattice_equivalent(
     else:  # A* A is formed only where the scan runs, and its underflow is raised at once
         grams = _gram_matrix(pair)
         try:
-            witness = _first_witness(height, pair, grams, mode, tol)
+            witness = _first_witness(height, pair, grams, mode, tol, budget)
         except (CxlatError, ValueError) as exc:
             witness, error = None, exc
         if witness is not None:  # verified at tol: the spectra do not overrule it

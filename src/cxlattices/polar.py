@@ -46,13 +46,13 @@ from .kernel import (
     _adjoint,
     _built,
     _det,
-    _hermitian_eig,
     _invertibility_gate,
     _overflow_checked,
     as_matrix,
     fro,
     frozen,
     gated_solve,
+    sigma_ratio,
 )
 
 
@@ -60,8 +60,9 @@ def _hermitian_part(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.conj().T)
 
 
-def _root_certified(p, tol: Tolerance) -> np.ndarray:
-    """The Hermitian part of p, read-only, once p passes GramForm's rule at tol.
+def _root_certified(p, tol: Tolerance) -> tuple:
+    """The Hermitian part of p and the root R = L* of its Cholesky factor L (p = R* R),
+    both read-only, once p passes GramForm's rule at tol.
 
     p must be finite and self-adjoint to within tol, and its Cholesky factor
     must exist and pass invertibility_margin at tol with a squared margin
@@ -82,7 +83,7 @@ def _root_certified(p, tol: Tolerance) -> np.ndarray:
     # cannot tell p from a semidefinite form
     if not ok or margin**2 <= GRAY_ZONE * p.shape[0] * _EPS:
         raise NotPositiveDefinite(f"root margin {margin:.3e} too small to certify positivity")
-    return frozen(p)
+    return frozen(p), frozen(root.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +98,24 @@ class GramForm:
     n eps, so the factor's squared margin must also exceed GRAY_ZONE * n * eps;
     a numerically semidefinite p (say B* B of a rank-deficient B, formed in
     floating point) is refused.  The stored matrix is the Hermitian part of p.
+
+    Every Gram form keeps the root R (P = R* R) that certified it, outside its
+    fields: A for gram, S^(1/2) V* for polar and spd_sqrt, and the adjoint of
+    the Cholesky factor for GramForm(p) and as_gram_form.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _root_certified(self.matrix, DEFAULT_TOL))
+        matrix, root = _root_certified(self.matrix, DEFAULT_TOL)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_root", root)
 
     @classmethod
-    def _certified(cls, p: np.ndarray) -> GramForm:
+    def _certified(cls, p: np.ndarray, root: np.ndarray) -> GramForm:
         """The Gram form of p, a finite square complex128 matrix whose positivity the caller
-        has certified by a root margin."""
-        return _built(cls, matrix=_hermitian_part(p))
+        has certified by the margin of root, with p = root* root."""
+        return _built(cls, matrix=_hermitian_part(p), _root=root)
 
     @property
     def dim(self) -> int:
@@ -121,7 +128,7 @@ def as_gram_form(p, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     GramForm(p) always certifies at the default tolerance; a caller that
     threads its own tol certifies a raw matrix through this instead.
     """
-    return p if isinstance(p, GramForm) else GramForm._certified(_root_certified(p, tol))
+    return p if isinstance(p, GramForm) else GramForm._certified(*_root_certified(p, tol))
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,7 @@ def _gram(am: np.ndarray, tol: Tolerance) -> GramForm:
     the form's eigenvalues are lost in rounding or are zero.
     """
     _gated_margin(am, tol, "gram")
-    return GramForm._certified(_gram_matrix(am))
+    return GramForm._certified(_gram_matrix(am), am)
 
 
 def _gram_matrix(am: np.ndarray) -> np.ndarray:
@@ -227,7 +234,7 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
         raise DimensionMismatch(f"shapes differ: {m1.shape} vs {m2.shape}")
     # A1* has A1's singular values, so the gate's margin on A1 also gates the solve
     margin = _gated_margin(m1, tol, "gram")
-    p1 = GramForm._certified(_gram_matrix(m1))
+    p1 = GramForm._certified(_gram_matrix(m1), m1)
     p2 = _gram(m2, tol)
     bound = tol.rel * (fro(m1) ** 2 + fro(m2) ** 2) + tol.abs
     if fro(p1.matrix - p2.matrix) > bound:
@@ -242,23 +249,23 @@ def spd_sqrt(p: GramForm, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     """The unique self-adjoint positive-definite square root.
 
     A raw matrix is certified as a Gram form at tol first (as_gram_form).
-    The eigenvalues w of P must pass the module's rule,
-    sqrt(w_min / w_max) > tol.rel.  The root's eigenvalues are sqrt(w), whose
-    own root margin (w_min / w_max) ** (1/4) is larger still, so it is a Gram
-    form without a further check.
+    The root R that certified P (P = R* R) takes one SVD, R = W S V*, so
+    P = V S^2 V*: S must pass the module's rule, s_min / s_max > tol.rel, read
+    from R and not from the entries of P, whose rounding blurs an eigenvalue
+    below ~eps of the largest.  The square root is V S V*, with the root
+    S^(1/2) V*, whose margin sqrt(s_min / s_max) is larger still, so it is a
+    Gram form without a further check.
     """
     p = as_gram_form(p, tol)
-    w, v = _hermitian_eig(p.matrix, tol)
-    if not (w[0] > 0.0 and np.sqrt(w[0] / w[-1]) > tol.rel):
-        raise NotPositiveDefinite(
-            f"eigenvalue ratio {w[0] / w[-1]:.3e}: root margin not above tolerance"
-        )
-    q = (v * np.sqrt(w)) @ v.conj().T
-    q = 0.5 * (q + q.conj().T)
+    _, s, vh = np.linalg.svd(p._root)
+    margin = sigma_ratio(float(s[0]), float(s[-1]))
+    if not margin > tol.rel:
+        raise NotPositiveDefinite(f"root margin {margin:.3e} not above tolerance")
+    q = _hermitian_part((vh.conj().T * s) @ vh)
     defect = fro(q @ q - p.matrix)
     if defect > 100.0 * tol.rel * max(fro(p.matrix), 1.0) + tol.abs:
         raise InternalCheckError(f"square root residual {defect:.3e} beyond tolerance")
-    return GramForm._certified(q)
+    return GramForm._certified(q, np.sqrt(s)[:, None] * vh)
 
 
 def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
@@ -277,7 +284,7 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
     _gated_margin(am, tol, "polar")
     w, s, vh = np.linalg.svd(am)
     u = w @ vh
-    p = GramForm._certified((vh.conj().T * s) @ vh)
+    p = GramForm._certified((vh.conj().T * s) @ vh, np.sqrt(s)[:, None] * vh)
     residual = fro(am - u @ p.matrix)
     if residual > tol.rel * max(fro(am), 1.0) + tol.abs:
         raise InternalCheckError(f"polar residual {residual:.3e} beyond tolerance")

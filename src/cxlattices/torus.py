@@ -43,7 +43,16 @@ from .errors import (
     NumericOverflow,
     SingularMatrix,
 )
-from .kernel import _EPS, DEFAULT_TOL, Tolerance, _built, as_vector, frozen, real_columns
+from .kernel import (
+    _EPS,
+    DEFAULT_TOL,
+    Tolerance,
+    _built,
+    _require_finite,
+    as_vector,
+    frozen,
+    real_columns,
+)
 from .lattices import LatticeBasis, same_lattice
 
 
@@ -55,7 +64,8 @@ class TorusPoint:
     in [0, 1), rep = G @ coords bit for bit, a finite rep, and read-only
     arrays, all by construction: they run no validation below.  Direct
     construction copies both arrays and re-validates the invariants: the
-    shapes, coords in [0, 1), and rep within tolerance of G @ coords.
+    shapes, finite entries (ValueError otherwise), coords in [0, 1), and rep
+    within tolerance of G @ coords.
     """
 
     lattice: LatticeBasis
@@ -70,6 +80,8 @@ class TorusPoint:
             raise DimensionMismatch(
                 f"expected rep of length {n} and coords of length {2 * n}"
             )
+        _require_finite(rep, "vector")
+        _require_finite(coords, "vector")
         if np.any(coords < 0.0) or np.any(coords >= 1.0):
             raise InternalCheckError("coordinates must lie in [0, 1)")
         drift = np.linalg.norm(rep - self.lattice.g @ coords)

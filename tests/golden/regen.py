@@ -328,6 +328,13 @@ CASES = {
         "input": '{"first": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]], "second": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}',
         "exit": 1,
     },
+    # with tol.abs 1000 every column of height 4 matches: 6561 x 6561 column pairs exceed
+    # the default budget, so the scan fails fast instead of forming them
+    "lattice-equiv-column-pairs-over-budget": {
+        "argv": ["lattice-equiv", "--tol-abs", "1000", "--height", "4"],
+        "input": '{"first": [[[1,0],[0,0]],[[0,0],[1,0]]], "second": [[[1,0],[0,0]],[[0,0],[1,0]]]}',
+        "exit": 1,
+    },
     # --- sigma-check ---
     "sigma-check-member": {
         "argv": ["sigma-check"],

@@ -131,6 +131,17 @@ def test_scalar_forms_built_directly_refuse_an_overflowing_modulus():
         ScalarForms(a=1, b=1, alpha=1, beta=complex(-1e308, 1.7e308), c=None, theta=None, mu=None)
 
 
+def test_scalar_forms_drift_whose_modulus_overflows_is_a_drift():
+    # finite fields whose moduli are finite but inconsistent: |alpha + beta - a| is past the
+    # largest double, which abs() raised as OverflowError; it is a drift past every bound
+    with pytest.raises(InternalCheckError, match="^alpha \\+ beta drifted from a$"):
+        ScalarForms(a=0, b=0, alpha=complex(1e308, 1e308), beta=complex(0.7e308, 0.7e308),
+                    c=None, theta=None, mu=None)
+    # |mu| past the largest double fails |mu| < 1 the same way
+    with pytest.raises(InternalCheckError, match="^theta form requires theta != 0 and \\|mu\\| < 1$"):
+        ScalarForms(a=1, b=1, alpha=1, beta=0, c=1, theta=1, mu=complex(1.5e308, 1.5e308))
+
+
 def test_scalar_forms_invariants_enforced():
     with pytest.raises(InternalCheckError):
         ScalarForms(a=1, b=1, alpha=1, beta=1, c=None, theta=None, mu=None)

@@ -163,9 +163,10 @@ def _as_stack(cands):
 
 @pytest.mark.parametrize("n, h, budget", [(1, 1, 10), (2, 1, 10**7), (2, 3, 10**7)])
 def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
-    # the scan gathers each B as the rows (a, b) and (c, d) of the cached grid, by the
-    # ids (a m + b, c m + d) of their box indices; sorting the key ab m^2 + cd, as the
-    # scan does, puts the candidates in sigma_candidates order
+    # the scan reads each B as its columns (a, c) and (b, d) in the cached grid, by the
+    # ids (a m + c, b m + d) of their box indices; sorting the key m spread[first] +
+    # spread[second], as the scan does, puts the candidates in sigma_candidates order,
+    # and one divmod by m per column id gives back the entries
     cands = sigma_candidates(n, h, budget)
     if n == 1:
         p = np.array([[2.0 + 0j]])
@@ -176,12 +177,38 @@ def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
     assert equivalence._grid(h) is grid
     m = len(grid.box)
     index = {z: i for i, z in enumerate(grid.box)}
-    rows = np.array([[index[a] * m + index[b], index[c] * m + index[d]] for (a, b), (c, d) in cands])
-    stack = grid.cols[rows]
+    ids = np.array([[index[a] * m + index[c], index[b] * m + index[d]] for (a, b), (c, d) in cands])
+    stack = grid.cols[ids].transpose(0, 2, 1)
     assert stack.dtype == np.complex128 and stack.shape == (len(cands), n, n)
     assert np.array_equal(stack, _as_stack(cands))
-    keys = rows[:, 0] * m * m + rows[:, 1]
+    keys = m * grid.spread[ids[:, 0]] + grid.spread[ids[:, 1]]
     assert np.all(keys[1:] > keys[:-1])
+    decoded = []
+    for x, y in ids.tolist():
+        (a, c), (b, d) = divmod(x, m), divmod(y, m)
+        decoded.append(((grid.box[a], grid.box[b]), (grid.box[c], grid.box[d])))
+    assert tuple(decoded) == cands
+
+
+def test_matching_column_pairs_past_the_budget_raise_height_too_large(empty_cache):
+    # I against I under tol.abs 1000: every column of the grid matches both diagonal
+    # entries, so the scan pairs (2H+1)^4 x (2H+1)^4 columns.  At height 3 the 2401^2
+    # pairs fit the default budget and every candidate is a hit; at height 4 the 6561^2
+    # pairs do not, and the scan fails fast before it forms them
+    loose = Tolerance(abs=1000.0)
+    eye = np.eye(2, dtype=complex)
+    assert list(equivalence._gram_hits(3, eye, eye, loose)) == list(sigma_candidates(2, 3))
+    message = "^6561 x 6561 matching column pairs at height 4 exceed budget 10000000$"
+    with pytest.raises(HeightTooLarge, match=message):
+        list(equivalence._gram_hits(4, eye, eye, loose))
+    with pytest.raises(HeightTooLarge, match=message):
+        sigma_orbit_equal(eye, eye, 4, tol=loose)
+    # at height 1, 32 columns match each diagonal entry of this form: 1024 pairs, past a
+    # budget of 729 that the height box (3^6 points) fits
+    p1, p2 = gram(np.eye(2)), gram(np.array([[1 + 1j, 1], [1, 1 - 1j]]))
+    with pytest.raises(HeightTooLarge, match="^32 x 32 matching column pairs at height 1 exceed budget 729$"):
+        sigma_orbit_equal(p1, p2, 1, budget=729)
+    assert sigma_orbit_equal(p1, p2, 1, budget=1024).status == EQUIVALENT
 
 
 def test_n3_raises_height_too_large_at_every_budget(empty_cache):

@@ -256,6 +256,29 @@ def test_gram_succeeds_exactly_when_the_gate_accepts():
     assert disagree == []
 
 
+def test_spd_sqrt_accepts_every_form_gram_certified():
+    # spd_sqrt reads positivity from the root that certified P, not from eigenvalues of
+    # P's entries, which lose lambda_min below ~eps lambda_max: it refused 15 of these
+    # forms when it did.  gram's root is A itself, so the square root is polar's P
+    rng = np.random.default_rng(5)
+    refused = []
+    for k in range(200):
+        n = int(rng.integers(2, 7))
+        a = with_ratio(rng, n, 10.0 ** rng.uniform(-9.0, -4.0))
+        try:
+            q = spd_sqrt(gram(a))
+        except NotPositiveDefinite:
+            refused.append(k)
+            continue
+        assert np.array_equal(q.matrix, polar(a)[1].matrix)
+    assert refused == []
+    a = np.diag([1.0, 1.6e-9]) @ np.array([[1.0, 0.3], [0.2, 1.0]])
+    assert np.array_equal(spd_sqrt(gram(a)).matrix, polar(a)[1].matrix)
+    # the gate still refuses a root at the caller's tol
+    with pytest.raises(NotPositiveDefinite, match="^root margin 1.000e-06 not above tolerance$"):
+        spd_sqrt(gram(np.diag([1.0, 1e-6])), Tolerance(rel=1e-5))
+
+
 def test_polar_and_gram_at_n8_match_svd_oracle_down_to_the_gate():
     rng = np.random.default_rng(4602)
     for _ in range(30):
@@ -298,7 +321,7 @@ def test_gram_reports_underflow_as_overflow():
             gram(a)
     p = gram(np.eye(2) * 1e-150).matrix
     assert np.array_equal(p, np.eye(2) * 1e-300)
-    assert spd_sqrt(GramForm._certified(p)).matrix[0, 0] == pytest.approx(1e-150)
+    assert spd_sqrt(GramForm._certified(p, np.eye(2) * 1e-150)).matrix[0, 0] == pytest.approx(1e-150)
 
 
 def test_sl_normalize_refuses_a_determinant_that_under_or_overflowed():

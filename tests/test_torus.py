@@ -122,6 +122,15 @@ def test_point_invariants_enforced():
     assert not p.rep.flags.writeable
 
 
+def test_point_built_by_hand_refuses_nan():
+    # NaN fails every comparison of the invariants, so it is refused before them
+    lat = standard_lattice(1)
+    for rep, coords in (([np.nan], [0.5, 0.5]), ([0.5 + 0.5j], [np.nan, 0.5]),
+                        ([complex(0.5, np.inf)], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="^vector entries must be finite \\(no NaN/Inf\\)$"):
+            TorusPoint(lat, rep, coords)
+
+
 def test_reduce_self_check_allows_the_rounding_of_the_wrap_at_zero_abs():
     # c = -1e-20: c - floor(c) rounds to 1.0 and wraps to 0, so the dropped part is -1e-20,
     # off the integer 0 by |c|, which only the rounding term of the bound allows
