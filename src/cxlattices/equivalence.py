@@ -105,6 +105,7 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import (
+    _EPS,
     DEFAULT_BUDGET,
     DEFAULT_HEIGHT,
     DEFAULT_RADIUS,
@@ -114,7 +115,6 @@ from .kernel import (
     Tolerance,
     _det,
     _invertibility_gate,
-    _singular_values,
     as_matrix,
     fro,
     frozen,
@@ -132,7 +132,6 @@ _LLL_STEPS = 1000
 # a box of at most this many points is scanned as it is, from a grid built once
 # per shape: scanning it costs about as much as reducing the basis would
 _SMALL_BOX = 3**6
-_EPS = float(np.finfo(np.float64).eps)
 # the relative resolution of the spectrum refuter: its guard band and its value test
 _SPECTRUM_REL = 1e-6
 
@@ -391,7 +390,8 @@ def short_vectors(
 ) -> ShortVectorSpectrum:
     """Squared norms |A lambda|^2 <= radius over nonzero Gaussian-integer vectors.
 
-    Takes one SVD of A.  The coefficient box is bounded axis by axis, on an
+    Takes one SVD of A, through the invertibility gate: SingularMatrix where
+    the gate refuses A.  The coefficient box is bounded axis by axis, on an
     LLL-reduced basis of the same lattice when A's own box is large (see
     _enumerate); the budget counts the uniform box (2K + 1)^(2n) with
     K = floor(sqrt(radius) / sigma_min(A)), so which inputs raise
@@ -401,10 +401,12 @@ def short_vectors(
     back by 4^e, so they are those of A bit for bit.
     """
     am = as_matrix(a, square=True)
-    s = _singular_values(am)
+    ok, _, s = _invertibility_gate(am, tol)
     e = math.frexp(float(s[0]))[1] - 1  # sigma_max 2^-e in [1, 2)
     unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, -e)
-    k = _uniform_box(s, unit_radius, tol, limit)
+    if not ok:
+        raise SingularMatrix("short-vector enumeration needs an invertible matrix")
+    k = _uniform_box(s, unit_radius, limit)
     norms = _enumerate(am[None], s[None], [k], unit_radius)[0]
     return ShortVectorSpectrum(float(radius), tuple(_scaled(norms, 2 * e).tolist()))
 
@@ -520,17 +522,14 @@ def _small_box(shape: tuple) -> np.ndarray:
     return frozen(_box_columns(shape, 0, math.prod(shape)))
 
 
-def _uniform_box(s: np.ndarray, radius: float, tol: Tolerance, limit: int) -> int:
-    """K = floor(sqrt(radius) / sigma_min) of a basis with singular values s (descending).
+def _uniform_box(s: np.ndarray, radius: float, limit: int) -> int:
+    """K = floor(sqrt(radius) / sigma_min) of a basis with singular values s (descending),
+    which the invertibility gate has accepted (the caller's test, so sigma_min > 0).
 
-    Raises SingularMatrix when the basis fails the gate, and
-    RadiusBudgetExceeded when the nonzero points of the uniform box
+    Raises RadiusBudgetExceeded when the nonzero points of the uniform box
     (2K + 1)^(2n) exceed the limit.
     """
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= tol.rel * smax:
-        raise SingularMatrix("short-vector enumeration needs an invertible matrix")
-    ratio = math.sqrt(radius) / smin
+    ratio = math.sqrt(radius) / float(s[-1])
     if ratio == math.inf:  # no box of integers is that large
         raise RadiusBudgetExceeded(f"coefficient box is unbounded and exceeds limit {limit}")
     k = math.floor(ratio)
@@ -768,7 +767,7 @@ def lattice_equivalent(
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     unit_radius = _unit_radius(radius, e)
-    ks = [_uniform_box(x, unit_radius, tol, budget) for x in svals]
+    ks = [_uniform_box(x, unit_radius, budget) for x in svals]
     error = None
     try:
         _check_height(n, height, budget)

@@ -4,12 +4,11 @@ A Gaussian integer a + b i is stored as the pair (a, b) of Python ints, so
 nothing here rounds or overflows.  Matrices are tuples of tuples of pairs.
 Determinants use fraction-free Bareiss elimination (Bareiss 1968), whose
 interior divisions are exact over any integral domain; a remainder check
-enforces that.  gdet runs it over Z[i]; int_det runs the same elimination
-on plain Python ints for an integer matrix, which skips the pair
-arithmetic and is several times faster.  same_lattice calls int_det only
-for a witness its exact integer inverse does not certify: a singular or
-non-unimodular witness, an inaccurate floating inverse, or entries too
-large for the certificate's exact float64 product.
+enforces that.  gdet is the package's one elimination.  An integer matrix
+takes it as Gaussian pairs (e, 0): same_lattice does so only for a witness
+its exact integer inverse does not certify (a singular or non-unimodular
+witness, an inaccurate floating inverse, or entries too large for the
+certificate's exact float64 product), a cold path.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ def _sum_g(terms) -> Gauss:
 def gdet(a) -> Gauss:
     """Exact determinant by Bareiss elimination with row pivoting."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
+    if n == 0 or any(len(row) != n for row in a):
+        raise ValueError("determinant needs a nonempty square matrix")
     m = [list(row) for row in a]
     sign = 1
     prev: Gauss = ONE
@@ -138,32 +137,3 @@ def gadjugate(a) -> tuple[tuple[Gauss, ...], ...]:
             c = gdet(_minor(a, i, j))
             cells[j][i] = c if (i + j) % 2 == 0 else gneg(c)
     return tuple(tuple(row) for row in cells)
-
-
-def int_det(rows) -> int:
-    """Exact determinant of a plain integer matrix: gdet's Bareiss elimination on ints."""
-    m = [[int(e) for e in row] for row in rows]
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise ValueError("determinant needs a nonempty square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot, top = m[k][k], m[k]
-        for i in range(k + 1, n):
-            row, lead = m[i], m[i][k]
-            for j in range(k + 1, n):
-                q, r = divmod(row[j] * pivot - lead * top[j], prev)
-                if r:
-                    raise InternalCheckError(f"inexact Bareiss division by {prev}")
-                row[j] = q
-        prev = pivot
-    return sign * m[n - 1][n - 1]

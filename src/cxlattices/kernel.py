@@ -30,9 +30,12 @@ The bodies _singular_values, _invertibility_gate and _det also take a stack
 (k, m, n) of matrices: numpy's linalg routines run LAPACK once per matrix,
 with the same results bit for bit, in one call, so a caller that holds a
 pair (lattice_equivalent) pays the call overhead once.
-Two conventions have their one home here:
-in_gray_zone (a margin too close to its threshold to call) and real_columns
-(columns in C^n as columns in R^2n).
+These conventions have their one home here: in_gray_zone (a margin too
+close to its threshold to call), real_columns (columns in C^n as columns
+in R^2n), _hermitian_part (0.5 (P + P*), also of each matrix in a stack)
+and _self_adjoint_part, the one self-adjointness test, whose bound
+||P - P*|| <= tol.rel ||P|| + tol.abs scales with P (hermitian_eig, and
+GramForm and as_gram_form in polar, apply it).
 """
 
 from __future__ import annotations
@@ -274,12 +277,25 @@ def hermitian_eig(p, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     return _hermitian_eig(as_matrix(p, square=True), tol)
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 (A + A*), exactly Hermitian, of a square matrix or of each matrix in a stack (k, n, n)."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _self_adjoint_part(pm: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
+    """The Hermitian part of a validated square matrix P with scale = fro(P), once P passes
+    the package's one self-adjointness test: NotSelfAdjoint when the defect ||P - P*||
+    exceeds tol.rel * ||P|| + tol.abs, a bound that scales with P."""
+    defect = fro(pm - pm.conj().T)
+    if defect > tol.rel * scale + tol.abs:
+        raise NotSelfAdjoint(f"self-adjoint defect {defect:.3e} beyond tolerance")
+    return _hermitian_part(pm)
+
+
 def _hermitian_eig(pm: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     n = pm.shape[0]
     scale = fro(pm)
-    if fro(pm - pm.conj().T) > tol.rel * scale + tol.abs:
-        raise NotSelfAdjoint(f"self-adjoint defect {fro(pm - pm.conj().T):.3e} beyond tolerance")
-    a = 0.5 * (pm + pm.conj().T)
+    a = _self_adjoint_part(pm, scale, tol)
     v = np.eye(n, dtype=np.complex128)
     if n == 1:
         return frozen(a.real.diagonal().copy()), frozen(v)

@@ -39,7 +39,7 @@ from .errors import (
     NonIntegralEntry,
     RankDeficient,
 )
-from .gaussian import gadjugate, gdet, gidentity, gmat, gmatmul, gneg, int_det
+from .gaussian import gabs2, gadjugate, gdet, gidentity, gmat, gmatmul, gneg
 from .kernel import (
     DEFAULT_TOL,
     GRAY_ZONE,
@@ -273,12 +273,13 @@ def same_lattice(
     carried margin) must be integral with |det| = 1.  Entries within tol.abs
     of integers are rounded to the witness W, and |det W| = 1 is then proved
     exactly: by W's rounded inverse when it is an exact integer inverse
-    (_inverse_certified), else by the exact determinant (int_det), which
-    decides what the certificate leaves (a singular or non-unimodular W, an
-    inaccurate inverse, entries past the certificate's guard).  An entry
-    landing in the ambiguous band just outside tol.abs raises rather than
-    guessing either way, and so does an entry of 2^52 or more in magnitude,
-    whose distance to the integers a double cannot show (reduce's rule).
+    (_inverse_certified), else by W's exact determinant (gdet, on W as
+    Gaussian pairs), which decides what the certificate leaves (a singular
+    or non-unimodular W, an inaccurate inverse, entries past the
+    certificate's guard).  An entry landing in the ambiguous band just
+    outside tol.abs raises rather than guessing either way, and so does an
+    entry of 2^52 or more in magnitude, whose distance to the integers a
+    double cannot show (reduce's rule).
     """
     if lat1.n != lat2.n:
         raise DimensionMismatch(f"dimensions differ: {lat1.n} vs {lat2.n}")
@@ -298,8 +299,10 @@ def same_lattice(
             f"coordinate-change entry of magnitude {big:.3e} keeps no fractional bit (limit 2^52)"
         )
     witness = rounded.astype(np.int64)
-    if not _inverse_certified(witness) and abs(int_det(witness.tolist())) != 1:
-        return False, None
+    if not _inverse_certified(witness):
+        pairs = [[(e, 0) for e in row] for row in witness.tolist()]  # W over Z[i]
+        if gabs2(gdet(pairs)) != 1:
+            return False, None
     return True, frozen(witness)
 
 

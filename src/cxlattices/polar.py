@@ -33,7 +33,6 @@ from .errors import (
     InternalCheckError,
     NotInSL,
     NotPositiveDefinite,
-    NotSelfAdjoint,
     NumericOverflow,
     SingularMatrix,
 )
@@ -46,8 +45,10 @@ from .kernel import (
     _adjoint,
     _built,
     _det,
+    _hermitian_part,
     _invertibility_gate,
     _overflow_checked,
+    _self_adjoint_part,
     as_matrix,
     fro,
     frozen,
@@ -56,23 +57,16 @@ from .kernel import (
 )
 
 
-def _hermitian_part(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p + p.conj().T)
-
-
 def _root_certified(p, tol: Tolerance) -> tuple:
     """The Hermitian part of p and the root R = L* of its Cholesky factor L (p = R* R),
     both read-only, once p passes GramForm's rule at tol.
 
-    p must be finite and self-adjoint to within tol, and its Cholesky factor
-    must exist and pass invertibility_margin at tol with a squared margin
-    above GRAY_ZONE * n * eps.
+    p must be finite and self-adjoint to within tol (the kernel's one test),
+    and its Cholesky factor must exist and pass invertibility_margin at tol
+    with a squared margin above GRAY_ZONE * n * eps.
     """
     p = as_matrix(p, square=True)
-    defect = fro(p - p.conj().T)
-    if defect > tol.rel * max(fro(p), 1.0) + tol.abs:
-        raise NotSelfAdjoint(f"self-adjoint defect {defect:.3e} beyond tolerance")
-    p = _hermitian_part(p)
+    p = _self_adjoint_part(p, fro(p), tol)
     try:
         root = np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
@@ -90,7 +84,8 @@ def _root_certified(p, tol: Tolerance) -> tuple:
 class GramForm:
     """A self-adjoint positive-definite matrix, the invariant of a unitary coset.
 
-    GramForm(p) checks that p is finite and self-adjoint, and certifies
+    GramForm(p) checks that p is finite and self-adjoint (hermitian_eig's
+    test, ||p - p*|| <= tol.rel ||p|| + tol.abs), and certifies
     positivity through a root: the Cholesky factor R of p (p = R* R) must
     exist and pass invertibility_margin at the default tolerance, which is
     the module's rule sqrt(lambda_min / lambda_max) > tol.rel.  Taken from
@@ -212,8 +207,7 @@ def _gram_matrix(am: np.ndarray) -> np.ndarray:
     the squared length of a column of A, is below the smallest normal double.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        p = am.conj().swapaxes(-1, -2).copy() @ am
-        p = 0.5 * (p + p.conj().swapaxes(-1, -2))
+        p = _hermitian_part(am.conj().swapaxes(-1, -2).copy() @ am)
     if not np.isfinite(p).all():
         raise NumericOverflow("gram form A* A overflowed: the entries of A are too large")
     if not p.diagonal(0, -2, -1).real.min() >= _FLOAT_TINY:
@@ -319,7 +313,8 @@ def su_sl_canonical(b, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     membership = _classify(bm, tol)
     if not membership.in_sl:
         raise NotInSL(f"determinant distance from one is {membership.det_distance:.3e}")
-    p = _gram(bm, tol)
+    # in_sl implies in_gl: _classify's gate has certified B, the root of B* B
+    p = GramForm._certified(_gram_matrix(bm), bm)
     if abs(_det(p.matrix) - 1.0) > 10.0 * tol.rel * bm.shape[0]:
         raise InternalCheckError("gram form of a determinant-one matrix must have determinant one")
     return p

@@ -52,6 +52,7 @@ from .kernel import (
     Tolerance,
     _adjoint,
     _hermitian_eig,
+    _hermitian_part,
     _built,
     _invertibility_gate,
     _operator_norm,
@@ -377,8 +378,7 @@ def contraction_check(t: NormalizedForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     first = sigma < 1.0 - tol.rel
     # E* E overflows for a large E: h is then NumericOverflow, never warned
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.eye(t.dim) - _adjoint(t.e) @ t.e
-        h = 0.5 * (h + h.conj().T)
+        h = _hermitian_part(np.eye(t.dim) - _adjoint(t.e) @ t.e)
     wmin = float(_hermitian_eig(_overflow_checked(h, "I - E* E"), tol)[0][0])
     second = wmin > 1.0 - (1.0 - tol.rel) ** 2
     if first != second:

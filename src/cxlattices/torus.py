@@ -50,6 +50,7 @@ from .kernel import (
     _built,
     _require_finite,
     as_vector,
+    fro,
     frozen,
     real_columns,
 )
@@ -84,8 +85,8 @@ class TorusPoint:
         _require_finite(coords, "vector")
         if np.any(coords < 0.0) or np.any(coords >= 1.0):
             raise InternalCheckError("coordinates must lie in [0, 1)")
-        drift = np.linalg.norm(rep - self.lattice.g @ coords)
-        scale = max(float(np.linalg.norm(rep)), 1.0)
+        drift = fro(rep - self.lattice.g @ coords)
+        scale = max(fro(rep), 1.0)
         if drift > DEFAULT_TOL.rel * scale + DEFAULT_TOL.abs:
             raise InternalCheckError(f"rep drifted {drift:.3e} from its coordinates")
         object.__setattr__(self, "rep", frozen(rep))

@@ -4,14 +4,16 @@
     PYTHONPATH=src python tests/golden/regen.py --check           # compare bytes, write nothing
     PYTHONPATH=src python tests/golden/regen.py --check --drift   # drift check, write nothing
     PYTHONPATH=src python tests/golden/regen.py --check --processes
+    python tests/golden/regen.py --check --processes "$(command -v cxlat)"  # an installed cxlat
 
 With --check every case is run in memory and compared byte for byte with
 the committed .golden files and cases.json; the differing cases are listed
 and the exit status is 1 if there are any.  With --processes each case runs
-in its own ``python -m cxlattices.cli`` process instead, which must also
-write nothing to stderr: a cxlat process loads only the modules its
-subcommand uses, and this finds a handler that works only after another
-handler has loaded a module for it.
+in its own process instead, of ``python -m cxlattices.cli`` or of the cxlat
+executable given, which must also exit with the case's code and write
+nothing to stderr: a cxlat process loads only the modules its subcommand
+uses, and this finds a handler that works only after another handler has
+loaded a module for it.
 
 The drift check decodes each changed .golden line and requires the exit
 code, status, keys, list lengths, booleans, ints, strings (error names,
@@ -26,6 +28,7 @@ CHANGES.md).
 """
 
 import argparse
+import functools
 import io
 import json
 import pathlib
@@ -477,10 +480,10 @@ def in_memory(argv, input_text):
     return run(argv, io.StringIO(input_text), out), out.getvalue().encode("utf-8"), b""
 
 
-def in_process(argv, input_text):
-    """(exit code, stdout, stderr) of one fresh ``python -m cxlattices.cli`` process."""
+def in_process(command, argv, input_text):
+    """(exit code, stdout, stderr) of one fresh process of the cxlat command (a list of words)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "cxlattices.cli", *argv],
+        [*command, *argv],
         input=input_text.encode("utf-8"), capture_output=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -595,14 +598,19 @@ def main(argv=None) -> None:
     )
     parser.add_argument(
         "--processes",
-        action="store_true",
-        help="with --check: run each case in its own python -m cxlattices.cli process",
+        nargs="?",
+        const=(sys.executable, "-m", "cxlattices.cli"),
+        type=lambda path: (path,),
+        metavar="CXLAT",
+        help="with --check: run each case in its own process, of the cxlat executable CXLAT "
+        "(an installed console script) or, without it, of python -m cxlattices.cli",
     )
     args = parser.parse_args(argv)
-    if (args.drift or args.processes) and not args.check:
+    if (args.drift or args.processes is not None) and not args.check:
         parser.error("--drift and --processes go with --check")
     out_dir = pathlib.Path(__file__).resolve().parent
-    files, failures = render(in_process if args.processes else in_memory)
+    runner = in_memory if args.processes is None else functools.partial(in_process, args.processes)
+    files, failures = render(runner)
     if args.check and not args.drift:
         diffs = check(out_dir, files, failures)
         if diffs:

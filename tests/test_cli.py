@@ -579,11 +579,11 @@ def test_verdict_subcommands_take_each_svd_once(argv, input_text, svds, singular
 )
 def test_lattice_same_cases_reach_bareiss_only_past_the_certificate(name, bareiss, monkeypatch):
     # the elementary witness is certified by its exact integer inverse; the det-2 witness and the
-    # one whose 2^27 entry puts the inverse past the exact float64 product go to int_det
+    # one whose 2^27 entry puts the inverse past the exact float64 product go to gdet
     from cxlattices import gaussian, lattices
 
     calls = []
-    monkeypatch.setattr(lattices, "int_det", lambda rows: calls.append(len(rows)) or gaussian.int_det(rows))
+    monkeypatch.setattr(lattices, "gdet", lambda rows: calls.append(len(rows)) or gaussian.gdet(rows))
     code, out = run_cli(CASES[name]["argv"], CASES[name]["input"])
     assert code == 0 and out.encode("utf-8") == (GOLDEN / f"{name}.golden").read_bytes()
     n = int(name.split("-")[2][1:])

@@ -917,8 +917,7 @@ def test_stacked_spectra_match_the_per_axis_path_bit_for_bit(inversions, n, ks):
         for j in (0, 500, -500):
             stack, radius = pair * 2.0**j, math.ldexp(4.0, 2 * j)
             svals = _singular_values(stack)
-            boxes = [equivalence._uniform_box(s, radius, DEFAULT_TOL, DEFAULT_BUDGET)
-                     for s in svals]
+            boxes = [equivalence._uniform_box(s, radius, DEFAULT_BUDGET) for s in svals]
             if c < len(pairs):
                 assert boxes == list(ks)
             inversions.clear()

@@ -28,7 +28,7 @@ from cxlattices.lattices import (
     standard_lattice,
     to_split_form,
 )
-from cxlattices.gaussian import int_det
+from cxlattices.gaussian import gdet
 from cxlattices.kernel import DEFAULT_TOL, Tolerance, invertibility_margin
 from cxlattices.realmaps import apply, is_invertible
 
@@ -263,19 +263,19 @@ def test_same_lattice_covolume_invariance():
 
 @pytest.fixture
 def int_det_calls(monkeypatch):
-    """The size of every witness same_lattice hands to int_det."""
+    """The size of every integer witness same_lattice hands to gdet as Gaussian pairs."""
     calls = []
 
     def counted(rows):
         calls.append(len(rows))
-        return int_det(rows)
+        return gdet(rows)
 
-    monkeypatch.setattr(lattices, "int_det", counted)
+    monkeypatch.setattr(lattices, "gdet", counted)
     return calls
 
 
 def bareiss_same_lattice(monkeypatch, lat1, lat2):
-    """same_lattice with the certificate switched off, so that int_det decides every witness."""
+    """same_lattice with the certificate switched off, so that gdet decides every witness."""
     with monkeypatch.context() as m:
         m.setattr(lattices, "_inverse_certified", lambda w: False)
         return outcome(same_lattice, lat1, lat2)
@@ -338,7 +338,7 @@ def test_certificate_matches_bareiss_on_unimodular_witnesses(monkeypatch, int_de
 
 @pytest.mark.filterwarnings("error")
 def test_certificate_leaves_non_unimodular_witnesses_to_bareiss(monkeypatch, int_det_calls):
-    # det 0, +-2 and +-3: the rounded inverse cannot be an exact integer inverse, so int_det decides
+    # det 0, +-2 and +-3: the rounded inverse cannot be an exact integer inverse, so gdet decides
     rng = np.random.default_rng(181)
     for n in (1, 2, 3, 5, 8):
         m = 2 * n
@@ -408,7 +408,8 @@ def test_certificate_is_exact_or_declines():
     assert lattices._inverse_certified(np.array([[1, 2**25], [0, 1]]))  # guard 2^51
     assert not lattices._inverse_certified(np.array([[1, 2**62], [0, 1]]))
     huge = np.array([[2**62, 1], [1, 0]])  # det -1, but no float64 inverse is exact
-    assert not lattices._inverse_certified(huge) and int_det(huge.tolist()) == -1
+    assert not lattices._inverse_certified(huge)
+    assert gdet([[(e, 0) for e in row] for row in huge.tolist()]) == (-1, 0)
 
 
 def test_a_16_by_16_unimodular_pair_runs_no_bareiss_and_a_sublattice_runs_it_once(int_det_calls):

@@ -12,9 +12,10 @@ from cxlattices.errors import (
     NumericOverflow,
     SingularMatrix,
 )
-from cxlattices.kernel import invertibility_margin
+from cxlattices.kernel import DEFAULT_TOL, hermitian_eig, invertibility_margin
 from cxlattices.polar import (
     GramForm,
+    as_gram_form,
     classify,
     gram,
     polar,
@@ -341,8 +342,11 @@ def test_each_polar_entry_validates_the_callers_arrays_once(validation_calls, si
     counts = {}
     for fn in (polar, gram, classify, sl_normalize, su_sl_canonical):
         validation_calls.clear()
+        singular_value_calls.clear()
         fn(b if fn is su_sl_canonical else a)
         counts[fn.__name__] = len(validation_calls)
+    # su_sl_canonical's Gram form is certified by classify's gate: one SVD, not two
+    assert singular_value_calls == [(3, 3)]
     validation_calls.clear()
     singular_value_calls.clear()
     same, _ = unitarily_equivalent(a, random_unitary(rng, 3) @ a)
@@ -397,6 +401,43 @@ def test_unitarily_equivalent_shape_mismatch():
 def test_gram_form_rejects_non_self_adjoint():
     with pytest.raises(NotSelfAdjoint):
         GramForm([[1.0, 1.0], [0.0, 1.0]])
+
+
+def test_one_self_adjointness_verdict():
+    # P = H + c S with H Hermitian positive definite and S anti-Hermitian, |S| = 1: the defect
+    # |P - P*| is 2c and |P|^2 = |H|^2 + c^2, so c puts the defect at a chosen factor of the
+    # bound tol.rel |P| + tol.abs.  hermitian_eig, GramForm (at the default tolerance) and
+    # as_gram_form raise NotSelfAdjoint together, exactly when the factor exceeds 1
+    rng = np.random.default_rng(2407)
+
+    def refuses(f, p, tol):
+        try:
+            f(p, tol)
+        except NotSelfAdjoint:
+            return True
+        return False
+
+    cases = [(np.array([[0.5, 6e-10], [0.0, 0.5]]), DEFAULT_TOL, True)]
+    for rel in (1e-12, 1e-9, 1e-6):
+        tol = Tolerance(rel=rel)
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+            for factor in (0.5, 0.9, 1.1, 2.0):
+                n = int(rng.integers(1, 5))
+                x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                h = x.conj().T @ x + n * np.eye(n)
+                h = 0.5 * (h + h.conj().T)
+                h *= scale / np.linalg.norm(h)
+                s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                s = (s - s.conj().T) / np.linalg.norm(s - s.conj().T)
+                # 2c = factor (rel sqrt(scale^2 + c^2) + abs), solved for c >= 0
+                k, b = factor * rel / 2, factor * tol.abs / 2
+                c = (b + k * np.sqrt(b * b + (1 - k * k) * scale * scale)) / (1 - k * k)
+                cases.append((h + c * s, tol, factor > 1))
+    for p, tol, want in cases:
+        assert refuses(hermitian_eig, p, tol) == want
+        assert refuses(as_gram_form, p, tol) == want
+        if tol == DEFAULT_TOL:
+            assert refuses(lambda q, _: GramForm(q), p, tol) == want
 
 
 def test_gram_form_rejects_indefinite():

@@ -122,6 +122,14 @@ def test_point_invariants_enforced():
     assert not p.rep.flags.writeable
 
 
+@pytest.mark.filterwarnings("error")
+def test_point_built_by_hand_measures_drift_past_the_square_overflow():
+    # the squares of the drift 5e199 and of rep overflow: the drift must still count, unwarned
+    lat = from_generators([[1e200, 1e200j]])
+    with pytest.raises(InternalCheckError, match="^rep drifted 5.000e\\+199 from its coordinates$"):
+        TorusPoint(lat, [1e200], [0.5, 0.0])
+
+
 def test_point_built_by_hand_refuses_nan():
     # NaN fails every comparison of the invariants, so it is refused before them
     lat = standard_lattice(1)
