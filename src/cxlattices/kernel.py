@@ -17,9 +17,11 @@ the one finiteness check, and they are validated once, at the boundary: a
 public function validates only the arrays its caller passes and then runs
 its body (_singular_values, _invertibility_gate, _det, _adjoint, _solve,
 _hermitian_eig, _operator_norm, or gated_solve, solve's step behind the
-gate) on finite complex128 arrays.  Library code hands arrays it has built
-or validated to these bodies, never back to a public function, so each
-array the caller passes is copied and checked once per call.  A body does
+gate) on finite complex128 arrays (as_matrix copies to float64 instead
+where a caller asks for it: the real coefficient blocks of realmaps).
+Library code hands arrays it has built or validated to these bodies, never
+back to a public function, so each array the caller passes is copied and
+checked once per call.  A body does
 not check finiteness: where the library computes an array that can
 overflow although its operands are finite (a sum, a product, a division
 by an underflowed determinant), it runs _overflow_checked there, before any
@@ -35,11 +37,13 @@ close to its threshold to call), real_columns (columns in C^n as columns
 in R^2n), _hermitian_part (0.5 (P + P*), also of each matrix in a stack)
 and _self_adjoint_part, the one self-adjointness test, whose bound
 ||P - P*|| <= tol.rel ||P|| + tol.abs scales with P (hermitian_eig, and
-GramForm and as_gram_form in polar, apply it).
+GramForm and as_gram_form in polar, apply it); neither its test nor the
+Hermitian part it returns overflows on finite P.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,9 +128,9 @@ def _built(cls: type, **fields):
     return obj
 
 
-def as_matrix(a, *, square: bool = False) -> np.ndarray:
-    """Validate array-likes into a finite 2-d complex128 matrix."""
-    m = np.array(a, dtype=np.complex128, copy=True)
+def as_matrix(a, *, square: bool = False, dtype: type = np.complex128) -> np.ndarray:
+    """Validate array-likes into a finite 2-d matrix, copied once to dtype (complex128 or float64)."""
+    m = np.array(a, dtype=dtype, copy=True)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {m.shape}")
     _require_finite(m, "matrix")
@@ -282,20 +286,34 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def _self_adjoint_part(pm: np.ndarray, scale: float, tol: Tolerance) -> np.ndarray:
-    """The Hermitian part of a validated square matrix P with scale = fro(P), once P passes
-    the package's one self-adjointness test: NotSelfAdjoint when the defect ||P - P*||
-    exceeds tol.rel * ||P|| + tol.abs, a bound that scales with P."""
-    defect = fro(pm - pm.conj().T)
-    if defect > tol.rel * scale + tol.abs:
-        raise NotSelfAdjoint(f"self-adjoint defect {defect:.3e} beyond tolerance")
+def _self_adjoint_part(pm: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The Hermitian part of a validated square matrix P, once P passes the package's one
+    self-adjointness test: NotSelfAdjoint when the defect ||P - P*|| exceeds
+    tol.rel * ||P|| + tol.abs, a bound that scales with P.
+
+    The test reads P scaled by the power of two that puts its largest real or
+    imaginary part in [1, 2) when that part is 2 or more, and tol.abs with it, so
+    that neither side overflows; short of underflow the scaling is exact, and the
+    verdict is the unscaled one.  Where that part is 2^1023 or more, P + P* can
+    overflow, and the Hermitian part is the scaled P's, scaled back; below, it is
+    P's own, so every finite P has a finite part and no other P's bits move.
+    """
+    big = max(float(np.abs(pm.real).max()), float(np.abs(pm.imag).max()))
+    shift = min(1 - math.frexp(big)[1], 0)
+    scaled = pm * 2.0**shift if shift else pm
+    defect = fro(scaled - scaled.conj().T)
+    if defect > tol.rel * fro(scaled) + math.ldexp(tol.abs, shift):
+        raise NotSelfAdjoint(f"self-adjoint defect {defect * 2.0**-shift:.3e} beyond tolerance")
+    if big >= 2.0**1023:
+        return _hermitian_part(scaled) * 2.0**-shift
     return _hermitian_part(pm)
 
 
 def _hermitian_eig(pm: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     n = pm.shape[0]
-    scale = fro(pm)
-    a = _self_adjoint_part(pm, scale, tol)
+    a = _self_adjoint_part(pm, tol)
+    # a norm past the largest double would make every rotation look converged
+    scale = min(fro(pm), _FLOAT_MAX)
     v = np.eye(n, dtype=np.complex128)
     if n == 1:
         return frozen(a.real.diagonal().copy()), frozen(v)

@@ -66,7 +66,7 @@ def _root_certified(p, tol: Tolerance) -> tuple:
     with a squared margin above GRAY_ZONE * n * eps.
     """
     p = as_matrix(p, square=True)
-    p = _self_adjoint_part(p, fro(p), tol)
+    p = _self_adjoint_part(p, tol)
     try:
         root = np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
@@ -123,7 +123,11 @@ def as_gram_form(p, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     GramForm(p) always certifies at the default tolerance; a caller that
     threads its own tol certifies a raw matrix through this instead.
     """
-    return p if isinstance(p, GramForm) else GramForm._certified(*_root_certified(p, tol))
+    if isinstance(p, GramForm):
+        return p
+    # _root_certified's matrix is already the Hermitian part: taking it again could overflow
+    matrix, root = _root_certified(p, tol)
+    return _built(GramForm, matrix=matrix, _root=root)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,13 @@ factorization T = M o (z + conj(E z)) that normalize_post_composition
 computes; majorizes reads its verdict off domination_ratio.  Both routes
 let solve's gate decide whether M is singular.
 
-A form's constructor validates the caller's coefficients once.  The forms
+A form's constructor validates the caller's coefficients once.  The real
+blocks of a block or split form are validated in float64: a real, integer or
+boolean block is copied once, to float64, and a complex one must have
+imaginary parts exactly zero before its real part is copied; the blocks are
+read-only and C-ordered either way.  The per-dimension constant [I | iI]
+that realify and the conversion checks read is built once per process and
+is read-only.  The forms
 this module computes from validated ones (the conjugate pair behind a
 conversion, convert's outputs, the normalized factor) are built by the
 kernel's _built.  Only a sum of finite coefficients can overflow there, and
@@ -33,6 +39,7 @@ validates its coefficients again.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -72,15 +79,26 @@ CONJUGATE_PAIR = "conjugate_pair"
 NORMALIZED = "normalized"
 
 
-def _complex_square(x, n: int | None = None) -> np.ndarray:
-    c = as_matrix(x, square=True)
+def _square_block(x, n: int | None = None, dtype: type = np.complex128) -> np.ndarray:
+    c = as_matrix(x, square=True, dtype=dtype)
     if n is not None and c.shape[0] != n:
         raise DimensionMismatch(f"coefficient blocks disagree: {c.shape[0]} vs {n}")
     return c
 
 
 def _real_square(x, n: int | None = None) -> np.ndarray:
-    c = _complex_square(x, n)
+    """A real coefficient block, validated once into a read-only C-ordered float64 copy.
+
+    A real, integer or boolean input is copied once, to float64.  Any other
+    (complex) input is read as complex128, as the other forms read theirs, and
+    must have imaginary parts exactly zero; its real part is then copied.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind in "biuf":
+        c = _square_block(x, n, np.float64)
+        # as_matrix's copy keeps the memory order of a transposed input
+        return c if c.flags.c_contiguous else frozen(np.ascontiguousarray(c))
+    c = _square_block(x, n)
     if np.any(c.imag != 0.0):
         raise ValueError("coefficient block must be real (imaginary parts exactly zero)")
     return frozen(c.real.copy())
@@ -133,9 +151,9 @@ class ConjugatePairForm:
     n: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _complex_square(self.m)
+        m = _square_block(self.m)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", _complex_square(self.n, m.shape[0]))
+        object.__setattr__(self, "n", _square_block(self.n, m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -149,7 +167,7 @@ class NormalizedForm:
     e: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e", _complex_square(self.e))
+        object.__setattr__(self, "e", _square_block(self.e))
 
     @property
     def dim(self) -> int:
@@ -192,8 +210,10 @@ def _apply(t: RealLinearMap, w: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def _real_basis(n: int) -> np.ndarray:
-    return np.hstack([np.eye(n), 1j * np.eye(n)])
+    """[I | iI], the 2n standard basis vectors of C^n over R as read-only columns, built once per process."""
+    return frozen(np.hstack([np.eye(n), 1j * np.eye(n)]))
 
 
 def realify(t: RealLinearMap) -> np.ndarray:

@@ -2,6 +2,7 @@
 
     python tests/golden/pool_digest.py                          # the standard set, below
     python tests/golden/pool_digest.py --equiv 5 911 --maps 1   # chosen workloads and seeds
+    python tests/golden/pool_digest.py --against ../parent      # both trees, compared
 
 For each (workload, seed) the pool is built by ``perfbench/inputs.py`` and
 every request runs once through ``perfbench/workloads.py``, exactly as the
@@ -9,10 +10,12 @@ benchmark runs it, untraced.  Everything a request returns goes into the
 digest: verdicts, witnesses, the dtype, shape and bytes of every array, and
 the name of the domain error a request raises.  One line per pool gives the
 request count and the digest, so two checkouts agree bit for bit on a pool
-exactly when their lines agree.  Run the script of one checkout against the
-other's tree by copying it there; it imports the package from the ``src/``
-and the benchmark from the ``perfbench/`` next to it, and never writes to
-either.
+exactly when their lines agree.  The script imports the package from the
+``src/`` and the benchmark from the ``perfbench/`` next to it, and never
+writes to either.  With ``--against DIR`` it also runs itself, in a
+subprocess, on DIR's ``src/`` and ``perfbench/`` (another checkout), prints
+both lines of each pool, marks the pools whose lines differ, and exits 1 if
+any does.
 """
 
 import argparse
@@ -20,6 +23,7 @@ import dataclasses
 import hashlib
 import pathlib
 import struct
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -73,16 +77,42 @@ def pool_digest(workload: str, seed: int) -> tuple[int, str]:
     return len(reqs), h.hexdigest()
 
 
+# the child of --against: this script, run as if it sat in the other tree
+_AGAINST = (
+    "import sys; code, sys.argv = sys.argv[1], sys.argv[2:]; "
+    "exec(compile(open(code).read(), code, 'exec'), {'__name__': '__main__', '__file__': sys.argv[0]})"
+)
+
+
+def _lines_against(root: pathlib.Path, argv: list) -> list:
+    """This script's output lines, run in a subprocess on root's src/ and perfbench/."""
+    script = root / "tests" / "golden" / "pool_digest.py"
+    cmd = [sys.executable, "-c", _AGAINST, __file__, str(script), *argv]
+    return subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for workload in STANDARD:
         parser.add_argument(f"--{workload}", type=int, nargs="+", metavar="SEED")
+    parser.add_argument("--against", type=pathlib.Path, metavar="DIR",
+                        help="compare with the same digests on DIR's src/ and perfbench/")
     args = parser.parse_args(argv)
     chosen = {w: getattr(args, w) for w in STANDARD if getattr(args, w)}
-    for workload, seeds in (chosen or STANDARD).items():
-        for seed in seeds:
-            count, digest = pool_digest(workload, seed)
-            print(f"{workload} seed {seed}: {count} requests {digest}", flush=True)
+    pools = [(w, seed) for w, seeds in (chosen or STANDARD).items() for seed in seeds]
+    selection = [a for w, seeds in chosen.items() for a in (f"--{w}", *map(str, seeds))]
+    there = _lines_against(args.against.resolve(), selection) if args.against else None
+    differ = 0
+    for i, (workload, seed) in enumerate(pools):
+        count, digest = pool_digest(workload, seed)
+        line = f"{workload} seed {seed}: {count} requests {digest}"
+        print(line, flush=True)
+        if there is not None:
+            same = there[i] == line
+            differ += not same
+            print(f"{there[i]} ({args.against}){'' if same else '  DIFFERS'}", flush=True)
+    if differ:
+        raise SystemExit(f"{differ} of {len(pools)} pools differ")
 
 
 if __name__ == "__main__":

@@ -515,6 +515,18 @@ def test_regen_drift_check_reads_cases_as_data(tmp_path):
     assert changes == ["cases.json: case gram-shear added"]
 
 
+def test_pool_digest_against_a_tree_prints_both_lines_and_exits_by_them():
+    # the repository against itself: both lines of the pool agree, nothing is marked, exit 0
+    root = GOLDEN.parents[1]
+    script = GOLDEN / "pool_digest.py"
+    done = subprocess.run([sys.executable, str(script), "--torus", "1", "--against", str(root)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    here, there = done.stdout.splitlines()
+    assert here.startswith("torus seed 1: ") and there == f"{here} ({root})"
+    assert done.stderr == ""
+
+
 def orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diagonal(r))

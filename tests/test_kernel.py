@@ -430,3 +430,71 @@ def test_tolerance_validation():
 def test_nan_rejected():
     with pytest.raises(ValueError):
         matmul([[np.nan]], [[1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_self_adjoint_input_near_the_largest_double_stays_finite():
+    # P + P* overflows for entries past half the largest double; the Hermitian part and
+    # the self-adjointness test must not (each line warned "overflow encountered in add"
+    # or "... in subtract" and gave [inf, inf])
+    w, v = hermitian_eig([[1.5e308, 0], [0, 1.5e308]])
+    assert w.tolist() == [1.5e308, 1.5e308]
+    assert np.array_equal(v, np.eye(2))
+    # a norm past the largest double must not read as converged before any rotation
+    w, _ = hermitian_eig([[1.5e308, 1e307], [1e307, 1.5e308]])
+    np.testing.assert_allclose(w, [1.4e308, 1.6e308], rtol=1e-14)
+    # defect and norm both overflowed to inf, and inf > tol.rel * inf is False: it passed
+    with pytest.raises(NotSelfAdjoint, match="^self-adjoint defect inf beyond tolerance$"):
+        hermitian_eig([[1e308, 1e308], [-1e308, 1e308]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_self_adjoint_part_is_half_of_p_plus_p_star_unless_that_sum_overflows():
+    # below 2^1023 the part is 0.5 (P + P*) bit for bit, subnormal P included, where halving
+    # first would round odd last bits; from 2^1023 on, where P + P* overflows, it is the part of
+    # P scaled down by a power of two, scaled back, exactly
+    from cxlattices.kernel import DEFAULT_TOL, _self_adjoint_part
+
+    rng = np.random.default_rng(2501)
+    q = rng.uniform(-1.5, 1.5, (3, 3)) + 1j * rng.uniform(-1.5, 1.5, (3, 3))
+    q = q + q.conj().T
+    for p in (2.0**-1074 * np.round(q * 8), 2.0**-1000 * q, q, 2.0**1000 * q, 2.0**1021 * q):
+        want = 0.5 * (p + p.conj().T)
+        assert _self_adjoint_part(p, DEFAULT_TOL).tobytes() == want.tobytes()
+    odd = np.diag([3.0, 5.0]) * 2.0**-1074 + 0j
+    assert _self_adjoint_part(odd, DEFAULT_TOL).tobytes() == odd.tobytes()
+    q[0, 0] = 3.5  # 2 * 1.75 * 2^1023 is past the largest double
+    huge = 2.0**1022 * q
+    want = 2.0**1023 * (0.5 * (q / 2 + q.conj().T / 2))
+    assert _self_adjoint_part(huge, DEFAULT_TOL).tobytes() == want.tobytes()
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        huge + huge.conj().T  # the sum the part would otherwise take
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_eig_keeps_a_subnormal_entry():
+    # halving a subnormal with an odd last bit rounds it: 5e-324 must not come back as 0
+    w, v = hermitian_eig([[5e-324]])
+    assert w.tolist() == [5e-324]
+    assert v.tolist() == [[1]]
+
+
+def test_self_adjointness_verdict_does_not_move_with_a_power_of_two():
+    # the test reads P scaled into [1, 2) with tol.abs scaled alike; scaled by 2^k before, a
+    # P on either side of the bound gets the verdict it gets at k = 0
+    rng = np.random.default_rng(2503)
+    tol = Tolerance(rel=1e-9, abs=0.0)
+    for factor, refused in ((0.5, False), (2.0, True)):
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = x.conj().T @ x
+        s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        s = s - s.conj().T
+        s *= factor * tol.rel * np.linalg.norm(h) / np.linalg.norm(s)
+        for k in (-900, -1, 0, 1, 900, 1020):
+            p = (h + 0.5 * s) * 2.0**k
+            try:
+                hermitian_eig(p, tol)
+            except NotSelfAdjoint:
+                assert refused, (factor, k)
+            else:
+                assert not refused, (factor, k)

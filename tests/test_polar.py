@@ -550,3 +550,20 @@ def test_tight_tolerance_still_sound():
     a = random_invertible(rng, 3, min_cond=1e-1)
     u, p = polar(a, tol)
     assert np.linalg.norm(u @ p.matrix - a) <= 1e-11 * np.linalg.norm(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gram_form_of_a_finite_form_near_the_largest_double_is_certified():
+    # its Hermitian part overflowed to inf, and the Cholesky root's margin read 0
+    p = GramForm([[1.5e308, 0], [0, 1.5e308]])
+    assert p.matrix.tolist() == [[1.5e308, 0], [0, 1.5e308]]
+    assert as_gram_form([[1.5e308, 0], [0, 1.5e308]]).matrix.tolist() == p.matrix.tolist()
+    with pytest.raises(NotSelfAdjoint):
+        GramForm([[1e308, 1e308], [-1e308, 1e308]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_gram_form_of_the_smallest_subnormal_diagonal_is_certified():
+    # a Hermitian part that halved the subnormal entries first was the zero matrix here
+    p = GramForm([[5e-324, 0], [0, 5e-324]])
+    assert p.matrix.tolist() == [[5e-324, 0], [0, 5e-324]]

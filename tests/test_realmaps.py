@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cxlattices import InternalCheckError, NotInSplitClass, NumericOverflow, SingularM, Tolerance
+from cxlattices.kernel import frozen
 from cxlattices.realmaps import (
     BlockForm,
     ConjugatePairForm,
@@ -483,3 +486,148 @@ def test_an_overflowing_intermediate_is_refused_as_a_non_finite_matrix():
     for kind in ("conjugate_pair", "split", "normalized"):
         with pytest.raises(NumericOverflow, match="^conjugate-pair coefficient M is not finite"):
             convert(huge_block, kind)
+
+
+# ---------------------------------------------------------------- real blocks: one validation, in float64
+
+
+def old_real_block(x, n=None):
+    """A real block as the constructors read one before they validated in float64:
+    a complex128 copy, its checks, and then its real part."""
+    from cxlattices import DimensionMismatch
+
+    c = np.array(x, dtype=np.complex128, copy=True)
+    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
+        raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    if c.shape[0] != c.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {c.shape}")
+    if n is not None and c.shape[0] != n:
+        raise DimensionMismatch(f"coefficient blocks disagree: {c.shape[0]} vs {n}")
+    if np.any(c.imag != 0.0):
+        raise ValueError("coefficient block must be real (imaginary parts exactly zero)")
+    return c.real.copy()
+
+
+def real_block_inputs():
+    rng = np.random.default_rng(2511)
+    x = rng.standard_normal((3, 3))
+    return {
+        "float64": x,
+        "float32": x.astype(np.float32),
+        "int": rng.integers(-5, 6, (3, 3)),
+        "bool": rng.integers(0, 2, (3, 3)).astype(bool),
+        "list": x.tolist(),
+        "int list": [[1, -2, 3], [0, 4, 5], [7, 8, -9]],
+        "complex +0": x + 0j,
+        "complex -0": np.vectorize(lambda v: complex(v, -0.0))(x),
+        "complex list": [[complex(v, -0.0) for v in row] for row in x.tolist()],
+        "transposed": x.T,
+        "strided": rng.standard_normal((6, 6))[::2, ::2],
+        "read-only": frozen(x.copy()),
+        "subnormal": x * 2.0**-1070,
+        "huge": x * 2.0**1020,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(real_block_inputs()))
+def test_real_blocks_hold_the_bytes_of_the_complex_round_trip(name):
+    x = real_block_inputs()[name]
+    if name == "complex -0":
+        assert np.signbit(x.imag).all()
+    want = old_real_block(x)
+    forms = [BlockForm(x, x, x, x), SplitForm(x, x)]
+    for t in forms:
+        for block in (getattr(t, f) for f in ("e1", "e2", "e3", "e4", "a", "b") if hasattr(t, f)):
+            assert block.dtype == np.float64 and block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert not np.shares_memory(block, np.asarray(x))
+
+
+def invalid_real_blocks():
+    nan = float("nan")
+    return {
+        "nan": [[1.0, nan], [0.0, 1.0]],
+        "inf": np.array([[np.inf]]),
+        "imaginary": [[1.0, 1e-300j], [0.0, 1.0]],
+        "nan and imaginary": [[nan, 1j], [0.0, 1.0]],
+        "1-d": np.ones(2),
+        "3-d": np.ones((1, 2, 2)),
+        "empty": np.zeros((0, 0)),
+        "empty list": [],
+        "scalar": 1.0,
+        "non-square": [[1.0, 2.0]],
+        "non-square imaginary": [[1.0, 2j]],
+        "other size": np.eye(3),
+        "other size imaginary": np.eye(3) * 1j,
+        "other size nan": np.full((3, 3), nan),
+        "string": [["1", "2"], ["3", "x"]],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(invalid_real_blocks()))
+def test_invalid_real_blocks_raise_the_complex_round_trips_error_first(name):
+    # conversion, then the shape, finiteness, squareness, block sizes and finally the
+    # imaginary test, each with its class and message, with the bad block first or last
+    bad, good = invalid_real_blocks()[name], np.eye(2)
+    for form, blocks in (
+        (BlockForm, (bad, good, good, good)),
+        (BlockForm, (good, good, good, bad)),
+        (SplitForm, (bad, good)),
+        (SplitForm, (good, bad)),
+    ):
+        with pytest.raises(Exception) as want:
+            n = None
+            for block in blocks:
+                n = old_real_block(block, n).shape[0]
+        with pytest.raises(want.type) as got:
+            form(*blocks)
+        assert str(got.value) == str(want.value), (name, form.__name__)
+
+
+def test_each_form_constructor_validates_each_block_once(validation_calls):
+    rng = np.random.default_rng(2513)
+    x = rng.standard_normal((3, 3))
+    for blocks in ((x, x), (x + 0j, x.tolist()), (x.astype(np.float32), x.T)):
+        validation_calls.clear()
+        SplitForm(*blocks)
+        assert validation_calls == ["as_matrix"] * 2
+        validation_calls.clear()
+        BlockForm(*blocks, *blocks)
+        assert validation_calls == ["as_matrix"] * 4
+    validation_calls.clear()
+    ConjugatePairForm(x + 1j * x, x)
+    NormalizedForm(x)
+    assert validation_calls == ["as_matrix"] * 3
+
+
+def test_per_dimension_constants_are_built_once_and_read_only():
+    from cxlattices.realmaps import _real_basis
+
+    assert _real_basis(3) is _real_basis(3)
+    basis = _real_basis(3)
+    assert basis.tobytes() == np.hstack([np.eye(3), 1j * np.eye(3)]).tobytes()
+    with pytest.raises(ValueError):
+        basis[0, 0] = 2.0
+    # nothing returned shares memory with the constant
+    rng = np.random.default_rng(2517)
+    forms = [
+        random_split(rng, 3),
+        BlockForm(*(rng.standard_normal((3, 3)) for _ in range(4))),
+        NormalizedForm(0.2 * random_complex(rng, 3)),
+    ]
+    returned = []
+    for t in forms:
+        g, normal = normalize_post_composition(t)
+        returned += [realify(t), apply(t, random_points(rng, 3, 2)), g, normal.e]
+        for kind in KINDS:
+            try:
+                u = convert(t, kind)
+            except NotInSplitClass:
+                continue
+            returned += [getattr(u, f.name) for f in dataclasses.fields(u)]
+    assert not any(np.shares_memory(out, basis) for out in returned)
+    # and no operation wrote into it
+    assert _real_basis(3).tobytes() == np.hstack([np.eye(3), 1j * np.eye(3)]).tobytes()
