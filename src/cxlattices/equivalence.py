@@ -47,10 +47,11 @@ sigma_orbit_equal the largest diagonal entry of its two forms, and
 short_vectors the sigma_max of A.  The radius is scaled by 4^-e, and is
 inf where that overflows, which the box budget refuses.  Results are
 mapped back exactly: covolumes by 4^(n e), spectrum values and norms by
-4^e.  A witness T is the same at every scale, since the LU and the
-products commute with a power of two.  So a verdict does not change
-under a common power-of-two scale, and tol.abs applies at unit scale, as
-do the unit floors of the spectrum refuter's guard band and value test.
+4^e.  A witness T is the same at every scale, since the adjugates, the
+determinant and the products commute with a power of two.  So a verdict
+does not change under a common power-of-two scale, and tol.abs applies at
+unit scale, as do the unit floors of the spectrum refuter's guard band and
+value test.
 The radius is checked and reported as the caller gave it, and in
 special_unitary mode determinant one is read at the caller's scale.
 
@@ -75,7 +76,9 @@ calls LAPACK: the invertibility gate (one SVD call), the covolume refuter
 budgets, the height check, then, only where that passes (n <= 2 and a box
 within the budget), the Gram forms (one A* A call) and the scan.  A witness
 that passes the re-verification at the caller's tolerance settles the pair
-at once; its T takes the one inverse, of A1, at the scan's first hit.  Only
+at once.  Its T, and the checks on it, are built in closed form from Python
+complex numbers, with no numpy linear algebra (_first_witness), so the bytes
+of T depend on the input alone, not on the BLAS kernel.  Only
 where the scan finds no witness, or does not run or raises (as
 HeightTooLarge does at n = 3), are the spectra enumerated, in one call on
 the pair that takes sigma_max and sigma_min from the gate's singular values
@@ -115,12 +118,14 @@ from .kernel import (
     Tolerance,
     _det,
     _invertibility_gate,
+    _ldexp,
+    _scaled,
     as_matrix,
     fro,
     frozen,
 )
 from .lattices import GaussianUnimodular
-from .polar import _classify, _gram_matrix, as_gram_form
+from .polar import _gram_matrix, as_gram_form
 
 EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
@@ -134,6 +139,7 @@ _LLL_STEPS = 1000
 _SMALL_BOX = 3**6
 # the relative resolution of the spectrum refuter: its guard band and its value test
 _SPECTRUM_REL = 1e-6
+_NOT_UNITARY = "gram congruence certified but the reconstructed map is not unitary"
 
 
 @dataclass(frozen=True)
@@ -327,19 +333,6 @@ def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
     for x, y in zip(u[order].tolist(), v[order].tolist()):
         (a, c), (b, d) = divmod(x, m), divmod(y, m)
         yield (box[a], box[b]), (box[c], box[d])
-
-
-def _scaled(a: np.ndarray, k: int) -> np.ndarray:
-    """a 2^k, a real or complex array scaled on its float64 view: exact short of underflow."""
-    return np.ldexp(a.view(np.float64), k).view(a.dtype)
-
-
-def _ldexp(x: float, k: int) -> float:
-    """x 2^k, and inf where it overflows."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return math.inf
 
 
 def sigma_orbit_equal(
@@ -664,36 +657,101 @@ def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float, e: int = 0)
     return None
 
 
+def _adjugate(x: list) -> tuple:
+    """(adj X, det X) of an n x n list of complex numbers, n <= 2."""
+    if len(x) == 1:
+        return [[1.0 + 0j]], x[0][0]
+    (a, b), (c, d) = x
+    return [[d, -b], [-c, a]], a * d - b * c
+
+
+def _inverse(x: list) -> list | None:
+    """X^-1 = adj X / det X of an n x n list of complex numbers, n <= 2; None where det X
+    is 0."""
+    adj, d = _adjugate(x)
+    return None if d == 0 else [[z / d for z in row] for row in adj]
+
+
+def _product(x: list, y: list) -> list:
+    """X Y of two n x n lists of complex numbers, n <= 2, each entry one fixed-order sum."""
+    if len(x) == 1:
+        return [[x[0][0] * y[0][0]]]
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+
+
+def _fro(x: list) -> float:
+    """The Frobenius norm of a list of rows of complex numbers, by math.hypot: it neither
+    raises nor over- or underflows, and is inf or nan where an entry is."""
+    return math.hypot(*[p for row in x for z in row for p in (z.real, z.imag)])
+
+
+def _unitarity(t: list) -> tuple:
+    """(margin, defect, det distance) of an n x n list of complex numbers T, n <= 2: what
+    _classify reads from an SVD, a determinant and T* T - I, here in closed form.
+
+    margin is sigma_min / sigma_max: 1 at n = 1 (0 for T = 0), and |det T| / sigma_max^2
+    at n = 2, where sigma_max^2, the larger eigenvalue of G = T* T, is (tr G + sqrt((g00 -
+    g11)^2 + 4 |g01|^2)) / 2, the same as (|T|_F^2 + sqrt(|T|_F^4 - 4 |det T|^2)) / 2
+    without its cancellation.  defect is |G - I|_F and det distance |det T - 1|.  Every
+    modulus and norm goes through math.hypot, and no step divides by zero, so a T that is
+    not finite, or whose squares overflow, gives values that are inf or nan and fail
+    every bound.
+    """
+    if len(t) == 1:
+        (x,), = t
+        g = x.real * x.real + x.imag * x.imag
+        return (1.0 if x else 0.0), abs(g - 1.0), math.hypot(x.real - 1.0, x.imag)
+    (a, b), (c, d) = t
+    g00 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    g11 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    g01 = a.conjugate() * b + c.conjugate() * d
+    det = a * d - b * c
+    top = 0.5 * (g00 + g11 + math.hypot(g00 - g11, 2.0 * g01.real, 2.0 * g01.imag))
+    margin = math.hypot(det.real, det.imag) / top if top > 0.0 else 0.0
+    defect = math.hypot(g00 - 1.0, g11 - 1.0, g01.real, g01.imag, g01.real, g01.imag)
+    return margin, defect, math.hypot(det.real - 1.0, det.imag)
+
+
 def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, tol: Tolerance,
                    budget: int):
     """The Equivalent verdict of the first verified hit of the Gram scan on the pair (A1, A2)
-    with Gram forms grams, or None when no hit is kept.
+    with Gram forms grams, or None when no hit is kept.  The scan runs at n <= 2 only.
 
-    Each hit gives the unitary T = A2 B^-1 A1^-1 (B, built on entries the scan proved,
-    inverted exactly via its adjugate; A1 inverted once, at the first hit), which must
-    pass classify and the re-verification; in special_unitary mode a hit whose det(T) is
-    not one is passed over.
+    Each hit gives the unitary T = A2 B^-1 A1^-1 in closed form, with no BLAS or LAPACK
+    call, so its bytes depend on the input alone: the pair is read once, at the first
+    hit, as Python complex numbers; B (built on entries the scan proved, det B = 1) and
+    A1 are inverted by their adjugates, A1's over its determinant, and each product is a
+    fixed-order sum (_product).  T must pass classify's test of U, in closed form
+    (_unitarity): margin above tol.rel and |T* T - I|_F <= tol.rel n; in special_unitary
+    mode a hit with |det T - 1| > tol.rel n is passed over; and the residual
+    |A2 - T A1 B|_F must be within 100 tol.rel max(|A2|_F, 1) + tol.abs.  A zero
+    determinant of A1, or a T that is not finite, fails the test of U.
     """
-    (m1, m2), n = pair, pair.shape[-1]
+    n = pair.shape[-1]
     inv = None
     for entries in _gram_hits(height, grams[0], grams[1], tol, budget):
         b = GaussianUnimodular._proved(entries)  # _gram_hits proved ad - bc = 1
+        bm = [[complex(*e) for e in row] for row in entries]
         if inv is None:  # A1 passed the gate, and each witness is re-verified
-            inv = np.linalg.inv(m1)
-        t = m2 @ b.inverse_matrix() @ inv
-        member = _classify(t, tol)
-        if not member.in_u:
-            raise InternalCheckError(
-                "gram congruence certified but the reconstructed map is not unitary"
-            )
-        if mode == MODE_SPECIAL_UNITARY and member.det_distance > tol.rel * n:
+            a1, a2 = pair.tolist()
+            inv = _inverse(a1)
+            if inv is None:  # det A1 underflowed: possible only under a tiny tol.rel
+                raise InternalCheckError(_NOT_UNITARY)
+        t = _product(_product(a2, _adjugate(bm)[0]), inv)  # adj B = B^-1
+        margin, defect, det_distance = _unitarity(t)
+        if not (margin > tol.rel and defect <= tol.rel * n):
+            raise InternalCheckError(_NOT_UNITARY)
+        if mode == MODE_SPECIAL_UNITARY and det_distance > tol.rel * n:
             continue
-        residual = fro(m2 - t @ m1 @ b.matrix)
-        if residual > 100.0 * tol.rel * max(fro(m2), 1.0) + tol.abs:
+        image = _product(_product(t, a1), bm)
+        residual = _fro([[x - y for x, y in zip(r, s)] for r, s in zip(a2, image)])
+        if not residual <= 100.0 * tol.rel * max(_fro(a2), 1.0) + tol.abs:
             raise InternalCheckError(
                 f"witness failed re-verification (residual {residual:.3e})"
             )
-        return EquivalenceVerdict(EQUIVALENT, (frozen(t), b), None, height)
+        return EquivalenceVerdict(EQUIVALENT, (frozen(np.array(t)), b), None, height)
     return None
 
 

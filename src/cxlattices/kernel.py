@@ -96,6 +96,19 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _scaled(a: np.ndarray, k: int) -> np.ndarray:
+    """a 2^k, a real or complex array scaled on its float64 view: exact short of underflow."""
+    return np.ldexp(a.view(np.float64), k).view(a.dtype)
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, and inf where it overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
+
+
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
     """a, once its entries pass the package's one finiteness check (ValueError otherwise)."""
     if not np.isfinite(a).all():

@@ -23,6 +23,7 @@ is taken once, by the permuted basis, which carries it.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,16 +38,20 @@ from .errors import (
     FirstBlockSingular,
     InternalCheckError,
     NonIntegralEntry,
+    NumericOverflow,
     RankDeficient,
 )
 from .gaussian import gabs2, gadjugate, gdet, gidentity, gmat, gmatmul, gneg
 from .kernel import (
+    _FLOAT_TINY,
     DEFAULT_TOL,
     GRAY_ZONE,
     Tolerance,
     _built,
     _det,
     _invertibility_gate,
+    _ldexp,
+    _scaled,
     _singular_values,
     as_columns,
     as_matrix,
@@ -260,8 +265,30 @@ def rank_margin(g, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def covolume(lat: LatticeBasis) -> float:
-    """Volume of a fundamental parallelepiped: |det| of the realification."""
-    return float(abs(_det(lat._real)))
+    """Volume of a fundamental parallelepiped: |det| of the realification.
+
+    Where the determinant is not a finite normal double, it is taken again on the
+    realification times the power of two 2^-e that puts sigma_max in [1, 2), exact
+    short of underflow, and scaled back by 2^(2n e): a covolume past the largest double
+    is inf, and one that underflows below the smallest normal double raises
+    NumericOverflow; a singular basis has covolume 0.0.  No path warns.
+    """
+    # |det| by math.hypot: abs() of a complex nan can raise OverflowError on a stale errno
+    with np.errstate(all="ignore"):
+        d = _det(lat._real)
+        d = math.hypot(d.real, d.imag)
+        if _FLOAT_TINY <= d < math.inf:
+            return d
+        e = math.frexp(lat.sigma_max)[1] - 1
+        unit = _det(_scaled(lat._real, -e))
+        unit = math.hypot(unit.real, unit.imag)
+    d = _ldexp(unit, 2 * lat.n * e)
+    if unit > 0.0 and d < _FLOAT_TINY:
+        raise NumericOverflow(
+            f"covolume underflowed: |det| of the realified generators, 2^{2 * lat.n * e} times"
+            f" {unit:.17g}, is below the smallest normal double"
+        )
+    return d
 
 
 def same_lattice(

@@ -24,6 +24,7 @@ applies the same rule at a caller's tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ from .kernel import (
     _hermitian_part,
     _invertibility_gate,
     _overflow_checked,
+    _scaled,
     _self_adjoint_part,
     as_matrix,
     fro,
@@ -183,12 +185,13 @@ def gram(a, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     return _gram(as_matrix(a, square=True), tol)
 
 
-def _gated_margin(am: np.ndarray, tol: Tolerance, what: str) -> float:
-    """A's margin once the gate accepts A; SingularMatrix, naming what needed it, otherwise."""
-    ok, margin, _ = _invertibility_gate(am, tol)
+def _gated_margin(am: np.ndarray, tol: Tolerance, what: str) -> tuple:
+    """(margin, singular values) of A once the gate accepts A; SingularMatrix, naming what
+    needed it, otherwise."""
+    ok, margin, s = _invertibility_gate(am, tol)
     if not ok:
         raise SingularMatrix(f"{what} needs an invertible matrix (margin {margin:.3e})")
-    return margin
+    return margin, s
 
 
 def _gram(am: np.ndarray, tol: Tolerance) -> GramForm:
@@ -222,8 +225,13 @@ def _gram_matrix(am: np.ndarray) -> np.ndarray:
 def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
     """Whether A2 = T A1 for some unitary T; returns (verdict, T or None).
 
-    Verdict is ||gram(A1) - gram(A2)|| <= tol.rel * (||A1||^2 + ||A2||^2)
-    + tol.abs; when it holds the witness T = A2 A1^-1 is computed and its
+    Both inputs must pass the invertibility gate (SingularMatrix otherwise).
+    Scale follows equivalence's rule: A2 = T A1 exactly when s A2 = T s A1,
+    so both are first multiplied by the one power of two 2^-e that puts the
+    larger sigma_max in [1, 2), exact short of underflow, and tol.abs applies
+    at that unit scale.  On the scaled pair, the verdict is ||gram(A1) -
+    gram(A2)|| <= tol.rel * (||A1||^2 + ||A2||^2) + tol.abs; when it holds the
+    witness T = A2 A1^-1, the same at every scale, is computed and its
     unitarity asserted.
     """
     m1 = as_matrix(a1, square=True)
@@ -231,11 +239,12 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"shapes differ: {m1.shape} vs {m2.shape}")
     # A1* has A1's singular values, so the gate's margin on A1 also gates the solve
-    margin = _gated_margin(m1, tol, "gram")
-    p1 = GramForm._certified(_gram_matrix(m1), m1)
-    p2 = _gram(m2, tol)
+    (margin, s1), (_, s2) = (_gated_margin(m, tol, "gram") for m in (m1, m2))
+    e = math.frexp(max(s1[0], s2[0]))[1] - 1
+    m1, m2 = _scaled(m1, -e), _scaled(m2, -e)
+    p1, p2 = _gram_matrix(m1), _gram_matrix(m2)
     bound = tol.rel * (fro(m1) ** 2 + fro(m2) ** 2) + tol.abs
-    if fro(p1.matrix - p2.matrix) > bound:
+    if fro(p1 - p2) > bound:
         return False, None
     witness = _adjoint(gated_solve(_adjoint(m1), margin, fro(m1), _adjoint(m2), tol))
     if not _classify(witness, tol).in_u:

@@ -16,6 +16,11 @@ writes to either.  With ``--against DIR`` it also runs itself, in a
 subprocess, on DIR's ``src/`` and ``perfbench/`` (another checkout), prints
 both lines of each pool, marks the pools whose lines differ, and exits 1 if
 any does.
+
+Compare lines from one host and one BLAS kernel.  Array bytes that come from
+LAPACK or BLAS (SVDs, solves, determinants) round differently under each
+OpenBLAS kernel (the one the CPU selects, or OPENBLAS_CORETYPE names), so two
+checkouts agree only when both ran on the same machine under the same kernel.
 """
 
 import argparse

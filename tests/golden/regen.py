@@ -203,6 +203,12 @@ CASES = {
         "input": '{"first": [[[1, 0]]], "second": [[[2, 0]]]}',
         "exit": 0,
     },
+    # the Gram forms, ~1e-18, are compared at unit scale, where tol.abs does not swamp them
+    "unitary-equiv-small-scale": {
+        "argv": ["unitary-equiv"],
+        "input": '{"first": [[[1e-9, 0]]], "second": [[[2e-9, 0]]]}',
+        "exit": 0,
+    },
     # --- sl-normalize ---
     "sl-normalize-diag": {
         "argv": ["sl-normalize"],
@@ -225,6 +231,12 @@ CASES = {
         "input": '{"lattice": {"n": 1, "generators": [[[1e200, 0]], [[0, 1e200]]]}}',
         "exit": 1,
     },
+    # a valid basis whose covolume, 2^-2148, is below the smallest double: an underflow
+    "lattice-validate-underflow": {
+        "argv": ["lattice-validate"],
+        "input": '{"lattice": {"n": 1, "generators": [[[0.0, 5e-324]], [[5e-324, 0.0]]]}}',
+        "exit": 1,
+    },
     # --- lattice-covolume ---
     "lattice-covolume-standard": {
         "argv": ["lattice-covolume"],
@@ -240,6 +252,11 @@ CASES = {
         "argv": ["lattice-covolume", "--tol-rel", "1e-06", "--tol-abs", "1e-09"],
         "input": '{"lattice": ' + STD1 + "}",
         "exit": 0,
+    },
+    "lattice-covolume-underflow": {
+        "argv": ["lattice-covolume"],
+        "input": '{"lattice": {"n": 1, "generators": [[[0.0, 5e-324]], [[5e-324, 0.0]]]}}',
+        "exit": 1,
     },
     # --- lattice-normalize ---
     "lattice-normalize-scaled-tau": {

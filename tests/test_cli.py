@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import warnings
@@ -465,6 +466,42 @@ def test_regen_check_finds_every_difference(tmp_path):
         "polar-singular.golden: missing",
         "stray.golden: no such case",
     ]
+
+
+_CHECK_EQUIV_CASES = """
+import pathlib, sys
+sys.path.insert(0, sys.argv[1])
+import regen
+regen.CASES = {name: case for name, case in regen.CASES.items() if name.startswith("lattice-equiv-")}
+files, failures = regen.render()
+golden = pathlib.Path(sys.argv[1])
+diffs = failures + [f"{name}: bytes differ" for name, data in files.items()
+                    if name != "cases.json" and (golden / name).read_bytes() != data]
+sys.exit("\\n".join(diffs) or None)
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose kernel
+    OPENBLAS_CORETYPE selects, on an x86-64 machine."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "openblas" in str(blas.get("name", "")).lower()
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS on x86-64")
+def test_lattice_equiv_golden_bytes_do_not_depend_on_the_blas_kernel():
+    # the witness T is built in closed form, so the Haswell kernel, which rounds LAPACK's
+    # results differently from the newer ones, must reproduce every lattice-equiv golden file
+    src = str(pathlib.Path(cxlattices.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run([sys.executable, "-c", _CHECK_EQUIV_CASES, str(GOLDEN)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_regen_drift_check_allows_float_drift_only(tmp_path):

@@ -49,7 +49,7 @@ from cxlattices.kernel import (
     _singular_values,
     fro,
 )
-from cxlattices.polar import GramForm, _gram_matrix, classify, gram, sl_normalize
+from cxlattices.polar import GramForm, _classify, _gram_matrix, classify, gram, sl_normalize
 
 
 def random_invertible(rng, n, min_cond=1e-2):
@@ -1305,9 +1305,9 @@ def test_special_unitary_mode_requires_sl():
 
 
 def test_both_modes_validate_each_input_once_and_run_one_gate(validation_calls, singular_value_calls):
-    # each input is validated once and the stacked pair is gated in one SVD call; the
-    # enumeration reuses the gate's singular values, and the witness's unitarity check
-    # takes the second SVD, in either mode
+    # each input is validated once and the stacked pair is gated in one SVD call, the
+    # only one: the enumeration reuses the gate's singular values, and the witness is
+    # built and checked in closed form, in either mode
     rng = np.random.default_rng(46)
     a1, _ = sl_normalize(random_invertible(rng, 2))
     t, _ = sl_normalize(random_unitary(rng, 2))
@@ -1317,7 +1317,7 @@ def test_both_modes_validate_each_input_once_and_run_one_gate(validation_calls, 
         singular_value_calls.clear()
         assert lattice_equivalent(a1, a2, mode=mode).status == EQUIVALENT
         assert validation_calls == ["as_matrix", "as_matrix"]
-        assert singular_value_calls == [(2, 2, 2), (2, 2)]
+        assert singular_value_calls == [(2, 2, 2)]
 
 
 def test_special_unitary_planted():
@@ -1334,6 +1334,60 @@ def test_special_unitary_planted():
         assert abs(np.linalg.det(t2) - 1.0) < 1e-8
         assert classify(t2).in_u
         assert np.linalg.norm(a2 - t2 @ a1 @ b2.matrix) <= 1e-8 * np.linalg.norm(a2)
+
+
+def _closed_form_triples(n):
+    """(A1, A2, B) at dimension n: random pairs, planted pairs A2 = T A1 B with T unitary,
+    and planted pairs whose T puts the margin, the unitarity defect or the determinant
+    distance within a relative 1e-3 of its bound at the default tol, on either side."""
+    rng = np.random.default_rng(62 + n)
+    pool = sigma_candidates(2, 2) if n == 2 else sigma_candidates(1, 1)
+    bound = DEFAULT_TOL.rel
+    triples = []
+    for _ in range(24):
+        b = GaussianUnimodular(pool[int(rng.integers(len(pool)))])
+        a1 = random_invertible(rng, n)
+        u, v = random_unitary(rng, n), random_unitary(rng, n)
+        su = u / np.linalg.det(u) ** (1.0 / n)
+        side = 1.0 + rng.choice([-1e-3, 1e-3])
+        near = [
+            u * (1.0 + 0.5 * bound * math.sqrt(n) * side),  # defect |(1 + x)^2 - 1| sqrt(n)
+            su * np.exp(1j * bound * side),  # det distance 2 sin(n phi / 2) at n tol.rel
+        ]
+        if n == 2:  # defect ~1, and margin at tol.rel
+            near.append(u @ np.diag([1.0, bound * side]) @ v)
+        for t in [random_invertible(rng, n), u, *near]:
+            triples.append((a1, t @ a1 @ b.matrix, b))
+    return triples
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_closed_form_witness_agrees_with_numpy_linear_algebra(n):
+    # the witness T = A2 B^-1 A1^-1 and the quantities checked on it, built in closed form
+    # as _first_witness builds them, against np.linalg.inv, the SVD and determinant of
+    # _classify, and fro: equal within rounding, and on the same side of every bound
+    eps, tol = np.finfo(float).eps, DEFAULT_TOL
+    for a1, a2, b in _closed_form_triples(n):
+        adj_b = equivalence._adjugate(b.matrix.tolist())[0]
+        t = equivalence._product(equivalence._product(a2.tolist(), adj_b),
+                                 equivalence._inverse(a1.tolist()))
+        inv = np.linalg.inv(a1)
+        ref = a2 @ b.inverse_matrix() @ inv
+        tm = np.array(t)
+        assert np.abs(tm - ref).max() <= 64 * eps * fro(a2) * fro(b.inverse_matrix()) * fro(inv)
+        margin, defect, det_distance = equivalence._unitarity(t)
+        member = _classify(tm, tol)
+        size = max(1.0, fro(tm) ** 2)
+        assert abs(margin - _invertibility_gate(tm, tol)[1]) <= 64 * eps
+        assert abs(defect - member.unitarity_defect) <= 64 * eps * size
+        assert abs(det_distance - member.det_distance) <= 64 * eps * size
+        assert (margin > tol.rel) == member.in_gl
+        assert (margin > tol.rel and defect <= tol.rel * n) == member.in_u
+        assert (det_distance <= tol.rel * n) == (member.det_distance <= tol.rel * n)
+        image = equivalence._product(equivalence._product(t, a1.tolist()), b.matrix.tolist())
+        residual = equivalence._fro([[x - y for x, y in zip(r, s)] for r, s in zip(a2.tolist(), image)])
+        expected = fro(a2 - tm @ a1 @ b.matrix)
+        assert abs(residual - expected) <= 64 * eps * fro(a2) * size
 
 
 def test_unknown_mode_rejected():

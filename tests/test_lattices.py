@@ -1,5 +1,7 @@
 """Tests for lattice bases, integer witnesses, and the normalization pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cxlattices.errors import (
     FirstBlockSingular,
     InternalCheckError,
     NonIntegralEntry,
+    NumericOverflow,
     RankDeficient,
 )
 from cxlattices.lattices import (
@@ -162,6 +165,31 @@ def test_covolume_scaled_square():
 def test_covolume_tau():
     tau = 0.3 + 1.7j
     assert covolume(from_generators([[1.0, tau]])) == pytest.approx(abs(tau.imag))
+
+
+def test_covolume_past_the_doubles_is_an_overflow_or_an_underflow():
+    # the determinant is retaken at unit scale, so an underflow is told from an overflow
+    # and from a singular basis, and no path warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflow, match="underflowed"):
+            covolume(from_generators([[5e-324j, 5e-324]]))
+        with pytest.raises(NumericOverflow, match="underflowed"):
+            covolume(from_generators([[1e-160, 1e-160j]]))
+        assert covolume(from_generators([[1e200, 1e200j]])) == np.inf
+        assert covolume(from_generators([[1e-150, 1e-150j]])) == pytest.approx(1e-300)
+        assert covolume(from_generators([[1e150, 1e150j]])) == pytest.approx(1e300)
+        assert covolume(LatticeBasis(np.array([[1.0, 2.0]]))) == 0.0
+
+
+def test_covolume_in_range_is_the_plain_determinant():
+    # the retake at unit scale runs only past the doubles: elsewhere the bytes are those of
+    # the one determinant of the realification, as LU in complex arithmetic gives it
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, 8):
+        for _ in range(10):
+            lat = from_generators(random_basis(rng, n).g * 2.0 ** int(rng.integers(-40, 40)))
+            assert covolume(lat) == abs(np.linalg.det(lat.realified.astype(complex)))
 
 
 # --- same_lattice ---

@@ -390,6 +390,19 @@ def test_unitarily_equivalent_is_symmetric():
     assert unitarily_equivalent(a, a + 10.0 * b)[0] == unitarily_equivalent(a + 10.0 * b, a)[0]
 
 
+def test_unitarily_equivalent_does_not_change_under_a_power_of_two_scale():
+    # the pair is compared at unit scale, so tol.abs never swamps two small Gram forms:
+    # diag(1, 2) against diag(1, 3) stays apart, and a unitary pair keeps its witness bytes
+    q = random_unitary(np.random.default_rng(25), 2)
+    a = np.diag([1.0, 2.0]).astype(complex)
+    _, reference = unitarily_equivalent(a, q @ a)
+    for k in range(-60, 61):
+        s = 2.0**-k
+        assert unitarily_equivalent(s * a, np.diag([s, 3.0 * s]))[0] is False, k
+        same, witness = unitarily_equivalent(s * a, s * (q @ a))
+        assert same and witness.tobytes() == reference.tobytes(), k
+
+
 def test_unitarily_equivalent_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         unitarily_equivalent(np.eye(2), np.eye(3))
