@@ -116,6 +116,7 @@ from .kernel import (
     MODE_SPECIAL_UNITARY,
     MODE_UNITARY,
     Tolerance,
+    _complex_abs,
     _det,
     _invertibility_gate,
     _ldexp,
@@ -810,14 +811,14 @@ def lattice_equivalent(
     dets = _det(pair).tolist()  # each is det 2^(-n e) of the caller's input
     if mode == MODE_SPECIAL_UNITARY:
         for name, passed, d in zip(("A1", "A2"), ok.tolist(), dets):
-            distance = abs(complex(_ldexp(d.real, n * e), _ldexp(d.imag, n * e)) - 1.0)
+            distance = _complex_abs(complex(_ldexp(d.real, n * e), _ldexp(d.imag, n * e)) - 1.0)
             if not (passed and distance <= tol.rel * n):
                 raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
     # the covolumes |det|^2 differ by more than tol.rel of the larger: tested on the ratio
     # of the two |det|, which neither over- nor underflows at any dimension
-    lo, hi = sorted(abs(d) for d in dets)
+    lo, hi = sorted(_complex_abs(d) for d in dets)
     if hi > 0.0 and 1.0 - (lo / hi) ** 2 > tol.rel:
-        r1, r2 = (_ldexp(abs(d), n * e) for d in dets)  # |det| at the caller's scale
+        r1, r2 = (_ldexp(_complex_abs(d), n * e) for d in dets)  # |det| at the caller's scale
         return EquivalenceVerdict(REFUTED, None, ("covolume", r1 * r1, r2 * r2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the

@@ -86,7 +86,9 @@ class LatticeBasis:
     (``coordinates``: torus reduction, same_lattice) runs no further SVD and
     no further norm of the basis.  The margin of the first n generators, the
     block normalize_to_Lstarstar inverts, is kept the same way once read
-    (permute_to_L1 reads it to gate the basis it returns).  A basis is
+    (permute_to_L1 reads it to gate the basis it returns).  It also keeps,
+    once read, whether G @ c is finite for every c in [0, 1]^2n (``_reps_finite``):
+    torus then builds a representative with no finiteness pass.  A basis is
     immutable, so a verdict about it (torus keeps same_lattice's) stays true.
     """
 
@@ -122,6 +124,21 @@ class LatticeBasis:
     @cached_property
     def _norm(self) -> float:
         return fro(self._real)
+
+    @cached_property
+    def _reps_finite(self) -> bool:
+        """Whether G @ c is finite for every c in [0, 1]^2n, proved from G's entries.
+
+        |Re (G c)_i| is at most the i-th row sum of |Re G|, |Im (G c)_i| the
+        i-th of |Im G|; the largest of each, summed, bounds every partial sum
+        and product a complex matmul forms.  Below 2^1000 that bound leaves a
+        factor 2^24 to the largest double, more than the rounding of any sum
+        of 2n terms can use, so G @ c cannot overflow.  The row sums
+        themselves may overflow here, to inf, which fails the proof, unwarned.
+        """
+        with np.errstate(over="ignore"):
+            bound = np.abs(self.g.real).sum(axis=1).max() + np.abs(self.g.imag).sum(axis=1).max()
+        return bool(bound < 2.0**1000)
 
     @cached_property
     def _verdicts(self) -> weakref.WeakKeyDictionary:
@@ -400,17 +417,34 @@ def permute_to_L1(
     break to the lowest index), then project it out of the rest.  The 2n
     generators span C^n over C because they span it over R, so n steps
     always succeed for a valid basis.
+
+    The loop runs on G 2^-e, e putting G's largest real or imaginary part in
+    [1, 2): exact short of underflow, so it chooses the columns G itself
+    would, and no square under- or overflows.  Its dependence test is scale
+    free.  After k < n steps the columns have been multiplied by a product M
+    of orthogonal projectors, one onto the complement of each chosen
+    direction; M is the identity on the complex (n - k)-dimensional space
+    orthogonal to all of them, so its realification has Frobenius norm at
+    least sqrt(2), and the realified generators R give ||M R||_F >=
+    sigma_min(R) sqrt(2).  The 2n - k remaining columns then hold one of
+    norm at least sigma_min(R) / sqrt(n), on the scaled G at least
+    margin / sqrt(n) (its sigma_max is at least its largest part, 1).  The
+    test fires at half that, margin / (2 sqrt(n)): rounding moves a column
+    by a few n^2 eps, far below it for any margin from_generators accepts
+    at a tol.rel above about n^2.5 eps.
     """
     g = lat.g
     n = g.shape[0]
-    work = g.copy()
+    parts = g.copy().view(np.float64)  # C-contiguous: its real and imaginary parts
+    work = _scaled(parts, 1 - math.frexp(float(np.abs(parts).max()))[1]).view(np.complex128)
+    floor = lat.margin / (2.0 * math.sqrt(n))
     chosen: list[int] = []
     for _ in range(n):
         # np.linalg.norm(work, axis=0)'s arithmetic, on all 2n columns; the chosen ones are masked
         norms = np.sqrt(np.add.reduce((work.conj() * work).real, axis=0))
         norms[chosen] = -1.0
         j = int(np.argmax(norms))
-        if norms[j] <= tol.abs:
+        if not norms[j] > floor:
             raise InternalCheckError("generators of a valid basis cannot all be dependent")
         chosen.append(j)
         q = work[:, j] / np.linalg.norm(work[:, j])

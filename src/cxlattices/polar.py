@@ -45,9 +45,11 @@ from .kernel import (
     Tolerance,
     _adjoint,
     _built,
+    _complex_abs,
     _det,
     _hermitian_part,
     _invertibility_gate,
+    _ldexp,
     _overflow_checked,
     _scaled,
     _self_adjoint_part,
@@ -161,7 +163,7 @@ def _classify(am: np.ndarray, tol: Tolerance) -> GroupMembership:
     in_gl = _invertibility_gate(am, tol)[0]
     d = _det(am)
     defect = fro(_adjoint(am) @ am - np.eye(n))
-    det_distance = abs(d - 1.0)
+    det_distance = _complex_abs(d - 1.0)
     in_u = in_gl and defect <= tol.rel * n
     in_sl = in_gl and det_distance <= tol.rel * n
     return GroupMembership(
@@ -169,7 +171,7 @@ def _classify(am: np.ndarray, tol: Tolerance) -> GroupMembership:
         in_sl=in_sl,
         in_u=in_u,
         in_su=in_u and in_sl,
-        abs_det=abs(d),
+        abs_det=_complex_abs(d),
         unitarity_defect=defect,
         det_distance=det_distance,
     )
@@ -305,17 +307,31 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
 
     Returns (A / delta, delta) where delta is the principal n-th root of
     det(A), the one with argument in (-pi/n, pi/n].
+
+    A determinant that is not a finite normal double is taken again on
+    A 2^-e, e putting sigma_max in [1, 2), exact short of underflow: det(A) is
+    that determinant times 2^(n e), so delta is its root times 2^e, and the
+    result is A 2^-e over that root, the bits A 2^-e itself would give.
+    Every determinant that is a finite normal double is used as it is.
     """
     am = as_matrix(a, square=True)
-    _gated_margin(am, tol, "sl_normalize")
+    s = _gated_margin(am, tol, "sl_normalize")[1]
     n = am.shape[0]
-    # a det that under- or overflowed (delta 0 or not finite) leaves out not finite:
+    # a det that still under- or overflows (delta 0 or not finite) leaves out not finite:
     # NumericOverflow, before its determinant is read, and never warned
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = _det(am)
-        delta = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
-        out = am / delta
-    if abs(_det(_overflow_checked(out, "A / det(A)^(1/n)")) - 1.0) > tol.rel * n:
+        size = _complex_abs(d)
+        e = 0
+        if not _FLOAT_TINY <= size < math.inf:
+            e = math.frexp(float(s[0]))[1] - 1
+            am = _scaled(am, -e)
+            d = _det(am)
+            size = _complex_abs(d)
+        root = complex(size ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
+        out = am / root
+    delta = complex(_ldexp(root.real, e), _ldexp(root.imag, e)) if e else root
+    if _complex_abs(_det(_overflow_checked(out, "A / det(A)^(1/n)")) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")
     return frozen(out), delta
 
@@ -328,6 +344,6 @@ def su_sl_canonical(b, tol: Tolerance = DEFAULT_TOL) -> GramForm:
         raise NotInSL(f"determinant distance from one is {membership.det_distance:.3e}")
     # in_sl implies in_gl: _classify's gate has certified B, the root of B* B
     p = GramForm._certified(_gram_matrix(bm), bm)
-    if abs(_det(p.matrix) - 1.0) > 10.0 * tol.rel * bm.shape[0]:
+    if _complex_abs(_det(p.matrix) - 1.0) > 10.0 * tol.rel * bm.shape[0]:
         raise InternalCheckError("gram form of a determinant-one matrix must have determinant one")
     return p

@@ -22,8 +22,14 @@ caller's larger tol.rel is SingularMatrix either way.
 A point is proved once.  reduce and the group operations build it from
 coordinates they have just put in [0, 1) and the representative just
 computed from them, so they check only what can still fail there: the
-representative must be finite, else NumericOverflow.  A TorusPoint built by
-hand is validated in full.
+representative must be finite, else NumericOverflow.  The basis proves that
+once too, for every coordinate vector in [0, 1]^2n, when its entries are
+small enough (LatticeBasis._reps_finite); its points then skip the check,
+and only a basis without that proof pays it.  A TorusPoint built by hand is
+validated in full.  One reduce thus costs one LU, one residual norm (the
+norm of the solution is taken only for a residual past tol.abs), and a
+fixed handful of vector passes: the 2^52 test and the drift bound read one
+|c|.
 Bases are immutable, so whether the bases of two points present the same
 lattice is decided once per (basis, basis, tolerance) and remembered on
 the first basis, weakly, so the memo keeps no basis alive; an error such
@@ -97,29 +103,35 @@ class TorusPoint:
         return self.lattice.n
 
 
-def _solved(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Generator coordinates of a finite vector zv, which the basis solves for without
-    validating it; NumericOverflow for one of 2^52 or more in magnitude, which has no
-    fractional bit."""
-    c = lat._coordinates(real_columns(zv[:, None]).astype(np.complex128), tol)[:, 0].real
-    big = np.abs(c).max()
+def _solved(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Generator coordinates c of a finite vector zv, which the basis solves for without
+    validating it, and |c|; NumericOverflow for a coordinate of 2^52 or more in
+    magnitude, which has no fractional bit."""
+    # real_columns gives float64 columns: the LU and the residual cast them to complex exactly
+    c = lat._coordinates(real_columns(zv[:, None]), tol)[:, 0].real
+    size = np.abs(c)
+    big = size.max()
     if not big < 2.0**52:
         raise NumericOverflow(f"coordinate of magnitude {big:.3e} keeps no fractional bit (limit 2^52)")
-    return c
+    return c, size
 
 
 def _point(lat: LatticeBasis, c: np.ndarray, tol: Tolerance) -> TorusPoint:
     """The point of generator coordinates c (finite, below 2^52 in magnitude), wrapped into [0, 1).
 
     A coordinate within tol.abs below 1 wraps to 0, keeping the half-open
-    invariant exact.
+    invariant exact.  The representative needs no finiteness pass on a basis
+    that proves every G @ frac finite; on any other it is checked.
     """
     frac = c - np.floor(c)
     frac[1.0 - frac <= tol.abs] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, not warned
+    if lat._reps_finite:
         rep = lat.g @ frac
-    if not np.isfinite(rep).all():
-        raise NumericOverflow("representative G @ coords overflowed: the lattice's generators are too large")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, not warned
+            rep = lat.g @ frac
+        if not np.isfinite(rep).all():
+            raise NumericOverflow("representative G @ coords overflowed: the lattice's generators are too large")
     # the invariants TorusPoint's constructor checks hold by construction here
     return _built(TorusPoint, lattice=lat, rep=rep, coords=frac)
 
@@ -139,15 +151,15 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
 
 def _reduce(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> TorusPoint:
     """reduce on a finite complex vector of length lat.n, which needs no validation."""
-    c = _solved(lat, zv, tol)
+    c, size = _solved(lat, zv, tol)
     p = _point(lat, c, tol)
     shift = c - p.coords
     # floor(c) and shift - rint(shift) are exact.  c - floor(c), in [0, 1], rounds by at
     # most eps / 2, a wrap to 0 moves it by at most tol.abs, and c - frac rounds by at
     # most eps / 2 (|c| + 1), so shift lies within tol.abs + eps (1 + |c| / 2) of the
     # integers; the terms 2 eps + eps |c|, about eps max(1, |c|), allow that rounding
-    bound = 10.0 * tol.abs + 2.0 * _EPS + (1e-12 + _EPS) * np.abs(c)
-    if np.any(np.abs(shift - np.rint(shift)) > bound):
+    bound = 10.0 * tol.abs + 2.0 * _EPS + (1e-12 + _EPS) * size
+    if (np.abs(shift - np.rint(shift)) > bound).any():
         raise InternalCheckError("dropped coordinate parts drifted off the integers")
     return p
 
@@ -178,7 +190,7 @@ def _coords_in(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> np.ndarray:
         _gate(lat, tol)
         return q.coords
     _require_same_lattice(lat, q.lattice, tol)
-    return _solved(lat, q.rep, tol)
+    return _solved(lat, q.rep, tol)[0]
 
 
 def torus_add(p: TorusPoint, q: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
@@ -203,4 +215,4 @@ def torus_eq(p: TorusPoint, q: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> bool
     0/1 boundary because only distance-to-nearest-integer matters.
     """
     d = p.coords - _coords_in(p, q, tol)
-    return bool(np.all(np.abs(d - np.rint(d)) <= tol.abs + tol.rel * np.abs(d)))
+    return bool((np.abs(d - np.rint(d)) <= tol.abs + tol.rel * np.abs(d)).all())

@@ -215,6 +215,13 @@ CASES = {
         "input": '{"matrix": [[[0,1],[0,0]],[[0,0],[1,0]]]}',
         "exit": 0,
     },
+    # det(A) = -2^-2148 is lost (numpy returns NaN): it is taken again on A 2^1074, and
+    # delta = 2^-1074 i, the principal root; no traceback from abs() of the NaN
+    "sl-normalize-det-past-the-doubles": {
+        "argv": ["sl-normalize"],
+        "input": '{"matrix": [[[0,0],[5e-324,0]],[[5e-324,0],[0,0]]]}',
+        "exit": 0,
+    },
     # --- lattice-validate ---
     "lattice-validate-tau": {
         "argv": ["lattice-validate"],
@@ -262,6 +269,18 @@ CASES = {
     "lattice-normalize-scaled-tau": {
         "argv": ["lattice-normalize"],
         "input": '{"lattice": {"n": 1, "generators": [[[2, 0]], [[0.6, 3.4]]]}}',
+        "exit": 0,
+    },
+    # permute_to_L1's dependence test reads the margin, not tol.abs: a huge tol.abs and a
+    # basis at scale 1e-14 (margin 1.96e-14 at n = 1, valid) both normalize
+    "lattice-normalize-huge-tol-abs": {
+        "argv": ["lattice-normalize", "--tol-abs", "1e300"],
+        "input": '{"lattice": {"n": 1, "generators": [[[2, 0]], [[0.0, 3.4]]]}}',
+        "exit": 0,
+    },
+    "lattice-normalize-tiny-scale": {
+        "argv": ["lattice-normalize"],
+        "input": '{"lattice": {"n": 1, "generators": [[[2e-14, 0]], [[6e-15, 3.4e-14]]]}}',
         "exit": 0,
     },
     # --- lattice-same ---

@@ -71,8 +71,11 @@ def test_polar_of_a_huge_entry_writes_nothing_to_stderr():
 @pytest.mark.parametrize(
     "argv, input_text",
     [
-        (["sl-normalize"], '{"matrix": [[[1e-170,0],[0,0]],[[0,0],[1e-170,0]]]}'),
-        (["sl-normalize"], '{"matrix": [[[1e200,0],[0,0]],[[0,0],[1e200,0]]]}'),
+        # det 1e-340 underflows, det 1e560 overflows, and so does each again on A 2^-e
+        (["sl-normalize", "--tol-rel", "1e-300"],
+         '{"matrix": [[[1,0],[0,0],[0,0]],[[0,0],[1e-170,0],[0,0]],[[0,0],[0,0],[1e-170,0]]]}'),
+        (["sl-normalize", "--tol-rel", "1e-300"],
+         '{"matrix": [[[1e300,0],[0,0],[0,0]],[[0,0],[1e130,0],[0,0]],[[0,0],[0,0],[1e130,0]]]}'),
         (["map-normalize"], '{"map": {"kind": "conjugate_pair", "m": [[[1,0],[0,0]],[[0,0],[1,0]]], '
                             '"n": [[[1e200,0],[1e200,0]],[[1e200,0],[-1e200,0]]]}}'),
         (["map-normalize"], '{"map": {"kind": "conjugate_pair", "m": [[[1,0]]], "n": [[[1e200,0]]]}}'),
@@ -91,6 +94,17 @@ def test_an_overflowing_intermediate_is_one_malformed_line(argv, input_text):
     error = json.loads(out)["error"]
     assert error["name"] == "NumericOverflow"
     assert error["message"].endswith("is not finite: the computation overflowed")
+
+
+@pytest.mark.parametrize("scale", ["1e-170", "1e200"])
+def test_sl_normalize_of_a_determinant_past_the_doubles_is_one_ok_line(scale):
+    # det(s I) under- or overflows; sl-normalize takes it again on I, so delta is s
+    input_text = f'{{"matrix": [[[{scale},0],[0,0]],[[0,0],[{scale},0]]]}}'
+    assert stderr_of(["sl-normalize"], input_text) == ""
+    code, out = run_cli(["sl-normalize"], input_text)
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["delta"] == [float(scale), 0.0]
+    assert payload["normalized"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 def test_an_underflowing_sigma_min_squared_is_one_error_line():

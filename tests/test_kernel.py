@@ -9,6 +9,7 @@ import pytest
 
 from cxlattices import (
     DimensionMismatch,
+    InternalCheckError,
     NotSelfAdjoint,
     SingularMatrix,
     Tolerance,
@@ -22,7 +23,8 @@ from cxlattices import (
     singular_values,
     solve,
 )
-from cxlattices.kernel import GRAY_ZONE, fro, in_gray_zone, real_columns
+from cxlattices import kernel
+from cxlattices.kernel import GRAY_ZONE, fro, gated_solve, in_gray_zone, real_columns
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -498,3 +500,92 @@ def test_self_adjointness_verdict_does_not_move_with_a_power_of_two():
                 assert refused, (factor, k)
             else:
                 assert not refused, (factor, k)
+
+
+def reference_fro(a) -> float:
+    """fro as first written: numpy's square root, and the largest entry by max(initial=0)."""
+    x = np.abs(np.asarray(a))
+    big = float(x.max(initial=0.0))
+    if big * big * x.size < np.finfo(np.float64).max:
+        total = float(np.sqrt((x * x).sum()))
+        if total > 0.0 or big == 0.0:
+            return total
+    if not np.isfinite(big):
+        return big
+    return big * float(np.sqrt(np.sum((x / big) ** 2)))
+
+
+def test_fro_keeps_the_first_written_bits():
+    rng = np.random.default_rng(2701)
+    arrays = [np.zeros(0), np.zeros((0, 3), dtype=complex), np.zeros((2, 2)), np.array([[5e-324]])]
+    for shape in ((1,), (7,), (3, 3), (4, 9)):
+        x = rng.standard_normal(shape)
+        z = x + 1j * rng.standard_normal(shape)
+        for scale in (1.0, 1e-160, 1e-310, 5e-324, 1e150, 1e300, 1.7e308):
+            with np.errstate(over="ignore", under="ignore"):
+                arrays += [x * scale, z * scale]
+        arrays += [np.where(x > 0, np.nan, x), np.where(x > 0, np.inf, z), np.full(shape, np.nan + 0j)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in arrays:
+            got, want = fro(a), reference_fro(a)
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True), (a, got, want)
+
+
+def gated_solve_full_bound(am, margin, norm, bm, tol):
+    """gated_solve's outcome from the full residual bound, ||x|| always taken."""
+    x = np.linalg.solve(am, bm)
+    residual = fro(am @ x - bm)
+    refused = residual > tol.rel * norm * max(fro(x), 1.0) + tol.abs
+    try:
+        got = gated_solve(am, margin, norm, bm, tol)
+    except InternalCheckError:
+        assert refused
+        return None
+    assert not refused and np.array_equal(got, x)
+    return got
+
+
+def test_gated_solve_takes_the_full_bounds_verdict_around_tol_abs(monkeypatch):
+    # tol.rel far below rounding leaves tol.abs the whole bound: a residual r passes at
+    # tol.abs = r, without ||x||, and is refused one ulp below, where ||x|| is taken
+    norms_taken = []
+    monkeypatch.setattr(kernel, "fro", lambda a: norms_taken.append(a.shape) or fro(a))
+    rng = np.random.default_rng(2702)
+    for n in (1, 2, 3, 8):
+        for _ in range(20):
+            am, bm = random_complex(rng, n), random_complex(rng, n, 1)
+            residual = fro(am @ np.linalg.solve(am, bm) - bm)
+            if residual == 0.0:
+                continue
+            for tol_abs, passes in ((residual, True), (np.nextafter(residual, 0.0), False)):
+                norms_taken.clear()
+                tol = Tolerance(rel=1e-300, abs=tol_abs)
+                assert (gated_solve_full_bound(am, 1.0, fro(am), bm, tol) is not None) == passes
+                # the residual's norm, and ||x|| only past tol.abs
+                assert norms_taken == ([(n, 1)] if passes else [(n, 1), (n, 1)]), norms_taken
+
+
+def test_gated_solve_takes_the_full_bounds_verdict_past_tol_abs():
+    # at norm ~1e12 the residual, ~1e-4, is far past tol.abs: the relative term decides
+    rng = np.random.default_rng(2703)
+    for n in (1, 2, 4, 8):
+        am, bm = 1e12 * random_complex(rng, n), 1e12 * random_complex(rng, n, 3)
+        tol = Tolerance()
+        assert fro(am @ np.linalg.solve(am, bm) - bm) > tol.abs
+        assert gated_solve_full_bound(am, 1.0, fro(am), bm, tol) is not None
+        # the same residual against a bound it breaks, tol.rel far below rounding
+        assert gated_solve_full_bound(am, 1.0, fro(am), bm, Tolerance(rel=1e-300)) is None
+
+
+def test_gated_solve_passes_a_nan_residual_as_the_full_bound_does(monkeypatch):
+    # a finite solution whose product with A overflows: 1e308 * 2 - 1e308 * 2 is inf - inf,
+    # the residual is NaN, and NaN compares False against either bound, so x is returned
+    am = np.array([[1e308, 1e308], [0.0, 1.0]], dtype=complex)
+    bm = np.array([[0.0], [-2.0]], dtype=complex)
+    x = np.array([[2.0], [-2.0]], dtype=complex)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: x.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(fro(am @ x - bm))
+        assert np.array_equal(gated_solve_full_bound(am, 1.0, fro(am), bm, Tolerance()), x)

@@ -325,12 +325,23 @@ def test_gram_reports_underflow_as_overflow():
     assert spd_sqrt(GramForm._certified(p, np.eye(2) * 1e-150)).matrix[0, 0] == pytest.approx(1e-150)
 
 
-def test_sl_normalize_refuses_a_determinant_that_under_or_overflowed():
-    # det(1e-170 I) underflows to 0 and det(1e200 I) overflows: A / delta is not finite,
-    # and it is NumericOverflow (not malformed input), never returned, and without a numpy warning
-    for scale in (1e-170, 1e200):
+def test_sl_normalize_retakes_a_determinant_that_under_or_overflowed():
+    # det(1e-170 I) underflows to 0, det(1e200 I) overflows and det([[0, t], [t, 0]]) at
+    # t = 5e-324 comes back NaN: each is taken again on A 2^-e, and the result has the bits
+    # of A 2^-e's own, with delta that result's root times 2^e; no numpy warning
+    for a in (np.eye(2) * 1e-170, np.eye(2) * 1e200, np.array([[0, 5e-324], [5e-324, 0]])):
+        e = np.frexp(np.abs(a).max())[1] - 1
+        unit_out, unit_delta = sl_normalize(np.ldexp(a, -e))
+        out, delta = sl_normalize(a)
+        assert np.array_equal(out, unit_out)
+        assert delta == complex(np.ldexp(unit_delta.real, e), np.ldexp(unit_delta.imag, e))
+        assert abs(np.linalg.det(out) - 1.0) < 1e-15
+    assert sl_normalize(np.array([[0, 5e-324], [5e-324, 0]]))[1] == 5e-324j
+    # a determinant that underflows on A 2^-e too leaves A / delta not finite: NumericOverflow
+    # (not malformed input), never returned
+    for scale in (1.0, 1e300):
         with pytest.raises(NumericOverflow, match="^A / det\\(A\\)\\^\\(1/n\\) is not finite"):
-            sl_normalize(np.eye(2) * scale)
+            sl_normalize(np.diag([1.0, 1e-170, 1e-170]) * scale, Tolerance(rel=1e-300))
 
 
 def test_each_polar_entry_validates_the_callers_arrays_once(validation_calls, singular_value_calls):

@@ -462,6 +462,69 @@ def test_basis_coordinates_are_solves_bits():
                 assert np.array_equal(p.coords, frac)
 
 
+def without_proof(g):
+    """A basis on g whose points take the checked route: no proof that its representatives stay finite."""
+    lat = from_generators(g)
+    lat.__dict__["_reps_finite"] = False  # the cached_property's slot, read before it is computed
+    return lat
+
+
+def outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except NumericOverflow as exc:
+        return "NumericOverflow", str(exc)
+    if isinstance(value, TorusPoint):
+        return value.rep.tobytes(), value.coords.tobytes()
+    return value
+
+
+def proof_cases():
+    """(generators, whether the basis proves its representatives finite): the largest row sum of
+    |Re G| plus the largest of |Im G| just under and just over 2^1000, and two 1e308 bases whose
+    row sums overflow to inf; on the first, G @ coords overflows too."""
+    rng = np.random.default_rng(2704)
+    cases = []
+    for factor, proved in ((1.0 - 2.0**-40, True), (1.0 + 2.0**-40, False)):
+        cases.append(([[2.0**999 * factor, 2.0**999 * factor * 1j]], proved))
+        for n in (2, 3):
+            g = rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+            bound = np.abs(g.real).sum(axis=1).max() + np.abs(g.imag).sum(axis=1).max()
+            cases.append((g * (2.0**1000 * factor / bound), proved))
+    cases += [([[1e308 + 1e300j, 1e308 - 1e300j]], False), ([[1e308, 1e308j]], False)]
+    return cases
+
+
+@pytest.mark.parametrize("g, proved", proof_cases())
+def test_a_basis_that_proves_its_representatives_finite_changes_no_outcome(g, proved):
+    # every point op on the basis returns the bits, or raises the NumericOverflow, that the
+    # checked route gives on the same generators; under all="raise", nothing is warned either way
+    rng = np.random.default_rng(2705)
+    lat, checked = from_generators(g), without_proof(g)
+    assert lat._reps_finite is proved
+    n = lat.n
+    with np.errstate(all="raise"):
+        zs = []
+        # coordinates (-0.1, 0.9, .., 0.9) wrap to 0.9 each: G @ coords overflows on the first 1e308 basis
+        for c in [np.r_[-0.1, np.full(2 * n - 1, 0.9)]] + [rng.uniform(-0.2, 1.0, size=2 * n) for _ in range(12)]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = lat.g @ c
+            if np.isfinite(z).all():
+                zs.append(z)
+        assert len(zs) > 6
+        outcomes = {}
+        for name, basis in (("proved", lat), ("checked", checked)):
+            got = outcomes[name] = []
+            points = []
+            for z in zs:
+                got.append(outcome(reduce, basis, z))
+                if not isinstance(got[-1][0], str):
+                    points.append(reduce(basis, z))
+            for p, q in zip(points, points[1:]):
+                got += [outcome(torus_add, p, q), outcome(torus_neg, p), outcome(torus_eq, p, q)]
+        assert outcomes["proved"] == outcomes["checked"]
+
+
 # --- a point is proved once ---
 
 
