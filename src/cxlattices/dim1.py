@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, MajorizationFails, NumericOverflow
-from .kernel import DEFAULT_TOL, Tolerance, _built, in_gray_zone
+from .kernel import DEFAULT_TOL, Tolerance, _built, _complex_abs, in_gray_zone
 from .realmaps import BlockForm, invertibility
 
 
@@ -33,17 +33,12 @@ def _finite(z: complex, label: str) -> complex:
     return z
 
 
-def _modulus(z: complex) -> float:
-    """|z|, and inf where it overflows: abs() of a finite complex number may raise."""
-    return math.hypot(z.real, z.imag)
-
-
 def _finite_moduli(a: complex, b: complex, alpha: complex, beta: complex) -> None:
     """Raise NumericOverflow unless |a|, |b|, |alpha| and |beta| are finite: the forms and
     their checks read each, and a finite complex number may still have a modulus past the
     largest double."""
     for label, z in (("a", a), ("b", b), ("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(_modulus(z)):
+        if not math.isfinite(_complex_abs(z)):
             raise NumericOverflow(f"|{label}| overflows; rescale the map first")
 
 
@@ -69,23 +64,23 @@ class ScalarForms:
         bound = DEFAULT_TOL.rel * (abs(self.a) + abs(self.b) + 1.0)
         # a drift passes only when its modulus is <= bound: one that overflows to inf, or
         # a NaN, fails.  The alpha/beta form must reproduce a and b (values at z = 1, i)
-        if not _modulus(self.alpha + self.beta - self.a) <= bound:
+        if not _complex_abs(self.alpha + self.beta - self.a) <= bound:
             raise InternalCheckError("alpha + beta drifted from a")
-        if not _modulus(self.alpha - self.beta - self.b) <= bound:
+        if not _complex_abs(self.alpha - self.beta - self.b) <= bound:
             raise InternalCheckError("alpha - beta drifted from b")
         if self.c is not None:
             if self.a == 0:
                 raise InternalCheckError("c form requires a != 0")
-            if not _modulus(self.a * self.c - self.b) <= bound:
+            if not _complex_abs(self.a * self.c - self.b) <= bound:
                 raise InternalCheckError("a * c drifted from b")
         if (self.theta is None) != (self.mu is None):
             raise InternalCheckError("theta and mu are present only together")
         if self.theta is not None:
-            if self.theta == 0 or not _modulus(self.mu) < 1.0:
+            if self.theta == 0 or not _complex_abs(self.mu) < 1.0:
                 raise InternalCheckError("theta form requires theta != 0 and |mu| < 1")
-            if not _modulus(self.theta * (1 + self.mu) - (self.alpha + self.beta)) <= bound:
+            if not _complex_abs(self.theta * (1 + self.mu) - (self.alpha + self.beta)) <= bound:
                 raise InternalCheckError("theta form drifted at z = 1")
-            if not _modulus(self.theta * (1 - self.mu) - (self.alpha - self.beta)) <= bound:
+            if not _complex_abs(self.theta * (1 - self.mu) - (self.alpha - self.beta)) <= bound:
                 raise InternalCheckError("theta form drifted at z = i")
 
 

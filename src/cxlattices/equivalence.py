@@ -118,6 +118,7 @@ from .kernel import (
     Tolerance,
     _complex_abs,
     _det,
+    _exponent,
     _invertibility_gate,
     _ldexp,
     _scaled,
@@ -300,15 +301,25 @@ def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
                budget: int = DEFAULT_BUDGET):
     """Yield, in candidate order, the entries of every determinant-one B of entry height
     <= height with |B* P1 B - P2|_F within tol.rel (|P1|_F + |P2|_F) + tol.abs, for
-    exactly Hermitian P1 and P2, by the column scan of the module docstring.  The slack
-    on each column norm, which scales with |P1|_F and with |b|^2, covers the rounding
-    by which two ways of computing b* P1 b may differ."""
-    size = fro(p1)
-    bound = tol.rel * (size + fro(p2)) + tol.abs
+    exactly Hermitian P1 and P2: at n = 2 the B whose columns _gram_hit_ids finds."""
     if p1.shape[0] == 1:
-        if abs(p1[0, 0] - p2[0, 0]) <= bound:
+        if abs(p1[0, 0] - p2[0, 0]) <= tol.rel * (fro(p1) + fro(p2)) + tol.abs:
             yield (((1, 0),),)
         return
+    box = _grid(height).box
+    for x, y in zip(*(ids.tolist() for ids in _gram_hit_ids(height, p1, p2, tol, budget))):
+        (a, c), (b, d) = divmod(x, len(box)), divmod(y, len(box))
+        yield (box[a], box[b]), (box[c], box[d])
+
+
+def _gram_hit_ids(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
+                  budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid ids (u, v) of the first and the second column of each 2x2 hit of
+    _gram_hits, in candidate order, by the column scan of the module docstring.  The
+    slack on each column norm, which scales with |P1|_F and with |b|^2, covers the
+    rounding by which two ways of computing b* P1 b may differ."""
+    size = fro(p1)
+    bound = tol.rel * (size + fro(p2)) + tol.abs
     grid = _grid(height)
     (p00, p01), (_, p11) = p1.tolist()
     coefficients = np.array([p00.real, p11.real, p01.real, p01.imag])
@@ -317,23 +328,23 @@ def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
     near = np.abs(gaps) <= reach
     first = np.flatnonzero(near[0])
     if first.size == 0:
-        return
+        return first, first
     second = np.flatnonzero(near[1])
     if first.size * second.size > budget:
         raise HeightTooLarge(f"{first.size} x {second.size} matching column pairs at height"
                              f" {height} exceed budget {budget}")
-    f, s = grid.cols[first], grid.cols[second]
-    i, j = np.nonzero((f * [1, -1]) @ s[:, ::-1].T == 1)  # ad - bc, exact on Gaussian integers
+    # the table of ad - bc = (a, c) [[0, 1], [-1, 0]] (b, d)^T over every pair of columns,
+    # in single precision: exact, as its parts are at most 2 H^2 < 2^24 for any grid that
+    # fits in memory, at half the bytes; its flat indices, in row order, are the pairs (i, j)
+    f, s = grid.cols[first].astype(np.complex64), grid.cols[second].astype(np.complex64)
+    i, j = np.divmod(np.flatnonzero(f @ np.array([[0, 1], [-1, 0]], np.complex64) @ s.T == 1), len(s))
     cross = np.sum((f.conj() @ p1)[i] * s[j], axis=1) - p2[0, 1]
     residual = np.sqrt(gaps[0, first[i]] ** 2 + gaps[1, second[j]] ** 2
                        + 2.0 * (cross.real**2 + cross.imag**2))
     keep = residual <= bound
     u, v = first[i[keep]], second[j[keep]]
-    box, m = grid.box, len(grid.box)
-    order = np.argsort(m * grid.spread[u] + grid.spread[v])
-    for x, y in zip(u[order].tolist(), v[order].tolist()):
-        (a, c), (b, d) = divmod(x, m), divmod(y, m)
-        yield (box[a], box[b]), (box[c], box[d])
+    order = np.argsort(len(grid.box) * grid.spread[u] + grid.spread[v])
+    return u[order], v[order]
 
 
 def sigma_orbit_equal(
@@ -363,7 +374,7 @@ def sigma_orbit_equal(
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     _check_height(n, height, budget)
     # the largest diagonal entry times 2^-e is in [1, 2)
-    e = math.frexp(max(p.matrix.diagonal().real.max() for p in (p1, p2)))[1] - 1
+    e = _exponent(max(p.matrix.diagonal().real.max() for p in (p1, p2)))
     q1, q2 = _scaled(p1.matrix, -e), _scaled(p2.matrix, -e)
     for entries in _gram_hits(height, q1, q2, tol, budget):
         witness = GaussianUnimodular._proved(entries)  # _gram_hits proved ad - bc = 1
@@ -396,7 +407,7 @@ def short_vectors(
     """
     am = as_matrix(a, square=True)
     ok, _, s = _invertibility_gate(am, tol)
-    e = math.frexp(float(s[0]))[1] - 1  # sigma_max 2^-e in [1, 2)
+    e = _exponent(float(s[0]))  # sigma_max 2^-e in [1, 2)
     unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, -e)
     if not ok:
         raise SingularMatrix("short-vector enumeration needs an invertible matrix")
@@ -806,12 +817,12 @@ def lattice_equivalent(
 
     # everything below runs on the pair scaled by the one power of two that puts the
     # larger sigma_max in [1, 2): exact, so the verdict does not depend on a common scale
-    e = math.frexp(float(s[:, 0].max()))[1] - 1
+    e = _exponent(float(s[:, 0].max()))
     pair, svals = _scaled(pair, -e), _scaled(s, -e)
     dets = _det(pair).tolist()  # each is det 2^(-n e) of the caller's input
     if mode == MODE_SPECIAL_UNITARY:
         for name, passed, d in zip(("A1", "A2"), ok.tolist(), dets):
-            distance = _complex_abs(complex(_ldexp(d.real, n * e), _ldexp(d.imag, n * e)) - 1.0)
+            distance = _complex_abs(_ldexp(d, n * e) - 1.0)
             if not (passed and distance <= tol.rel * n):
                 raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
     # the covolumes |det|^2 differ by more than tol.rel of the larger: tested on the ratio

@@ -6,8 +6,9 @@ values come from LAPACK's SVD of A itself, resolved to about eps relative
 singularity, through invertibility_margin (its body, _invertibility_gate,
 also hands back the values).  solve and det are LAPACK's LU
 (numpy.linalg), with solve gated by that margin and checked by its
-residual; gated_solve is that step for a caller that already holds the
-margin and the norm of A (a lattice basis carries its own).  A solution that is not finite (the
+residual, and det read at any scale by the scale rule below; gated_solve
+is that step for a caller that already holds the margin and the norm of A
+(a lattice basis carries its own).  A solution that is not finite (the
 LU overflowed) is NumericOverflow.  The Hermitian eigensolver is still
 self-contained (cyclic Jacobi rotations), so its behavior is easy to
 audit at the small dimensions this package targets.
@@ -15,7 +16,7 @@ audit at the small dimensions this package targets.
 Array inputs enter through as_matrix, as_vector or as_columns, which share
 the one finiteness check, and they are validated once, at the boundary: a
 public function validates only the arrays its caller passes and then runs
-its body (_singular_values, _invertibility_gate, _det, _adjoint, _solve,
+its body (_singular_values, _invertibility_gate, _unit_det, _adjoint, _solve,
 _hermitian_eig, _operator_norm, or gated_solve, solve's step behind the
 gate) on finite complex128 arrays (as_matrix copies to float64 instead
 where a caller asks for it: the real coefficient blocks of realmaps).
@@ -39,6 +40,14 @@ and _self_adjoint_part, the one self-adjointness test, whose bound
 ||P - P*|| <= tol.rel ||P|| + tol.abs scales with P (hermitian_eig, and
 GramForm and as_gram_form in polar, apply it); neither its test nor the
 Hermitian part it returns overflows on finite P.
+The scale rule has its one home here too.  _exponent gives the e that puts
+a number x in [1, 2) as x 2^-e, and _scaled and _ldexp multiply an array or
+a number by a power of two, exact short of under- and overflow.  _unit_det
+is the one determinant at any scale: LAPACK's det of A, bit for bit, where
+that is a finite normal double, and otherwise the det of A 2^-e with
+sigma_max 2^-e in [1, 2), together with e; it never warns.  _complex_abs is
+the one |z|.  det, polar's classify and sl_normalize, and lattices'
+covolume read their determinants through _unit_det.
 """
 
 from __future__ import annotations
@@ -101,12 +110,19 @@ def _scaled(a: np.ndarray, k: int) -> np.ndarray:
     return np.ldexp(a.view(np.float64), k).view(a.dtype)
 
 
-def _ldexp(x: float, k: int) -> float:
-    """x 2^k, and inf where it overflows."""
+def _exponent(x: float) -> int:
+    """The e that puts a positive finite x in [1, 2) as x 2^-e: the package's one unit scale."""
+    return math.frexp(x)[1] - 1
+
+
+def _ldexp(x, k: int):
+    """x 2^k, of a float or of each part of a complex, and inf of x's sign where it overflows."""
+    if isinstance(x, complex):
+        return complex(_ldexp(x.real, k), _ldexp(x.imag, k)) if k else x
     try:
         return math.ldexp(x, k)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
 
 
 def _complex_abs(z: complex) -> float:
@@ -284,14 +300,40 @@ def gated_solve(
 
 
 def det(a) -> complex:
-    """Determinant by LAPACK's LU; singular input yields ~0, never an error."""
-    return _det(as_matrix(a, square=True))
+    """Determinant by LAPACK's LU at any scale (_unit_det); singular input yields ~0, never
+    an error, and no input warns.
+
+    A determinant past the largest double is inf in the parts that overflow, and one
+    below the smallest normal double is rounded from the determinant at unit scale.
+    """
+    am = as_matrix(a, square=True)
+    d, e = _unit_det(am)
+    return _ldexp(d, am.shape[0] * e)
 
 
 def _det(am: np.ndarray):
-    """det of a validated square matrix as a complex, or of each in a stack (k, n, n) as an array."""
+    """LAPACK's det of a validated square matrix as a complex, or of each in a stack (k, n, n)
+    as an array: the package's one call of it, unguarded (a caller at any scale takes _unit_det)."""
     d = np.linalg.det(am)
     return complex(d) if am.ndim == 2 else d
+
+
+def _unit_det(am: np.ndarray, sigma_max: float | None = None) -> tuple[complex, int]:
+    """(d, e) with det(A) = d 2^(n e), for a validated square A: the package's one scale
+    rule for determinants, which never warns.
+
+    d is LAPACK's det of A itself, bit for bit, and e = 0 wherever that det is a finite
+    normal double.  Otherwise d is the det of A 2^-e, e putting sigma_max 2^-e in [1, 2),
+    exact short of underflow.  A caller that holds sigma_max passes it; otherwise it is
+    taken here, and only on that path.  A sigma_max past the largest double counts as the
+    largest, so that A 2^-e is finite.
+    """
+    with np.errstate(all="ignore"):
+        d = _det(am)
+        if _FLOAT_TINY <= _complex_abs(d) < math.inf:
+            return d, 0
+        e = _exponent(min(_operator_norm(am) if sigma_max is None else sigma_max, _FLOAT_MAX))
+        return _det(_scaled(am, -e)), e
 
 
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -328,7 +370,7 @@ def _self_adjoint_part(pm: np.ndarray, tol: Tolerance) -> np.ndarray:
     P's own, so every finite P has a finite part and no other P's bits move.
     """
     big = max(float(np.abs(pm.real).max()), float(np.abs(pm.imag).max()))
-    shift = min(1 - math.frexp(big)[1], 0)
+    shift = min(-_exponent(big), 0)
     scaled = pm * 2.0**shift if shift else pm
     defect = fro(scaled - scaled.conj().T)
     if defect > tol.rel * fro(scaled) + math.ldexp(tol.abs, shift):

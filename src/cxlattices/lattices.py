@@ -48,11 +48,13 @@ from .kernel import (
     GRAY_ZONE,
     Tolerance,
     _built,
-    _det,
+    _complex_abs,
+    _exponent,
     _invertibility_gate,
     _ldexp,
     _scaled,
     _singular_values,
+    _unit_det,
     as_columns,
     as_matrix,
     fro,
@@ -284,28 +286,20 @@ def rank_margin(g, tol: Tolerance = DEFAULT_TOL) -> float:
 def covolume(lat: LatticeBasis) -> float:
     """Volume of a fundamental parallelepiped: |det| of the realification.
 
-    Where the determinant is not a finite normal double, it is taken again on the
-    realification times the power of two 2^-e that puts sigma_max in [1, 2), exact
-    short of underflow, and scaled back by 2^(2n e): a covolume past the largest double
-    is inf, and one that underflows below the smallest normal double raises
-    NumericOverflow; a singular basis has covolume 0.0.  No path warns.
+    The determinant follows the kernel's scale rule (kernel._unit_det): where it is not
+    a finite normal double, it is taken again on the realification times the power of
+    two 2^-e that puts sigma_max in [1, 2), and scaled back by 2^(2n e).  A covolume past
+    the largest double is inf, and one that underflows below the smallest normal double
+    raises NumericOverflow; a singular basis has covolume 0.0.  No path warns.
     """
-    # |det| by math.hypot: abs() of a complex nan can raise OverflowError on a stale errno
-    with np.errstate(all="ignore"):
-        d = _det(lat._real)
-        d = math.hypot(d.real, d.imag)
-        if _FLOAT_TINY <= d < math.inf:
-            return d
-        e = math.frexp(lat.sigma_max)[1] - 1
-        unit = _det(_scaled(lat._real, -e))
-        unit = math.hypot(unit.real, unit.imag)
-    d = _ldexp(unit, 2 * lat.n * e)
-    if unit > 0.0 and d < _FLOAT_TINY:
+    d, e = _unit_det(lat._real, lat.sigma_max)
+    size = _ldexp(_complex_abs(d), 2 * lat.n * e)
+    if d != 0 and size < _FLOAT_TINY:
         raise NumericOverflow(
             f"covolume underflowed: |det| of the realified generators, 2^{2 * lat.n * e} times"
-            f" {unit:.17g}, is below the smallest normal double"
+            f" {_complex_abs(d):.17g}, is below the smallest normal double"
         )
-    return d
+    return size
 
 
 def same_lattice(
@@ -436,7 +430,7 @@ def permute_to_L1(
     g = lat.g
     n = g.shape[0]
     parts = g.copy().view(np.float64)  # C-contiguous: its real and imaginary parts
-    work = _scaled(parts, 1 - math.frexp(float(np.abs(parts).max()))[1]).view(np.complex128)
+    work = _scaled(parts, -_exponent(float(np.abs(parts).max()))).view(np.complex128)
     floor = lat.margin / (2.0 * math.sqrt(n))
     chosen: list[int] = []
     for _ in range(n):

@@ -24,7 +24,6 @@ applies the same rule at a caller's tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +46,14 @@ from .kernel import (
     _built,
     _complex_abs,
     _det,
+    _exponent,
     _hermitian_part,
     _invertibility_gate,
     _ldexp,
     _overflow_checked,
     _scaled,
     _self_adjoint_part,
+    _unit_det,
     as_matrix,
     fro,
     frozen,
@@ -153,17 +154,20 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
     in_gl: sigma_min > tol.rel * sigma_max; in_u additionally
     ||A* A - I|| <= tol.rel * n; in_sl additionally |det - 1| <= tol.rel * n;
     in_su = in_u and in_sl.  The implication chain su => u, sl => gl holds
-    by construction.
+    by construction.  The determinant follows the kernel's scale rule
+    (kernel._unit_det), so abs_det and det_distance are numbers at any scale:
+    a determinant past the largest double reads inf, and one below the
+    smallest normal double is rounded from the determinant at unit scale.
     """
     return _classify(as_matrix(a, square=True), tol)
 
 
 def _classify(am: np.ndarray, tol: Tolerance) -> GroupMembership:
     n = am.shape[0]
-    in_gl = _invertibility_gate(am, tol)[0]
-    d = _det(am)
+    in_gl, _, s = _invertibility_gate(am, tol)
+    d, e = _unit_det(am, s[0])
     defect = fro(_adjoint(am) @ am - np.eye(n))
-    det_distance = _complex_abs(d - 1.0)
+    det_distance = _complex_abs(_ldexp(d, n * e) - 1.0)
     in_u = in_gl and defect <= tol.rel * n
     in_sl = in_gl and det_distance <= tol.rel * n
     return GroupMembership(
@@ -171,7 +175,7 @@ def _classify(am: np.ndarray, tol: Tolerance) -> GroupMembership:
         in_sl=in_sl,
         in_u=in_u,
         in_su=in_u and in_sl,
-        abs_det=_complex_abs(d),
+        abs_det=_ldexp(_complex_abs(d), n * e),
         unitarity_defect=defect,
         det_distance=det_distance,
     )
@@ -242,7 +246,7 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
         raise DimensionMismatch(f"shapes differ: {m1.shape} vs {m2.shape}")
     # A1* has A1's singular values, so the gate's margin on A1 also gates the solve
     (margin, s1), (_, s2) = (_gated_margin(m, tol, "gram") for m in (m1, m2))
-    e = math.frexp(max(s1[0], s2[0]))[1] - 1
+    e = _exponent(max(s1[0], s2[0]))
     m1, m2 = _scaled(m1, -e), _scaled(m2, -e)
     p1, p2 = _gram_matrix(m1), _gram_matrix(m2)
     bound = tol.rel * (fro(m1) ** 2 + fro(m2) ** 2) + tol.abs
@@ -308,29 +312,23 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     Returns (A / delta, delta) where delta is the principal n-th root of
     det(A), the one with argument in (-pi/n, pi/n].
 
-    A determinant that is not a finite normal double is taken again on
-    A 2^-e, e putting sigma_max in [1, 2), exact short of underflow: det(A) is
-    that determinant times 2^(n e), so delta is its root times 2^e, and the
-    result is A 2^-e over that root, the bits A 2^-e itself would give.
-    Every determinant that is a finite normal double is used as it is.
+    The determinant follows the kernel's scale rule (kernel._unit_det): one
+    that is not a finite normal double is taken again on A 2^-e, e putting
+    sigma_max in [1, 2), exact short of underflow.  det(A) is that determinant
+    times 2^(n e), so delta is its root times 2^e, and the result is A 2^-e
+    over that root, the bits A 2^-e itself would give.  Every determinant that
+    is a finite normal double is used as it is.
     """
     am = as_matrix(a, square=True)
     s = _gated_margin(am, tol, "sl_normalize")[1]
     n = am.shape[0]
+    d, e = _unit_det(am, s[0])
     # a det that still under- or overflows (delta 0 or not finite) leaves out not finite:
     # NumericOverflow, before its determinant is read, and never warned
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = _det(am)
-        size = _complex_abs(d)
-        e = 0
-        if not _FLOAT_TINY <= size < math.inf:
-            e = math.frexp(float(s[0]))[1] - 1
-            am = _scaled(am, -e)
-            d = _det(am)
-            size = _complex_abs(d)
-        root = complex(size ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
-        out = am / root
-    delta = complex(_ldexp(root.real, e), _ldexp(root.imag, e)) if e else root
+        root = complex(_complex_abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
+        out = (_scaled(am, -e) if e else am) / root
+    delta = _ldexp(root, e)
     if _complex_abs(_det(_overflow_checked(out, "A / det(A)^(1/n)")) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")
     return frozen(out), delta

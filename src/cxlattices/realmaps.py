@@ -40,7 +40,6 @@ validates its coefficients again.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -55,9 +54,11 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import (
+    _EPS,
     DEFAULT_TOL,
     Tolerance,
     _adjoint,
+    _exponent,
     _hermitian_eig,
     _hermitian_part,
     _built,
@@ -357,7 +358,7 @@ def domination_ratio(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> float | 
         return None
     except NumericOverflow:
         big = max(float(np.abs(part).max()) for x in (cp.m, cp.n) for part in (x.real, x.imag))
-        scale = 2.0 ** -max(math.frexp(big)[1], 0)
+        scale = 2.0 ** -max(_exponent(big) + 1, 0)
         try:
             k = _solve(scale * cp.m.T, scale * cp.n.T, tol).T
         except NumericOverflow:
@@ -402,7 +403,7 @@ def contraction_check(t: NormalizedForm, tol: Tolerance = DEFAULT_TOL) -> bool:
     wmin = float(_hermitian_eig(_overflow_checked(h, "I - E* E"), tol)[0][0])
     second = wmin > 1.0 - (1.0 - tol.rel) ** 2
     if first != second:
-        if abs(sigma - (1.0 - tol.rel)) > 1e3 * np.finfo(float).eps * max(1.0, sigma):
+        if abs(sigma - (1.0 - tol.rel)) > 1e3 * _EPS * max(1.0, sigma):
             raise InternalCheckError(
                 f"contraction routes disagree: operator norm {sigma!r}, min eigenvalue {wmin!r}"
             )

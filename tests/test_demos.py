@@ -1,4 +1,8 @@
-"""Every demo script runs to completion; each asserts its own results."""
+"""Every demo script runs to completion; each asserts its own results.
+
+A demo runs with numpy's RuntimeWarnings as errors, as tier-1 does (pyproject.toml's
+filterwarnings): a warning from the library is a defect in a demo too.
+"""
 
 import os
 import pathlib
@@ -19,6 +23,7 @@ def test_demos_exist():
 def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

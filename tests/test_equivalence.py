@@ -161,6 +161,14 @@ def _as_stack(cands):
     return np.array([[[complex(*e) for e in row] for row in m] for m in cands])
 
 
+def _candidate_ids(cands, grid):
+    """The grid ids (a m + c, b m + d) of the columns (a, c) and (b, d) of each 2x2
+    candidate ((a, b), (c, d)), by the box indices of its entries: a (k, 2) array."""
+    m = len(grid.box)
+    index = {z: i for i, z in enumerate(grid.box)}
+    return np.array([[index[a] * m + index[c], index[b] * m + index[d]] for (a, b), (c, d) in cands])
+
+
 @pytest.mark.parametrize("n, h, budget", [(1, 1, 10), (2, 1, 10**7), (2, 3, 10**7)])
 def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
     # the scan reads each B as its columns (a, c) and (b, d) in the cached grid, by the
@@ -176,8 +184,7 @@ def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
     grid = equivalence._grid(h)
     assert equivalence._grid(h) is grid
     m = len(grid.box)
-    index = {z: i for i, z in enumerate(grid.box)}
-    ids = np.array([[index[a] * m + index[c], index[b] * m + index[d]] for (a, b), (c, d) in cands])
+    ids = _candidate_ids(cands, grid)
     stack = grid.cols[ids].transpose(0, 2, 1)
     assert stack.dtype == np.complex128 and stack.shape == (len(cands), n, n)
     assert np.array_equal(stack, _as_stack(cands))
@@ -317,7 +324,7 @@ def _reference_hits(transported, p2, bound):
     """The unfiltered scan: the Frobenius test on every candidate B, in order, given
     the stack of its B* P1 B."""
     diffs = np.sqrt(np.sum(np.abs(transported - p2) ** 2, axis=(1, 2)))
-    return np.flatnonzero(diffs <= bound).tolist()
+    return np.flatnonzero(diffs <= bound)
 
 
 def _hermitian_bump(n, i, j, size):
@@ -347,6 +354,7 @@ def test_column_norm_prefilter_keeps_every_hit(name):
     n, h = _SETS[name]
     cands = sigma_candidates(n, h, 10**7)
     stack = _as_stack(cands)  # the reference full scan runs on every candidate tuple
+    ids = _candidate_ids(cands, equivalence._grid(h)) if n == 2 else None
     rng = np.random.default_rng(sum(map(ord, name)))
     tol = DEFAULT_TOL
     for p1 in _gram_forms(rng, n):
@@ -368,8 +376,15 @@ def test_column_norm_prefilter_keeps_every_hit(name):
                     p2 = exact + _hermitian_bump(n, i, j, c * size)
                     bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs  # the scan's own bound
                     want = _reference_hits(transported, p2, bound)
-                    hits = list(equivalence._gram_hits(h, p1, p2, tol))
-                    assert hits == [cands[k] for k in want]
+                    if n == 1:
+                        hits = list(equivalence._gram_hits(h, p1, p2, tol))
+                        assert hits == [cands[k] for k in want]
+                    else:
+                        # the hits as arrays: their column ids against the candidates' at
+                        # the reference's indices (_gram_hits decodes ids to entries, which
+                        # the tests above pin on every candidate)
+                        hits = equivalence._gram_hit_ids(h, p1, p2, tol, DEFAULT_BUDGET)
+                        assert np.array_equal(np.stack(hits, axis=1), ids[want])
                     assert (planted in want) == (abs(c) < 1.0)
 
 

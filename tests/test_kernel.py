@@ -183,6 +183,34 @@ def test_det_singular_is_tiny():
     assert abs(det(a)) < 1e-14
 
 
+def test_det_keeps_lapacks_bits_wherever_they_are_a_finite_normal_double():
+    rng = np.random.default_rng(109)
+    for n in (1, 2, 3, 8):
+        for scale in (1.0, 1e-30, 1e30):
+            a = random_complex(rng, n) * scale
+            want = np.linalg.det(a.astype(complex))
+            assert np.complex128(det(a)).tobytes() == want.tobytes()
+
+
+def test_det_past_the_doubles_is_a_number_and_never_warns():
+    # numpy's own det gives nan+nanj, inf+nanj and inf+nanj on the first three, with
+    # warnings; the kernel's scale rule retakes each on A 2^-e (tier-1 turns a warning into
+    # an error, so each call below is also a check that none is raised)
+    zero = det([[0, 5e-324], [5e-324, 0]])
+    assert zero == 0 and not np.isnan(zero.real) and not np.isnan(zero.imag)
+    for a, want in (
+        (np.eye(2) * 1e200, complex(np.inf, 0.0)),
+        (np.eye(3) * -1e200, complex(-np.inf, 0.0)),
+        (np.array([[1e308, 1e308], [1e308, -1e308]]), complex(-np.inf, 0.0)),  # sigma_max is inf
+        (np.eye(2) * 1e-170, 0j),
+        (np.zeros((2, 2)), 0j),
+    ):
+        d = det(a)
+        assert d == want and not np.isnan(d.imag), (a, d)
+    # a determinant below the smallest normal double is rounded from the one at unit scale
+    assert det(np.eye(2) * 1e-160) == pytest.approx(1e-320, rel=1e-3)
+
+
 # ---------------------------------------------------------------- hermitian_eig
 
 

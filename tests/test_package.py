@@ -1,5 +1,7 @@
-"""The package's public names, which load their home modules on first use."""
+"""The package's public names, which load their home modules on first use, and where its
+scale rule lives."""
 
+import ast
 import importlib
 import json
 import os
@@ -51,3 +53,31 @@ def test_polar_is_the_function_after_its_module_was_imported_first():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True,
     )
     assert json.loads(out.stdout) == [True, "cxlattices.polar"]
+
+
+def _dotted(node) -> str:
+    """'np.linalg.det' for the attribute chain np.linalg.det, '' for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def test_the_scale_rule_is_read_only_in_the_kernel():
+    # the power-of-two exponent and the determinant have one home, kernel._exponent and
+    # kernel._det / _unit_det; a module that calls math.frexp or numpy's det itself has
+    # copied the rule out again
+    src = pathlib.Path(cxlattices.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy.linalg"):
+                names = {alias.name for alias in node.names} & {"frexp", "det"}
+                found += [(path.name, f"{node.module}.{name}") for name in names]
+            elif isinstance(node, ast.Call) and _dotted(node.func) in (
+                "math.frexp", "np.linalg.det", "numpy.linalg.det", "linalg.det",
+            ):
+                found.append((path.name, _dotted(node.func)))
+    assert {name for name, _ in found} == {"kernel.py"}, found
+    assert sorted(call for _, call in found) == ["math.frexp", "np.linalg.det"]

@@ -117,6 +117,29 @@ def test_classify_singular():
     assert not (m.in_gl or m.in_sl or m.in_u or m.in_su)
 
 
+def test_classify_reads_a_determinant_past_the_doubles():
+    # numpy's det of the first is nan+nanj and of the second (1e400) inf+nanj; classify
+    # retakes each on A 2^-e by the kernel's scale rule, without a warning
+    a = np.array([[0, 5e-324], [5e-324, 0]])
+    m = classify(a)
+    assert m.in_gl and not m.in_sl
+    assert (m.abs_det, m.det_distance) == (0.0, 1.0)
+    with pytest.raises(NotInSL, match="distance from one is 1.000e\\+00$"):
+        su_sl_canonical(a)
+    m = classify(np.eye(8) * 1e50)
+    assert m.in_gl and not m.in_sl
+    assert (m.abs_det, m.det_distance) == (np.inf, np.inf)
+
+
+def test_classify_keeps_the_determinants_bits_where_it_is_a_finite_normal_double():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 3, 8):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        d = complex(np.linalg.det(a))
+        m = classify(a)
+        assert (m.abs_det, m.det_distance) == (abs(d), abs(d - 1.0))
+
+
 def test_classify_implication_chain_random():
     rng = np.random.default_rng(7)
     for _ in range(200):
