@@ -31,12 +31,19 @@ lattices", 1997).  The scan takes the (2H+1)^4 Gaussian columns of height
 feature matrix F, one row per column b (|b_0|^2, |b_1|^2,
 2 Re(conj(b_0) b_1) and -2 Im(conj(b_0) b_1)).  One product
 F @ [P1_00, P1_11, Re P1_01, Im P1_01] gives every column norm b* P1 b.
-The scan returns at once when no column matches (P2)_11; otherwise it
-pairs the columns that match (P2)_11 with those that match (P2)_22 (a
-pair count past the budget raises HeightTooLarge), keeps the pairs (a, c),
-(b, d) with ad - bc = 1, exact on small Gaussian integers, takes the
-cross term of those alone, and tests the Frobenius residual from the two
-norm gaps and the cross term.  One sort puts the hits in candidate order.
+The scan returns at once when no column matches (P2)_11, or none matches
+(P2)_22; otherwise it pairs the columns that match (P2)_11 with those that
+match (P2)_22 (a pair count past the budget raises HeightTooLarge) and keeps
+the pairs (a, c), (b, d) with ad - bc = 1, from the single-precision
+columns and their turned copies (-c, a) that the grid holds, exact on small
+Gaussian integers.  On the column ids of those pairs, gathered once, it
+takes the cross term and tests the Frobenius residual from the two norm
+gaps and the cross term.  One sort puts the hits in candidate order, where
+two or more remain.  What depends on the height alone is built once per
+height (_Grid); a call pays only for what depends on its forms.  At n = 1
+the one candidate is B = 1, and B* P1 B - P2 is |a1|^2 - |a2|^2: no scan
+runs, and lattice_equivalent tests the two squared lengths against the
+scan's bound without forming A* A.
 
 Scale follows one rule: A1(Z[i]^n) and A2(Z[i]^n) are equivalent exactly
 when s A1(Z[i]^n) and s A2(Z[i]^n) are, for any scalar s != 0.  So each
@@ -74,7 +81,8 @@ and runs one straight list of stages on it, one numpy call where a stage
 calls LAPACK: the invertibility gate (one SVD call), the covolume refuter
 (one determinant call), the dimension cap, the radius check and the box
 budgets, the height check, then, only where that passes (n <= 2 and a box
-within the budget), the Gram forms (one A* A call) and the scan.  A witness
+within the budget), the Gram forms (one A* A call) and the scan at n = 2, or
+the test of the two squared lengths at n = 1.  A witness
 that passes the re-verification at the caller's tolerance settles the pair
 at once.  Its T, and the checks on it, are built in closed form from Python
 complex numbers, with no numpy linear algebra (_first_witness), so the bytes
@@ -142,6 +150,8 @@ _SMALL_BOX = 3**6
 # the relative resolution of the spectrum refuter: its guard band and its value test
 _SPECTRUM_REL = 1e-6
 _NOT_UNITARY = "gram congruence certified but the reconstructed map is not unitary"
+# the entries of the 1 x 1 identity, the only determinant-one B at n = 1
+_ONE = (((1, 0),),)
 
 
 @dataclass(frozen=True)
@@ -190,7 +200,8 @@ def _gauss_box(height: int):
 class _Grid(NamedTuple):
     """The m = (2H+1)^2 Gaussian integers of height <= H in box order (box), and the
     m^2 pairs of them: the pair (x, y) of box indices has id x m + y and is
-    cols[x m + y], so cols holds every column of a 2x2 candidate.
+    cols[x m + y], so cols holds every column of a 2x2 candidate.  Everything here
+    depends on the height alone and is built once per height; a scan gathers its rows.
 
     weights holds the squared length |b|^2 of each column, for the scan's slack, and
     features (c, 4) its real form for its P-norm: |b_0|^2, |b_1|^2, then
@@ -198,7 +209,10 @@ class _Grid(NamedTuple):
     Re P_01, Im P_01] for a Hermitian P; on Gaussian integers every feature is exact.
     spread[x m + y] = x m^2 + y, so a first column (a, c) and a second (b, d) give
     m spread[first] + spread[second] = (a m + b) m^2 + (c m + d), one number that
-    sorts as candidate order does.
+    sorts as candidate order does.  narrow is cols in single precision, and turned is
+    narrow [[0, 1], [-1, 0]], the column (a, c) as (-c, a), so that turned[u] narrow[v]^T
+    is ad - bc for a first column (a, c) and a second (b, d): exact, as every part is at
+    most 2 H^2 < 2^24 for any grid that fits in memory.
     """
 
     box: tuple
@@ -206,6 +220,8 @@ class _Grid(NamedTuple):
     weights: np.ndarray
     features: np.ndarray
     spread: np.ndarray
+    narrow: np.ndarray
+    turned: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,9 +236,11 @@ def _grid(height: int) -> _Grid:
         [cols.real**2 + cols.imag**2, 2.0 * cross.real, -2.0 * cross.imag], axis=1
     )
     x, y = np.divmod(np.arange(m * m), m)
+    narrow = cols.astype(np.complex64)
     return _Grid(
         box, frozen(cols), frozen(np.sum(np.abs(cols) ** 2, axis=1)), frozen(features),
-        frozen(x * m * m + y),
+        frozen(x * m * m + y), frozen(narrow),
+        frozen(narrow @ np.array([[0, 1], [-1, 0]], np.complex64)),
     )
 
 
@@ -294,7 +312,7 @@ def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     HeightTooLarge at once.
     """
     _check_height(n, height, budget)
-    return ((((1, 0),),),) if n == 1 else _complete_2x2(height)
+    return (_ONE,) if n == 1 else _complete_2x2(height)
 
 
 def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
@@ -303,13 +321,20 @@ def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
     <= height with |B* P1 B - P2|_F within tol.rel (|P1|_F + |P2|_F) + tol.abs, for
     exactly Hermitian P1 and P2: at n = 2 the B whose columns _gram_hit_ids finds."""
     if p1.shape[0] == 1:
-        if abs(p1[0, 0] - p2[0, 0]) <= tol.rel * (fro(p1) + fro(p2)) + tol.abs:
-            yield (((1, 0),),)
+        yield from _one_hits(float(p1[0, 0].real), float(p2[0, 0].real), tol)
         return
     box = _grid(height).box
     for x, y in zip(*(ids.tolist() for ids in _gram_hit_ids(height, p1, p2, tol, budget))):
         (a, c), (b, d) = divmod(x, len(box)), divmod(y, len(box))
         yield (box[a], box[b]), (box[c], box[d])
+
+
+def _one_hits(g1: float, g2: float, tol: Tolerance) -> tuple:
+    """The hits of the n = 1 scan on the forms [[g1]] and [[g2]], the larger in [1, 4): its
+    one candidate B = 1 where |g1 - g2| <= tol.rel (g1 + g2) + tol.abs.  That is the scan's
+    bound, as |[[g]]|_F = sqrt(g^2) is g wherever g^2 is normal, and a g too small for that
+    is lost in the sum next to the larger."""
+    return (_ONE,) if abs(g1 - g2) <= tol.rel * (g1 + g2) + tol.abs else ()
 
 
 def _gram_hit_ids(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
@@ -330,19 +355,21 @@ def _gram_hit_ids(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
     if first.size == 0:
         return first, first
     second = np.flatnonzero(near[1])
+    if second.size == 0:
+        return second, second
     if first.size * second.size > budget:
         raise HeightTooLarge(f"{first.size} x {second.size} matching column pairs at height"
                              f" {height} exceed budget {budget}")
-    # the table of ad - bc = (a, c) [[0, 1], [-1, 0]] (b, d)^T over every pair of columns,
-    # in single precision: exact, as its parts are at most 2 H^2 < 2^24 for any grid that
-    # fits in memory, at half the bytes; its flat indices, in row order, are the pairs (i, j)
-    f, s = grid.cols[first].astype(np.complex64), grid.cols[second].astype(np.complex64)
-    i, j = np.divmod(np.flatnonzero(f @ np.array([[0, 1], [-1, 0]], np.complex64) @ s.T == 1), len(s))
-    cross = np.sum((f.conj() @ p1)[i] * s[j], axis=1) - p2[0, 1]
-    residual = np.sqrt(gaps[0, first[i]] ** 2 + gaps[1, second[j]] ** 2
-                       + 2.0 * (cross.real**2 + cross.imag**2))
+    # the table of ad - bc over every pair of columns, from the grid's single-precision
+    # rows (exact, at half the bytes); its flat indices, in row order, are the pairs (i, j)
+    i, j = np.divmod(np.flatnonzero(grid.turned[first] @ grid.narrow[second].T == 1), second.size)
+    u, v = first[i], second[j]
+    cross = np.sum((grid.cols[first].conj() @ p1)[i] * grid.cols[v], axis=1) - p2[0, 1]
+    residual = np.sqrt(gaps[0, u] ** 2 + gaps[1, v] ** 2 + 2.0 * (cross.real**2 + cross.imag**2))
     keep = residual <= bound
-    u, v = first[i[keep]], second[j[keep]]
+    u, v = u[keep], v[keep]
+    if u.size < 2:
+        return u, v
     order = np.argsort(len(grid.box) * grid.spread[u] + grid.spread[v])
     return u[order], v[order]
 
@@ -652,21 +679,20 @@ def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float, e: int = 0)
     # counts at a band agree, they are at most the shorter count at the first band
     counts1 = np.searchsorted(n1, cuts, side="right").tolist()
     counts2 = np.searchsorted(n2, cuts, side="right").tolist()
-    k = min(counts1[0], counts2[0])
-    v1, v2 = n1[:k], n2[:k]
-    off = np.flatnonzero(np.abs(v1 - v2) > _SPECTRUM_REL * np.maximum(1.0, v1))
-    verdicts = []
+    off = None
     for k1, k2 in zip(counts1, counts2):
         if k1 != k2:
-            verdicts.append(("short_vector_count", float(k1), float(k2)))
-        elif off.size and off[0] < k1:
-            v = (math.ldexp(float(x[off[0]]), 2 * e) for x in (v1, v2))
-            verdicts.append(("short_vector_spectrum", *v))
-        else:
-            verdicts.append(None)
-    if verdicts[0] is not None and verdicts[1] is not None:
-        return verdicts[1]
-    return None
+            verdict = ("short_vector_count", float(k1), float(k2))
+            continue
+        if off is None:  # the values are compared only where some band's counts agree
+            k = min(counts1[0], counts2[0])
+            v1, v2 = n1[:k], n2[:k]
+            off = np.flatnonzero(np.abs(v1 - v2) > _SPECTRUM_REL * np.maximum(1.0, v1))
+        if not (off.size and off[0] < k1):
+            return None  # the two spectra agree up to this band
+        v = (math.ldexp(float(x[off[0]]), 2 * e) for x in (v1, v2))
+        verdict = ("short_vector_spectrum", *v)
+    return verdict  # the difference at the second band, which the first band has too
 
 
 def _adjugate(x: list) -> tuple:
@@ -726,10 +752,10 @@ def _unitarity(t: list) -> tuple:
     return margin, defect, math.hypot(det.real - 1.0, det.imag)
 
 
-def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, tol: Tolerance,
-                   budget: int):
-    """The Equivalent verdict of the first verified hit of the Gram scan on the pair (A1, A2)
-    with Gram forms grams, or None when no hit is kept.  The scan runs at n <= 2 only.
+def _first_witness(height: int, pair: np.ndarray, hits, mode: str, tol: Tolerance):
+    """The Equivalent verdict of the first verified hit B of hits (entries, each with det B
+    = 1 proved) on the pair (A1, A2), or None when no hit is kept: at n = 2 the hits are
+    the Gram scan's, and at n = 1 the one B = 1.
 
     Each hit gives the unitary T = A2 B^-1 A1^-1 in closed form, with no BLAS or LAPACK
     call, so its bytes depend on the input alone: the pair is read once, at the first
@@ -743,8 +769,8 @@ def _first_witness(height: int, pair: np.ndarray, grams: np.ndarray, mode: str, 
     """
     n = pair.shape[-1]
     inv = None
-    for entries in _gram_hits(height, grams[0], grams[1], tol, budget):
-        b = GaussianUnimodular._proved(entries)  # _gram_hits proved ad - bc = 1
+    for entries in hits:
+        b = GaussianUnimodular._proved(entries)
         bm = [[complex(*e) for e in row] for row in entries]
         if inv is None:  # A1 passed the gate, and each witness is re-verified
             a1, a2 = pair.tolist()
@@ -791,6 +817,13 @@ def lattice_equivalent(
     reported at the caller's scale.  Where the scan does not run or raises
     (HeightTooLarge at n = 3 or past a budget, say), a refutation by the spectra
     is returned, and the scan's error is raised only when they do not refute.
+    At n = 1 no Gram form is built and no scan runs: the one candidate B = 1 is
+    tested on the squared lengths |a|^2, Python floats with the bits A* A would
+    hold, against the scan's bound, and T = a2 / a1 is built and checked by
+    _first_witness as a scan hit's is.  No such length underflows past the
+    covolume test: the gate admits tol.rel < 1 only (sigma_min / sigma_max is
+    1), so |a2 / a1|^2 >= 1 - tol.rel is at least about 2^-54, and the larger
+    |a| is in [1, 2).
     Each input is a root of its Gram form and has passed the gate, so the forms
     need no positivity check; an A* A that underflowed (possible only under a
     caller's tiny tol.rel) raises NumericOverflow.  Equivalent verdicts carry
@@ -817,8 +850,8 @@ def lattice_equivalent(
 
     # everything below runs on the pair scaled by the one power of two that puts the
     # larger sigma_max in [1, 2): exact, so the verdict does not depend on a common scale
-    e = _exponent(float(s[:, 0].max()))
-    pair, svals = _scaled(pair, -e), _scaled(s, -e)
+    e = _exponent(max(s[:, 0].tolist()))
+    pair = _scaled(pair, -e)
     dets = _det(pair).tolist()  # each is det 2^(-n e) of the caller's input
     if mode == MODE_SPECIAL_UNITARY:
         for name, passed, d in zip(("A1", "A2"), ok.tolist(), dets):
@@ -837,16 +870,21 @@ def lattice_equivalent(
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     unit_radius = _unit_radius(radius, e)
+    svals = _scaled(s, -e).tolist()
     ks = [_uniform_box(x, unit_radius, budget) for x in svals]
-    error = None
     try:
         _check_height(n, height, budget)
     except (CxlatError, ValueError) as exc:  # raised after the spectra, which may refute first
         error = exc
-    else:  # A* A is formed only where the scan runs, and its underflow is raised at once
-        grams = _gram_matrix(pair)
+    else:
+        error = None
+        if n == 2:  # A* A is formed only where the scan runs, and its underflow is raised at once
+            hits = _gram_hits(height, *_gram_matrix(pair), tol, budget)
+        else:  # the n = 1 scan's one test, on the squared lengths A* A would hold, bit for bit
+            g1, g2 = (x.real * x.real + x.imag * x.imag for x in pair.ravel().tolist())
+            hits = _one_hits(g1, g2, tol)
         try:
-            witness = _first_witness(height, pair, grams, mode, tol, budget)
+            witness = _first_witness(height, pair, hits, mode, tol)
         except (CxlatError, ValueError) as exc:
             witness, error = None, exc
         if witness is not None:  # verified at tol: the spectra do not overrule it

@@ -24,6 +24,7 @@ applies the same rule at a caller's tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .kernel import (
     _EPS,
+    _FLOAT_MAX,
     _FLOAT_TINY,
     DEFAULT_TOL,
     GRAY_ZONE,
@@ -60,6 +62,10 @@ from .kernel import (
     gated_solve,
     sigma_ratio,
 )
+
+# below this sigma_max no entry of A* A, nor any partial sum of one, reaches 2^1022, so
+# classify forms it unscaled; at or above it the defect is taken on A at unit scale
+_UNSCALED_LIMIT = 2.0**511
 
 
 def _root_certified(p, tol: Tolerance) -> tuple:
@@ -158,6 +164,10 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
     (kernel._unit_det), so abs_det and det_distance are numbers at any scale:
     a determinant past the largest double reads inf, and one below the
     smallest normal double is rounded from the determinant at unit scale.
+    The unitarity defect is taken on A itself below sigma_max = 2^511, where
+    A* A cannot overflow; from there on it is 4^e |B* B - 4^-e I| for
+    B = A 2^-e, e putting sigma_max 2^-e in [1, 2), so a defect past the
+    largest double reads inf, never NaN, and nothing warns.
     """
     return _classify(as_matrix(a, square=True), tol)
 
@@ -165,8 +175,14 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
 def _classify(am: np.ndarray, tol: Tolerance) -> GroupMembership:
     n = am.shape[0]
     in_gl, _, s = _invertibility_gate(am, tol)
-    d, e = _unit_det(am, s[0])
-    defect = fro(_adjoint(am) @ am - np.eye(n))
+    sigma_max = float(s[0])
+    d, e = _unit_det(am, sigma_max)
+    if sigma_max < _UNSCALED_LIMIT:
+        defect = fro(_adjoint(am) @ am - np.eye(n))
+    else:  # |A* A - I|_F = 4^f |B* B - 4^-f I|_F for B = A 2^-f, sigma_max 2^-f in [1, 2)
+        f = _exponent(min(sigma_max, _FLOAT_MAX))
+        unit = _scaled(am, -f)
+        defect = _ldexp(fro(_adjoint(unit) @ unit - math.ldexp(1.0, -2 * f) * np.eye(n)), 2 * f)
     det_distance = _complex_abs(_ldexp(d, n * e) - 1.0)
     in_u = in_gl and defect <= tol.rel * n
     in_sl = in_gl and det_distance <= tol.rel * n
@@ -317,7 +333,10 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     sigma_max in [1, 2), exact short of underflow.  det(A) is that determinant
     times 2^(n e), so delta is its root times 2^e, and the result is A 2^-e
     over that root, the bits A 2^-e itself would give.  Every determinant that
-    is a finite normal double is used as it is.
+    is a finite normal double is used as it is.  Where A / delta is not finite,
+    as numpy's complex division (Smith's method) can make it in between on
+    entries past ~9e307, A 2^-e is divided by delta 2^-e instead, e from
+    sigma_max; NumericOverflow only where that quotient is not finite either.
     """
     am = as_matrix(a, square=True)
     s = _gated_margin(am, tol, "sl_normalize")[1]
@@ -328,8 +347,13 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = complex(_complex_abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
         out = (_scaled(am, -e) if e else am) / root
+        if not np.isfinite(out).all():
+            # Smith's complex division can overflow in between on entries past ~9e307:
+            # divide A 2^-f by delta 2^-f, f putting sigma_max in [1, 2) (at e != 0, f = e)
+            f = _exponent(min(float(s[0]), _FLOAT_MAX))
+            out = _overflow_checked(_scaled(am, -f) / _ldexp(root, e - f), "A / det(A)^(1/n)")
     delta = _ldexp(root, e)
-    if _complex_abs(_det(_overflow_checked(out, "A / det(A)^(1/n)")) - 1.0) > tol.rel * n:
+    if _complex_abs(_det(out) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")
     return frozen(out), delta
 

@@ -40,7 +40,7 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 from cxlattices.errors import CxlatError  # noqa: E402
 
-STANDARD = {"equiv": (1, 2, 3, 4, 5, 911), "torus": (1, 2, 3, 4), "maps": (1, 2)}
+STANDARD = {"equiv": (1, 2, 3, 4, 5, 7, 911), "torus": (1, 2, 3, 4), "maps": (1, 2)}
 
 
 def _feed(h, obj) -> None:

@@ -222,6 +222,13 @@ CASES = {
         "input": '{"matrix": [[[0,0],[5e-324,0]],[[5e-324,0],[0,0]]]}',
         "exit": 0,
     },
+    # delta = 1.2e308 (1 + i): Smith's division of A by delta overflows in between, so A
+    # 2^-1023 is divided by delta 2^-1023 instead, and A / delta is [[1]] up to rounding
+    "sl-normalize-huge-complex-det": {
+        "argv": ["sl-normalize"],
+        "input": '{"matrix": [[[1.2e308, 1.2e308]]]}',
+        "exit": 0,
+    },
     # --- lattice-validate ---
     "lattice-validate-tau": {
         "argv": ["lattice-validate"],

@@ -386,6 +386,15 @@ def test_column_norm_prefilter_keeps_every_hit(name):
                         hits = equivalence._gram_hit_ids(h, p1, p2, tol, DEFAULT_BUDGET)
                         assert np.array_equal(np.stack(hits, axis=1), ids[want])
                     assert (planted in want) == (abs(c) < 1.0)
+        if n == 2:
+            # (P2)_11 still matches the planted first column, but (P2)_22 lies below every
+            # column norm by more than the bound: the scan returns before it pairs columns
+            p2 = exact + _hermitian_bump(n, 1, 1, -2.0 * (exact[1, 1].real + fro(p1) + 1.0))
+            bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs
+            assert abs(b[:, 0].conj() @ p1 @ b[:, 0] - p2[0, 0]) <= bound
+            want = _reference_hits(transported, p2, bound)
+            hits = equivalence._gram_hit_ids(h, p1, p2, tol, DEFAULT_BUDGET)
+            assert want.size == 0 and np.array_equal(np.stack(hits, axis=1), ids[want])
 
 
 _SEARCHES = [
@@ -836,6 +845,77 @@ def test_no_gram_form_where_no_scan_runs(gram_form_calls):
     with pytest.raises(HeightTooLarge, match="over budget"):
         lattice_equivalent(a, random_unitary(rng, 2) @ a, height=7, budget=10**6)
     assert gram_form_calls == []
+
+
+def test_an_n1_equivalent_pair_builds_no_gram_form(gram_form_calls):
+    # at n = 1 the one candidate B = 1 is tested on the squared lengths: no A* A, no scan
+    a = np.array([[2.0 + 1.0j]])
+    v = lattice_equivalent(a, np.exp(0.3j) * a)
+    assert v.status == EQUIVALENT and v.witness[1].entries == (((1, 0),),)
+    su = {"mode": "special_unitary", "tol": Tolerance(rel=0.8)}
+    v = lattice_equivalent(np.exp(0.7j) * np.eye(1), np.exp(-0.2j) * np.eye(1), **su)
+    assert v.status == UNDECIDED  # det T = exp(-0.9i) is 0.87 from one, past n tol.rel: passed over
+    v = lattice_equivalent(np.eye(1), np.eye(1), mode="special_unitary")
+    assert v.status == EQUIVALENT and v.witness[0].tobytes() == np.eye(1, dtype=complex).tobytes()
+    assert gram_form_calls == []
+
+
+def _n1_pairs():
+    """n = 1 pairs for the witness: random, scaled past the doubles' middle, and pairs whose
+    T has a negative zero part."""
+    rng = np.random.default_rng(29)
+    pairs = []
+    for scale in (1.0, 2.0**-600, 2.0**600):
+        for _ in range(40):
+            a = complex(*rng.normal(size=2)) * scale
+            pairs.append((a, a * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+    pairs += [(1.0, complex(-1.0, -0.0)), (complex(0.0, 2.0), complex(-0.0, -2.0)),
+              (complex(-3.0, -0.0), complex(3.0, -0.0)), (complex(1.0, -0.0), complex(0.0, -1.0))]
+    return pairs
+
+
+def test_the_n1_witness_is_first_witness_on_the_scans_hit_bit_for_bit():
+    # the scan's route, A* A and the n = 1 scan with its hit passed to _first_witness, gives
+    # the same T bytes, signs of zero included, in both modes and at every scale
+    tol, zeros = DEFAULT_TOL, 0
+    for a1, a2 in _n1_pairs():
+        pair = np.array([[[a1]], [[a2]]], dtype=complex)
+        s = _invertibility_gate(pair, tol)[2]
+        unit = equivalence._scaled(pair, -equivalence._exponent(float(s[:, 0].max())))
+        for mode in ("unitary", "special_unitary"):
+            try:
+                got = lattice_equivalent(pair[0], pair[1], mode=mode, tol=tol, radius=0.0)
+            except NotInSL:
+                continue
+            hits = equivalence._gram_hits(1, *_gram_matrix(unit), tol)
+            want = equivalence._first_witness(1, unit, hits, mode, tol)
+            if want is None:
+                assert got.status != EQUIVALENT
+                continue
+            assert got.witness[0].tobytes() == want.witness[0].tobytes()
+            assert got.witness[1].entries == want.witness[1].entries
+            t = got.witness[0][0, 0]
+            zeros += any(x == 0.0 and math.copysign(1.0, x) < 0 for x in (t.real, t.imag))
+    assert zeros >= 3
+
+
+def test_a_squared_length_that_would_underflow_past_the_covolume_test(gram_form_calls):
+    # n = 1: the gate admits tol.rel < 1 only (sigma_min / sigma_max = 1), and at the
+    # loosest such tol.rel the covolume test refutes a pair whose |a|^2 underflows at unit
+    # scale, so no n = 1 pair reaches the squared-length test with an underflowed length
+    a1, a2 = np.eye(1), np.array([[1e-160j]])
+    for rel in (1e-9, 0.5, 1.0 - 2.0**-53):
+        v = lattice_equivalent(a1, a2, tol=Tolerance(rel=rel))
+        assert v.status == REFUTED and v.refuter[0] == "covolume"
+    with pytest.raises(SingularMatrix):
+        lattice_equivalent(a1, a2, tol=Tolerance(rel=1.0))
+    assert gram_form_calls == []
+    # n = 2: a pair past the covolume test whose column length underflows still raises
+    # NumericOverflow from its Gram form (its gate admits it under tol.rel = 1e-200 only)
+    thin = (np.diag([1.0, 1e-170]), np.diag([1.0j, 1e-170]))
+    with pytest.raises(NumericOverflow, match="^gram form A\\* A underflowed"):
+        lattice_equivalent(*thin, tol=Tolerance(rel=1e-200), radius=0.0)
+    assert gram_form_calls == [(2, 2, 2)]
 
 
 def test_an_underflowing_pair_that_no_scan_reads_is_height_too_large():

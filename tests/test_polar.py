@@ -1,5 +1,7 @@
 """Tests for polar decomposition, gram invariants, and determinant scaling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cxlattices.errors import (
     NumericOverflow,
     SingularMatrix,
 )
-from cxlattices.kernel import DEFAULT_TOL, hermitian_eig, invertibility_margin
+from cxlattices.kernel import DEFAULT_TOL, fro, hermitian_eig, invertibility_margin
 from cxlattices.polar import (
     GramForm,
     as_gram_form,
@@ -138,6 +140,27 @@ def test_classify_keeps_the_determinants_bits_where_it_is_a_finite_normal_double
         d = complex(np.linalg.det(a))
         m = classify(a)
         assert (m.abs_det, m.det_distance) == (abs(d), abs(d - 1.0))
+
+
+def test_classify_reads_a_unitarity_defect_past_the_doubles_without_a_warning():
+    # A* A of 1e200 I overflows: the defect is taken on A 2^-e and scaled back by 4^e, inf
+    # here; a matrix whose A* A would hold inf - inf reads inf too, never NaN
+    for a in (np.eye(2) * 1e200, np.array([[1e200, 1e200], [1e200, -1e200]]),
+              np.array([[1e308, 1e308j], [-1e308, 1e308]])):
+        m = classify(a)
+        assert not m.in_u and not m.in_su
+        assert m.unitarity_defect == np.inf
+    # from sigma_max = 2^511 on, the scaled route; the defect sqrt(2) (4^511 - 1) is finite
+    assert classify(np.eye(2) * 2.0**511).unitarity_defect == math.sqrt(2.0) * (4.0**511 - 1.0)
+
+
+def test_classify_keeps_the_defects_bits_below_the_scaled_route():
+    rng = np.random.default_rng(72)
+    for n in (1, 2, 3, 8):
+        for scale in (1.0, 1e-150, 1e150, 2.0**510):
+            a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
+            a *= 2.0**510 / np.linalg.norm(a, 2) if scale == 2.0**510 else 1.0
+            assert classify(a).unitarity_defect == fro(a.conj().T @ a - np.eye(n))
 
 
 def test_classify_implication_chain_random():
@@ -365,6 +388,18 @@ def test_sl_normalize_retakes_a_determinant_that_under_or_overflowed():
     for scale in (1.0, 1e300):
         with pytest.raises(NumericOverflow, match="^A / det\\(A\\)\\^\\(1/n\\) is not finite"):
             sl_normalize(np.diag([1.0, 1e-170, 1e-170]) * scale, Tolerance(rel=1e-300))
+
+
+def test_sl_normalize_divides_at_unit_scale_where_the_quotient_overflowed():
+    # numpy divides by delta = 1.2e308 (1 + i) with Smith's method, whose re + im (im / re)
+    # overflows: A 2^-e over delta 2^-e gives a finite A / delta, here [[1]] up to rounding
+    for a in (np.array([[1.2e308 + 1.2e308j]]), np.eye(2) * (1.2e308 + 1.2e308j)):
+        out, delta = sl_normalize(a)
+        e = np.frexp(np.linalg.norm(a, 2))[1] - 1
+        assert np.array_equal(out, np.ldexp(a.view(float), -e).view(complex)
+                              / complex(np.ldexp(delta.real, -e), np.ldexp(delta.imag, -e)))
+        assert np.abs(out - np.eye(len(a))).max() < 1e-12
+        assert abs(delta - (1.2e308 + 1.2e308j)) < 1e-12 * abs(delta)
 
 
 def test_each_polar_entry_validates_the_callers_arrays_once(validation_calls, singular_value_calls):
