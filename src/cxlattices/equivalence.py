@@ -79,21 +79,23 @@ same; the budget still counts the uniform box of A.
 lattice_equivalent stacks its two validated inputs into one pair (2, n, n)
 and runs one straight list of stages on it, one numpy call where a stage
 calls LAPACK: the invertibility gate (one SVD call), the covolume refuter
-(one determinant call), the dimension cap, the radius check and the box
-budgets, the height check, then, only where that passes (n <= 2 and a box
-within the budget), the Gram forms (one A* A call) and the scan at n = 2, or
-the test of the two squared lengths at n = 1.  A witness
-that passes the re-verification at the caller's tolerance settles the pair
-at once.  Its T, and the checks on it, are built in closed form from Python
-complex numbers, with no numpy linear algebra (_first_witness), so the bytes
-of T depend on the input alone, not on the BLAS kernel.  Only
-where the scan finds no witness, or does not run or raises (as
-HeightTooLarge does at n = 3), are the spectra enumerated, in one call on
-the pair that takes sigma_max and sigma_min from the gate's singular values
-and, past the cube, the inverses of the pair and their row norms in one call
-each.  They may then refute the pair before that error is raised.  Their
-resolution is fixed, so they never overrule a witness accepted at a looser
-tol.
+(one determinant call, kernel._unit_det: a determinant that is not a finite
+normal double at the pair's scale, as a subnormal partner's can be, is taken
+again at its own unit scale, and each (d, k) is combined exactly), the
+dimension cap, the radius check and the box budgets, the height check, then,
+only where that passes (n <= 2 and a box within the budget), the Gram forms
+(one A* A call) and the scan at n = 2, or the test of the two squared
+lengths at n = 1.  A witness that passes the re-verification at the caller's
+tolerance settles the pair at once.  Its T, and the checks on it, are built
+in closed form from Python complex numbers, with no numpy linear algebra
+(_first_witness), so the bytes of T depend on the input alone, not on the
+BLAS kernel.  Only where the scan finds no witness, or does not run or
+raises (as HeightTooLarge does at n = 3), are the spectra enumerated, in one
+call on the pair that takes sigma_max and sigma_min from the gate's singular
+values and, past the cube, the inverses of the pair and their row norms in
+one call each.  They may then refute the pair before that error is raised.
+Their resolution is fixed, so they never overrule a witness accepted at a
+looser tol.
 """
 
 from __future__ import annotations
@@ -125,11 +127,11 @@ from .kernel import (
     MODE_UNITARY,
     Tolerance,
     _complex_abs,
-    _det,
     _exponent,
     _invertibility_gate,
     _ldexp,
     _scaled,
+    _unit_det,
     as_matrix,
     fro,
     frozen,
@@ -556,12 +558,13 @@ def _small_box(shape: tuple) -> np.ndarray:
 
 def _uniform_box(s: np.ndarray, radius: float, limit: int) -> int:
     """K = floor(sqrt(radius) / sigma_min) of a basis with singular values s (descending),
-    which the invertibility gate has accepted (the caller's test, so sigma_min > 0).
+    which the invertibility gate has accepted.
 
     Raises RadiusBudgetExceeded when the nonzero points of the uniform box
-    (2K + 1)^(2n) exceed the limit.
+    (2K + 1)^(2n) exceed the limit, and when sigma_min is 0: a basis scaled to
+    unit scale with its partner can underflow there, and its box is unbounded.
     """
-    ratio = math.sqrt(radius) / float(s[-1])
+    ratio = math.sqrt(radius) / float(s[-1]) if s[-1] > 0.0 else math.inf
     if ratio == math.inf:  # no box of integers is that large
         raise RadiusBudgetExceeded(f"coefficient box is unbounded and exceeds limit {limit}")
     k = math.floor(ratio)
@@ -852,17 +855,18 @@ def lattice_equivalent(
     # larger sigma_max in [1, 2): exact, so the verdict does not depend on a common scale
     e = _exponent(max(s[:, 0].tolist()))
     pair = _scaled(pair, -e)
-    dets = _det(pair).tolist()  # each is det 2^(-n e) of the caller's input
+    dets = _unit_det(pair)  # each (d, k) gives the caller's det as d 2^(n (e + k)), at any scale
     if mode == MODE_SPECIAL_UNITARY:
-        for name, passed, d in zip(("A1", "A2"), ok.tolist(), dets):
-            distance = _complex_abs(_ldexp(d, n * e) - 1.0)
+        for name, passed, (d, k) in zip(("A1", "A2"), ok.tolist(), dets):
+            distance = _complex_abs(_ldexp(d, n * (e + k)) - 1.0)
             if not (passed and distance <= tol.rel * n):
                 raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
-    # the covolumes |det|^2 differ by more than tol.rel of the larger: tested on the ratio
-    # of the two |det|, which neither over- nor underflows at any dimension
-    lo, hi = sorted(_complex_abs(d) for d in dets)
+    # the covolumes |det|^2 differ by more than tol.rel of the larger: tested on the ratio of
+    # the two |d| brought to the smaller k, exact short of an overflow to inf (ratio 0)
+    low = min(k for _, k in dets)
+    lo, hi = sorted(_ldexp(_complex_abs(d), n * (k - low)) for d, k in dets)
     if hi > 0.0 and 1.0 - (lo / hi) ** 2 > tol.rel:
-        r1, r2 = (_ldexp(_complex_abs(d), n * e) for d in dets)  # |det| at the caller's scale
+        r1, r2 = (_ldexp(_complex_abs(d), n * (e + k)) for d, k in dets)  # at the caller's scale
         return EquivalenceVerdict(REFUTED, None, ("covolume", r1 * r1, r2 * r2), height)
 
     # past the cheap refuter, the remaining stages only make sense where the

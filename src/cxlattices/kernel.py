@@ -29,10 +29,10 @@ by an underflowed determinant), it runs _overflow_checked there, before any
 body sees the array, and an overflow is NumericOverflow.  Values the library
 builds from checked fields (forms, bases, points) are made by _built,
 without their constructor's validation.
-The bodies _singular_values, _invertibility_gate and _det also take a stack
-(k, m, n) of matrices: numpy's linalg routines run LAPACK once per matrix,
-with the same results bit for bit, in one call, so a caller that holds a
-pair (lattice_equivalent) pays the call overhead once.
+The bodies _singular_values, _invertibility_gate, _det and _unit_det also
+take a stack (k, m, n) of matrices: numpy's linalg routines run LAPACK once
+per matrix, with the same results bit for bit, in one call, so a caller that
+holds a pair (lattice_equivalent) pays the call overhead once.
 These conventions have their one home here: in_gray_zone (a margin too
 close to its threshold to call), real_columns (columns in C^n as columns
 in R^2n), _hermitian_part (0.5 (P + P*), also of each matrix in a stack)
@@ -45,9 +45,10 @@ a number x in [1, 2) as x 2^-e, and _scaled and _ldexp multiply an array or
 a number by a power of two, exact short of under- and overflow.  _unit_det
 is the one determinant at any scale: LAPACK's det of A, bit for bit, where
 that is a finite normal double, and otherwise the det of A 2^-e with
-sigma_max 2^-e in [1, 2), together with e; it never warns.  _complex_abs is
-the one |z|.  det, polar's classify and sl_normalize, and lattices'
-covolume read their determinants through _unit_det.
+sigma_max 2^-e in [1, 2), together with e; it never warns, and it takes a
+stack too.  _complex_abs is the one |z|.  Every floating-point determinant
+is read through _unit_det: det, polar's classify, sl_normalize and
+su_sl_canonical, lattices' covolume and lattice_equivalent's pair.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _scaled(a: np.ndarray, k: int) -> np.ndarray:
-    """a 2^k, a real or complex array scaled on its float64 view: exact short of underflow."""
-    return np.ldexp(a.view(np.float64), k).view(a.dtype)
+    """a 2^k, a real or complex array scaled on its float64 view: exact short of underflow.
+    An array whose last axis is not contiguous (a transposed input) is scaled on a C copy."""
+    return np.ldexp(np.ascontiguousarray(a).view(np.float64), k).view(a.dtype)
 
 
 def _exponent(x: float) -> int:
@@ -318,22 +320,28 @@ def _det(am: np.ndarray):
     return complex(d) if am.ndim == 2 else d
 
 
-def _unit_det(am: np.ndarray, sigma_max: float | None = None) -> tuple[complex, int]:
+def _unit_det(am: np.ndarray, sigma_max: float | None = None):
     """(d, e) with det(A) = d 2^(n e), for a validated square A: the package's one scale
-    rule for determinants, which never warns.
+    rule for determinants, which never warns; of a stack (k, n, n), a list of k pairs.
 
-    d is LAPACK's det of A itself, bit for bit, and e = 0 wherever that det is a finite
-    normal double.  Otherwise d is the det of A 2^-e, e putting sigma_max 2^-e in [1, 2),
-    exact short of underflow.  A caller that holds sigma_max passes it; otherwise it is
-    taken here, and only on that path.  A sigma_max past the largest double counts as the
-    largest, so that A 2^-e is finite.
+    d is LAPACK's det of A itself, bit for bit (one call for a stack), and e = 0 wherever
+    that det is a finite normal double.  Otherwise d is the det of A 2^-e, e putting
+    sigma_max 2^-e in [1, 2), exact short of underflow.  A caller that holds sigma_max of
+    one A passes it; otherwise it is taken here, and only on that path.  A sigma_max past
+    the largest double counts as the largest, so that A 2^-e is finite.
     """
     with np.errstate(all="ignore"):
-        d = _det(am)
-        if _FLOAT_TINY <= _complex_abs(d) < math.inf:
-            return d, 0
-        e = _exponent(min(_operator_norm(am) if sigma_max is None else sigma_max, _FLOAT_MAX))
-        return _det(_scaled(am, -e)), e
+        if am.ndim == 2:
+            d = _det(am)
+            return (d, 0) if _FLOAT_TINY <= _complex_abs(d) < math.inf else _retaken(am, sigma_max)
+        return [(d, 0) if _FLOAT_TINY <= _complex_abs(d) < math.inf else _retaken(am[i], None)
+                for i, d in enumerate(_det(am).tolist())]
+
+
+def _retaken(am: np.ndarray, sigma_max: float | None) -> tuple[complex, int]:
+    """_unit_det's pair for one A whose LAPACK det is not a finite normal double."""
+    e = _exponent(min(_operator_norm(am) if sigma_max is None else sigma_max, _FLOAT_MAX))
+    return _det(_scaled(am, -e)), e
 
 
 def inverse(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

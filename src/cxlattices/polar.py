@@ -47,7 +47,6 @@ from .kernel import (
     _adjoint,
     _built,
     _complex_abs,
-    _det,
     _exponent,
     _hermitian_part,
     _invertibility_gate,
@@ -330,32 +329,28 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
 
     The determinant follows the kernel's scale rule (kernel._unit_det): one
     that is not a finite normal double is taken again on A 2^-e, e putting
-    sigma_max in [1, 2), exact short of underflow.  det(A) is that determinant
-    times 2^(n e), so delta is its root times 2^e, and the result is A 2^-e
-    over that root, the bits A 2^-e itself would give.  Every determinant that
-    is a finite normal double is used as it is.  Where A / delta is not finite,
-    as numpy's complex division (Smith's method) can make it in between on
-    entries past ~9e307, A 2^-e is divided by delta 2^-e instead, e from
-    sigma_max; NumericOverflow only where that quotient is not finite either.
+    sigma_max in [1, 2), exact short of underflow, and det(A) is that
+    determinant times 2^(n e), so delta is its root times 2^e.  The one
+    division is A 2^-f over delta 2^-f, f putting sigma_max in [1, 2) (f = e
+    wherever e != 0): short of underflow it has the bits of A / delta, and
+    numpy's complex division (Smith's method), which can overflow in between
+    on entries past ~9e307, stays finite.  NumericOverflow only where the
+    quotient is not finite (a determinant that still under- or overflows).
     """
     am = as_matrix(a, square=True)
     s = _gated_margin(am, tol, "sl_normalize")[1]
     n = am.shape[0]
     d, e = _unit_det(am, s[0])
+    f = _exponent(min(float(s[0]), _FLOAT_MAX))
     # a det that still under- or overflows (delta 0 or not finite) leaves out not finite:
     # NumericOverflow, before its determinant is read, and never warned
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = complex(_complex_abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
-        out = (_scaled(am, -e) if e else am) / root
-        if not np.isfinite(out).all():
-            # Smith's complex division can overflow in between on entries past ~9e307:
-            # divide A 2^-f by delta 2^-f, f putting sigma_max in [1, 2) (at e != 0, f = e)
-            f = _exponent(min(float(s[0]), _FLOAT_MAX))
-            out = _overflow_checked(_scaled(am, -f) / _ldexp(root, e - f), "A / det(A)^(1/n)")
-    delta = _ldexp(root, e)
-    if _complex_abs(_det(out) - 1.0) > tol.rel * n:
+        out = _overflow_checked(_scaled(am, -f) / _ldexp(root, e - f), "A / det(A)^(1/n)")
+    d, k = _unit_det(out)
+    if _complex_abs(_ldexp(d, n * k) - 1.0) > tol.rel * n:
         raise InternalCheckError("determinant after scaling is not one at tolerance")
-    return frozen(out), delta
+    return frozen(out), _ldexp(root, e)
 
 
 def su_sl_canonical(b, tol: Tolerance = DEFAULT_TOL) -> GramForm:
@@ -366,6 +361,7 @@ def su_sl_canonical(b, tol: Tolerance = DEFAULT_TOL) -> GramForm:
         raise NotInSL(f"determinant distance from one is {membership.det_distance:.3e}")
     # in_sl implies in_gl: _classify's gate has certified B, the root of B* B
     p = GramForm._certified(_gram_matrix(bm), bm)
-    if _complex_abs(_det(p.matrix) - 1.0) > 10.0 * tol.rel * bm.shape[0]:
+    d, k = _unit_det(p.matrix)
+    if _complex_abs(_ldexp(d, bm.shape[0] * k) - 1.0) > 10.0 * tol.rel * bm.shape[0]:
         raise InternalCheckError("gram form of a determinant-one matrix must have determinant one")
     return p

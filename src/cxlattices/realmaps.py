@@ -7,7 +7,8 @@ the same object show up, each convenient for a different question:
 * ``BlockForm``      -- T(x + iy) = E1 x + E2 y + i (E3 x + E4 y) with four
   real n-by-n coefficient blocks; the fully general description.
 * ``SplitForm``      -- T(x + iy) = x + A y + i B y; the shape a lattice
-  basis takes after column normalization.  T is invertible exactly when B is.
+  basis takes after column normalization.  T is invertible exactly when B is
+  (but margin(realify(T)) <= margin(B): see is_invertible).
 * ``ConjugatePairForm`` -- T(z) = M z + conj(N z) with complex M, N; the
   algebraically pleasant description, where strict domination of the
   conjugate part (``majorizes``) certifies invertibility.
@@ -20,7 +21,8 @@ C^n over R; a mismatch raises InternalCheckError rather than returning
 silently wrong coefficients.  The normalized target is the E of the
 factorization T = M o (z + conj(E z)) that normalize_post_composition
 computes; majorizes reads its verdict off domination_ratio.  Both routes
-let solve's gate decide whether M is singular.
+let solve's gate decide whether M is singular, and each rule takes one
+route: invertibility reads one SVD of the realified map for every form.
 
 A form's constructor validates the caller's coefficients once.  The real
 blocks of a block or split form are validated in float64: a real, integer or
@@ -65,12 +67,12 @@ from .kernel import (
     _invertibility_gate,
     _operator_norm,
     _overflow_checked,
+    _scaled,
     _solve,
     as_columns,
     as_matrix,
     fro,
     frozen,
-    in_gray_zone,
     real_columns,
 )
 
@@ -302,29 +304,21 @@ def convert(t: RealLinearMap, target: str, tol: Tolerance = DEFAULT_TOL) -> Real
 def is_invertible(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Invertibility of T as a map R^2n -> R^2n at the working margin.
 
-    True when sigma_min(realify(T)) > tol.rel * sigma_max.  For a SplitForm
-    the criterion "B invertible" is computed as well; the two verdicts must
-    agree unless both margins sit inside the gray zone around their
-    thresholds, in which case the realified verdict stands.
+    True when sigma_min(realify(T)) > tol.rel * sigma_max, for every form.  A
+    SplitForm is invertible exactly when B is, yet its realified R = [[I, A],
+    [0, B]] has margin(R) <= margin(B), and far less for a large A: a verdict
+    read from B could only agree with R's or be wrong, so it is not taken.
     """
     return invertibility(t, tol)[0]
 
 
 def invertibility(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """is_invertible's verdict with the realified margin sigma_min / sigma_max it read."""
+    """is_invertible's verdict and the realified margin sigma_min / sigma_max, from one SVD."""
     # realify sums the coefficients' images, which can overflow: NumericOverflow,
-    # never warned; the SVDs run in complex arithmetic, as on a validated matrix
+    # never warned; the SVD runs in complex arithmetic, as on a validated matrix
     with np.errstate(over="ignore", invalid="ignore"):
         r = realify(t)
-    ok, margin, _ = _invertibility_gate(_overflow_checked(r, "realified map").astype(np.complex128), tol)
-    if isinstance(t, SplitForm):
-        ok_b, margin_b, _ = _invertibility_gate(t.b.astype(np.complex128), tol)
-        if ok_b != ok:
-            if not (in_gray_zone(margin, tol.rel) or in_gray_zone(margin_b, tol.rel)):
-                raise InternalCheckError(
-                    f"split invertibility criteria disagree: realified margin {margin:.3e}, B margin {margin_b:.3e}"
-                )
-    return ok, margin
+    return _invertibility_gate(_overflow_checked(r, "realified map").astype(np.complex128), tol)[:2]
 
 
 def majorizes(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -344,25 +338,22 @@ def dominates(ratio: float | None, tol: Tolerance = DEFAULT_TOL) -> bool:
 def domination_ratio(t: RealLinearMap, tol: Tolerance = DEFAULT_TOL) -> float | None:
     """operator_norm(N M^-1), or None when solve's gate finds M singular.
 
-    The ratio is inf when N M^-1 itself overflows (M passes the gate yet is
-    tiny, such as a subnormal scalar): its norm is past the largest double too.
-    The LU of a large M can overflow while N M^-1 is finite; N M^-1 does not
-    change when M and N are divided by a common power of two, so the solve is
-    taken again with every entry below one, where it overflows only when
-    N M^-1 has an entry near the largest double.
+    N M^-1 does not change when M and N are multiplied by a common power of
+    two, so the one solve runs where their largest real or imaginary part is
+    in [1, 2), exact short of underflow (tol.abs applies there).  Its LU
+    overflows only where N M^-1 nears the largest double or passes it (M passes
+    the gate yet is tiny): the ratio is inf.  An M that underflows to singular
+    there, against an N past the range of the doubles from it, gives None.
     """
     cp = _to_conjugate_pair(t)
+    both = np.ascontiguousarray(np.concatenate((cp.m, cp.n)))  # M over N: one scale for both
+    both = _scaled(both, -_exponent(float(np.abs(both.view(np.float64)).max())))
     try:
-        k = _solve(cp.m.T, cp.n.T, tol).T
+        k = _solve(both[: t.dim].T, both[t.dim :].T, tol).T
     except SingularMatrix:
         return None
     except NumericOverflow:
-        big = max(float(np.abs(part).max()) for x in (cp.m, cp.n) for part in (x.real, x.imag))
-        scale = 2.0 ** -max(_exponent(big) + 1, 0)
-        try:
-            k = _solve(scale * cp.m.T, scale * cp.n.T, tol).T
-        except NumericOverflow:
-            return float("inf")
+        return float("inf")
     return _operator_norm(k)
 
 

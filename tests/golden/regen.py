@@ -133,6 +133,13 @@ CASES = {
         "input": '{"map": {"kind": "block", "e1": [[[1,0]]], "e2": [[[0,0]]], "e3": [[[0,0]]], "e4": [[[0.0005,0]]]}}',
         "exit": 0,
     },
+    # R = [[I, A], [0, B]] has margin 1e-20 although B = 1 is invertible: the realified
+    # margin alone decides (a verdict read from B, margin 1, would disagree)
+    "map-invertible-split-large-a": {
+        "argv": ["map-invertible"],
+        "input": '{"map": {"kind": "split", "a": [[[1e10, 0]]], "b": [[[1, 0]]]}}',
+        "exit": 0,
+    },
     # --- map-majorizes ---
     "map-majorizes-yes": {
         "argv": ["map-majorizes"],
@@ -147,6 +154,13 @@ CASES = {
     "map-majorizes-subnormal-m": {
         "argv": ["map-majorizes"],
         "input": '{"map": {"kind": "conjugate_pair", "m": [[[0, 1e-309]]], "n": [[[-1, 0]]]}}',
+        "exit": 0,
+    },
+    # the one solve runs at the scale that puts N = 1e300 in [1, 2): M = 1e-321 underflows
+    # to 0 there, so solve's gate calls M singular and the ratio is null
+    "map-majorizes-tiny-m-huge-n": {
+        "argv": ["map-majorizes"],
+        "input": '{"map": {"kind": "conjugate_pair", "m": [[[1e-321, 0]]], "n": [[[1e300, 0]]]}}',
         "exit": 0,
     },
     # --- map-normalize ---
@@ -222,8 +236,8 @@ CASES = {
         "input": '{"matrix": [[[0,0],[5e-324,0]],[[5e-324,0],[0,0]]]}',
         "exit": 0,
     },
-    # delta = 1.2e308 (1 + i): Smith's division of A by delta overflows in between, so A
-    # 2^-1023 is divided by delta 2^-1023 instead, and A / delta is [[1]] up to rounding
+    # delta = 1.2e308 (1 + i): Smith's division of A by delta would overflow in between,
+    # but A 2^-1023 is divided by delta 2^-1023, and A / delta is [[1]] up to rounding
     "sl-normalize-huge-complex-det": {
         "argv": ["sl-normalize"],
         "input": '{"matrix": [[[1.2e308, 1.2e308]]]}',
@@ -360,6 +374,13 @@ CASES = {
     "lattice-equiv-tiny-scale": {
         "argv": ["lattice-equiv", "--radius", "9.639679460411536e-181"],
         "input": '{"first": [[[4.909093465297727e-91, 0], [4.418184118767954e-91, 0]], [[0, 0], [1.472728039589318e-91, 0]]], "second": [[[4.909093465297727e-91, 0], [4.418184118767954e-91, 0]], [[0, 0], [1.472728039589318e-91, 0]]]}',
+        "exit": 0,
+    },
+    # numpy's det of the subnormal partner is NaN; at unit scale its determinant is
+    # (-1 + 3i) 2^-2148, and the covolume test refutes the pair (its |det|^2 underflows)
+    "lattice-equiv-subnormal-partner": {
+        "argv": ["lattice-equiv"],
+        "input": '{"first": [[[0.887733163892781, -0.8516802796258283], [-1.5125967976357788, 0.2051373748588469]], [[-0.4674409530656326, 0.7286924130231177], [0.1635974663667906, -1.1937425853510049]]], "second": [[[0, 5e-324], [-1e-323, -5e-324]], [[0, 1e-323], [-5e-324, -5e-324]]]}',
         "exit": 0,
     },
     # a witness of height 6, B = -((6+5i, 3-i), (1+2i, 1)), found in the height-7 set

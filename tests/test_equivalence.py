@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from itertools import product
 
 import numpy as np
@@ -1128,6 +1129,42 @@ def test_covolume_past_the_largest_double_is_decided_and_reported_as_inf():
     )
     # the determinant is taken at unit scale, where 2^-20 is exact, and scaled back exactly
     assert lattice_equivalent([[2.0**500]], [[2.0**520]]).refuter == ("covolume", 2.0**1000, math.inf)
+
+
+def test_a_determinant_that_underflows_at_the_pairs_scale_is_retaken():
+    # at the pair's unit scale, 2^-400, det(2^-250 I) is 2^-1300 and underflows to 0; taken
+    # again at its own unit scale it is exact, and |det|^2 = 2^-1000 is reported
+    eye = np.eye(2)
+    assert lattice_equivalent(2.0**400 * eye, 2.0**-250 * eye).refuter == ("covolume", math.inf, 2.0**-1000)
+    assert lattice_equivalent(2.0**-250 * eye, 2.0**400 * eye).refuter == ("covolume", 2.0**-1000, math.inf)
+
+
+def test_a_subnormal_partner_is_refuted_by_covolume_and_never_warns():
+    # one member at 2^-1074 ... 2^-1060, the other O(1): numpy's det of the tiny one can be
+    # NaN or warn, and its sigma_min can underflow at the pair's scale; every determinant is
+    # read at its own unit scale, so the covolume test refutes each pair the gate accepts
+    rng = np.random.default_rng(1)
+    refuted = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 4))
+        a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in "ab")
+        pair = [a, np.ldexp(b.view(float), int(rng.integers(-1074, -1059))).view(complex)]
+        if rng.integers(2):
+            pair.reverse()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                v = lattice_equivalent(*pair)
+            except SingularMatrix:
+                continue
+        assert v.status == REFUTED and v.refuter[0] == "covolume"
+        refuted += 1
+    assert refuted > 350
+
+
+def test_an_underflowed_sigma_min_is_an_unbounded_box():
+    with pytest.raises(RadiusBudgetExceeded, match="unbounded"):
+        equivalence._uniform_box(np.array([1.0, 0.0]), 4.0, DEFAULT_BUDGET)
 
 
 def test_a_determinant_past_the_largest_double_is_rebuilt_not_overflowed():

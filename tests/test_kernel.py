@@ -211,6 +211,19 @@ def test_det_past_the_doubles_is_a_number_and_never_warns():
     assert det(np.eye(2) * 1e-160) == pytest.approx(1e-320, rel=1e-3)
 
 
+def test_unit_det_of_a_stack_is_each_matrixs_bit_for_bit():
+    # one LAPACK call for the stack, and only a det that is not a finite normal double is
+    # taken again, at that matrix's own unit scale
+    rng = np.random.default_rng(113)
+    odd = [np.array([[0, 5e-324], [5e-324, 0]]), np.eye(2) * 1e200, np.eye(2) * 1e-170, np.zeros((2, 2))]
+    for i, m in enumerate(odd):
+        stack = np.array([random_complex(rng, 2), m, random_complex(rng, 2)][i % 2:], dtype=complex)
+        got = kernel._unit_det(stack)
+        assert repr(got) == repr([kernel._unit_det(x) for x in stack]), i
+        assert all(isinstance(d, complex) and isinstance(e, int) for d, e in got)
+        assert got[-2][1] != 0 and not np.isnan(got[-2][0])
+
+
 # ---------------------------------------------------------------- hermitian_eig
 
 

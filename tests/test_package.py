@@ -66,14 +66,14 @@ def _dotted(node) -> str:
 
 def test_the_scale_rule_is_read_only_in_the_kernel():
     # the power-of-two exponent and the determinant have one home, kernel._exponent and
-    # kernel._det / _unit_det; a module that calls math.frexp or numpy's det itself has
-    # copied the rule out again
+    # kernel._det / _unit_det; a module that calls math.frexp or numpy's det itself, or
+    # imports the unguarded kernel._det, has copied the rule out again
     src = pathlib.Path(cxlattices.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy.linalg"):
-                names = {alias.name for alias in node.names} & {"frexp", "det"}
+            if isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy.linalg", "kernel"):
+                names = {alias.name for alias in node.names} & {"frexp", "det", "_det"}
                 found += [(path.name, f"{node.module}.{name}") for name in names]
             elif isinstance(node, ast.Call) and _dotted(node.func) in (
                 "math.frexp", "np.linalg.det", "numpy.linalg.det", "linalg.det",

@@ -402,6 +402,45 @@ def test_sl_normalize_divides_at_unit_scale_where_the_quotient_overflowed():
         assert abs(delta - (1.2e308 + 1.2e308j)) < 1e-12 * abs(delta)
 
 
+def reference_sl_normalize(a):
+    """sl_normalize's formula where no division overflows: A / delta with LAPACK's det where
+    it is a finite normal double, else A 2^-e over the root of det(A 2^-e), e putting
+    sigma_max 2^-e in [1, 2), and delta that root times 2^e."""
+    n, e = len(a), 0
+    with np.errstate(all="ignore"):
+        d = complex(np.linalg.det(a))
+        if not np.finfo(float).tiny <= abs(d) < math.inf:
+            e = math.frexp(np.linalg.svd(a, compute_uv=False)[0])[1] - 1
+            d = complex(np.linalg.det(np.ldexp(a.view(float), -e).view(complex)))
+    root = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
+    out = np.ldexp(a.view(float), -e).view(complex) / root
+    return out, complex(math.ldexp(root.real, e), math.ldexp(root.imag, e))
+
+
+@pytest.mark.parametrize("scale", [-600, 0, 600])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_sl_normalize_keeps_the_bits_of_one_division(n, scale):
+    # the one division, A 2^-f over delta 2^-f, has the bits of A / delta short of underflow
+    rng = np.random.default_rng([n, scale + 600])
+    for _ in range(10):
+        a = np.ldexp(random_invertible(rng, n).view(float), scale).view(complex)
+        out, delta = sl_normalize(a)
+        want_out, want_delta = reference_sl_normalize(a)
+        assert out.tobytes() == want_out.tobytes()
+        assert delta == want_delta
+
+
+def test_transposed_inputs_are_scaled_as_their_copies():
+    # a transposed array keeps its memory order through validation, and has no float64
+    # view: the scale rule scales it on a C copy
+    a = np.array([[1.0, 2.0], [0.5, 3.0j]]).T * 1e200
+    assert not a.flags.c_contiguous
+    c = np.ascontiguousarray(a)
+    assert sl_normalize(a)[0].tobytes() == sl_normalize(c)[0].tobytes()
+    assert classify(a) == classify(c)
+    assert unitarily_equivalent(a, a)[0] and unitarily_equivalent(c, c)[0]
+
+
 def test_each_polar_entry_validates_the_callers_arrays_once(validation_calls, singular_value_calls):
     # one validation per array the caller passes; classify's body, the Gram form and the
     # kernel bodies run on the validated copies

@@ -18,6 +18,7 @@ from cxlattices.realmaps import (
     contraction_check,
     convert,
     domination_ratio,
+    invertibility,
     is_invertible,
     majorizes,
     normalize_post_composition,
@@ -245,6 +246,25 @@ def test_split_engineered_near_singular_b():
     assert not is_invertible(SplitForm(rng.standard_normal((3, 3)), b))
 
 
+def test_split_invertibility_is_the_realified_verdict_alone(singular_value_calls):
+    # R = [[I, A], [0, B]] has margin(R) <= margin(B), and about 1 / A^2 here: B = 1 is
+    # invertible, yet the map is not at the working margin, and that is the verdict, from
+    # one SVD per call (a verdict read from B could only agree with R's or be wrong)
+    for a, margin in ((1e5, 1e-10), (1e10, 1e-20)):
+        singular_value_calls.clear()
+        ok, got = invertibility(SplitForm([[a]], [[1.0]]))
+        assert not ok and got == pytest.approx(margin, rel=1e-9)
+        assert singular_value_calls == [(2, 2)]
+    rng = np.random.default_rng(233)
+    for _ in range(50):
+        t = random_split(rng, 3)
+        r = np.linalg.svd(realify(t), compute_uv=False)
+        ok, margin = invertibility(t)
+        assert ok and margin == pytest.approx(r[-1] / r[0], rel=1e-12)
+        b = np.linalg.svd(t.b, compute_uv=False)
+        assert r[-1] / r[0] <= b[-1] / b[0] * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------- majorization
 
 
@@ -278,6 +298,46 @@ def test_majorizes_through_an_lu_that_overflows():
     t = ConjugatePairForm([[1e308, 1e308], [1e308, -1e308]], [[0.8e308, -1e308], [0.0, 0.0]])
     assert domination_ratio(t) == pytest.approx(np.hypot(0.1, 0.9), rel=1e-12)
     assert majorizes(t)
+
+
+def test_domination_ratio_of_a_tiny_m_against_a_huge_n_is_none():
+    # at the unit scale of N = 1e300, M = 1e-321 underflows to 0: solve's gate calls it
+    # singular and the ratio is None
+    t = ConjugatePairForm([[1e-321]], [[1e300]])
+    assert domination_ratio(t) is None
+    assert not majorizes(t)
+
+
+def test_domination_ratio_of_a_subnormal_m_and_n_is_read_at_unit_scale():
+    # LAPACK's complex solve on M = 132 2^-1074 itself gives NaN (an overflow in between),
+    # but at unit scale N M^-1 = 110 / 132 is exact: M majorizes N
+    u = 2.0**-1074
+    t = ConjugatePairForm([[132 * u]], [[110 * u]])
+    assert domination_ratio(t) == 110 / 132
+    assert majorizes(t)
+
+
+def test_domination_ratio_takes_one_solve(solve_calls):
+    # the one solve runs at unit scale, where the LU of the first M does not overflow, and a
+    # subnormal M with N M^-1 past the doubles overflows there too (the ratio is inf)
+    for m, n in (([[1e308, 1e308], [1e308, -1e308]], [[0.8e308, -1e308], [0.0, 0.0]]),
+                 ([[1.1125369292536e-309j]], [[-1.0]]), ([[1.0, 2.0], [0.5, 3.0]], np.eye(2))):
+        solve_calls.clear()
+        domination_ratio(ConjugatePairForm(m, n))
+        assert solve_calls == [(len(m), len(m))]
+
+
+@pytest.mark.parametrize("scale", [-600, 0, 600])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_domination_ratio_keeps_the_bits_of_the_unscaled_solve(n, scale):
+    # N M^-1 is the same for M and N times a common power of two, bit for bit short of
+    # underflow: the ratio is the operator norm of LAPACK's solve on the caller's M and N
+    rng = np.random.default_rng(1000 * n + scale)
+    for _ in range(10):
+        m = np.ldexp(random_complex(rng, n).view(float), scale).view(complex)
+        k = np.ldexp((rng.uniform(0.1, 2.0) * random_complex(rng, n)).view(float), scale).view(complex)
+        want = float(np.linalg.svd(np.linalg.solve(m.T, k.T).T, compute_uv=False)[0])
+        assert domination_ratio(ConjugatePairForm(m, k)) == want
 
 
 def test_majorization_implies_invertibility():
