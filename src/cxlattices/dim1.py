@@ -93,6 +93,12 @@ def _gap_scale(alpha: complex, beta: complex) -> tuple[float, float]:
     return abs(abs(alpha) - abs(beta)), abs(alpha) + abs(beta)
 
 
+def _dominant(alpha: complex, beta: complex, tol: Tolerance) -> bool:
+    """Whether |alpha| > |beta| with margin: the gate of the theta/mu form."""
+    gap, scale = _gap_scale(alpha, beta)
+    return abs(alpha) > abs(beta) and gap > tol.rel * scale
+
+
 def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms:
     """Build all available scalar forms from T(x + iy) = a x + i b y."""
     a = _finite(a, "a")
@@ -106,8 +112,7 @@ def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms
             raise ValueError("quotient b / a overflows; rescale the map first")
     _finite_moduli(a, b, alpha, beta)  # a +- b may overflow too
     theta = mu = None
-    gap, scale = _gap_scale(alpha, beta)
-    if abs(alpha) > abs(beta) and gap > tol.rel * scale:
+    if _dominant(alpha, beta, tol):
         theta = alpha
         mu = beta / alpha
     return ScalarForms(a=a, b=b, alpha=alpha, beta=beta, c=c, theta=theta, mu=mu)
@@ -141,21 +146,15 @@ def is_invertible_1d(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def to_thetamu(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> tuple[complex, complex]:
-    """The normalized scalar form theta (z + mu conj(z)).
+    """The normalized scalar form theta (z + mu conj(z)): theta = alpha, mu = beta / alpha.
 
-    Requires |alpha| > |beta| with margin; the invertible but
-    conjugation-dominant case |beta| > |alpha| is excluded too.
+    Requires |alpha| > |beta| with margin at tol, from_ab's gate; the invertible
+    but conjugation-dominant case |beta| > |alpha| is excluded too.  The form
+    agrees with f at z = 1, i by theta (1 +- mu) = alpha +- beta, which
+    ScalarForms checks on its own theta and mu, so it is not evaluated again.
     """
-    gap, scale = _gap_scale(f.alpha, f.beta)
-    if abs(f.alpha) <= abs(f.beta) or gap <= tol.rel * scale:
+    if not _dominant(f.alpha, f.beta, tol):
         raise MajorizationFails(
             f"|alpha| = {abs(f.alpha):.6g} does not dominate |beta| = {abs(f.beta):.6g}"
         )
-    theta = f.alpha
-    mu = f.beta / f.alpha
-    for z in (1.0 + 0.0j, 1.0j):
-        lhs = theta * (z + mu * z.conjugate())
-        rhs = evaluate(f, z)
-        if abs(lhs - rhs) > tol.rel * (abs(rhs) + scale):
-            raise InternalCheckError("theta form fails evaluation equality")
-    return theta, mu
+    return f.alpha, f.beta / f.alpha

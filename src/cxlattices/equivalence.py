@@ -85,17 +85,17 @@ again at its own unit scale, and each (d, k) is combined exactly), the
 dimension cap, the radius check and the box budgets, the height check, then,
 only where that passes (n <= 2 and a box within the budget), the Gram forms
 (one A* A call) and the scan at n = 2, or the test of the two squared
-lengths at n = 1.  A witness that passes the re-verification at the caller's
-tolerance settles the pair at once.  Its T, and the checks on it, are built
-in closed form from Python complex numbers, with no numpy linear algebra
-(_first_witness), so the bytes of T depend on the input alone, not on the
-BLAS kernel.  Only where the scan finds no witness, or does not run or
-raises (as HeightTooLarge does at n = 3), are the spectra enumerated, in one
-call on the pair that takes sigma_max and sigma_min from the gate's singular
-values and, past the cube, the inverses of the pair and their row norms in
-one call each.  They may then refute the pair before that error is raised.
-Their resolution is fixed, so they never overrule a witness accepted at a
-looser tol.
+lengths at n = 1.  The first hit whose T passes the re-verification at the
+caller's tolerance settles the pair at once, and a hit whose T fails it is
+passed over (_first_witness).  T, and the checks on it, are built in closed
+form from Python complex numbers, with no numpy linear algebra, so the bytes
+of T depend on the input alone, not on the BLAS kernel.  Only where the scan
+keeps no witness, or does not run or raises (as HeightTooLarge does at
+n = 3), are the spectra enumerated, in one call on the pair that takes
+sigma_max and sigma_min from the gate's singular values and, past the cube,
+the inverses of the pair and their row norms in one call each.  They may
+then refute the pair before that error is raised.  Their resolution is
+fixed, so they never overrule a witness accepted at a looser tol.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ _LLL_STEPS = 1000
 _SMALL_BOX = 3**6
 # the relative resolution of the spectrum refuter: its guard band and its value test
 _SPECTRUM_REL = 1e-6
-_NOT_UNITARY = "gram congruence certified but the reconstructed map is not unitary"
 # the entries of the 1 x 1 identity, the only determinant-one B at n = 1
 _ONE = (((1, 0),),)
 
@@ -756,43 +755,41 @@ def _unitarity(t: list) -> tuple:
 
 
 def _first_witness(height: int, pair: np.ndarray, hits, mode: str, tol: Tolerance):
-    """The Equivalent verdict of the first verified hit B of hits (entries, each with det B
-    = 1 proved) on the pair (A1, A2), or None when no hit is kept: at n = 2 the hits are
-    the Gram scan's, and at n = 1 the one B = 1.
+    """The Equivalent verdict of the first hit B of hits (entries, each with det B = 1
+    proved) on the pair (A1, A2) whose T passes every check, or None when none does: at
+    n = 2 the hits are the Gram scan's, and at n = 1 the one B = 1.
 
     Each hit gives the unitary T = A2 B^-1 A1^-1 in closed form, with no BLAS or LAPACK
     call, so its bytes depend on the input alone: the pair is read once, at the first
     hit, as Python complex numbers; B (built on entries the scan proved, det B = 1) and
     A1 are inverted by their adjugates, A1's over its determinant, and each product is a
-    fixed-order sum (_product).  T must pass classify's test of U, in closed form
-    (_unitarity): margin above tol.rel and |T* T - I|_F <= tol.rel n; in special_unitary
-    mode a hit with |det T - 1| > tol.rel n is passed over; and the residual
-    |A2 - T A1 B|_F must be within 100 tol.rel max(|A2|_F, 1) + tol.abs.  A zero
-    determinant of A1, or a T that is not finite, fails the test of U.
+    fixed-order sum (_product).  A hit is passed over unless T passes classify's test of
+    U in closed form (_unitarity), margin above tol.rel and |T* T - I|_F <= tol.rel n, in
+    special_unitary mode also |det T - 1| <= tol.rel n, and the residual |A2 - T A1 B|_F
+    is within 100 tol.rel max(|A2|_F, 1) + tol.abs.  The scan's bound on E = B* P1 B - P2
+    does not imply these: T* T - I = -(A1 B)^-* E (A1 B)^-1 grows like 1 / sigma_min(A1)^2,
+    and a large tol.abs admits every B.  A zero (underflowed) det A1 gives no witness.
     """
     n = pair.shape[-1]
     inv = None
     for entries in hits:
-        b = GaussianUnimodular._proved(entries)
-        bm = [[complex(*e) for e in row] for row in entries]
-        if inv is None:  # A1 passed the gate, and each witness is re-verified
+        if inv is None:
             a1, a2 = pair.tolist()
             inv = _inverse(a1)
             if inv is None:  # det A1 underflowed: possible only under a tiny tol.rel
-                raise InternalCheckError(_NOT_UNITARY)
+                return None
+        bm = [[complex(*e) for e in row] for row in entries]
         t = _product(_product(a2, _adjugate(bm)[0]), inv)  # adj B = B^-1
         margin, defect, det_distance = _unitarity(t)
         if not (margin > tol.rel and defect <= tol.rel * n):
-            raise InternalCheckError(_NOT_UNITARY)
+            continue
         if mode == MODE_SPECIAL_UNITARY and det_distance > tol.rel * n:
             continue
         image = _product(_product(t, a1), bm)
         residual = _fro([[x - y for x, y in zip(r, s)] for r, s in zip(a2, image)])
-        if not residual <= 100.0 * tol.rel * max(_fro(a2), 1.0) + tol.abs:
-            raise InternalCheckError(
-                f"witness failed re-verification (residual {residual:.3e})"
-            )
-        return EquivalenceVerdict(EQUIVALENT, (frozen(np.array(t)), b), None, height)
+        if residual <= 100.0 * tol.rel * max(_fro(a2), 1.0) + tol.abs:
+            b = GaussianUnimodular._proved(entries)  # the scan proved det B = 1
+            return EquivalenceVerdict(EQUIVALENT, (frozen(np.array(t)), b), None, height)
     return None
 
 
@@ -831,11 +828,13 @@ def lattice_equivalent(
     need no positivity check; an A* A that underflowed (possible only under a
     caller's tiny tol.rel) raises NumericOverflow.  Equivalent verdicts carry
     the reconstructed unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
-    adjugate) and are re-verified before being returned.  In special_unitary
+    adjugate) of the first hit that passes the re-verification; a hit that
+    fails it is passed over and the search continues, so a pair whose hits all
+    fail is decided by the spectra or left Undecided.  In special_unitary
     mode both inputs must also have determinant one at the caller's scale, as
     classify calls it (the same gate and determinant, then |det - 1| <=
     tol.rel * n; NotInSL otherwise, a singular input included), and witnesses are
-    additionally filtered by det(T) = 1, continuing the search otherwise.
+    additionally filtered by det(T) = 1 in the same way.
     """
     m1 = as_matrix(a1, square=True)
     m2 = as_matrix(a2, square=True)

@@ -402,6 +402,20 @@ CASES = {
         "input": '{"first": [[[1,0],[0,0]],[[0,0],[1,0]]], "second": [[[1,0],[0,0]],[[0,0],[1,0]]]}',
         "exit": 1,
     },
+    # the scan's hit B = I gives T = [[1, 2e-9], [0, 1]], which misses the test of U at the
+    # default tol: it is passed over, and the spectra cannot refute
+    "lattice-equiv-shear-undecided": {
+        "argv": ["lattice-equiv"],
+        "input": '{"first": [[[1,0],[0,0]],[[0,0],[0.5,0]]], "second": [[[1,0],[1e-9,0]],[[0,0],[0.5,0]]]}',
+        "exit": 0,
+    },
+    # tol.abs 1e300 admits every B of height 3: the hits whose T fails the test of U are
+    # passed over until B = [[-1, -3], [0, -1]], whose T = -I comes in closed form
+    "lattice-equiv-huge-tol-abs": {
+        "argv": ["lattice-equiv", "--tol-abs", "1e300", "--height", "3"],
+        "input": '{"first": [[[1,0],[0,0]],[[0,0],[1,0]]], "second": [[[1,0],[3,0]],[[0,0],[1,0]]]}',
+        "exit": 0,
+    },
     # --- sigma-check ---
     "sigma-check-member": {
         "argv": ["sigma-check"],

@@ -109,16 +109,17 @@ def test_sl_normalize_of_a_determinant_past_the_doubles_is_one_ok_line(scale):
 
 def test_an_underflowing_sigma_min_squared_is_one_error_line():
     # sigma_min ~1e-162 under a tiny --tol-rel: the short-vector bounds divide by sigma_min
-    # twice, never by its square, which underflows to zero; the call ends in one canonical
-    # error line with exit 1 and nothing on stderr
+    # twice, never by its square, which underflows to zero; each scan hit has a T that
+    # fails the unitarity test at tol.rel 1e-300 and is passed over, so the call ends in
+    # one canonical Undecided line with exit 0 and nothing on stderr
     m = "[[[1, 0], [1.3, 0.2]], [[0, 0], [1.6082745327337782e-162, 0]]]"
     argv, input_text = ["lattice-equiv", "--tol-rel", "1e-300", "--radius", "1.5e-323"], \
         f'{{"first": {m}, "second": {m}}}'
     assert stderr_of(argv, input_text) == ""
     code, out = run_cli(argv, input_text)
-    assert code == 1
+    assert code == 0
     assert out == jsonio.dumps_canonical(json.loads(out))
-    assert json.loads(out)["status"] == "error"
+    assert json.loads(out)["payload"]["verdict"] == "UndecidedUpToBound"
 
 
 # what importing cxlattices.cli loads, and what one subcommand of each family adds to it

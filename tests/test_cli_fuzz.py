@@ -5,8 +5,9 @@ edge magnitudes (signed zeros, subnormals, 1e+-300, 1.7e308, 2^53 + 1) and
 may append edge values of --tol-rel, --tol-abs, --radius and --budget.  It
 runs in-process through cli.run, twice, and the contract every cxlat call
 keeps is asserted: exit code 0, 1 or 2; exactly one canonical JSON line;
-nothing on stderr and no warning; an error name from the taxonomy; and the
-same bytes on the second run.
+nothing on stderr and no warning; an error name from the taxonomy, never
+InternalCheckError at the default tolerances; and the same bytes on the
+second run.
 """
 
 from __future__ import annotations
@@ -118,4 +119,7 @@ def test_every_call_keeps_the_output_contract(call):
         name = result["error"]["name"]
         assert name in ERROR_NAMES, (argv, text, out)
         assert (code == 2) == (name == "MalformedInput"), (argv, text, out)
+        # a self-check fails on valid input only at a tolerance the caller chose
+        if "--tol-rel" not in argv and "--tol-abs" not in argv:
+            assert name != "InternalCheckError", (argv, text, out)
     assert _run(argv, text) == (code, out, err), (argv, text)

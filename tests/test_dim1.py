@@ -2,6 +2,7 @@
 with the general-dimension machinery."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -263,3 +264,21 @@ def test_thetamu_respects_tolerance_margin():
         to_thetamu(f, tol=wide)
     # same numbers clear the default margin easily
     assert from_ab(2 - delta, delta).theta is not None
+
+
+def test_to_thetamu_on_subnormal_pairs_raises_only_majorization_fails():
+    # alpha, beta and mu are rounded in the subnormal range; the theta/mu form is
+    # alpha, beta / alpha, gated by from_ab's test, with no second evaluation check
+    rng = np.random.default_rng(5)
+    refused = 0
+    for _ in range(2000):
+        r = math.ldexp(1.0, -int(rng.integers(1015, 1075)))
+        a, b = (rho * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) for rho in (r, 0.5 * r))
+        f = from_ab(a, b)
+        try:
+            theta, mu = to_thetamu(f)
+        except MajorizationFails:
+            refused += 1
+            continue
+        assert (theta, mu) == (f.alpha, f.beta / f.alpha)
+    assert 0 < refused < 2000

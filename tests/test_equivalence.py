@@ -1359,14 +1359,45 @@ def test_a_witness_verified_at_a_loose_tol_is_not_overruled_by_the_spectra(enume
 @pytest.mark.parametrize("stretch", [9e-4])
 def test_a_witness_the_spectra_can_resolve_does_not_skip_them(enumerations, stretch):
     # at tol.rel = 1e-3 the scan's hit for I against diag(1 + s, 1 / (1 + s)) at s = 9e-4
-    # has a T that fails classify: no witness is kept, the spectra run and refute, and the
-    # refutation is returned in place of that InternalCheckError
+    # has a T that fails classify's test of U: the hit is passed over, no witness is kept,
+    # and the spectra run and refute
     loose = Tolerance(rel=1e-3)
     a2 = np.diag([1.0 + stretch, 1.0 / (1.0 + stretch)])
     assert sigma_orbit_equal(gram(np.eye(2)), gram(a2), tol=loose).status == EQUIVALENT
     v = lattice_equivalent(np.eye(2), a2, tol=loose)
     assert v.refuter == ("short_vector_count", 64.0, 68.0)
     assert enumerations == [(2, 2, 2)]
+
+
+def test_a_hit_whose_t_fails_is_passed_over_and_the_pair_is_undecided(enumerations):
+    # the shear pair: the scan's hit B = I gives T = [[1, 2e-9], [0, 1]], whose
+    # |T* T - I|_F ~2.8e-9 misses classify's test of U at the default tol, so it is passed
+    # over; the spectra, at their resolution of 1e-6, cannot refute
+    a1 = np.array([[1, 0], [0, 0.5]], complex)
+    a2 = np.array([[1, 1e-9], [0, 0.5]], complex)
+    assert sigma_orbit_equal(gram(a1), gram(a2)).status == EQUIVALENT
+    assert lattice_equivalent(a1, a2).status == UNDECIDED
+    assert enumerations == [(2, 2, 2)]
+
+
+def test_later_hits_are_tried_after_earlier_ones_fail():
+    # tol.abs 1e300 admits every determinant-one B of height 3; the hits before
+    # B = [[-1, -3], [0, -1]] give a T that fails the test of U, and that one gives T = -I
+    v = lattice_equivalent(np.eye(2), [[1, 3], [0, 1]], height=3, tol=Tolerance(abs=1e300))
+    assert v.status == EQUIVALENT
+    t, b = v.witness
+    assert b.entries == (((-1, 0), (-3, 0)), ((0, 0), (-1, 0)))
+    assert sigma_candidates(2, 3).index(b.entries) > 0
+    np.testing.assert_array_equal(t, -np.eye(2))
+
+
+def test_an_equal_pair_at_a_huge_tol_abs_is_equivalent():
+    # tol.abs 1e10 swamps the Gram bound at unit scale: hits whose T fails are passed over
+    a = random_invertible(np.random.default_rng(3), 2)
+    v = lattice_equivalent(a, a, tol=Tolerance(abs=1e10))
+    assert v.status == EQUIVALENT
+    t = v.witness[0]
+    assert fro(t.conj().T @ t - np.eye(2)) <= 2e-9
 
 
 def test_every_equivalent_verdict_has_matching_spectra():

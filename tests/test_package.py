@@ -81,3 +81,22 @@ def test_the_scale_rule_is_read_only_in_the_kernel():
                 found.append((path.name, _dotted(node.func)))
     assert {name for name, _ in found} == {"kernel.py"}, found
     assert sorted(call for _, call in found) == ["math.frexp", "np.linalg.det"]
+
+
+# ROADMAP item 13's census of the self-checks: the raise InternalCheckError sites of each
+# module, 27 in all.  A check added or removed changes it, and says so here
+INTERNAL_CHECKS = {
+    "dim1.py": 9, "equivalence.py": 3, "gaussian.py": 1, "kernel.py": 2,
+    "lattices.py": 3, "polar.py": 4, "realmaps.py": 2, "torus.py": 3,
+}
+
+
+def test_the_internal_self_checks_are_the_census():
+    src = pathlib.Path(cxlattices.__file__).resolve().parent
+    counts = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and _dotted(node.exc.func) == "InternalCheckError":
+                counts[path.name] = counts.get(path.name, 0) + 1
+    assert counts == INTERNAL_CHECKS

@@ -463,9 +463,9 @@ def test_each_polar_entry_validates_the_callers_arrays_once(validation_calls, si
     assert counts == {
         "polar": 1, "gram": 1, "classify": 1, "sl_normalize": 1, "su_sl_canonical": 1, "unitarily_equivalent": 2
     }
-    # the two Gram forms' gates and the witness's unitarity check: A1's gate also gates
-    # the solve on A1*, which has the same singular values
-    assert singular_value_calls == [(3, 3)] * 3
+    # the two Gram forms' gates, and nothing on the witness, which the Gram rule decides:
+    # A1's gate also gates the solve on A1*, which has the same singular values
+    assert singular_value_calls == [(3, 3)] * 2
 
 
 def test_unitarily_equivalent_planted():
@@ -509,6 +509,36 @@ def test_unitarily_equivalent_does_not_change_under_a_power_of_two_scale():
         assert unitarily_equivalent(s * a, np.diag([s, 3.0 * s]))[0] is False, k
         same, witness = unitarily_equivalent(s * a, s * (q @ a))
         assert same and witness.tobytes() == reference.tobytes(), k
+
+
+# a cond-2 pair whose Gram forms differ by 1e-9 in one entry, within the default tol
+SHEAR_PAIR = (np.array([[1, 0], [0, 0.5]], complex), np.array([[1, 1e-9], [0, 0.5]], complex))
+
+
+def test_the_gram_rule_alone_decides_unitary_equivalence():
+    # T = A2 A1^-1 = [[1, 2e-9], [0, 1]] has |T* T - I|_F ~2.8e-9, past n tol.rel: the Gram
+    # test does not bound T's defect, and the verdict is the Gram rule's, not T's
+    same, t = unitarily_equivalent(*SHEAR_PAIR)
+    assert same
+    np.testing.assert_allclose(t, [[1, 2e-9], [0, 1]], rtol=0, atol=1e-15)
+    assert fro(t.conj().T @ t - np.eye(2)) > 2 * DEFAULT_TOL.rel
+
+
+def test_unitarily_equivalent_accepts_exactly_planted_ill_conditioned_pairs():
+    # A2 = U A1 with U a permutation times units, formed exactly; sigma_min / sigma_max =
+    # 1e-8, which the gate admits.  T* T - I = A1^-* (P2 - P1) A1^-1, so T's defect stays
+    # within |P1 - P2| / sigma_min(A1)^2 plus the solve's rounding, n eps cond(A1)
+    rng = np.random.default_rng(32)
+    n, eps = 2, np.finfo(np.float64).eps
+    for _ in range(50):
+        a1 = (random_unitary(rng, n) * [1.0, 1e-8]) @ random_unitary(rng, n)
+        units = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, n)]
+        a2 = units[:, None] * a1[rng.permutation(n)]
+        same, t = unitarily_equivalent(a1, a2)
+        assert same
+        s = np.linalg.svd(a1, compute_uv=False)
+        gap = fro(a1.conj().T @ a1 - a2.conj().T @ a2)
+        assert fro(t.conj().T @ t - np.eye(n)) <= gap / s[-1] ** 2 + n * eps * s[0] / s[-1]
 
 
 def test_unitarily_equivalent_shape_mismatch():
@@ -657,6 +687,21 @@ def test_su_sl_canonical_invariant_under_special_unitary():
         p2 = su_sl_canonical(s @ b)
         assert np.linalg.norm(p1.matrix - p2.matrix) <= 1e-8 * max(np.linalg.norm(b) ** 2, 1.0)
         assert abs(np.linalg.det(p1.matrix) - 1.0) < 1e-8
+
+
+def test_su_sl_canonical_trusts_its_sl_verdict_on_ill_conditioned_matrices():
+    # classify's SL verdict implies det(B* B) = |det B|^2 ~ 1; an LU determinant of B* B,
+    # whose condition number is cond(B)^2, would read it again less exactly
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 8):
+        for cond in (1e5, 1e7):
+            for _ in range(20):
+                u, v = (q / np.linalg.det(q) ** (1 / n) for q in (random_unitary(rng, n), random_unitary(rng, n)))
+                s = np.geomspace(1.0, 1.0 / cond, n)
+                b = (u * (s / np.prod(s) ** (1 / n))) @ v
+                p = su_sl_canonical(b)
+                assert isinstance(p, GramForm), (n, cond)
+                np.testing.assert_array_equal(p.matrix, gram(b).matrix)
 
 
 def test_su_sl_canonical_separates_distinct_gram_forms():
