@@ -33,13 +33,15 @@ feature matrix F, one row per column b (|b_0|^2, |b_1|^2,
 F @ [P1_00, P1_11, Re P1_01, Im P1_01] gives every column norm b* P1 b.
 The scan returns at once when no column matches (P2)_11, or none matches
 (P2)_22; otherwise it pairs the columns that match (P2)_11 with those that
-match (P2)_22 (a pair count past the budget raises HeightTooLarge) and keeps
-the pairs (a, c), (b, d) with ad - bc = 1, from the single-precision
-columns and their turned copies (-c, a) that the grid holds, exact on small
-Gaussian integers.  On the column ids of those pairs, gathered once, it
-takes the cross term and tests the Frobenius residual from the two norm
-gaps and the cross term.  One sort puts the hits in candidate order, where
-two or more remain.  What depends on the height alone is built once per
+match (P2)_22 (a pair count past the budget raises HeightTooLarge).  Over
+those pairs (a, c), (b, d) it takes one table of ad - bc, from the
+single-precision columns and their turned copies (-c, a) that the grid
+holds, exact on small Gaussian integers, and one table of the cross term;
+one mask keeps the pairs with ad - bc = 1 whose Frobenius residual, from the
+two norm gaps and the cross term, is within the bound (both tables are taken
+in blocks of rows, so a large pair count never holds them whole).  The forms
+enter as their entries, Python numbers.  One sort puts the hits in candidate
+order, where two or more remain.  What depends on the height alone is built once per
 height (_Grid); a call pays only for what depends on its forms.  At n = 1
 the one candidate is B = 1, and B* P1 B - P2 is |a1|^2 - |a2|^2: no scan
 runs, and lattice_equivalent tests the two squared lengths against the
@@ -76,25 +78,32 @@ larger than its reduced basis.  Each coordinate vector is mapped back
 exactly and the norms are |A lambda|^2 on every box, so the spectrum is the
 same; the budget still counts the uniform box of A.
 
-lattice_equivalent stacks its two validated inputs into one pair (2, n, n)
-and runs one straight list of stages on it, one numpy call where a stage
-calls LAPACK: the invertibility gate (one SVD call), the covolume refuter
-(one determinant call, kernel._unit_det: a determinant that is not a finite
-normal double at the pair's scale, as a subnormal partner's can be, is taken
-again at its own unit scale, and each (d, k) is combined exactly), the
-dimension cap, the radius check and the box budgets, the height check, then,
-only where that passes (n <= 2 and a box within the budget), the Gram forms
-(one A* A call) and the scan at n = 2, or the test of the two squared
-lengths at n = 1.  The first hit whose T passes the re-verification at the
-caller's tolerance settles the pair at once, and a hit whose T fails it is
-passed over (_first_witness).  T, and the checks on it, are built in closed
-form from Python complex numbers, with no numpy linear algebra, so the bytes
-of T depend on the input alone, not on the BLAS kernel.  Only where the scan
-keeps no witness, or does not run or raises (as HeightTooLarge does at
-n = 3), are the spectra enumerated, in one call on the pair that takes
-sigma_max and sigma_min from the gate's singular values and, past the cube,
-the inverses of the pair and their row norms in one call each.  They may
-then refute the pair before that error is raised.  Their resolution is
+lattice_equivalent runs one straight list of stages on its two validated
+inputs: the invertibility gate, the covolume refuter, the dimension cap, the
+radius check and the box budgets, the height check, then, only where that
+passes (n <= 2 and a box within the budget), the Gram forms and the scan at
+n = 2, or the test of the two squared lengths at n = 1.  Below n = 3 no stage
+calls LAPACK: the pair is read once as Python complex numbers, and
+kernel._small_form gives each matrix's sigma_max, sigma_min, determinant and
+Gram entries in closed form, at the matrix's own unit scale, so a subnormal
+partner keeps its precision and each (d, k) is combined exactly; the scan
+reads the Gram entries as Python numbers, brought to the pair's unit scale.
+From n = 3 the pair is stacked into one array (2, n, n) and gated by one SVD
+call, and its determinants are one call of kernel._unit_det (a determinant
+that is not a finite normal double at the pair's scale is taken again at its
+own unit scale).  The covolume refuter allows for the rounding of the two
+determinants, which grows with each matrix's sigma_max / sigma_min, so a pair
+A2 = U A1 is not refuted however ill-conditioned.  The first hit whose T
+passes the re-verification at the caller's tolerance settles the pair at
+once, and a hit whose T fails it is passed over (_first_witness).  T, and the
+checks on it, are built in closed form from Python complex numbers, with no
+numpy linear algebra, so the bytes of T depend on the input alone, not on the
+BLAS kernel.  Only where the scan keeps no witness, or does not run or raises
+(as HeightTooLarge does at n = 3), are the spectra enumerated, in one call on
+the pair (built as a numpy array at unit scale only then, below n = 3) that
+takes sigma_max and sigma_min from the gate and, past the cube, the inverses
+of the pair and their row norms in one call each.  They may then refute the
+pair before that error is raised.  Their resolution is
 fixed, so they never overrule a witness accepted at a looser tol.
 """
 
@@ -114,11 +123,13 @@ from .errors import (
     HeightTooLarge,
     InternalCheckError,
     NotInSL,
+    NumericOverflow,
     RadiusBudgetExceeded,
     SingularMatrix,
 )
 from .kernel import (
     _EPS,
+    _FLOAT_TINY,
     DEFAULT_BUDGET,
     DEFAULT_HEIGHT,
     DEFAULT_RADIUS,
@@ -126,18 +137,26 @@ from .kernel import (
     MODE_SPECIAL_UNITARY,
     MODE_UNITARY,
     Tolerance,
+    _adjugate,
     _complex_abs,
     _exponent,
+    _fro,
+    _gram_fro,
+    _inverse,
     _invertibility_gate,
     _ldexp,
+    _product,
     _scaled,
+    _scaled_rows,
+    _small_form,
     _unit_det,
+    _unitarity,
     as_matrix,
-    fro,
     frozen,
+    sigma_ratio,
 )
 from .lattices import GaussianUnimodular
-from .polar import _gram_matrix, as_gram_form
+from .polar import as_gram_form
 
 EQUIVALENT = "Equivalent"
 REFUTED = "RefutedByInvariant"
@@ -153,6 +172,14 @@ _SMALL_BOX = 3**6
 _SPECTRUM_REL = 1e-6
 # the entries of the 1 x 1 identity, the only determinant-one B at n = 1
 _ONE = (((1, 0),),)
+# c of the covolume refuter's rounding term rho = c n eps (kappa1 + kappa2), kappa = sigma_max
+# / sigma_min: the computed ratio (lo / hi)^2 is within a factor 1 + rho of the exact one.
+# At n = 2, ad - bc is within (1 + sqrt 5) eps/2 (|a||d| + |b||c|) <= 1.62 eps sigma_max^2 of
+# det A, so 1.62 eps kappa relative; at n = 1 the det is the entry itself.  Partial-pivot LU
+# (n >= 3) gives det(A + dA) with |dA| <= gamma_n |L||U|, about n eps kappa relative at a
+# modest growth factor.  The squared ratio moves by twice the sum of the two relative
+# errors, plus a few eps for |d| and the ratio (kappa >= 1): c = 4 covers both
+_DET_ROUNDING = 4
 
 
 @dataclass(frozen=True)
@@ -316,18 +343,28 @@ def sigma_candidates(n: int, height: int, budget: int = DEFAULT_BUDGET):
     return (_ONE,) if n == 1 else _complete_2x2(height)
 
 
-def _gram_hits(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
-               budget: int = DEFAULT_BUDGET):
+def _gram_hits(height: int, p1: tuple, p2: tuple, tol: Tolerance, budget: int = DEFAULT_BUDGET):
     """Yield, in candidate order, the entries of every determinant-one B of entry height
     <= height with |B* P1 B - P2|_F within tol.rel (|P1|_F + |P2|_F) + tol.abs, for
-    exactly Hermitian P1 and P2: at n = 2 the B whose columns _gram_hit_ids finds."""
-    if p1.shape[0] == 1:
-        yield from _one_hits(float(p1[0, 0].real), float(p2[0, 0].real), tol)
+    Hermitian P1 and P2 given by their entries as Python numbers, (g00,) at n = 1 and
+    (g00, g11, g01) at n = 2: at n = 2 the B whose columns _gram_hit_ids finds."""
+    if len(p1) == 1:
+        yield from _one_hits(p1[0], p2[0], tol)
         return
     box = _grid(height).box
     for x, y in zip(*(ids.tolist() for ids in _gram_hit_ids(height, p1, p2, tol, budget))):
         (a, c), (b, d) = divmod(x, len(box)), divmod(y, len(box))
         yield (box[a], box[b]), (box[c], box[d])
+
+
+def _form_entries(p: np.ndarray) -> tuple:
+    """The entries (g00,) or (g00, g11, g01) of an exactly Hermitian n x n form, n <= 2, as
+    Python numbers: what _gram_hits reads."""
+    rows = p.tolist()
+    if len(rows) == 1:
+        return (rows[0][0].real,)
+    (p00, p01), (_, p11) = rows
+    return p00.real, p11.real, p01
 
 
 def _one_hits(g1: float, g2: float, tol: Tolerance) -> tuple:
@@ -338,18 +375,23 @@ def _one_hits(g1: float, g2: float, tol: Tolerance) -> tuple:
     return (_ONE,) if abs(g1 - g2) <= tol.rel * (g1 + g2) + tol.abs else ()
 
 
-def _gram_hit_ids(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
+def _gram_hit_ids(height: int, p1: tuple, p2: tuple, tol: Tolerance,
                   budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The grid ids (u, v) of the first and the second column of each 2x2 hit of
     _gram_hits, in candidate order, by the column scan of the module docstring.  The
     slack on each column norm, which scales with |P1|_F and with |b|^2, covers the
-    rounding by which two ways of computing b* P1 b may differ."""
-    size = fro(p1)
-    bound = tol.rel * (size + fro(p2)) + tol.abs
+    rounding by which two ways of computing b* P1 b may differ.
+
+    Past the column filter, the table of ad - bc and the table of the cross term
+    b1* P1 b2 - (P2)_12 are taken over every pair of a first and a second column, in
+    blocks of rows of at most _CHUNK pairs; one mask per block, ad - bc = 1 and the
+    residual within the bound, gives the hits in row order."""
+    (g00, g11, g01), (h00, h11, h01) = p1, p2
+    size = _gram_fro(p1)
+    bound = tol.rel * (size + _gram_fro(p2)) + tol.abs
     grid = _grid(height)
-    (p00, p01), (_, p11) = p1.tolist()
-    coefficients = np.array([p00.real, p11.real, p01.real, p01.imag])
-    gaps = grid.features @ coefficients - p2.diagonal().real[:, None]  # bj* P1 bj - (P2)_jj
+    coefficients = np.array([g00, g11, g01.real, g01.imag])
+    gaps = grid.features @ coefficients - np.array([[h00], [h11]])  # bj* P1 bj - (P2)_jj
     reach = bound + 64 * _EPS * (size * grid.weights + bound)
     near = np.abs(gaps) <= reach
     first = np.flatnonzero(near[0])
@@ -361,14 +403,21 @@ def _gram_hit_ids(height: int, p1: np.ndarray, p2: np.ndarray, tol: Tolerance,
     if first.size * second.size > budget:
         raise HeightTooLarge(f"{first.size} x {second.size} matching column pairs at height"
                              f" {height} exceed budget {budget}")
-    # the table of ad - bc over every pair of columns, from the grid's single-precision
-    # rows (exact, at half the bytes); its flat indices, in row order, are the pairs (i, j)
-    i, j = np.divmod(np.flatnonzero(grid.turned[first] @ grid.narrow[second].T == 1), second.size)
+    # ad - bc from the grid's single-precision rows (exact, at half the bytes), and the
+    # cross term from b1* P1, each entry of its table the same fixed-order sum
+    lead = grid.cols[first].conj() @ np.array([[g00, g01], [g01.conjugate(), g11]])
+    tail = grid.cols[second]
+    rows = max(1, _CHUNK // second.size)
+    found = []
+    for lo in range(0, first.size, rows):
+        ids = first[lo:lo + rows]
+        dets = grid.turned[ids] @ grid.narrow[second].T
+        cross = lead[lo:lo + rows, :1] * tail[:, 0] + lead[lo:lo + rows, 1:] * tail[:, 1] - h01
+        residual = np.sqrt(gaps[0, ids, None] ** 2 + gaps[1, second] ** 2
+                           + 2.0 * (cross.real**2 + cross.imag**2))
+        found.append(np.flatnonzero((dets == 1) & (residual <= bound)) + lo * second.size)
+    i, j = np.divmod(found[0] if len(found) == 1 else np.concatenate(found), second.size)
     u, v = first[i], second[j]
-    cross = np.sum((grid.cols[first].conj() @ p1)[i] * grid.cols[v], axis=1) - p2[0, 1]
-    residual = np.sqrt(gaps[0, u] ** 2 + gaps[1, v] ** 2 + 2.0 * (cross.real**2 + cross.imag**2))
-    keep = residual <= bound
-    u, v = u[keep], v[keep]
     if u.size < 2:
         return u, v
     order = np.argsort(len(grid.box) * grid.spread[u] + grid.spread[v])
@@ -404,7 +453,7 @@ def sigma_orbit_equal(
     # the largest diagonal entry times 2^-e is in [1, 2)
     e = _exponent(max(p.matrix.diagonal().real.max() for p in (p1, p2)))
     q1, q2 = _scaled(p1.matrix, -e), _scaled(p2.matrix, -e)
-    for entries in _gram_hits(height, q1, q2, tol, budget):
+    for entries in _gram_hits(height, _form_entries(q1), _form_entries(q2), tol, budget):
         witness = GaussianUnimodular._proved(entries)  # _gram_hits proved ad - bc = 1
         return EquivalenceVerdict(EQUIVALENT, (None, witness), None, height)
     return EquivalenceVerdict(UNDECIDED, None, None, height)
@@ -697,84 +746,27 @@ def _spectra_mismatch(n1: np.ndarray, n2: np.ndarray, radius: float, e: int = 0)
     return verdict  # the difference at the second band, which the first band has too
 
 
-def _adjugate(x: list) -> tuple:
-    """(adj X, det X) of an n x n list of complex numbers, n <= 2."""
-    if len(x) == 1:
-        return [[1.0 + 0j]], x[0][0]
-    (a, b), (c, d) = x
-    return [[d, -b], [-c, a]], a * d - b * c
-
-
-def _inverse(x: list) -> list | None:
-    """X^-1 = adj X / det X of an n x n list of complex numbers, n <= 2; None where det X
-    is 0."""
-    adj, d = _adjugate(x)
-    return None if d == 0 else [[z / d for z in row] for row in adj]
-
-
-def _product(x: list, y: list) -> list:
-    """X Y of two n x n lists of complex numbers, n <= 2, each entry one fixed-order sum."""
-    if len(x) == 1:
-        return [[x[0][0] * y[0][0]]]
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
-
-
-def _fro(x: list) -> float:
-    """The Frobenius norm of a list of rows of complex numbers, by math.hypot: it neither
-    raises nor over- or underflows, and is inf or nan where an entry is."""
-    return math.hypot(*[p for row in x for z in row for p in (z.real, z.imag)])
-
-
-def _unitarity(t: list) -> tuple:
-    """(margin, defect, det distance) of an n x n list of complex numbers T, n <= 2: what
-    _classify reads from an SVD, a determinant and T* T - I, here in closed form.
-
-    margin is sigma_min / sigma_max: 1 at n = 1 (0 for T = 0), and |det T| / sigma_max^2
-    at n = 2, where sigma_max^2, the larger eigenvalue of G = T* T, is (tr G + sqrt((g00 -
-    g11)^2 + 4 |g01|^2)) / 2, the same as (|T|_F^2 + sqrt(|T|_F^4 - 4 |det T|^2)) / 2
-    without its cancellation.  defect is |G - I|_F and det distance |det T - 1|.  Every
-    modulus and norm goes through math.hypot, and no step divides by zero, so a T that is
-    not finite, or whose squares overflow, gives values that are inf or nan and fail
-    every bound.
-    """
-    if len(t) == 1:
-        (x,), = t
-        g = x.real * x.real + x.imag * x.imag
-        return (1.0 if x else 0.0), abs(g - 1.0), math.hypot(x.real - 1.0, x.imag)
-    (a, b), (c, d) = t
-    g00 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
-    g11 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
-    g01 = a.conjugate() * b + c.conjugate() * d
-    det = a * d - b * c
-    top = 0.5 * (g00 + g11 + math.hypot(g00 - g11, 2.0 * g01.real, 2.0 * g01.imag))
-    margin = math.hypot(det.real, det.imag) / top if top > 0.0 else 0.0
-    defect = math.hypot(g00 - 1.0, g11 - 1.0, g01.real, g01.imag, g01.real, g01.imag)
-    return margin, defect, math.hypot(det.real - 1.0, det.imag)
-
-
-def _first_witness(height: int, pair: np.ndarray, hits, mode: str, tol: Tolerance):
+def _first_witness(height: int, a1: list, a2: list, hits, mode: str, tol: Tolerance):
     """The Equivalent verdict of the first hit B of hits (entries, each with det B = 1
-    proved) on the pair (A1, A2) whose T passes every check, or None when none does: at
-    n = 2 the hits are the Gram scan's, and at n = 1 the one B = 1.
+    proved) on the pair (A1, A2), lists of rows of Python complex numbers at the pair's unit
+    scale, whose T passes every check, or None when none does: at n = 2 the hits are the
+    Gram scan's, and at n = 1 the one B = 1.
 
     Each hit gives the unitary T = A2 B^-1 A1^-1 in closed form, with no BLAS or LAPACK
-    call, so its bytes depend on the input alone: the pair is read once, at the first
-    hit, as Python complex numbers; B (built on entries the scan proved, det B = 1) and
-    A1 are inverted by their adjugates, A1's over its determinant, and each product is a
-    fixed-order sum (_product).  A hit is passed over unless T passes classify's test of
-    U in closed form (_unitarity), margin above tol.rel and |T* T - I|_F <= tol.rel n, in
-    special_unitary mode also |det T - 1| <= tol.rel n, and the residual |A2 - T A1 B|_F
-    is within 100 tol.rel max(|A2|_F, 1) + tol.abs.  The scan's bound on E = B* P1 B - P2
-    does not imply these: T* T - I = -(A1 B)^-* E (A1 B)^-1 grows like 1 / sigma_min(A1)^2,
-    and a large tol.abs admits every B.  A zero (underflowed) det A1 gives no witness.
+    call, so its bytes depend on the input alone: B (built on entries the scan proved,
+    det B = 1) and A1 are inverted by their adjugates, A1's over its determinant, once at
+    the first hit, and each product is a fixed-order sum (_product).  A hit is passed over
+    unless T passes classify's test of U in closed form (_unitarity), margin above tol.rel
+    and |T* T - I|_F <= tol.rel n, in special_unitary mode also |det T - 1| <= tol.rel n,
+    and the residual |A2 - T A1 B|_F is within 100 tol.rel max(|A2|_F, 1) + tol.abs.  The
+    scan's bound on E = B* P1 B - P2 does not imply these: T* T - I = -(A1 B)^-* E (A1
+    B)^-1 grows like 1 / sigma_min(A1)^2, and a large tol.abs admits every B.  A zero
+    (underflowed) det A1 gives no witness.
     """
-    n = pair.shape[-1]
+    n = len(a1)
     inv = None
     for entries in hits:
         if inv is None:
-            a1, a2 = pair.tolist()
             inv = _inverse(a1)
             if inv is None:  # det A1 underflowed: possible only under a tiny tol.rel
                 return None
@@ -793,6 +785,19 @@ def _first_witness(height: int, pair: np.ndarray, hits, mode: str, tol: Toleranc
     return None
 
 
+def _scan_forms(forms: list, e: int) -> list:
+    """The Gram entries (g00, g11, g01) of each 2 x 2 _SmallForm at the pair's unit scale
+    2^-e, brought from the form's own scale 2^-f by 4^(f - e), exact short of underflow:
+    the Python numbers _gram_hits reads.  Each matrix is a root of its form and has passed
+    the gate, so the forms need no positivity check; a diagonal entry, the squared length
+    of a column, below the smallest normal double (possible only under a caller's tiny
+    tol.rel) raises NumericOverflow."""
+    grams = [tuple(_ldexp(g, 2 * (f.scale - e)) for g in f.gram) for f in forms]
+    if not min(g for form in grams for g in form[:2]) >= _FLOAT_TINY:
+        raise NumericOverflow("gram form A* A underflowed: the entries of A are too small")
+    return grams
+
+
 def lattice_equivalent(
     a1,
     a2,
@@ -804,37 +809,43 @@ def lattice_equivalent(
 ) -> EquivalenceVerdict:
     """Decide equivalence of A1(Z[i]^n) and A2(Z[i]^n) up to height bound.
 
-    The two inputs are stacked into one pair (2, n, n) and each stage runs once
-    on it, cheapest first: the invertibility gate, the covolume refuter, the
-    dimension cap, the radius check and the box budgets, the height check, the
-    Gram forms A* A and the bounded Gram-orbit scan (both only where the height
-    check passes).  A witness the scan verifies at tol is returned at once; the
-    short-vector spectrum refuter runs only where the scan keeps none (see the
-    module docstring).  Right after the gate the pair is scaled by the one
-    power of two that puts the larger sigma_max in [1, 2), and the radius by
-    its square: the verdict does not change under a common power-of-two scale,
-    tol.abs applies at unit scale, and covolumes and spectrum values are
-    reported at the caller's scale.  Where the scan does not run or raises
-    (HeightTooLarge at n = 3 or past a budget, say), a refutation by the spectra
-    is returned, and the scan's error is raised only when they do not refute.
-    At n = 1 no Gram form is built and no scan runs: the one candidate B = 1 is
-    tested on the squared lengths |a|^2, Python floats with the bits A* A would
-    hold, against the scan's bound, and T = a2 / a1 is built and checked by
-    _first_witness as a scan hit's is.  No such length underflows past the
-    covolume test: the gate admits tol.rel < 1 only (sigma_min / sigma_max is
-    1), so |a2 / a1|^2 >= 1 - tol.rel is at least about 2^-54, and the larger
-    |a| is in [1, 2).
-    Each input is a root of its Gram form and has passed the gate, so the forms
-    need no positivity check; an A* A that underflowed (possible only under a
-    caller's tiny tol.rel) raises NumericOverflow.  Equivalent verdicts carry
-    the reconstructed unitary T = A2 B^-1 A1^-1 (B inverted exactly via its
-    adjugate) of the first hit that passes the re-verification; a hit that
-    fails it is passed over and the search continues, so a pair whose hits all
-    fail is decided by the spectra or left Undecided.  In special_unitary
-    mode both inputs must also have determinant one at the caller's scale, as
-    classify calls it (the same gate and determinant, then |det - 1| <=
-    tol.rel * n; NotInSL otherwise, a singular input included), and witnesses are
-    additionally filtered by det(T) = 1 in the same way.
+    The stages run once on the pair, cheapest first: the invertibility gate, the
+    covolume refuter, the dimension cap, the radius check and the box budgets, the
+    height check, then the Gram forms A* A and the bounded Gram-orbit scan (both only
+    where the height check passes).  At n <= 2 the pair is read once as Python
+    complex numbers and the gate, the determinants and the Gram forms are taken in
+    closed form (kernel._small_form), with no LAPACK call; from n = 3 the two inputs
+    are stacked into one pair (2, n, n), gated by one SVD call and their determinants
+    taken by one call of kernel._unit_det.  A witness the scan verifies at tol is
+    returned at once; the short-vector spectrum refuter runs only where the scan keeps
+    none (see the module docstring).  Everything past the gate is read at the one
+    power of two that puts the larger sigma_max in [1, 2), and the radius at its
+    square: the verdict does not change under a common power-of-two scale, tol.abs
+    applies at unit scale, and covolumes and spectrum values are reported at the
+    caller's scale.  Where the scan does not run or raises (HeightTooLarge at n = 3 or
+    past a budget, say), a refutation by the spectra is returned, and the scan's error
+    is raised only when they do not refute.
+    The covolume refuter calls the pair apart when 1 - (lo / hi)^2 (1 + rho) >
+    tol.rel, lo and hi the two |det|, and rho = _DET_ROUNDING n eps (kappa1 +
+    kappa2) the rounding of the two determinants, kappa = sigma_max / sigma_min of
+    each matrix from the gate: a pair A2 = U A1, equivalent by construction, is not
+    refuted by its rounding, however ill-conditioned.
+    At n = 1 no Gram form is formed and no scan runs: the one candidate B = 1 is
+    tested on the squared lengths |a|^2 against the scan's bound, and T = a2 / a1 is
+    built and checked by _first_witness as a scan hit's is.  No such length underflows
+    past the covolume test: the gate admits tol.rel < 1 only (sigma_min / sigma_max is
+    1), and rho is 8 eps at n = 1, so |a2 / a1|^2 >= (1 - tol.rel) / (1 + rho) is at
+    least about 2^-54, and the larger |a| is in [1, 2).
+    Each input is a root of its Gram form and has passed the gate, so the forms need
+    no positivity check; an A* A that underflowed (possible only under a caller's tiny
+    tol.rel) raises NumericOverflow.  Equivalent verdicts carry the reconstructed
+    unitary T = A2 B^-1 A1^-1 (B inverted exactly via its adjugate) of the first hit
+    that passes the re-verification; a hit that fails it is passed over and the search
+    continues, so a pair whose hits all fail is decided by the spectra or left
+    Undecided.  In special_unitary mode both inputs must also have determinant one at
+    the caller's scale, as classify calls it (the same gate and determinant, then
+    |det - 1| <= tol.rel * n; NotInSL otherwise, a singular input included), and
+    witnesses are additionally filtered by det(T) = 1 in the same way.
     """
     m1 = as_matrix(a1, square=True)
     m2 = as_matrix(a2, square=True)
@@ -843,28 +854,40 @@ def lattice_equivalent(
     if mode not in (MODE_UNITARY, MODE_SPECIAL_UNITARY):
         raise ValueError(f"unknown mode {mode!r}")
     n = m1.shape[0]
-    pair = np.array((m1, m2))
-    # the stages run cheapest first; a singular input fails as gram would fail on it,
-    # or, in special_unitary mode, as classify's determinant-one verdict would
-    ok, margin, s = _invertibility_gate(pair, tol)
-    if mode == MODE_UNITARY and not ok.all():
-        raise SingularMatrix(f"gram needs an invertible matrix (margin {margin[~ok][0]:.3e})")
-
-    # everything below runs on the pair scaled by the one power of two that puts the
-    # larger sigma_max in [1, 2): exact, so the verdict does not depend on a common scale
-    e = _exponent(max(s[:, 0].tolist()))
-    pair = _scaled(pair, -e)
-    dets = _unit_det(pair)  # each (d, k) gives the caller's det as d 2^(n (e + k)), at any scale
+    # e puts the larger sigma_max 2^-e in [1, 2), and each (d, k) gives the det of a matrix
+    # at that unit scale as d 2^(n k), so the caller's det is d 2^(n (e + k)), at any scale
+    if n <= 2:  # closed form on Python numbers, each matrix at its own unit scale 2^-f
+        rows = m1.tolist(), m2.tolist()
+        forms = [_small_form(x) for x in rows]
+        margin = [sigma_ratio(f.sigma_max, f.sigma_min) for f in forms]
+        e = max(f.scale + _exponent(f.sigma_max) for f in forms)
+        dets = [(f.det, f.scale - e) for f in forms]
+    else:
+        pair = np.array((m1, m2))
+        _, margin, s = _invertibility_gate(pair, tol)
+        margin = margin.tolist()
+        e = _exponent(max(s[:, 0].tolist()))
+        pair = _scaled(pair, -e)
+        dets = _unit_det(pair)
+    ok = [m > tol.rel for m in margin]  # the gate's threshold test
+    # a singular input fails as gram would fail on it, or, in special_unitary mode, as
+    # classify's determinant-one verdict would
+    if mode == MODE_UNITARY and not all(ok):
+        worst = next(m for m, passed in zip(margin, ok) if not passed)
+        raise SingularMatrix(f"gram needs an invertible matrix (margin {worst:.3e})")
     if mode == MODE_SPECIAL_UNITARY:
-        for name, passed, (d, k) in zip(("A1", "A2"), ok.tolist(), dets):
+        for name, passed, (d, k) in zip(("A1", "A2"), ok, dets):
             distance = _complex_abs(_ldexp(d, n * (e + k)) - 1.0)
             if not (passed and distance <= tol.rel * n):
                 raise NotInSL(f"{name} has determinant distance {distance:.3e} from one")
-    # the covolumes |det|^2 differ by more than tol.rel of the larger: tested on the ratio of
-    # the two |d| brought to the smaller k, exact short of an overflow to inf (ratio 0)
+    # the covolumes |det|^2 differ by more than tol.rel of the larger, even with the smaller
+    # raised by the rounding of the two determinants: tested on the ratio of the two |d|
+    # brought to the smaller k, exact short of an overflow to inf (ratio 0); both margins
+    # are positive past the gate
     low = min(k for _, k in dets)
     lo, hi = sorted(_ldexp(_complex_abs(d), n * (k - low)) for d, k in dets)
-    if hi > 0.0 and 1.0 - (lo / hi) ** 2 > tol.rel:
+    rounding = _DET_ROUNDING * n * _EPS * sum(1.0 / m for m in margin)
+    if hi > 0.0 and 1.0 - (lo / hi) ** 2 * (1.0 + rounding) > tol.rel:
         r1, r2 = (_ldexp(_complex_abs(d), n * (e + k)) for d, k in dets)  # at the caller's scale
         return EquivalenceVerdict(REFUTED, None, ("covolume", r1 * r1, r2 * r2), height)
 
@@ -873,25 +896,30 @@ def lattice_equivalent(
     if n > _MAX_ORBIT_DIM:
         raise DimensionTooLarge(f"orbit search is capped at dimension {_MAX_ORBIT_DIM}")
     unit_radius = _unit_radius(radius, e)
-    svals = _scaled(s, -e).tolist()
+    if n <= 2:  # each form's singular values, from its own scale to the pair's
+        svals = [[_ldexp(x, f.scale - e) for x in (f.sigma_max, f.sigma_min)[:n]] for f in forms]
+    else:
+        svals = _scaled(s, -e).tolist()
     ks = [_uniform_box(x, unit_radius, budget) for x in svals]
     try:
         _check_height(n, height, budget)
     except (CxlatError, ValueError) as exc:  # raised after the spectra, which may refute first
         error = exc
-    else:
+    else:  # n <= 2: the scan runs on the closed forms
         error = None
-        if n == 2:  # A* A is formed only where the scan runs, and its underflow is raised at once
-            hits = _gram_hits(height, *_gram_matrix(pair), tol, budget)
+        if n == 2:  # the forms reach the scan only here, and their underflow is raised at once
+            hits = _gram_hits(height, *_scan_forms(forms, e), tol, budget)
         else:  # the n = 1 scan's one test, on the squared lengths A* A would hold, bit for bit
-            g1, g2 = (x.real * x.real + x.imag * x.imag for x in pair.ravel().tolist())
+            g1, g2 = (_ldexp(f.gram[0], 2 * (f.scale - e)) for f in forms)
             hits = _one_hits(g1, g2, tol)
         try:
-            witness = _first_witness(height, pair, hits, mode, tol)
+            witness = _first_witness(height, *(_scaled_rows(x, -e) for x in rows), hits, mode, tol)
         except (CxlatError, ValueError) as exc:
             witness, error = None, exc
         if witness is not None:  # verified at tol: the spectra do not overrule it
             return witness
+    if n <= 2:  # the numpy pair, at unit scale, only for the spectra
+        pair = _scaled(np.array((m1, m2)), -e)
     mismatch = _spectra_mismatch(*_enumerate(pair, svals, ks, unit_radius), unit_radius, e)
     if mismatch is not None:
         return EquivalenceVerdict(REFUTED, None, mismatch, height)

@@ -4,8 +4,9 @@ Everything else in the package sits on these few operations.  Singular
 values come from LAPACK's SVD of A itself, resolved to about eps relative
 (the route through A* A would only reach sqrt(eps)); they alone decide
 singularity, through invertibility_margin (its body, _invertibility_gate,
-also hands back the values).  solve and det are LAPACK's LU
-(numpy.linalg), with solve gated by that margin and checked by its
+also hands back the values), or, in lattice_equivalent below n = 3, the same
+threshold on the closed-form values of _small_form.  solve and det are
+LAPACK's LU (numpy.linalg), with solve gated by that margin and checked by its
 residual, and det read at any scale by the scale rule below; gated_solve
 is that step for a caller that already holds the margin and the norm of A
 (a lattice basis carries its own).  A solution that is not finite (the
@@ -46,15 +47,26 @@ a number by a power of two, exact short of under- and overflow.  _unit_det
 is the one determinant at any scale: LAPACK's det of A, bit for bit, where
 that is a finite normal double, and otherwise the det of A 2^-e with
 sigma_max 2^-e in [1, 2), together with e; it never warns, and it takes a
-stack too.  _complex_abs is the one |z|.  Every floating-point determinant
-is read through _unit_det: det, polar's classify, sl_normalize and
-su_sl_canonical, lattices' covolume and lattice_equivalent's pair.
+stack too; at n = 1 it is the entry itself, exact.  _complex_abs is the one
+|z|.  Every floating-point determinant is read through _unit_det (det,
+polar's classify, sl_normalize and su_sl_canonical, lattices' covolume and
+lattice_equivalent's pair from n = 3) or through its other route, also here:
+the closed forms at n <= 2.
+The closed forms at n <= 2 have their one home here too: on an n x n list of
+Python complex numbers, _small_form gives sigma_max, sigma_min, det and the
+Gram entries of X at its own unit scale (its largest part in [1, 2), so no
+square over- or underflows), and _adjugate, _inverse, _product, _fro and
+_unitarity build and check lattice_equivalent's witness.  They call no numpy
+routine, so their bits depend on the input alone, not on the BLAS kernel;
+lattice_equivalent reads its pair through them below n = 3 and calls no LAPACK
+routine there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +131,10 @@ def _exponent(x: float) -> int:
 
 def _ldexp(x, k: int):
     """x 2^k, of a float or of each part of a complex, and inf of x's sign where it overflows."""
+    if not k:
+        return x
     if isinstance(x, complex):
-        return complex(_ldexp(x.real, k), _ldexp(x.imag, k)) if k else x
+        return complex(_ldexp(x.real, k), _ldexp(x.imag, k))
     try:
         return math.ldexp(x, k)
     except OverflowError:
@@ -315,8 +329,10 @@ def det(a) -> complex:
 
 def _det(am: np.ndarray):
     """LAPACK's det of a validated square matrix as a complex, or of each in a stack (k, n, n)
-    as an array: the package's one call of it, unguarded (a caller at any scale takes _unit_det)."""
-    d = np.linalg.det(am)
+    as an array: the package's one call of it, unguarded (a caller at any scale takes _unit_det).
+    At n = 1 it is the entry itself, exact: LAPACK's is sign exp(log |a|), which can be off
+    in the last bits and warns near the largest double."""
+    d = am[..., 0, 0] if am.shape[-1] == 1 else np.linalg.det(am)
     return complex(d) if am.ndim == 2 else d
 
 
@@ -324,9 +340,9 @@ def _unit_det(am: np.ndarray, sigma_max: float | None = None):
     """(d, e) with det(A) = d 2^(n e), for a validated square A: the package's one scale
     rule for determinants, which never warns; of a stack (k, n, n), a list of k pairs.
 
-    d is LAPACK's det of A itself, bit for bit (one call for a stack), and e = 0 wherever
-    that det is a finite normal double.  Otherwise d is the det of A 2^-e, e putting
-    sigma_max 2^-e in [1, 2), exact short of underflow.  A caller that holds sigma_max of
+    d is LAPACK's det of A itself, bit for bit (one call for a stack), or the entry itself
+    at n = 1, and e = 0 wherever that det is a finite normal double.  Otherwise d is the
+    det of A 2^-e, e putting sigma_max 2^-e in [1, 2), exact short of underflow.  A caller that holds sigma_max of
     one A passes it; otherwise it is taken here, and only on that path.  A sigma_max past
     the largest double counts as the largest, so that A 2^-e is finite.
     """
@@ -488,3 +504,124 @@ def _invertibility_gate(am: np.ndarray, tol: Tolerance) -> tuple:
 def sigma_ratio(sigma_max: float, sigma_min: float) -> float:
     """The margin sigma_min / sigma_max, and 0 when sigma_max vanishes."""
     return sigma_min / sigma_max if sigma_max > 0.0 else 0.0
+
+
+# ---------------------------------------------------------------- closed forms at n <= 2
+# Python complex numbers in lists of rows, with no numpy call: each entry is one fixed-order
+# sum of a few products, so the bits depend on the input alone, not on the BLAS kernel.
+
+
+class _SmallForm(NamedTuple):
+    """What _small_form reads off an n x n list X of complex numbers, n <= 2, at X's own
+    unit scale: X 2^-scale has its largest real or imaginary part in [1, 2)."""
+
+    scale: int
+    sigma_max: float
+    sigma_min: float
+    det: complex
+    gram: tuple  # G = X* X: (g00,) at n = 1, (g00, g11, g01) at n = 2
+
+
+def _small_form(x: list) -> _SmallForm:
+    """sigma_max, sigma_min, det and the Gram entries of X 2^-scale, in closed form.
+
+    At n = 1 both singular values are |x| and det is x.  At n = 2 sigma_max^2, the larger
+    eigenvalue of G, is (tr G + hypot(g00 - g11, 2 g01)) / 2 (_top), a sum of nonnegative
+    terms, and sigma_min = |det| / sigma_max, with det = ad - bc: so sigma_max is within a
+    few eps relative, and sigma_min and |det| / sigma_max are within a few eps sigma_max
+    absolute, as LAPACK's are.  At X's own unit scale every entry is below 2 sqrt(2) in
+    modulus, so no square overflows, and a square that underflows is below eps of the
+    largest.  A zero X reads scale 0 and zeros.
+    """
+    parts = [p for row in x for z in row for p in (z.real, z.imag)]
+    big = max(max(parts), -min(parts))
+    f = _exponent(big) if big else 0
+    x = _scaled_rows(x, -f)
+    if len(x) == 1:
+        (z,), = x
+        s = abs(z)
+        return _SmallForm(f, s, s, z, (z.real * z.real + z.imag * z.imag,))
+    gram = _gram_entries(x)
+    det = _adjugate(x)[1]
+    top = math.sqrt(_top(*gram))
+    return _SmallForm(f, top, abs(det) / top if top else 0.0, det, gram)
+
+
+def _scaled_rows(x: list, k: int) -> list:
+    """X 2^k of a list of rows of complex numbers, each part as _ldexp scales it (exact short
+    of under- and overflow, signs of zero kept), and X itself at k = 0."""
+    return [[_ldexp(z, k) for z in row] for row in x] if k else x
+
+
+def _gram_entries(x: list) -> tuple:
+    """(g00, g11, g01) of G = X* X for a 2 x 2 list X of complex numbers."""
+    (a, b), (c, d) = x
+    return (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag,
+            b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag,
+            a.conjugate() * b + c.conjugate() * d)
+
+
+def _top(g00: float, g11: float, g01: complex) -> float:
+    """sigma_max^2 of a 2 x 2 X from its Gram entries: (tr G + sqrt((g00 - g11)^2 + 4 |g01|^2))
+    / 2, the same as (|X|_F^2 + sqrt(|X|_F^4 - 4 |det X|^2)) / 2 without its cancellation."""
+    return 0.5 * (g00 + g11 + math.hypot(g00 - g11, 2.0 * g01.real, 2.0 * g01.imag))
+
+
+def _gram_fro(g: tuple) -> float:
+    """|G|_F of a Hermitian G from its entries (g00,) or (g00, g11, g01), by math.hypot."""
+    if len(g) == 1:
+        return abs(g[0])
+    g00, g11, g01 = g
+    return math.hypot(g00, g11, g01.real, g01.imag, g01.real, g01.imag)
+
+
+def _adjugate(x: list) -> tuple:
+    """(adj X, det X) of an n x n list of complex numbers, n <= 2."""
+    if len(x) == 1:
+        return [[1.0 + 0j]], x[0][0]
+    (a, b), (c, d) = x
+    return [[d, -b], [-c, a]], a * d - b * c
+
+
+def _inverse(x: list) -> list | None:
+    """X^-1 = adj X / det X of an n x n list of complex numbers, n <= 2; None where det X
+    is 0."""
+    adj, d = _adjugate(x)
+    return None if d == 0 else [[z / d for z in row] for row in adj]
+
+
+def _product(x: list, y: list) -> list:
+    """X Y of two n x n lists of complex numbers, n <= 2, each entry one fixed-order sum."""
+    if len(x) == 1:
+        return [[x[0][0] * y[0][0]]]
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return [[a * e + b * g, a * f + b * h], [c * e + d * g, c * f + d * h]]
+
+
+def _fro(x: list) -> float:
+    """The Frobenius norm of a list of rows of complex numbers, by math.hypot: it neither
+    raises nor over- or underflows, and is inf or nan where an entry is."""
+    return math.hypot(*[p for row in x for z in row for p in (z.real, z.imag)])
+
+
+def _unitarity(t: list) -> tuple:
+    """(margin, defect, det distance) of an n x n list of complex numbers T, n <= 2: what
+    classify reads from an SVD, a determinant and T* T - I, here in closed form.
+
+    margin is sigma_min / sigma_max: 1 at n = 1 (0 for T = 0), and |det T| / sigma_max^2
+    at n = 2 (_top).  defect is |G - I|_F and det distance |det T - 1|.  T is read at its
+    own scale, not at a unit scale: every modulus and norm goes through math.hypot, and no
+    step divides by zero, so a T that is not finite, or whose squares overflow, gives
+    values that are inf or nan and fail every bound.
+    """
+    if len(t) == 1:
+        (x,), = t
+        g = x.real * x.real + x.imag * x.imag
+        return (1.0 if x else 0.0), abs(g - 1.0), math.hypot(x.real - 1.0, x.imag)
+    g00, g11, g01 = _gram_entries(t)
+    det = _adjugate(t)[1]
+    top = _top(g00, g11, g01)
+    margin = math.hypot(det.real, det.imag) / top if top > 0.0 else 0.0
+    defect = math.hypot(g00 - 1.0, g11 - 1.0, g01.real, g01.imag, g01.real, g01.imag)
+    return margin, defect, math.hypot(det.real - 1.0, det.imag)

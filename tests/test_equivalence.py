@@ -46,6 +46,7 @@ from cxlattices.kernel import (
     Tolerance,
     _adjoint,
     _det,
+    _gram_fro,
     _invertibility_gate,
     _singular_values,
     fro,
@@ -179,7 +180,8 @@ def test_cached_stack_matches_candidate_tuples(empty_cache, n, h, budget):
     cands = sigma_candidates(n, h, budget)
     if n == 1:
         p = np.array([[2.0 + 0j]])
-        assert list(equivalence._gram_hits(h, p, p, DEFAULT_TOL)) == [cands[0]]
+        f = equivalence._form_entries(p)
+        assert list(equivalence._gram_hits(h, f, f, DEFAULT_TOL)) == [cands[0]]
         assert equivalence._grid.cache_info().currsize == 0
         return
     grid = equivalence._grid(h)
@@ -205,10 +207,11 @@ def test_matching_column_pairs_past_the_budget_raise_height_too_large(empty_cach
     # pairs do not, and the scan fails fast before it forms them
     loose = Tolerance(abs=1000.0)
     eye = np.eye(2, dtype=complex)
-    assert list(equivalence._gram_hits(3, eye, eye, loose)) == list(sigma_candidates(2, 3))
+    f = equivalence._form_entries(eye)
+    assert list(equivalence._gram_hits(3, f, f, loose)) == list(sigma_candidates(2, 3))
     message = "^6561 x 6561 matching column pairs at height 4 exceed budget 10000000$"
     with pytest.raises(HeightTooLarge, match=message):
-        list(equivalence._gram_hits(4, eye, eye, loose))
+        list(equivalence._gram_hits(4, f, f, loose))
     with pytest.raises(HeightTooLarge, match=message):
         sigma_orbit_equal(eye, eye, 4, tol=loose)
     # at height 1, 32 columns match each diagonal entry of this form: 1024 pairs, past a
@@ -375,26 +378,28 @@ def test_column_norm_prefilter_keeps_every_hit(name):
             for c in (0.5, -0.5, 2.0, -2.0):
                 for i, j in {(0, 0), (n - 1, n - 1), (0, n - 1)}:
                     p2 = exact + _hermitian_bump(n, i, j, c * size)
-                    bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs  # the scan's own bound
+                    f1, f2 = equivalence._form_entries(p1), equivalence._form_entries(p2)
+                    bound = tol.rel * (_gram_fro(f1) + _gram_fro(f2)) + tol.abs  # the scan's own bound
                     want = _reference_hits(transported, p2, bound)
                     if n == 1:
-                        hits = list(equivalence._gram_hits(h, p1, p2, tol))
+                        hits = list(equivalence._gram_hits(h, f1, f2, tol))
                         assert hits == [cands[k] for k in want]
                     else:
                         # the hits as arrays: their column ids against the candidates' at
                         # the reference's indices (_gram_hits decodes ids to entries, which
                         # the tests above pin on every candidate)
-                        hits = equivalence._gram_hit_ids(h, p1, p2, tol, DEFAULT_BUDGET)
+                        hits = equivalence._gram_hit_ids(h, f1, f2, tol, DEFAULT_BUDGET)
                         assert np.array_equal(np.stack(hits, axis=1), ids[want])
                     assert (planted in want) == (abs(c) < 1.0)
         if n == 2:
             # (P2)_11 still matches the planted first column, but (P2)_22 lies below every
             # column norm by more than the bound: the scan returns before it pairs columns
             p2 = exact + _hermitian_bump(n, 1, 1, -2.0 * (exact[1, 1].real + fro(p1) + 1.0))
-            bound = tol.rel * (fro(p1) + fro(p2)) + tol.abs
+            f1, f2 = equivalence._form_entries(p1), equivalence._form_entries(p2)
+            bound = tol.rel * (_gram_fro(f1) + _gram_fro(f2)) + tol.abs
             assert abs(b[:, 0].conj() @ p1 @ b[:, 0] - p2[0, 0]) <= bound
             want = _reference_hits(transported, p2, bound)
-            hits = equivalence._gram_hit_ids(h, p1, p2, tol, DEFAULT_BUDGET)
+            hits = equivalence._gram_hit_ids(h, f1, f2, tol, DEFAULT_BUDGET)
             assert want.size == 0 and np.array_equal(np.stack(hits, axis=1), ids[want])
 
 
@@ -809,15 +814,16 @@ def test_scaling_refuted_at_any_dimension_without_orbit():
 
 @pytest.fixture
 def gram_form_calls(monkeypatch):
-    """Count the Gram forms lattice_equivalent builds in a test, by the products A* A it forms."""
+    """Count the Gram forms lattice_equivalent hands to its scan in a test, by the number of
+    closed forms (one per matrix of the pair) each call of _scan_forms brings to unit scale."""
     calls = []
-    build = equivalence._gram_matrix
+    build = equivalence._scan_forms
 
-    def counted(am):
-        calls.append(np.shape(am))
-        return build(am)
+    def counted(forms, e):
+        calls.append(len(forms))
+        return build(forms, e)
 
-    monkeypatch.setattr(equivalence, "_gram_matrix", counted)
+    monkeypatch.setattr(equivalence, "_scan_forms", counted)
     return calls
 
 
@@ -829,9 +835,10 @@ def test_n8_covolume_refutation_builds_no_gram_form(gram_form_calls):
     with pytest.raises(DimensionTooLarge):
         lattice_equivalent(a, random_unitary(rng, 8) @ a)
     assert gram_form_calls == []
-    # the counter does see the Gram forms of a pair that reaches them: one A* A of the stacked pair
+    # the counter does see the Gram forms of a pair that reaches them: the closed forms of both
+    # matrices, brought to unit scale in one call
     lattice_equivalent(np.eye(2), np.diag([0.5, 2.0]))
-    assert gram_form_calls == [(2, 2, 2)]
+    assert gram_form_calls == [2]
 
 
 def test_no_gram_form_where_no_scan_runs(gram_form_calls):
@@ -875,6 +882,66 @@ def _n1_pairs():
     return pairs
 
 
+_LINALG = ("svd", "det", "inv", "eigh", "eig", "eigvalsh", "solve", "lstsq", "norm", "qr",
+           "slogdet", "cholesky", "pinv", "matrix_rank")
+
+
+def _decided_small_pairs():
+    """(a1, a2, mode, status) at n = 1 and n = 2, decided by the covolume refuter or by a
+    witness, in both modes; every input is built here, before numpy.linalg is taken away."""
+    rng = np.random.default_rng(48)
+    cases = []
+    for n in (1, 2):
+        a = random_invertible(rng, n)
+        b = GaussianUnimodular(sigma_candidates(n, 1)[-1]).matrix
+        cases.append((a, 1.3 * random_unitary(rng, n) @ a, "unitary", REFUTED))
+        cases.append((a, random_unitary(rng, n) @ a @ b, "unitary", EQUIVALENT))
+        a1, _ = sl_normalize(a)
+        t, _ = sl_normalize(random_unitary(rng, n))
+        cases.append((a1, t @ a1 @ b, "special_unitary", EQUIVALENT))
+    # the subnormal partner of golden lattice-equiv-subnormal-partner, at its own unit scale
+    tiny = np.array([[5e-324j, -1e-323 - 5e-324j], [1e-323j, -5e-324 - 5e-324j]])
+    cases.append((random_invertible(rng, 2), tiny, "unitary", REFUTED))
+    return cases
+
+
+def test_a_pair_below_n3_decided_by_covolume_or_witness_calls_no_numpy_linalg(monkeypatch):
+    # at n <= 2 the gate, the determinants, the Gram forms, the scan and the witness are
+    # closed forms and products: with numpy.linalg gone the verdicts are the same
+    cases = _decided_small_pairs()
+    want = [lattice_equivalent(a1, a2, mode=mode) for a1, a2, mode, _ in cases]
+
+    def gone(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in _LINALG:
+        monkeypatch.setattr(np.linalg, name, gone)
+    for (a1, a2, mode, status), before in zip(cases, want):
+        v = lattice_equivalent(a1, a2, mode=mode)
+        assert v.status == status and _verdict_bytes(v) == _verdict_bytes(before)
+        assert status == EQUIVALENT or v.refuter[0] == "covolume"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_covolume_refuter_does_not_refute_a_planted_pair_by_rounding(n):
+    # A2 = U A1 is equivalent by construction, and its two determinants differ by rounding
+    # alone, about eps kappa relative: at kappa 1e6 to 1e8 that passed tol.rel = 1e-9 on
+    # many pairs until the test took the rounding term (most of these pairs then raise
+    # RadiusBudgetExceeded at the default radius); a pair scaled by 1.1 is still refuted
+    rng = np.random.default_rng(7)
+    for cond in (1e6, 1e7, 1e8):
+        for _ in range(40):
+            a1 = random_unitary(rng, n) * np.geomspace(1.0, 1.0 / cond, n) @ random_unitary(rng, n)
+            u = random_unitary(rng, n)
+            try:
+                v = lattice_equivalent(a1, u @ a1)
+            except (HeightTooLarge, RadiusBudgetExceeded):
+                v = None
+            assert v is None or v.refuter is None or v.refuter[0] != "covolume", cond
+            v = lattice_equivalent(a1, 1.1 * u @ a1)
+            assert v.status == REFUTED and v.refuter[0] == "covolume", cond
+
+
 def test_the_n1_witness_is_first_witness_on_the_scans_hit_bit_for_bit():
     # the scan's route, A* A and the n = 1 scan with its hit passed to _first_witness, gives
     # the same T bytes, signs of zero included, in both modes and at every scale
@@ -888,8 +955,8 @@ def test_the_n1_witness_is_first_witness_on_the_scans_hit_bit_for_bit():
                 got = lattice_equivalent(pair[0], pair[1], mode=mode, tol=tol, radius=0.0)
             except NotInSL:
                 continue
-            hits = equivalence._gram_hits(1, *_gram_matrix(unit), tol)
-            want = equivalence._first_witness(1, unit, hits, mode, tol)
+            hits = equivalence._gram_hits(1, *map(equivalence._form_entries, _gram_matrix(unit)), tol)
+            want = equivalence._first_witness(1, *unit.tolist(), hits, mode, tol)
             if want is None:
                 assert got.status != EQUIVALENT
                 continue
@@ -916,7 +983,7 @@ def test_a_squared_length_that_would_underflow_past_the_covolume_test(gram_form_
     thin = (np.diag([1.0, 1e-170]), np.diag([1.0j, 1e-170]))
     with pytest.raises(NumericOverflow, match="^gram form A\\* A underflowed"):
         lattice_equivalent(*thin, tol=Tolerance(rel=1e-200), radius=0.0)
-    assert gram_form_calls == [(2, 2, 2)]
+    assert gram_form_calls == [2]
 
 
 def test_an_underflowing_pair_that_no_scan_reads_is_height_too_large():
@@ -1468,9 +1535,8 @@ def test_special_unitary_mode_requires_sl():
 
 
 def test_both_modes_validate_each_input_once_and_run_one_gate(validation_calls, singular_value_calls):
-    # each input is validated once and the stacked pair is gated in one SVD call, the
-    # only one: the enumeration reuses the gate's singular values, and the witness is
-    # built and checked in closed form, in either mode
+    # each input is validated once, and at n = 2 the pair is gated in closed form with no
+    # SVD call: the witness is built and checked in closed form too, in either mode
     rng = np.random.default_rng(46)
     a1, _ = sl_normalize(random_invertible(rng, 2))
     t, _ = sl_normalize(random_unitary(rng, 2))
@@ -1480,7 +1546,7 @@ def test_both_modes_validate_each_input_once_and_run_one_gate(validation_calls, 
         singular_value_calls.clear()
         assert lattice_equivalent(a1, a2, mode=mode).status == EQUIVALENT
         assert validation_calls == ["as_matrix", "as_matrix"]
-        assert singular_value_calls == [(2, 2, 2)]
+        assert singular_value_calls == []
 
 
 def test_special_unitary_planted():

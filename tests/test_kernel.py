@@ -184,12 +184,29 @@ def test_det_singular_is_tiny():
 
 
 def test_det_keeps_lapacks_bits_wherever_they_are_a_finite_normal_double():
+    # from n = 2 on; at n = 1 the det is the entry itself (next test)
     rng = np.random.default_rng(109)
-    for n in (1, 2, 3, 8):
+    for n in (2, 3, 8):
         for scale in (1.0, 1e-30, 1e30):
             a = random_complex(rng, n) * scale
             want = np.linalg.det(a.astype(complex))
             assert np.complex128(det(a)).tobytes() == want.tobytes()
+
+
+def test_the_det_of_a_1x1_matrix_is_its_entry_bit_for_bit():
+    # numpy's det is sign exp(log |a|): 1.2000000000000646e308 (1 + i) for the entry
+    # 1.2e308 (1 + i), with a warning; the kernel gives the entry, alone and in a stack,
+    # also where it is subnormal (taken again at unit scale, exactly)
+    rng = np.random.default_rng(110)
+    entries = [complex(1.2e308, 1.2e308), complex(-0.0, 5e-324), complex(3e-310, -1.0e-311)]
+    entries += [complex(*x) for x in rng.standard_normal((20, 2)) * 10.0 ** rng.integers(-300, 300, (20, 1))]
+    for z in entries:
+        d, e = kernel._unit_det(np.array([[z]]))
+        assert det([[z]]) == z and kernel._ldexp(d, e) == z, z
+    stack = np.array(entries).reshape(-1, 1, 1)
+    got = kernel._unit_det(stack)
+    assert [kernel._ldexp(d, e) for d, e in got] == entries
+    assert repr(got) == repr([kernel._unit_det(x) for x in stack])
 
 
 def test_det_past_the_doubles_is_a_number_and_never_warns():
@@ -222,6 +239,49 @@ def test_unit_det_of_a_stack_is_each_matrixs_bit_for_bit():
         assert repr(got) == repr([kernel._unit_det(x) for x in stack]), i
         assert all(isinstance(d, complex) and isinstance(e, int) for d, e in got)
         assert got[-2][1] != 0 and not np.isnan(got[-2][0])
+
+
+def _closed_form_population(rng):
+    """2 x 2 complex matrices for the closed form: sigma_min / sigma_max from 1 to 1e-12 at
+    scales 2^k, |k| <= 1000, matrices of subnormal entries, and matrices whose largest part
+    is near the largest double."""
+    eps, big = np.finfo(float).eps, np.finfo(float).max
+    mats = []
+    for k in rng.integers(-1000, 1001, 300):
+        q1, _ = np.linalg.qr(random_complex(rng, 2))
+        q2, _ = np.linalg.qr(random_complex(rng, 2))
+        a = q1 * np.array([1.0, 10.0 ** -rng.uniform(0.0, 12.0)]) @ q2
+        mats.append(np.ldexp(a.view(float), int(k)).view(complex))
+    for _ in range(100):
+        parts = rng.integers(-9, 10, (2, 4)).astype(float) * 5e-324  # subnormal, exact
+        mats.append(parts[:, :2] + 1j * parts[:, 2:])
+        a = random_complex(rng, 2)
+        a *= (1.0 - 4 * eps) * (big / np.abs(a.view(float)).max().clip(1.0))
+        mats.append(a)
+    return [m for m in mats if np.any(m)]
+
+
+def test_the_closed_form_at_n_le_2_agrees_with_lapack():
+    # kernel._small_form reads X at its own unit scale, its largest part in [1, 2): there
+    # sigma_max agrees with LAPACK's SVD to a few eps relative, and sigma_min and |det| /
+    # sigma_max (det against LAPACK's LU) to a few eps sigma_max absolute, at every scale
+    eps = np.finfo(float).eps
+    for m in _closed_form_population(np.random.default_rng(121)):
+        form = kernel._small_form(m.tolist())
+        unit = np.ldexp(m.view(float), -form.scale).view(complex)  # exact: no part underflows
+        assert 1.0 <= np.abs(unit.view(float)).max() < 2.0
+        assert np.array_equal(np.ldexp(unit.view(float), form.scale).view(complex), m)
+        s = np.linalg.svd(unit, compute_uv=False)
+        d = complex(np.linalg.det(unit))
+        assert abs(form.sigma_max - s[0]) <= 4 * eps * s[0], m
+        assert abs(form.sigma_min - s[1]) <= 4 * eps * s[0], m
+        assert abs(abs(form.det) - abs(d)) <= 4 * eps * s[0] ** 2, m
+        g = unit.conj().T @ unit
+        assert np.allclose(form.gram, (g[0, 0].real, g[1, 1].real, g[0, 1]), rtol=0, atol=4 * eps * s[0] ** 2)
+    for z in (3 + 4j, 5e-324j, -1.7e308 + 1e308j):
+        form = kernel._small_form([[z]])
+        unit = kernel._ldexp(z, -form.scale)
+        assert (form.sigma_max, form.sigma_min, form.det) == (abs(unit), abs(unit), unit)
 
 
 # ---------------------------------------------------------------- hermitian_eig

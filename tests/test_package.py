@@ -100,3 +100,21 @@ def test_the_internal_self_checks_are_the_census():
                     and _dotted(node.exc.func) == "InternalCheckError":
                 counts[path.name] = counts.get(path.name, 0) + 1
     assert counts == INTERNAL_CHECKS
+
+
+# the closed forms at n <= 2: the adjugate, inverse, product, Frobenius norm, unitarity test,
+# the sigma / det / Gram form and its pieces
+CLOSED_FORMS = {"_adjugate", "_inverse", "_product", "_fro", "_unitarity", "_small_form",
+                "_gram_entries", "_top", "_gram_fro", "_scaled_rows"}
+
+
+def test_the_closed_forms_at_n_le_2_are_defined_only_in_the_kernel():
+    # like the scale rule, the n <= 2 closed forms have one home, kernel; a module that
+    # defines one of these names has copied a closed form out again
+    src = pathlib.Path(cxlattices.__file__).resolve().parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in CLOSED_FORMS:
+                found.setdefault(node.name, []).append(path.name)
+    assert found == {name: ["kernel.py"] for name in CLOSED_FORMS}

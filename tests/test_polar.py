@@ -403,15 +403,19 @@ def test_sl_normalize_divides_at_unit_scale_where_the_quotient_overflowed():
 
 
 def reference_sl_normalize(a):
-    """sl_normalize's formula where no division overflows: A / delta with LAPACK's det where
-    it is a finite normal double, else A 2^-e over the root of det(A 2^-e), e putting
-    sigma_max 2^-e in [1, 2), and delta that root times 2^e."""
+    """sl_normalize's formula where no division overflows: A / delta with LAPACK's det (the
+    entry itself at n = 1) where it is a finite normal double, else A 2^-e over the root of
+    det(A 2^-e), e putting sigma_max 2^-e in [1, 2), and delta that root times 2^e."""
     n, e = len(a), 0
+
+    def det(m):
+        return complex(m[0, 0]) if n == 1 else complex(np.linalg.det(m))
+
     with np.errstate(all="ignore"):
-        d = complex(np.linalg.det(a))
+        d = det(a)
         if not np.finfo(float).tiny <= abs(d) < math.inf:
             e = math.frexp(np.linalg.svd(a, compute_uv=False)[0])[1] - 1
-            d = complex(np.linalg.det(np.ldexp(a.view(float), -e).view(complex)))
+            d = det(np.ldexp(a.view(float), -e).view(complex))
     root = complex(abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
     out = np.ldexp(a.view(float), -e).view(complex) / root
     return out, complex(math.ldexp(root.real, e), math.ldexp(root.imag, e))
