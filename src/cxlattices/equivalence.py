@@ -148,6 +148,7 @@ from .kernel import (
     _product,
     _scaled,
     _scaled_rows,
+    _sigma_exponent,
     _small_form,
     _unit_det,
     _unitarity,
@@ -483,9 +484,9 @@ def short_vectors(
     back by 4^e, so they are those of A bit for bit.
     """
     am = as_matrix(a, square=True)
-    ok, _, s = _invertibility_gate(am, tol)
-    e = _exponent(float(s[0]))  # sigma_max 2^-e in [1, 2)
-    unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, -e)
+    ok, _, s, f = _invertibility_gate(am, tol)
+    e = _sigma_exponent(s, f)  # sigma_max 2^-e in [1, 2)
+    unit_radius, am, s = _unit_radius(radius, e), _scaled(am, -e), _scaled(s, f - e)
     if not ok:
         raise SingularMatrix("short-vector enumeration needs an invertible matrix")
     k = _uniform_box(s, unit_radius, limit)
@@ -864,9 +865,9 @@ def lattice_equivalent(
         dets = [(f.det, f.scale - e) for f in forms]
     else:
         pair = np.array((m1, m2))
-        _, margin, s = _invertibility_gate(pair, tol)
+        _, margin, s, f = _invertibility_gate(pair, tol)
         margin = margin.tolist()
-        e = _exponent(max(s[:, 0].tolist()))
+        e = max(map(_sigma_exponent, s, f))
         pair = _scaled(pair, -e)
         dets = _unit_det(pair)
     ok = [m > tol.rel for m in margin]  # the gate's threshold test
@@ -899,7 +900,7 @@ def lattice_equivalent(
     if n <= 2:  # each form's singular values, from its own scale to the pair's
         svals = [[_ldexp(x, f.scale - e) for x in (f.sigma_max, f.sigma_min)[:n]] for f in forms]
     else:
-        svals = _scaled(s, -e).tolist()
+        svals = [_scaled(x, k - e).tolist() for x, k in zip(s, f)]
     ks = [_uniform_box(x, unit_radius, budget) for x in svals]
     try:
         _check_height(n, height, budget)

@@ -4,20 +4,20 @@ Everything else in the package sits on these few operations.  Singular
 values come from LAPACK's SVD of A itself, resolved to about eps relative
 (the route through A* A would only reach sqrt(eps)); they alone decide
 singularity, through invertibility_margin (its body, _invertibility_gate,
-also hands back the values), or, in lattice_equivalent below n = 3, the same
-threshold on the closed-form values of _small_form.  solve and det are
-LAPACK's LU (numpy.linalg), with solve gated by that margin and checked by its
-residual, and det read at any scale by the scale rule below; gated_solve
-is that step for a caller that already holds the margin and the norm of A
-(a lattice basis carries its own).  A solution that is not finite (the
-LU overflowed) is NumericOverflow.  The Hermitian eigensolver is still
-self-contained (cyclic Jacobi rotations), so its behavior is easy to
-audit at the small dimensions this package targets.
+also hands back the values and their scale), or, in lattice_equivalent
+below n = 3, the same threshold on the closed-form values of _small_form.
+solve and det are LAPACK's LU (numpy.linalg), with solve gated by that
+margin and checked by its residual, and det read at any scale by the scale
+rule below; gated_solve is that step for a caller that already holds the
+margin and the norm of A (a lattice basis carries its own).  A solution
+that is not finite (the LU overflowed) is NumericOverflow.  The Hermitian
+eigensolver is still self-contained (cyclic Jacobi rotations), so its
+behavior is easy to audit at the small dimensions this package targets.
 
 Array inputs enter through as_matrix, as_vector or as_columns, which share
 the one finiteness check, and they are validated once, at the boundary: a
 public function validates only the arrays its caller passes and then runs
-its body (_singular_values, _invertibility_gate, _unit_det, _adjoint, _solve,
+its body (_unit_values, _invertibility_gate, _unit_det, _adjoint, _solve,
 _hermitian_eig, _operator_norm, or gated_solve, solve's step behind the
 gate) on finite complex128 arrays (as_matrix copies to float64 instead
 where a caller asks for it: the real coefficient blocks of realmaps).
@@ -30,7 +30,7 @@ by an underflowed determinant), it runs _overflow_checked there, before any
 body sees the array, and an overflow is NumericOverflow.  Values the library
 builds from checked fields (forms, bases, points) are made by _built,
 without their constructor's validation.
-The bodies _singular_values, _invertibility_gate, _det and _unit_det also
+The bodies _unit_values, _invertibility_gate, _det and _unit_det also
 take a stack (k, m, n) of matrices: numpy's linalg routines run LAPACK once
 per matrix, with the same results bit for bit, in one call, so a caller that
 holds a pair (lattice_equivalent) pays the call overhead once.
@@ -43,7 +43,10 @@ GramForm and as_gram_form in polar, apply it); neither its test nor the
 Hermitian part it returns overflows on finite P.
 The scale rule has its one home here too.  _exponent gives the e that puts
 a number x in [1, 2) as x 2^-e, and _scaled and _ldexp multiply an array or
-a number by a power of two, exact short of under- and overflow.  _unit_det
+a number by a power of two, exact short of under- and overflow.  No scale is
+taken from a sigma_max past the largest double: _unit_values retakes such a
+matrix's singular values on A 2^-f and hands f over with them, and
+_sigma_exponent reads the e of sigma_max from the pair.  _unit_det
 is the one determinant at any scale: LAPACK's det of A, bit for bit, where
 that is a finite normal double, and otherwise the det of A 2^-e with
 sigma_max 2^-e in [1, 2), together with e; it never warns, and it takes a
@@ -336,27 +339,27 @@ def _det(am: np.ndarray):
     return complex(d) if am.ndim == 2 else d
 
 
-def _unit_det(am: np.ndarray, sigma_max: float | None = None):
+def _unit_det(am: np.ndarray, top: int | None = None):
     """(d, e) with det(A) = d 2^(n e), for a validated square A: the package's one scale
     rule for determinants, which never warns; of a stack (k, n, n), a list of k pairs.
 
     d is LAPACK's det of A itself, bit for bit (one call for a stack), or the entry itself
     at n = 1, and e = 0 wherever that det is a finite normal double.  Otherwise d is the
-    det of A 2^-e, e putting sigma_max 2^-e in [1, 2), exact short of underflow.  A caller that holds sigma_max of
-    one A passes it; otherwise it is taken here, and only on that path.  A sigma_max past
-    the largest double counts as the largest, so that A 2^-e is finite.
+    det of A 2^-e, e putting sigma_max 2^-e in [1, 2), exact short of underflow.  A caller
+    that holds that e of one A (_sigma_exponent) passes it as top; otherwise it is taken
+    here, and only on that path.
     """
     with np.errstate(all="ignore"):
         if am.ndim == 2:
             d = _det(am)
-            return (d, 0) if _FLOAT_TINY <= _complex_abs(d) < math.inf else _retaken(am, sigma_max)
+            return (d, 0) if _FLOAT_TINY <= _complex_abs(d) < math.inf else _retaken(am, top)
         return [(d, 0) if _FLOAT_TINY <= _complex_abs(d) < math.inf else _retaken(am[i], None)
                 for i, d in enumerate(_det(am).tolist())]
 
 
-def _retaken(am: np.ndarray, sigma_max: float | None) -> tuple[complex, int]:
+def _retaken(am: np.ndarray, top: int | None) -> tuple[complex, int]:
     """_unit_det's pair for one A whose LAPACK det is not a finite normal double."""
-    e = _exponent(min(_operator_norm(am) if sigma_max is None else sigma_max, _FLOAT_MAX))
+    e = _sigma_exponent(*_unit_values(am)) if top is None else top
     return _det(_scaled(am, -e)), e
 
 
@@ -456,27 +459,60 @@ def singular_values(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     LAPACK's SVD works on A itself, so values are resolved to about eps times
     the largest; forming A* A would square the condition number and blur
     them to sqrt(eps).  A wide m x k input (k > m) has a kernel of dimension
-    at least k - m: its k values end in k - m exact zeros.
+    at least k - m: its k values end in k - m exact zeros.  A sigma_max past
+    the largest double reads inf, and the other values are still A's
+    (_unit_values).
     """
-    return _singular_values(as_matrix(a))
+    s, f = _unit_values(as_matrix(a))
+    with np.errstate(over="ignore"):  # sigma_max 2^f is inf where it passes the largest double
+        return frozen(np.ldexp(s, f)) if f else s
 
 
 def _singular_values(am: np.ndarray) -> np.ndarray:
-    """singular_values of a validated matrix, or of each matrix in a stack (k, m, n) as the
-    rows of a (k, n) array: the package's one call of LAPACK's SVD for values."""
+    """LAPACK's singular values of a validated matrix, or of each matrix in a stack (k, m, n) as
+    the rows of a (k, n) array: the package's one call of LAPACK's SVD for values.  Its
+    sigma_max is inf or NaN where it passes the largest double: callers read _unit_values."""
     s = np.linalg.svd(am, compute_uv=False)
     if am.shape[-2] < am.shape[-1]:  # a wide input: its kernel adds exact zeros
         s = np.concatenate([s, np.zeros(am.shape[:-2] + (am.shape[-1] - am.shape[-2],))], axis=-1)
     return frozen(s)
 
 
+def _unit_values(am: np.ndarray) -> tuple:
+    """(s, f): the singular values s of A 2^-f, descending, of a validated matrix, or of each
+    matrix in a stack (k, m, n) as the rows of a (k, n) array with f a list of k ints.
+
+    f = 0 wherever LAPACK's sigma_max of A is finite, and s is then its values of A, bit
+    for bit, from one call.  Where sigma_max passes the largest double, LAPACK gives inf
+    or NaN, and the values are taken again on A 2^-f, f putting A's largest real or
+    imaginary part in [1, 2), exact short of underflow (in a stack, each matrix alone).
+    So no scale is ever taken from inf: _sigma_exponent(s, f) puts sigma_max in [1, 2).
+    """
+    s = _singular_values(am)
+    if s.ndim == 2:
+        if all(map(math.isfinite, s[:, 0].tolist())):
+            return s, [0] * len(s)
+        rows = [_unit_values(m) for m in am]
+        return frozen(np.array([x for x, _ in rows])), [f for _, f in rows]
+    if math.isfinite(s[0]):
+        return s, 0
+    f = _exponent(max(float(np.abs(am.real).max()), float(np.abs(am.imag).max())))
+    return _singular_values(_scaled(am, -f)), f
+
+
+def _sigma_exponent(s: np.ndarray, f: int) -> int:
+    """The e that puts sigma_max 2^-e in [1, 2), from _unit_values' pair (s, f)."""
+    return f + _exponent(float(s[0]))
+
+
 def operator_norm(a, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Largest singular value."""
+    """Largest singular value (inf where it passes the largest double)."""
     return _operator_norm(as_matrix(a))
 
 
 def _operator_norm(am: np.ndarray) -> float:
-    return float(_singular_values(am)[0])
+    s, f = _unit_values(am)
+    return _ldexp(float(s[0]), f)
 
 
 def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -490,15 +526,18 @@ def invertibility_margin(a, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
 def _invertibility_gate(am: np.ndarray, tol: Tolerance) -> tuple:
     """The package's one threshold test: A counts as invertible when sigma_min / sigma_max > tol.rel.
 
-    Returns (verdict, margin, singular values).  On a stack (k, m, n) of matrices it
-    takes one SVD call, and the verdict and the margin are arrays, one entry per matrix.
+    Returns (verdict, margin, s, f), s the singular values of A 2^-f as
+    _unit_values gives them: the margin is read at that scale, so a matrix whose
+    sigma_max passes the largest double has its own.  On a stack (k, m, n) of
+    matrices it takes one SVD call, and the verdict and the margin are arrays,
+    one entry per matrix.
     """
-    s = _singular_values(am)
+    s, f = _unit_values(am)
     if s.ndim == 1:
         margin = sigma_ratio(float(s[0]), float(s[-1]))
     else:
         margin = np.array([sigma_ratio(x[0], x[-1]) for x in s.tolist()])
-    return margin > tol.rel, margin, s
+    return margin > tol.rel, margin, s, f
 
 
 def sigma_ratio(sigma_max: float, sigma_min: float) -> float:

@@ -53,8 +53,8 @@ from .kernel import (
     _invertibility_gate,
     _ldexp,
     _scaled,
-    _singular_values,
     _unit_det,
+    _unit_values,
     as_columns,
     as_matrix,
     fro,
@@ -113,14 +113,15 @@ class LatticeBasis:
         return self._real.real
 
     @cached_property
-    def _extremes(self) -> tuple[float, float]:
-        s = _singular_values(self._real)
-        return float(s[0]), float(s[-1])
+    def _extremes(self) -> tuple[float, float, int]:
+        """sigma_max and sigma_min of the realification 2^-f, and f (kernel._unit_values)."""
+        s, f = _unit_values(self._real)
+        return float(s[0]), float(s[-1]), f
 
     @cached_property
     def _block_margin(self) -> float:
         """sigma_min / sigma_max of the first n generators, as invertibility_margin gives it."""
-        s = _singular_values(self.g[:, : self.n])
+        s = _unit_values(self.g[:, : self.n])[0]
         return sigma_ratio(float(s[0]), float(s[-1]))
 
     @cached_property
@@ -149,16 +150,18 @@ class LatticeBasis:
 
     @property
     def sigma_max(self) -> float:
-        return self._extremes[0]
+        top, _, f = self._extremes
+        return _ldexp(top, f)
 
     @property
     def sigma_min(self) -> float:
-        return self._extremes[1]
+        _, bottom, f = self._extremes
+        return _ldexp(bottom, f)
 
     @property
     def margin(self) -> float:
         """sigma_min / sigma_max of the realification, as invertibility_margin gives it."""
-        return sigma_ratio(*self._extremes)
+        return sigma_ratio(*self._extremes[:2])
 
     def coordinates(self, w, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """solve(realified, w, tol) for a vector or columns w in R^2n, gated by the carried margin.
@@ -242,7 +245,7 @@ class PeriodMatrix:
 
 def _imaginary_part_invertible(zm: np.ndarray) -> np.ndarray:
     """Z, once its imaginary part passes the invertibility gate at the default tolerance."""
-    ok, margin, _ = _invertibility_gate(zm.imag.astype(np.complex128), DEFAULT_TOL)
+    ok, margin = _invertibility_gate(zm.imag.astype(np.complex128), DEFAULT_TOL)[:2]
     if not ok:
         raise RankDeficient(f"imaginary part is singular (margin {margin:.3e})")
     return zm
@@ -279,8 +282,8 @@ def rank_margin(g, tol: Tolerance = DEFAULT_TOL) -> float:
     n, m = gm.shape
     if m > 2 * n:
         raise DimensionMismatch(f"at most {2 * n} columns can be independent over R, got {m}")
-    s = _singular_values(real_columns(gm).astype(np.complex128))
-    return float(s[-1])
+    s, f = _unit_values(real_columns(gm).astype(np.complex128))
+    return _ldexp(float(s[-1]), f)
 
 
 def covolume(lat: LatticeBasis) -> float:
@@ -292,7 +295,8 @@ def covolume(lat: LatticeBasis) -> float:
     the largest double is inf, and one that underflows below the smallest normal double
     raises NumericOverflow; a singular basis has covolume 0.0.  No path warns.
     """
-    d, e = _unit_det(lat._real, lat.sigma_max)
+    top, _, f = lat._extremes
+    d, e = _unit_det(lat._real, f + _exponent(top))
     size = _ldexp(_complex_abs(d), 2 * lat.n * e)
     if d != 0 and size < _FLOAT_TINY:
         raise NumericOverflow(

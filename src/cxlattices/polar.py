@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InternalCheckError,
     NotInSL,
     NotPositiveDefinite,
     NumericOverflow,
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .kernel import (
     _EPS,
-    _FLOAT_MAX,
     _FLOAT_TINY,
     DEFAULT_TOL,
     GRAY_ZONE,
@@ -47,13 +45,13 @@ from .kernel import (
     _adjoint,
     _built,
     _complex_abs,
-    _exponent,
     _hermitian_part,
     _invertibility_gate,
     _ldexp,
     _overflow_checked,
     _scaled,
     _self_adjoint_part,
+    _sigma_exponent,
     _unit_det,
     as_matrix,
     fro,
@@ -61,11 +59,6 @@ from .kernel import (
     gated_solve,
     sigma_ratio,
 )
-
-# below this sigma_max no entry of A* A, nor any partial sum of one, reaches 2^1022, so
-# classify forms it unscaled; at or above it the defect is taken on A at unit scale
-_UNSCALED_LIMIT = 2.0**511
-
 
 def _root_certified(p, tol: Tolerance) -> tuple:
     """The Hermitian part of p and the root R = L* of its Cholesky factor L (p = R* R),
@@ -81,7 +74,7 @@ def _root_certified(p, tol: Tolerance) -> tuple:
         root = np.linalg.cholesky(p)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("no Cholesky factor: not positive definite") from None
-    ok, margin, _ = _invertibility_gate(root, tol)
+    ok, margin = _invertibility_gate(root, tol)[:2]
     # rounding in the entries of p and in the factorization blurs its eigenvalues
     # by about n eps of the largest: a squared margin within GRAY_ZONE of that
     # cannot tell p from a semidefinite form
@@ -173,13 +166,14 @@ def classify(a, tol: Tolerance = DEFAULT_TOL) -> GroupMembership:
 
 def _classify(am: np.ndarray, tol: Tolerance) -> GroupMembership:
     n = am.shape[0]
-    in_gl, _, s = _invertibility_gate(am, tol)
-    sigma_max = float(s[0])
-    d, e = _unit_det(am, sigma_max)
-    if sigma_max < _UNSCALED_LIMIT:
+    in_gl, _, s, k = _invertibility_gate(am, tol)
+    f = _sigma_exponent(s, k)
+    d, e = _unit_det(am, f)
+    # below sigma_max = 2^511 no entry of A* A, nor any partial sum of one, reaches 2^1022,
+    # so it is formed unscaled; from there on the defect is taken on A at unit scale
+    if f < 511:
         defect = fro(_adjoint(am) @ am - np.eye(n))
     else:  # |A* A - I|_F = 4^f |B* B - 4^-f I|_F for B = A 2^-f, sigma_max 2^-f in [1, 2)
-        f = _exponent(min(sigma_max, _FLOAT_MAX))
         unit = _scaled(am, -f)
         defect = _ldexp(fro(_adjoint(unit) @ unit - math.ldexp(1.0, -2 * f) * np.eye(n)), 2 * f)
     det_distance = _complex_abs(_ldexp(d, n * e) - 1.0)
@@ -207,12 +201,12 @@ def gram(a, tol: Tolerance = DEFAULT_TOL) -> GramForm:
 
 
 def _gated_margin(am: np.ndarray, tol: Tolerance, what: str) -> tuple:
-    """(margin, singular values) of A once the gate accepts A; SingularMatrix, naming what
-    needed it, otherwise."""
-    ok, margin, s = _invertibility_gate(am, tol)
+    """(margin, e) of A once the gate accepts A, e putting sigma_max 2^-e in [1, 2);
+    SingularMatrix, naming what needed it, otherwise."""
+    ok, margin, s, f = _invertibility_gate(am, tol)
     if not ok:
         raise SingularMatrix(f"{what} needs an invertible matrix (margin {margin:.3e})")
-    return margin, s
+    return margin, _sigma_exponent(s, f)
 
 
 def _gram(am: np.ndarray, tol: Tolerance) -> GramForm:
@@ -262,8 +256,8 @@ def unitarily_equivalent(a1, a2, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, np
     if m1.shape != m2.shape:
         raise DimensionMismatch(f"shapes differ: {m1.shape} vs {m2.shape}")
     # A1* has A1's singular values, so the gate's margin on A1 also gates the solve
-    (margin, s1), (_, s2) = (_gated_margin(m, tol, "gram") for m in (m1, m2))
-    e = _exponent(max(s1[0], s2[0]))
+    (margin, e1), (_, e2) = (_gated_margin(m, tol, "gram") for m in (m1, m2))
+    e = max(e1, e2)
     m1, m2 = _scaled(m1, -e), _scaled(m2, -e)
     p1, p2 = _gram_matrix(m1), _gram_matrix(m2)
     if fro(p1 - p2) > tol.rel * (fro(p1) + fro(p2)) + tol.abs:
@@ -289,9 +283,6 @@ def spd_sqrt(p: GramForm, tol: Tolerance = DEFAULT_TOL) -> GramForm:
     if not margin > tol.rel:
         raise NotPositiveDefinite(f"root margin {margin:.3e} not above tolerance")
     q = _hermitian_part((vh.conj().T * s) @ vh)
-    defect = fro(q @ q - p.matrix)
-    if defect > 100.0 * tol.rel * max(fro(p.matrix), 1.0) + tol.abs:
-        raise InternalCheckError(f"square root residual {defect:.3e} beyond tolerance")
     return GramForm._certified(q, np.sqrt(s)[:, None] * vh)
 
 
@@ -301,23 +292,20 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, GramForm]:
     Both factors come from one SVD A = W S V*: U = W V* and P = V S V*, the
     self-adjoint positive-definite square root of A* A.  The SVD works on A
     itself, so the condition number is never squared and an ill-conditioned
-    but invertible A takes the same route as any other.  The reconstruction
-    residual and the unitarity of U are checked on the way out.  P has the
-    root S^(1/2) V*, whose margin sqrt(s_min / s_max) exceeds A's margin,
-    which passed the invertibility gate, so P needs no further positivity
-    check.
+    but invertible A takes the same route as any other.  LAPACK's SVD is
+    backward stable, so A - U P and U* U - I are rounding and are not tested
+    again (cxlat polar reports both).  P has the root S^(1/2) V*, whose margin
+    sqrt(s_min / s_max) exceeds A's margin, which passed the invertibility
+    gate, so P needs no further positivity check.  A P that is not finite
+    (sigma_max past the largest double) is NumericOverflow.
     """
     am = as_matrix(a, square=True)
     _gated_margin(am, tol, "polar")
     w, s, vh = np.linalg.svd(am)
-    u = w @ vh
-    p = GramForm._certified((vh.conj().T * s) @ vh, np.sqrt(s)[:, None] * vh)
-    residual = fro(am - u @ p.matrix)
-    if residual > tol.rel * max(fro(am), 1.0) + tol.abs:
-        raise InternalCheckError(f"polar residual {residual:.3e} beyond tolerance")
-    if not _classify(u, tol).in_u:
-        raise InternalCheckError("polar direction factor failed the unitarity check")
-    return frozen(u), p
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, not warned
+        pm = (vh.conj().T * s) @ vh
+    p = GramForm._certified(_overflow_checked(pm, "polar factor P"), np.sqrt(s)[:, None] * vh)
+    return frozen(w @ vh), p
 
 
 def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
@@ -335,20 +323,18 @@ def sl_normalize(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, complex]:
     numpy's complex division (Smith's method), which can overflow in between
     on entries past ~9e307, stays finite.  NumericOverflow only where the
     quotient is not finite (a determinant that still under- or overflows).
+    det(A / delta) is one in exact arithmetic, and its floating-point value
+    misses one by rounding that grows with cond(A), so it is not tested again.
     """
     am = as_matrix(a, square=True)
-    s = _gated_margin(am, tol, "sl_normalize")[1]
+    f = _gated_margin(am, tol, "sl_normalize")[1]
     n = am.shape[0]
-    d, e = _unit_det(am, s[0])
-    f = _exponent(min(float(s[0]), _FLOAT_MAX))
+    d, e = _unit_det(am, f)
     # a det that still under- or overflows (delta 0 or not finite) leaves out not finite:
-    # NumericOverflow, before its determinant is read, and never warned
+    # NumericOverflow, never warned
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = complex(_complex_abs(d) ** (1.0 / n) * np.exp(1j * np.angle(d) / n))
         out = _overflow_checked(_scaled(am, -f) / _ldexp(root, e - f), "A / det(A)^(1/n)")
-    d, k = _unit_det(out)
-    if _complex_abs(_ldexp(d, n * k) - 1.0) > tol.rel * n:
-        raise InternalCheckError("determinant after scaling is not one at tolerance")
     return frozen(out), _ldexp(root, e)
 
 

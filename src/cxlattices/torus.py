@@ -28,8 +28,7 @@ small enough (LatticeBasis._reps_finite); its points then skip the check,
 and only a basis without that proof pays it.  A TorusPoint built by hand is
 validated in full.  One reduce thus costs one LU, one residual norm (the
 norm of the solution is taken only for a residual past tol.abs), and a
-fixed handful of vector passes: the 2^52 test and the drift bound read one
-|c|.
+fixed handful of vector passes.
 Bases are immutable, so whether the bases of two points present the same
 lattice is decided once per (basis, basis, tolerance) and remembered on
 the first basis, weakly, so the memo keeps no basis alive; an error such
@@ -50,7 +49,6 @@ from .errors import (
     SingularMatrix,
 )
 from .kernel import (
-    _EPS,
     DEFAULT_TOL,
     Tolerance,
     _built,
@@ -103,17 +101,16 @@ class TorusPoint:
         return self.lattice.n
 
 
-def _solved(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _solved(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Generator coordinates c of a finite vector zv, which the basis solves for without
-    validating it, and |c|; NumericOverflow for a coordinate of 2^52 or more in
-    magnitude, which has no fractional bit."""
+    validating it; NumericOverflow for a coordinate of 2^52 or more in magnitude, which
+    has no fractional bit."""
     # real_columns gives float64 columns: the LU and the residual cast them to complex exactly
     c = lat._coordinates(real_columns(zv[:, None]), tol)[:, 0].real
-    size = np.abs(c)
-    big = size.max()
+    big = np.abs(c).max()
     if not big < 2.0**52:
         raise NumericOverflow(f"coordinate of magnitude {big:.3e} keeps no fractional bit (limit 2^52)")
-    return c, size
+    return c
 
 
 def _point(lat: LatticeBasis, c: np.ndarray, tol: Tolerance) -> TorusPoint:
@@ -141,27 +138,13 @@ def reduce(lat: LatticeBasis, z, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:
 
     Coordinates within tol.abs below 1 wrap to 0, keeping the half-open
     invariant exact; z minus the representative is then a lattice point by
-    construction (the dropped coordinate parts are integers).  A coordinate
-    of 2^52 or more in magnitude has no fractional bit, and a representative
-    G @ coords can overflow although its coordinates lie in [0, 1): both
-    are NumericOverflow.
+    construction: the dropped coordinate parts are floor(c), or floor(c) + 1
+    after a wrap, integers whatever the rounding.  A coordinate of 2^52 or
+    more in magnitude has no fractional bit, and a representative G @ coords
+    can overflow although its coordinates lie in [0, 1): both are
+    NumericOverflow.
     """
-    return _reduce(lat, as_vector(np.ravel(z), lat.n), tol)
-
-
-def _reduce(lat: LatticeBasis, zv: np.ndarray, tol: Tolerance) -> TorusPoint:
-    """reduce on a finite complex vector of length lat.n, which needs no validation."""
-    c, size = _solved(lat, zv, tol)
-    p = _point(lat, c, tol)
-    shift = c - p.coords
-    # floor(c) and shift - rint(shift) are exact.  c - floor(c), in [0, 1], rounds by at
-    # most eps / 2, a wrap to 0 moves it by at most tol.abs, and c - frac rounds by at
-    # most eps / 2 (|c| + 1), so shift lies within tol.abs + eps (1 + |c| / 2) of the
-    # integers; the terms 2 eps + eps |c|, about eps max(1, |c|), allow that rounding
-    bound = 10.0 * tol.abs + 2.0 * _EPS + (1e-12 + _EPS) * size
-    if (np.abs(shift - np.rint(shift)) > bound).any():
-        raise InternalCheckError("dropped coordinate parts drifted off the integers")
-    return p
+    return _point(lat, _solved(lat, as_vector(np.ravel(z), lat.n), tol), tol)
 
 
 def _gate(lat: LatticeBasis, tol: Tolerance) -> None:
@@ -190,7 +173,7 @@ def _coords_in(p: TorusPoint, q: TorusPoint, tol: Tolerance) -> np.ndarray:
         _gate(lat, tol)
         return q.coords
     _require_same_lattice(lat, q.lattice, tol)
-    return _solved(lat, q.rep, tol)[0]
+    return _solved(lat, q.rep, tol)
 
 
 def torus_add(p: TorusPoint, q: TorusPoint, tol: Tolerance = DEFAULT_TOL) -> TorusPoint:

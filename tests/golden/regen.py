@@ -395,6 +395,13 @@ CASES = {
         "input": '{"first": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]], "second": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]}',
         "exit": 1,
     },
+    # a well-conditioned n = 3 pair whose sigma_max passes the largest double: the gate reads
+    # its margin at unit scale, so the pair reaches the height check (one line, no LAPACK text)
+    "lattice-equiv-n3-huge-sigma": {
+        "argv": ["lattice-equiv"],
+        "input": '{"first": [[[1.7e+308, 0], [1.7e+308, 0], [0, 0]], [[1.7e+308, 0], [-1.7e+308, 0], [0, 0]], [[0, 0], [0, 0], [1.7e+308, 0]]], "second": [[[1.7e+308, 0], [-1.7e+308, 0], [0, 0]], [[1.7e+308, 0], [1.7e+308, 0], [0, 0]], [[0, 0], [0, 0], [1.7e+308, 0]]]}',
+        "exit": 1,
+    },
     # with tol.abs 1000 every column of height 4 matches: 6561 x 6561 column pairs exceed
     # the default budget, so the scan fails fast instead of forming them
     "lattice-equiv-column-pairs-over-budget": {

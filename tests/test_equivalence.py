@@ -1155,7 +1155,7 @@ def test_stacked_pair_stages_match_per_matrix_calls_bit_for_bit(n):
 def _check_stacked_pair(stack):
     invs = np.linalg.inv(stack)
     rows = equivalence._row_norms(invs)
-    ok, margin, _ = _invertibility_gate(stack, DEFAULT_TOL)
+    ok, margin = _invertibility_gate(stack, DEFAULT_TOL)[:2]
     singles = []
     for i, m in enumerate(stack):
         single = np.array(m)  # a matrix of its own, not a view of the stack
@@ -1196,6 +1196,15 @@ def test_covolume_past_the_largest_double_is_decided_and_reported_as_inf():
     )
     # the determinant is taken at unit scale, where 2^-20 is exact, and scaled back exactly
     assert lattice_equivalent([[2.0**500]], [[2.0**520]]).refuter == ("covolume", 2.0**1000, math.inf)
+
+
+def test_a_pair_whose_sigma_max_passes_the_largest_double_is_read_at_unit_scale():
+    # the gate hands over the scale of its values, so no scale is taken from an inf
+    # sigma_max: short_vectors does not warn, and at n = 3 the pair reaches the height check
+    a = np.array([[1.7e308, 1.7e308, 0], [1.7e308, -1.7e308, 0], [0, 0, 1.7e308]])
+    assert short_vectors(a[:2, :2], 4.0).norms == ()
+    with pytest.raises(HeightTooLarge):
+        lattice_equivalent(a, a[[1, 0, 2]])
 
 
 def test_a_determinant_that_underflows_at_the_pairs_scale_is_retaken():

@@ -430,6 +430,29 @@ def test_singular_values_of_singular_input():
     np.testing.assert_array_equal(singular_values(np.zeros((3, 3))), [0.0, 0.0, 0.0])
 
 
+def test_singular_values_past_the_largest_double_are_taken_at_unit_scale():
+    # LAPACK gives inf or NaN for a sigma_max past the largest double (and a margin of
+    # nan); the values are taken again on A 2^-f, so sigma_max reads inf, and the other
+    # values and the margin are A's; elsewhere f = 0 and the values are LAPACK's, bit for bit
+    cases = (
+        (np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]), [np.inf, np.inf], 1.0),
+        (np.array([[complex(1.7e308, 1.7e308)]]), [np.inf], 1.0),
+        (np.array([[1.7e308, 1.7e308, 0], [1.7e308, -1.7e308, 0], [0, 0, 1e300]]), [np.inf, np.inf, 1e300],
+         1e300 / 1.7e308 / np.sqrt(2.0)),
+    )
+    for a, values, margin in cases:
+        np.testing.assert_allclose(singular_values(a), values, rtol=1e-15)
+        assert operator_norm(a) == np.inf
+        ok, got = invertibility_margin(a)
+        assert ok and got == pytest.approx(margin, rel=1e-15), a
+        s, f = kernel._unit_values(kernel.as_matrix(a))
+        assert np.isfinite(s).all() and 1.0 <= s[0] * 2.0 ** (f - kernel._sigma_exponent(s, f)) < 2.0
+    rng = np.random.default_rng(116)
+    a = random_complex(rng, 3)
+    s, f = kernel._unit_values(a)
+    assert f == 0 and s.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes()
+
+
 def test_wide_input_keeps_one_value_per_column():
     np.testing.assert_allclose(singular_values(np.ones((1, 2))), [np.sqrt(2.0), 0.0], rtol=1e-15)
     s = singular_values([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

@@ -671,6 +671,28 @@ def test_sl_normalize_properties():
         assert -np.pi / n < np.angle(delta) <= np.pi / n + 1e-15
 
 
+def test_sl_normalize_returns_at_cond_1e8_and_at_a_tight_tol_rel():
+    # det(A / delta) is one in exact arithmetic; the LU determinant of the rounded quotient
+    # misses it by rounding that grows with kappa = sigma_max / sigma_min, within
+    # 4 n eps kappa here (a backward-stable LU reads det to about n eps kappa relative,
+    # and each entry of A / delta is rounded once)
+    eps = np.finfo(float).eps
+    cases = []
+    for n in (2, 3):
+        rng = np.random.default_rng(20 + n)
+        cases += [(with_ratio(rng, n, 1e-8), DEFAULT_TOL) for _ in range(20)]
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        cases.append((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), Tolerance(rel=1e-15)))
+    for a, tol in cases:
+        n = a.shape[0]
+        s = np.linalg.svd(a, compute_uv=False)
+        out, delta = sl_normalize(a, tol)
+        assert abs(np.linalg.det(out) - 1.0) <= 4 * n * eps * s[0] / s[-1], (a, tol)
+        assert np.allclose(out * delta, a, rtol=1e-12, atol=0.0)
+
+
 def test_sl_normalize_rejects_singular():
     with pytest.raises(SingularMatrix):
         sl_normalize([[0.0]])
@@ -720,6 +742,32 @@ def test_tight_tolerance_still_sound():
     a = random_invertible(rng, 3, min_cond=1e-1)
     u, p = polar(a, tol)
     assert np.linalg.norm(u @ p.matrix - a) <= 1e-11 * np.linalg.norm(a)
+
+
+def test_polar_returns_at_the_smallest_tol_rel():
+    # nothing is tested again on the way out, so a tol.rel of 5e-324 only widens the gate;
+    # the factors are LAPACK's, sound to rounding
+    rng = np.random.default_rng(44)
+    tol = Tolerance(rel=5e-324)
+    for n in (1, 2, 3, 8):
+        a = random_invertible(rng, n)
+        u, p = polar(a, tol)
+        assert np.linalg.norm(u @ p.matrix - a) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-13
+
+
+def test_a_well_conditioned_matrix_past_the_largest_double_is_invertible():
+    # sigma_max = sqrt(2) 1.7e308 passes the largest double; the gate reads the margin at
+    # unit scale, so the pair is invertible with margin 1 and unitarily equivalent
+    a = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    ok, margin = invertibility_margin(a)
+    assert ok and margin == pytest.approx(1.0, rel=1e-15)
+    same, t = unitarily_equivalent(a, a[::-1])
+    assert same and np.allclose(t, [[0, 1], [1, 0]], atol=1e-15)
+    with pytest.raises(NumericOverflow):  # A* A and V S V* overflow
+        gram(a)
+    with pytest.raises(NumericOverflow):
+        polar(a)
 
 
 @pytest.mark.filterwarnings("error")

@@ -386,6 +386,29 @@ def test_normalize_post_composition_identity_on_points():
         np.testing.assert_allclose(g @ apply(normal, z), apply(t, z), rtol=1e-9, atol=1e-9)
 
 
+def test_normalize_post_composition_at_cond_1e8_reproduces_the_map():
+    # M at sigma_min / sigma_max = 1e-8 and the default tolerance: T(w) - M (w + conj(E w))
+    # = conj((N - conj(M) E) w) is the residual of the solve for E, so on the 2n real basis
+    # directions the factorization misses T by at most sqrt(2) times solve's residual bound,
+    # tol.rel |M| max(|E|, 1) + tol.abs, plus the rounding of evaluating both sides,
+    # 8 n eps |M| (1 + |E|) (Frobenius norms)
+    tol, eps = Tolerance(), np.finfo(float).eps
+    for n in (2, 3):
+        rng = np.random.default_rng(30 + n)
+        basis = np.hstack([np.eye(n), 1j * np.eye(n)])
+        for _ in range(20):
+            u, _ = np.linalg.qr(random_complex(rng, n))
+            v, _ = np.linalg.qr(random_complex(rng, n))
+            m = (u * np.geomspace(1.0, 1e-8, n)) @ v
+            t = ConjugatePairForm(m, random_complex(rng, n))
+            g, normal = normalize_post_composition(t, tol)
+            size_m, size_e = np.linalg.norm(g), np.linalg.norm(normal.e)
+            bound = np.sqrt(2.0) * (tol.rel * size_m * max(size_e, 1.0) + tol.abs)
+            bound += 8 * n * eps * size_m * (1.0 + size_e)
+            miss = np.linalg.norm(apply(t, basis) - g @ apply(normal, basis))
+            assert miss <= bound, (n, miss, bound)
+
+
 def test_normalize_requires_invertible_m():
     with pytest.raises(SingularM):
         normalize_post_composition(ConjugatePairForm(np.zeros((1, 1)), np.ones((1, 1))))
