@@ -20,7 +20,7 @@ sl-normalize) need nothing more.  The other handlers import what they call:
 the map subcommands add realmaps, the lattice subcommands and sigma-check
 add lattices and gaussian, torus-reduce and torus-add add torus as well,
 lattice-equiv adds equivalence as well (once its input has parsed, so a
-malformed input loads nothing more), dim1-forms adds dim1 and realmaps.
+malformed input loads nothing more), dim1-forms adds dim1.
 When the first word is a known subcommand, run() builds that subparser
 alone; anything else gets the full parser, so every argparse error and help
 text keeps its bytes.  The lattice-equiv defaults and modes live in kernel,

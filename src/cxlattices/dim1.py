@@ -8,9 +8,11 @@ theta (z + mu conj(z)) with theta = alpha, mu = beta / alpha, |mu| < 1.
 
 Invertibility is |alpha| != |beta|.  In the c form the criterion is
 Re(c) != 0: the realified determinant is |alpha|^2 - |beta|^2
-= Re(conj(a) b) = |a|^2 Re(c).  Everything here is plain complex
-arithmetic; the matrix modules enter only as cross-checks, which makes
-this module an independent oracle for the general-dimension code.
+= Re(conj(a) b) = |a|^2 Re(c).  Every verdict here reads one closed form,
+_margin, and everything is plain complex arithmetic: no matrix module is
+imported, which makes this module an independent oracle for the
+general-dimension code.  Its cross-checks against that code live in the
+tests.
 """
 
 from __future__ import annotations
@@ -19,11 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InternalCheckError, MajorizationFails, NumericOverflow
-from .kernel import DEFAULT_TOL, Tolerance, _built, _complex_abs, in_gray_zone
-from .realmaps import BlockForm, invertibility
+from .kernel import DEFAULT_TOL, Tolerance, _built, _complex_abs, _exponent, _ldexp
 
 
 def _finite(z: complex, label: str) -> complex:
@@ -47,8 +46,10 @@ class ScalarForms:
     """The four presentations of one scalar real-linear map.
 
     c is present exactly when a != 0; theta and mu exactly when
-    |alpha| > |beta| with margin (Eq. of the holomorphic-dominant case).
-    Construction re-validates that all present forms agree on z = 1, i.
+    |alpha| > |beta| with margin (Eq. of the holomorphic-dominant case) and
+    the computed |mu| < 1.  A form built by hand is validated: all present
+    forms must agree on z = 1, i.  from_ab builds its forms without that
+    re-test of its own identities.
     """
 
     a: complex
@@ -89,14 +90,31 @@ def evaluate(f: ScalarForms, z: complex) -> complex:
     return f.alpha * z + f.beta * z.conjugate()
 
 
-def _gap_scale(alpha: complex, beta: complex) -> tuple[float, float]:
-    return abs(abs(alpha) - abs(beta)), abs(alpha) + abs(beta)
+def _margin(a: complex, b: complex) -> float:
+    """The signed margin (|alpha|^2 - |beta|^2) / (|alpha| + |beta|)^2 of T(x + iy) = a x + i b y.
+
+    It is Re(a conj(b)) / (|alpha| + |beta|)^2, taken on a and b at their unit scale
+    (their largest part in [1, 2)), so it neither cancels, overflows nor divides by an
+    underflow; 0 for the zero map.  Its modulus is sigma_min / sigma_max of the
+    realification, whose singular values are |alpha| +- |beta|.
+    """
+    top = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag))
+    if not top:
+        return 0.0
+    e = _exponent(top)
+    a, b = _ldexp(a, -e), _ldexp(b, -e)
+    s = abs(a + b) / 2 + abs(a - b) / 2  # |alpha| + |beta| at this scale, at least 1
+    return (a.real * b.real + a.imag * b.imag) / s / s
 
 
-def _dominant(alpha: complex, beta: complex, tol: Tolerance) -> bool:
-    """Whether |alpha| > |beta| with margin: the gate of the theta/mu form."""
-    gap, scale = _gap_scale(alpha, beta)
-    return abs(alpha) > abs(beta) and gap > tol.rel * scale
+def _thetamu(a: complex, b: complex, alpha: complex, beta: complex, tol: Tolerance):
+    """(theta, mu) = (alpha, beta / alpha) where |alpha| > |beta| with margin at tol and the
+    computed |mu| < 1, else None: below a margin of about eps / 4, |mu| can round to 1."""
+    if alpha and _margin(a, b) > tol.rel:
+        mu = beta / alpha
+        if _complex_abs(mu) < 1.0:
+            return alpha, mu
+    return None
 
 
 def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms:
@@ -111,50 +129,30 @@ def from_ab(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> ScalarForms
         if not cmath.isfinite(c):
             raise ValueError("quotient b / a overflows; rescale the map first")
     _finite_moduli(a, b, alpha, beta)  # a +- b may overflow too
-    theta = mu = None
-    if _dominant(alpha, beta, tol):
-        theta = alpha
-        mu = beta / alpha
-    return ScalarForms(a=a, b=b, alpha=alpha, beta=beta, c=c, theta=theta, mu=mu)
-
-
-def _as_block(f: ScalarForms) -> BlockForm:
-    # T(x + iy) = a x + i b y realifies to [[Re a, -Im b], [Im a, Re b]]
-    e1, e2, e3, e4 = (np.array([[x]]) for x in (f.a.real, -f.b.imag, f.a.imag, f.b.real))
-    return _built(BlockForm, e1=e1, e2=e2, e3=e3, e4=e4)
+    theta, mu = _thetamu(a, b, alpha, beta, tol) or (None, None)
+    return _built(ScalarForms, a=a, b=b, alpha=alpha, beta=beta, c=c, theta=theta, mu=mu)
 
 
 def is_invertible_1d(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Invertibility by the scalar criterion |alpha| != |beta|, margin-aware.
 
-    Cross-checked against the realified-matrix route; the two thresholds
-    coincide algebraically (the realification has singular values
-    |alpha| +- |beta|), so a decisive disagreement is an internal error.
+    |_margin| > tol.rel: the realified gate's own rule sigma_min / sigma_max > tol.rel,
+    since the realification has singular values |alpha| +- |beta|.
     """
-    gap, scale = _gap_scale(f.alpha, f.beta)
-    if scale == 0.0:
-        return False
-    threshold = tol.rel * scale
-    verdict = gap > threshold
-    realified, ratio = invertibility(_as_block(f), tol)
-    if verdict != realified:
-        if not (in_gray_zone(gap, threshold) or in_gray_zone(ratio, tol.rel)):
-            raise InternalCheckError(
-                "scalar and realified invertibility checks decisively disagree"
-            )
-    return verdict
+    return abs(_margin(f.a, f.b)) > tol.rel
 
 
 def to_thetamu(f: ScalarForms, tol: Tolerance = DEFAULT_TOL) -> tuple[complex, complex]:
     """The normalized scalar form theta (z + mu conj(z)): theta = alpha, mu = beta / alpha.
 
-    Requires |alpha| > |beta| with margin at tol, from_ab's gate; the invertible
-    but conjugation-dominant case |beta| > |alpha| is excluded too.  The form
-    agrees with f at z = 1, i by theta (1 +- mu) = alpha +- beta, which
-    ScalarForms checks on its own theta and mu, so it is not evaluated again.
+    Requires |alpha| > |beta| with margin at tol and a computed |mu| < 1, from_ab's
+    gate; the invertible but conjugation-dominant case |beta| > |alpha| is excluded
+    too.  The form agrees with f at z = 1, i by theta (1 +- mu) = alpha +- beta, so
+    it is not evaluated again.
     """
-    if not _dominant(f.alpha, f.beta, tol):
+    form = _thetamu(f.a, f.b, f.alpha, f.beta, tol)
+    if form is None:
         raise MajorizationFails(
             f"|alpha| = {abs(f.alpha):.6g} does not dominate |beta| = {abs(f.beta):.6g}"
         )
-    return f.alpha, f.beta / f.alpha
+    return form

@@ -482,6 +482,13 @@ CASES = {
         "input": '{"a": [0, 0], "b": [1, 0]}',
         "exit": 0,
     },
+    # subnormal a and b: Re(a conj(b)) at unit scale reads the margin -2.13e-9, so the map
+    # is invertible at the default tolerance, where ||alpha| - |beta|| loses it to rounding
+    "dim1-forms-subnormal-pair": {
+        "argv": ["dim1-forms"],
+        "input": '{"a": [-4.7243792e-316, -6.1706121e-316], "b": [5.4e-323, -4e-323]}',
+        "exit": 0,
+    },
     # |b| and a - b overflow although a and b are finite: one error line, not a traceback
     "dim1-forms-overflow": {
         "argv": ["dim1-forms"],

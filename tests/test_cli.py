@@ -130,7 +130,7 @@ FAMILY_MODULES = {
     "lattice-covolume-standard": {"gaussian", "lattices"},
     "torus-add-wrap": {"gaussian", "lattices", "torus"},
     "lattice-equiv-equivalent-rotation": {"equivalence", "gaussian", "lattices"},
-    "dim1-forms-basic": {"dim1", "realmaps"},
+    "dim1-forms-basic": {"dim1"},
 }
 _LOADED = """
 import io, json, sys

@@ -37,7 +37,7 @@ EDGE_FLAGS = {
 BY_COMMAND: dict = {}  # the golden cases of each subcommand ("" for none)
 for case in CASES.values():
     BY_COMMAND.setdefault(" ".join(case["argv"][:1]), []).append(case)
-NO_SELF_CHECK = ("polar", "gram", "sl-normalize")  # subcommands that run no self-check
+NO_SELF_CHECK = ("polar", "gram", "sl-normalize", "dim1-forms")  # subcommands that run no self-check
 ERROR_NAMES = {
     name for name, value in vars(errors).items() if isinstance(value, type) and issubclass(value, errors.CxlatError)
 } | {"MalformedInput"}
@@ -121,7 +121,7 @@ def test_every_call_keeps_the_output_contract(call):
         assert name in ERROR_NAMES, (argv, text, out)
         assert (code == 2) == (name == "MalformedInput"), (argv, text, out)
         # a self-check fails on valid input only at a tolerance the caller chose, and
-        # none is left on the path of polar, gram and sl-normalize
+        # none is left on the path of polar, gram, sl-normalize and dim1-forms
         if argv[:1] and argv[0] in NO_SELF_CHECK or ("--tol-rel" not in argv and "--tol-abs" not in argv):
             assert name != "InternalCheckError", (argv, text, out)
     assert _run(argv, text) == (code, out, err), (argv, text)

@@ -2,15 +2,26 @@
 with the general-dimension machinery."""
 
 import cmath
+import dataclasses
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cxlattices
+from cxlattices import jsonio
 from cxlattices.dim1 import (
     ScalarForms,
+    _margin,
     evaluate,
     from_ab,
     is_invertible_1d,
@@ -32,6 +43,7 @@ from cxlattices.realmaps import (
 scalars = st.complex_numbers(
     min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
 )
+EPS = sys.float_info.epsilon
 
 
 def as_conjugate_pair(f: ScalarForms) -> ConjugatePairForm:
@@ -245,6 +257,14 @@ def test_contraction_check_passes_for_theta_form():
     assert contraction_check(NormalizedForm([[f.mu.conjugate()]]))
 
 
+def test_to_thetamu_of_a_hand_built_form_with_zero_alpha_raises_majorization_fails():
+    # alpha = beta = 0 is within the constructor's drift bound of a = 1e-12, b = 0: the
+    # margin of a and b is 1, yet beta / alpha has no value
+    f = ScalarForms(a=1e-12, b=0, alpha=0, beta=0, c=0, theta=None, mu=None)
+    with pytest.raises(MajorizationFails):
+        to_thetamu(f)
+
+
 def test_wide_tolerance_widens_margin():
     # alpha = 1, beta = 1 - 1e-6: invertible at default tol, not at rel = 1e-3
     delta = 1e-6
@@ -282,3 +302,110 @@ def test_to_thetamu_on_subnormal_pairs_raises_only_majorization_fails():
             continue
         assert (theta, mu) == (f.alpha, f.beta / f.alpha)
     assert 0 < refused < 2000
+
+
+
+def _exact_margin(a: complex, b: complex) -> Decimal:
+    """(|alpha|^2 - |beta|^2) / (|alpha| + |beta|)^2 of the doubles a, b in exact arithmetic:
+    Re(a conj(b)) as a Fraction, the moduli |a + b| and |a - b| to 100 digits."""
+    (ar, ai), (br, bi) = ((Fraction(z.real), Fraction(z.imag)) for z in (a, b))
+    with localcontext() as ctx:
+        ctx.prec = 100
+
+        def decimal(q: Fraction) -> Decimal:
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        s = (decimal((ar + br) ** 2 + (ai + bi) ** 2).sqrt()
+             + decimal((ar - br) ** 2 + (ai - bi) ** 2).sqrt()) / 2
+        return decimal(ar * br + ai * bi) / (s * s) if s else Decimal(0)
+
+
+def _gaussian(rng) -> complex:
+    return complex(*rng.standard_normal(2))
+
+
+def _draws(family: str, rng, count: int):
+    """Seeded (a, b) pairs of one family."""
+    for _ in range(count):
+        if family == "gaussian":
+            yield _gaussian(rng), _gaussian(rng)
+        elif family == "near-equal moduli":  # |beta| = |alpha| (1 + delta), 1e-16 <= |delta| <= 1e-2
+            alpha = _gaussian(rng)
+            delta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -2)
+            beta = abs(alpha) * (1 + delta) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            yield alpha + beta, alpha - beta
+        elif family == "powers of two":  # 2^k, k in [-1070, 1020]: subnormals included
+            yield tuple(_gaussian(rng) * math.ldexp(1.0, int(rng.integers(-1070, 1021))) for _ in "ab")
+        else:  # a = 1 against |b| up to 1e308
+            yield 1.0 + 0j, 10.0 ** rng.uniform(0, 308) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "near-equal moduli", "powers of two", "a = 1 against huge b"])
+def test_margin_and_verdicts_agree_with_exact_arithmetic(family):
+    rng = np.random.default_rng(34)
+    tols = [Tolerance(rel=rel) for rel in (1e-9, 1e-3, 1e-15)]
+    for a, b in _draws(family, rng, 1500):
+        exact = _exact_margin(a, b)
+        assert abs(Decimal(_margin(a, b)) - exact) <= 4 * Decimal(EPS), (a, b, exact)
+        try:
+            forms = [from_ab(a, b, tol) for tol in tols]
+        except ValueError:
+            # from_ab refuses a quotient b / a past the largest double; the margin still holds
+            assert not cmath.isfinite(b / a), (a, b)
+            continue
+        normal = all(p == 0 or abs(p) >= sys.float_info.min
+                     for z in (a, b, forms[0].alpha, forms[0].beta) for p in (z.real, z.imag))
+        for tol, f in zip(tols, forms):
+            dataclasses.replace(f)  # the hand-built constructor accepts from_ab's forms
+            rel = Decimal(tol.rel)
+            if abs(abs(exact) - rel) <= 4 * Decimal(EPS):
+                continue  # within rounding of the threshold: either verdict is right
+            assert is_invertible_1d(f, tol) == (abs(exact) > rel), (a, b, tol, exact)
+            if f.theta is not None:
+                assert exact > rel and abs(f.mu) < 1, (a, b, tol, exact)
+            elif normal:
+                assert not exact > rel, (a, b, tol, exact)
+
+
+# each once exited 1 with InternalCheckError from the scalar / realified cross-check: a
+# subnormal pair at the default tolerance (exact margin -2.13e-9), and two pairs whose
+# margin is about 5.9e-309 at the smallest tol.rel
+REPROS = [
+    ('{"a": [-4.7243792e-316, -6.1706121e-316], "b": [5.4e-323, -4e-323]}', []),
+    ('{"a": [1, 0], "b": [1.7e308, 0]}', ["--tol-rel", "5e-324"]),
+    ('{"a": [1, 1.7e+308], "b": [0, 1]}', ["--tol-rel", "5e-324"]),
+]
+
+
+@pytest.mark.parametrize("text, options", REPROS)
+def test_repros_give_the_exact_verdict_in_the_library_and_the_command_line(text, options):
+    a, b = (complex(*json.loads(text)[key]) for key in "ab")
+    tol = Tolerance(rel=float(options[1])) if options else Tolerance()
+    exact = _exact_margin(a, b)
+    f = from_ab(a, b, tol)
+    assert abs(exact) > Decimal(tol.rel) and is_invertible_1d(f, tol)
+    src = str(pathlib.Path(cxlattices.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cxlattices.cli", "dim1-forms", *options],
+                          input=text, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert proc.stdout == jsonio.dumps_canonical(out)  # one canonical line
+    assert out["status"] == "ok" and out["payload"]["invertible"] is True
+    assert out["payload"]["mu"] == (None if f.mu is None else [f.mu.real, f.mu.imag])
+
+
+@pytest.mark.parametrize("a, b", [(1, 1j + 1e-17), (1, 1.7e308), (complex(1, 1.7e308), 1j)])
+def test_theta_mu_is_kept_only_where_the_computed_mu_is_below_one(a, b):
+    # |alpha| > |beta| in exact arithmetic, by a margin under eps / 4: alpha and beta round
+    # to equal moduli, so beta / alpha would have |mu| = 1.  The map is invertible, with no
+    # theta/mu form, and the hand-built constructor accepts the forms
+    tol = Tolerance(rel=5e-324)
+    assert 0 < _exact_margin(complex(a), complex(b)) < EPS / 4
+    f = from_ab(a, b, tol)
+    assert abs(f.beta / f.alpha) == 1.0
+    assert (f.theta, f.mu) == (None, None)
+    assert is_invertible_1d(f, tol)
+    with pytest.raises(MajorizationFails):
+        to_thetamu(f, tol)
+    assert dataclasses.replace(f) == f
