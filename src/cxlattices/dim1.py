@@ -25,6 +25,9 @@ from .errors import InternalCheckError, MajorizationFails, NumericOverflow
 from .kernel import DEFAULT_TOL, Tolerance, _built, _complex_abs, _exponent, _ldexp
 
 
+_DRIFT_FLOOR = 4 * math.ulp(0.0)
+
+
 def _finite(z: complex, label: str) -> complex:
     z = complex(z)
     if not (cmath.isfinite(z)):
@@ -62,7 +65,10 @@ class ScalarForms:
 
     def __post_init__(self) -> None:
         _finite_moduli(self.a, self.b, self.alpha, self.beta)
-        bound = DEFAULT_TOL.rel * (abs(self.a) + abs(self.b) + 1.0)
+        # relative to the map's own size, plus a few units of the smallest subnormal for
+        # the rounding of alpha and beta there; b / a, taken through a denominator rounded
+        # to that grid when a is subnormal, may miss by those units times |c|
+        bound = DEFAULT_TOL.rel * (abs(self.a) + abs(self.b)) + _DRIFT_FLOOR
         # a drift passes only when its modulus is <= bound: one that overflows to inf, or
         # a NaN, fails.  The alpha/beta form must reproduce a and b (values at z = 1, i)
         if not _complex_abs(self.alpha + self.beta - self.a) <= bound:
@@ -72,7 +78,8 @@ class ScalarForms:
         if self.c is not None:
             if self.a == 0:
                 raise InternalCheckError("c form requires a != 0")
-            if not _complex_abs(self.a * self.c - self.b) <= bound:
+            slack = bound + _DRIFT_FLOOR * _complex_abs(self.c)
+            if not _complex_abs(self.a * self.c - self.b) <= slack:
                 raise InternalCheckError("a * c drifted from b")
         if (self.theta is None) != (self.mu is None):
             raise InternalCheckError("theta and mu are present only together")

@@ -36,16 +36,21 @@ The scan returns at once when no column matches (P2)_11, or none matches
 match (P2)_22 (a pair count past the budget raises HeightTooLarge).  Over
 those pairs (a, c), (b, d) it takes one table of ad - bc, from the
 single-precision columns and their turned copies (-c, a) that the grid
-holds, exact on small Gaussian integers, and one table of the cross term;
-one mask keeps the pairs with ad - bc = 1 whose Frobenius residual, from the
-two norm gaps and the cross term, is within the bound (both tables are taken
-in blocks of rows, so a large pair count never holds them whole).  The forms
-enter as their entries, Python numbers.  One sort puts the hits in candidate
-order, where two or more remain.  What depends on the height alone is built once per
-height (_Grid); a call pays only for what depends on its forms.  At n = 1
-the one candidate is B = 1, and B* P1 B - P2 is |a1|^2 - |a2|^2: no scan
-runs, and lattice_equivalent tests the two squared lengths against the
-scan's bound without forming A* A.
+holds, exact on small Gaussian integers, in blocks of rows, so a large pair
+count never holds it whole.  Only on the pairs with ad - bc = 1 does it take
+b1* P1, the cross term b1* P1 b2 - (P2)_12, the Frobenius residual from the
+two norm gaps and the cross term, and the candidate-order key, each a
+fixed-order sum on Python numbers: the forms enter as their entries, and the
+grid keeps its columns and keys as Python numbers too.  A pair whose
+residual is within the bound is a hit, and one sort puts the hits in
+candidate order; the cross term takes no BLAS product (the norm gaps come
+from the one product with F).  Where each diagonal entry is matched by the
+four unit multiples of one column, as on a typical pair, 4 of the 16 pairs
+have ad - bc = 1 and 2 of those (B and -B) are hits.  What depends on the
+height alone is built once per height (_Grid); a call pays only for what
+depends on its forms.  At n = 1 the one candidate is B = 1, and
+B* P1 B - P2 is |a1|^2 - |a2|^2: no scan runs, and lattice_equivalent tests
+the two squared lengths against the scan's bound without forming A* A.
 
 Scale follows one rule: A1(Z[i]^n) and A2(Z[i]^n) are equivalent exactly
 when s A1(Z[i]^n) and s A2(Z[i]^n) are, for any scalar s != 0.  So each
@@ -241,7 +246,9 @@ class _Grid(NamedTuple):
     sorts as candidate order does.  narrow is cols in single precision, and turned is
     narrow [[0, 1], [-1, 0]], the column (a, c) as (-c, a), so that turned[u] narrow[v]^T
     is ad - bc for a first column (a, c) and a second (b, d): exact, as every part is at
-    most 2 H^2 < 2^24 for any grid that fits in memory.
+    most 2 H^2 < 2^24 for any grid that fits in memory.  col_list and spread_list are
+    cols and spread as Python numbers, a tuple of (b_0, b_1) and a tuple of ints, for the
+    scan's pair stage, which reads a few entries per call.
     """
 
     box: tuple
@@ -251,6 +258,8 @@ class _Grid(NamedTuple):
     spread: np.ndarray
     narrow: np.ndarray
     turned: np.ndarray
+    col_list: tuple
+    spread_list: tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,11 +274,13 @@ def _grid(height: int) -> _Grid:
         [cols.real**2 + cols.imag**2, 2.0 * cross.real, -2.0 * cross.imag], axis=1
     )
     x, y = np.divmod(np.arange(m * m), m)
+    spread = x * m * m + y
     narrow = cols.astype(np.complex64)
     return _Grid(
         box, frozen(cols), frozen(np.sum(np.abs(cols) ** 2, axis=1)), frozen(features),
-        frozen(x * m * m + y), frozen(narrow),
+        frozen(spread), frozen(narrow),
         frozen(narrow @ np.array([[0, 1], [-1, 0]], np.complex64)),
+        tuple(map(tuple, cols.tolist())), tuple(spread.tolist()),
     )
 
 
@@ -353,7 +364,7 @@ def _gram_hits(height: int, p1: tuple, p2: tuple, tol: Tolerance, budget: int = 
         yield from _one_hits(p1[0], p2[0], tol)
         return
     box = _grid(height).box
-    for x, y in zip(*(ids.tolist() for ids in _gram_hit_ids(height, p1, p2, tol, budget))):
+    for x, y in zip(*_gram_hit_ids(height, p1, p2, tol, budget)):
         (a, c), (b, d) = divmod(x, len(box)), divmod(y, len(box))
         yield (box[a], box[b]), (box[c], box[d])
 
@@ -377,16 +388,17 @@ def _one_hits(g1: float, g2: float, tol: Tolerance) -> tuple:
 
 
 def _gram_hit_ids(height: int, p1: tuple, p2: tuple, tol: Tolerance,
-                  budget: int) -> tuple[np.ndarray, np.ndarray]:
+                  budget: int) -> tuple[list, list]:
     """The grid ids (u, v) of the first and the second column of each 2x2 hit of
     _gram_hits, in candidate order, by the column scan of the module docstring.  The
     slack on each column norm, which scales with |P1|_F and with |b|^2, covers the
     rounding by which two ways of computing b* P1 b may differ.
 
-    Past the column filter, the table of ad - bc and the table of the cross term
-    b1* P1 b2 - (P2)_12 are taken over every pair of a first and a second column, in
-    blocks of rows of at most _CHUNK pairs; one mask per block, ad - bc = 1 and the
-    residual within the bound, gives the hits in row order."""
+    Past the column filter, the table of ad - bc is taken over every pair of a first and
+    a second column, in blocks of rows of at most _CHUNK pairs.  Only on the pairs with
+    ad - bc = 1 are b1* P1, the cross term b1* P1 b2 - (P2)_12, the Frobenius residual and
+    the candidate-order key taken, each a fixed-order sum on Python numbers; a pair whose
+    residual is within the bound is a hit, and one sort puts the hits in candidate order."""
     (g00, g11, g01), (h00, h11, h01) = p1, p2
     size = _gram_fro(p1)
     bound = tol.rel * (size + _gram_fro(p2)) + tol.abs
@@ -397,32 +409,37 @@ def _gram_hit_ids(height: int, p1: tuple, p2: tuple, tol: Tolerance,
     near = np.abs(gaps) <= reach
     first = np.flatnonzero(near[0])
     if first.size == 0:
-        return first, first
+        return [], []
     second = np.flatnonzero(near[1])
     if second.size == 0:
-        return second, second
+        return [], []
     if first.size * second.size > budget:
         raise HeightTooLarge(f"{first.size} x {second.size} matching column pairs at height"
                              f" {height} exceed budget {budget}")
-    # ad - bc from the grid's single-precision rows (exact, at half the bytes), and the
-    # cross term from b1* P1, each entry of its table the same fixed-order sum
-    lead = grid.cols[first].conj() @ np.array([[g00, g01], [g01.conjugate(), g11]])
-    tail = grid.cols[second]
+    # ad - bc from the grid's single-precision rows: exact, at half the bytes
     rows = max(1, _CHUNK // second.size)
     found = []
     for lo in range(0, first.size, rows):
-        ids = first[lo:lo + rows]
-        dets = grid.turned[ids] @ grid.narrow[second].T
-        cross = lead[lo:lo + rows, :1] * tail[:, 0] + lead[lo:lo + rows, 1:] * tail[:, 1] - h01
-        residual = np.sqrt(gaps[0, ids, None] ** 2 + gaps[1, second] ** 2
-                           + 2.0 * (cross.real**2 + cross.imag**2))
-        found.append(np.flatnonzero((dets == 1) & (residual <= bound)) + lo * second.size)
-    i, j = np.divmod(found[0] if len(found) == 1 else np.concatenate(found), second.size)
-    u, v = first[i], second[j]
-    if u.size < 2:
-        return u, v
-    order = np.argsort(len(grid.box) * grid.spread[u] + grid.spread[v])
-    return u[order], v[order]
+        dets = grid.turned[first[lo:lo + rows]] @ grid.narrow[second].T
+        found.append(np.flatnonzero(dets == 1) + lo * second.size)
+    pairs = found[0] if len(found) == 1 else np.concatenate(found)
+    firsts, seconds = first.tolist(), second.tolist()
+    gaps1, gaps2 = gaps[0, first].tolist(), gaps[1, second].tolist()
+    cols, spread, m = grid.col_list, grid.spread_list, len(grid.box)
+    g10 = g01.conjugate()
+    hits = []
+    for k in pairs.tolist():
+        i, j = divmod(k, len(seconds))
+        u, v = firsts[i], seconds[j]
+        (a, c), (b, d) = cols[u], cols[v]
+        a, c = a.conjugate(), c.conjugate()
+        cross = (a * g00 + c * g10) * b + (a * g01 + c * g11) * d - h01
+        gap1, gap2 = gaps1[i], gaps2[j]
+        if math.sqrt(gap1 * gap1 + gap2 * gap2
+                     + 2.0 * (cross.real * cross.real + cross.imag * cross.imag)) <= bound:
+            hits.append((m * spread[u] + spread[v], u, v))
+    hits.sort()
+    return [u for _, u, _ in hits], [v for _, _, v in hits]
 
 
 def sigma_orbit_equal(

@@ -136,12 +136,21 @@ def _ldexp(x, k: int):
     """x 2^k, of a float or of each part of a complex, and inf of x's sign where it overflows."""
     if not k:
         return x
-    if isinstance(x, complex):
-        return complex(_ldexp(x.real, k), _ldexp(x.imag, k))
+    # isinstance, not type(x) is complex: numpy's complex128 is a complex subclass, and
+    # math.ldexp of one keeps its real part alone
+    is_complex = isinstance(x, complex)
     try:
+        if is_complex:
+            return complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
         return math.ldexp(x, k)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+    except OverflowError:  # part by part: inf of its sign where it overflows
+        parts = [x.real, x.imag] if is_complex else [x]
+        for i, part in enumerate(parts):
+            try:
+                parts[i] = math.ldexp(part, k)
+            except OverflowError:
+                parts[i] = math.copysign(math.inf, part)
+        return complex(*parts) if is_complex else parts[0]
 
 
 def _complex_abs(z: complex) -> float:

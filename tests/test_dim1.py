@@ -155,6 +155,25 @@ def test_scalar_forms_drift_whose_modulus_overflows_is_a_drift():
         ScalarForms(a=1, b=1, alpha=1, beta=0, c=1, theta=1, mu=complex(1.5e308, 1.5e308))
 
 
+def test_scalar_forms_drift_is_bounded_relative_to_the_maps_size():
+    # at a = 1e-12, b = 0, alpha + beta = 0 misses a by 100 %: T(i) would read 1e-9 i where
+    # i b = 0.  A bound with an absolute 1e-9 in it accepted this form
+    with pytest.raises(InternalCheckError, match="^alpha \\+ beta drifted from a$"):
+        ScalarForms(a=1e-12, b=0, alpha=5e-10, beta=-5e-10, c=0, theta=None, mu=None)
+    # the same form scaled to unit size, and a drift of a few units of the smallest subnormal
+    with pytest.raises(InternalCheckError, match="^alpha \\+ beta drifted from a$"):
+        ScalarForms(a=1.0, b=0, alpha=500.0, beta=-500.0, c=0, theta=None, mu=None)
+    ScalarForms(a=0, b=0, alpha=1e-323, beta=-5e-324, c=None, theta=None, mu=None)
+    # from_ab's own forms pass, also where b / a is rounded through a subnormal denominator
+    # (about 4e-6 off here) and where alpha and beta round on the subnormal grid
+    for a, b in (
+        (complex(2.98564e-319, -4.12955e-319), complex(2.3905017731885474e-11, -1.9756501598015582e-11)),
+        (complex(-4.7243792e-316, -6.1706121e-316), complex(5.4e-323, -4e-323)),
+        (5e-324, 5e-324),
+    ):
+        dataclasses.replace(from_ab(a, b))
+
+
 def test_scalar_forms_invariants_enforced():
     with pytest.raises(InternalCheckError):
         ScalarForms(a=1, b=1, alpha=1, beta=1, c=None, theta=None, mu=None)
@@ -258,9 +277,9 @@ def test_contraction_check_passes_for_theta_form():
 
 
 def test_to_thetamu_of_a_hand_built_form_with_zero_alpha_raises_majorization_fails():
-    # alpha = beta = 0 is within the constructor's drift bound of a = 1e-12, b = 0: the
-    # margin of a and b is 1, yet beta / alpha has no value
-    f = ScalarForms(a=1e-12, b=0, alpha=0, beta=0, c=0, theta=None, mu=None)
+    # alpha = beta = 0 is within the constructor's drift bound, a few units of the smallest
+    # subnormal, of a = b = 5e-324: the margin of a and b is 1, yet beta / alpha has no value
+    f = ScalarForms(a=5e-324, b=5e-324, alpha=0, beta=0, c=1, theta=None, mu=None)
     with pytest.raises(MajorizationFails):
         to_thetamu(f)
 

@@ -38,7 +38,7 @@ from cxlattices.errors import (
     RadiusBudgetExceeded,
     SingularMatrix,
 )
-from cxlattices.gaussian import gadd, gdet, gmat, gmul, gsub
+from cxlattices.gaussian import gadd, gconj, gdet, gmat, gmatmul, gmul, gsub
 from cxlattices.lattices import GaussianUnimodular
 from cxlattices.kernel import (
     DEFAULT_BUDGET,
@@ -401,6 +401,82 @@ def test_column_norm_prefilter_keeps_every_hit(name):
             want = _reference_hits(transported, p2, bound)
             hits = equivalence._gram_hit_ids(h, f1, f2, tol, DEFAULT_BUDGET)
             assert want.size == 0 and np.array_equal(np.stack(hits, axis=1), ids[want])
+
+
+def _all_pairs_hit_ids(height, p1, p2, tol):
+    """The scan as first written, the reference for _gram_hit_ids: the same column filter,
+    then a table of ad - bc and a table of the cross term b1* P1 b2 - (P2)_12 over every
+    matched pair, one mask (ad - bc = 1 and the Frobenius residual within the bound) and one
+    sort by the candidate-order key."""
+    (g00, g11, g01), (h00, h11, h01) = p1, p2
+    size = _gram_fro(p1)
+    bound = tol.rel * (size + _gram_fro(p2)) + tol.abs
+    grid = equivalence._grid(height)
+    gaps = grid.features @ np.array([g00, g11, g01.real, g01.imag]) - np.array([[h00], [h11]])
+    near = np.abs(gaps) <= bound + 64 * np.finfo(float).eps * (size * grid.weights + bound)
+    first, second = np.flatnonzero(near[0]), np.flatnonzero(near[1])
+    dets = grid.turned[first] @ grid.narrow[second].T
+    lead = grid.cols[first].conj() @ np.array([[g00, g01], [g01.conjugate(), g11]])
+    cross = lead[:, :1] * grid.cols[second, 0] + lead[:, 1:] * grid.cols[second, 1] - h01
+    residual = np.sqrt(gaps[0, first, None] ** 2 + gaps[1, second] ** 2
+                       + 2.0 * (cross.real**2 + cross.imag**2))
+    i, j = np.nonzero((dets == 1) & (residual <= bound))
+    u, v = first[i], second[j]
+    order = np.argsort(len(grid.box) * grid.spread[u] + grid.spread[v])
+    return u[order], v[order]
+
+
+# a determinant-one B of height 6 whose Gram form is matched by 768 first and 576 second
+# columns of the height-6 grid: 442368 pairs, of which few have ad - bc = 1
+_TALL_B = np.array([[-6 - 1j, -6 - 4j], [-4 - 1j, -4 - 3j]])
+
+
+def test_the_pair_stage_keeps_the_all_pairs_reference_hits():
+    # the scan takes the residual on the determinant-one pairs alone, on Python numbers;
+    # on the seeded forms of test_column_norm_prefilter_keeps_every_hit, with their planted
+    # and bumped partners, and on I against B* B for a tall B, it returns exactly the ids of
+    # the reference that takes both tables over every matched pair.  At height 3 the forms
+    # scaled by 2^-200 are left out for run time alone: every one of the 2401 columns
+    # matches there, and the reference's tables span 5.8 million pairs per call (about 4 s
+    # a form); the same regime is taken at heights 1 and 2
+    cases = []
+    for name in ("complete-h1", "complete-h2", "complete-h3"):
+        h = _SETS[name][1]
+        stack = _as_stack(sigma_candidates(2, h, 10**7))
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for k, p1 in enumerate(_gram_forms(rng, 2)):
+            planted_ids = rng.integers(len(stack), size=2)  # drawn for every form, as there
+            if h == 3 and k % 3 == 2:  # _gram_forms lists each form at 1, 2^200, 2^-200
+                continue
+            for planted in planted_ids:
+                b = stack[planted]
+                exact = b.conj().T @ p1 @ b
+                exact = 0.5 * (exact + exact.conj().T)
+                size = DEFAULT_TOL.rel * (np.linalg.norm(p1) + np.linalg.norm(exact)) + DEFAULT_TOL.abs
+                # a bump of 1.2 times the bound on the cross term is a miss only with its
+                # weight 2 in the residual
+                for c in (0.5, -0.5, 1.2, -1.2, 2.0, -2.0):
+                    for i, j in ((0, 0), (1, 1), (0, 1)):
+                        cases.append((h, p1, exact + _hermitian_bump(2, i, j, c * size), DEFAULT_TOL))
+    eye = np.eye(2, dtype=complex)
+    tall = _TALL_B.conj().T @ _TALL_B
+    cases += [(6, eye, tall, DEFAULT_TOL), (6, eye, tall, Tolerance(rel=1e-3))]
+    hits = 0
+    for h, p1, p2, tol in cases:
+        f1, f2 = equivalence._form_entries(p1), equivalence._form_entries(p2)
+        want = _all_pairs_hit_ids(h, f1, f2, tol)
+        got = equivalence._gram_hit_ids(h, f1, f2, tol, DEFAULT_BUDGET)
+        assert [list(ids) for ids in got] == [ids.tolist() for ids in want], (h, p1, p2, tol)
+        hits += len(got[0])
+    assert hits > 0
+    # lattice_equivalent finds a witness B' for the pair (I, B): A2 = T B' with T unitary,
+    # so B'* B' is B* B, exactly, on the Gaussian integers
+    verdict = lattice_equivalent(eye, _TALL_B, height=6)
+    assert verdict.status == EQUIVALENT
+    found = verdict.witness[1].entries
+    star = tuple(zip(*((gconj(z) for z in row) for row in found)))
+    want = gmat([[(z.real, z.imag) for z in row] for row in tall])
+    assert gmatmul(star, found) == want
 
 
 _SEARCHES = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -226,6 +228,45 @@ def test_det_past_the_doubles_is_a_number_and_never_warns():
         assert d == want and not np.isnan(d.imag), (a, d)
     # a determinant below the smallest normal double is rounded from the one at unit scale
     assert det(np.eye(2) * 1e-160) == pytest.approx(1e-320, rel=1e-3)
+
+
+def _recursive_ldexp(x, k):
+    """The scale step as it was first written, part by part through itself: the reference
+    kernel._ldexp must match bit for bit."""
+    if not k:
+        return x
+    if isinstance(x, complex):
+        return complex(_recursive_ldexp(x.real, k), _recursive_ldexp(x.imag, k))
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _bits(x):
+    """The type and the bits of each part of a float or a complex."""
+    parts = (x.real, x.imag) if isinstance(x, complex) else (x,)
+    return type(x), tuple(struct.pack("<d", p) for p in parts)
+
+
+@pytest.mark.parametrize("x, k", [
+    (np.complex128(1.5 - 2.5j), 3),  # a complex subclass: math.ldexp would keep 1.5 alone
+    (np.complex128(-0.0 + 1e300j), 100),  # the imaginary part overflows, -0.0 keeps its sign
+    (complex(1e300, -1e300), 100),  # both parts overflow, each to inf of its own sign
+    (complex(-1e300, 2.0), 100),  # one part overflows, the other scales
+    (-1e300, 100),
+    (np.float64(1e300), 100),
+    (complex(1.0, -3.0), -1074),  # subnormal parts, rounded
+    (3.0, -1074),
+    (complex(5e-324, 1.0), 1100),  # a subnormal part scaled up, exactly
+    (2.5, 0),
+    (np.complex128(2.5j), 0),
+])
+def test_ldexp_matches_the_recursive_form_bit_for_bit(x, k):
+    got = kernel._ldexp(x, k)
+    assert _bits(got) == _bits(_recursive_ldexp(x, k))
+    if not k:
+        assert got is x
 
 
 def test_unit_det_of_a_stack_is_each_matrixs_bit_for_bit():
